@@ -17,9 +17,10 @@
 #   make bench-smoke    — the async fastest-q speedup benchmark (~10 s)
 #   make bench-hotpath  — zero-copy pipeline vs legacy copy chain; writes
 #                         BENCH_hotpath.json and checks the acceptance bar
-#   make bench-wire     — negotiated wire formats: bytes on the wire, decode
-#                         throughput and an attack x GAR robustness sweep;
-#                         writes BENCH_wire.json and checks the byte ratios
+#   make bench-wire     — negotiated wire formats: bytes on the wire, rounds/sec,
+#                         codec MB/s on one and two threads, and an attack x GAR
+#                         robustness sweep; writes BENCH_wire.json and checks the
+#                         byte ratios
 #   make bench-detection— online detection: attack x GAR grid with detection
 #                         off/on, per-detector time-to-evict, async quorum-
 #                         shrink gain; writes BENCH_detection.json
@@ -29,6 +30,12 @@
 #   make bench-shard    — sharded aggregation: per-server resident bytes and
 #                         shard-parallel throughput vs server count at large d;
 #                         writes BENCH_shard.json and checks the acceptance bars
+#   make bench-e2e      — the end-to-end round benchmark BENCHMARK.json declares:
+#                         four workloads, untraced + traced pass, at SEED (default
+#                         1); writes benchmarks/e2e/out/e2e-seed<SEED>.json
+#   make bench-e2e-compare A=before.json B=after.json
+#                       — before/after rows of two such files; exits 1 on a
+#                         regression beyond a bound
 #   make bench          — the full figure-reproduction benchmark suite (minutes)
 #   make fuzz-smoke     — tier-1 scenario-fuzzing smoke: fixed seeds, dozens of
 #                         generated scenarios, every invariant checked
@@ -38,9 +45,10 @@
 #   make quickstart     — run the Listing 1 end-to-end example
 
 PYTHON ?= python
+SEED ?= 1
 export PYTHONPATH := src
 
-.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench fuzz-smoke fuzz docs-check quickstart
+.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench fuzz-smoke fuzz docs-check quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -84,6 +92,12 @@ bench-resilience:
 
 bench-shard:
 	$(PYTHON) benchmarks/bench_shard.py
+
+bench-e2e:
+	python3 benchmarks/e2e/run.py --seed $(SEED)
+
+bench-e2e-compare:
+	python3 benchmarks/e2e/run.py --compare $(A) $(B)
 
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s

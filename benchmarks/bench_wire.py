@@ -21,6 +21,11 @@ and/or zlib/zstd-framed.  This benchmark measures three things:
   float64/float16/int8: reduced-precision gradients pass through the same
   Byzantine-resilient aggregation, and the final accuracies show the GARs
   tolerate the quantization noise alongside the attacks.
+* **codec** — encode and decode MB/s of the codec alone, per format, on one
+  thread and with two threads contending for the interpreter.  The ``before``
+  rows are the per-chunk int8 loops this repository shipped until the
+  whole-vector kernels replaced them; that code is gone, so those rows are
+  carried over from the committed file, and ``after`` is measured afresh.
 
 Results land in ``BENCH_wire.json`` at the repository root; ``make
 bench-wire`` runs this file and the tier-1 smoke test
@@ -31,6 +36,7 @@ float32-vs-float64 model-level tolerance check on a small configuration.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from pathlib import Path
 from typing import Dict, List, Tuple
@@ -42,6 +48,7 @@ from repro.core.cluster import ClusterConfig
 from repro.core.session import Session
 from repro.network.serialization import (
     HAVE_ZSTD,
+    deserialize_vector,
     parse_wire_format,
     serialize_vector,
     serialized_nbytes,
@@ -65,6 +72,10 @@ FORMATS: Tuple[str, ...] = (
     "float32+zlib",
     "int8+zlib",
 ) + (("float32+zstd", "int8+zstd") if HAVE_ZSTD else ())
+
+#: Formats of the codec-only throughput block: the delta stream the
+#: end-to-end benchmark ships joins the grid above.
+CODEC_FORMATS: Tuple[str, ...] = FORMATS + ("int8+delta",)
 
 #: Acceptance bounds on the payload-bytes ratio vs float64 (headers excluded).
 INT8_MAX_RATIO = 0.15
@@ -163,6 +174,65 @@ def measure_rounds(
 
 
 # ---------------------------------------------------------------------- #
+# Codec throughput
+# ---------------------------------------------------------------------- #
+def _wall(task, threads: int, calls: int) -> float:
+    """Wall seconds for ``threads`` threads to run ``task`` ``calls`` times each
+    (the quietest of three repeats: the reference box is shared)."""
+
+    def loop() -> None:
+        for _ in range(calls):
+            task()
+
+    best = float("inf")
+    for _ in range(3):
+        workers = [threading.Thread(target=loop) for _ in range(threads)]
+        start = time.perf_counter()
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def measure_codec(dimension: int = DIMENSION, calls: int = 200) -> List[Dict]:
+    """Encode / decode MB/s per format, alone and with two contending threads.
+
+    MB are float64 input megabytes (``8 * dimension`` per call), so formats
+    compare on the work they do for one vector.  Decodes ask for an owned
+    float64 array (``copy=True``) — what lands in a ``RoundBuffer`` row.  The
+    two-thread figure is the aggregate of both threads.
+    """
+    reference = make_gradients(1, dimension, seed=1)[0]
+    vector = reference + 0.01 * make_gradients(1, dimension, seed=2)[0]
+    megabytes = 8 * dimension * calls / 1e6
+    rows: List[Dict] = []
+    for spec in CODEC_FORMATS:
+        ref = reference if parse_wire_format(spec).delta else None
+        blob = serialize_vector(vector, spec, reference=ref)
+        tasks = {
+            "encode": lambda: serialize_vector(vector, spec, reference=ref),
+            "decode": lambda: deserialize_vector(blob, copy=True, reference=ref),
+        }
+        row: Dict = {"format": spec}
+        for name, task in tasks.items():
+            task()  # warmup
+            for threads in (1, 2):
+                seconds = _wall(task, threads, calls)
+                row[f"{name}_mb_s_{threads}_thread"] = round(threads * megabytes / seconds, 1)
+        rows.append(row)
+    return rows
+
+
+def frozen_codec_before() -> List[Dict]:
+    """The per-chunk codec's rows, as committed: that code no longer exists."""
+    if not OUTPUT_PATH.is_file():
+        return []
+    return json.loads(OUTPUT_PATH.read_text(encoding="utf-8")).get("codec", {}).get("before", [])
+
+
+# ---------------------------------------------------------------------- #
 # Robustness sweep
 # ---------------------------------------------------------------------- #
 def run_sweep_cell(
@@ -250,6 +320,14 @@ def run_benchmark(rounds: int = 10, sweep_iterations: int = 12) -> Dict:
             f"average={numbers['average_rounds_per_s']:8.2f} r/s "
             f"multi-krum={numbers['multi-krum_rounds_per_s']:8.2f} r/s"
         )
+    codec_rows = measure_codec()
+    for row in codec_rows:
+        print(
+            f"codec fmt={row['format']:14s} "
+            f"encode={row['encode_mb_s_1_thread']:8.1f} / {row['encode_mb_s_2_thread']:8.1f} MB/s "
+            f"decode={row['decode_mb_s_1_thread']:8.1f} / {row['decode_mb_s_2_thread']:8.1f} MB/s "
+            "(1 / 2 threads)"
+        )
     sweep_rows = measure_robustness(iterations=sweep_iterations)
     return {
         "benchmark": "wire",
@@ -259,6 +337,7 @@ def run_benchmark(rounds: int = 10, sweep_iterations: int = 12) -> Dict:
             "payload_bytes": "framed bytes minus the constant per-message header",
             "rounds_per_s": "pull_many + aggregate rounds per second (real transport, codec emulation on)",
             "final_accuracy": "accuracy after the sweep's training rounds (7 workers, f=2 attacking)",
+            "codec_mb_s": "float64 input MB encoded / decoded per second by the codec alone; 2 threads = both threads' total",
         },
         "acceptance": {
             "int8_payload_ratio_max": INT8_MAX_RATIO,
@@ -267,6 +346,10 @@ def run_benchmark(rounds: int = 10, sweep_iterations: int = 12) -> Dict:
         "have_zstd": HAVE_ZSTD,
         "bytes_on_wire": byte_rows,
         "throughput": throughput_rows,
+        "codec": {
+            "before": frozen_codec_before(),
+            "after": codec_rows,
+        },
         "robustness_sweep": sweep_rows,
     }
 

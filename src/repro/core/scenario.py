@@ -404,7 +404,7 @@ class ScenarioDirector:
     def _backend(self):
         """The transport's delivery backend, target of process-level control.
 
-        For in-process backends every ``apply_control`` is a no-op; the
+        The in-process backend only drops a crashed node's delta streams; the
         socket backend maps ``crash`` onto snapshot + SIGKILL of the node's
         subprocess, ``recover`` onto respawn + state restore, and attack
         toggles onto control RPCs to the hosting process.

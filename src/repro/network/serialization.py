@@ -45,10 +45,11 @@ The codec is copy-free in both directions where the buffer rules allow it:
   array's own buffer goes straight into the socket / frame join.
 * :func:`deserialize_vector` returns a **read-only** ``np.frombuffer`` view
   into the received blob by default (the blob stays alive through the view's
-  ``base``) for the float64/float32/float16 bases; int8 dequantizes, either
-  into a caller-supplied ``out`` row (e.g. the preallocated
-  :class:`~repro.network.transport.RoundBuffer` row) or into one fresh
-  array.  Pass ``copy=True`` for an owned, writable float64 array.
+  ``base``) for the float64/float32/float16 bases; int8 dequantizes into
+  one fresh array, and a caller-supplied ``out`` row (e.g. the preallocated
+  :class:`~repro.network.transport.RoundBuffer` row) receives the result in
+  the pass that adds a delta's reference, or by one copy.  Pass
+  ``copy=True`` for an owned, writable float64 array.
 
 All codec failures raise :class:`~repro.exceptions.SerializationError` (a
 :class:`~repro.exceptions.CommunicationError`): bad magic, unknown format
@@ -229,61 +230,74 @@ def _int8_nchunks(size: int) -> int:
     return (size + INT8_CHUNK_ELEMENTS - 1) // INT8_CHUNK_ELEMENTS
 
 
-def _quantize_int8(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Quantize a flat float64 array into per-chunk (scale, mid) + uint8 codes.
+def _int8_chunk_matrix(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A zeroed ``(nchunks, INT8_CHUNK_ELEMENTS)`` float64 scratch matrix and
+    the flat view of its first ``size`` elements — one row per chunk, the
+    ragged last chunk padded out with zeros.
+
+    On this layout every per-chunk step is one broadcast NumPy pass over the
+    whole vector.  A Python loop over chunks makes a dozen tiny NumPy calls
+    per chunk, each dropping and re-taking the GIL, and two pool threads doing
+    that hand it back and forth in a convoy that costs more than the
+    arithmetic.  The zero padding is inert: it stays finite through both
+    kernels and is sliced off their results.
+    """
+    matrix = np.zeros((_int8_nchunks(size), INT8_CHUNK_ELEMENTS), dtype=np.float64)
+    return matrix, matrix.reshape(-1)[:size]
+
+
+def _quantize_int8(
+    values: np.ndarray, reference: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quantize flat float64 ``values`` (minus ``reference``, for a delta)
+    into per-chunk (scale, mid) + uint8 codes.
 
     Each chunk's values are mapped onto the 256-point grid ``mid + (code -
     127.5) * scale`` with ``scale = (hi - lo) / 255`` — so every element
     reconstructs within ``scale / 2``.  The midpoint/half-range arithmetic is
     ordered to stay finite for any finite inputs (``hi - lo`` may overflow
-    float64 where ``hi/2 - lo/2`` cannot).
+    float64 where ``hi/2 - lo/2`` cannot).  The operation order — subtract
+    ``mid``, divide by ``scale``, add 127.5, round, clip, cast — is frozen:
+    it keeps every blob bit-identical to the per-chunk form the format was
+    defined by (``tests/network/test_codec_conformance.py`` pins the bytes).
+    Neither input is written: handlers serve read-only views of live buffers.
     """
-    size = values.size
-    nchunks = _int8_nchunks(size)
-    scales = np.empty(nchunks, dtype=np.float64)
-    mids = np.empty(nchunks, dtype=np.float64)
-    codes = np.empty(size, dtype=np.uint8)
-    for index in range(nchunks):
-        start = index * INT8_CHUNK_ELEMENTS
-        chunk = values[start : start + INT8_CHUNK_ELEMENTS]
-        lo = float(chunk.min())
-        hi = float(chunk.max())
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise SerializationError(
-                "int8 wire format requires finite values; "
-                "use float16/float32 for payloads that may overflow"
-            )
-        half_range = hi / 2.0 - lo / 2.0  # finite for any finite lo <= hi
-        mid = lo + half_range
-        scale = half_range / 127.5
-        scales[index] = scale
-        mids[index] = mid
-        if scale > 0.0:
-            quantized = np.rint((chunk - mid) / scale + 127.5)
-            codes[start : start + chunk.size] = np.clip(quantized, 0.0, 255.0).astype(
-                np.uint8
-            )
-        else:  # constant chunk: reconstruction is exactly mid
-            codes[start : start + chunk.size] = 0
-    return scales, mids, codes
+    work, flat = _int8_chunk_matrix(values.size)
+    if reference is None:
+        np.copyto(flat, values)
+    else:
+        np.subtract(values, reference, out=flat)
+    starts = np.arange(0, values.size, INT8_CHUNK_ELEMENTS)
+    lo = np.minimum.reduceat(flat, starts)
+    hi = np.maximum.reduceat(flat, starts)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise SerializationError(
+            "int8 wire format requires finite values; "
+            "use float16/float32 for payloads that may overflow"
+        )
+    half_range = hi / 2.0 - lo / 2.0  # finite for any finite lo <= hi
+    mids = lo + half_range
+    scales = half_range / 127.5
+    constant = ~(scales > 0.0)  # hi == lo, or a range too small to resolve
+    work -= mids[:, None]
+    work /= np.where(constant, 1.0, scales)[:, None]
+    work += 127.5
+    np.rint(work, out=work)
+    codes = np.empty(work.shape, dtype=np.uint8)
+    np.clip(work, 0.0, 255.0, out=codes, casting="unsafe")
+    codes[constant] = 0  # reconstruction is exactly mid
+    return scales, mids, codes.reshape(-1)[: values.size]
 
 
-def _dequantize_int8(
-    scales: np.ndarray, mids: np.ndarray, codes: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    size = codes.size
-    result = out if out is not None else np.empty(size, dtype=np.float64)
-    for index in range(scales.size):
-        start = index * INT8_CHUNK_ELEMENTS
-        stop = min(start + INT8_CHUNK_ELEMENTS, size)
-        chunk = result[start:stop]
-        np.subtract(codes[start:stop], 127.5, out=chunk, casting="unsafe")
-        if scales[index] != 0.0:
-            chunk *= scales[index]
-            chunk += mids[index]
-        else:
-            chunk[...] = mids[index]
-    return result
+def _dequantize_int8(scales: np.ndarray, mids: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_quantize_int8`: a private, writable float64 array."""
+    work, flat = _int8_chunk_matrix(codes.size)
+    np.subtract(codes, 127.5, out=flat, casting="unsafe")
+    work *= scales[:, None]
+    work += mids[:, None]
+    constant = scales == 0.0
+    work[constant] = mids[constant, None]
+    return flat
 
 
 def int8_payload_nbytes(size: int) -> int:
@@ -295,7 +309,7 @@ def int8_payload_nbytes(size: int) -> int:
 # Serialization
 # ---------------------------------------------------------------------- #
 def _compress_payload(parts: List[BytesLike], compression: str) -> List[BytesLike]:
-    raw = b"".join(bytes(part) for part in parts)
+    raw = b"".join(parts)
     if compression == "zstd":
         if not HAVE_ZSTD:
             raise ConfigurationError(
@@ -335,6 +349,7 @@ def serialize_vector_parts(
         header += struct.pack(f"<{len(dims)}q", *dims)
 
     values = array.reshape(-1)
+    ref: Optional[np.ndarray] = None
     if fmt.delta:
         if reference is None:
             raise SerializationError(
@@ -345,7 +360,8 @@ def serialize_vector_parts(
             raise SerializationError(
                 f"delta reference has {ref.size} elements, vector has {values.size}"
             )
-        values = values - ref
+        if fmt.base != "int8":  # the int8 kernel subtracts straight into its scratch
+            values = values - ref
 
     if fmt.base == "float64":
         if values is array.reshape(-1) and not fmt.compression:
@@ -353,7 +369,7 @@ def serialize_vector_parts(
             return [header, memoryview(array).cast("B")]
         payload: List[BytesLike] = [memoryview(np.ascontiguousarray(values)).cast("B")]
     elif fmt.base == "int8":
-        scales, mids, codes = _quantize_int8(values)
+        scales, mids, codes = _quantize_int8(values, ref)
         payload = [
             memoryview(scales).cast("B"),
             memoryview(mids).cast("B"),
@@ -441,11 +457,11 @@ def _decompress_payload(body: memoryview) -> Tuple[str, bytes]:
                 "received a zstd-compressed vector but the 'zstandard' module "
                 "is not installed"
             )
-        raw = _zstd.ZstdDecompressor().decompress(bytes(packed), max_output_size=raw_length)
+        raw = _zstd.ZstdDecompressor().decompress(packed, max_output_size=raw_length)
     else:
         try:
             inflater = zlib.decompressobj()
-            raw = inflater.decompress(bytes(packed))
+            raw = inflater.decompress(packed)
             raw += inflater.flush()
         except zlib.error as exc:
             raise SerializationError(f"corrupt compressed vector payload: {exc}") from exc
@@ -477,7 +493,8 @@ def deserialize_vector(
     element; consumers that assign the view into a float64 row (e.g.
     :meth:`RoundBuffer.write_row <repro.network.transport.RoundBuffer.write_row>`)
     widen in place with no intermediate array.  int8 blobs dequantize into
-    ``out`` when given, else into one fresh float64 array.
+    one fresh float64 array, which is what the caller gets unless ``out`` is
+    given.
 
     * ``copy=True`` — always return an owned, writable float64 array.
     * ``reference`` — required for delta-encoded blobs: the same array the
@@ -523,7 +540,7 @@ def deserialize_vector(
             f"vector of {size} elements"
         )
 
-    wrote_out = False
+    target = out.reshape(-1) if out is not None else None
     if fmt.base == "int8":
         expected = int8_payload_nbytes(size)
         if len(body) != expected:
@@ -535,13 +552,9 @@ def deserialize_vector(
         scales = np.frombuffer(body, dtype="<f8", count=nchunks)
         mids = np.frombuffer(body, dtype="<f8", count=nchunks, offset=8 * nchunks)
         codes = np.frombuffer(body, dtype=np.uint8, count=size, offset=16 * nchunks)
-        if fmt.delta or out is None:
-            decoded: np.ndarray = _dequantize_int8(scales, mids, codes)
-        else:
-            # Dequantize straight into the caller's preallocated row — the
-            # RoundBuffer hand-off pays no intermediate array.
-            decoded = _dequantize_int8(scales, mids, codes, out=out.reshape(-1))
-            wrote_out = True
+        decoded: np.ndarray = _dequantize_int8(scales, mids, codes)
+        if target is None:
+            target = decoded  # private scratch: finish in place, hand it over
     else:
         dtype = _BASES[fmt.base][1]
         expected = size * dtype.itemsize
@@ -559,6 +572,8 @@ def deserialize_vector(
             decoded.setflags(write=False)
             return decoded.reshape(dims) if dims else decoded
 
+    # One pass lands the result in ``target``: the caller's row, the int8
+    # scratch, or (``None``) a fresh float64 array.
     if fmt.delta:
         if reference is None:
             raise SerializationError(
@@ -570,16 +585,13 @@ def deserialize_vector(
             raise SerializationError(
                 f"delta reference has {ref.size} elements, blob has {size}"
             )
-        decoded = ref + np.asarray(decoded, dtype=np.float64)
-
-    if out is not None:
-        if not wrote_out:
-            np.copyto(out.reshape(-1), decoded, casting="unsafe")
-        return out.reshape(dims) if dims else out.reshape(-1)
-
-    result = np.asarray(decoded, dtype=np.float64)
-    if not result.flags.owndata:
-        result = result.copy()
+        result = np.add(ref, decoded, out=target)
+    elif target is None:
+        result = np.array(decoded, dtype=np.float64)
+    else:
+        result = target
+        if result is not decoded:
+            np.copyto(result, decoded, casting="unsafe")
     return result.reshape(dims) if dims else result
 
 

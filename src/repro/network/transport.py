@@ -186,6 +186,20 @@ class InProcessBackend(TransportBackend):
             return reconstruction
         return self._roundtrip(result)
 
+    def apply_control(self, node_id: str, op: str, **params: Any) -> None:
+        """Forget a crashed node's sender-side delta streams.
+
+        Over sockets its host is SIGKILLed and respawned without the
+        references it was encoding against, so its next reply on every stream
+        is absolute-encoded; the emulation has to lose them too or the two
+        backends quantize different residuals from that round on.
+        """
+        if op == "crash":
+            with self._delta_lock:
+                self._delta_refs = {
+                    key: ref for key, ref in self._delta_refs.items() if key[1] != node_id
+                }
+
 
 @dataclass
 class LinkModel:

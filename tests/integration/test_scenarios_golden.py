@@ -46,8 +46,8 @@ BACKEND_PARAMS = [
 ]
 
 
-def run_scenario(name: str, executor: str) -> Trace:
-    config = config_for_scenario(name, executor=executor)
+def run_scenario(name: str, executor: str, **overrides) -> Trace:
+    config = config_for_scenario(name, executor=executor, **overrides)
     result = Controller(config).run()
     assert result.trace is not None
     return result.trace
@@ -87,6 +87,28 @@ class TestGoldenTraces:
             pytest.skip("golden traces are being re-blessed")
         stored = {path.stem for path in GOLDEN_DIR.glob("*.json")}
         assert stored == set(available_scenarios())
+
+
+class TestDeltaStreamsAcrossBackends:
+    """``int8+delta`` is stream-stateful: every backend must restart a stream
+    at the same round.  A crashed node's host comes back without the
+    references it was encoding against, so the in-process emulation has to
+    drop them on the crash event too — otherwise it keeps shipping deltas where
+    the socket backend ships absolute blobs, and the quantized payloads (hence
+    the traces) part ways from the first post-recovery pull on."""
+
+    @pytest.mark.parametrize(
+        "name", ["calm_baseline", "partition_heal", "crash_quorum_edge", "churn_at_f_bound"]
+    )
+    @pytest.mark.parametrize("executor", BACKEND_PARAMS[1:])
+    def test_int8_delta_trace_matches_the_serial_backend(
+        self, name, executor, require_process_backend
+    ):
+        if executor == "process":
+            require_process_backend()
+        reference = run_scenario(name, "serial", wire_format="int8+delta")
+        trace = run_scenario(name, executor, wire_format="int8+delta")
+        assert trace.to_json() == reference.to_json()
 
 
 class TestGoldenTraceContents:

@@ -302,3 +302,30 @@ class TestRoundBufferSink:
         sink.reset()
         # After recycling, the retired view falls back to content hashing.
         assert PairwiseDistanceCache._fingerprint(matrix)[0] != "round-token"
+
+
+class TestDeltaStreamEmulation:
+    def test_crash_restarts_the_crashed_nodes_streams_only(self):
+        """A crashed sender re-sends absolute (its real host lost the
+        reference); every other stream keeps delta-encoding."""
+        from repro.network.message import RequestContext
+        from repro.network.serialization import serialize_with_reconstruction
+        from repro.network.transport import InProcessBackend
+
+        rng = np.random.default_rng(0)
+        served = {"a": rng.normal(size=5000), "b": rng.normal(size=5000)}
+        backend = InProcessBackend(wire_format="int8+delta")
+        for node in served:
+            backend.register_handler(node, "value", lambda ctx, node=node: served[node])
+        context = RequestContext(requester="server", iteration=0)
+        first = {node: backend.invoke(node, "value", context) for node in served}
+        for node in served:
+            served[node] = served[node] + 0.01 * rng.normal(size=5000)
+        backend.apply_control("a", "crash")
+        backend.apply_control("a", "recover")
+        second = {node: backend.invoke(node, "value", context) for node in served}
+        absolute = serialize_with_reconstruction(served["a"], "int8+delta")[1]
+        delta = serialize_with_reconstruction(served["b"], "int8+delta", reference=first["b"])[1]
+        assert np.array_equal(second["a"], absolute)
+        assert np.array_equal(second["b"], delta)
+        assert not np.array_equal(delta, serialize_with_reconstruction(served["b"], "int8")[1])

@@ -93,3 +93,22 @@ def test_float64_wire_format_is_the_bit_exact_default():
     params_b, result_b = _run_session("float64")
     assert params_a.tobytes() == params_b.tobytes()
     assert result_a.accuracy_history == result_b.accuracy_history
+
+
+def test_codec_block_has_before_and_after_rows_for_every_format():
+    """``BENCH_wire.json`` carries the per-chunk codec's frozen rows next to
+    the current kernels', and the harness still produces that row shape."""
+    import json
+
+    bench = load_bench()
+    keys = {"format"} | {
+        f"{op}_mb_s_{threads}_thread" for op in ("encode", "decode") for threads in (1, 2)
+    }
+    rows = bench.measure_codec(dimension=5_000, calls=2)
+    assert [row["format"] for row in rows] == list(bench.CODEC_FORMATS)
+    assert all(set(row) == keys and min(v for k, v in row.items() if k != "format") > 0 for row in rows)
+    committed = json.loads(bench.OUTPUT_PATH.read_text(encoding="utf-8"))["codec"]
+    assert bench.frozen_codec_before() == committed["before"]
+    for side in ("before", "after"):
+        assert {row["format"] for row in committed[side]} >= {"int8", "int8+delta"}
+        assert all(set(row) == keys for row in committed[side])
