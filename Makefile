@@ -2,7 +2,7 @@
 #
 #   make test           — tier-1 test suite (what CI gates on)
 #   make test-session   — streaming Session API suite (pause/resume identity,
-#                         until/early-stop, callbacks, registry, shims)
+#                         until/early-stop, callbacks, registry)
 #   make test-scenarios — golden-trace regression suite for the chaos scenarios
 #   make test-detection — online Byzantine-detection surface: detectors,
 #                         reputation book, eviction lifecycle, fuzz invariants

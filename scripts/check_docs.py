@@ -9,6 +9,10 @@ Validates that the documentation surface stays truthful as the code moves:
   ``tests/...``, ``examples/...``, ``docs/...``, ``scripts/...``) exists;
 * every ``repro.<module>`` dotted reference in the docs imports to a real
   module file under ``src/``;
+* every backticked ``Class.attr`` / ``Class.method(...)`` whose ``Class`` is
+  defined under ``src/repro/`` names something that class (or a base class
+  defined there) really has — a method, a class-level name or an attribute
+  assigned on ``self``;
 * the documents are non-empty and start with a top-level heading.
 
 Run directly (``python scripts/check_docs.py``) or via ``make docs-check``;
@@ -23,7 +27,7 @@ import functools
 import re
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,6 +51,8 @@ PATH_PREFIXES = ("src/", "benchmarks/", "tests/", "examples/", "docs/", "scripts
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)#\s]+)[^)]*\)")
 BACKTICK_RE = re.compile(r"`([^`\n]+)`")
 MODULE_RE = re.compile(r"^repro(\.[A-Za-z_][A-Za-z0-9_]*)+$")
+#: ``Class.attr``, optionally followed by a call, an index or a deeper chain.
+CLASS_ATTR_RE = re.compile(r"^([A-Z][A-Za-z0-9_]*)\.([A-Za-z_][A-Za-z0-9_]*)(?:[(.\[].*)?$")
 
 
 def iter_documents() -> Iterator[Tuple[str, str]]:
@@ -139,6 +145,73 @@ def check_module_references(doc: str, text: str) -> List[str]:
     return problems
 
 
+def _own_names(cls: ast.ClassDef) -> Set[str]:
+    """Names bound in a class body, plus attributes its methods set on ``self``."""
+    names: Set[str] = set()
+    for statement in cls.body:
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(statement.name)
+        elif isinstance(statement, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            # ast.walk covers tuple targets; a class-level statement stores nothing else.
+            names.update(
+                node.id
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+            )
+    for node in ast.walk(cls):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            names.add(node.attr)
+    return names
+
+
+@functools.lru_cache(maxsize=1)
+def class_attributes() -> Dict[str, frozenset]:
+    """Class name -> every attribute name the docs may hang off it.
+
+    Built from the AST of ``src/repro/**/*.py`` (import-free, like the rest of
+    the checker).  Base classes are followed by name while they are defined
+    under ``src/repro/`` too; classes sharing a name are merged, which can
+    only make the check more lenient.
+    """
+    own: Dict[str, Set[str]] = {}
+    bases: Dict[str, Set[str]] = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                own.setdefault(node.name, set()).update(_own_names(node))
+                bases.setdefault(node.name, set()).update(
+                    base.id if isinstance(base, ast.Name) else getattr(base, "attr", "")
+                    for base in node.bases
+                )
+
+    def resolve(name: str, seen: Tuple[str, ...] = ()) -> Set[str]:
+        names = set(own[name])
+        for base in bases[name]:
+            if base in own and base not in seen:
+                names |= resolve(base, seen + (name,))
+        return names
+
+    return {name: frozenset(resolve(name)) for name in own}
+
+
+def check_class_references(doc: str, text: str) -> List[str]:
+    problems = []
+    known = class_attributes()
+    for token in sorted(set(BACKTICK_RE.findall(text))):
+        match = CLASS_ATTR_RE.match(token)
+        if match is None or match.group(1) not in known:
+            continue
+        owner, attr = match.group(1), match.group(2)
+        if attr not in known[owner] and not attr.startswith("__"):
+            problems.append(f"{doc}: '{token}' names no attribute of class {owner}")
+    return problems
+
+
 def check_structure(doc: str, text: str) -> List[str]:
     if not text.strip():
         return [f"{doc}: missing or empty"]
@@ -156,6 +229,7 @@ def main() -> int:
         problems.extend(check_links(doc, text))
         problems.extend(check_backtick_paths(doc, text))
         problems.extend(check_module_references(doc, text))
+        problems.extend(check_class_references(doc, text))
     if problems:
         for problem in problems:
             print(problem, file=sys.stderr)

@@ -7,38 +7,28 @@ executed by the single round engine in :mod:`repro.core.session`.  Importing
 this package registers the six bundled strategies; third-party strategies
 plug into the same registry with the decorator.
 
-The historical imperative entry points survive as thin shims:
-``run_application(deployment)`` streams a Session to completion (no warning;
-it is the internal dispatch), while ``run_vanilla`` / ``run_ssmw`` / … emit a
-:class:`DeprecationWarning` and produce byte-identical traces.  The analytic
-throughput model used by the benchmark harness lives in
-:mod:`repro.apps.throughput`.
+``run_application(deployment)`` streams a Session over an already-built
+deployment to completion.  The analytic throughput model used by the
+benchmark harness lives in :mod:`repro.apps.throughput`.
 """
 
 from repro.core.session import (
     APPLICATION_REGISTRY,
-    ApplicationsView,
     RoundStrategy,
     available_applications,
     register_application,
     run_application,
 )
 
-from repro.apps.vanilla import VanillaStrategy, run_vanilla
-from repro.apps.aggregathor import AggregathorStrategy, run_aggregathor
-from repro.apps.crash_tolerant import CrashTolerantStrategy, run_crash_tolerant
-from repro.apps.ssmw import SSMWStrategy, run_ssmw
-from repro.apps.msmw import MSMWStrategy, run_msmw
-from repro.apps.decentralized import DecentralizedStrategy, run_decentralized
+from repro.apps.vanilla import VanillaStrategy
+from repro.apps.aggregathor import AggregathorStrategy
+from repro.apps.crash_tolerant import CrashTolerantStrategy
+from repro.apps.ssmw import SSMWStrategy
+from repro.apps.msmw import MSMWStrategy
+from repro.apps.decentralized import DecentralizedStrategy
 from repro.apps.throughput import ThroughputModel, iteration_breakdown
 
-#: Deprecated live view over the strategy registry; ``APPLICATIONS[name]``
-#: returns the legacy (warning) runner for that application.
-APPLICATIONS = ApplicationsView()
-
-
 __all__ = [
-    "APPLICATIONS",
     "APPLICATION_REGISTRY",
     "RoundStrategy",
     "available_applications",
@@ -50,12 +40,6 @@ __all__ = [
     "SSMWStrategy",
     "MSMWStrategy",
     "DecentralizedStrategy",
-    "run_vanilla",
-    "run_aggregathor",
-    "run_crash_tolerant",
-    "run_ssmw",
-    "run_msmw",
-    "run_decentralized",
     "ThroughputModel",
     "iteration_breakdown",
 ]

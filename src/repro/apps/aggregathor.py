@@ -21,7 +21,7 @@ Byzantine tolerance: up to ``f_w`` Byzantine workers under Multi-Krum's
 from __future__ import annotations
 
 from repro.core.controller import Deployment
-from repro.core.session import RoundStrategy, deprecated_runner, register_application
+from repro.core.session import RoundStrategy, register_application
 
 #: Relative optimizer-efficiency handicap of the TF 1.10 stack (Figure 4a).
 LEGACY_STACK_FACTOR = 0.8
@@ -42,7 +42,3 @@ class AggregathorStrategy(RoundStrategy):
         if not getattr(optimizer, "_legacy_stack_handicap", False):
             optimizer.lr = optimizer.lr * LEGACY_STACK_FACTOR
             optimizer._legacy_stack_handicap = True
-
-
-#: Deprecated imperative runner; drive a Session instead.
-run_aggregathor = deprecated_runner("aggregathor")

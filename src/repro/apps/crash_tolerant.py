@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.core.controller import Deployment
 from repro.core.server import Server
-from repro.core.session import RoundContext, RoundStrategy, deprecated_runner, register_application
+from repro.core.session import RoundContext, RoundStrategy, register_application
 from repro.exceptions import NodeCrashedError, TrainingError
 
 
@@ -67,7 +67,3 @@ class CrashTolerantStrategy(RoundStrategy):
             if server is ctx.server:
                 ctx.account(gar)
             server.update_model(aggregated)
-
-
-#: Deprecated imperative runner; drive a Session instead.
-run_crash_tolerant = deprecated_runner("crash-tolerant")

@@ -24,7 +24,7 @@ from typing import Dict
 import numpy as np
 
 from repro.core.byzantine import ByzantineServer
-from repro.core.session import RoundContext, RoundStrategy, deprecated_runner, register_application
+from repro.core.session import RoundContext, RoundStrategy, register_application
 
 
 def _contract(ctx: RoundContext, honest, aggregated: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
@@ -88,7 +88,3 @@ class DecentralizedStrategy(RoundStrategy):
         deployment.alignment.maybe_sample(
             ctx.iteration, [server.flat_parameters() for server in honest]
         )
-
-
-#: Deprecated imperative runner; drive a Session instead.
-run_decentralized = deprecated_runner("decentralized")

@@ -31,7 +31,7 @@ from typing import Dict
 
 import numpy as np
 
-from repro.core.session import RoundContext, RoundStrategy, deprecated_runner, register_application
+from repro.core.session import RoundContext, RoundStrategy, register_application
 
 
 @register_application("msmw")
@@ -112,7 +112,3 @@ class MSMWStrategy(RoundStrategy):
                     reply_bytes + coord_bytes, reply_messages + coord_messages
                 )
             server.update_model(aggregated)
-
-
-#: Deprecated imperative runner; drive a Session instead.
-run_msmw = deprecated_runner("msmw")

@@ -21,7 +21,7 @@ contract of :mod:`repro.core.executor`.
 
 from __future__ import annotations
 
-from repro.core.session import RoundStrategy, deprecated_runner, register_application
+from repro.core.session import RoundStrategy, register_application
 
 
 @register_application("ssmw")
@@ -33,7 +33,3 @@ class SSMWStrategy(RoundStrategy):
     GAR with the declared ``f_w``, ``apply`` takes one SGD step — exactly the
     defaults of :class:`~repro.core.session.RoundStrategy`.
     """
-
-
-#: Deprecated imperative runner; drive a Session instead.
-run_ssmw = deprecated_runner("ssmw")

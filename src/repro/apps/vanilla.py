@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.session import RoundContext, RoundStrategy, deprecated_runner, register_application
+from repro.core.session import RoundContext, RoundStrategy, register_application
 
 
 @register_application("vanilla")
@@ -31,7 +31,3 @@ class VanillaStrategy(RoundStrategy):
         aggregated = gar.aggregate_matrix(gradients)
         ctx.account(gar)
         return aggregated
-
-
-#: Deprecated imperative runner; drive a Session instead.
-run_vanilla = deprecated_runner("vanilla")

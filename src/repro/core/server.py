@@ -166,18 +166,90 @@ class Server(Node):
     # ------------------------------------------------------------------ #
     # Networking abstractions
     # ------------------------------------------------------------------ #
-    def _round_buffer(self, kind: str, capacity: int) -> RoundBuffer:
-        """The preallocated reply matrix for ``kind``, grown if peers changed."""
-        buffer = self._round_buffers.get(kind)
+    def _round_buffer(self, kind: str, capacity: int, shard_map=None):
+        """The preallocated reply sink for ``kind``, rebuilt if peers changed.
+
+        A :class:`~repro.network.transport.RoundBuffer`, or with ``shard_map``
+        the :class:`~repro.sharding.buffers.ShardedRoundBuffer` staging it.
+        """
+        key = kind if shard_map is None else f"{kind}-sharded"
+        buffer = self._round_buffers.get(key)
         if (
             buffer is None
             or buffer.capacity < capacity
             or buffer.dimension != self.dimension
+            or getattr(buffer, "shard_map", None) != shard_map
         ):
             if buffer is not None:
                 buffer.reset()  # retire the old sealed view's round token
-            buffer = RoundBuffer(capacity, self.dimension)
-            self._round_buffers[kind] = buffer
+            if shard_map is None:
+                buffer = RoundBuffer(capacity, self.dimension)
+            else:
+                from repro.sharding.buffers import ShardedRoundBuffer
+
+                buffer = ShardedRoundBuffer(capacity, shard_map)
+            self._round_buffers[key] = buffer
+        return buffer
+
+    def _pull(
+        self,
+        kind: str,
+        iteration: int,
+        quorum: Optional[int] = None,
+        targets: Optional[Sequence[str]] = None,
+        shard_map=None,
+    ):
+        """Quorum-pull ``kind`` into this server's round buffer and account it.
+
+        The one pull behind every ``get_*_matrix``.  Gradients come from the
+        workers (``targets`` may restrict them) and the request ships the
+        current model state; everything else comes from the peer replicas.
+        All RPCs are issued concurrently through :attr:`executor`; rows are
+        ordered by simulated arrival, and the elapsed time charged to this
+        server is the latency of the ``quorum``-th fastest reply — never the
+        sum over peers.  Returns the filled, still unsealed buffer.
+        """
+        gradients = kind == "gradient"
+        peers = self.workers if gradients else self.servers
+        if not peers:
+            raise ConfigurationError(f"this server has no peers to pull '{kind}' from")
+        targets = peers if targets is None else list(targets)
+        if not targets:
+            raise ConfigurationError(f"'{kind}' pull needs at least one target")
+        unknown = [name for name in targets if name not in peers]
+        if unknown:
+            raise ConfigurationError(f"cannot pull '{kind}' from unknown peers {unknown}")
+        # Replica pulls keep a spare row for this server's own vector (model
+        # contraction, decentralized re-aggregation).
+        buffer = self._round_buffer(kind, len(peers) + (0 if gradients else 1), shard_map)
+        # A sharded reply arrives as one slice message per shard and is
+        # charged slice-framed.
+        reply_nbytes = None if shard_map is None else self.transport.sharded_reply_nbytes(shard_map)
+        reply_messages = 1 if shard_map is None else shard_map.num_shards
+        replies, elapsed = self.transport.pull_many(
+            self.node_id,
+            targets,
+            kind,
+            quorum=len(targets) if quorum is None else quorum,
+            iteration=iteration,
+            payload=self.flat_parameters() if gradients else None,
+            sink=buffer,
+            record_nbytes=reply_nbytes,
+        )
+        if gradients:
+            self.gradient_comm_time += elapsed
+            # Each request carried the model state: one more d-sized message
+            # through this server's NIC per target.
+            self.messages_exchanged += len(targets)
+            self.last_gradient_sources = [reply.source for reply in replies]
+            if shard_map is not None:
+                self.last_sharded_traffic = (
+                    len(replies) * reply_nbytes,
+                    len(replies) * reply_messages,
+                )
+        else:
+            self.model_comm_time += elapsed
+        self.messages_exchanged += len(replies) * reply_messages
         return buffer
 
     def get_gradient_matrix(
@@ -191,42 +263,13 @@ class Server(Node):
         ``quorum`` defaults to the number of pulled workers (synchronous,
         fault-free operation); ``workers`` restricts the pull to a subset of
         this server's workers (detection-driven membership — evicted workers
-        are neither contacted nor waited for).  The current model state is
-        shipped with the request so workers compute their estimate at the
-        right point.  All worker RPCs are issued concurrently through
-        :attr:`executor`; rows are ordered by simulated arrival time, and the
-        elapsed time charged to this server is the latency of the
-        ``quorum``-th fastest reply — never the sum over workers.
+        are neither contacted nor waited for).
 
         The returned matrix is **read-only** and recycled by the next
         gradient pull; aggregate it immediately (``gar.aggregate_matrix``) or
         copy.
         """
-        if not self.workers:
-            raise ConfigurationError("this server has no workers to pull gradients from")
-        targets = list(workers) if workers is not None else self.workers
-        if not targets:
-            raise ConfigurationError("gradient pull needs at least one target worker")
-        unknown = [name for name in targets if name not in self.workers]
-        if unknown:
-            raise ConfigurationError(f"cannot pull gradients from unknown workers {unknown}")
-        quorum = len(targets) if quorum is None else quorum
-        buffer = self._round_buffer("gradient", len(self.workers))
-        replies, elapsed = self.transport.pull_many(
-            self.node_id,
-            targets,
-            "gradient",
-            quorum=quorum,
-            iteration=iteration,
-            payload=self.flat_parameters(),
-            sink=buffer,
-        )
-        self.gradient_comm_time += elapsed
-        # Requests carry the model state and every reply carries a gradient —
-        # both are d-sized messages through this server's NIC.
-        self.messages_exchanged += len(targets) + len(replies)
-        self.last_gradient_sources = [reply.source for reply in replies]
-        return buffer.matrix()
+        return self._pull("gradient", iteration, quorum, workers).matrix()
 
     def get_sharded_gradient_matrices(
         self,
@@ -252,47 +295,7 @@ class Server(Node):
         :func:`repro.sharding.aggregation.aggregate_shards` before the next
         pull of any kind reuses the workers' gradient storage.
         """
-        from repro.sharding.buffers import ShardedRoundBuffer
-
-        if not self.workers:
-            raise ConfigurationError("this server has no workers to pull gradients from")
-        targets = list(workers) if workers is not None else self.workers
-        if not targets:
-            raise ConfigurationError("gradient pull needs at least one target worker")
-        unknown = [name for name in targets if name not in self.workers]
-        if unknown:
-            raise ConfigurationError(f"cannot pull gradients from unknown workers {unknown}")
-        quorum = len(targets) if quorum is None else quorum
-        buffer = self._round_buffers.get("gradient-sharded")
-        if (
-            not isinstance(buffer, ShardedRoundBuffer)
-            or buffer.capacity < len(self.workers)
-            or buffer.shard_map != shard_map
-        ):
-            buffer = ShardedRoundBuffer(len(self.workers), shard_map)
-            self._round_buffers["gradient-sharded"] = buffer
-        per_reply_nbytes = self.transport.sharded_reply_nbytes(shard_map)
-        replies, elapsed = self.transport.pull_many(
-            self.node_id,
-            targets,
-            "gradient",
-            quorum=quorum,
-            iteration=iteration,
-            payload=self.flat_parameters(),
-            sink=buffer,
-            record_nbytes=per_reply_nbytes,
-        )
-        self.gradient_comm_time += elapsed
-        # One full-d request per target; every reply arrives as num_shards
-        # slice messages (the scatter encoding).
-        num_shards = shard_map.num_shards
-        self.messages_exchanged += len(targets) + len(replies) * num_shards
-        self.last_sharded_traffic = (
-            len(replies) * per_reply_nbytes,
-            len(replies) * num_shards,
-        )
-        self.last_gradient_sources = [reply.source for reply in replies]
-        return buffer
+        return self._pull("gradient", iteration, quorum, workers, shard_map)
 
     def record_shard_coordination(self, quorum: int, num_shards: int) -> tuple:
         """Account one two-phase coordination exchange; returns ``(bytes, messages)``.
@@ -345,15 +348,7 @@ class Server(Node):
         the final row — the layout Listing 2/3 aggregate.  Read-only, recycled
         by the next model pull.
         """
-        if not self.servers:
-            raise ConfigurationError("this server has no peer replicas to pull models from")
-        quorum = len(self.servers) if quorum is None else quorum
-        buffer = self._round_buffer("model", len(self.servers) + 1)
-        replies, elapsed = self.transport.pull_many(
-            self.node_id, self.servers, "model", quorum=quorum, iteration=iteration, sink=buffer
-        )
-        self.model_comm_time += elapsed
-        self.messages_exchanged += len(replies)
+        buffer = self._pull("model", iteration, quorum)
         if include_self:
             buffer.append_row(self.flat_parameters())
         return buffer.matrix()
@@ -378,20 +373,7 @@ class Server(Node):
         ``extra`` (this node's own aggregate in Listing 3) is appended as the
         final row.  Read-only, recycled by the next aggregated-gradient pull.
         """
-        if not self.servers:
-            raise ConfigurationError("this server has no peers to pull aggregated gradients from")
-        quorum = len(self.servers) if quorum is None else quorum
-        buffer = self._round_buffer("aggregated_gradient", len(self.servers) + 1)
-        replies, elapsed = self.transport.pull_many(
-            self.node_id,
-            self.servers,
-            "aggregated_gradient",
-            quorum=quorum,
-            iteration=iteration,
-            sink=buffer,
-        )
-        self.model_comm_time += elapsed
-        self.messages_exchanged += len(replies)
+        buffer = self._pull("aggregated_gradient", iteration, quorum)
         if extra is not None:
             buffer.append_row(extra)
         return buffer.matrix()

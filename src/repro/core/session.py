@@ -32,7 +32,6 @@ whether a run is streamed, paused and resumed, or driven end to end.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -40,7 +39,6 @@ from typing import (
     Dict,
     Iterator,
     List,
-    Mapping,
     Optional,
     Tuple,
     Type,
@@ -957,61 +955,3 @@ def run_application(deployment: Deployment) -> None:
     deployment exactly as the legacy per-app loops did.
     """
     Session(deployment).run()
-
-
-#: Memoized shims: ``APPLICATIONS[name]`` and the module-level ``run_*``
-#: bindings are the *same* callable, preserving identity comparisons that
-#: worked against the old dict.
-_RUNNER_CACHE: Dict[str, Callable[[Deployment], None]] = {}
-
-
-def deprecated_runner(name: str) -> Callable[[Deployment], None]:
-    """The ``run_<app>`` compatibility shim for ``name``: warns and delegates.
-
-    Memoized per name, so repeated lookups return the identical function
-    object (the strategy itself is still resolved from the registry at call
-    time, so ``replace=True`` re-registrations take effect).
-    """
-    if name in _RUNNER_CACHE:
-        return _RUNNER_CACHE[name]
-
-    def runner(deployment: Deployment) -> None:
-        warnings.warn(
-            f"run_{name.replace('-', '_')}(deployment) is deprecated; drive a "
-            "repro.core.session.Session (or repro.train) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        Session(deployment, strategy=resolve_application(name)).run()
-
-    runner.__name__ = f"run_{name.replace('-', '_')}"
-    runner.__qualname__ = runner.__name__
-    runner.__doc__ = (
-        f"Deprecated imperative runner for the '{name}' application; use "
-        "repro.core.session.Session instead."
-    )
-    _RUNNER_CACHE[name] = runner
-    return runner
-
-
-class ApplicationsView(Mapping):
-    """Read-only live view of the registry, keyed like the old ``APPLICATIONS``.
-
-    Values are the deprecation shims, so existing ``APPLICATIONS[name](dep)``
-    call sites keep working (with a :class:`DeprecationWarning`) and
-    third-party registrations show up automatically.
-    """
-
-    def __getitem__(self, name: str) -> Callable[[Deployment], None]:
-        if not is_registered_application(name):
-            raise KeyError(name)
-        return deprecated_runner(name)
-
-    def __iter__(self):
-        return iter(available_applications())
-
-    def __len__(self) -> int:
-        return len(available_applications())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ApplicationsView({available_applications()})"

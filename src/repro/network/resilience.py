@@ -23,6 +23,11 @@ made of:
   byte-identical to the pre-resilience runtime; every golden trace stays
   locked.
 
+It also holds the *wave policies* of ``Transport.pull_many``:
+:class:`WavePolicy` (ask everyone once — the default) and
+:class:`HedgePolicy` (ask a quorum, re-issue what is late), with the
+:class:`LatencyTracker` the latter learns deadlines from.
+
 See ``docs/resilience.md`` for the determinism contract and the supervisor
 state machine that consumes these pieces.
 """
@@ -33,7 +38,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Mapping, Optional, Tuple
+from typing import Any, Callable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.exceptions import (
     ConfigurationError,
@@ -348,27 +353,106 @@ class LatencyTracker:
         return float(fallback)
 
 
-@dataclass(frozen=True)
-class HedgePolicy:
-    """When and where ``pull_many`` re-issues a straggling pull.
+# --------------------------------------------------------------------- #
+# Wave policies: which peers one quorum pull asks, and when
+# --------------------------------------------------------------------- #
+class PullOutcome(NamedTuple):
+    """How one pull of a wave ended, as ``Transport.pull_many`` classified it."""
 
-    The transport consults :attr:`tracker` for per-peer thresholds; a
-    primary whose (simulated) latency exceeds its threshold gets a hedge to
-    the next unsampled peer.  Entirely driven by the deterministic latency
-    plan, so hedging decisions are identical across same-seed runs.
+    destination: str
+    #: ``refused`` (crashed peer) | ``dropped`` (lossy link or partition) |
+    #: ``lost`` (died mid-reply) | ``silent`` (empty or infinitely late
+    #: reply) | ``usable``
+    status: str
+    #: Simulated time at which the requester stops counting on this pull: the
+    #: policy's deadline for the peer, or the issue time of a refused pull
+    #: (a refused dial is known at once).
+    deadline: float
+    #: Simulated arrival (issue time + reply latency) of a usable reply.
+    arrival: float = math.inf
+    reply: Any = None
+
+
+class WavePolicy:
+    """Which peers a quorum pull asks, in which wave.  This is the default.
+
+    ``Transport.pull_many`` runs every wave through one plan -> dispatch ->
+    classify loop and keeps the fastest ``quorum`` arrivals; the policy only
+    decides *who is asked when*.  A wave is a list of ``(destination,
+    issued_at)``, ``issued_at`` in simulated seconds since the pull began.
+    The default asks every destination at time zero and never follows up.
     """
 
-    percentile: float = 0.9
-    min_samples: int = 3
+    def first_wave(
+        self, destinations: Sequence[str], quorum: int
+    ) -> Tuple[List[Tuple[str, float]], Sequence[str]]:
+        """The opening wave, in planning order, and the peers held in reserve."""
+        return [(destination, 0.0) for destination in destinations], ()
+
+    def deadline(self, peer: str, cold_start: float) -> float:
+        """How long a first-wave pull to ``peer`` may take before it is hedged."""
+        return math.inf
+
+    def observe(self, peer: str, latency: float) -> None:
+        """Learn the latency of one usable reply."""
+
+    def follow_ups(
+        self, outcomes: Sequence[PullOutcome], reserves: Sequence[str]
+    ) -> List[Tuple[str, float]]:
+        """The second (and last) wave, given how the first one ended."""
+        return []
+
+
+@dataclass(frozen=True)
+class HedgePolicy(WavePolicy):
+    """Hedged quorum pulls: ask only ``quorum`` peers, re-issue what is late.
+
+    The first wave is the ``quorum`` peers with the lowest tracked median
+    latency (a peer without history ranks first, so everyone gets sampled);
+    the rest are reserves.  Every first-wave pull that has not arrived by its
+    deadline — the peer's tracked latency percentile, the cohort's while the
+    peer is new, the link's cold-start value before that — is re-issued at
+    the deadline to the next reserve, in first-wave order.  With no reserve
+    left, a pull whose message was lost (dropped, or the peer died
+    mid-reply) is re-issued to the same peer; a refused, silent or merely
+    slow peer is not asked twice.  A straggler's own reply still counts if it
+    beats its hedge.  Decisions depend only on the deterministic latency plan,
+    so same-seed runs hedge identically on every engine.
+    """
+
     tracker: LatencyTracker = field(default_factory=LatencyTracker)
 
     @classmethod
     def from_config(cls, config: "ResilienceConfig") -> "HedgePolicy":
         return cls(
-            percentile=config.hedge_percentile,
-            min_samples=config.hedge_min_samples,
             tracker=LatencyTracker(
                 percentile=config.hedge_percentile,
                 min_samples=config.hedge_min_samples,
-            ),
+            )
         )
+
+    def first_wave(self, destinations, quorum):
+        # Stable sort: peers with equal expectations keep the caller's order.
+        ranked = sorted(destinations, key=lambda peer: self.tracker.expected(peer, 0.0))
+        return [(peer, 0.0) for peer in ranked[:quorum]], ranked[quorum:]
+
+    def deadline(self, peer, cold_start):
+        return self.tracker.threshold(peer, cold_start)
+
+    def observe(self, peer, latency):
+        self.tracker.observe(peer, latency)
+
+    def follow_ups(self, outcomes, reserves):
+        reserves = list(reserves)
+        hedges = []
+        for outcome in outcomes:
+            if outcome.arrival <= outcome.deadline:
+                continue
+            if reserves:
+                target = reserves.pop(0)
+            elif outcome.status in ("dropped", "lost"):
+                target = outcome.destination
+            else:
+                continue
+            hedges.append((target, outcome.deadline))
+        return hedges

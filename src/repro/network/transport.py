@@ -16,28 +16,41 @@ length-prefixed TCP connection to the subprocess hosting the destination node
 (``executor="process"``).  Everything above the backend is identical, which
 is what the cross-backend conformance suite locks down.
 
+A quorum pull is one loop, whatever the deployment asked for
+(:meth:`Transport.pull_many`): a *wave policy* — the default
+:class:`~repro.network.resilience.WavePolicy`, or the
+:class:`~repro.network.resilience.HedgePolicy` in :attr:`Transport.hedge` —
+says which peers are asked in the first wave and which pulls are re-issued
+once its outcomes are known; the transport plans, dispatches and classifies
+each wave (:meth:`Transport._wave`) and keeps the fastest ``quorum`` arrivals.
+The transport knows waves, not hedging.
+
 Two layers of "time" coexist here:
 
 * **Simulated time** — each reply's latency combines a sampled link latency,
   the transfer time implied by the payload size and link bandwidth, and
   per-node straggler factors.  Because the paper parallelizes RPC calls, the
-  elapsed time of a parallel pull is the latency of the q-th fastest reply,
+  elapsed time of a parallel pull is the arrival of the q-th fastest reply,
   never the sum.
 * **Wall-clock time** — handler execution (gradient computation on a worker)
-  is real work.  :meth:`pull_many` dispatches every handler invocation
-  through the deployment's :class:`~repro.core.executor.Executor` and drains
-  a completion queue, so with a :class:`~repro.core.executor.ThreadedExecutor`
+  is real work.  Each wave's handler invocations go through the deployment's
+  :class:`~repro.core.executor.Executor` and are drained from a completion
+  queue, so with a :class:`~repro.core.executor.ThreadedExecutor`
   independent peers are serviced concurrently and the round's wall-clock cost
   tracks the slowest single peer rather than the sum over peers.
 
 Determinism: every random quantity (message drops, latency jitter) is sampled
-*before* work is dispatched, in a fixed per-destination order.  The executor
-only runs the deterministic remainder, so serial and threaded engines yield
-bit-identical replies for a fixed seed.
+while a wave is *planned* — serially, on the calling thread, in wave order,
+before any of its work is dispatched — and nowhere else.  Classification runs
+in wave order too, whatever order the engine finished in, so the counters,
+the liveness detector and a policy's latency history see one sequence.  The
+executor only runs the deterministic remainder: serial and threaded engines
+yield bit-identical replies for a fixed seed.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -48,7 +61,7 @@ import numpy as np
 from repro.exceptions import CommunicationError, NodeCrashedError, TimeoutError
 from repro.network.failures import FailureInjector
 from repro.network.message import Reply, RequestContext
-from repro.network.resilience import HedgePolicy
+from repro.network.resilience import PullOutcome, WavePolicy
 from repro.network.serialization import (
     FormatLike,
     deserialize_vector,
@@ -303,6 +316,12 @@ class _PlannedPull:
     factor: float
 
 
+#: Planning result for a crashed peer (``None`` is a message lost in transit).
+_REFUSED = object()
+#: The wave policy of a transport without hedging.
+_PULL_EVERYONE = WavePolicy()
+
+
 class RoundBuffer:
     """Preallocated ``(capacity, d)`` reply matrix, refilled every round.
 
@@ -442,7 +461,7 @@ class Transport:
         #: enables them.  Both default to ``None`` so the planning, RNG
         #: consumption and accounting of a vanilla run are untouched — this
         #: is what keeps every pre-resilience golden trace byte-identical.
-        self.hedge: Optional[HedgePolicy] = None
+        self.hedge: Optional[WavePolicy] = None
         self.health = None  # duck-typed: repro.core.health.LivenessDetector
 
     # ------------------------------------------------------------------ #
@@ -588,27 +607,6 @@ class Transport:
             nbytes=nbytes,
         )
 
-    def _serve_or_lost(
-        self,
-        planned: _PlannedPull,
-        source: str,
-        kind: str,
-        iteration: int,
-        payload: Any,
-    ) -> Optional[Reply]:
-        """Fan-out task body: a peer crashing mid-reply yields a lost message.
-
-        Regression guard for the quorum accounting: a peer that straggles and
-        then dies while its (slow) reply is in flight must reduce the usable
-        count by exactly one.  The serial/threaded backends cannot hit this
-        path (crashes are planned away at round boundaries), but over real
-        sockets a SIGKILL can land at any instant.
-        """
-        try:
-            return self._serve(planned, source, kind, iteration, payload)
-        except NodeCrashedError:
-            return None
-
     def pull(
         self,
         source: str,
@@ -636,33 +634,30 @@ class Transport:
         sink: Optional[RoundBuffer] = None,
         record_nbytes: Optional[int] = None,
     ) -> Tuple[List[Reply], float]:
-        """Pull from all ``destinations`` concurrently; return the fastest ``quorum`` replies.
+        """Pull from ``destinations`` concurrently; return the fastest ``quorum`` replies.
 
-        The call proceeds in three phases:
-
-        1. *Plan* (serial, deterministic) — per destination, in order: account
-           the pull, skip crashed peers, resolve the handler, sample the drop
-           decision and the latency jitter.  This is the only phase that
-           touches shared randomness.
-        2. *Dispatch* — every surviving handler invocation is submitted to the
-           transport's executor; replies are drained from its completion
-           queue, so with a threaded engine peers are serviced concurrently.
-        3. *Select* — replies are re-ordered by destination for stable
-           accounting, then the fastest ``quorum`` by simulated latency are
-           returned.
+        One loop whatever the policy: the wave policy (:attr:`hedge`, or the
+        default :class:`~repro.network.resilience.WavePolicy`) names the first
+        wave, :meth:`_wave` plans, dispatches and classifies it, the policy
+        turns the outcomes into follow-up pulls (none by default), those run
+        through :meth:`_wave` too, and the fastest ``quorum`` arrivals of both
+        waves win.  By default the first wave is every destination in the
+        caller's order; see :class:`~repro.network.resilience.HedgePolicy` for
+        the hedged waves.
 
         Returns ``(replies, elapsed)`` where ``elapsed`` is the simulated time
         until the quorum-th reply arrived (calls are parallelized, so slower
-        replies do not add to the elapsed time).  Crashed peers and silent
-        (Byzantine drop) replies never count towards the quorum; if fewer than
-        ``quorum`` usable replies exist, :class:`TimeoutError` is raised —
-        this is exactly the liveness condition requiring ``q + f`` deployed
-        nodes in asynchronous settings.
+        replies do not add to the elapsed time); a reply to a follow-up pull
+        issued at ``t`` carries ``t`` plus its own latency.  Crashed peers and
+        silent (Byzantine drop) replies never count towards the quorum; if
+        fewer than ``quorum`` usable replies exist, :class:`TimeoutError` is
+        raised — this is exactly the liveness condition requiring ``q + f``
+        deployed nodes in asynchronous settings.
 
         When ``sink`` (a :class:`RoundBuffer`) is given, each selected
         reply's payload is additionally written into row *i* of the buffer,
         in arrival order — the zero-copy hand-off consumed by
-        ``GAR.aggregate_matrix``.
+        ``GAR.aggregate_matrix``, and the round's single payload copy.
 
         ``record_nbytes`` overrides the byte count the stats ledger records
         per served reply — sharded pulls pass the slice-framed total
@@ -677,81 +672,107 @@ class Transport:
             raise CommunicationError(
                 f"quorum {quorum} exceeds the number of destinations {len(destinations)}"
             )
-        if self.hedge is not None:
-            return self._pull_many_hedged(
-                source, destinations, kind, quorum, iteration, payload, sink, record_nbytes
-            )
+        policy = self.hedge or _PULL_EVERYONE
+        request = (source, kind, iteration, payload, record_nbytes)
+        wave, reserves = policy.first_wave(destinations, quorum)
+        outcomes = self._wave(wave, policy, request)
+        hedges = policy.follow_ups(outcomes, reserves)
+        if hedges:
+            outcomes += self._wave(hedges, policy, request, follow_up=True)
 
-        # Phase 1 — plan: consume shared randomness in deterministic order.
-        # Crashed peers are skipped (they simply never reply); dropped
-        # messages are planned away before any work is dispatched.
-        planned: List[_PlannedPull] = []
-        for destination in destinations:
-            try:
-                plan = self._plan(source, destination, kind)
-            except NodeCrashedError:
-                self._note_health("refused", destination)
-                continue
-            if plan is not None:
-                planned.append(plan)
-
-        # Phase 2 — dispatch all handler invocations through the executor and
-        # drain its completion queue.  A peer may die *between* planning and
-        # serving (over real sockets a SIGKILLed subprocess surfaces as a
-        # connection reset, i.e. NodeCrashedError): such a peer is classified
-        # as lost exactly once — its own reply is discarded, nothing else.
-        # Propagating the error instead would charge the crash against the
-        # whole fan-out and fail rounds that still hold a full quorum.
-        collected = self._dispatch(planned, source, kind, iteration, payload)
-
-        # Phase 3 — classify each planned pull exactly once, in destination
-        # order (stable regardless of the engine): lost mid-reply, silent
-        # (Byzantine drop), infinitely late, or usable.  Only usable replies
-        # count towards the quorum; every served reply is accounted.
-        replies: List[Reply] = []
-        lost_mid: List[str] = []
-        silent_late: List[str] = []
-        for plan, reply in zip(planned, collected):
-            if reply is None:  # peer crashed mid-reply: lost, counted once
-                lost_mid.append(plan.destination)
-                self._note_health("timeout", plan.destination)
-                continue
-            self.stats.record(
-                reply.kind,
-                reply.nbytes if record_nbytes is None else record_nbytes,
-                reply.latency,
-            )
-            if reply.is_silent or not np.isfinite(reply.latency):
-                silent_late.append(reply.source)
-                self._note_health("timeout", reply.source)
-                continue
-            self._note_health("success", reply.source, reply.latency)
-            replies.append(reply)
-        if len(replies) < quorum:
+        usable = [outcome for outcome in outcomes if outcome.status == "usable"]
+        if len(usable) < quorum:
             raise self._quorum_shortfall(
                 kind,
                 iteration,
                 quorum,
                 destinations=destinations,
-                replied=[r.source for r in replies],
-                lost=lost_mid,
-                silent=silent_late,
+                replied=[o.destination for o in usable],
+                lost=[o.destination for o in outcomes if o.status == "lost"],
+                silent=[o.destination for o in outcomes if o.status == "silent"],
             )
-        replies.sort(key=lambda r: r.latency)
-        selected = replies[:quorum]
-        elapsed = selected[-1].latency
-        # Optional zero-copy hand-off: write each selected reply straight into
-        # the caller's preallocated round buffer, in arrival order — the same
-        # order the legacy list-of-arrays path stacked, so aggregation sees
-        # byte-identical matrices.  This is the round's single payload copy.
+        usable.sort(key=lambda outcome: outcome.arrival)  # stable: ties keep wave order
+        del usable[quorum:]
+        selected = [
+            o.reply if o.arrival == o.reply.latency else replace(o.reply, latency=o.arrival)
+            for o in usable
+        ]
         if sink is not None:
             sink.reset()
             for index, reply in enumerate(selected):
                 sink.write_row(index, reply.payload)
-        return selected, elapsed
+        return selected, usable[-1].arrival
+
+    def _wave(
+        self,
+        wave: Sequence[Tuple[str, float]],
+        policy: WavePolicy,
+        request: Tuple[str, str, int, Any, Optional[int]],
+        follow_up: bool = False,
+    ) -> List[PullOutcome]:
+        """Plan, dispatch and classify one wave of pulls; one outcome per pull.
+
+        1. *Plan* (serial, in wave order) — account the pull, notice crashed
+           peers, sample the drop decision and the latency jitter.  Nothing
+           else in a quorum pull touches shared randomness.
+        2. *Dispatch* — every planned handler invocation goes through the
+           executor; with a threaded engine peers are serviced concurrently.
+        3. *Classify* (serial, in wave order, whatever order the engine
+           finished in) — each pull exactly once: refused, dropped, lost
+           mid-reply, silent or infinitely late, or usable.  Every served
+           reply is accounted, every outcome reaches the liveness detector,
+           and the policy's deadline for a peer is read immediately before
+           that peer's own latency is folded in — so it already reflects the
+           peers classified before it in this wave.  Follow-up pulls are never
+           hedged again and have no deadline.
+        """
+        source, kind, iteration, payload, record_nbytes = request
+        plans: List[Any] = []
+        for destination, _ in wave:
+            if follow_up:
+                self.stats.note_hedge_issued()
+            try:
+                plans.append(self._plan(source, destination, kind))
+            except NodeCrashedError:
+                plans.append(_REFUSED)
+
+        planned = [plan for plan in plans if isinstance(plan, _PlannedPull)]
+        served = iter(self._dispatch(planned, source, kind, iteration, payload))
+
+        # The link's idea of "late" before any peer has a latency history: a
+        # handful of base latencies plus mean jitter — generous for a healthy
+        # link, far below a wedged or heavily straggling peer.
+        cold_start = 4.0 * (self.link.base_latency + self.link.jitter)
+        outcomes: List[PullOutcome] = []
+        for (destination, issued_at), plan in zip(wave, plans):
+            arrival, reply = math.inf, None
+            if plan is _REFUSED:
+                status, deadline = "refused", issued_at  # a refused dial is known at once
+            else:
+                deadline = math.inf if follow_up else policy.deadline(destination, cold_start)
+                if plan is None:
+                    status = "dropped"
+                elif (reply := next(served)) is None:
+                    # The peer died between planning and serving (over real
+                    # sockets a SIGKILL lands at any instant): it is lost
+                    # exactly once — its own reply is discarded, nothing else.
+                    status = "lost"
+                else:
+                    recorded = reply.nbytes if record_nbytes is None else record_nbytes
+                    self.stats.record(reply.kind, recorded, reply.latency)
+                    if follow_up:
+                        self.stats.note_hedge_bytes(recorded)
+                    if reply.is_silent or not math.isfinite(reply.latency):
+                        status = "silent"
+                    else:
+                        status, arrival = "usable", issued_at + reply.latency
+                        policy.observe(destination, reply.latency)
+            outcomes.append(PullOutcome(destination, status, deadline, arrival, reply))
+            self._note_health(outcomes[-1])
+        return outcomes
 
     # ------------------------------------------------------------------ #
-    # Fan-out plumbing shared by the plain and hedged paths
+    # Fan-out plumbing
     # ------------------------------------------------------------------ #
     def _dispatch(
         self,
@@ -761,32 +782,44 @@ class Transport:
         iteration: int,
         payload: Any,
     ) -> List[Optional[Reply]]:
-        """Run every planned pull through the executor; index-aligned results."""
-        tasks = [
-            (lambda p=plan: self._serve_or_lost(p, source, kind, iteration, payload))
-            for plan in planned
-        ]
-        collected: List[Optional[Reply]] = [None] * len(tasks)
+        """Run every planned pull through the executor; index-aligned results.
+
+        A peer crashing mid-reply yields ``None``, a lost message, instead of
+        failing the fan-out: a peer that straggles and then dies while its
+        (slow) reply is in flight must reduce the usable count by exactly
+        one.  The serial/threaded backends cannot hit this (crashes are
+        planned away at round boundaries), but over real sockets a SIGKILL
+        can land at any instant.
+        """
+
+        def serve(plan: _PlannedPull) -> Optional[Reply]:
+            try:
+                return self._serve(plan, source, kind, iteration, payload)
+            except NodeCrashedError:
+                return None
+
+        collected: List[Optional[Reply]] = [None] * len(planned)
+        tasks = [(lambda plan=plan: serve(plan)) for plan in planned]
         for index, reply in self.executor.map_unordered(tasks):
             collected[index] = reply
         return collected
 
-    def _note_health(self, outcome: str, peer: str, latency: float = 0.0) -> None:
-        """Feed one per-call outcome to the liveness detector, when attached.
+    def _note_health(self, outcome: PullOutcome) -> None:
+        """Feed one classified pull to the liveness detector, when attached.
 
-        Only fan-out pulls report — they run on the coordinating thread, so
-        the detector needs no locking.  Nested single pulls issued from
-        handler bodies (worker model pulls) stay silent by design.
+        Only fan-out pulls report — they are classified on the coordinating
+        thread, so the detector needs no locking.  Nested single pulls issued
+        from handler bodies (worker model pulls) stay silent by design.
         """
         health = self.health
         if health is None:
             return
-        if outcome == "success":
-            health.observe_success(peer, latency)
-        elif outcome == "refused":
-            health.observe_refused(peer)
+        if outcome.status == "usable":
+            health.observe_success(outcome.destination, outcome.reply.latency)
+        elif outcome.status == "refused":
+            health.observe_refused(outcome.destination)
         else:
-            health.observe_timeout(peer)
+            health.observe_timeout(outcome.destination)
 
     @staticmethod
     def _quorum_shortfall(
@@ -820,173 +853,3 @@ class Transport:
             f"[replied: {_fmt(replied)} | lost mid-reply: {_fmt(lost)} | "
             f"silent/late: {_fmt(silent)} | never replied: {_fmt(never)}]"
         )
-
-    # ------------------------------------------------------------------ #
-    # Hedged quorum pulls
-    # ------------------------------------------------------------------ #
-    def _hedge_fallback_threshold(self) -> float:
-        """Cold-start hedge deadline, before any peer has a latency history.
-
-        A handful of base latencies plus mean jitter: generous for a healthy
-        link, far below a wedged or heavily straggling peer.
-        """
-        return 4.0 * (self.link.base_latency + self.link.jitter)
-
-    def _pull_many_hedged(
-        self,
-        source: str,
-        destinations: Sequence[str],
-        kind: str,
-        quorum: int,
-        iteration: int,
-        payload: Any,
-        sink: Optional[RoundBuffer],
-        record_nbytes: Optional[int] = None,
-    ) -> Tuple[List[Reply], float]:
-        """Quorum pull with hedging: a quorum-sized primary wave plus hedges.
-
-        Instead of pulling every destination, the primary wave samples the
-        ``quorum`` peers with the lowest tracked typical latency (unknown
-        peers rank first, so everyone is eventually sampled).  A primary that
-        is refused, lost, silent, or straggling past its tracked latency
-        percentile gets *hedged*: the pull is re-issued to the next
-        not-yet-sampled reserve peer — or, when no reserves remain and the
-        loss was a dropped message, re-issued to the same peer (a fresh drop
-        draw).  A hedge issued at time *t* with reply latency *l* arrives at
-        effective time ``t + l``; the fastest ``quorum`` effective arrivals
-        win, so a straggler's own late reply still counts if it beats its
-        hedge.  Everything random is sampled serially on this thread (wave 1
-        in ranked order, wave 2 in need order), so hedged runs are
-        deterministic under seed across the serial/threaded/process engines.
-        """
-        tracker = self.hedge.tracker
-        fallback = self._hedge_fallback_threshold()
-        order = sorted(
-            range(len(destinations)),
-            key=lambda i: (tracker.expected(destinations[i], 0.0), i),
-        )
-        ranked = [destinations[i] for i in order]
-        primaries = ranked[:quorum]
-        reserves = ranked[quorum:]
-
-        # Wave 1 — plan the primaries (serial: the only RNG consumption).
-        outcomes: List[Tuple[str, str, Optional[_PlannedPull]]] = []
-        for destination in primaries:
-            try:
-                plan = self._plan(source, destination, kind)
-            except NodeCrashedError:
-                self._note_health("refused", destination)
-                outcomes.append((destination, "refused", None))
-                continue
-            outcomes.append((destination, "planned" if plan is not None else "lost", plan))
-        collected = self._dispatch(
-            [plan for _, _, plan in outcomes if plan is not None],
-            source,
-            kind,
-            iteration,
-            payload,
-        )
-
-        # Classify primaries and decide which pulls to hedge.  Thresholds are
-        # read before this round's latencies are folded into the tracker.
-        usable: List[Tuple[float, Reply]] = []  # (effective arrival, reply)
-        needs: List[Tuple[str, str, float]] = []  # (primary, reason, issue time)
-        lost_mid: List[str] = []
-        silent_late: List[str] = []
-        served = iter(collected)
-        for destination, status, plan in outcomes:
-            if status == "refused":
-                # A refused dial is known immediately: hedge from time zero.
-                needs.append((destination, "refused", 0.0))
-                continue
-            threshold = tracker.threshold(destination, fallback)
-            if status == "lost":
-                self._note_health("timeout", destination)
-                needs.append((destination, "lost", threshold))
-                continue
-            reply = next(served)
-            if reply is None:  # died mid-reply
-                lost_mid.append(destination)
-                self._note_health("timeout", destination)
-                needs.append((destination, "lost", threshold))
-                continue
-            self.stats.record(
-                reply.kind,
-                reply.nbytes if record_nbytes is None else record_nbytes,
-                reply.latency,
-            )
-            if reply.is_silent or not np.isfinite(reply.latency):
-                silent_late.append(destination)
-                self._note_health("timeout", destination)
-                needs.append((destination, "late", threshold))
-                continue
-            self._note_health("success", destination, reply.latency)
-            tracker.observe(destination, reply.latency)
-            usable.append((reply.latency, reply))
-            if reply.latency > threshold:
-                # Straggling but alive: its reply still counts, and a hedge
-                # races it from the threshold onward.
-                needs.append((destination, "straggler", threshold))
-
-        # Wave 2 — assign reserves to needs in deterministic order and plan
-        # the hedges (the second and last RNG-consuming stretch).
-        reserve_queue = list(reserves)
-        hedge_plans: List[Tuple[str, float, _PlannedPull]] = []
-        for destination, reason, issue_at in needs:
-            if reserve_queue:
-                target = reserve_queue.pop(0)
-            elif reason == "lost":
-                target = destination  # re-issue the dropped pull itself
-            else:
-                continue  # nothing left to hedge onto
-            self.stats.note_hedge_issued()
-            try:
-                plan = self._plan(source, target, kind)
-            except NodeCrashedError:
-                self._note_health("refused", target)
-                continue
-            if plan is None:  # the hedge itself was dropped/partitioned
-                self._note_health("timeout", target)
-                continue
-            hedge_plans.append((target, issue_at, plan))
-        hedge_collected = self._dispatch(
-            [plan for _, _, plan in hedge_plans], source, kind, iteration, payload
-        )
-        for (target, issue_at, _), reply in zip(hedge_plans, hedge_collected):
-            if reply is None:
-                lost_mid.append(target)
-                self._note_health("timeout", target)
-                continue
-            recorded = reply.nbytes if record_nbytes is None else record_nbytes
-            self.stats.record(reply.kind, recorded, reply.latency)
-            self.stats.note_hedge_bytes(recorded)
-            if reply.is_silent or not np.isfinite(reply.latency):
-                silent_late.append(target)
-                self._note_health("timeout", target)
-                continue
-            self._note_health("success", target, reply.latency)
-            tracker.observe(target, reply.latency)
-            usable.append((issue_at + reply.latency, reply))
-
-        if len(usable) < quorum:
-            raise self._quorum_shortfall(
-                kind,
-                iteration,
-                quorum,
-                destinations=destinations,
-                replied=[reply.source for _, reply in usable],
-                lost=lost_mid,
-                silent=silent_late,
-            )
-        usable.sort(key=lambda pair: pair[0])
-        chosen = usable[:quorum]
-        elapsed = chosen[-1][0]
-        selected = [
-            reply if arrival == reply.latency else replace(reply, latency=arrival)
-            for arrival, reply in chosen
-        ]
-        if sink is not None:
-            sink.reset()
-            for index, reply in enumerate(selected):
-                sink.write_row(index, reply.payload)
-        return selected, elapsed

@@ -1,11 +1,8 @@
-"""Small shared utilities: seeding, flattening helpers, timing accumulators."""
+"""Small shared utilities: seeding, flattening helpers, vector similarity."""
 
 from __future__ import annotations
 
-import contextlib
-import time
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -45,45 +42,6 @@ def unflatten_array(vector: np.ndarray, shapes: Sequence[tuple]) -> List[np.ndar
     for size, shape in zip(sizes, shapes):
         out.append(vector[offset : offset + size].reshape(shape))
         offset += size
-    return out
-
-
-@dataclass
-class StopWatch:
-    """Accumulates wall-clock time per named phase.
-
-    Used by benchmarks that need real (not simulated) timing, e.g. the GAR
-    micro-benchmarks of Figure 3.
-    """
-
-    totals: Dict[str, float] = field(default_factory=dict)
-
-    @contextlib.contextmanager
-    def measure(self, phase: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.totals[phase] = self.totals.get(phase, 0.0) + time.perf_counter() - start
-
-    def total(self, phase: str) -> float:
-        return self.totals.get(phase, 0.0)
-
-    def reset(self) -> None:
-        self.totals.clear()
-
-
-def moving_average(values: Sequence[float], window: int) -> np.ndarray:
-    """Simple trailing moving average used to smooth accuracy curves."""
-    if window <= 0:
-        raise ValueError("window must be positive")
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return values
-    out = np.empty_like(values)
-    for i in range(values.size):
-        lo = max(0, i - window + 1)
-        out[i] = values[lo : i + 1].mean()
     return out
 
 

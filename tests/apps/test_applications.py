@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import APPLICATIONS, run_application
+from repro.apps import available_applications, run_application
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
 from repro.exceptions import ConfigurationError
@@ -40,12 +40,12 @@ class TestDispatch:
     def test_every_deployment_has_an_application(self):
         from repro.network.topology import DEPLOYMENTS
 
-        assert set(APPLICATIONS) == set(DEPLOYMENTS)
+        assert set(available_applications()) == set(DEPLOYMENTS)
 
     def test_dispatch_is_backed_by_the_strategy_registry(self):
         from repro.core.session import APPLICATION_REGISTRY, RoundStrategy
 
-        assert set(APPLICATION_REGISTRY) >= set(APPLICATIONS)
+        assert set(APPLICATION_REGISTRY) == set(available_applications())
         assert all(
             isinstance(cls, type) and issubclass(cls, RoundStrategy)
             for cls in APPLICATION_REGISTRY.values()

@@ -441,7 +441,7 @@ class TestRegistry:
             ClusterConfig(deployment="never-registered")
 
 
-class TestLegacyShims:
+class TestRunApplication:
     def test_run_application_dispatches_without_warning(self, recwarn):
         deployment = Controller(small_config(num_iterations=2)).build()
         run_application(deployment)
@@ -449,57 +449,16 @@ class TestLegacyShims:
         assert len(deployment.metrics) == 2
         assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
 
-    @pytest.mark.parametrize("name,runner_name", [
-        ("vanilla", "run_vanilla"),
-        ("aggregathor", "run_aggregathor"),
-        ("crash-tolerant", "run_crash_tolerant"),
-        ("ssmw", "run_ssmw"),
-        ("msmw", "run_msmw"),
-        ("decentralized", "run_decentralized"),
-    ])
-    def test_every_shim_warns(self, name, runner_name):
-        import repro.apps as apps
-
-        runner = getattr(apps, runner_name)
-        assert runner.__name__ == runner_name
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            with pytest.raises(StopIteration):  # probe: warning fires before any work
-                runner(_ExplodingDeployment())
-
-    def test_shim_trace_identical_to_golden(self):
-        """The deprecated runner reproduces the exact golden trace."""
+    def test_run_application_trace_identical_to_golden(self):
         from pathlib import Path
-
-        from repro.apps import run_ssmw
 
         golden = (
             Path(__file__).parent.parent / "integration" / "golden" / "calm_baseline.json"
         ).read_text(encoding="utf-8")
         deployment = Controller(config_for_scenario("calm_baseline")).build()
-        with pytest.warns(DeprecationWarning):
-            run_ssmw(deployment)
+        run_application(deployment)
         deployment.close()
         assert deployment.trace.to_json() == golden
-
-    def test_applications_view_is_live_and_deprecated(self):
-        from repro.apps import APPLICATIONS
-        from repro.network.topology import DEPLOYMENTS
-
-        assert set(APPLICATIONS) == set(DEPLOYMENTS)
-        assert len(APPLICATIONS) == len(DEPLOYMENTS)
-        with pytest.raises(KeyError):
-            APPLICATIONS["missing"]
-        runner = APPLICATIONS["ssmw"]
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(StopIteration):
-                runner(_ExplodingDeployment())
-
-    def test_applications_view_preserves_shim_identity(self):
-        from repro.apps import APPLICATIONS, run_msmw, run_ssmw
-
-        assert APPLICATIONS["ssmw"] is APPLICATIONS["ssmw"]
-        assert APPLICATIONS["ssmw"] is run_ssmw
-        assert APPLICATIONS["msmw"] is run_msmw
 
     def test_aggregathor_handicap_applied_once_across_sessions(self):
         config = small_config(
@@ -515,27 +474,6 @@ class TestLegacyShims:
             # A second session over the same deployment must not compound it.
             Session(deployment).run(until=1)
         assert deployment.servers[0].optimizer.lr == pytest.approx(baseline * 0.8)
-
-
-class _ExplodingDeployment:
-    """Deployment stand-in that aborts the run as soon as it is touched.
-
-    Lets shim tests assert the DeprecationWarning fired without paying for a
-    training run; StopIteration is used as an out-of-band abort signal that
-    nothing in the engine catches.
-    """
-
-    class _Config:
-        deployment = "ssmw"
-        num_iterations = 1
-
-    config = _Config()
-
-    def __getattr__(self, name):
-        raise StopIteration
-
-    def begin_round(self, iteration):
-        raise StopIteration
 
 
 class TestDivergenceDetection:

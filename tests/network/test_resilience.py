@@ -30,8 +30,10 @@ from repro.network.resilience import (
     DeadlineBudget,
     HedgePolicy,
     LatencyTracker,
+    PullOutcome,
     ResilienceConfig,
     RetryPolicy,
+    WavePolicy,
     is_retryable,
 )
 
@@ -277,9 +279,42 @@ class TestHedgePolicy:
     def test_from_config_propagates_thresholds(self):
         config = ResilienceConfig(hedge=True, hedge_percentile=0.8, hedge_min_samples=5)
         policy = HedgePolicy.from_config(config)
-        assert policy.percentile == 0.8 and policy.min_samples == 5
         assert policy.tracker.percentile == 0.8
         assert policy.tracker.min_samples == 5
+
+    def test_first_wave_is_the_quorum_fastest_known_peers(self):
+        policy = HedgePolicy()
+        for peer, latency in (("a", 3.0), ("b", 1.0), ("c", 2.0)):
+            for _ in range(policy.tracker.min_samples):
+                policy.observe(peer, latency)
+        wave, reserves = policy.first_wave(["a", "b", "c", "new"], quorum=2)
+        # A peer without history ranks first; ties keep the caller's order.
+        assert wave == [("new", 0.0), ("b", 0.0)]
+        assert list(reserves) == ["c", "a"]
+
+    def test_follow_ups_spend_reserves_in_order_then_reissue_only_lost_messages(self):
+        outcomes = [
+            PullOutcome("refused", "refused", 0.0),
+            PullOutcome("on-time", "usable", 5.0, arrival=4.0),
+            PullOutcome("straggler", "usable", 5.0, arrival=9.0),
+            PullOutcome("silent", "silent", 6.0),
+            PullOutcome("dropped", "dropped", 7.0),
+            PullOutcome("died", "lost", 8.0),
+        ]
+        # Each hedge leaves at the deadline of the pull it covers.
+        assert HedgePolicy().follow_ups(outcomes, ["r1", "r2"]) == [
+            ("r1", 0.0),
+            ("r2", 5.0),
+            ("dropped", 7.0),
+            ("died", 8.0),
+        ]
+
+    def test_the_default_policy_pulls_everyone_once(self):
+        policy = WavePolicy()
+        wave, reserves = policy.first_wave(["a", "b", "c"], quorum=2)
+        assert wave == [("a", 0.0), ("b", 0.0), ("c", 0.0)] and not reserves
+        assert policy.deadline("a", 1.0) == float("inf")
+        assert policy.follow_ups([PullOutcome("a", "refused", 0.0)], ["b"]) == []
 
 
 # --------------------------------------------------------------------- #

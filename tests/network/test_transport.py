@@ -223,6 +223,43 @@ class TestQuorumBoundary:
         ]
 
 
+class TestLivenessFeed:
+    """The liveness detector hears about every fan-out pull, hedged or not."""
+
+    PEERS = [f"node-{i}" for i in range(1, 6)]
+
+    def detector(self):
+        from repro.core.health import LivenessDetector
+
+        return LivenessDetector(self.PEERS, declared_f=1, gar_name="median", asynchronous=True)
+
+    def test_partitioned_peer_accrues_suspicion_without_hedging(self):
+        # --retry / --supervise without --hedge: a pull cut off by a partition
+        # used to be planned away silently, so the peer stayed "healthy".
+        transport = build_cluster(6, seed=4)
+        transport.health = self.detector()
+        transport.failures.set_partition(["node-3"])
+        scores = []
+        for iteration in range(3):
+            transport.pull_many("node-0", self.PEERS, "value", quorum=4, iteration=iteration)
+            scores.append(transport.health.scores["node-3"])
+        assert scores == sorted(scores) and scores[0] > 0.0
+        assert scores[-1] >= transport.health.suspect_after
+        assert transport.health.scores["node-1"] == 0.0
+
+    def test_link_dropped_pull_is_reported_as_a_timeout(self):
+        # Seed chosen so the lossy link drops exactly the fifth message.
+        transport = build_cluster(6, seed=35, drop_probability=0.3)
+        transport.health = self.detector()
+        probe = FailureInjector(seed=35, drop_probability=0.3)
+        assert [probe.should_drop() for _ in range(5)] == [False] * 4 + [True]
+        transport.pull_many("node-0", self.PEERS, "value", quorum=4)
+        assert transport.health.scores == {
+            **dict.fromkeys(self.PEERS[:4], 0.0),
+            "node-5": transport.health.timeout_weight,
+        }
+
+
 class TestLinkModel:
     def test_latency_grows_with_message_size(self):
         link = LinkModel(base_latency=1e-3, jitter=0.0, bandwidth_bytes_per_s=1e6)

@@ -52,6 +52,21 @@ def test_top_level_exports_track_real_exports_only(check_docs):
     assert "ssmw" not in exports
 
 
+def test_class_attribute_references_resolve_against_class_bodies(check_docs):
+    """A backticked `Class.attr` must exist on that class (or a base under src/)."""
+    text = (
+        "`Transport.pull_many(source, ...)` `Transport.hedge` `Server.node_id` "  # method, self attr, inherited
+        "`HedgePolicy.tracker.observe` `PullOutcome.deadline` "  # dataclass / NamedTuple fields
+        "`Transport._pull_many_hedged` `HedgePolicy.percentile` "  # deleted
+        "`BENCHMARK.json` `NotAClass.method()`"  # not classes under src/: ignored
+    )
+    problems = check_docs.check_class_references("doc.md", text)
+    assert [problem.split("'")[1] for problem in problems] == [
+        "HedgePolicy.percentile",
+        "Transport._pull_many_hedged",
+    ]
+
+
 def test_readme_covers_the_required_sections(check_docs):
     text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
     for needle in (

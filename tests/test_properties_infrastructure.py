@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from repro.datasets.partition import partition_iid, partition_non_iid
 from repro.datasets.synthetic import make_classification
 from repro.network.serialization import deserialize_vector, serialize_vector
-from repro.utils import flatten_arrays, moving_average, unflatten_array
+from repro.utils import flatten_arrays, unflatten_array
 
 
 @settings(max_examples=50, deadline=None)
@@ -75,18 +75,6 @@ def test_non_iid_partition_conserves_examples(alpha, seed):
     shards = partition_non_iid(dataset, 5, alpha=alpha, seed=seed)
     assert sum(len(s) for s in shards) == 120
     assert all(len(s) >= 1 for s in shards)
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    values=st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=50),
-    window=st.integers(min_value=1, max_value=10),
-)
-def test_moving_average_stays_within_range(values, window):
-    smoothed = moving_average(values, window)
-    assert smoothed.size == len(values)
-    assert smoothed.min() >= min(values) - 1e-9
-    assert smoothed.max() <= max(values) + 1e-9
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from repro.utils import (
-    StopWatch,
     cosine_similarity,
     flatten_arrays,
     make_rng,
-    moving_average,
     unflatten_array,
 )
 
@@ -46,43 +44,6 @@ class TestFlatten:
     def test_unflatten_scalar_shape(self):
         restored = unflatten_array(np.array([7.0]), [()])
         assert restored[0].shape == ()
-
-
-class TestStopWatch:
-    def test_measures_and_accumulates(self):
-        watch = StopWatch()
-        with watch.measure("phase"):
-            sum(range(1000))
-        with watch.measure("phase"):
-            sum(range(1000))
-        assert watch.total("phase") > 0
-
-    def test_unknown_phase_is_zero(self):
-        assert StopWatch().total("nothing") == 0.0
-
-    def test_reset(self):
-        watch = StopWatch()
-        with watch.measure("x"):
-            pass
-        watch.reset()
-        assert watch.total("x") == 0.0
-
-
-class TestMovingAverage:
-    def test_window_one_is_identity(self):
-        values = [1.0, 2.0, 3.0]
-        assert np.allclose(moving_average(values, 1), values)
-
-    def test_window_smooths(self):
-        out = moving_average([0.0, 1.0, 0.0, 1.0], 2)
-        assert np.allclose(out, [0.0, 0.5, 0.5, 0.5])
-
-    def test_empty_input(self):
-        assert moving_average([], 3).size == 0
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            moving_average([1.0], 0)
 
 
 class TestCosineSimilarity:
