@@ -15,8 +15,9 @@
 #                         serial / threaded / process backends
 #   make update-golden  — explicitly re-bless the golden scenario traces
 #   make bench-smoke    — the async fastest-q speedup benchmark (~10 s)
-#   make bench-hotpath  — zero-copy pipeline vs legacy copy chain; writes
-#                         BENCH_hotpath.json and checks the acceptance bar
+#   make bench-hotpath  — zero-copy pipeline vs the frozen legacy copy-chain
+#                         rows; writes BENCH_hotpath.json and checks the
+#                         acceptance bar
 #   make bench-wire     — negotiated wire formats: bytes on the wire, rounds/sec,
 #                         codec MB/s on one and two threads, and an attack x GAR
 #                         robustness sweep; writes BENCH_wire.json and checks the
@@ -42,13 +43,15 @@
 #   make fuzz           — tier-2 fuzzing sweep (hundreds of scenarios); writes
 #                         the FUZZ_report.json campaign summary
 #   make docs-check     — validate README/docs links and path references
+#   make loc            — lines under src/repro/ that carry code (no blanks,
+#                         comments or docstrings), per package and total
 #   make quickstart     — run the Listing 1 end-to-end example
 
 PYTHON ?= python
 SEED ?= 1
 export PYTHONPATH := src
 
-.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench fuzz-smoke fuzz docs-check quickstart
+.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench fuzz-smoke fuzz docs-check loc quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -110,6 +113,9 @@ fuzz:
 
 docs-check:
 	$(PYTHON) scripts/check_docs.py
+
+loc:
+	$(PYTHON) scripts/count_code.py
 
 # Smoke both fluent entry points end to end: the streamed quickstart session
 # and a one-call scenario-driven repro.train run.

@@ -11,23 +11,24 @@ the transport writes each selected reply into one row of a preallocated
 :class:`~repro.network.transport.RoundBuffer`, the GAR consumes the sealed
 matrix view, and the update is an in-place axpy on the flat parameter buffer.
 
-This benchmark drives both pipelines through the *real* transport
+This benchmark drives the shipped pipeline through the *real* transport
 (``pull_many`` over registered handlers, planning and quorum selection
 included) at n_w in {8, 16} and d in {1e4, 1e5}:
 
-* ``legacy`` — a faithful re-implementation of the pre-flat data flow
-  (:class:`LegacyPipeline`): per-layer gather on serve, list-of-arrays
-  collection, ``as_matrix`` restack, per-layer scatter + axpy, parameter
-  concatenate per round.
-* ``flat`` — the shipped path: a real :class:`~repro.core.server.Server`
-  with an attached flat view, ``get_gradient_matrix`` into the round buffer,
-  ``GAR.aggregate_matrix``, ``update_model``'s flat axpy.
+* ``legacy`` — the pre-flat copy chain above.  That code no longer exists:
+  its rows are **frozen** — measured by the replica this file used to carry,
+  committed under ``"legacy"`` in ``BENCH_hotpath.json`` and carried forward
+  verbatim (:func:`frozen_legacy`).
+* ``flat`` — the shipped path, measured on every run: a real
+  :class:`~repro.core.server.Server`, ``get_gradient_matrix`` into the round
+  buffer, ``GAR.aggregate_matrix``, ``update_model``'s flat axpy.
 
 Reported per configuration: end-to-end rounds/sec and per-round allocated
 bytes (transient tracemalloc peak over a round, averaged).  Results land in
 ``BENCH_hotpath.json`` at the repository root; ``make bench-hotpath`` runs
 this file and the tier-1 smoke test (``tests/test_bench_hotpath.py``)
-asserts the allocation contract on a small configuration.
+asserts the allocation contract on a small configuration against its frozen
+legacy row.
 """
 
 from __future__ import annotations
@@ -36,12 +37,11 @@ import json
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.aggregators import init as init_gar
-from repro.aggregators.base import as_matrix
 from repro.core.server import Server
 from repro.network.transport import Transport
 from repro.nn.layers import Linear, Sequential
@@ -58,18 +58,6 @@ GRID: Tuple[Tuple[int, int], ...] = ((8, 10_000), (8, 100_000), (16, 10_000), (1
 GARS = ("average", "multi-krum")
 
 
-def layer_shapes(dimension: int, pieces: int = 8) -> List[Tuple[int, ...]]:
-    """Split ``dimension`` into per-layer shapes like a real model's."""
-    base = dimension // pieces
-    shapes: List[Tuple[int, ...]] = []
-    remaining = dimension
-    for index in range(pieces - 1):
-        shapes.append((base,))
-        remaining -= base
-    shapes.append((remaining,))
-    return shapes
-
-
 def make_worker_gradients(num_workers: int, dimension: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     return rng.normal(size=(num_workers, dimension)) / np.sqrt(dimension)
@@ -84,88 +72,17 @@ def build_model(dimension: int) -> Sequential:
     return model
 
 
-class LegacyPipeline:
-    """The pre-flat-buffer data flow, reproduced for comparison.
-
-    Per-layer parameter arrays; every round re-gathers each worker's
-    per-layer gradient pieces into a fresh flat vector, collects them as a
-    list, restacks into a matrix, scatters the aggregate into per-layer
-    slices and applies per-layer axpys, then concatenates the parameters for
-    the next round's payload.
-    """
-
-    def __init__(self, dimension: int, lr: float = 0.05) -> None:
-        self.shapes = layer_shapes(dimension)
-        rng = np.random.default_rng(0)
-        self.params = [rng.normal(size=shape) / np.sqrt(dimension) for shape in self.shapes]
-        self.lr = lr
-        self.iterations_run = 0
-        self.last_update_norm = 0.0
-
-    def flat_parameters(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.params])
-
-    def update_model(self, aggregated: np.ndarray) -> None:
-        if not np.all(np.isfinite(aggregated)):
-            raise ValueError("non-finite aggregate")
-        offset = 0
-        for index, param in enumerate(self.params):
-            size = param.size
-            grad = np.asarray(aggregated[offset : offset + size]).reshape(param.shape)
-            param -= self.lr * grad
-            offset += size
-        self.last_update_norm = float(np.linalg.norm(aggregated))
-        self.iterations_run += 1
-
-    def round(self, transport: Transport, worker_ids: Sequence[str], gar, iteration: int) -> None:
-        replies, _ = transport.pull_many(
-            "legacy-server",
-            worker_ids,
-            "gradient",
-            quorum=len(worker_ids),
-            iteration=iteration,
-            payload=self.flat_parameters(),
-        )
-        gradients = [np.asarray(reply.payload, dtype=np.float64) for reply in replies]
-        matrix = as_matrix(gradients)  # np.stack: the restack copy
-        aggregated = gar.aggregate_matrix(matrix)
-        self.update_model(aggregated)
-
-
-def build_legacy(num_workers: int, dimension: int, gradients: np.ndarray):
-    """Legacy pipeline + transport with per-layer-gathering worker handlers."""
-    transport = Transport(seed=7)
-    shapes = layer_shapes(dimension)
-    worker_ids = []
-    for index in range(num_workers):
-        node_id = f"legacy-worker-{index}"
-        worker_ids.append(node_id)
-        transport.register_node(node_id, object())
-        # The legacy worker's backward pass left one array per layer; serving
-        # gathers them into a fresh flat vector (the copy the flat buffer
-        # kills).
-        pieces = []
-        offset = 0
-        for shape in shapes:
-            size = int(np.prod(shape))
-            pieces.append(gradients[index, offset : offset + size].reshape(shape).copy())
-            offset += size
-        transport.register_handler(
-            node_id,
-            "gradient",
-            lambda ctx, pieces=pieces: np.concatenate([p.ravel() for p in pieces]),
-        )
-    transport.register_node("legacy-server", object())
-    return LegacyPipeline(dimension), transport, worker_ids
+def frozen_legacy() -> Dict[Tuple[int, int, str], Dict]:
+    """The pre-flat pipeline's rows, as committed: that code no longer exists."""
+    rows = json.loads(OUTPUT_PATH.read_text(encoding="utf-8"))["legacy"]
+    return {(row["n_w"], row["d"], row["gar"]): row for row in rows}
 
 
 def build_flat(num_workers: int, dimension: int, gradients: np.ndarray):
-    """Real Server (flat view attached) + workers serving zero-copy views."""
+    """Real Server + workers serving zero-copy views."""
     transport = Transport(seed=7)
-    worker_ids = []
-    for index in range(num_workers):
-        node_id = f"flat-worker-{index}"
-        worker_ids.append(node_id)
+    worker_ids = [f"flat-worker-{index}" for index in range(num_workers)]
+    for index, node_id in enumerate(worker_ids):
         transport.register_node(node_id, object())
         # The flat worker's backward pass accumulated straight into its flat
         # gradient buffer; serving is a read-only view of it.
@@ -181,7 +98,7 @@ def build_flat(num_workers: int, dimension: int, gradients: np.ndarray):
         workers=worker_ids,
         learning_rate=0.05,
     )
-    return server, transport, worker_ids
+    return server, transport
 
 
 def run_flat_round(server: Server, gar, iteration: int) -> None:
@@ -191,45 +108,38 @@ def run_flat_round(server: Server, gar, iteration: int) -> None:
 
 
 def measure(num_workers: int, dimension: int, gar_name: str, rounds: int) -> Dict[str, float]:
-    """Time and byte-profile both pipelines at one grid point."""
+    """Time and byte-profile the flat pipeline at one grid point, beside its frozen legacy row."""
     gradients = make_worker_gradients(num_workers, dimension)
     gar = init_gar(gar_name, n=num_workers, f=1 if num_workers > 3 else 0)
+    legacy = frozen_legacy()[(num_workers, dimension, gar_name)]
+    results: Dict[str, float] = {
+        "legacy_rounds_per_s": legacy["rounds_per_s"],
+        "legacy_bytes_per_round": legacy["bytes_per_round"],
+    }
 
-    legacy, legacy_transport, legacy_ids = build_legacy(num_workers, dimension, gradients)
-    server, flat_transport, flat_ids = build_flat(num_workers, dimension, gradients)
-
-    def legacy_round(iteration: int) -> None:
-        legacy.round(legacy_transport, legacy_ids, gar, iteration)
-
-    def flat_round(iteration: int) -> None:
+    server, transport = build_flat(num_workers, dimension, gradients)
+    run_flat_round(server, gar, 0)  # warmup: lazy allocations (round buffer, scratch) happen once
+    start = time.perf_counter()
+    for iteration in range(1, rounds + 1):
         run_flat_round(server, gar, iteration)
+    results["flat_rounds_per_s"] = rounds / (time.perf_counter() - start)
 
-    results: Dict[str, float] = {}
-    for label, body in (("legacy", legacy_round), ("flat", flat_round)):
-        body(0)  # warmup: lazy allocations (round buffer, scratch) happen once
-        start = time.perf_counter()
-        for iteration in range(1, rounds + 1):
-            body(iteration)
-        elapsed = time.perf_counter() - start
-        results[f"{label}_rounds_per_s"] = rounds / elapsed
-
-        # Separate pass for allocation accounting: tracemalloc slows execution,
-        # so bytes and time are never measured together.
-        tracemalloc.start()
-        peaks = []
-        for iteration in range(rounds + 1, rounds + 4):
-            tracemalloc.reset_peak()
-            before, _ = tracemalloc.get_traced_memory()
-            body(iteration)
-            _, peak = tracemalloc.get_traced_memory()
-            peaks.append(peak - before)
-        tracemalloc.stop()
-        results[f"{label}_bytes_per_round"] = float(np.mean(peaks))
+    # Separate pass for allocation accounting: tracemalloc slows execution,
+    # so bytes and time are never measured together.
+    tracemalloc.start()
+    peaks = []
+    for iteration in range(rounds + 1, rounds + 4):
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        run_flat_round(server, gar, iteration)
+        _, peak = tracemalloc.get_traced_memory()
+        peaks.append(peak - before)
+    tracemalloc.stop()
+    results["flat_bytes_per_round"] = float(np.mean(peaks))
 
     results["speedup"] = results["flat_rounds_per_s"] / results["legacy_rounds_per_s"]
     results["bytes_ratio"] = results["flat_bytes_per_round"] / results["legacy_bytes_per_round"]
-    flat_transport.close()
-    legacy_transport.close()
+    transport.close()
     return results
 
 
@@ -255,9 +165,9 @@ def run_benchmark(rounds_small: int = 40, rounds_large: int = 12) -> Dict:
                 f"speedup={numbers['speedup']:4.2f}x "
                 f"bytes={numbers['bytes_ratio']:4.2f}x"
             )
-    report = {
+    return {
         "benchmark": "hotpath",
-        "description": "zero-copy flat pipeline vs legacy list-of-arrays copy chain",
+        "description": "zero-copy flat pipeline vs the (frozen) legacy list-of-arrays copy chain",
         "metrics": {
             "rounds_per_s": "end-to-end training rounds per second (real transport)",
             "bytes_per_round": "tracemalloc transient peak per round, averaged",
@@ -267,9 +177,9 @@ def run_benchmark(rounds_small: int = 40, rounds_large: int = 12) -> Dict:
             "speedup_min": 1.5,
             "bytes_ratio_max": 0.5,
         },
+        "legacy": list(frozen_legacy().values()),
         "results": rows,
     }
-    return report
 
 
 def headline(report: Dict) -> Dict:

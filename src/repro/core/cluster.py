@@ -129,6 +129,22 @@ class ClusterConfig:
             raise ConfigurationError("need at least one training iteration")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be positive")
+        # Hyperparameters that would otherwise surface mid-build or mid-round
+        # (ZeroDivisionError in should_evaluate, ValueError from SGD, ...).
+        if self.accuracy_every < 1:
+            raise ConfigurationError("accuracy_every must be >= 1")
+        if not self.learning_rate > 0:
+            raise ConfigurationError("learning_rate must be > 0")
+        if self.dataset_size < 1:
+            raise ConfigurationError("dataset_size must be >= 1")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigurationError("test_fraction must lie strictly between 0 and 1")
+        for name in ("momentum", "worker_momentum"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigurationError(f"{name} must be in [0, 1)")
+        for name in ("num_attacking_workers", "num_attacking_servers"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0")
         if not 0 <= self.num_byzantine_workers < self.num_workers:
             raise ConfigurationError("need 0 <= f_w < n_w")
         if self.num_attacking_workers > self.num_byzantine_workers:

@@ -44,6 +44,24 @@ HEALTHY = "healthy"
 SUSPECT = "suspect"
 DEAD = "dead"
 
+# Accrual tuning.  Constants, not constructor arguments: one value each is in
+# use, and the hedged-pull fixture pins the scores they produce.
+#: Suspicion score at which a peer classifies as suspect / is declared dead.
+SUSPECT_AFTER = 2.0
+DEAD_AFTER = 6.0
+#: What each kind of bad evidence adds to a peer's suspicion ...
+REFUSED_WEIGHT = 2.0
+TIMEOUT_WEIGHT = 1.5
+SLOW_WEIGHT = 1.0
+#: ... and what a normal success multiplies it by.
+SUCCESS_DECAY = 0.5
+#: A success counts as slow when its latency exceeds ``SLOW_FACTOR`` times the
+#: median of the last ``COHORT_WINDOW`` success latencies (all peers), once
+#: at least ``COHORT_MIN_SAMPLES`` of them exist.
+SLOW_FACTOR = 8.0
+COHORT_WINDOW = 256
+COHORT_MIN_SAMPLES = 8
+
 
 @dataclass(frozen=True)
 class HealthEvent:
@@ -73,12 +91,12 @@ class LivenessDetector:
 
     Suspicion is a non-negative score per peer: refused dials and
     timeouts/losses add to it, successes halve it, and a success whose
-    latency towers over the cohort's recent median (``slow_factor`` times)
+    latency towers over the cohort's recent median (``SLOW_FACTOR`` times)
     counts as slow evidence instead of a recovery — that is what lets a
     straggler storm surface as ``suspect``/``dead`` peers even though every
     reply eventually arrives.  Thresholds map scores to statuses with the
     usual accrual shape: brief hiccups decay away, persistent silence
-    crosses ``suspect_after`` and then ``dead_after``.
+    crosses ``SUSPECT_AFTER`` and then ``DEAD_AFTER``.
 
     The detector is fed from the coordinating thread only (the transport's
     fan-out classification loop), so it needs no locking.
@@ -91,35 +109,15 @@ class LivenessDetector:
         declared_f: int = 0,
         gar_name: str = "average",
         asynchronous: bool = False,
-        suspect_after: float = 2.0,
-        dead_after: float = 6.0,
-        slow_factor: float = 8.0,
-        success_decay: float = 0.5,
-        refused_weight: float = 2.0,
-        timeout_weight: float = 1.5,
-        slow_weight: float = 1.0,
-        cohort_window: int = 256,
-        cohort_min_samples: int = 8,
     ) -> None:
         self.roster: Tuple[str, ...] = tuple(roster)
         if not self.roster:
             raise ConfigurationError("liveness detector needs a non-empty roster")
-        if not 0.0 < suspect_after < dead_after:
-            raise ConfigurationError("need 0 < suspect_after < dead_after")
         if gar_name not in GAR_REGISTRY:
             raise ConfigurationError(f"unknown GAR '{gar_name}' for liveness guard")
         self.declared_f = int(declared_f)
         self.gar_cls = GAR_REGISTRY[gar_name]
         self.asynchronous = bool(asynchronous)
-        self.suspect_after = float(suspect_after)
-        self.dead_after = float(dead_after)
-        self.slow_factor = float(slow_factor)
-        self.success_decay = float(success_decay)
-        self.refused_weight = float(refused_weight)
-        self.timeout_weight = float(timeout_weight)
-        self.slow_weight = float(slow_weight)
-        self.cohort_window = int(cohort_window)
-        self.cohort_min_samples = int(cohort_min_samples)
 
         self.scores: Dict[str, float] = {name: 0.0 for name in self.roster}
         self._status: Dict[str, str] = {name: HEALTHY for name in self.roster}
@@ -137,7 +135,7 @@ class LivenessDetector:
     # Per-call observations (fed by Transport._note_health)
     # ------------------------------------------------------------------ #
     def _cohort_reference(self) -> Optional[float]:
-        if len(self._cohort) < self.cohort_min_samples:
+        if len(self._cohort) < COHORT_MIN_SAMPLES:
             return None
         ordered = sorted(self._cohort)
         return ordered[len(ordered) // 2]
@@ -149,26 +147,26 @@ class LivenessDetector:
         self._observed_round = True
         reference = self._cohort_reference()
         self._cohort.append(float(latency))
-        if len(self._cohort) > self.cohort_window:
-            del self._cohort[: len(self._cohort) - self.cohort_window]
-        if reference is not None and latency > self.slow_factor * reference:
-            self.scores[peer] += self.slow_weight
+        if len(self._cohort) > COHORT_WINDOW:
+            del self._cohort[: len(self._cohort) - COHORT_WINDOW]
+        if reference is not None and latency > SLOW_FACTOR * reference:
+            self.scores[peer] += SLOW_WEIGHT
         else:
-            self.scores[peer] *= self.success_decay
+            self.scores[peer] *= SUCCESS_DECAY
 
     def observe_refused(self, peer: str) -> None:
         """A refused/reset dial or crashed-at-plan peer: strong evidence."""
         if peer not in self.scores:
             return
         self._observed_round = True
-        self.scores[peer] += self.refused_weight
+        self.scores[peer] += REFUSED_WEIGHT
 
     def observe_timeout(self, peer: str) -> None:
         """A lost, silent or deadline-expired reply: slow-or-dead evidence."""
         if peer not in self.scores:
             return
         self._observed_round = True
-        self.scores[peer] += self.timeout_weight
+        self.scores[peer] += TIMEOUT_WEIGHT
 
     # ------------------------------------------------------------------ #
     # Supervisor hooks
@@ -286,12 +284,12 @@ class LivenessDetector:
             previous = self._status[name]
             if name in self._dead:
                 status = DEAD
-            elif self.scores[name] >= self.dead_after:
+            elif self.scores[name] >= DEAD_AFTER:
                 if self._declare_dead(round_index, name, "accrual", detection):
                     status = DEAD
                 else:
                     status = SUSPECT  # guard blocked: down-weight, keep pulling
-            elif self.scores[name] >= self.suspect_after:
+            elif self.scores[name] >= SUSPECT_AFTER:
                 status = SUSPECT
             else:
                 status = HEALTHY

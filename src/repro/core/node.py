@@ -7,6 +7,8 @@ from typing import Optional
 
 from repro.network.cost import CPU, CostModel, Device, TENSORFLOW, FrameworkProfile
 from repro.network.transport import Transport
+from repro.nn.layers import Module
+from repro.nn.parameters import FlatParameterView, attach_flat_view
 
 #: Attributes never included in a state snapshot: the transport (and the
 #: serve lock guarding it) hold OS resources — locks, sockets, pool threads —
@@ -17,9 +19,12 @@ _SNAPSHOT_EXCLUDE = ("transport", "_serve_lock")
 class Node:
     """A participant in the cluster, attached to the shared transport.
 
-    Every node has an identifier, a device (CPU or GPU) and a cost model used
-    to account the simulated time of its local computations.
+    Every node has an identifier, a device (CPU or GPU), a cost model used
+    to account the simulated time of its local computations, and — set by the
+    ``Server`` / ``Worker`` subclass — the ``model`` replica it owns.
     """
+
+    model: Module
 
     def __init__(
         self,
@@ -58,17 +63,19 @@ class Node:
     def restore_state(self, blob: bytes) -> None:
         """Apply a :meth:`snapshot_state` blob onto this (freshly built) node."""
         self.__dict__.update(pickle.loads(blob))
-        self._relink_state()
+        # Numpy views pickle as independent copies, so the restored model's
+        # parameters no longer alias one buffer: re-attach now, on the
+        # restoring thread, before a handler thread can serve from it.
+        self.flat_view()
 
-    def _relink_state(self) -> None:
-        """Re-establish aliasing invariants pickling cannot preserve.
+    # ------------------------------------------------------------------ #
+    def flat_view(self) -> FlatParameterView:
+        """The flat buffer that *is* this node's model state (see ``nn.parameters``).
 
-        Numpy views pickle as independent copies, so a restored model's flat
-        parameter buffer no longer backs its per-layer tensors; subclasses
-        owning a model re-attach the
-        :class:`~repro.nn.parameters.FlatParameterView` here so the zero-copy
-        paths resume bit-identically after a crash/recover.
+        Every vector read, write and gradient served goes through this one
+        accessor; it re-attaches if anything severed the aliasing.
         """
+        return attach_flat_view(self.model.parameters())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(id={self.node_id!r}, device={self.device.name})"

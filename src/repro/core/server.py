@@ -33,7 +33,6 @@ from repro.network.transport import RoundBuffer, Transport
 from repro.nn.layers import Module
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import SGD, Optimizer
-from repro.nn.parameters import attach_flat_view, flat_view, get_flat_parameters, set_flat_parameters
 from repro.nn.tensor import Tensor
 
 
@@ -60,7 +59,8 @@ class Server(Node):
         self.model = model
         # Contiguous flat parameter/gradient storage: parameter_vector reads,
         # model-state payloads and the optimizer's axpy all share one buffer.
-        attach_flat_view(model)
+        # Attached here so concurrent handler threads never race to build it.
+        self.flat_view()
         self.workers = list(workers)
         self.servers = [s for s in servers if s != node_id]
         self.test_dataset = test_dataset
@@ -114,13 +114,10 @@ class Server(Node):
     def flat_parameters(self) -> np.ndarray:
         """The current model state as one flat vector.
 
-        With the flat buffer attached this is a **read-only zero-copy view**
-        that tracks the live model; callers needing a snapshot must ``copy()``.
+        A **read-only zero-copy view** that tracks the live model; callers
+        needing a snapshot must ``copy()``.
         """
-        view = flat_view(self.model)
-        if view is not None:
-            return view.parameter_vector()
-        return get_flat_parameters(self.model)
+        return self.flat_view().parameter_vector()
 
     @property
     def latest_aggr_grad(self) -> Optional[np.ndarray]:
@@ -150,7 +147,7 @@ class Server(Node):
                 f"write_model received a vector of dimension {flat_model.size}, "
                 f"model has {self.dimension}"
             )
-        set_flat_parameters(self.model, flat_model)
+        self.flat_view().set_parameters(flat_model)
         self._sync_served_state()
 
     def update_model(self, aggregated_gradient: np.ndarray) -> None:
@@ -386,12 +383,6 @@ class Server(Node):
         """
         matrix = self.get_aggr_grad_matrix(quorum, iteration=iteration)
         return [np.array(row) for row in matrix]
-
-    def _relink_state(self) -> None:
-        # A restored snapshot carries model values without the flat-buffer
-        # aliasing; re-attach so parameter views, the optimizer's flat
-        # velocity and served payloads keep operating zero-copy.
-        attach_flat_view(self.model)
 
     # ------------------------------------------------------------------ #
     # Checkpointing

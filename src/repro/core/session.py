@@ -54,7 +54,7 @@ from repro.exceptions import ConfigurationError
 
 
 # ---------------------------------------------------------------------- #
-# Round accounting (shared by every strategy; formerly repro.apps.common)
+# Round accounting (shared by every strategy)
 # ---------------------------------------------------------------------- #
 class RoundAccountant:
     """Builds an :class:`IterationRecord` for one training iteration.

@@ -8,20 +8,18 @@ on the model state included in the request.
 from __future__ import annotations
 
 import threading
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.core.node import Node
 from repro.datasets.loader import DataLoader
-from repro.exceptions import TrainingError
 from repro.datasets.synthetic import Dataset
 from repro.network.cost import CPU, CostModel, Device, TENSORFLOW, FrameworkProfile
 from repro.network.message import RequestContext
 from repro.network.transport import Transport
 from repro.nn.layers import Module
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.parameters import attach_flat_view, flat_view, get_flat_gradients, set_flat_parameters
 from repro.nn.tensor import Tensor
 
 
@@ -63,7 +61,7 @@ class Worker(Node):
         # Contiguous flat parameter/gradient storage: loading the requested
         # model state is one vectorized copy and the served gradient is a
         # read-only view of the flat gradient buffer (no per-layer gather).
-        attach_flat_view(model)
+        self.flat_view()
         self.loader = DataLoader(dataset, batch_size=batch_size, seed=seed)
         self.batch_size = batch_size
         self.loss_fn = loss or CrossEntropyLoss()
@@ -95,11 +93,6 @@ class Worker(Node):
         self._serve_lock = threading.RLock()
         transport.register_handler(node_id, "gradient", self._serve_gradient)
 
-    def _relink_state(self) -> None:
-        # Restored snapshots lose the flat-buffer aliasing (numpy views
-        # pickle as copies); re-attach so the zero-copy serve path resumes.
-        attach_flat_view(self.model)
-
     # ------------------------------------------------------------------ #
     def _estimate_gradient(self, flat_model: np.ndarray) -> np.ndarray:
         """One gradient estimate as a **read-only zero-copy view**.
@@ -110,7 +103,8 @@ class Worker(Node):
         once — into the requester's round buffer.  External callers wanting
         an owned array use :meth:`compute_gradient`.
         """
-        set_flat_parameters(self.model, flat_model)
+        view = self.flat_view()
+        view.set_parameters(flat_model)
         self.model.train()
         self.model.zero_grad()
         images, labels = self.loader.next_batch()
@@ -122,8 +116,7 @@ class Worker(Node):
         self.compute_time += self.cost_model.compute_time(
             self.model.num_parameters(), self.batch_size
         )
-        view = flat_view(self.model)
-        gradient = view.gradient_vector() if view is not None else get_flat_gradients(self.model)
+        gradient = view.gradient_vector()
         if self.momentum > 0.0:
             if self._velocity is None:
                 self._velocity = np.zeros_like(gradient)
@@ -141,25 +134,6 @@ class Worker(Node):
         The caller owns the returned array (snapshot semantics).
         """
         return np.array(self._estimate_gradient(flat_model))
-
-    def scatter_slices(self, shard_map) -> List[np.ndarray]:
-        """Per-shard read-only views of the last served gradient, in shard order.
-
-        The sharded scatter path: each slice is a zero-copy view into this
-        worker's (cached) gradient buffer, contiguous by construction, so the
-        wire codec's memoryview-splicing fast path frames each shard without
-        copying.  ``shard_map`` is duck-typed (iterable of ``(shard, slice)``
-        pairs); valid until the next gradient estimate overwrites the buffer.
-        """
-        with self._serve_lock:
-            gradient = self._cached_gradient
-            if gradient is None:
-                raise TrainingError(
-                    "no gradient has been served yet; scatter_slices() views the "
-                    "gradient computed for the current iteration's pull"
-                )
-            flat = np.asarray(gradient).reshape(-1)
-            return [flat[sl] for _, sl in shard_map]
 
     # ------------------------------------------------------------------ #
     def _serve_gradient(self, context: RequestContext) -> Optional[np.ndarray]:

@@ -217,43 +217,6 @@ class CostModel:
             return num_messages * self.network.context_switch_overhead + copy_time
         return 0.25 * copy_time
 
-    # ------------------------------------------------------------------ #
-    # Sharded-tier message accounting (see docs/sharding.md)
-    # ------------------------------------------------------------------ #
-    def sharded_reply_bytes(self, shard_map) -> int:
-        """Framed bytes of one reply scattered as per-shard slice messages.
-
-        The cost-model twin of
-        :meth:`repro.network.transport.Transport.sharded_reply_nbytes`: with a
-        ``wire_format`` each slice is charged its exact framed size; in
-        figure-calibration mode each slice is charged at the paper's
-        per-element width with its frame header.  The sharding cost
-        regression suite asserts the two ledgers agree byte for byte.
-        """
-        from repro.network.serialization import sharded_nbytes
-
-        if self.wire_format is not None:
-            return sharded_nbytes(shard_map, fmt=self.wire_format)
-        return sharded_nbytes(shard_map, self.network.bytes_per_element)
-
-    def shard_coordination_bytes(self, quorum: int, num_shards: int) -> tuple:
-        """``(bytes, messages)`` of one two-phase coordination exchange.
-
-        Per distance-based aggregation with ``k`` shard lanes: ``k - 1``
-        partial ``(q, q)`` squared-distance matrices converge on the
-        coordinator lane, and ``k - 1`` selected-index broadcasts (at most
-        ``q`` int64 indices each) fan back out.  Both travel at full float64
-        precision regardless of the negotiated gradient format — the
-        selection must be bitwise-equal to the unsharded rule's.  Returns
-        ``(0, 0)`` for ``k <= 1`` (and for coordinate-wise rules, which the
-        caller simply never charges).
-        """
-        if num_shards <= 1 or quorum <= 0:
-            return 0, 0
-        partial = serialized_nbytes(quorum * quorum)
-        indices = serialized_nbytes(quorum)
-        return (num_shards - 1) * (partial + indices), 2 * (num_shards - 1)
-
     def transfer_time(self, dimension: int, num_messages: int, vanilla: bool = False, on_gpu: bool = False) -> float:
         """Time to push ``num_messages`` model-sized messages through one NIC.
 

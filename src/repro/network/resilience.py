@@ -1,10 +1,9 @@
 """Resilience primitives: typed retry policies and per-round deadline budgets.
 
-The RPC layer historically used two flat constants — ``DEFAULT_CALL_TIMEOUT``
-and ``DEFAULT_SPAWN_TIMEOUT`` — and one undifferentiated failure mode: any
-socket error collapsed into :class:`~repro.exceptions.NodeCrashedError`.
-This module supplies the three building blocks the self-healing runtime is
-made of:
+The RPC layer historically used two flat timeout constants and one
+undifferentiated failure mode: any socket error collapsed into
+:class:`~repro.exceptions.NodeCrashedError`.  This module supplies the three
+building blocks the self-healing runtime is made of:
 
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   *deterministic seeded jitter* (``random.Random(f"{seed}/{key}/{attempt}")``,

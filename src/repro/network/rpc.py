@@ -95,15 +95,6 @@ VECTOR_BLOB_KEY = "__vector_blob__"
 #: First line a node host prints on stdout once its listener is bound.
 READY_PREFIX = "GARFIELD-RPC"
 
-#: Default wall-clock budget for one RPC round trip (compute included).
-#: Kept as a compatibility alias — the budget now lives in
-#: :mod:`repro.network.resilience` and is the *read* deadline only; the
-#: connect phase has its own (much shorter) budget.
-DEFAULT_CALL_TIMEOUT = DEFAULT_READ_DEADLINE
-
-#: Default wall-clock budget for a spawned host to report readiness.
-DEFAULT_SPAWN_TIMEOUT = DEFAULT_SPAWN_DEADLINE
-
 
 # ---------------------------------------------------------------------- #
 # Environment probe
@@ -202,7 +193,7 @@ class RpcClient:
     def __init__(
         self,
         address: Tuple[str, int],
-        timeout: float = DEFAULT_CALL_TIMEOUT,
+        timeout: float = DEFAULT_READ_DEADLINE,
         wire_format: WireFormat = PLAIN_FLOAT64,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ) -> None:
@@ -289,23 +280,6 @@ class RpcClient:
         if response["ok"]:
             return response.get("result")
         _raise_remote(response)
-
-    def call_with_retry(
-        self,
-        message: Dict[str, Any],
-        policy: RetryPolicy,
-        *,
-        key: str = "",
-        on_retry: Optional[Callable[[int, BaseException], None]] = None,
-    ) -> Any:
-        """Retry :meth:`call` under ``policy`` — for idempotent requests only.
-
-        Each attempt dials fresh when the pool is dry, so a peer that was
-        respawned between attempts is picked up transparently.
-        """
-        return policy.call(
-            lambda: self.call(message), key=key or str(self.address), on_retry=on_retry
-        )
 
     def close(self) -> None:
         with self._lock:
@@ -638,6 +612,35 @@ class _NodeHost:
             return ""
         return text[-limit:]
 
+    def take_snapshot(self) -> bool:
+        """Best-effort: fetch the running host's state for the next restore."""
+        try:
+            snapshot = self.client.call({"op": "snapshot", "node": self.node_id})
+        except (GarfieldError, OSError):
+            return False  # already dying: the previous snapshot stands
+        if isinstance(snapshot, (bytes, bytearray)):
+            self.snapshot = bytes(snapshot)
+            return True
+        return False
+
+    def teardown(self) -> None:
+        """Leave nothing of this incarnation behind, alive or not.
+
+        Kills the process if it still runs (SIGKILL on POSIX — no goodbye),
+        collects the zombie, closes our end of its stdout pipe and drops the
+        client pool, so repeated crashes, failed recovers and unscripted
+        deaths cannot leak processes or file descriptors.
+        """
+        if self.process is not None:
+            if self.process.poll() is None:
+                self.process.kill()
+            self.process.wait()
+            if self.process.stdout is not None:
+                self.process.stdout.close()
+        if self.client is not None:
+            self.client.close()
+            self.client = None
+
 
 class SocketBackend(TransportBackend):
     """Deliver handler invocations to per-node subprocesses over TCP.
@@ -668,8 +671,8 @@ class SocketBackend(TransportBackend):
         self,
         config=None,
         probe_nodes: Sequence[str] = (),
-        spawn_timeout: float = DEFAULT_SPAWN_TIMEOUT,
-        call_timeout: float = DEFAULT_CALL_TIMEOUT,
+        spawn_timeout: float = DEFAULT_SPAWN_DEADLINE,
+        call_timeout: float = DEFAULT_READ_DEADLINE,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
@@ -789,15 +792,10 @@ class SocketBackend(TransportBackend):
         assert process is not None and process.stdout is not None
 
         def _abort(reason: str) -> CommunicationError:
-            # Every failure path must reap the host before surfacing: kill it
-            # if it is still alive (a malformed ready line means a *running*
-            # process nobody would otherwise stop), collect the zombie, and
-            # close our end of the stdout pipe so repeated failed recovers
-            # cannot leak file descriptors.
-            if process.poll() is None:
-                process.kill()
-            process.wait()
-            process.stdout.close()
+            # Every failure path must reap the host before surfacing (a
+            # malformed ready line means a *running* process nobody would
+            # otherwise stop).
+            host.teardown()
             return CommunicationError(reason)
 
         fd = process.stdout.fileno()
@@ -844,15 +842,7 @@ class SocketBackend(TransportBackend):
                         host.client.call({"op": "shutdown"})
                     except (GarfieldError, OSError):
                         pass
-                    host.client.close()
-                    host.client = None
-                if host.process is not None:
-                    if host.process.poll() is None:
-                        host.process.kill()
-                    host.process.wait()
-                    if host.process.stdout is not None:
-                        host.process.stdout.close()
-                    host.process = None
+                host.teardown()
             self._hosts.clear()
             if self._workdir is not None:
                 shutil.rmtree(self._workdir, ignore_errors=True)
@@ -997,18 +987,8 @@ class SocketBackend(TransportBackend):
             host = self._hosts.get(node_id)
             if host is None or not host.running:
                 return
-            try:
-                snapshot = host.client.call({"op": "snapshot", "node": node_id})
-                if isinstance(snapshot, (bytes, bytearray)):
-                    host.snapshot = bytes(snapshot)
-            except (GarfieldError, OSError):
-                pass  # already dying: respawn from the previous snapshot
-            host.process.kill()  # SIGKILL on POSIX — no goodbye
-            host.process.wait()
-            if host.process.stdout is not None:
-                host.process.stdout.close()
-            host.client.close()
-            host.client = None
+            host.take_snapshot()
+            host.teardown()
 
     def _recover(self, node_id: str) -> None:
         with self._lock:
@@ -1040,12 +1020,7 @@ class SocketBackend(TransportBackend):
             host = self._hosts.get(node_id)
             if host is None or host.process is None or host.running:
                 return
-            host.process.wait()
-            if host.process.stdout is not None:
-                host.process.stdout.close()
-            if host.client is not None:
-                host.client.close()
-                host.client = None
+            host.teardown()
 
     def snapshot_now(self, node_id: str) -> bool:
         """Best-effort state snapshot of a *running* host.
@@ -1059,14 +1034,7 @@ class SocketBackend(TransportBackend):
             host = self._hosts.get(node_id)
             if host is None or host.client is None or not host.running:
                 return False
-            try:
-                snapshot = host.client.call({"op": "snapshot", "node": node_id})
-            except (GarfieldError, OSError):
-                return False
-            if isinstance(snapshot, (bytes, bytearray)):
-                host.snapshot = bytes(snapshot)
-                return True
-            return False
+            return host.take_snapshot()
 
     def revive(self, node_id: str) -> bool:
         """Reap a dead host and respawn it from its last snapshot.

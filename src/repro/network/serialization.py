@@ -393,31 +393,6 @@ def serialize_vector(
     return b"".join(serialize_vector_parts(vector, fmt, reference))
 
 
-def serialize_vector_shards(
-    vector: np.ndarray,
-    shard_map,
-    fmt: FormatLike = PLAIN_FLOAT64,
-) -> List[List[BytesLike]]:
-    """Slice-wise scatter encoding: one ``[header, *payload]`` blob per shard.
-
-    ``shard_map`` is a :class:`repro.sharding.shard_map.ShardMap` (anything
-    iterating as ``(shard, slice)`` with a ``dimension`` attribute works).
-    Each shard's slice of a contiguous float64 vector is itself contiguous,
-    so the default passthrough splices a ``memoryview`` of the slice's own
-    storage — the whole scatter costs zero payload copies, exactly like the
-    unsharded :func:`serialize_vector_parts` fast path.  Decoding each blob
-    with :func:`deserialize_vector` and concatenating in shard order
-    round-trips the vector bit-exactly (locked by the sharding test suite).
-    """
-    array = np.ascontiguousarray(vector, dtype=np.float64).reshape(-1)
-    if array.size != shard_map.dimension:
-        raise SerializationError(
-            f"vector of dimension {array.size} does not match shard map "
-            f"dimension {shard_map.dimension}"
-        )
-    return [serialize_vector_parts(array[sl], fmt) for _, sl in shard_map]
-
-
 def serialize_with_reconstruction(
     vector: np.ndarray,
     fmt: FormatLike = PLAIN_FLOAT64,
@@ -633,11 +608,10 @@ def sharded_nbytes(
 ) -> int:
     """Total wire size of one vector scattered as per-shard slice messages.
 
-    The sum over shards of :func:`serialized_nbytes` for each slice width —
-    i.e. what :func:`serialize_vector_shards` actually frames.  Always larger
-    than the unsharded size by ``(num_shards - 1)`` headers; the cost-model
-    regression suite asserts this equals the transport's recorded bytes under
-    sharding.
+    The sum over shards of :func:`serialized_nbytes` for each slice width.
+    Always larger than the unsharded size by ``(num_shards - 1)`` headers.
+    Slice traffic is *accounted* at this size, never framed: a sharded round
+    is wire-identical to the classic one (see ``docs/sharding.md``).
     """
     return sum(
         serialized_nbytes(size, bytes_per_element, fmt) for size in shard_map.sizes

@@ -4,9 +4,9 @@ This subpackage plays the role that TensorFlow and PyTorch play in the
 original Garfield paper: it provides tensors with reverse-mode automatic
 differentiation, common layers, the models used in the paper's evaluation
 (Table 1), losses and SGD optimizers.  Garfield's Server / Worker objects
-only ever interact with it through ``Module.parameters()``, gradient
-flattening helpers and the optimizer ``step`` — exactly the surface the
-paper's library uses from the underlying frameworks.
+only ever interact with it through ``Module.parameters()``, the flat
+parameter / gradient vector (:class:`FlatParameterView`) and the optimizer —
+exactly the surface the paper's library uses from the underlying frameworks.
 """
 
 from repro.nn.tensor import Tensor
@@ -36,15 +36,7 @@ from repro.nn.models import (
     model_dimension,
     model_size_mb,
 )
-from repro.nn.parameters import (
-    FlatParameterView,
-    attach_flat_view,
-    flat_view,
-    get_flat_gradients,
-    get_flat_parameters,
-    set_flat_gradients,
-    set_flat_parameters,
-)
+from repro.nn.parameters import FlatParameterView, attach_flat_view
 
 __all__ = [
     "Tensor",
@@ -74,11 +66,6 @@ __all__ = [
     "ResNetLite",
     "VggLite",
     "LogisticRegression",
-    "get_flat_parameters",
-    "set_flat_parameters",
-    "get_flat_gradients",
-    "set_flat_gradients",
     "FlatParameterView",
     "attach_flat_view",
-    "flat_view",
 ]

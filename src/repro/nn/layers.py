@@ -19,10 +19,11 @@ from repro.nn.tensor import Tensor
 class Parameter(Tensor):
     """A tensor that is registered as a trainable model parameter.
 
-    When the owning model has a :class:`~repro.nn.parameters.FlatParameterView`
-    attached, ``data`` and ``grad`` are views into the model's contiguous flat
-    buffers; ``_flat_grad`` / ``_flat_view`` (set by the view at attach time)
-    keep :meth:`zero_grad` from severing that binding.
+    Once a :class:`~repro.nn.parameters.FlatParameterView` is attached,
+    ``data`` and ``grad`` are views into its contiguous flat buffers;
+    ``_flat_grad`` / ``_flat_view`` (set by the view at attach time, dropped
+    by pickling along with the aliasing) keep :meth:`zero_grad` from severing
+    that binding.
     """
 
     def __init__(self, data: np.ndarray) -> None:
@@ -59,15 +60,6 @@ class Module:
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", {})[name] = value
         object.__setattr__(self, name, value)
-
-    def __getstate__(self) -> Dict[str, object]:
-        # An attached FlatParameterView is pure aliasing structure: pickling
-        # would duplicate every parameter into the view's buffers *without*
-        # preserving the aliasing (numpy views pickle as independent copies).
-        # Drop it; owners re-attach after restore (see Node._relink_state).
-        state = dict(self.__dict__)
-        state.pop("_flat_view", None)
-        return state
 
     # ------------------------------------------------------------------ #
     def parameters(self) -> List[Parameter]:

@@ -13,7 +13,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.nn.layers import Parameter
-from repro.nn.parameters import FlatParameterView
+from repro.nn.parameters import attach_flat_view
 
 
 class Optimizer:
@@ -32,43 +32,16 @@ class Optimizer:
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def _resolve_flat_view(self) -> Optional[FlatParameterView]:
-        """The parameters' shared :class:`FlatParameterView`, if one is bound.
-
-        Resolved per call (identity checks only, O(#parameters)) so the
-        optimizer follows a view re-attached after a snapshot restore without
-        holding a stale buffer reference.
-        """
-        if not self.parameters:
-            return None
-        view = getattr(self.parameters[0], "_flat_view", None)
-        if isinstance(view, FlatParameterView) and view.covers(self.parameters):
-            return view
-        return None
-
     def apply_flat_gradient(self, flat_gradient: np.ndarray) -> None:
-        """Load a flat gradient vector into ``param.grad`` slots then ``step()``.
+        """Load a flat gradient vector into the ``grad`` slots then ``step()``.
 
         This is the path the Garfield server uses: it aggregates worker
         gradients into one flat vector and applies it to its model replica.
-        With a :class:`FlatParameterView` bound, the gradient is written
-        through the shared flat buffer (one vectorized copy — the per-layer
-        ``grad`` views stay bound) instead of rebinding per-layer slices.
+        The gradient is written through the parameters'
+        :class:`~repro.nn.parameters.FlatParameterView` (attached on first
+        use) in one vectorized copy; a wrong-size vector raises ``ValueError``.
         """
-        view = self._resolve_flat_view()
-        if view is not None:
-            view.set_gradients(flat_gradient)  # raises ValueError on size mismatch
-            self.step()
-            return
-        offset = 0
-        for param in self.parameters:
-            size = param.size
-            param.grad = np.asarray(flat_gradient[offset : offset + size], dtype=np.float64).reshape(param.shape)
-            offset += size
-        if offset != flat_gradient.size:
-            raise ValueError(
-                f"flat gradient has {flat_gradient.size} elements, model expects {offset}"
-            )
+        attach_flat_view(self.parameters).set_gradients(flat_gradient)
         self.step()
 
 
@@ -88,31 +61,22 @@ class SGD(Optimizer):
         self.momentum = momentum
         self.weight_decay = weight_decay
         self._velocity: List[Optional[np.ndarray]] = [None] * len(self.parameters)
-        # Flat-path state: one velocity vector and one scratch buffer over the
-        # whole model, used instead of the per-layer lists when the parameters
-        # are backed by a FlatParameterView.
+        # apply_flat_gradient's state: one velocity vector and one scratch
+        # buffer over the whole flat parameter vector.
         self._flat_velocity: Optional[np.ndarray] = None
         self._flat_scratch: Optional[np.ndarray] = None
 
     def apply_flat_gradient(self, flat_gradient: np.ndarray) -> None:
         """Apply one SGD step from a flat gradient vector.
 
-        With a bound :class:`~repro.nn.parameters.FlatParameterView` the whole
-        update is an in-place axpy on the flat buffer (``theta -= lr * g``,
-        plus flat momentum / weight-decay terms) that reads the aggregated
-        vector directly — no per-layer scatter, no gradient copy.  The
-        element-wise operations match the per-layer loop exactly, so both
-        paths are bit-identical.
+        The whole update is an in-place axpy on the parameters' flat buffer
+        (``theta -= lr * g``, plus flat momentum / weight-decay terms) that
+        reads the aggregated vector directly — no per-layer scatter, no
+        gradient copy.  The element-wise operations match the per-layer
+        :meth:`step` loop exactly, so the two are bit-identical.
         """
-        view = self._resolve_flat_view()
-        if view is None:
-            super().apply_flat_gradient(flat_gradient)
-            return
-        grad = np.asarray(flat_gradient, dtype=np.float64).reshape(-1)
-        if grad.size != view.dimension:
-            raise ValueError(
-                f"flat gradient has {grad.size} elements, model expects {view.dimension}"
-            )
+        view = attach_flat_view(self.parameters)
+        grad = view.conform(flat_gradient, "gradient")
         if self.weight_decay:
             grad = grad + self.weight_decay * view.data
         if self.momentum:

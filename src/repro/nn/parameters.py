@@ -1,44 +1,42 @@
-"""Flat parameter / gradient vector helpers.
+"""The model state as one flat vector: :class:`FlatParameterView`.
 
-Garfield's GARs operate on flat vectors in R^d (gradients or models).  These
-helpers convert between a :class:`~repro.nn.layers.Module`'s parameter list and
-one flat ``numpy`` vector, mirroring the read/write-parameter-vector box in
-Figure 1 of the paper.
+Garfield's GARs operate on flat vectors in R^d (gradients or models), and the
+read/write-parameter-vector box in Figure 1 of the paper is the only way a
+server or worker touches a model's parameters as a whole.  Here that vector
+*is* the storage: attaching a view to a parameter list rebinds every
+``Parameter``'s ``data`` and ``grad`` to slices of one contiguous float64
+buffer each, so :meth:`~FlatParameterView.parameter_vector` and
+:meth:`~FlatParameterView.gradient_vector` are O(1) read-only views,
+:meth:`~FlatParameterView.set_parameters` /
+:meth:`~FlatParameterView.set_gradients` are one vectorized assignment, and
+the SGD update is an in-place axpy on the whole buffer (see
+:meth:`repro.nn.optim.SGD.apply_flat_gradient`).
 
-Two tiers coexist here:
-
-* The legacy conversion functions (:func:`get_flat_parameters`, ...), which
-  gather / scatter per-layer arrays.  They always hand the caller an
-  independent array (snapshot semantics).
-* :class:`FlatParameterView` — the zero-copy tier.  Attaching a view to a
-  model rebinds every ``Parameter``'s ``data`` and ``grad`` to slices of one
-  contiguous float64 vector each, so :meth:`~FlatParameterView.parameter_vector`
-  and :meth:`~FlatParameterView.gradient_vector` are O(1) read-only views
-  instead of O(d) concatenations, writes scatter in one vectorized assignment,
-  and the SGD update becomes an in-place axpy on the whole buffer (see
-  :meth:`repro.nn.optim.SGD.apply_flat_gradient`).  Servers and workers attach
-  a view at construction time; everything the view returns is *read-only* —
-  consumers that need to mutate must copy (``docs/performance.md`` documents
-  the ownership rules).
+There is no second, per-layer way to read or write the vector.  Every
+consumer asks :func:`attach_flat_view` for the view at the point of use; the
+call is idempotent and, when the aliasing was severed (numpy views pickle as
+independent copies, so a process-backend snapshot restores bare arrays),
+rebuilds the buffers from the parameters' current values.  Everything a view
+returns is *read-only* — consumers that need to mutate must copy
+(``docs/performance.md`` documents the ownership rules).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.layers import Module, Parameter
-from repro.utils import flatten_arrays, unflatten_array
+from repro.nn.layers import Parameter
 
 
 class FlatParameterView:
     """One contiguous float64 buffer backing every parameter of a model.
 
-    Construction copies the model's current parameter (and gradient) values
-    into two freshly allocated flat vectors — ``data`` and ``grad`` — and
-    rebinds each ``Parameter``'s ``data`` / ``grad`` to reshaped slices of
-    them.  From then on forward passes, backward accumulation and in-place
+    Construction copies the parameters' current values (and gradients) into
+    two freshly allocated flat vectors — ``data`` and ``grad`` — and rebinds
+    each ``Parameter``'s ``data`` / ``grad`` to reshaped slices of them.
+    From then on forward passes, backward accumulation and in-place
     optimizer steps all operate directly on the shared buffers, so reading
     the model or its gradient as one flat vector never copies again.
 
@@ -47,9 +45,8 @@ class FlatParameterView:
     unattached layout.
     """
 
-    def __init__(self, model: Module) -> None:
-        params = model.parameters()
-        self.dimension = sum(p.size for p in params)
+    def __init__(self, parameters: Sequence[Parameter]) -> None:
+        self.dimension = sum(p.size for p in parameters)
         self.data = np.empty(self.dimension, dtype=np.float64)
         self.grad = np.zeros(self.dimension, dtype=np.float64)
         self._data_ro = self.data.view()
@@ -58,7 +55,7 @@ class FlatParameterView:
         self._grad_ro.setflags(write=False)
         self._slots: List[Tuple[Parameter, np.ndarray, np.ndarray]] = []
         offset = 0
-        for param in params:
+        for param in parameters:
             size = param.size
             shape = param.data.shape
             data_view = self.data[offset : offset + size].reshape(shape)
@@ -72,30 +69,13 @@ class FlatParameterView:
             param._flat_view = self
             self._slots.append((param, data_view, grad_view))
             offset += size
-        model._flat_view = self  # type: ignore[attr-defined]
 
-    # ------------------------------------------------------------------ #
-    # Binding checks
-    # ------------------------------------------------------------------ #
-    def fully_bound(self) -> bool:
-        """Whether every parameter still aliases this view's buffers.
-
-        Pickling (a process-backend snapshot) reconstructs arrays without
-        aliasing, so an unpickled view reports ``False`` until the owner
-        re-attaches (:func:`attach_flat_view`).
-        """
-        return all(
-            param.data is data_view and param.grad is grad_view
-            for param, data_view, grad_view in self._slots
+    def covers(self, parameters: Sequence[Parameter]) -> bool:
+        """Whether ``parameters`` is exactly this view's list, every one still aliasing it."""
+        return len(parameters) == len(self._slots) and all(
+            param is bound and param.data is data_view and param.grad is grad_view
+            for param, (bound, data_view, grad_view) in zip(parameters, self._slots)
         )
-
-    def covers(self, parameters) -> bool:
-        """Whether ``parameters`` is exactly this view's parameter list (and bound)."""
-        if len(parameters) != len(self._slots):
-            return False
-        if any(p is not slot[0] for p, slot in zip(parameters, self._slots)):
-            return False
-        return self.fully_bound()
 
     # ------------------------------------------------------------------ #
     # Zero-copy accessors (read-only)
@@ -108,25 +88,11 @@ class FlatParameterView:
         """The gradient as one flat vector — a read-only view, no copy."""
         return self._grad_ro
 
-    def parameter_slices(self, shard_map) -> List[np.ndarray]:
-        """Per-shard read-only views of the model state, in shard order.
-
-        ``shard_map`` is anything iterable as ``(shard, slice)`` pairs over a
-        contiguous split of ``dimension`` — duck-typed so this module stays
-        free of a :mod:`repro.sharding` import.  Views of a contiguous flat
-        vector stay contiguous, so each slice feeds the wire codec's
-        memoryview-splicing fast path with zero copies.
-        """
-        return [self._data_ro[sl] for _, sl in shard_map]
-
-    def gradient_slices(self, shard_map) -> List[np.ndarray]:
-        """Per-shard read-only views of the gradient, in shard order (no copy)."""
-        return [self._grad_ro[sl] for _, sl in shard_map]
-
     # ------------------------------------------------------------------ #
     # Vectorized writers
     # ------------------------------------------------------------------ #
-    def _check_size(self, flat: np.ndarray, what: str) -> np.ndarray:
+    def conform(self, flat: np.ndarray, what: str) -> np.ndarray:
+        """``flat`` as a 1-D float64 vector of this view's dimension, or ``ValueError``."""
         flat = np.asarray(flat, dtype=np.float64)
         if flat.size != self.dimension:
             raise ValueError(
@@ -137,97 +103,26 @@ class FlatParameterView:
 
     def set_parameters(self, flat: np.ndarray) -> None:
         """Overwrite the model state from one flat vector (one vectorized copy)."""
-        self.data[...] = self._check_size(flat, "parameter")
+        self.data[...] = self.conform(flat, "parameter")
 
     def set_gradients(self, flat: np.ndarray) -> None:
         """Load a flat gradient vector into the shared gradient buffer."""
-        self.grad[...] = self._check_size(flat, "gradient")
+        self.grad[...] = self.conform(flat, "gradient")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FlatParameterView(dimension={self.dimension}, "
-            f"parameters={len(self._slots)}, bound={self.fully_bound()})"
-        )
+        return f"FlatParameterView(dimension={self.dimension}, parameters={len(self._slots)})"
 
 
-def attach_flat_view(model: Module) -> FlatParameterView:
-    """Attach (or re-attach) a :class:`FlatParameterView` to ``model``.
+def attach_flat_view(parameters: Sequence[Parameter]) -> FlatParameterView:
+    """The :class:`FlatParameterView` backing ``parameters``, built if need be.
 
-    Idempotent: an existing, still fully bound view is returned unchanged.  A
-    stale view (e.g. after a pickle round trip severed the aliasing) is
-    replaced by a fresh one built from the parameters' current values, so
+    Idempotent: a view that still covers exactly these parameters is returned
+    unchanged.  Otherwise (never attached, or a pickle round trip severed the
+    aliasing) a fresh one is built from the parameters' current values, so
     re-attaching after a process-backend snapshot/respawn continues
     bit-identically.
     """
-    view = getattr(model, "_flat_view", None)
-    if isinstance(view, FlatParameterView) and view.fully_bound():
-        return view
-    return FlatParameterView(model)
-
-
-def flat_view(model: Module) -> Optional[FlatParameterView]:
-    """The model's attached view, or ``None`` when absent or no longer bound."""
-    view = getattr(model, "_flat_view", None)
-    if isinstance(view, FlatParameterView) and view.fully_bound():
-        return view
-    return None
-
-
-def get_flat_parameters(model: Module) -> np.ndarray:
-    """Return all model parameters concatenated into one flat vector.
-
-    The caller owns the result (snapshot semantics).  With an attached
-    :class:`FlatParameterView` this is a single vectorized copy of the flat
-    buffer; use ``flat_view(model).parameter_vector()`` for the zero-copy
-    read-only view on hot paths.
-    """
-    view = flat_view(model)
-    if view is not None:
-        return view.parameter_vector().copy()
-    return flatten_arrays([p.data for p in model.parameters()])
-
-
-def set_flat_parameters(model: Module, flat: np.ndarray) -> None:
-    """Overwrite all model parameters from one flat vector (in place)."""
-    view = flat_view(model)
-    if view is not None:
-        view.set_parameters(flat)
-        return
-    params = model.parameters()
-    shapes = [p.shape for p in params]
-    pieces = unflatten_array(flat, shapes)
-    for param, piece in zip(params, pieces):
-        param.data[...] = piece
-
-
-def get_flat_gradients(model: Module) -> np.ndarray:
-    """Return all parameter gradients concatenated into one flat vector.
-
-    Parameters whose gradient is ``None`` (e.g. unused heads) contribute
-    zeros, so the vector length always equals the model dimension.  The
-    caller owns the result; ``flat_view(model).gradient_vector()`` is the
-    zero-copy alternative.
-    """
-    view = flat_view(model)
-    if view is not None:
-        return view.gradient_vector().copy()
-    pieces = []
-    for param in model.parameters():
-        if param.grad is None:
-            pieces.append(np.zeros(param.shape, dtype=np.float64))
-        else:
-            pieces.append(param.grad)
-    return flatten_arrays(pieces)
-
-
-def set_flat_gradients(model: Module, flat: np.ndarray) -> None:
-    """Load a flat gradient vector into the parameters' ``grad`` slots."""
-    view = flat_view(model)
-    if view is not None:
-        view.set_gradients(flat)
-        return
-    params = model.parameters()
-    shapes = [p.shape for p in params]
-    pieces = unflatten_array(flat, shapes)
-    for param, piece in zip(params, pieces):
-        param.grad = np.asarray(piece, dtype=np.float64)
+    view = getattr(parameters[0], "_flat_view", None) if parameters else None
+    if view is None or not view.covers(parameters):
+        view = FlatParameterView(parameters)
+    return view

@@ -18,7 +18,7 @@ that almost always indicates a misconfigured ``--shards``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.exceptions import ConfigurationError
 
@@ -74,25 +74,6 @@ class ShardMap:
         """The largest shard — the critical-path slice for parallel owners."""
         return self.size(0)  # remainders go to the leading shards
 
-    def owner_of(self, coordinate: int) -> int:
-        """Which shard owns flat-vector ``coordinate``."""
-        if not 0 <= coordinate < self.dimension:
-            raise ConfigurationError(
-                f"coordinate {coordinate} out of range for dimension {self.dimension}"
-            )
-        base, remainder = divmod(self.dimension, self.num_shards)
-        # The first `remainder` shards are (base + 1) wide.
-        wide_span = remainder * (base + 1)
-        if coordinate < wide_span:
-            return coordinate // (base + 1)
-        return remainder + (coordinate - wide_span) // base
-
-    def assign_owners(self, owners: Sequence[str]) -> Dict[int, str]:
-        """Round-robin shard → owner-id assignment (shard ``s`` to ``owners[s % n]``)."""
-        if not owners:
-            raise ConfigurationError("shard assignment needs at least one owner")
-        return {shard: owners[shard % len(owners)] for shard in range(self.num_shards)}
-
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         return self.num_shards
@@ -103,21 +84,3 @@ class ShardMap:
 
     def slices(self) -> List[slice]:
         return [self.slice_for(shard) for shard in range(self.num_shards)]
-
-    # ------------------------------------------------------------------ #
-    # (De)serialization — shipped inside scatter requests and experiment files.
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> Dict[str, int]:
-        return {"dimension": self.dimension, "num_shards": self.num_shards}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, int]) -> "ShardMap":
-        unknown = set(data) - {"dimension", "num_shards"}
-        if unknown:
-            raise ConfigurationError(f"unknown ShardMap keys: {sorted(unknown)}")
-        try:
-            dimension = int(data["dimension"])
-            num_shards = int(data["num_shards"])
-        except KeyError as exc:
-            raise ConfigurationError(f"ShardMap dict is missing {exc}") from exc
-        return cls(dimension=dimension, num_shards=num_shards)

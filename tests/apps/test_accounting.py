@@ -3,13 +3,11 @@ simulated transport and the analytic message-count model."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.apps.common import RoundAccountant, finite_or_raise, should_evaluate
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
-from repro.exceptions import TrainingError
+from repro.core.session import RoundAccountant, should_evaluate
 from repro.network.topology import messages_per_round
 
 
@@ -78,13 +76,6 @@ class TestHelpers:
     def test_should_evaluate_always_includes_last_iteration(self):
         deployment = build_deployment(num_iterations=8, accuracy_every=3)
         assert should_evaluate(deployment, 7)
-
-    def test_finite_or_raise_accepts_finite(self):
-        assert np.allclose(finite_or_raise(np.ones(3), "x"), 1.0)
-
-    def test_finite_or_raise_rejects_nan(self):
-        with pytest.raises(TrainingError):
-            finite_or_raise(np.array([1.0, np.nan]), "gradient")
 
 
 class TestMessageAccountingCrossCheck:

@@ -12,7 +12,6 @@ from repro.core.worker import Worker
 from repro.datasets.synthetic import make_classification
 from repro.network.transport import Transport
 from repro.nn.models import LogisticRegression
-from repro.nn.parameters import get_flat_parameters
 
 
 @pytest.fixture

@@ -114,6 +114,28 @@ class TestValidation:
             ClusterConfig(batch_size=0)
 
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("accuracy_every", 0),  # was: ZeroDivisionError in the first round
+            ("learning_rate", 0.0),  # was: bare ValueError from SGD inside build()
+            ("learning_rate", -0.1),
+            ("momentum", 1.5),
+            ("momentum", -0.1),
+            ("worker_momentum", -0.1),
+            ("worker_momentum", 1.0),
+            ("dataset_size", 0),
+            ("test_fraction", 1.5),
+            ("test_fraction", 0.0),
+            ("num_attacking_workers", -1),
+            ("num_attacking_servers", -1),
+        ],
+    )
+    def test_out_of_range_hyperparameters_fail_at_config_time(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ClusterConfig(**{field: value})
+
+
 class TestDerivedQuantities:
     def test_gradient_quorum_synchronous_waits_for_all(self):
         config = ClusterConfig(num_workers=8, num_byzantine_workers=2, gradient_gar="multi-krum")

@@ -67,6 +67,9 @@ class TestModels:
     def test_same_seed_builds_identical_replicas(self):
         experiment = Experiment(model_name="logistic", dataset_size=40, seed=3)
         a, b = experiment.build_model(), experiment.build_model()
-        from repro.nn.parameters import get_flat_parameters
+        from repro.nn.parameters import attach_flat_view
 
-        assert np.allclose(get_flat_parameters(a), get_flat_parameters(b))
+        assert np.array_equal(
+            attach_flat_view(a.parameters()).parameter_vector(),
+            attach_flat_view(b.parameters()).parameter_vector(),
+        )

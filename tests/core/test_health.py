@@ -11,8 +11,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.health import (
+    COHORT_MIN_SAMPLES,
     DEAD,
     HEALTHY,
+    REFUSED_WEIGHT,
+    SLOW_WEIGHT,
+    SUCCESS_DECAY,
     SUSPECT,
     HealthEvent,
     LivenessDetector,
@@ -40,13 +44,13 @@ class TestAccrual:
 
     def test_refused_dials_walk_suspect_then_dead(self):
         detector = make_detector()
-        detector.observe_refused("w0")  # score 2.0 == suspect_after
+        detector.observe_refused("w0")  # score 2.0 == SUSPECT_AFTER
         payload = detector.finish_round(0)
         assert payload["statuses"]["w0"] == SUSPECT
         assert [e["action"] for e in payload["events"]] == [SUSPECT]
 
         detector.observe_refused("w0")
-        detector.observe_refused("w0")  # score 6.0 == dead_after
+        detector.observe_refused("w0")  # score 6.0 == DEAD_AFTER
         payload = detector.finish_round(1)
         assert payload["statuses"]["w0"] == DEAD
         assert payload["dead"] == ["w0"]
@@ -67,16 +71,16 @@ class TestAccrual:
         assert [e["action"] for e in payload["events"]] == ["recovered"]
 
     def test_straggling_success_counts_as_slow_evidence(self):
-        detector = make_detector(cohort_min_samples=4)
-        for peer in ("w1", "w2", "w3", "w4"):
-            detector.observe_success(peer, 0.001)
-        # Cohort median is 0.001; 8x that is the slow bar.
+        detector = make_detector()
+        for index in range(COHORT_MIN_SAMPLES):
+            detector.observe_success(ROSTER[1 + index % 4], 0.001)
+        # Cohort median is 0.001; SLOW_FACTOR (8x) that is the slow bar.
         detector.observe_success("w0", 0.05)
-        assert detector.scores["w0"] == pytest.approx(detector.slow_weight)
+        assert detector.scores["w0"] == pytest.approx(SLOW_WEIGHT)
         # A normally fast reply decays instead.
         detector.observe_success("w0", 0.001)
         assert detector.scores["w0"] == pytest.approx(
-            detector.slow_weight * detector.success_decay
+            SLOW_WEIGHT * SUCCESS_DECAY
         )
 
     def test_unknown_peers_are_silently_ignored(self):
@@ -95,7 +99,7 @@ class TestQuorumSafetyGuard:
             ["w0", "w1", "w2", "w3"], declared_f=1, gar_name="median", asynchronous=True
         )
         for _ in range(4):
-            detector.observe_refused("w0")  # score 8.0, well past dead_after
+            detector.observe_refused("w0")  # score 8.0, well past DEAD_AFTER
         payload = detector.finish_round(0)
         assert payload["statuses"]["w0"] == SUSPECT
         assert payload["dead"] == []
@@ -302,7 +306,7 @@ class TestNodeSupervisor:
         backend.revive_ok = False
         backend.running["w0"] = False
         supervisor.patrol(0)
-        assert health.scores["w0"] == pytest.approx(health.refused_weight)
+        assert health.scores["w0"] == pytest.approx(REFUSED_WEIGHT)
 
     def test_invalid_budget_rejected(self):
         backend = FakeBackend(ROSTER)

@@ -208,14 +208,13 @@ class TestCrashRecoverScenario:
 class TestWorkerMomentum:
     def test_momentum_accumulates_across_requests(self):
         from repro.core.worker import Worker
-        from repro.nn.parameters import get_flat_parameters
 
         transport = Transport(seed=0)
         dataset = make_classification(80, (1, 4, 4), num_classes=4, seed=2)
         worker = Worker(
             "w", transport, LogisticRegression(16, 4, seed=0), dataset, batch_size=8, momentum=0.9, seed=3
         )
-        state = get_flat_parameters(worker.model)
+        state = worker.flat_view().parameter_vector().copy()
         first = worker.compute_gradient(state)
         second = worker.compute_gradient(state)
         # With heavy momentum the second message includes most of the first.

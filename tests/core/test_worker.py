@@ -10,7 +10,6 @@ from repro.datasets.synthetic import make_classification
 from repro.network.message import RequestContext
 from repro.network.transport import Transport
 from repro.nn.models import LogisticRegression
-from repro.nn.parameters import get_flat_parameters
 
 
 @pytest.fixture
@@ -29,14 +28,14 @@ class TestWorker:
 
     def test_compute_gradient_shape(self, setup):
         _, worker, model = setup
-        flat = get_flat_parameters(model)
+        flat = worker.flat_view().parameter_vector().copy()
         gradient = worker.compute_gradient(flat)
         assert gradient.shape == flat.shape
         assert np.all(np.isfinite(gradient))
 
     def test_compute_gradient_updates_counters(self, setup):
         _, worker, model = setup
-        worker.compute_gradient(get_flat_parameters(model))
+        worker.compute_gradient(worker.flat_view().parameter_vector().copy())
         assert worker.gradients_computed == 1
         assert worker.last_loss is not None and worker.last_loss > 0
         assert worker.compute_time > 0
@@ -44,7 +43,7 @@ class TestWorker:
     def test_gradient_descends_loss_locally(self, setup):
         """Following the worker's gradient should reduce its local loss."""
         _, worker, model = setup
-        flat = get_flat_parameters(model)
+        flat = worker.flat_view().parameter_vector().copy()
         gradient = worker.compute_gradient(flat)
         loss_before = worker.last_loss
         worker.compute_gradient(flat - 0.5 * gradient)
@@ -62,17 +61,17 @@ class TestWorker:
         _, worker, model = setup
         zero_state = np.zeros(model.num_parameters())
         worker.compute_gradient(zero_state)
-        assert np.allclose(get_flat_parameters(model), zero_state)
+        assert np.allclose(worker.flat_view().parameter_vector().copy(), zero_state)
 
     def test_serve_gradient_through_transport(self, setup):
         transport, worker, model = setup
-        flat = get_flat_parameters(model)
+        flat = worker.flat_view().parameter_vector().copy()
         reply = transport.pull("server-x", "worker-0", "gradient", iteration=0, payload=flat)
         assert reply.payload.shape == flat.shape
 
     def test_gradient_cached_per_iteration(self, setup):
         _, worker, model = setup
-        flat = get_flat_parameters(model)
+        flat = worker.flat_view().parameter_vector().copy()
         first = worker._serve_gradient(RequestContext(requester="s0", iteration=5, payload=flat))
         second = worker._serve_gradient(RequestContext(requester="s1", iteration=5, payload=flat))
         assert worker.gradients_computed == 1
@@ -80,14 +79,14 @@ class TestWorker:
 
     def test_new_iteration_recomputes(self, setup):
         _, worker, model = setup
-        flat = get_flat_parameters(model)
+        flat = worker.flat_view().parameter_vector().copy()
         worker._serve_gradient(RequestContext(requester="s0", iteration=1, payload=flat))
         worker._serve_gradient(RequestContext(requester="s0", iteration=2, payload=flat))
         assert worker.gradients_computed == 2
 
     def test_different_batches_give_different_gradients(self, setup):
         _, worker, model = setup
-        flat = get_flat_parameters(model)
+        flat = worker.flat_view().parameter_vector().copy()
         g1 = worker.compute_gradient(flat)
         g2 = worker.compute_gradient(flat)
         assert not np.allclose(g1, g2)

@@ -67,7 +67,6 @@ class TestCorruptImages:
         from repro.core.worker import Worker
         from repro.network.transport import Transport
         from repro.nn.models import LogisticRegression
-        from repro.nn.parameters import get_flat_parameters
 
         transport = Transport(seed=0)
         honest_workers = [
@@ -82,7 +81,7 @@ class TestCorruptImages:
             batch_size=16,
             seed=9,
         )
-        state = get_flat_parameters(honest_workers[0].model)
+        state = honest_workers[0].flat_view().parameter_vector().copy()
         honest_gradients = [w.compute_gradient(state) for w in honest_workers]
         poisoned_gradient = poisoned_worker.compute_gradient(state)
 

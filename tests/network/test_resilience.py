@@ -5,8 +5,8 @@ classification, deterministic backoff, deadline budgets, the validated
 config surface and the latency tracker behind hedged pulls — plus the
 regression the split was made for: a dead peer fails the *dial* fast as
 :class:`~repro.exceptions.DialError` while a slow-but-alive peer fails the
-*read* as :class:`~repro.exceptions.DeadlineError`, and ``call_with_retry``
-re-dials between attempts.
+*read* as :class:`~repro.exceptions.DeadlineError`, and a retried
+``RpcClient.call`` re-dials between attempts.
 """
 
 from __future__ import annotations
@@ -364,16 +364,15 @@ class TestRpcTimeoutSplit:
             client.close()
             server.stop()
 
-    def test_call_with_retry_spends_the_policy_budget(self):
+    def test_retried_call_spends_the_policy_budget(self):
         from repro.network.rpc import RpcClient
 
         client = RpcClient(("127.0.0.1", _free_port()), connect_timeout=1.0)
         policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
         notified = []
         with pytest.raises(DialError):
-            client.call_with_retry(
-                {"op": "echo"},
-                policy,
+            policy.call(
+                lambda: client.call({"op": "echo"}),
                 key="peer",
                 on_retry=lambda attempt, error: notified.append(attempt),
             )

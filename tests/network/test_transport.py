@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.health import SUSPECT_AFTER, TIMEOUT_WEIGHT
 from repro.exceptions import CommunicationError, NodeCrashedError, TimeoutError
 from repro.network.failures import FailureInjector
 from repro.network.transport import LinkModel, Transport
@@ -244,7 +245,7 @@ class TestLivenessFeed:
             transport.pull_many("node-0", self.PEERS, "value", quorum=4, iteration=iteration)
             scores.append(transport.health.scores["node-3"])
         assert scores == sorted(scores) and scores[0] > 0.0
-        assert scores[-1] >= transport.health.suspect_after
+        assert scores[-1] >= SUSPECT_AFTER
         assert transport.health.scores["node-1"] == 0.0
 
     def test_link_dropped_pull_is_reported_as_a_timeout(self):
@@ -256,7 +257,7 @@ class TestLivenessFeed:
         transport.pull_many("node-0", self.PEERS, "value", quorum=4)
         assert transport.health.scores == {
             **dict.fromkeys(self.PEERS[:4], 0.0),
-            "node-5": transport.health.timeout_weight,
+            "node-5": TIMEOUT_WEIGHT,
         }
 
 

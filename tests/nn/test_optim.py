@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.layers import Linear, Parameter
+from repro.nn.layers import Linear, Parameter, ReLU, Sequential
 from repro.nn.optim import SGD, Adam, StepLR
-from repro.nn.parameters import get_flat_parameters
+from repro.nn.parameters import attach_flat_view
 from repro.nn.tensor import Tensor
 
 
@@ -60,11 +60,11 @@ class TestSGD:
 
     def test_apply_flat_gradient(self):
         layer = Linear(2, 2, rng=np.random.default_rng(0))
-        before = get_flat_parameters(layer).copy()
-        opt = SGD(layer.parameters(), lr=0.5)
+        before = np.concatenate([p.data.ravel() for p in layer.parameters()])
+        opt = SGD(layer.parameters(), lr=0.5)  # bare parameters: attaches on first use
         flat = np.ones(layer.num_parameters())
         opt.apply_flat_gradient(flat)
-        after = get_flat_parameters(layer)
+        after = attach_flat_view(layer.parameters()).parameter_vector()
         assert np.allclose(after, before - 0.5)
 
     def test_apply_flat_gradient_wrong_size_raises(self):
@@ -72,6 +72,35 @@ class TestSGD:
         opt = SGD(layer.parameters(), lr=0.1)
         with pytest.raises(ValueError):
             opt.apply_flat_gradient(np.ones(layer.num_parameters() + 1))
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+    def test_apply_flat_gradient_is_bitwise_the_per_layer_step(self, momentum, weight_decay):
+        """One tier, same numbers: the flat axpy against the per-layer loop."""
+
+        def build():
+            return Sequential(
+                Linear(5, 7, rng=np.random.default_rng(0)),
+                ReLU(),
+                Linear(7, 3, rng=np.random.default_rng(1)),
+            )
+
+        reference, flat = build(), build()
+        opt_reference = SGD(reference.parameters(), lr=0.1, momentum=momentum, weight_decay=weight_decay)
+        opt_flat = SGD(flat.parameters(), lr=0.1, momentum=momentum, weight_decay=weight_decay)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            g = rng.normal(size=reference.num_parameters())
+            offset = 0
+            for param in reference.parameters():
+                param.grad = g[offset : offset + param.size].reshape(param.shape).copy()
+                offset += param.size
+            opt_reference.step()
+            opt_flat.apply_flat_gradient(g)
+            for ref_param, flat_param in zip(reference.parameters(), flat.parameters()):
+                assert np.array_equal(ref_param.data, flat_param.data)
+        with pytest.raises(ValueError):
+            opt_flat.apply_flat_gradient(np.ones(flat.num_parameters() + 1))
 
     def test_training_reduces_loss_on_quadratic(self):
         p = make_param([5.0])
@@ -100,6 +129,15 @@ class TestAdam:
             p.grad = 2.0 * p.data
             opt.step()
         assert abs(p.data[0]) < 0.05
+
+    def test_apply_flat_gradient_matches_step(self):
+        reference, flat = make_param([1.0, -2.0]), make_param([1.0, -2.0])
+        opt_reference, opt_flat = Adam([reference], lr=0.1), Adam([flat], lr=0.1)
+        for g in (np.array([0.5, -1.0]), np.array([0.25, 2.0])):
+            reference.grad = g.copy()
+            opt_reference.step()
+            opt_flat.apply_flat_gradient(g)
+            assert np.array_equal(reference.data, flat.data)
 
 
 class TestStepLR:

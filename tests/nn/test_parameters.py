@@ -1,153 +1,142 @@
-"""Tests for flat parameter / gradient conversion."""
+"""Tests for the flat parameter / gradient vector (:class:`FlatParameterView`)."""
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import Linear, ReLU, Sequential
-from repro.nn.parameters import (
-    get_flat_gradients,
-    get_flat_parameters,
-    set_flat_gradients,
-    set_flat_parameters,
-)
+from repro.nn.optim import SGD
+from repro.nn.parameters import attach_flat_view
 from repro.nn.tensor import Tensor
+
+
+def build_model():
+    return Sequential(Linear(3, 4, rng=np.random.default_rng(0)), ReLU(), Linear(4, 2, rng=np.random.default_rng(1)))
 
 
 @pytest.fixture
 def model():
-    return Sequential(Linear(3, 4, rng=np.random.default_rng(0)), ReLU(), Linear(4, 2, rng=np.random.default_rng(1)))
+    return build_model()
+
+
+@pytest.fixture
+def view(model):
+    return attach_flat_view(model.parameters())
 
 
 class TestFlatParameters:
-    def test_roundtrip(self, model):
-        flat = get_flat_parameters(model)
+    def test_roundtrip(self, model, view):
+        flat = view.parameter_vector().copy()
         assert flat.size == model.num_parameters()
-        set_flat_parameters(model, flat * 2.0)
-        assert np.allclose(get_flat_parameters(model), flat * 2.0)
+        view.set_parameters(flat * 2.0)
+        assert np.allclose(view.parameter_vector(), flat * 2.0)
 
-    def test_set_wrong_size_raises(self, model):
-        with pytest.raises(ValueError):
-            set_flat_parameters(model, np.zeros(model.num_parameters() + 3))
+    def test_flat_vector_is_float64(self, view):
+        assert view.parameter_vector().dtype == np.float64
 
-    def test_flat_vector_is_float64(self, model):
-        assert get_flat_parameters(model).dtype == np.float64
-
-    def test_two_models_same_flat_after_copy(self, model):
-        other = Sequential(Linear(3, 4), ReLU(), Linear(4, 2))
-        set_flat_parameters(other, get_flat_parameters(model))
-        assert np.allclose(get_flat_parameters(other), get_flat_parameters(model))
+    def test_two_models_same_flat_after_copy(self, view):
+        other = attach_flat_view(Sequential(Linear(3, 4), ReLU(), Linear(4, 2)).parameters())
+        other.set_parameters(view.parameter_vector())
+        assert np.array_equal(other.parameter_vector(), view.parameter_vector())
 
 
 class TestFlatGradients:
     def test_none_gradients_become_zeros(self, model):
-        flat = get_flat_gradients(model)
+        assert all(param.grad is None for param in model.parameters())
+        flat = attach_flat_view(model.parameters()).gradient_vector()
         assert flat.size == model.num_parameters()
         assert np.allclose(flat, 0.0)
 
-    def test_roundtrip_after_backward(self, model):
+    def test_roundtrip_after_backward(self, model, view):
         model(Tensor(np.ones((2, 3)))).sum().backward()
-        flat = get_flat_gradients(model)
+        flat = view.gradient_vector()
         assert not np.allclose(flat, 0.0)
-        set_flat_gradients(model, np.ones_like(flat))
-        assert np.allclose(get_flat_gradients(model), 1.0)
+        view.set_gradients(np.ones_like(flat))
+        assert np.allclose(view.gradient_vector(), 1.0)
 
-    def test_set_then_get_is_identity(self, model):
+    def test_set_then_get_is_identity(self, model, view):
         vector = np.random.default_rng(2).normal(size=model.num_parameters())
-        set_flat_gradients(model, vector)
-        assert np.allclose(get_flat_gradients(model), vector)
+        view.set_gradients(vector)
+        assert np.array_equal(view.gradient_vector(), vector)
+        first = model.parameters()[0]
+        assert np.array_equal(first.grad.reshape(-1), vector[: first.size])
 
 
 class TestFlatParameterView:
-    def _attached(self, model):
-        from repro.nn.parameters import attach_flat_view
-
-        return attach_flat_view(model)
-
     def test_attach_preserves_values_and_shapes(self, model):
-        before = get_flat_parameters(model)
-        view = self._attached(model)
+        before = np.concatenate([p.data.ravel() for p in model.parameters()])
+        shapes = [p.shape for p in model.parameters()]
+        view = attach_flat_view(model.parameters())
         assert view.dimension == model.num_parameters()
         assert np.array_equal(view.parameter_vector(), before)
+        assert [p.shape for p in model.parameters()] == shapes
         for param in model.parameters():
             assert param.data.flags.c_contiguous
 
-    def test_parameters_alias_the_flat_buffer(self, model):
-        view = self._attached(model)
+    def test_attach_carries_existing_gradients(self, model):
+        model(Tensor(np.ones((2, 3)))).sum().backward()
+        before = np.concatenate([p.grad.ravel() for p in model.parameters()])
+        assert np.array_equal(attach_flat_view(model.parameters()).gradient_vector(), before)
+
+    def test_parameters_alias_the_flat_buffer(self, model, view):
         for param in model.parameters():
             assert np.shares_memory(param.data, view.data)
             assert np.shares_memory(param.grad, view.grad)
 
-    def test_parameter_vector_is_readonly_zero_copy(self, model):
-        view = self._attached(model)
+    def test_parameter_vector_is_readonly_zero_copy(self, view):
         vector = view.parameter_vector()
         assert not vector.flags.writeable
         assert np.shares_memory(vector, view.data)
         with pytest.raises(ValueError):
             vector[0] = 1.0
 
-    def test_gradient_vector_tracks_backward(self, model):
-        view = self._attached(model)
+    def test_gradient_vector_tracks_backward(self, model, view):
         model.zero_grad()
         model(Tensor(np.ones((2, 3)))).sum().backward()
         flat = view.gradient_vector()
         assert not np.allclose(flat, 0.0)
-        assert np.array_equal(flat, get_flat_gradients(model))
+        assert np.array_equal(flat, np.concatenate([p.grad.ravel() for p in model.parameters()]))
 
-    def test_zero_grad_keeps_binding(self, model):
-        view = self._attached(model)
+    def test_zero_grad_keeps_binding(self, model, view):
         model(Tensor(np.ones((2, 3)))).sum().backward()
         model.zero_grad()
         assert np.allclose(view.gradient_vector(), 0.0)
         for param in model.parameters():
             assert param.grad is not None and np.shares_memory(param.grad, view.grad)
 
-    def test_set_parameters_writes_through_to_layers(self, model):
-        view = self._attached(model)
+    def test_set_parameters_writes_through_to_layers(self, model, view):
         target = np.arange(float(view.dimension))
         view.set_parameters(target)
-        assert np.array_equal(get_flat_parameters(model), target)
+        assert np.array_equal(view.parameter_vector(), target)
         first = model.parameters()[0]
         assert np.array_equal(first.data.reshape(-1), target[: first.size])
 
-    def test_set_wrong_size_raises(self, model):
-        view = self._attached(model)
+    def test_set_wrong_size_raises(self, view):
         with pytest.raises(ValueError):
             view.set_parameters(np.zeros(view.dimension + 1))
         with pytest.raises(ValueError):
             view.set_gradients(np.zeros(view.dimension - 1))
 
-    def test_attach_is_idempotent(self, model):
-        from repro.nn.parameters import attach_flat_view, flat_view
+    def test_attach_is_idempotent(self, model, view):
+        assert attach_flat_view(model.parameters()) is view
 
-        view = attach_flat_view(model)
-        assert attach_flat_view(model) is view
-        assert flat_view(model) is view
-
-    def test_legacy_helpers_route_through_view(self, model):
-        self._attached(model)
-        flat = get_flat_parameters(model)
-        assert flat.flags.writeable  # snapshot semantics: caller owns a copy
-        set_flat_parameters(model, flat * 2.0)
-        assert np.allclose(get_flat_parameters(model), flat * 2.0)
-        grads = np.arange(float(model.num_parameters()))
-        set_flat_gradients(model, grads)
-        assert np.array_equal(get_flat_gradients(model), grads)
+    def test_attach_over_a_different_parameter_list_rebuilds(self, model, view):
+        head = model.parameters()[:2]
+        partial = attach_flat_view(head)
+        assert partial is not view and partial.dimension == sum(p.size for p in head)
+        assert not view.covers(model.parameters())
+        # Values always travel with the parameters, so re-attaching the full
+        # list heals it again.
+        healed = attach_flat_view(model.parameters())
+        assert healed.covers(model.parameters())
 
     def test_training_matches_unattached_model_bitwise(self):
-        from repro.nn.optim import SGD
-        from repro.nn.parameters import attach_flat_view
-
-        def build():
-            return Sequential(
-                Linear(3, 4, rng=np.random.default_rng(0)),
-                ReLU(),
-                Linear(4, 2, rng=np.random.default_rng(1)),
-            )
-
-        plain, flat = build(), build()
-        attach_flat_view(flat)
+        """Attached layers + the flat axpy == bare layers + the per-layer loop."""
+        plain, flat = build_model(), build_model()
+        view = attach_flat_view(flat.parameters())
         opt_plain = SGD(plain.parameters(), lr=0.1, momentum=0.9, weight_decay=0.01)
         opt_flat = SGD(flat.parameters(), lr=0.1, momentum=0.9, weight_decay=0.01)
         x = np.random.default_rng(2).normal(size=(4, 3))
@@ -155,28 +144,29 @@ class TestFlatParameterView:
             for m in (plain, flat):
                 m.zero_grad()
                 m(Tensor(x)).sum().backward()
-            g_plain, g_flat = get_flat_gradients(plain), get_flat_gradients(flat)
-            assert np.array_equal(g_plain, g_flat)
-            opt_plain.apply_flat_gradient(g_plain)
-            opt_flat.apply_flat_gradient(g_flat)
-            assert np.array_equal(get_flat_parameters(plain), get_flat_parameters(flat))
+            g_plain = np.concatenate([p.grad.ravel() for p in plain.parameters()])
+            assert np.array_equal(g_plain, view.gradient_vector())
+            opt_plain.step()
+            opt_flat.apply_flat_gradient(view.gradient_vector())
+            assert np.array_equal(
+                np.concatenate([p.data.ravel() for p in plain.parameters()]),
+                view.parameter_vector(),
+            )
 
-    def test_pickle_severs_then_reattach_heals(self, model):
-        import pickle
-
-        from repro.nn.parameters import attach_flat_view, flat_view
-
-        attach_flat_view(model)
+    def test_pickle_severs_then_reattach_heals(self, model, view):
         model(Tensor(np.ones((2, 3)))).sum().backward()
-        reference = get_flat_parameters(model)
+        reference = view.parameter_vector().copy()
+        gradient = view.gradient_vector().copy()
         clone = pickle.loads(pickle.dumps(model))
-        # Pickling cannot preserve numpy aliasing: the view must not claim
-        # to be bound on the clone...
-        assert flat_view(clone) is None
+        # Pickling cannot preserve numpy aliasing, and the clone must not
+        # claim otherwise: its parameters carry no view at all...
+        assert all(not hasattr(param, "_flat_view") for param in clone.parameters())
         # ...but values round-trip, and re-attaching restores the zero-copy
         # invariants exactly.
-        healed = attach_flat_view(clone)
-        assert flat_view(clone) is healed
+        healed = attach_flat_view(clone.parameters())
+        assert healed is not view
         assert np.array_equal(healed.parameter_vector(), reference)
+        assert np.array_equal(healed.gradient_vector(), gradient)
         for param in clone.parameters():
             assert np.shares_memory(param.data, healed.data)
+        assert view.covers(model.parameters()), "the original stays bound"

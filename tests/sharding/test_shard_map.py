@@ -3,9 +3,8 @@
 Every node derives the same split locally from ``(dimension, num_shards)``,
 so the partition itself is the protocol: the properties below pin that the
 slices are disjoint, cover ``[0, d)`` exactly, absorb uneven remainders into
-the leading shards (sizes differ by at most one), and survive the dict
-round-trip unchanged — over randomized ``(d, n_ps)`` including ``d < n_ps``
-rejection.
+the leading shards (sizes differ by at most one) — over randomized
+``(d, n_ps)`` including ``d < n_ps`` rejection.
 """
 
 from __future__ import annotations
@@ -59,48 +58,6 @@ def test_sizes_are_contiguous_balanced_and_ordered(dimension, num_shards):
     assert stop == dimension
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    dimension=st.integers(1, 2_000),
-    num_shards=st.integers(1, 32),
-    data=st.data(),
-)
-def test_owner_of_matches_the_slices(dimension, num_shards, data):
-    if num_shards > dimension:
-        return
-    shard_map = ShardMap(dimension, num_shards)
-    coordinate = data.draw(st.integers(0, dimension - 1))
-    owner = shard_map.owner_of(coordinate)
-    start, stop = shard_map.bounds(owner)
-    assert start <= coordinate < stop
-
-
-@settings(max_examples=50, deadline=None)
-@given(dimension=st.integers(1, 5_000), num_shards=st.integers(1, 64))
-def test_dict_roundtrip_is_identity(dimension, num_shards):
-    if num_shards > dimension:
-        return
-    shard_map = ShardMap(dimension, num_shards)
-    assert ShardMap.from_dict(shard_map.to_dict()) == shard_map
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    dimension=st.integers(2, 2_000),
-    num_shards=st.integers(1, 32),
-    num_owners=st.integers(1, 8),
-)
-def test_assign_owners_is_a_round_robin_cover(dimension, num_shards, num_owners):
-    if num_shards > dimension:
-        return
-    shard_map = ShardMap(dimension, num_shards)
-    owners = [f"server-{i}" for i in range(num_owners)]
-    assignment = shard_map.assign_owners(owners)
-    assert sorted(assignment) == list(range(num_shards))
-    for shard, owner in assignment.items():
-        assert owner == owners[shard % num_owners]
-
-
 def test_invalid_shapes_are_rejected():
     with pytest.raises(ConfigurationError):
         ShardMap(0, 1)
@@ -108,8 +65,6 @@ def test_invalid_shapes_are_rejected():
         ShardMap(10, 0)
     with pytest.raises(ConfigurationError):
         ShardMap(3, 4)  # d < n_ps: some owner would hold an empty slice
-    with pytest.raises(ConfigurationError):
-        ShardMap.from_dict({"dimension": 8, "num_shards": 2, "bogus": 1})
 
 
 def test_remainder_example_is_front_loaded():

@@ -19,7 +19,7 @@ from repro.core import Controller, available_scenarios, config_for_scenario
 from repro.core.cluster import ClusterConfig
 from repro.core.session import Session
 from repro.exceptions import ConfigurationError
-from repro.network.serialization import serialize_vector_shards, serialized_nbytes, sharded_nbytes
+from repro.network.serialization import serialize_vector_parts, serialized_nbytes, sharded_nbytes
 from repro.sharding import ShardMap
 
 pytestmark = pytest.mark.sharding
@@ -163,19 +163,20 @@ class TestCostModelAgreement:
         assert plain["per_kind"]["model"] == sharded["per_kind"]["model"]
 
         shard_map = ShardMap(plain["dimension"], shards)
-        cost_model = sharded["cost_model"]
         transport = sharded["transport"]
-        # The cost model and the transport must agree on the slice framing.
-        per_reply_sharded = cost_model.sharded_reply_bytes(shard_map)
-        assert per_reply_sharded == transport.sharded_reply_nbytes(shard_map)
+        per_reply_sharded = transport.sharded_reply_nbytes(shard_map)
         per_reply_plain = serialized_nbytes(
             plain["dimension"], transport.link.bytes_per_element
         )
 
+        # One two-phase exchange: k - 1 partial (q, q) distance matrices in,
+        # k - 1 selected-index broadcasts out, all at full float64 framing.
         two_phase = gar != "median"
-        coord_bytes, coord_messages = cost_model.shard_coordination_bytes(
-            sharded["quorum"], shards
+        quorum = sharded["quorum"]
+        coord_bytes = (shards - 1) * (
+            serialized_nbytes(quorum * quorum) + serialized_nbytes(quorum)
         )
+        coord_messages = 2 * (shards - 1)
         if not two_phase:
             assert "shard-coordination" not in sharded["per_kind"]
             coord_bytes = coord_messages = 0
@@ -200,18 +201,13 @@ class TestCostModelAgreement:
         """The slice-framing formula is the framer, not an estimate of it."""
         shard_map = ShardMap(dimension, shards)
         vector = np.random.default_rng(0).standard_normal(dimension)
-        framed = sum(
-            len(part)
-            for parts in serialize_vector_shards(vector, shard_map)
-            for part in parts
-        )
-        assert framed == sharded_nbytes(shard_map)  # float64 passthrough: 8 B/elem
-        framed_f32 = sum(
-            len(part)
-            for parts in serialize_vector_shards(vector, shard_map, fmt="float32")
-            for part in parts
-        )
-        assert framed_f32 == sharded_nbytes(shard_map, fmt="float32")
+        for fmt in ("float64", "float32"):  # float64 passthrough: 8 B/elem
+            framed = sum(
+                len(part)
+                for _, sl in shard_map
+                for part in serialize_vector_parts(vector[sl], fmt)
+            )
+            assert framed == sharded_nbytes(shard_map, fmt=fmt)
 
     def test_serialization_time_delegation_is_float_identical(self):
         plain = run_msmw(1, "median")

@@ -25,7 +25,6 @@ from repro.network.message import RequestContext
 from repro.network.serialization import deserialize_vector, serialize_vector
 from repro.network.transport import RoundBuffer, Transport
 from repro.nn.models import LogisticRegression
-from repro.nn.parameters import flat_view
 
 
 def readonly_matrix(q: int = 9, d: int = 12, seed: int = 0) -> np.ndarray:
@@ -34,7 +33,7 @@ def readonly_matrix(q: int = 9, d: int = 12, seed: int = 0) -> np.ndarray:
     return matrix
 
 
-def build_cluster(num_workers=4, num_servers=2, seed=0):
+def build_cluster(num_workers=4, num_servers=2, seed=0, momentum=0.0):
     transport = Transport(seed=seed)
     dataset = make_classification(160, (1, 4, 4), num_classes=4, noise=0.3, seed=seed)
     train, test = dataset.split(0.25, seed=seed)
@@ -47,6 +46,7 @@ def build_cluster(num_workers=4, num_servers=2, seed=0):
             shards[i],
             batch_size=8,
             seed=seed + i,
+            momentum=momentum,
         )
         for i in range(num_workers)
     ]
@@ -60,6 +60,7 @@ def build_cluster(num_workers=4, num_servers=2, seed=0):
             servers=server_ids,
             test_dataset=test,
             learning_rate=0.1,
+            momentum=momentum,
         )
         for i in range(num_servers)
     ]
@@ -239,13 +240,12 @@ class TestFlatViewBindingSurvival:
     def test_checkpoint_restore_keeps_view_bound(self, tmp_path):
         _, servers, _ = build_cluster()
         server = servers[0]
-        view = flat_view(server.model)
-        assert view is not None
+        view = server.flat_view()
         path = tmp_path / "ckpt.npz"
         server.save_checkpoint(path)
         server.update_model(np.ones(server.dimension))  # drift away
         server.load_checkpoint(path)
-        assert flat_view(server.model) is view  # same buffer, still bound
+        assert server.flat_view() is view  # same buffer, still bound
         for param in server.model.parameters():
             assert np.shares_memory(param.data, view.data)
 
@@ -259,8 +259,11 @@ class TestFlatViewBindingSurvival:
         _, servers_b, _ = build_cluster(seed=0)
         restored = servers_b[0]
         restored.restore_state(blob)
-        view = flat_view(restored.model)
-        assert view is not None, "restore must re-attach the flat view"
+        # Restore itself re-attaches: the parameters are bound before any
+        # accessor runs.
+        view = restored.model.parameters()[0]._flat_view
+        assert view.covers(restored.model.parameters())
+        assert restored.flat_view() is view
         assert np.array_equal(
             restored.flat_parameters(), server.flat_parameters()
         )
@@ -277,8 +280,73 @@ class TestFlatViewBindingSurvival:
         _, _, workers_b = build_cluster(seed=0)
         restored = workers_b[0]
         restored.restore_state(blob)
-        assert flat_view(restored.model) is not None
+        assert restored.model.parameters()[0]._flat_view.covers(restored.model.parameters())
         # Both continue from the identical mini-batch cursor and state.
         next_a = worker.compute_gradient(state)
         next_b = restored.compute_gradient(state)
         assert np.array_equal(next_a, next_b)
+
+
+class TestSnapshotContinuesOnTheOneTier:
+    """A node pickled mid-run continues bit-identically, through the view alone.
+
+    There is no per-layer path left to mask a severed binding: after
+    ``restore_state`` every vector read, write and served gradient must again
+    alias the parameters' own storage.
+    """
+
+    @staticmethod
+    def train_round(server, iteration):
+        # Median: the fresh cluster's transport draws its own arrival order,
+        # and a coordinate-wise rule does not see row order.
+        matrix = server.get_gradient_matrix(iteration)
+        server.update_model(init("median", n=matrix.shape[0], f=1).aggregate_matrix(matrix))
+
+    def test_server_and_workers_restored_mid_run_continue_bit_identically(self):
+        _, servers_a, workers_a = build_cluster(num_servers=1, seed=3, momentum=0.9)
+        server = servers_a[0]
+        for iteration in range(2):
+            self.train_round(server, iteration)
+
+        # Fresh nodes (a respawned host rebuilds the world from the config),
+        # then every node's mid-run state restored into them.
+        _, servers_b, workers_b = build_cluster(num_servers=1, seed=3, momentum=0.9)
+        restored = servers_b[0]
+        restored.restore_state(server.snapshot_state())
+        for worker_a, worker_b in zip(workers_a, workers_b):
+            worker_b.restore_state(worker_a.snapshot_state())
+
+        for node in [restored, *workers_b]:
+            view = node.flat_view()
+            for param in node.model.parameters():
+                assert np.shares_memory(param.data, view.parameter_vector())
+                assert np.shares_memory(param.grad, view.gradient_vector())
+        assert np.shares_memory(restored.flat_parameters(), restored.model.parameters()[0].data)
+        assert restored.optimizer.parameters[0] is restored.model.parameters()[0]
+
+        for iteration in range(2, 5):
+            self.train_round(server, iteration)
+            self.train_round(restored, iteration)
+            assert np.array_equal(server.flat_parameters(), restored.flat_parameters())
+        # Optimizer momentum and worker momentum both crossed the pickle.
+        assert np.array_equal(server.optimizer._flat_velocity, restored.optimizer._flat_velocity)
+        for worker_a, worker_b in zip(workers_a, workers_b):
+            assert np.array_equal(worker_a._velocity, worker_b._velocity)
+
+    def test_restored_worker_serves_a_view_of_its_gradient_buffer(self):
+        _, _, workers_a = build_cluster(seed=0)
+        worker = workers_a[0]
+        state = np.full(worker.model.num_parameters(), 0.05)
+        worker._serve_gradient(RequestContext(requester="s", iteration=0, payload=state))
+
+        _, _, workers_b = build_cluster(seed=0)
+        restored = workers_b[0]
+        restored.restore_state(worker.snapshot_state())
+        for iteration in range(1, 4):
+            context = RequestContext(requester="s", iteration=iteration, payload=state)
+            served_a = worker._serve_gradient(context)
+            served_b = restored._serve_gradient(context)
+            assert np.array_equal(served_a, served_b)
+            assert not served_b.flags.writeable
+            for param in restored.model.parameters():
+                assert np.shares_memory(served_b, param.grad)

@@ -109,3 +109,26 @@ def test_makefile_has_the_documented_targets():
     makefile = (REPO_ROOT / "Makefile").read_text(encoding="utf-8")
     for target in ("test:", "bench-smoke:", "docs-check:"):
         assert target in makefile, f"Makefile should define {target}"
+
+
+def test_count_code_counts_only_code_bearing_lines():
+    """`make loc`: blank lines, comments and docstrings are not code."""
+    spec = importlib.util.spec_from_file_location("count_code", REPO_ROOT / "scripts" / "count_code.py")
+    count_code = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(count_code)
+    fixture = (
+        '"""Module docstring,\nspanning two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # trailing comments do not uncount a line\n"
+        "\n"
+        "def f(x):\n"
+        '    """Docstring."""\n'
+        "    text = '''a string that is\n"
+        "    not a docstring'''\n"
+        "    return (\n"
+        "        x\n"
+        "    )\n"
+    )
+    assert count_code.count_code_lines(fixture) == 7
+    assert sum(count_code.count_tree(REPO_ROOT / "src" / "repro").values()) > 0

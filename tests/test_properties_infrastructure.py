@@ -15,7 +15,8 @@ from hypothesis.extra.numpy import arrays
 from repro.datasets.partition import partition_iid, partition_non_iid
 from repro.datasets.synthetic import make_classification
 from repro.network.serialization import deserialize_vector, serialize_vector
-from repro.utils import flatten_arrays, unflatten_array
+from repro.nn.layers import Parameter
+from repro.nn.parameters import attach_flat_view
 
 
 @settings(max_examples=50, deadline=None)
@@ -40,13 +41,21 @@ def test_serialization_roundtrip_is_identity(vector):
     seed=st.integers(0, 2**16),
 )
 def test_flatten_unflatten_roundtrip(shapes, seed):
+    """Parameters -> flat vector -> parameters, through the one view tier."""
     rng = np.random.default_rng(seed)
     arrays_in = [rng.normal(size=shape) for shape in shapes]
-    flat = flatten_arrays(arrays_in)
+    parameters = [Parameter(a.copy()) for a in arrays_in]
+    view = attach_flat_view(parameters)
+    flat = view.parameter_vector()
     assert flat.size == sum(a.size for a in arrays_in)
-    restored = unflatten_array(flat, [a.shape for a in arrays_in])
-    for original, back in zip(arrays_in, restored):
-        assert np.allclose(original, back)
+    assert np.array_equal(flat, np.concatenate([a.ravel() for a in arrays_in]))
+    target = rng.normal(size=flat.size)
+    view.set_parameters(target)
+    offset = 0
+    for original, param in zip(arrays_in, parameters):
+        assert param.shape == original.shape
+        assert np.array_equal(param.data.ravel(), target[offset : offset + param.size])
+        offset += param.size
 
 
 @settings(max_examples=20, deadline=None)
