@@ -37,6 +37,10 @@
 #   make bench-e2e-compare A=before.json B=after.json
 #                       — before/after rows of two such files; exits 1 on a
 #                         regression beyond a bound
+#   make bench-e2e-ab PARENT=<rev> WORKLOAD=<name> [SEED=1] [PAIRS=10]
+#                       — one workload on <rev> and on the working tree,
+#                         alternated PAIRS times: medians, quartiles and win
+#                         count per end-to-end metric (what a perf claim needs)
 #   make bench          — the full figure-reproduction benchmark suite (minutes)
 #   make fuzz-smoke     — tier-1 scenario-fuzzing smoke: fixed seeds, dozens of
 #                         generated scenarios, every invariant checked
@@ -49,9 +53,10 @@
 
 PYTHON ?= python
 SEED ?= 1
+PAIRS ?= 10
 export PYTHONPATH := src
 
-.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench fuzz-smoke fuzz docs-check loc quickstart
+.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench fuzz-smoke fuzz docs-check loc quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -101,6 +106,9 @@ bench-e2e:
 
 bench-e2e-compare:
 	python3 benchmarks/e2e/run.py --compare $(A) $(B)
+
+bench-e2e-ab:
+	python3 scripts/ab_e2e.py --parent $(PARENT) --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
 
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s

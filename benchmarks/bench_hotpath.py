@@ -29,15 +29,22 @@ bytes (transient tracemalloc peak over a round, averaged).  Results land in
 this file and the tier-1 smoke test (``tests/test_bench_hotpath.py``)
 asserts the allocation contract on a small configuration against its frozen
 legacy row.
+
+The other half of a worker's round is the backward pass itself.
+:func:`measure_nn` times one ``forward + backward`` of the two CNNs at batch 8
+and 32; the ``"nn"`` key holds those rows as ``after`` beside ``before``, the
+same rows measured on the index-gather / ``np.add.at`` window kernels, which
+are frozen the same way (:func:`frozen_nn_before`).
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -45,6 +52,9 @@ from repro.aggregators import init as init_gar
 from repro.core.server import Server
 from repro.network.transport import Transport
 from repro.nn.layers import Linear, Sequential
+from repro.nn.losses import CrossEntropyLoss
+from repro.nn.models import build_model as build_named_model
+from repro.nn.tensor import Tensor
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_hotpath.json"
@@ -56,6 +66,13 @@ GRID: Tuple[Tuple[int, int], ...] = ((8, 10_000), (8, 100_000), (16, 10_000), (1
 #: (aggregation-light, so the copy chain dominates); ``multi-krum`` shows the
 #: pipeline win persists under an O(q^2 d) rule.
 GARS = ("average", "multi-krum")
+
+#: The CNNs :func:`measure_nn` times, with the shape of one input sample.
+NN_MODELS: Tuple[Tuple[str, Tuple[int, int, int]], ...] = (
+    ("mnist_cnn", (1, 28, 28)),
+    ("cifarnet", (3, 32, 32)),
+)
+NN_BATCHES = (8, 32)
 
 
 def make_worker_gradients(num_workers: int, dimension: int, seed: int = 0) -> np.ndarray:
@@ -143,6 +160,38 @@ def measure(num_workers: int, dimension: int, gar_name: str, rounds: int) -> Dic
     return results
 
 
+def measure_nn(repeats: int = 30, warmup: int = 3) -> List[Dict]:
+    """Median ms of one ``forward + backward`` of each CNN at each batch size."""
+    rows = []
+    loss_fn = CrossEntropyLoss()
+    for name, sample_shape in NN_MODELS:
+        model = build_named_model(name)
+        model.train()
+        for batch in NN_BATCHES:
+            rng = np.random.default_rng(0)
+            images = rng.normal(size=(batch,) + sample_shape)
+            labels = rng.integers(0, 10, size=batch)
+            samples = []
+            for _ in range(warmup + repeats):
+                start = time.perf_counter()
+                model.zero_grad()
+                loss_fn(model(Tensor(images)), labels).backward()
+                samples.append(1e3 * (time.perf_counter() - start))
+            rows.append(
+                {
+                    "model": name,
+                    "batch": batch,
+                    "forward_backward_ms": round(statistics.median(samples[warmup:]), 3),
+                }
+            )
+    return rows
+
+
+def frozen_nn_before() -> List[Dict]:
+    """The index-gather / ``np.add.at`` window kernels' rows, as committed: that code no longer exists."""
+    return json.loads(OUTPUT_PATH.read_text(encoding="utf-8"))["nn"]["before"]
+
+
 def run_benchmark(rounds_small: int = 40, rounds_large: int = 12) -> Dict:
     rows = []
     for num_workers, dimension in GRID:
@@ -165,12 +214,19 @@ def run_benchmark(rounds_small: int = 40, rounds_large: int = 12) -> Dict:
                 f"speedup={numbers['speedup']:4.2f}x "
                 f"bytes={numbers['bytes_ratio']:4.2f}x"
             )
+    nn_before, nn_after = frozen_nn_before(), measure_nn()
+    for before, after in zip(nn_before, nn_after):
+        print(
+            f"{after['model']:9s} batch={after['batch']:3d} forward+backward "
+            f"before={before['forward_backward_ms']:7.2f} ms after={after['forward_backward_ms']:7.2f} ms"
+        )
     return {
         "benchmark": "hotpath",
         "description": "zero-copy flat pipeline vs the (frozen) legacy list-of-arrays copy chain",
         "metrics": {
             "rounds_per_s": "end-to-end training rounds per second (real transport)",
             "bytes_per_round": "tracemalloc transient peak per round, averaged",
+            "forward_backward_ms": "median wall ms of zero_grad + forward + loss + backward on one batch",
         },
         "acceptance": {
             "target": "n_w=16, d=100000, gar=average",
@@ -179,6 +235,7 @@ def run_benchmark(rounds_small: int = 40, rounds_large: int = 12) -> Dict:
         },
         "legacy": list(frozen_legacy().values()),
         "results": rows,
+        "nn": {"before": nn_before, "after": nn_after},
     }
 
 

@@ -189,10 +189,23 @@ def init(name: str, n: int, f: int = 0, **kwargs) -> GAR:
     return GAR_REGISTRY[key](n=n, f=f, **kwargs)
 
 
+def gram_squared_distances(matrix: np.ndarray) -> np.ndarray:
+    """The Gram expansion ``|x|^2 + |y|^2 - 2<x, y>`` over the rows of ``matrix``, unclipped.
+
+    Round-off can leave small negatives off the diagonal; the sharded protocol
+    clamps them only after summing the shards' partials, everyone else through
+    :func:`pairwise_squared_distances`.
+    """
+    # ``A @ A.T`` on one buffer is a symmetric rank-k update (half a GEMM); the
+    # squared norms are its diagonal, so the rows are read once.
+    gram = matrix @ matrix.T
+    norms = gram.diagonal()
+    return norms[:, None] + norms[None, :] - 2.0 * gram
+
+
 def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:
     """(q, q) matrix of squared euclidean distances between the rows of ``matrix``."""
-    norms = (matrix ** 2).sum(axis=1)
-    squared = norms[:, None] + norms[None, :] - 2.0 * matrix @ matrix.T
+    squared = gram_squared_distances(matrix)
     np.maximum(squared, 0.0, out=squared)
     return squared
 

@@ -14,7 +14,6 @@ import numpy as np
 
 from repro.aggregators.base import as_matrix
 from repro.attacks.base import Attack, register_attack
-from scipy import stats
 
 
 def default_z(num_workers: int, num_byzantine: int) -> float:
@@ -29,9 +28,13 @@ def default_z(num_workers: int, num_byzantine: int) -> float:
         return 1.0
     s = int(np.floor(n / 2.0 + 1)) - f
     fraction = (honest - s) / honest
-    if not 0.0 < fraction < 1.0:
+    if not 0.5 < fraction < 1.0:
         return 1.0
-    return float(stats.norm.ppf(fraction)) if fraction > 0.5 else 1.0
+    # Imported here, not at module level: every node host imports this module
+    # for the attack registry, and scipy.stats costs each ~0.7 s and ~70 MB.
+    from scipy import stats
+
+    return float(stats.norm.ppf(fraction))
 
 
 @register_attack

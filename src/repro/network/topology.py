@@ -10,11 +10,12 @@ both the cost model and the tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.exceptions import ConfigurationError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Deployment names understood by :func:`messages_per_round`.
 DEPLOYMENTS = (
@@ -34,7 +35,7 @@ class ClusterTopology:
     deployment: str
     num_workers: int
     num_servers: int
-    graph: nx.DiGraph
+    graph: nx.DiGraph  # a string under the __future__ import: never evaluated
 
     @property
     def worker_ids(self) -> List[str]:
@@ -60,6 +61,10 @@ def build_topology(deployment: str, num_workers: int, num_servers: int = 1) -> C
         raise ConfigurationError(f"unknown deployment '{deployment}'; choose from {DEPLOYMENTS}")
     if num_workers < 1:
         raise ConfigurationError("need at least one worker")
+
+    # Imported here, not at module level: every node host imports this module
+    # for the message counts, and only this function needs networkx (~20 MB).
+    import networkx as nx
 
     graph = nx.DiGraph()
     workers = [f"worker-{i}" for i in range(num_workers)]

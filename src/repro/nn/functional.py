@@ -1,8 +1,26 @@
 """Functional building blocks that are easier to express outside the Tensor class.
 
-Currently this module hosts the im2col-based 2-D convolution and pooling
-primitives used by :mod:`repro.nn.layers`.  Shapes follow the NCHW convention
-(batch, channels, height, width).
+This module hosts the 2-D convolution and pooling primitives used by
+:mod:`repro.nn.layers`.  Shapes follow the NCHW convention (batch, channels,
+height, width).
+
+All three are built on two window helpers:
+
+* :func:`_im2col` copies every ``k x k`` window of the (zero-padded) input
+  into one column of a ``(c*k*k, out_h*out_w*n)`` matrix.  The windows are
+  read through :func:`numpy.lib.stride_tricks.sliding_window_view` — a view,
+  no index tables — and written by one strided assignment.
+* :func:`_col2im` is its adjoint: it sums such a matrix back onto the pixels
+  with ``k*k`` shifted slice-adds.
+
+Two things about them are frozen, because gradients — and so every golden
+trace and benchmark quality number — must not move in the last bit: the
+layout of ``cols`` (rows ordered ``(channel, di, dj)``, columns ``(out_y,
+out_x, image)``), which is an operand of all three GEMMs of a convolution, and
+the ascending ``(di, dj)`` order in which :func:`_col2im` adds the overlapping
+contributions to one pixel.  ``tests/nn/test_window_kernels.py`` holds the
+index-gather / unbuffered scatter-add implementation these replaced and requires
+``np.array_equal``; ``docs/performance.md`` section 6 has the measurements.
 """
 
 from __future__ import annotations
@@ -10,37 +28,27 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.tensor import Tensor
 
 
-def _im2col_indices(
-    x_shape: Tuple[int, int, int, int], kernel: int, stride: int, padding: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Compute the gather indices for im2col."""
-    n, c, h, w = x_shape
-    out_h = (h + 2 * padding - kernel) // stride + 1
-    out_w = (w + 2 * padding - kernel) // stride + 1
-
-    i0 = np.repeat(np.arange(kernel), kernel)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel), kernel * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kernel * kernel).reshape(-1, 1)
-    return k, i, j, out_h, out_w
-
-
 def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
+    """The ``(c*k*k, out_h*out_w*n)`` matrix of all windows of ``x``, batch index innermost."""
     n, c, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
-    k, i, j, out_h, out_w = _im2col_indices(x.shape, kernel, stride, padding)
-    cols = padded[:, k, i, j]  # (n, c*k*k, out_h*out_w)
-    cols = cols.transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
-    return cols, out_h, out_w
+    image = x.transpose(1, 2, 3, 0)
+    if padding:
+        # Batch-innermost like ``cols``, so the window copy moves whole runs.
+        padded = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=x.dtype)
+        padded[:, padding : padding + h, padding : padding + w] = image
+        image = padded
+    # A (c, out_h, out_w, n, k, k) view: nothing is copied before the one
+    # strided assignment that lays the windows out as the GEMM operand.
+    windows = sliding_window_view(image, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
+    out_h, out_w = windows.shape[1:3]
+    cols = np.empty((c, kernel, kernel, out_h, out_w, n), dtype=x.dtype)
+    cols[...] = windows.transpose(0, 4, 5, 1, 2, 3)
+    return cols.reshape(c * kernel * kernel, -1), out_h, out_w
 
 
 def _col2im(
@@ -50,14 +58,19 @@ def _col2im(
     stride: int,
     padding: int,
 ) -> np.ndarray:
+    """Sum every window of ``cols`` back onto its pixels: the adjoint of :func:`_im2col`."""
     n, c, h, w = x_shape
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    k, i, j, out_h, out_w = _im2col_indices(x_shape, kernel, stride, padding)
-    cols_reshaped = cols.reshape(c * kernel * kernel, -1, n).transpose(2, 0, 1)
-    np.add.at(padded, (slice(None), k, i, j), cols_reshaped)
-    if padding == 0:
-        return padded
-    return padded[:, :, padding:-padding, padding:-padding]
+    out_h = (h + 2 * padding - kernel) // stride + 1
+    out_w = (w + 2 * padding - kernel) // stride + 1
+    image = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=cols.dtype)
+    blocks = cols.reshape(c, kernel, kernel, out_h, out_w, n)
+    # One shifted slice-add per window offset, in ascending (di, dj): the order
+    # in which a pixel's overlapping contributions have always been summed.
+    for di in range(kernel):
+        rows = slice(di, di + stride * out_h, stride)
+        for dj in range(kernel):
+            image[:, rows, dj : dj + stride * out_w : stride] += blocks[:, di, dj]
+    return image[:, padding : padding + h, padding : padding + w].transpose(3, 0, 1, 2)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:

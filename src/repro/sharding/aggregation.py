@@ -36,7 +36,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.aggregators.base import GAR, shared_squared_distances
+from repro.aggregators.base import GAR, gram_squared_distances, shared_squared_distances
 from repro.aggregators.bulyan import Bulyan, bulyan_committee_from_distances, trimmed_median_average
 from repro.aggregators.krum import Krum, MultiKrum, krum_scores_from_distances
 from repro.aggregators.mda import MDA, mda_select_from_distances
@@ -76,9 +76,7 @@ def partial_squared_distances(slice_matrix: np.ndarray) -> np.ndarray:
     summed all partials, mirroring the unsharded
     :func:`repro.aggregators.base.pairwise_squared_distances` post-processing.
     """
-    matrix = np.asarray(slice_matrix, dtype=np.float64)
-    norms = (matrix ** 2).sum(axis=1)
-    return norms[:, None] + norms[None, :] - 2.0 * matrix @ matrix.T
+    return gram_squared_distances(np.asarray(slice_matrix, dtype=np.float64))
 
 
 def combine_partial_distances(partials: Sequence[np.ndarray]) -> np.ndarray:

@@ -6,12 +6,15 @@ allocates at most half the bytes per round of the legacy list-of-arrays
 pipeline — whose row for this configuration is frozen in
 ``BENCH_hotpath.json`` (that code no longer exists).  Timing is *not*
 asserted here (CI machines are noisy); the full grid with rounds/sec lives in
-``make bench-hotpath`` / ``BENCH_hotpath.json``.
+``make bench-hotpath`` / ``BENCH_hotpath.json``.  The file's ``"nn"`` rows
+(CNN ``forward + backward`` before and after the strided-window kernels) are
+checked for shape only, for the same reason.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -29,3 +32,18 @@ def test_flat_path_allocates_at_most_half_the_bytes():
     bench = load_bench()
     numbers = bench.measure(num_workers=8, dimension=20_000, gar_name="average", rounds=5)
     assert numbers["bytes_ratio"] <= 0.5, numbers
+
+
+def test_nn_rows_have_the_committed_shape():
+    """``"nn"``: one ``forward + backward`` row per CNN and batch size, before and after.
+
+    Shape only: whether ``after`` beats ``before`` is for ``make bench-hotpath``
+    and the end-to-end benchmark to say, not for a noisy CI box.
+    """
+    bench = load_bench()
+    committed = json.loads(bench.OUTPUT_PATH.read_text(encoding="utf-8"))["nn"]
+    grid = [(name, batch) for name, _ in bench.NN_MODELS for batch in bench.NN_BATCHES]
+    for rows in (committed["before"], committed["after"], bench.measure_nn(repeats=1, warmup=1)):
+        assert [(row["model"], row["batch"]) for row in rows] == grid
+        assert all(row["forward_backward_ms"] > 0 for row in rows)
+    assert bench.frozen_nn_before() == committed["before"]

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -22,6 +27,27 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["explode"])
+
+
+class TestStartUp:
+    def test_cli_and_node_hosts_import_neither_scipy_nor_networkx(self):
+        """Together they cost every interpreter — nine node hosts on the process
+        backend — ~0.8 s and ~80 MB of start-up, for one helper function each."""
+        probe = (
+            "import repro.network.rpc, repro.core.controller, repro.cli, sys; "
+            "print([name for name in ('scipy', 'networkx') if name in sys.modules])"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        inherited = os.environ.get("PYTHONPATH")
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestListCommand:
