@@ -13,6 +13,7 @@ or, equivalently, the functional form ``gar(gradients=list_of_vectors, f=1)``.
 
 from repro.aggregators.base import (
     GAR,
+    DistanceGAR,
     GAR_REGISTRY,
     available_gars,
     init,
@@ -30,6 +31,7 @@ from repro.aggregators.variance import VarianceReport, measure_variance
 
 __all__ = [
     "GAR",
+    "DistanceGAR",
     "GAR_REGISTRY",
     "init",
     "register_gar",

@@ -19,6 +19,7 @@ class Average(GAR):
     """
 
     name = "average"
+    coordinate_wise = True
 
     @classmethod
     def minimum_inputs(cls, f: int) -> int:

@@ -1,23 +1,23 @@
 """Common interface, registry and validation for gradient aggregation rules.
 
-Besides the :class:`GAR` base class and its registry, this module hosts the
-shared pairwise-distance machinery used by the distance-based rules (Krum,
-Multi-Krum, MDA, Bulyan).  Computing the (q, q) squared-distance matrix is
-the O(q^2 d) hot kernel of those rules; :data:`DISTANCE_CACHE` memoizes it
-per input matrix so that within one training round — where the same gradient
-matrix is typically scored several times (Multi-Krum selection, Bulyan's
-iterated inner Krum, the functional ``gar(gradients=..., f=...)`` re-check
-path) — the distances are computed exactly once.
+Two kinds of rule build on :class:`GAR`:
+
+* *coordinate-wise* rules (``coordinate_wise = True``: average, median,
+  trimmed mean, MeaMed) compute every output coordinate from its own input
+  column, so they can run on any column slice of the inputs;
+* *distance* rules (:class:`DistanceGAR`: Krum, Multi-Krum, MDA, Bulyan) pick
+  rows from the ``(q, q)`` pairwise squared distances (:meth:`~DistanceGAR.select`)
+  and then combine the picked rows column by column
+  (:meth:`~DistanceGAR.combine`).  A rule is those two methods and nothing
+  else; the unsharded :meth:`DistanceGAR._aggregate` and the sharded two-phase
+  protocol (:mod:`repro.sharding.aggregation`) both run them, each computing
+  the distances exactly once per aggregation.
 """
 
 from __future__ import annotations
 
-import hashlib
-import itertools
-import threading
-import weakref
-from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from types import SimpleNamespace
+from typing import Dict, List, Type
 
 import numpy as np
 
@@ -84,6 +84,10 @@ class GAR:
 
     name: str = "abstract"
 
+    #: Whether every output coordinate depends on its own input column only,
+    #: so aggregating column slices and concatenating equals aggregating whole.
+    coordinate_wise: bool = False
+
     def __init__(self, n: int, f: int = 0) -> None:
         if n <= 0:
             raise ResilienceConditionError("n must be positive")
@@ -135,12 +139,24 @@ class GAR:
 
     def __call__(self, gradients, f: int | None = None) -> np.ndarray:
         """Functional form matching the paper's listings: ``gar(gradients=..., f=...)``."""
-        if f is not None and f != self.f:
-            # One clone both re-validates the resilience condition for the
-            # requested f and performs the aggregation.
-            clone = type(self)(n=len(gradients), f=f)
-            return clone.aggregate(gradients)
-        return self.aggregate(gradients)
+        return self.resized(len(gradients), f).aggregate(gradients)
+
+    def resized(self, rows: int, f: int | None = None) -> "GAR":
+        """This rule sized for ``rows`` inputs and ``f`` Byzantine ones (default: unchanged).
+
+        Returns ``self`` when nothing changes.  A new ``f`` is re-validated by
+        the constructor (:class:`ResilienceConditionError` when ``rows`` cannot
+        carry it); with ``f`` unchanged, too few rows also return ``self`` so
+        that :meth:`aggregate_matrix` reports the short quorum as the runtime
+        fault it is (:class:`AggregationError`).  Extra constructor options
+        (``MultiKrum(m=...)``, ``GeometricMedian(iterations=...)``) are not
+        carried over to a re-sized rule.
+        """
+        if f is None:
+            f = self.f
+        if f == self.f and (rows == self.n or rows < self.minimum_inputs(f)):
+            return self
+        return type(self)(n=rows, f=f)
 
     # ------------------------------------------------------------------ #
     def flops(self, d: int) -> float:
@@ -210,144 +226,51 @@ def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:
     return squared
 
 
-#: Monotonic round-token source for :func:`tag_round_matrix`.
-_ROUND_TOKEN_COUNTER = itertools.count(1)
-
-#: ``id(matrix) -> (token, weakref-to-matrix)`` for matrices registered as
-#: per-round views.  The weak reference makes every lookup self-validating:
-#: a recycled ``id`` (the tagged view was dropped without an untag — e.g. a
-#: round buffer replaced after a capacity change, or a torn-down deployment)
-#: can never claim a stale token, because the stored referent no longer *is*
-#: the queried array.  Dead entries are swept opportunistically on tagging.
-_ROUND_TOKENS: Dict[int, Tuple[int, "weakref.ref"]] = {}
-_ROUND_TOKENS_LOCK = threading.Lock()
 
 
-def _sweep_dead_tokens_locked() -> None:
-    dead = [key for key, (_, ref) in _ROUND_TOKENS.items() if ref() is None]
-    for key in dead:
-        del _ROUND_TOKENS[key]
+def mean_around_median(matrix: np.ndarray, keep: int) -> np.ndarray:
+    """Per coordinate, the mean of the ``keep`` values closest to the median.
 
-
-def tag_round_matrix(matrix: np.ndarray) -> int:
-    """Register ``matrix`` as a per-round view and return its fresh token.
-
-    While tagged, :class:`PairwiseDistanceCache` keys the matrix by this token
-    instead of re-hashing its O(q d) bytes with BLAKE2b on every lookup.
-    Round buffers untag on recycle (:func:`untag_round_matrix`); callers must
-    re-tag after mutating the underlying storage.  Registration holds only a
-    weak reference, so a tagged view that is simply dropped costs one stale
-    entry until the next sweep, never a wrong cache hit.
+    Column-independent: applying it to column slices and concatenating is
+    bitwise what it gives on the whole matrix.
     """
-    token = next(_ROUND_TOKEN_COUNTER)
-    with _ROUND_TOKENS_LOCK:
-        if len(_ROUND_TOKENS) >= 64:
-            _sweep_dead_tokens_locked()
-        _ROUND_TOKENS[id(matrix)] = (token, weakref.ref(matrix))
-    return token
+    median = np.median(matrix, axis=0)
+    order = np.argsort(np.abs(matrix - median[None, :]), axis=0)[:keep]
+    return np.take_along_axis(matrix, order, axis=0).mean(axis=0)
 
 
-def untag_round_matrix(matrix: np.ndarray) -> None:
-    """Drop the round token of ``matrix`` (no-op when it was never tagged)."""
-    with _ROUND_TOKENS_LOCK:
-        _ROUND_TOKENS.pop(id(matrix), None)
+class DistanceGAR(GAR):
+    """A rule that picks rows by pairwise euclidean geometry, then combines them.
 
-
-def _round_token_of(matrix: np.ndarray) -> Optional[int]:
-    """The live token of ``matrix``, validating identity through the weakref."""
-    with _ROUND_TOKENS_LOCK:
-        entry = _ROUND_TOKENS.get(id(matrix))
-        if entry is None:
-            return None
-        token, ref = entry
-        if ref() is matrix:
-            return token
-        # Stale entry from a dropped view whose id was recycled: purge it and
-        # fall back to content hashing for this (different) array.
-        del _ROUND_TOKENS[id(matrix)]
-        return None
-
-
-class PairwiseDistanceCache:
-    """Small LRU cache of pairwise squared-distance matrices.
-
-    Per-round matrices registered through :func:`tag_round_matrix` are keyed
-    by their round token — an O(1) lookup, no bytes touched.  Everything else
-    falls back to a content fingerprint (shape plus a BLAKE2b digest of the
-    bytes), so the cache stays correct for callers passing freshly allocated
-    arrays with identical contents.  Either way a hit saves the O(q^2 d)
-    distance computation that one round's rules would otherwise repeat
-    (Multi-Krum selection, Bulyan's iterated inner Krum, the functional
-    ``gar(gradients=..., f=...)`` re-check path).
-
-    Cached matrices have an exact-zero diagonal and are marked read-only:
-    consumers that used to mutate the matrix (e.g. Krum's fill-diagonal
-    trick) must work on the shared copy without writing to it.
+    Subclasses define :meth:`select` (and :meth:`combine` unless it is the
+    mean); that is the whole rule.  Because ``select`` sees only distances and
+    ``combine`` is column-independent, the sharded two-phase protocol runs the
+    same two methods on summed per-slice distances and on per-slice rows — a
+    new distance rule shards with no edit under :mod:`repro.sharding`.
     """
 
-    def __init__(self, maxsize: int = 8) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be positive")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
-        self._lock = threading.Lock()
+    def select(self, distances: np.ndarray) -> np.ndarray:
+        """Indices of the rows to combine, from the ``(q, q)`` squared distances.
 
-    @staticmethod
-    def _fingerprint(matrix: np.ndarray) -> Tuple:
-        token = _round_token_of(matrix)
-        if token is not None:
-            return ("round-token", token, matrix.shape, matrix.dtype.str)
-        # blake2b consumes the array's buffer directly (no tobytes() copy);
-        # ascontiguousarray is a no-op for the already-C-contiguous matrices
-        # produced by as_matrix.
-        data = np.ascontiguousarray(matrix)
-        digest = hashlib.blake2b(data, digest_size=16).digest()
-        return (matrix.shape, matrix.dtype.str, digest)
+        ``distances`` is non-negative with an exact-zero diagonal, may be
+        read-only and must not be mutated.
+        """
+        raise NotImplementedError
 
-    def squared_distances(self, matrix: np.ndarray) -> np.ndarray:
-        """Cached (q, q) squared-distance matrix with an exact-zero diagonal."""
-        key = self._fingerprint(matrix)
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return cached
+    def combine(self, rows: np.ndarray) -> np.ndarray:
+        """One vector from the selected ``rows``, each coordinate from its own column."""
+        return rows.mean(axis=0)
+
+    def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         distances = pairwise_squared_distances(matrix)
         np.fill_diagonal(distances, 0.0)
-        distances.setflags(write=False)
-        with self._lock:
-            self.misses += 1
-            self._entries[key] = distances
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-        return distances
+        return self.combine(matrix[self.select(distances)])
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PairwiseDistanceCache(maxsize={self.maxsize}, "
-            f"hits={self.hits}, misses={self.misses})"
-        )
+    def flops(self, d: int) -> float:
+        return float(self.n ** 2 * d)
 
 
-#: Process-wide cache shared by all distance-based GARs.  One training round
-#: aggregates a handful of distinct matrices at most, so a few entries go a
-#: long way; the LRU bound keeps memory at O(maxsize * q^2).
-DISTANCE_CACHE = PairwiseDistanceCache(maxsize=8)
-
-
-def shared_squared_distances(matrix: np.ndarray) -> np.ndarray:
-    """Squared-distance matrix of ``matrix`` through the shared round cache.
-
-    The returned array is read-only and has an exact-zero diagonal; index it
-    (``distances[np.ix_(rows, rows)]``) rather than mutating it.
-    """
-    return DISTANCE_CACHE.squared_distances(matrix)
+#: Read by ``benchmarks/e2e/harness.py`` (``.hits`` / ``.misses``) and by nothing
+#: else, and never written: the distance cache it counted is gone.  Goes with
+#: the benchmark's move onto in-``src`` telemetry (ROADMAP, first open item).
+DISTANCE_CACHE = SimpleNamespace(hits=0, misses=0)

@@ -13,55 +13,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregators.base import GAR, register_gar, shared_squared_distances
+from repro.aggregators.base import DistanceGAR, mean_around_median, register_gar
 from repro.aggregators.krum import krum_scores_from_distances
 
 
-def bulyan_committee_from_distances(
-    distances: np.ndarray, f: int, committee_size: int
-) -> np.ndarray:
-    """Stage 1: iterated Krum committee selection from a squared-distance matrix.
-
-    Exposed at module level so the sharded two-phase protocol can run the
-    identical selection on coordinator-summed partial distances (see
-    :mod:`repro.sharding.aggregation`).  Tie-breaking (``argmin`` order, the
-    take-the-rest fallback) is byte-for-byte the in-class behaviour.
-    """
-    q = distances.shape[0]
-    remaining = list(range(q))
-    committee: list[int] = []
-    while len(committee) < committee_size and remaining:
-        if len(remaining) <= 2 * f + 2:
-            # Not enough vectors left for meaningful Krum scores; take the rest.
-            committee.extend(remaining)
-            break
-        idx = np.asarray(remaining)
-        scores = krum_scores_from_distances(distances[np.ix_(idx, idx)], f)
-        best_local = int(np.argmin(scores))
-        committee.append(remaining.pop(best_local))
-    return np.asarray(committee[:committee_size], dtype=np.intp)
-
-
-def trimmed_median_average(selected: np.ndarray, f: int) -> np.ndarray:
-    """Stage 2: coordinate-wise trimmed average around the median.
-
-    Per coordinate, keep the ``len(selected) - 2f`` values closest to the
-    coordinate-wise median and average them.  Every operation is column-
-    independent, so applying this per shard slice and concatenating is
-    bitwise identical to applying it to the full committee matrix — the
-    property the sharded combination step relies on.
-    """
-    beta = max(1, selected.shape[0] - 2 * f)
-    median = np.median(selected, axis=0)
-    distance_to_median = np.abs(selected - median[None, :])
-    # For each coordinate, keep the beta closest values to the median.
-    order = np.argsort(distance_to_median, axis=0)[:beta]
-    closest = np.take_along_axis(selected, order, axis=0)
-    return closest.mean(axis=0)
-
-
 @register_gar
-class Bulyan(GAR):
+class Bulyan(DistanceGAR):
     """Bulyan over Multi-Krum selection followed by a trimmed median-average.
 
     Byzantine tolerance: withstands up to ``f`` malicious inputs provided
@@ -75,23 +32,27 @@ class Bulyan(GAR):
     def minimum_inputs(cls, f: int) -> int:
         return 4 * f + 3
 
-    def _selection_size(self, q: int) -> int:
-        return max(1, q - 2 * self.f)
+    def select(self, distances: np.ndarray) -> np.ndarray:
+        """Stage 1: iterate the inner GAR (Krum) to pick a committee of ``q - 2f``.
 
-    def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        q = matrix.shape[0]
-        committee_size = self._selection_size(q)
+        Each committee round scores the survivors by slicing the one distance
+        matrix, an O(r^2 log r) operation instead of O(r^2 d).
+        """
+        q = distances.shape[0]
+        committee_size = max(1, q - 2 * self.f)
+        remaining = list(range(q))
+        committee: list[int] = []
+        while len(committee) < committee_size and remaining:
+            if len(remaining) <= 2 * self.f + 2:
+                # Not enough vectors left for meaningful Krum scores; take the rest.
+                committee.extend(remaining)
+                break
+            idx = np.asarray(remaining)
+            scores = krum_scores_from_distances(distances[np.ix_(idx, idx)], self.f)
+            best_local = int(np.argmin(scores))
+            committee.append(remaining.pop(best_local))
+        return np.asarray(committee[:committee_size], dtype=np.intp)
 
-        # Stage 1 — iterate the inner GAR (Krum selection) to pick a committee.
-        # The O(q^2 d) pairwise distances are computed once (via the shared
-        # round cache); each committee round scores the survivors by slicing
-        # that matrix, an O(r^2 log r) operation instead of O(r^2 d).
-        distances = shared_squared_distances(matrix)
-        committee = bulyan_committee_from_distances(distances, self.f, committee_size)
-        selected = matrix[committee]
-
-        # Stage 2 — coordinate-wise trimmed average around the median.
-        return trimmed_median_average(selected, self.f)
-
-    def flops(self, d: int) -> float:
-        return float(self.n ** 2 * d)
+    def combine(self, rows: np.ndarray) -> np.ndarray:
+        """Stage 2: per coordinate, average the ``k - 2f`` committee values closest to the median."""
+        return mean_around_median(rows, max(1, rows.shape[0] - 2 * self.f))

@@ -11,18 +11,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregators.base import GAR, register_gar, shared_squared_distances
+from repro.aggregators.base import DistanceGAR, register_gar
 
 
 def krum_scores_from_distances(distances: np.ndarray, f: int) -> np.ndarray:
     """Krum scores given a precomputed (q, q) squared-distance matrix.
 
-    ``distances`` must have an exact-zero diagonal (as produced by
-    :func:`repro.aggregators.base.shared_squared_distances`); each row's
-    self-distance is skipped by dropping the first entry of the sorted row,
-    so the shared read-only matrix is never mutated.  Accepting distances
-    directly lets Bulyan score sub-committees by slicing one cached matrix
-    instead of recomputing O(q^2 d) products per committee round.
+    ``distances`` must have an exact-zero diagonal (what
+    :meth:`DistanceGAR.select` receives); each row's self-distance is skipped
+    by dropping the first entry of the sorted row, so a read-only matrix is
+    never mutated.  Accepting distances directly lets Bulyan score its
+    shrinking committees by slicing one matrix instead of recomputing
+    O(q^2 d) products per committee round.
     """
     q = distances.shape[0]
     closest = q - f - 2
@@ -32,15 +32,8 @@ def krum_scores_from_distances(distances: np.ndarray, f: int) -> np.ndarray:
     return sorted_distances[:, 1 : closest + 1].sum(axis=1)
 
 
-def krum_scores(matrix: np.ndarray, f: int, distances: np.ndarray | None = None) -> np.ndarray:
-    """Krum score of each row: sum of squared distances to its closest neighbours."""
-    if distances is None:
-        distances = shared_squared_distances(matrix)
-    return krum_scores_from_distances(distances, f)
-
-
 @register_gar
-class Krum(GAR):
+class Krum(DistanceGAR):
     """Return the single input vector with the smallest Krum score.
 
     Byzantine tolerance: withstands up to ``f`` malicious inputs provided
@@ -54,16 +47,15 @@ class Krum(GAR):
     def minimum_inputs(cls, f: int) -> int:
         return 2 * f + 3
 
-    def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        scores = krum_scores(matrix, self.f)
-        return matrix[int(np.argmin(scores))].copy()
+    def select(self, distances: np.ndarray) -> np.ndarray:
+        return np.asarray([np.argmin(krum_scores_from_distances(distances, self.f))])
 
-    def flops(self, d: int) -> float:
-        return float(self.n ** 2 * d)
+    def combine(self, rows: np.ndarray) -> np.ndarray:
+        return rows[0].copy()
 
 
 @register_gar
-class MultiKrum(GAR):
+class MultiKrum(DistanceGAR):
     """Average of the ``m`` smallest-scoring inputs (defaults to ``n - f``).
 
     Byzantine tolerance: same precondition as Krum — up to ``f`` malicious
@@ -83,18 +75,9 @@ class MultiKrum(GAR):
     def minimum_inputs(cls, f: int) -> int:
         return 2 * f + 3
 
-    def selection(self, matrix: np.ndarray) -> np.ndarray:
-        """Indices of the ``m`` selected (lowest-score) inputs."""
-        scores = krum_scores(matrix, self.f)
-        m = min(self.m, matrix.shape[0])
-        return np.argsort(scores)[:m]
-
-    def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        selected = self.selection(matrix)
-        return matrix[selected].mean(axis=0)
-
-    def flops(self, d: int) -> float:
-        return float(self.n ** 2 * d)
+    def select(self, distances: np.ndarray) -> np.ndarray:
+        scores = krum_scores_from_distances(distances, self.f)
+        return np.argsort(scores)[: min(self.m, distances.shape[0])]
 
     def __repr__(self) -> str:
         return f"MultiKrum(n={self.n}, f={self.f}, m={self.m})"

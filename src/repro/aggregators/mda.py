@@ -10,62 +10,16 @@ makes a weaker variance assumption than Krum or Median (Section 3.1).
 from __future__ import annotations
 
 from itertools import combinations, islice
+from math import comb
 
 import numpy as np
 
-from repro.aggregators.base import GAR, register_gar, shared_squared_distances
+from repro.aggregators.base import DistanceGAR, register_gar
 from repro.exceptions import AggregationError
 
 
-def mda_select_from_distances(
-    distances: np.ndarray,
-    keep: int,
-    max_subsets: int = 2_000_000,
-    subset_batch: int = 4096,
-    batch_budget_bytes: int = 8 << 20,
-) -> np.ndarray:
-    """Indices of the minimum-diameter ``keep``-subset given pairwise distances.
-
-    ``distances`` is the (q, q) *euclidean* (already square-rooted) distance
-    matrix.  Exposed at module level so the sharded two-phase protocol can run
-    the identical subset search on coordinator-summed distances
-    (see :mod:`repro.sharding.aggregation`); enumeration order matches
-    ``itertools.combinations``, so ties resolve identically everywhere.
-    """
-    q = distances.shape[0]
-    if not 1 <= keep <= q:
-        raise AggregationError(f"cannot keep {keep} of {q} inputs")
-
-    from math import comb
-
-    if comb(q, keep) > max_subsets:
-        raise AggregationError(
-            f"MDA would need to enumerate {comb(q, keep)} subsets "
-            f"(q={q}, keep={keep}); this exceeds the safety limit"
-        )
-
-    best_subset: tuple = ()
-    best_diameter = np.inf
-    # Score subsets in vectorized batches: for a (B, keep) block of candidate
-    # index tuples, gather the (B, keep, keep) distance blocks and reduce to
-    # per-subset diameters in one shot.
-    batch_size = max(1, min(subset_batch, batch_budget_bytes // (keep * keep * 8)))
-    iterator = combinations(range(q), keep)
-    while True:
-        batch = list(islice(iterator, batch_size))
-        if not batch:
-            break
-        idx = np.asarray(batch)
-        diameters = distances[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2))
-        local = int(np.argmin(diameters))
-        if diameters[local] < best_diameter:
-            best_diameter = float(diameters[local])
-            best_subset = batch[local]
-    return np.asarray(best_subset, dtype=np.intp)
-
-
 @register_gar
-class MDA(GAR):
+class MDA(DistanceGAR):
     """Average of the minimum-diameter subset of size ``q - f``.
 
     Byzantine tolerance: withstands up to ``f`` malicious inputs provided
@@ -91,33 +45,49 @@ class MDA(GAR):
     def minimum_inputs(cls, f: int) -> int:
         return 2 * f + 1
 
-    def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        q = matrix.shape[0]
+    def select(self, distances: np.ndarray) -> np.ndarray:
+        """Indices of the minimum-diameter ``q - f`` subset.
+
+        Enumeration order is that of ``itertools.combinations``, so ties
+        resolve identically wherever the distances come from.
+        """
+        q = distances.shape[0]
+        if self.f == 0:
+            return np.arange(q)
         keep = q - self.f
-        if self.f == 0 or keep >= q:
-            return matrix.mean(axis=0)
-
-        from math import comb
-
         if comb(q, keep) > self.max_subsets:
             raise AggregationError(
                 f"MDA would need to enumerate {comb(q, keep)} subsets "
                 f"(q={q}, f={self.f}); this exceeds the safety limit"
             )
+        euclidean = np.sqrt(distances)
 
-        distances = np.sqrt(shared_squared_distances(matrix))
-        best_subset = mda_select_from_distances(
-            distances,
-            keep,
-            max_subsets=self.max_subsets,
-            subset_batch=self.subset_batch,
-            batch_budget_bytes=self.batch_budget_bytes,
-        )
-        return matrix[best_subset].mean(axis=0)
+        best_subset: tuple = ()
+        best_diameter = np.inf
+        # Score subsets in vectorized batches: for a (B, keep) block of candidate
+        # index tuples, gather the (B, keep, keep) distance blocks and reduce to
+        # per-subset diameters in one shot.
+        batch_size = max(1, min(self.subset_batch, self.batch_budget_bytes // (keep * keep * 8)))
+        iterator = combinations(range(q), keep)
+        while True:
+            batch = list(islice(iterator, batch_size))
+            if not batch:
+                break
+            idx = np.asarray(batch)
+            diameters = euclidean[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2))
+            local = int(np.argmin(diameters))
+            if diameters[local] < best_diameter:
+                best_diameter = float(diameters[local])
+                best_subset = batch[local]
+        return np.asarray(best_subset, dtype=np.intp)
+
+    def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
+        if self.f == 0:
+            # Every row is kept: the plain mean, no distances needed.
+            return matrix.mean(axis=0)
+        return super()._aggregate(matrix)
 
     def flops(self, d: int) -> float:
-        from math import comb
-
         keep = self.n - self.f
         subset_cost = comb(self.n, keep) * keep ** 2
         return float(subset_cost + self.n ** 2 * d)

@@ -23,6 +23,7 @@ class Median(GAR):
     """
 
     name = "median"
+    coordinate_wise = True
 
     @classmethod
     def minimum_inputs(cls, f: int) -> int:

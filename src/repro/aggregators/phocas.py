@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregators.base import GAR, register_gar
+from repro.aggregators.base import GAR, mean_around_median, register_gar
 
 
 @register_gar
@@ -23,6 +23,7 @@ class MeaMed(GAR):
     """
 
     name = "meamed"
+    coordinate_wise = True
 
     @classmethod
     def minimum_inputs(cls, f: int) -> int:
@@ -31,12 +32,7 @@ class MeaMed(GAR):
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         if self.f == 0:
             return matrix.mean(axis=0)
-        keep = matrix.shape[0] - self.f
-        median = np.median(matrix, axis=0)
-        distance = np.abs(matrix - median[None, :])
-        order = np.argsort(distance, axis=0)[:keep]
-        closest = np.take_along_axis(matrix, order, axis=0)
-        return closest.mean(axis=0)
+        return mean_around_median(matrix, matrix.shape[0] - self.f)
 
     def flops(self, d: int) -> float:
         return float(self.n * np.log2(max(self.n, 2)) * d)

@@ -23,6 +23,7 @@ class TrimmedMean(GAR):
     """
 
     name = "trimmed-mean"
+    coordinate_wise = True
 
     @classmethod
     def minimum_inputs(cls, f: int) -> int:

@@ -31,6 +31,7 @@ from typing import Dict
 
 import numpy as np
 
+from repro.aggregators.base import DistanceGAR
 from repro.core.session import RoundContext, RoundStrategy, register_application
 
 
@@ -86,13 +87,13 @@ class MSMWStrategy(RoundStrategy):
         and an aggregation charge at the widest shard — the critical path of
         ``shards`` parallel lanes.
         """
-        from repro.sharding.aggregation import aggregate_shards, is_two_phase
+        from repro.sharding.aggregation import aggregate_shards
         from repro.sharding.shard_map import ShardMap
 
         deployment, config = ctx.deployment, ctx.config
         gar = deployment.gradient_gar
         shard_map = ShardMap(ctx.server.dimension, config.shards)
-        two_phase = is_two_phase(config.gradient_gar)
+        two_phase = isinstance(gar, DistanceGAR)
         for server in honest:
             buffer = server.get_sharded_gradient_matrices(
                 ctx.iteration, shard_map, config.gradient_quorum()

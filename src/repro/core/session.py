@@ -328,28 +328,29 @@ class RoundStrategy:
     def aggregate(self, ctx: RoundContext, gradients: np.ndarray) -> np.ndarray:
         """Robustly aggregate the collected inputs (default: the gradient GAR).
 
-        With a detection manager attached the rows are scored and
-        reputation-weighted first (``detection.weigh_and_observe`` — the
-        suspicion update lands in the same round) and the GAR runs as a
-        right-sized clone with the *effective* f (declared f minus
-        evictions) — which is also what the accountant charges, so eviction
-        shows up as cheaper aggregation, not just fewer messages.
-        Membership decisions happen at the end of the round
+        The GAR always runs sized for the rows it receives
+        (:meth:`GAR.resized`) — a pull set shrunk by the liveness detector or
+        by evictions is never scored by a rule built for the full quorum —
+        and that sized rule is what the accountant charges, so eviction shows
+        up as cheaper aggregation, not just fewer messages.  With a detection
+        manager attached the rows are scored and reputation-weighted first
+        (``detection.weigh_and_observe`` — the suspicion update lands in the
+        same round) and ``f`` is the *effective* one (declared f minus
+        evictions).  Membership decisions happen at the end of the round
         (:meth:`Session.step` calls ``detection.finish_round``).
         """
-        gar = ctx.deployment.gradient_gar
         detection = ctx.deployment.detection
-        if detection is None:
-            update = gar(gradients=gradients, f=ctx.config.num_byzantine_workers)
-            ctx.account(gar)
-            return update
-        sources = tuple(ctx.server.last_gradient_sources)
-        effective_f = detection.effective_f()
-        weighted = detection.weigh_and_observe(gradients, sources)
-        sized_gar = type(gar)(n=weighted.shape[0], f=effective_f)
-        update = sized_gar.aggregate_matrix(weighted)
-        ctx.account(sized_gar)
-        ctx.accountant.add_detection(detection, weighted.shape[0])
+        f = ctx.config.num_byzantine_workers
+        if detection is not None:
+            f = detection.effective_f()
+            gradients = detection.weigh_and_observe(
+                gradients, tuple(ctx.server.last_gradient_sources)
+            )
+        gar = ctx.deployment.gradient_gar.resized(len(gradients), f)
+        update = gar.aggregate_matrix(gradients)
+        ctx.account(gar)
+        if detection is not None:
+            ctx.accountant.add_detection(detection, len(gradients))
         return update
 
     def apply(self, ctx: RoundContext, update: np.ndarray) -> None:

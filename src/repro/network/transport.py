@@ -341,11 +341,6 @@ class RoundBuffer:
     * :meth:`matrix` returns a **read-only** view valid until the next
       :meth:`reset` — i.e. until the owner starts its next pull of the same
       kind.  Consumers that need the data beyond the round must copy.
-
-    Each sealed view is registered with the aggregators' round-token registry
-    (:func:`repro.aggregators.base.tag_round_matrix`) so distance-based rules
-    key their shared O(q^2 d) distance matrix by token instead of re-hashing
-    the buffer's bytes on every lookup.
     """
 
     def __init__(self, capacity: int, dimension: int) -> None:
@@ -363,11 +358,7 @@ class RoundBuffer:
 
     def reset(self) -> None:
         """Recycle the buffer for a new round, retiring the previous view."""
-        if self._view is not None:
-            from repro.aggregators.base import untag_round_matrix
-
-            untag_round_matrix(self._view)
-            self._view = None
+        self._view = None
         self._rows = 0
 
     def write_row(self, index: int, vector: Any) -> None:
@@ -394,11 +385,8 @@ class RoundBuffer:
     def matrix(self) -> np.ndarray:
         """Seal the round and return the filled rows as a read-only view."""
         if self._view is None:
-            from repro.aggregators.base import tag_round_matrix
-
             view = self._storage[: self._rows]
             view.setflags(write=False)
-            tag_round_matrix(view)
             self._view = view
         return self._view
 

@@ -9,8 +9,9 @@ contiguous per-owner slices and aggregates shard-by-shard:
 * :class:`ShardedRoundBuffer` — per-shard reply staging that only ever
   materializes one ``(q, d_shard)`` slice at a time;
 * :mod:`repro.sharding.aggregation` — coordinate-wise rules applied per
-  slice (bitwise-exact) and the two-phase partial-distance protocol for
-  Krum / Multi-Krum / MDA / Bulyan.
+  slice (bitwise-exact) and the two-phase partial-distance protocol that
+  runs any :class:`~repro.aggregators.base.DistanceGAR`'s own ``select`` /
+  ``combine`` (Krum / Multi-Krum / MDA / Bulyan).
 
 Enable it with ``ClusterConfig.shards`` (CLI ``--shards``) on the MSMW
 deployment; see ``docs/sharding.md`` for the protocol, its equality argument
@@ -18,39 +19,21 @@ and the memory/throughput economics.
 """
 
 from repro.sharding.aggregation import (
-    COORDINATE_WISE_GARS,
-    TWO_PHASE_GARS,
-    ShardSelection,
     aggregate_shards,
     combine_partial_distances,
-    combine_selection,
-    is_coordinate_wise,
-    is_two_phase,
     partial_squared_distances,
-    select_from_distances,
     sharded_aggregate_matrix,
     supports_sharding,
-    two_phase_select,
-    unsharded_select,
 )
 from repro.sharding.buffers import ShardedRoundBuffer
 from repro.sharding.shard_map import ShardMap
 
 __all__ = [
-    "COORDINATE_WISE_GARS",
-    "TWO_PHASE_GARS",
     "ShardMap",
-    "ShardSelection",
     "ShardedRoundBuffer",
     "aggregate_shards",
     "combine_partial_distances",
-    "combine_selection",
-    "is_coordinate_wise",
-    "is_two_phase",
     "partial_squared_distances",
-    "select_from_distances",
     "sharded_aggregate_matrix",
     "supports_sharding",
-    "two_phase_select",
-    "unsharded_select",
 ]

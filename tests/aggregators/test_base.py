@@ -211,97 +211,93 @@ class TestFunctionalCallConstruction:
         assert constructions == [(5, 1)]
 
 
-class TestRoundTokenCache:
-    def test_tagged_matrix_skips_content_hash(self):
-        from repro.aggregators.base import (
-            DISTANCE_CACHE,
-            PairwiseDistanceCache,
-            shared_squared_distances,
-            tag_round_matrix,
-            untag_round_matrix,
-        )
+class TestResized:
+    """One sizing rule (``GAR.resized``) behind ``__call__``, the round strategy and the shards."""
 
-        matrix = np.random.default_rng(2).normal(size=(5, 8))
-        matrix.setflags(write=False)
-        tag_round_matrix(matrix)
-        try:
-            key = PairwiseDistanceCache._fingerprint(matrix)
-            assert key[0] == "round-token"
-            before_misses = DISTANCE_CACHE.misses
-            first = shared_squared_distances(matrix)
-            hits_before = DISTANCE_CACHE.hits
-            second = shared_squared_distances(matrix)
-            assert second is first  # same cache entry, no recompute
-            assert DISTANCE_CACHE.hits == hits_before + 1
-            assert DISTANCE_CACHE.misses == before_misses + 1
-        finally:
-            untag_round_matrix(matrix)
+    def test_returns_self_when_nothing_changes(self):
+        gar = init("multi-krum", n=9, f=2)
+        assert gar.resized(9) is gar
+        assert gar.resized(9, 2) is gar
 
-    def test_untag_falls_back_to_content_hash(self):
-        from repro.aggregators.base import PairwiseDistanceCache, tag_round_matrix, untag_round_matrix
+    def test_follows_the_row_count_and_f(self):
+        gar = init("multi-krum", n=8, f=2)
+        shrunk = gar.resized(7, 2)
+        assert (type(shrunk), shrunk.n, shrunk.f, shrunk.m) == (MultiKrum, 7, 2, 5)
+        assert (gar.n, gar.m) == (8, 6)
+        relaxed = gar.resized(8, 1)
+        assert (relaxed.n, relaxed.f, relaxed.m) == (8, 1, 7)
 
-        matrix = np.ones((3, 3))
-        tag_round_matrix(matrix)
-        untag_round_matrix(matrix)
-        key = PairwiseDistanceCache._fingerprint(matrix)
-        assert key[0] != "round-token"
+    def test_shrunk_pull_set_is_not_scored_by_the_full_quorum_rule(self):
+        """Regression: 7 rows reached a Multi-Krum built for n=8 (m=6), so with
+        f=2 one Byzantine row was averaged in."""
+        honest = 1.0 + 0.01 * np.arange(5.0)[:, None] * np.ones((5, 4))
+        matrix = np.vstack([honest, np.full((2, 4), -20.0)])
+        out = init("multi-krum", n=8, f=2)(gradients=matrix, f=2)
+        assert (honest.min(axis=0) <= out).all() and (out <= honest.max(axis=0)).all()
 
-    def test_retagging_invalidates_previous_round(self):
-        from repro.aggregators.base import (
-            PairwiseDistanceCache,
-            tag_round_matrix,
-            untag_round_matrix,
-        )
+    def test_a_new_f_the_rows_cannot_carry_is_a_resilience_error(self):
+        gar = init("krum", n=7, f=1)
+        with pytest.raises(ResilienceConditionError):
+            gar.resized(7, 3)
+        with pytest.raises(ResilienceConditionError):
+            gar(gradients=np.zeros((7, 2)), f=3)
 
-        matrix = np.zeros((2, 2))
-        tag_round_matrix(matrix)
-        first_key = PairwiseDistanceCache._fingerprint(matrix)
-        tag_round_matrix(matrix)  # a new round reuses the same buffer object
-        second_key = PairwiseDistanceCache._fingerprint(matrix)
-        untag_round_matrix(matrix)
-        assert first_key != second_key
+    def test_too_few_rows_for_an_unchanged_f_is_an_aggregation_error(self):
+        gar = init("krum", n=7, f=2)
+        assert gar.resized(6, 2) is gar
+        with pytest.raises(AggregationError):
+            gar(gradients=np.zeros((6, 2)), f=2)
+        with pytest.raises(AggregationError):
+            gar(gradients=np.zeros((6, 2)))
 
-    def test_token_and_content_paths_agree_numerically(self):
-        from repro.aggregators.base import (
-            shared_squared_distances,
-            tag_round_matrix,
-            untag_round_matrix,
-        )
+    def test_never_aggregates_under_a_smaller_f_than_requested(self):
+        for rows in range(1, 12):
+            for f in range(0, 4):
+                try:
+                    sized = init("bulyan", n=11, f=2).resized(rows, f)
+                except ResilienceConditionError:
+                    continue
+                assert sized.f == f
 
-        matrix = np.random.default_rng(3).normal(size=(6, 10))
-        by_content = np.array(shared_squared_distances(matrix))
-        tag_round_matrix(matrix)
-        try:
-            by_token = shared_squared_distances(matrix)
-            assert np.array_equal(by_content, by_token)
-        finally:
-            untag_round_matrix(matrix)
 
-    def test_dropped_tagged_matrix_cannot_claim_a_stale_token(self):
-        """A tagged view dropped without untag must never serve a wrong hit."""
-        import gc
+DISTANCE_RULES = ("krum", "multi-krum", "mda", "bulyan")
 
-        from repro.aggregators import base
 
-        matrix = np.zeros((2, 2))
-        base.tag_round_matrix(matrix)
-        stale_id = id(matrix)
-        del matrix
-        gc.collect()
-        # The weakref invalidates the entry even before any sweep: an array
-        # that happens to reuse the id is not the stored referent, so lookups
-        # fall back to content hashing (we can't force id reuse portably, but
-        # the entry must be dead).
-        entry = base._ROUND_TOKENS.get(stale_id)
-        assert entry is None or entry[1]() is None
-        # Tagging activity past the sweep threshold purges dead entries so
-        # the registry stays bounded across dropped deployments.
-        keep = [np.zeros((1, 1)) for _ in range(70)]
-        try:
-            for array in keep:
-                base.tag_round_matrix(array)
-            live_entry = base._ROUND_TOKENS.get(stale_id)
-            assert live_entry is None or live_entry[1]() is not None
-        finally:
-            for array in keep:
-                base.untag_round_matrix(array)
+def test_one_distance_matrix_per_aggregation(monkeypatch):
+    """Distances are computed once per aggregation and kept nowhere."""
+    from repro.aggregators import DistanceGAR, base
+    from repro.sharding import ShardMap, aggregation, sharded_aggregate_matrix
+
+    calls = {"pairwise": 0, "gram": 0}
+    pairwise, gram = base.pairwise_squared_distances, base.gram_squared_distances
+
+    def counting_pairwise(matrix):
+        calls["pairwise"] += 1
+        return pairwise(matrix)
+
+    def counting_gram(matrix):
+        calls["gram"] += 1
+        return gram(matrix)
+
+    monkeypatch.setattr(base, "pairwise_squared_distances", counting_pairwise)
+    monkeypatch.setattr(base, "gram_squared_distances", counting_gram)
+    monkeypatch.setattr(aggregation, "gram_squared_distances", counting_gram)
+
+    matrix = np.random.default_rng(4).normal(size=(13, 24))
+    matrix.setflags(write=False)
+    shard_map = ShardMap(24, 3)
+    for name in DISTANCE_RULES:
+        gar = init(name, n=13, f=2)
+        assert isinstance(gar, DistanceGAR)
+        calls.update(pairwise=0, gram=0)
+        first = gar.aggregate_matrix(matrix)
+        assert calls == {"pairwise": 1, "gram": 1}, name
+        # Equal content again: computed again, same answer — no hidden state.
+        second = gar.aggregate_matrix(matrix.copy())
+        assert calls == {"pairwise": 2, "gram": 2}, name
+        assert np.array_equal(first, second)
+
+        calls.update(pairwise=0, gram=0)
+        sharded = sharded_aggregate_matrix(gar, matrix, shard_map)
+        assert calls == {"pairwise": 0, "gram": shard_map.num_shards}, name
+        assert np.array_equal(sharded, first)

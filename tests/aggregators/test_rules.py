@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.aggregators import MDA, Average, Bulyan, Krum, Median, MultiKrum, TrimmedMean
+from repro.aggregators.base import pairwise_squared_distances
 from repro.exceptions import AggregationError
 
 
@@ -85,7 +86,7 @@ class TestMultiKrum:
     def test_selection_indices_exclude_outliers(self):
         gar = MultiKrum(n=9, f=2, m=5)
         vectors = honest_cluster(7) + [np.full(6, 50.0), np.full(6, -50.0)]
-        selected = gar.selection(np.stack(vectors))
+        selected = gar.select(pairwise_squared_distances(np.stack(vectors)))
         assert 7 not in selected and 8 not in selected
 
     def test_with_f_zero_close_to_average(self):

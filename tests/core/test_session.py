@@ -559,3 +559,43 @@ class TestDivergenceDetection:
             # A later healthy round does not clear the run-level flag.
             assert not session._detect_divergence(1, record, SimpleNamespace(last_update_norm=1.0))
             assert session.diverged
+
+
+class TestAggregateSizesTheRule:
+    """``RoundStrategy.aggregate`` runs the GAR sized for the rows it pulled."""
+
+    @pytest.mark.resilience
+    def test_liveness_shrunk_pull_set_gets_a_rule_of_its_size(self, monkeypatch):
+        """Regression: with one peer declared dead, 7 rows reached the
+        Multi-Krum built for n=8 (m=6) — with f=2, a Byzantine row was
+        averaged in on every such round."""
+        from repro.aggregators.base import GAR
+        from repro.core.worker import Worker
+
+        aggregated = []
+        aggregate_matrix = GAR.aggregate_matrix
+
+        def recording(gar, matrix):
+            aggregated.append((gar.n, gar.f, gar.m, len(matrix)))
+            return aggregate_matrix(gar, matrix)
+
+        monkeypatch.setattr(GAR, "aggregate_matrix", recording)
+        config = small_config(
+            num_workers=8,
+            num_byzantine_workers=2,
+            num_attacking_workers=2,
+            num_iterations=3,
+            resilience={"hedge": True},
+        )
+        with Session(config=config) as session:
+            deployment = session.deployment
+            session.step()
+            honest = next(w.node_id for w in deployment.workers if type(w) is Worker)
+            deployment.health.request_dead(honest)
+            session.step()
+            result = session.step()
+        assert honest in deployment.health.dead and honest not in result.gradient_sources
+        assert aggregated[0] == (8, 2, 6, 8)
+        assert aggregated[2] == (7, 2, 5, 7)
+        # The deployment's own rule is never mutated.
+        assert (deployment.gradient_gar.n, deployment.gradient_gar.m) == (8, 6)

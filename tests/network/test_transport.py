@@ -329,18 +329,6 @@ class TestRoundBufferSink:
         with pytest.raises(CommunicationError):
             transport.pull_many("node-0", ["node-1", "node-2"], "value", quorum=2, sink=sink)
 
-    def test_round_matrix_registered_with_token_registry(self):
-        from repro.aggregators.base import PairwiseDistanceCache
-        from repro.network.transport import RoundBuffer
-
-        sink = RoundBuffer(capacity=2, dimension=3)
-        sink.write_row(0, np.zeros(3))
-        matrix = sink.matrix()
-        assert PairwiseDistanceCache._fingerprint(matrix)[0] == "round-token"
-        sink.reset()
-        # After recycling, the retired view falls back to content hashing.
-        assert PairwiseDistanceCache._fingerprint(matrix)[0] != "round-token"
-
 
 class TestDeltaStreamEmulation:
     def test_crash_restarts_the_crashed_nodes_streams_only(self):

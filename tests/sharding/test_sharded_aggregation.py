@@ -22,23 +22,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregators.base import GAR_REGISTRY
+from repro.aggregators.base import GAR_REGISTRY, DistanceGAR, pairwise_squared_distances
 from repro.sharding import (
-    COORDINATE_WISE_GARS,
-    TWO_PHASE_GARS,
     ShardMap,
     ShardedRoundBuffer,
     combine_partial_distances,
     partial_squared_distances,
     sharded_aggregate_matrix,
     supports_sharding,
-    two_phase_select,
-    unsharded_select,
 )
 
 pytestmark = pytest.mark.sharding
 
-MEAN_FAMILY = frozenset({"average", "trimmed-mean", "meamed"})
+#: The two sharding families, read off the registered classes.
+COORDINATE_WISE_GARS = frozenset(n for n, cls in GAR_REGISTRY.items() if cls.coordinate_wise)
+DISTANCE_GARS = frozenset(n for n, cls in GAR_REGISTRY.items() if issubclass(cls, DistanceGAR))
 
 
 def make_gar(name: str, n: int, f: int):
@@ -53,12 +51,15 @@ def random_matrix(rng, rows, dimension):
 # Registry contract
 # ---------------------------------------------------------------------- #
 def test_registry_partition_is_explicit():
-    assert COORDINATE_WISE_GARS & TWO_PHASE_GARS == frozenset()
-    for name in COORDINATE_WISE_GARS | TWO_PHASE_GARS:
-        assert name in GAR_REGISTRY
-        assert supports_sharding(name)
+    assert COORDINATE_WISE_GARS == {"average", "median", "trimmed-mean", "meamed"}
+    assert DISTANCE_GARS == {"krum", "multi-krum", "mda", "bulyan"}
+    assert COORDINATE_WISE_GARS & DISTANCE_GARS == frozenset()
+    for name in GAR_REGISTRY:
+        assert supports_sharding(name) == (name in COORDINATE_WISE_GARS | DISTANCE_GARS), name
     # Weiszfeld couples coordinates through the global norm: not shardable.
+    assert "geometric-median" not in COORDINATE_WISE_GARS | DISTANCE_GARS
     assert not supports_sharding("geometric-median")
+    assert not supports_sharding("no-such-rule")
 
 
 # ---------------------------------------------------------------------- #
@@ -93,7 +94,7 @@ def test_coordinate_wise_gars_shard_exactly(name, rows, dimension, num_shards, f
 # ---------------------------------------------------------------------- #
 @settings(max_examples=40, deadline=None)
 @given(
-    name=st.sampled_from(sorted(TWO_PHASE_GARS)),
+    name=st.sampled_from(sorted(DISTANCE_GARS)),
     dimension=st.integers(2, 60),
     num_shards=st.integers(2, 6),
     f=st.integers(0, 2),
@@ -106,10 +107,13 @@ def test_two_phase_selection_is_bitwise_equal(name, dimension, num_shards, f, se
     shard_map = ShardMap(dimension, num_shards)
     matrix = random_matrix(np.random.default_rng(seed), rows, dimension)
     gar = make_gar(name, rows, f)
-    local = unsharded_select(gar, matrix)
-    distributed = two_phase_select(gar, matrix, shard_map)
-    assert local.mode == distributed.mode
-    assert np.array_equal(local.indices, distributed.indices), (name, dimension, num_shards)
+    whole_distances = pairwise_squared_distances(matrix)
+    np.fill_diagonal(whole_distances, 0.0)
+    local = gar.select(whole_distances)
+    distributed = gar.select(
+        combine_partial_distances([partial_squared_distances(matrix[:, sl]) for _, sl in shard_map])
+    )
+    assert np.array_equal(local, distributed), (name, dimension, num_shards)
     whole = gar.aggregate_matrix(matrix)
     sharded = sharded_aggregate_matrix(gar, matrix, shard_map, f=f)
     if min(shard_map.sizes) >= 2:

@@ -11,6 +11,7 @@ throughput bars lives in ``make bench-shard`` / ``BENCH_shard.json``.
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -67,3 +68,18 @@ def test_benchmark_grid_covers_the_acceptance_points():
     assert 2 in bench.SERVER_COUNTS and 4 in bench.SERVER_COUNTS
     assert bench.DIMENSION == 100_000
     assert "median" in bench.GARS  # the coordinate-wise acceptance GAR
+
+
+def test_report_carries_the_shared_bench_header():
+    """Same leading keys as the other ``BENCH_*.json`` files, written and committed."""
+    bench = load_bench()
+    memory = [bench.measure_memory(9, 600, k) for k in (2, 4)]
+    throughput = [bench.measure_throughput("median", 9, 600, k) for k in (1, 4)]
+    report = bench.build_report(memory, throughput)
+    header = ["benchmark", "description", "configuration", "metrics", "acceptance"]
+    assert list(report)[: len(header)] == header
+    assert report["benchmark"] == "shard"
+    assert set(report["metrics"]) >= {"resident_ratio", "critical_path_s", "speedup"}
+    committed = json.loads(bench.OUTPUT_PATH.read_text(encoding="utf-8"))
+    assert list(committed) == list(report)
+    assert committed["configuration"] == report["configuration"]

@@ -132,3 +132,27 @@ def test_count_code_counts_only_code_bearing_lines():
     )
     assert count_code.count_code_lines(fixture) == 7
     assert sum(count_code.count_tree(REPO_ROOT / "src" / "repro").values()) > 0
+
+
+def test_package_exports_resolve():
+    """Every name a module under ``repro`` lists in ``__all__`` is really there.
+
+    A stale export is otherwise only caught by ``from x import *``.
+    """
+    import importlib
+    import pkgutil
+
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+        if info.name.rsplit(".", 1)[-1] != "__main__"
+    ]
+    declaring = [module for module in modules if hasattr(module, "__all__")]
+    assert len(declaring) >= 9
+    for module in declaring:
+        exported = module.__all__
+        assert len(set(exported)) == len(exported), f"{module.__name__}.__all__ repeats a name"
+        missing = [name for name in exported if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ lists names it does not define: {missing}"
