@@ -16,7 +16,9 @@
 #   make update-golden  — explicitly re-bless the golden scenario traces
 #   make bench-smoke    — the async fastest-q speedup benchmark (~10 s)
 #   make bench-hotpath  — zero-copy pipeline vs the frozen legacy copy-chain
-#                         rows; writes BENCH_hotpath.json and checks the
+#                         rows, the CNN kernels and the column order-statistic
+#                         kernel (median rows + the table its row-count cut is
+#                         read from); writes BENCH_hotpath.json and checks the
 #                         acceptance bar
 #   make bench-wire     — negotiated wire formats: bytes on the wire, rounds/sec,
 #                         codec MB/s on one and two threads, and an attack x GAR
@@ -37,8 +39,8 @@
 #   make bench-e2e-compare A=before.json B=after.json
 #                       — before/after rows of two such files; exits 1 on a
 #                         regression beyond a bound
-#   make bench-e2e-ab PARENT=<rev> WORKLOAD=<name> [SEED=1] [PAIRS=10]
-#                       — one workload on <rev> and on the working tree,
+#   make bench-e2e-ab PARENT=<rev> WORKLOAD=<name>[,<name>...]|all [SEED=1] [PAIRS=10]
+#                       — each named workload on <rev> and on the working tree,
 #                         alternated PAIRS times: medians, quartiles and win
 #                         count per end-to-end metric (what a perf claim needs)
 #   make bench          — the full figure-reproduction benchmark suite (minutes)

@@ -35,6 +35,16 @@ The other half of a worker's round is the backward pass itself.
 and 32; the ``"nn"`` key holds those rows as ``after`` beside ``before``, the
 same rows measured on the index-gather / ``np.add.at`` window kernels, which
 are frozen the same way (:func:`frozen_nn_before`).
+
+The third part is the coordinate-wise order statistic every ``median`` call
+runs (:func:`repro.aggregators.base.sorted_columns`).  :func:`measure_column_kernel`
+times ``median`` at the shapes the end-to-end workloads and the paper's
+Figure 3 use; the ``"gar"`` key holds those rows as ``after`` beside ``before``
+— the same calls on ``np.median(matrix, axis=0)``, frozen
+(:func:`frozen_column_kernel_before`) — and, under ``"cut"``, the
+compare-exchange sweep against ``np.sort`` for k = 2..12
+(:func:`measure_column_cut`): the table ``COMPARE_EXCHANGE_MAX_ROWS`` is read
+from.
 """
 
 from __future__ import annotations
@@ -45,9 +55,11 @@ import time
 import tracemalloc
 from pathlib import Path
 from typing import Dict, List, Tuple
+from unittest import mock
 
 import numpy as np
 
+from repro.aggregators import base as gar_base
 from repro.aggregators import init as init_gar
 from repro.core.server import Server
 from repro.network.transport import Transport
@@ -73,6 +85,17 @@ NN_MODELS: Tuple[Tuple[str, Tuple[int, int, int]], ...] = (
     ("cifarnet", (3, 32, 32)),
 )
 NN_BATCHES = (8, 32)
+
+#: ``median`` shapes (rows, d): the 3- and 4-replica model contractions of the
+#: two end-to-end msmw workloads and one of the latter's four shard slices, then
+#: larger quorums on the ``np.sort`` side, and three rows at the paper's
+#: Figure 3 dimension.
+COLUMN_KERNEL_SHAPES: Tuple[Tuple[int, int], ...] = (
+    (3, 30_730), (4, 30_730), (4, 7_683), (9, 54_314), (13, 30_730), (23, 30_730), (3, 1_000_000),
+)
+#: Grid of the table the compare-exchange / ``np.sort`` cut is read from.
+CUT_ROWS = tuple(range(2, 13))
+CUT_DIMENSIONS = (7_683, 30_730, 250_000)
 
 
 def make_worker_gradients(num_workers: int, dimension: int, seed: int = 0) -> np.ndarray:
@@ -192,6 +215,55 @@ def frozen_nn_before() -> List[Dict]:
     return json.loads(OUTPUT_PATH.read_text(encoding="utf-8"))["nn"]["before"]
 
 
+def _best_ms(call, repeats: int) -> float:
+    """Fastest of ``repeats`` timed calls, in ms: a kernel's cost without the box's noise."""
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - start)
+    return round(1e3 * min(samples), 4)
+
+
+def measure_column_kernel(repeats: int = 30) -> List[Dict]:
+    """Best-of-``repeats`` ms of one ``median`` aggregation at each of :data:`COLUMN_KERNEL_SHAPES`."""
+    rows = []
+    for k, d in COLUMN_KERNEL_SHAPES:
+        matrix = np.random.default_rng([k, d]).standard_normal((k, d))
+        matrix.setflags(write=False)
+        gar = init_gar("median", n=k, f=0)
+        rows.append(
+            {"gar": "median", "k": k, "d": d, "ms": _best_ms(lambda: gar.aggregate_matrix(matrix), repeats)}
+        )
+    return rows
+
+
+def frozen_column_kernel_before() -> List[Dict]:
+    """``median`` as ``np.median(matrix, axis=0)``, as committed: that code no longer exists."""
+    return json.loads(OUTPUT_PATH.read_text(encoding="utf-8"))["gar"]["before"]
+
+
+def measure_column_cut(repeats: int = 30) -> List[Dict]:
+    """Both sides of ``sorted_columns`` at every (k, d) of the cut grid, best-of-``repeats`` ms."""
+    rows = []
+    for d in CUT_DIMENSIONS:
+        for k in CUT_ROWS:
+            matrix = np.random.default_rng([k, d]).standard_normal((k, d))
+            # The strategy depends on k alone, so the side that is not shipped
+            # at this k is reached by moving the constant for the timed call.
+            with mock.patch.object(gar_base, "COMPARE_EXCHANGE_MAX_ROWS", k):
+                exchange = _best_ms(lambda: gar_base.sorted_columns(matrix), repeats)
+            rows.append(
+                {
+                    "k": k,
+                    "d": d,
+                    "compare_exchange_ms": exchange,
+                    "sort_ms": _best_ms(lambda: np.sort(matrix, axis=0), repeats),
+                }
+            )
+    return rows
+
+
 def run_benchmark(rounds_small: int = 40, rounds_large: int = 12) -> Dict:
     rows = []
     for num_workers, dimension in GRID:
@@ -220,6 +292,18 @@ def run_benchmark(rounds_small: int = 40, rounds_large: int = 12) -> Dict:
             f"{after['model']:9s} batch={after['batch']:3d} forward+backward "
             f"before={before['forward_backward_ms']:7.2f} ms after={after['forward_backward_ms']:7.2f} ms"
         )
+    gar_before, gar_after = frozen_column_kernel_before(), measure_column_kernel()
+    gar_cut = measure_column_cut()
+    for before, after in zip(gar_before, gar_after):
+        print(
+            f"median k={after['k']:2d} d={after['d']:7d} "
+            f"before={before['ms']:7.3f} ms after={after['ms']:7.3f} ms"
+        )
+    for row in gar_cut:
+        print(
+            f"sorted_columns k={row['k']:2d} d={row['d']:6d} "
+            f"compare-exchange={row['compare_exchange_ms']:7.3f} ms np.sort={row['sort_ms']:7.3f} ms"
+        )
     return {
         "benchmark": "hotpath",
         "description": "zero-copy flat pipeline vs the (frozen) legacy list-of-arrays copy chain",
@@ -227,6 +311,8 @@ def run_benchmark(rounds_small: int = 40, rounds_large: int = 12) -> Dict:
             "rounds_per_s": "end-to-end training rounds per second (real transport)",
             "bytes_per_round": "tracemalloc transient peak per round, averaged",
             "forward_backward_ms": "median wall ms of zero_grad + forward + loss + backward on one batch",
+            "ms": "gar rows: fastest of 30 calls of median.aggregate_matrix on a read-only (k, d) matrix",
+            "compare_exchange_ms / sort_ms": "cut rows: fastest of 30 calls of each side of sorted_columns",
         },
         "acceptance": {
             "target": "n_w=16, d=100000, gar=average",
@@ -236,6 +322,7 @@ def run_benchmark(rounds_small: int = 40, rounds_large: int = 12) -> Dict:
         "legacy": list(frozen_legacy().values()),
         "results": rows,
         "nn": {"before": nn_before, "after": nn_after},
+        "gar": {"before": gar_before, "after": gar_after, "cut": gar_cut},
     }
 
 

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Interleaved parent/change runs of one end-to-end benchmark workload.
+"""Interleaved parent/change runs of end-to-end benchmark workloads.
 
-    python3 scripts/ab_e2e.py --parent REV --workload NAME [--seed 1] [--pairs 10]
-    make bench-e2e-ab PARENT=REV WORKLOAD=NAME [SEED=1] [PAIRS=10]
+    python3 scripts/ab_e2e.py --parent REV --workload NAME[,NAME...]|all [--seed 1] [--pairs 10]
+    make bench-e2e-ab PARENT=REV WORKLOAD=NAME[,NAME...]|all [SEED=1] [PAIRS=10]
 
 Unpacks ``REV`` into a temporary directory (``git archive``: nothing is left
-behind in ``.git``), then runs ``benchmarks/e2e/run.py --workload NAME
---trace 0`` in that tree and in the working tree alternately — each tree with
-its own copy of the benchmark, which a gain-claiming change may not edit —
-swapping which side goes first every pair, because the reference box drifts by
-10-25 % over minutes.  Prints, per end-to-end metric of ``BENCHMARK.json``,
-each side's median and quartiles and in how many pairs the change read better
-(a tie counts for neither); writes every raw run as JSON; deletes the tree.
+behind in ``.git``), then, one workload after the other, runs
+``benchmarks/e2e/run.py --workload NAME --trace 0`` in that tree and in the
+working tree alternately — each tree with its own copy of the benchmark, which
+a gain-claiming change may not edit — swapping which side goes first every
+pair, because the reference box drifts by 10-25 % over minutes.  Prints one
+block per workload: per end-to-end metric of ``BENCHMARK.json``, each side's
+median and quartiles and in how many pairs the change read better (a tie
+counts for neither); writes every raw run as JSON, one file per workload;
+deletes the tree.
 
 A gain may be claimed when the change wins at least nine tenths of the pairs
 and the medians differ by more than the distance between the parent's own
@@ -99,43 +101,57 @@ def summarize(runs: Dict[str, List[Dict[str, Any]]], declared: List[Dict[str, An
 
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = [workload["name"] for workload in spec["workloads"]]
+
+    def workloads(text: str) -> List[str]:
+        chosen = declared if text == "all" else text.split(",")
+        unknown = [name for name in chosen if name not in declared]
+        if unknown:
+            raise argparse.ArgumentTypeError(f"unknown workload {unknown}; declared: {declared}")
+        return chosen
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare the working tree with")
     parser.add_argument(
-        "--workload", required=True, choices=[workload["name"] for workload in spec["workloads"]]
+        "--workload", required=True, type=workloads, help="a declared name, several comma-separated, or 'all'"
     )
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument(
         "--seconds", type=float, default=spec["run_seconds"], help="timed seconds per run"
     )
-    parser.add_argument("--out", type=Path, help="raw runs (default: under benchmarks/e2e/out/)")
+    parser.add_argument(
+        "--out-dir", type=Path, default=ROOT / "benchmarks/e2e/out", help="where the raw runs go"
+    )
     args = parser.parse_args()
-    out = args.out or ROOT / "benchmarks/e2e/out" / f"ab-{args.workload}-seed{args.seed}.json"
 
-    runs: Dict[str, List[Dict[str, Any]]] = {side: [] for side in SIDES}
+    args.out_dir.mkdir(parents=True, exist_ok=True)
+    correct = True
     with tempfile.TemporaryDirectory(prefix="ab-e2e-parent-") as parent_tree:
         unpack(args.parent, Path(parent_tree))
         trees = {"parent": Path(parent_tree), "change": ROOT}
-        for pair in range(args.pairs):
-            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                result = run_once(trees[side], args.workload, args.seed, args.seconds)
-                runs[side].append(result)
-                speed = result["metrics"]["rounds_per_s"]["value"]
-                print(f"pair {pair + 1:2d} {side:6s} rounds_per_s {speed:8.3f}", flush=True)
-
-    out.parent.mkdir(parents=True, exist_ok=True)
-    record = {
-        "parent": args.parent,
-        "workload": args.workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "runs": runs,
-    }
-    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    summarize(runs, spec["end_to_end"])
-    print(f"wrote {out}")
-    return 0 if all(run["correct"] for side in SIDES for run in runs[side]) else 1
+        for workload in args.workload:
+            print(f"== {workload}  (parent {args.parent}, seed {args.seed}, {args.seconds:g} s runs)")
+            runs: Dict[str, List[Dict[str, Any]]] = {side: [] for side in SIDES}
+            for pair in range(args.pairs):
+                for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                    result = run_once(trees[side], workload, args.seed, args.seconds)
+                    runs[side].append(result)
+                    speed = result["metrics"]["rounds_per_s"]["value"]
+                    print(f"pair {pair + 1:2d} {side:6s} rounds_per_s {speed:8.3f}", flush=True)
+            out = args.out_dir / f"ab-{workload}-seed{args.seed}.json"
+            record = {
+                "parent": args.parent,
+                "workload": workload,
+                "seed": args.seed,
+                "seconds": args.seconds,
+                "runs": runs,
+            }
+            out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+            summarize(runs, spec["end_to_end"])
+            print(f"wrote {out}\n", flush=True)
+            correct = correct and all(run["correct"] for side in SIDES for run in runs[side])
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":

@@ -16,8 +16,10 @@ from repro.aggregators.base import (
     DistanceGAR,
     GAR_REGISTRY,
     available_gars,
+    column_median,
     init,
     register_gar,
+    sorted_columns,
 )
 from repro.aggregators.average import Average
 from repro.aggregators.median import Median
@@ -36,6 +38,8 @@ __all__ = [
     "init",
     "register_gar",
     "available_gars",
+    "sorted_columns",
+    "column_median",
     "Average",
     "Median",
     "Krum",

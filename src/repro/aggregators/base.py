@@ -226,6 +226,51 @@ def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:
     return squared
 
 
+#: Largest row count :func:`sorted_columns` orders by whole-row compare-exchanges;
+#: above it ``np.sort`` is faster.  Read from the ``"cut"`` rows of
+#: ``BENCH_hotpath.json["gar"]``: the largest k that wins at every measured d.
+COMPARE_EXCHANGE_MAX_ROWS = 6
+
+
+def sorted_columns(matrix: np.ndarray) -> np.ndarray:
+    """A fresh ``(k, d)`` block holding every column of ``matrix`` in ascending order.
+
+    Value-equal to ``np.sort(matrix, axis=0)``, NaNs last included; ``matrix``
+    (often a read-only round-buffer view) is never written.  NumPy's axis-0
+    sort and median pay a fixed price per *column* whatever the row count, so
+    for a few rows an odd-even transposition sweep of whole-row
+    compare-exchanges — the paper's branchless sorting primitive, vectorised
+    across the coordinate axis — is an order of magnitude cheaper.
+    """
+    k = matrix.shape[0]
+    if k > COMPARE_EXCHANGE_MAX_ROWS:
+        return np.sort(matrix, axis=0)
+    ordered = np.array(matrix, order="C")
+    spare = np.empty_like(ordered[0])
+    for phase in range(k):
+        for row in range(phase % 2, k - 1, 2):
+            low, high = ordered[row], ordered[row + 1]
+            np.minimum(low, high, out=spare)
+            np.maximum(low, high, out=high)
+            low[:] = spare
+    # Both ufuncs hand a NaN on, so by now it fills its column (np.fmin would sink
+    # it, but breaks -0.0 / +0.0 ties by SIMD lane): redo those as np.sort does.
+    holds_nan = np.isnan(ordered[-1])
+    if holds_nan.any():
+        ordered[:, holds_nan] = np.sort(matrix[:, holds_nan], axis=0)
+    return ordered
+
+
+def column_median(ordered: np.ndarray) -> np.ndarray:
+    """Per-column median of a block from :func:`sorted_columns`, as ``numpy.median(.., axis=0)`` gives it."""
+    k = ordered.shape[0]
+    if k % 2:
+        median = ordered[k // 2].copy()
+    else:
+        median = (ordered[k // 2 - 1] + ordered[k // 2]) / 2.0
+    # NaNs sort last, so the last row says which columns hold one: those are NaN.
+    median[np.isnan(ordered[-1])] = np.nan
+    return median
 
 
 def mean_around_median(matrix: np.ndarray, keep: int) -> np.ndarray:
@@ -234,6 +279,10 @@ def mean_around_median(matrix: np.ndarray, keep: int) -> np.ndarray:
     Column-independent: applying it to column slices and concatenating is
     bitwise what it gives on the whole matrix.
     """
+    # The one library median left in src/, on purpose: on sorted_columns this
+    # function measured 14.1 -> 3.4 ms at (13, 30730) (ISSUE 19), which takes
+    # ssmw-bulyan-wide's share.aggregators below the ``>= 0.4`` the frozen
+    # benchmarks/e2e/test_e2e_smoke.py asserts; it waits for a benchmark re-anchor.
     median = np.median(matrix, axis=0)
     order = np.argsort(np.abs(matrix - median[None, :]), axis=0)[:keep]
     return np.take_along_axis(matrix, order, axis=0).mean(axis=0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregators.base import GAR, register_gar
+from repro.aggregators.base import GAR, column_median, register_gar, sorted_columns
 
 
 @register_gar
@@ -37,7 +37,7 @@ class GeometricMedian(GAR):
         return 2 * f + 1
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        estimate = np.median(matrix, axis=0)
+        estimate = column_median(sorted_columns(matrix))
         for _ in range(self.iterations):
             distances = np.linalg.norm(matrix - estimate[None, :], axis=1)
             weights = 1.0 / np.maximum(distances, self.smoothing)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregators.base import GAR, register_gar
+from repro.aggregators.base import GAR, register_gar, sorted_columns
 
 
 @register_gar
@@ -32,7 +32,7 @@ class TrimmedMean(GAR):
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         if self.f == 0:
             return matrix.mean(axis=0)
-        ordered = np.sort(matrix, axis=0)
+        ordered = sorted_columns(matrix)
         trimmed = ordered[self.f : matrix.shape[0] - self.f]
         return trimmed.mean(axis=0)
 

@@ -28,6 +28,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from repro.aggregators.base import column_median, sorted_columns
 from repro.detection.base import Detector, register_detector
 
 #: Guard against division by zero when the crowd is perfectly concentrated.
@@ -84,9 +85,9 @@ class MadOutlierDetector(Detector):
         f: int = 0,
     ) -> Dict[str, float]:
         grid = self._as_matrix(matrix)
-        centre = np.median(grid, axis=0, keepdims=True)
+        centre = column_median(sorted_columns(grid))[None, :]
         deviation = np.abs(grid - centre)
-        mad = np.median(deviation, axis=0, keepdims=True)
+        mad = column_median(sorted_columns(deviation))[None, :]
         z = deviation / (1.4826 * mad + _EPS)
         raw = _envelope_excess(np.mean(z, axis=1), f)
         return {name: float(value) for name, value in zip(sources, raw)}

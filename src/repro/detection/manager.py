@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from repro.aggregators.base import GAR, GAR_REGISTRY, scale_rows
+from repro.aggregators.base import GAR, GAR_REGISTRY, column_median, scale_rows, sorted_columns
 from repro.detection.base import Detector, init_detector
 from repro.detection.reputation import MembershipEvent, ReputationBook
 from repro.exceptions import ConfigurationError
@@ -108,7 +108,7 @@ class DetectionManager:
         later.  Membership decisions still wait for :meth:`finish_round`.
         """
         grid = np.asarray(matrix, dtype=np.float64)
-        centre = np.median(grid, axis=0)
+        centre = column_median(sorted_columns(grid))
         raw = self.detector.score(grid, sources, centre, f=self.effective_f())
         self.book.observe(raw)
         self._scored = tuple(sources)
