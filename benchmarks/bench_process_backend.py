@@ -7,7 +7,7 @@ per node, RPC between them — Section 3).  It drives the same
 multi-process socket backend and reports:
 
 * **startup** — one-off cost of spawning the node subprocesses (interpreter
-  + world construction per host, overlapped);
+  + imports per host, overlapped, then one ``restore`` handing each its node);
 * **round time** — steady-state wall-clock per gradient collection round,
   where the process backend additionally pays serialization and a TCP round
   trip per worker (the overhead the paper attributes to its gRPC/protobuf

@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--wire-format",
         default="float64",
         help=(
-            "payload encoding negotiated between nodes: base[+delta][+zlib|+zstd] "
+            "encoding of gradient/model reply payloads: base[+delta][+zlib|+zstd] "
             "with base float64 (bit-exact default), float32, float16 or int8 "
             "(quantized); e.g. 'float16' or 'int8+delta+zlib'"
         ),

@@ -8,7 +8,6 @@ experimenting with Byzantine behavior ...").
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Union
 
 import numpy as np
@@ -65,12 +64,10 @@ class ByzantineServer(Server):
         self.attack = _resolve_attack(attack, attack_seed)
         #: Scenario-togglable gate, mirroring ByzantineWorker.attack_active.
         self.attack_active = True
-        # Same rationale as Worker._serve_lock: handlers run on executor pool
-        # threads, and the attack's RNG is shared state that concurrent
-        # fan-outs from several peers must consume in a consistent order.
-        self._serve_lock = threading.RLock()
 
     def _serve_model(self, context: RequestContext) -> Optional[np.ndarray]:
+        # The attack's RNG is shared state that concurrent fan-outs from
+        # several peers must consume in a consistent order.
         with self._serve_lock:
             honest = super()._serve_model(context)
             if not self.attack_active:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.aggregators.base import GAR_REGISTRY
 from repro.core.executor import EXECUTOR_REGISTRY
@@ -85,19 +85,19 @@ class ClusterConfig:
     #: Only deployments using the default scatter/aggregate round phases
     #: (ssmw, aggregathor and compatible third-party strategies) support it.
     detector: str = ""
-    #: Negotiated wire format for gradient/model payloads:
+    #: Wire format of gradient/model reply payloads:
     #: ``"base[+delta][+zlib|+zstd]"`` with base one of ``float64`` (the
     #: bit-exact default), ``float32``, ``float16`` or ``int8`` (per-chunk
-    #: scale/offset quantization).  The in-process backends emulate the
-    #: format through the real codec; the process backend negotiates it in
-    #: the connection hello (see :mod:`repro.network.serialization`).
+    #: scale/offset quantization).  Every backend moves a reply vector
+    #: through the same :class:`repro.network.serialization.VectorStream`;
+    #: over sockets each pull request names the format.
     wire_format: str = "float64"
     #: Self-healing runtime options (see :class:`repro.network.resilience.\
     #: ResilienceConfig`): ``retry`` (idempotent-pull retry with backoff),
     #: ``hedge`` (re-issue straggling quorum pulls), ``supervise`` (respawn
-    #: unscripted host deaths) plus their tuning knobs.  Empty = everything
-    #: off (the default — resilience is strictly opt-in, so traces and
-    #: goldens are unchanged without it).
+    #: unscripted host deaths).  Empty = everything off (the default —
+    #: resilience is strictly opt-in, so traces and goldens are unchanged
+    #: without it).
     resilience: Dict = field(default_factory=dict)
     #: Parameter-vector shards for the replicated-server (msmw) gradient
     #: phase: 1 (the default) keeps the classic full-``d`` pipeline; ``k > 1``
@@ -125,6 +125,17 @@ class ClusterConfig:
                 )
         if self.num_workers < 1:
             raise ConfigurationError("need at least one worker")
+        workers, servers = self.node_ids()
+        for node_id, factor in self.straggler_factors.items():
+            if node_id not in workers and node_id not in servers:
+                raise ConfigurationError(
+                    f"straggler_factors names '{node_id}', which this deployment does not "
+                    f"build (its nodes: worker-0..{len(workers) - 1}, server-0..{len(servers) - 1})"
+                )
+            if isinstance(factor, bool) or not isinstance(factor, (int, float)) or not factor >= 1.0:
+                raise ConfigurationError(
+                    f"straggler_factors['{node_id}'] must be a real number >= 1.0, got {factor!r}"
+                )
         if self.num_iterations < 1:
             raise ConfigurationError("need at least one training iteration")
         if self.batch_size < 1:
@@ -168,8 +179,8 @@ class ClusterConfig:
         # Fail at validation time, not mid-round: unknown tokens and
         # unavailable compressors (+zstd without the module) are both errors.
         parse_wire_format(self.wire_format, require_available=True)
-        # Same for resilience options: unknown keys and out-of-range knobs
-        # fail here, not when the supervisor first consults them.
+        # Same for resilience options: unknown keys fail here, not when the
+        # supervisor is first consulted.
         self.resilience_config()
         if self.detector:
             # Imported lazily so parsing detector-less configs stays light.
@@ -248,6 +259,18 @@ class ClusterConfig:
                 )
 
     # ------------------------------------------------------------------ #
+    def node_ids(self) -> Tuple[List[str], List[str]]:
+        """The ``(worker ids, server ids)`` this deployment builds.
+
+        The one place the roster is spelled.  The decentralized application
+        has no distinct servers: every worker owns a server object.
+        """
+        num_servers = self.num_workers if self.deployment == "decentralized" else self.num_servers
+        return (
+            [f"worker-{index}" for index in range(self.num_workers)],
+            [f"server-{index}" for index in range(num_servers)],
+        )
+
     def gradient_quorum(self) -> int:
         """How many gradients a server waits for per iteration.
 

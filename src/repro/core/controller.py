@@ -207,7 +207,7 @@ class Controller:
         device = DEVICES[config.device]
         framework = FRAMEWORKS[config.framework]
         # A default-format run keeps the paper-calibrated byte accounting
-        # (wire_format=None); any negotiated format switches the cost model
+        # (wire_format=None); any other format switches the cost model
         # to the codec's exact framed sizes so reported bytes match the wire.
         cost_model = CostModel(
             device=device,
@@ -240,7 +240,7 @@ class Controller:
             # that in-process runs never need.
             from repro.network.rpc import SocketBackend
 
-            backend = SocketBackend(config=config)
+            backend = SocketBackend(wire_format=config.wire_format)
         transport = Transport(
             failures=failures,
             seed=config.seed,
@@ -255,7 +255,7 @@ class Controller:
         model_gar = self._build_model_gar()
 
         workers = self._build_workers(config, transport, experiment, shards, device, framework, cost_model)
-        servers = self._build_servers(config, transport, experiment, test_set, device, framework, cost_model, workers)
+        servers = self._build_servers(config, transport, experiment, test_set, device, framework, cost_model)
 
         metrics = MetricsLog(deployment=config.deployment)
         deployment_cls = Deployment if backend is None else ProcessDeployment
@@ -300,7 +300,7 @@ class Controller:
             )
             transport.health = deployment.health
             if resilience.hedge:
-                transport.hedge = HedgePolicy.from_config(resilience)
+                transport.hedge = HedgePolicy()
             if backend is not None:
                 if resilience.retry:
                     backend.retry_policy = resilience.retry_policy(config.seed)
@@ -314,13 +314,11 @@ class Controller:
                         roster=[worker.node_id for worker in workers]
                         + [server.node_id for server in servers],
                         health=deployment.health,
-                        restart_budget=resilience.restart_budget,
-                        restart_window=resilience.restart_window,
                     )
         if backend is not None:
-            # Spawn the node subprocesses only after every node has
-            # registered its handlers (the hosts mirror that registry) and
-            # after the director validated the scenario against the cluster.
+            # Spawn the node subprocesses only after every node is built
+            # (each host is handed its node's snapshot) and after the
+            # director validated the scenario against the cluster.
             backend.start()
         return deployment
 
@@ -352,8 +350,7 @@ class Controller:
     def _build_workers(self, config, transport, experiment, shards, device, framework, cost_model) -> List[Worker]:
         workers: List[Worker] = []
         attacking = set(range(config.num_workers - config.num_attacking_workers, config.num_workers))
-        for index in range(config.num_workers):
-            node_id = f"worker-{index}"
+        for index, node_id in enumerate(config.node_ids()[0]):
             model = experiment.build_model(seed=config.seed)
             kwargs = dict(
                 node_id=node_id,
@@ -376,21 +373,16 @@ class Controller:
                 workers.append(Worker(**kwargs))
         return workers
 
-    def _build_servers(
-        self, config, transport, experiment, test_set, device, framework, cost_model, workers
-    ) -> List[Server]:
-        worker_ids = [w.node_id for w in workers]
+    def _build_servers(self, config, transport, experiment, test_set, device, framework, cost_model) -> List[Server]:
+        worker_ids, server_ids = config.node_ids()
+        num_servers = len(server_ids)
         if config.deployment == "decentralized":
-            num_servers = config.num_workers
             attacking = set(range(num_servers - config.num_attacking_workers, num_servers))
         else:
-            num_servers = config.num_servers
             attacking = set(range(num_servers - config.num_attacking_servers, num_servers))
 
-        server_ids = [f"server-{index}" for index in range(num_servers)]
         servers: List[Server] = []
-        for index in range(num_servers):
-            node_id = server_ids[index]
+        for index, node_id in enumerate(server_ids):
             model = experiment.build_model(seed=config.seed)  # identical initial state on all replicas
             kwargs = dict(
                 node_id=node_id,

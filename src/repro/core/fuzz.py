@@ -144,15 +144,7 @@ class FuzzCase:
 
 def roster_for_config(config: Mapping[str, Any]) -> Tuple[List[str], List[str]]:
     """The (worker ids, server ids) a config will deploy, without building it."""
-    num_workers = int(config["num_workers"])
-    deployment = config["deployment"]
-    if deployment == "decentralized":
-        num_servers = num_workers  # every node owns a server object
-    else:
-        num_servers = int(config.get("num_servers", 1))
-    workers = [f"worker-{i}" for i in range(num_workers)]
-    servers = [f"server-{i}" for i in range(num_servers)]
-    return workers, servers
+    return ClusterConfig.from_dict(dict(config)).node_ids()
 
 
 def byzantine_ids_for_config(config: Mapping[str, Any]) -> List[str]:

@@ -96,8 +96,11 @@ class Server(Node):
         # it (model contraction, decentralized re-aggregation).
         self._round_buffers: dict = {}
 
-        transport.register_handler(node_id, "model", self._serve_model)
-        transport.register_handler(node_id, "aggregated_gradient", self._serve_aggregated_gradient)
+    def handlers(self):
+        return {
+            "model": self._serve_model,
+            "aggregated_gradient": self._serve_aggregated_gradient,
+        }
 
     # ------------------------------------------------------------------ #
     # Model state accessors
@@ -133,11 +136,11 @@ class Server(Node):
         """Mirror the model state to this node's remote replica (if any).
 
         In-process backends serve pulls straight from this object, so the
-        call is free; under the process backend the hosting subprocess must
-        observe every mutation before a peer can pull it.
+        call is free (the vector is a view); under the process backend the
+        hosting subprocess must observe every mutation before a peer can
+        pull it.
         """
-        if self.transport.backend.needs_state_sync:
-            self.transport.sync_node_state(self.node_id, "params", self.flat_parameters())
+        self.transport.sync_node_state(self.node_id, "params", self.flat_parameters())
 
     def write_model(self, flat_model: np.ndarray) -> None:
         """Overwrite the model state (used after aggregating replica models)."""
@@ -177,8 +180,6 @@ class Server(Node):
             or buffer.dimension != self.dimension
             or getattr(buffer, "shard_map", None) != shard_map
         ):
-            if buffer is not None:
-                buffer.reset()  # retire the old sealed view's round token
             if shard_map is None:
                 buffer = RoundBuffer(capacity, self.dimension)
             else:

@@ -7,7 +7,6 @@ on the model state included in the request.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 import numpy as np
@@ -83,15 +82,9 @@ class Worker(Node):
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = momentum
         self._velocity: Optional[np.ndarray] = None
-        # Transport handlers may be dispatched from executor pool threads
-        # (one task per destination of a fan-out).  A single fan-out never
-        # targets the same worker twice, but concurrent fan-outs from several
-        # server replicas can; this lock keeps the mini-batch cursor and the
-        # per-iteration gradient cache consistent in that case.  Re-entrant
-        # so subclasses (ByzantineWorker) can hold it across the honest
-        # computation plus their own stateful post-processing.
-        self._serve_lock = threading.RLock()
-        transport.register_handler(node_id, "gradient", self._serve_gradient)
+
+    def handlers(self):
+        return {"gradient": self._serve_gradient}
 
     # ------------------------------------------------------------------ #
     def _estimate_gradient(self, flat_model: np.ndarray) -> np.ndarray:

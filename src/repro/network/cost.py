@@ -73,7 +73,7 @@ class NetworkParameters:
     :class:`CostModel` charges in its figure-calibration mode (no
     ``wire_format``), keeping the throughput figures aligned with the
     published Grid5000 numbers; a cost model built with the deployment's
-    negotiated ``wire_format`` charges the exact framed size of
+    configured ``wire_format`` charges the exact framed size of
     :func:`repro.network.serialization.serialized_nbytes` for that format
     instead.  Both accountings are locked down by
     ``tests/network/test_cost.py`` / ``tests/network/test_serialization.py``.
@@ -147,7 +147,7 @@ class CostModel:
         #: ``None`` selects figure-calibration accounting (the paper's
         #: float32 width via ``network.bytes_per_element``); a format makes
         #: :meth:`message_bytes` return the exact framed size the codec puts
-        #: on a socket for that negotiation.
+        #: on a socket in that format.
         self.wire_format: WireFormat | None = (
             None if wire_format is None else parse_wire_format(wire_format)
         )
@@ -180,7 +180,7 @@ class CostModel:
         """Wire size of one model- or gradient-sized message.
 
         With a ``wire_format`` this is the exact framed length the codec
-        produces for a ``dimension``-element vector under that negotiation —
+        produces for a ``dimension``-element vector in that format —
         the same number the transport's stats record — so cost-model bytes
         and actual bytes-on-the-wire agree for every format.  Without one
         (figure-calibration mode) it is the paper's ``dimension x 4``.

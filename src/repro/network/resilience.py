@@ -227,29 +227,6 @@ class ResilienceConfig:
     hedge: bool = False
     #: Supervise process-backend hosts: respawn unscripted deaths.
     supervise: bool = False
-    #: RetryPolicy.max_attempts when ``retry`` is on.
-    max_attempts: int = 3
-    #: Latency percentile (per peer) past which a pull counts as straggling.
-    hedge_percentile: float = 0.9
-    #: Observations required before a peer's percentile is trusted; below
-    #: this the hedger falls back to the cohort-wide view.
-    hedge_min_samples: int = 3
-    #: Supervisor restart budget: at most this many respawns of one node...
-    restart_budget: int = 2
-    #: ...per this many rounds; past it the node is declared dead.
-    restart_window: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigurationError("resilience.max_attempts must be >= 1")
-        if not 0.0 < self.hedge_percentile <= 1.0:
-            raise ConfigurationError("resilience.hedge_percentile must be in (0, 1]")
-        if self.hedge_min_samples < 1:
-            raise ConfigurationError("resilience.hedge_min_samples must be >= 1")
-        if self.restart_budget < 0:
-            raise ConfigurationError("resilience.restart_budget must be >= 0")
-        if self.restart_window < 1:
-            raise ConfigurationError("resilience.restart_window must be >= 1")
 
     # ------------------------------------------------------------------ #
     @property
@@ -287,9 +264,7 @@ class ResilienceConfig:
 
     def retry_policy(self, seed: int = 0) -> Optional[RetryPolicy]:
         """The policy the backend should retry idempotent calls under."""
-        if not self.retry:
-            return None
-        return RetryPolicy(max_attempts=self.max_attempts, seed=seed)
+        return RetryPolicy(seed=seed) if self.retry else None
 
 
 # --------------------------------------------------------------------- #
@@ -420,15 +395,6 @@ class HedgePolicy(WavePolicy):
     """
 
     tracker: LatencyTracker = field(default_factory=LatencyTracker)
-
-    @classmethod
-    def from_config(cls, config: "ResilienceConfig") -> "HedgePolicy":
-        return cls(
-            tracker=LatencyTracker(
-                percentile=config.hedge_percentile,
-                min_samples=config.hedge_min_samples,
-            )
-        )
 
     def first_wave(self, destinations, quorum):
         # Stable sort: peers with equal expectations keep the caller's order.

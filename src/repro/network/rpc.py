@@ -12,14 +12,15 @@ TCP framing.  Three pieces compose:
   :class:`~repro.exceptions.NodeCrashedError`, the exact type the in-process
   path raises for crashed peers, so the transport's quorum logic is
   backend-agnostic.
-* The **node host** (``python -m repro.network.rpc --spec <file>``) — a
-  subprocess that rebuilds the cluster world from the shared
-  :class:`~repro.core.cluster.ClusterConfig` (bit-identical construction:
-  same seeds, same shards), keeps the one node named in its spec, and serves
-  that node's registered handlers over TCP.  Server-side state mutations
-  (model updates, published aggregates) are mirrored in by ``sync`` requests
-  from the coordinator, so peer pulls observe exactly the state the
-  in-process path would.
+* The **node host** (``python -m repro.network.rpc --node <id>``) — a
+  subprocess that starts empty, is handed its node by the coordinator's
+  ``restore`` request (the bytes of :meth:`Node.snapshot_state
+  <repro.core.node.Node.snapshot_state>`, rebuilt by
+  :meth:`~repro.core.node.Node.from_snapshot`) and serves that node's
+  handlers over TCP.  It builds nothing itself: no config, no dataset, no
+  other node.  Server-side state mutations (model updates, published
+  aggregates) are mirrored in by ``sync`` requests from the coordinator, so
+  peer pulls observe exactly the state the in-process path would.
 * :class:`SocketBackend` — the coordinator-side
   :class:`~repro.network.transport.TransportBackend` that spawns one host per
   node, routes ``invoke`` calls over the wire and maps scenario control
@@ -27,18 +28,25 @@ TCP framing.  Three pieces compose:
   SIGKILLs the host, ``recover`` respawns it and restores the snapshot (a
   machine rejoining with its disk intact), ``partition`` means the
   coordinator never dials (connection refusal), and stragglers delay replies
-  via the transport's wall-time scale.
+  via the transport's wall-time scale.  First spawn, scripted ``recover`` and
+  supervisor ``revive`` are one path: spawn, await the ready line, restore.
+
+What crosses the boundary is decided in three places and nowhere else: node
+state by ``restore`` (a pickle of the coordinator's own bytes), reply vectors
+in a non-default wire format by a
+:class:`~repro.network.serialization.VectorStream` (the request names the
+format and the reference it holds), everything else by the value codec,
+always in float64.
 
 Determinism: every random quantity is pre-sampled coordinator-side by the
-transport before any byte crosses a socket, node subprocesses are seeded from
-the same cluster config, and float64 tensors round-trip the wire bit-exactly
+transport before any byte crosses a socket, each host serves the very node
+the coordinator built, and float64 tensors round-trip the wire bit-exactly
 — which is why a fixed seed yields the same canonical trace as the serial
 backend (``tests/integration/test_scenarios_golden.py``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import select
 import shutil
@@ -56,7 +64,6 @@ import numpy as np
 import repro.exceptions as _exceptions
 from repro.exceptions import (
     CommunicationError,
-    ConfigurationError,
     DeadlineError,
     DialError,
     GarfieldError,
@@ -71,25 +78,18 @@ from repro.network.resilience import (
     RetryPolicy,
 )
 from repro.network.serialization import (
-    PLAIN_FLOAT64,
-    WireFormat,
-    deserialize_vector,
+    FormatLike,
+    VectorStream,
+    is_stream_vector,
     parse_wire_format,
-    serialize_with_reconstruction,
 )
-from repro.network.transport import Handler, TransportBackend
-from repro.network.wire import (
-    ConnectionClosed,
-    client_hello,
-    encode_value,
-    recv_message,
-    send_frame,
-    server_hello,
-)
+from repro.network.transport import Handler, Transport, TransportBackend
+from repro.network.wire import ConnectionClosed, encode_value, recv_message, send_frame
 
-#: Response key carrying an explicitly serialized (delta-encoded) vector.
-#: Delta blobs need the receiver's per-stream reference, which the generic
-#: value codec cannot know, so they travel as tagged raw bytes instead.
+#: Response key carrying a reply vector as the blob of a
+#: :class:`~repro.network.serialization.VectorStream` — how every wire format
+#: but plain float64 travels (the value codec knows neither formats nor the
+#: receiver's reference).
 VECTOR_BLOB_KEY = "__vector_blob__"
 
 #: First line a node host prints on stdout once its listener is bound.
@@ -178,7 +178,7 @@ class RpcClient:
     to the same host), performs one framed request/response round trip and
     returns the connection — socket and frame scratch buffer — for reuse.
 
-    Failures are typed by phase.  The *dial* (connect + handshake) runs under
+    Failures are typed by phase.  The *dial* (the TCP connect) runs under
     ``connect_timeout`` and fails as :class:`~repro.exceptions.DialError`: a
     refused/reset/unanswered dial means the peer is down or unreachable, and
     dialling a local host takes milliseconds, so this budget is short.  The
@@ -194,20 +194,13 @@ class RpcClient:
         self,
         address: Tuple[str, int],
         timeout: float = DEFAULT_READ_DEADLINE,
-        wire_format: WireFormat = PLAIN_FLOAT64,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ) -> None:
         self.address = address
         #: Read deadline: budget for the peer to produce one reply frame.
         self.timeout = timeout
-        #: Dial budget: TCP connect plus the wire-format handshake.
+        #: Dial budget: the TCP connect.
         self.connect_timeout = connect_timeout
-        #: Wire format requested in the hello of every new connection.
-        self.wire_format = wire_format
-        #: Format the server actually accepted (after downgrades); set by the
-        #: first successful handshake and identical for every connection to
-        #: the same server, since negotiation is deterministic.
-        self.negotiated: Optional[WireFormat] = None
         self._free: List[_PooledConnection] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -225,22 +218,10 @@ class RpcClient:
                 f"cannot connect to node host at {self.address}: {exc}"
             ) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _PooledConnection(sock)
-        try:
-            # The handshake is part of the dial: it still runs under the
-            # (short) connect timeout inherited from create_connection.
-            accepted = client_hello(sock, self.wire_format, conn.scratch)
-        except (CommunicationError, OSError) as exc:
-            conn.close()
-            raise DialError(
-                f"wire-format handshake with node host at {self.address} "
-                f"failed: {exc}"
-            ) from exc
         # From here on the socket carries framed calls: switch to the read
         # deadline so a slow reply fails as DeadlineError, not a stuck call.
         sock.settimeout(self.timeout)
-        self.negotiated = accepted
-        return conn
+        return _PooledConnection(sock)
 
     def _checkin(self, conn: _PooledConnection) -> None:
         with self._lock:
@@ -297,16 +278,6 @@ class RpcServer:
 
     def __init__(self, dispatcher: Callable[[Dict[str, Any]], Any], host: str = "127.0.0.1") -> None:
         self._dispatcher = dispatcher
-        # Dispatchers that understand negotiated formats take a keyword-only
-        # ``wire_format``; plain callables (the conformance fixtures roll
-        # their own) are served unchanged.
-        import inspect
-
-        try:
-            parameters = inspect.signature(dispatcher).parameters
-            self._dispatcher_takes_format = "wire_format" in parameters
-        except (TypeError, ValueError):  # builtins without signatures
-            self._dispatcher_takes_format = False
         self._listener = socket.create_server((host, 0))
         self.port = self._listener.getsockname()[1]
         self._stopping = threading.Event()
@@ -334,26 +305,16 @@ class RpcServer:
         # peer ever sends (rounds reuse pooled connections client-side too).
         scratch = bytearray(64)
         with conn:
-            # Every connection opens with a hello naming the client's wire
-            # format; the accepted (possibly downgraded) format shapes every
-            # response this connection will ever carry.  Requests stay plain
-            # float64 — state sync must mirror bit-exactly.
-            try:
-                accepted = server_hello(conn, scratch)
-            except (ConnectionClosed, CommunicationError, OSError):
-                return  # not a protocol speaker; drop it
-            encode_format = accepted.without_delta()
             while not self._stopping.is_set():
                 try:
                     message = recv_message(conn, scratch)
                 except (ConnectionClosed, CommunicationError, OSError):
-                    return  # peer went away; nothing to answer
+                    return  # peer went away, or never spoke the protocol
                 try:
-                    if self._dispatcher_takes_format:
-                        result = self._dispatcher(message, wire_format=accepted)
-                    else:
-                        result = self._dispatcher(message)
-                    response: Dict[str, Any] = {"ok": True, "result": result}
+                    response: Dict[str, Any] = {
+                        "ok": True,
+                        "result": self._dispatcher(message),
+                    }
                 except GarfieldError as exc:
                     response = {
                         "ok": False,
@@ -371,7 +332,7 @@ class RpcServer:
                 # a silently dropped connection the client would misread as
                 # the peer crashing.
                 try:
-                    body = encode_value(response, encode_format)
+                    body = encode_value(response)
                 except CommunicationError as exc:
                     body = encode_value(
                         {
@@ -433,45 +394,38 @@ def build_probe_handlers(node_id: str) -> Dict[str, Handler]:
 
 
 class _HostDispatcher:
-    """Maps RPC ops onto the hosted node: pulls, state sync, chaos control."""
+    """Maps RPC ops onto the hosted node: pulls, state sync, chaos control.
 
-    def __init__(self, node_id: str, node: Optional[object], handlers: Dict[str, Handler]) -> None:
+    A host starts with no node; the coordinator's first request is the
+    ``restore`` that hands it one.  A conformance probe never gets a node,
+    only the ``handlers`` it is constructed with.
+    """
+
+    def __init__(self, node_id: str, handlers: Optional[Dict[str, Handler]] = None) -> None:
         self.node_id = node_id
-        self.node = node
-        self.handlers = handlers
-        #: Per-stream reconstructions for delta encoding, keyed by
-        #: ``(requester, kind)``: the iteration last sent on that stream and
-        #: the float64 vector the *receiver* holds after decoding it (the
-        #: quantized reconstruction, not the raw handler output — encoding
-        #: the next delta against anything else would accumulate drift).
-        self._delta_refs: Dict[Tuple[str, str], Tuple[int, np.ndarray]] = {}
-        self._delta_lock = threading.Lock()
+        self.node: Optional[Any] = None
+        self.handlers: Dict[str, Handler] = handlers or {}
+        #: Sender ends, keyed ``(requester, kind, format)``.  They die with
+        #: the process; the requester's ``have`` then no longer matches and
+        #: the next reply on each stream is absolute.
+        self._streams: Dict[Tuple[str, str, str], VectorStream] = {}
 
-    def _serialize_pull(
-        self, result: np.ndarray, message: Dict[str, Any], fmt: WireFormat
-    ) -> Dict[str, Any]:
-        """Encode a pull result as an explicit blob, delta-encoded when the
-        client's advertised reference matches ours.
-
-        The client sends ``have`` — the iteration of the last reconstruction
-        it kept for this stream.  Only an exact match licenses a delta; any
-        mismatch (first pull, crashed-and-respawned host, client that lost a
-        reply mid-frame) falls back to an absolute blob, so the scheme is
-        self-healing with no invalidation protocol.
-        """
-        key = (str(message.get("requester", "")), str(message.get("kind", "")))
-        have = int(message.get("have", -1))
-        with self._delta_lock:
-            entry = self._delta_refs.get(key)
-        reference = entry[1] if entry is not None and entry[0] == have else None
-        blob, reconstruction = serialize_with_reconstruction(
-            result, fmt, reference=reference
-        )
-        with self._delta_lock:
-            self._delta_refs[key] = (int(message.get("iteration", 0)), reconstruction)
+    def _pull(self, message: Dict[str, Any]) -> Any:
+        kind = message.get("kind", "")
+        handler = self.handlers.get(kind)
+        if handler is None:
+            raise CommunicationError(f"node '{self.node_id}' serves no '{kind}' requests")
+        requester = str(message.get("requester", ""))
+        iteration = int(message.get("iteration", 0))
+        result = handler(RequestContext(requester, iteration, message.get("payload")))
+        if "fmt" not in message or not is_stream_vector(result):
+            return result
+        fmt = str(message["fmt"])  # unknown or unavailable: a typed error response
+        stream = VectorStream.among(self._streams, (requester, kind, fmt), fmt)
+        blob = stream.encode(result, iteration, int(message.get("have", -1)))
         return {VECTOR_BLOB_KEY: blob}
 
-    def __call__(self, message: Any, wire_format: Optional[WireFormat] = None) -> Any:
+    def __call__(self, message: Any) -> Any:
         if not isinstance(message, dict) or "op" not in message:
             raise CommunicationError(f"malformed RPC request: {message!r}")
         op = message["op"]
@@ -480,29 +434,15 @@ class _HostDispatcher:
         if op == "shutdown":
             return "bye"
         if op == "pull":
-            kind = message.get("kind", "")
-            handler = self.handlers.get(kind)
-            if handler is None:
-                raise CommunicationError(
-                    f"node '{self.node_id}' serves no '{kind}' requests"
-                )
-            context = RequestContext(
-                requester=str(message.get("requester", "")),
-                iteration=int(message.get("iteration", 0)),
-                payload=message.get("payload"),
-            )
-            result = handler(context)
-            if (
-                wire_format is not None
-                and wire_format.delta
-                and isinstance(result, np.ndarray)
-                and result.dtype == np.float64
-                and result.ndim == 1
-            ):
-                return self._serialize_pull(result, message, wire_format)
-            return result
+            return self._pull(message)
+        if op == "restore":
+            from repro.core.node import Node  # loaded by host_main already
+
+            self.node = Node.from_snapshot(message.get("state", b""), Transport())
+            self.handlers = self.node.handlers()
+            return None
         if self.node is None:
-            raise CommunicationError(f"probe host cannot serve op '{op}'")
+            raise CommunicationError(f"host '{self.node_id}' holds no node to serve op '{op}'")
         if op == "sync":
             what = message.get("what")
             vector = message.get("vector")
@@ -527,32 +467,7 @@ class _HostDispatcher:
             return None
         if op == "snapshot":
             return self.node.snapshot_state()
-        if op == "restore":
-            self.node.restore_state(message.get("state", b""))
-            return None
         raise CommunicationError(f"unknown RPC op '{op}'")
-
-
-def _build_host(spec: Dict[str, Any]) -> _HostDispatcher:
-    """Construct the hosted node (or probe) described by a spawn spec."""
-    node_id = str(spec["node_id"])
-    if spec.get("probe"):
-        return _HostDispatcher(node_id, None, build_probe_handlers(node_id))
-    # Rebuild the whole world exactly as the coordinator did — same config,
-    # same seeds, same shard assignment — then keep the one node we host.
-    # Construction is cheap at simulation scale and guarantees the hosted
-    # node starts bit-identical to the coordinator's copy of it.
-    from repro.core.cluster import ClusterConfig
-    from repro.core.controller import Controller
-
-    config = ClusterConfig.from_dict(spec["config"])
-    deployment = Controller(config).build()
-    try:
-        node = deployment.transport.get_node(node_id)
-    except KeyError:
-        raise ConfigurationError(f"spec names unknown node '{node_id}'") from None
-    handlers = deployment.transport.backend.node_handlers(node_id)
-    return _HostDispatcher(node_id, node, handlers)
 
 
 def host_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -560,13 +475,21 @@ def host_main(argv: Optional[Sequence[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(prog="repro.network.rpc")
-    parser.add_argument("--spec", required=True, help="path to the spawn spec JSON")
+    parser.add_argument("--node", required=True, help="id of the node this host serves")
+    parser.add_argument(
+        "--probe", action="store_true", help="serve the conformance probe handlers"
+    )
     args = parser.parse_args(list(argv) if argv is not None else None)
-    with open(args.spec, encoding="utf-8") as handle:
-        spec = json.load(handle)
-    dispatcher = _build_host(spec)
-    server = RpcServer(dispatcher)
-    print(f"{READY_PREFIX} {dispatcher.node_id} {server.port}", flush=True)
+    handlers = None
+    if args.probe:
+        handlers = build_probe_handlers(args.node)
+    else:
+        # Load the node classes before reporting ready, while every other
+        # host of the fleet is importing too — not inside ``restore``, which
+        # the coordinator sends to one host after another.
+        import repro.core.node  # noqa: F401
+    server = RpcServer(_HostDispatcher(args.node, handlers))
+    print(f"{READY_PREFIX} {args.node} {server.port}", flush=True)
     server.serve_forever()
     return 0
 
@@ -579,24 +502,28 @@ class _NodeHost:
 
     __slots__ = (
         "node_id",
-        "spec_path",
         "stderr_path",
+        "snapshot",
         "process",
         "port",
         "client",
-        "snapshot",
         "pending",
     )
 
-    def __init__(self, node_id: str, spec_path: Path, stderr_path: Path) -> None:
+    def __init__(
+        self, node_id: str, stderr_path: Path, snapshot: Optional[bytes] = None
+    ) -> None:
         self.node_id = node_id
-        self.spec_path = spec_path
         self.stderr_path = stderr_path
+        #: The node this host serves, as its newest ``snapshot_state()``: the
+        #: coordinator's own copy at first spawn, the host's at every scripted
+        #: crash and supervisor checkpoint since.  Every incarnation is
+        #: handed it by ``restore``.  ``None`` only for a conformance probe,
+        #: which is spawned with ``--probe`` and handed nothing.
+        self.snapshot = snapshot
         self.process: Optional[subprocess.Popen] = None
         self.port: Optional[int] = None
         self.client: Optional[RpcClient] = None
-        #: Crash-time state snapshot, restored into the respawned host.
-        self.snapshot: Optional[bytes] = None
         #: Control/sync messages issued while the host was down, replayed
         #: in order right after a recover's restore.
         self.pending: List[Dict[str, Any]] = []
@@ -645,18 +572,18 @@ class _NodeHost:
 class SocketBackend(TransportBackend):
     """Deliver handler invocations to per-node subprocesses over TCP.
 
-    The coordinator keeps its own (now passive) copies of every node — their
-    registration populates the handler table used for planning — while the
-    authoritative handler-visible state lives in the hosts.  Scenario events
-    map onto process reality:
+    The coordinator keeps the nodes it built — their registration populates
+    the handler table used for planning, and :meth:`start` hands each host
+    its node's snapshot — while the authoritative handler-visible state lives
+    in the hosts from then on.  Scenario events map onto process reality:
 
     ========== ==========================================================
     event      process-backend effect
     ========== ==========================================================
     crash      state snapshot requested, then SIGKILL of the host; pulls
                are refused at plan time exactly like the in-process path
-    recover    host respawned from the same spec, crash-time snapshot
-               restored, buffered control/sync messages replayed
+    recover    host respawned and handed the crash-time snapshot, buffered
+               control/sync messages replayed
     partition  the coordinator never dials across the cut (connection
                refusal without consuming drop randomness)
     straggler  latency factor applied to the pre-sampled reply latency;
@@ -665,11 +592,10 @@ class SocketBackend(TransportBackend):
     """
 
     name = "socket"
-    needs_state_sync = True
 
     def __init__(
         self,
-        config=None,
+        wire_format: FormatLike = "float64",
         probe_nodes: Sequence[str] = (),
         spawn_timeout: float = DEFAULT_SPAWN_DEADLINE,
         call_timeout: float = DEFAULT_READ_DEADLINE,
@@ -679,32 +605,12 @@ class SocketBackend(TransportBackend):
         available, reason = process_backend_available()
         if not available:
             raise CommunicationError(f"process backend unavailable: {reason}")
-        if config is None and not probe_nodes:
-            raise ConfigurationError(
-                "SocketBackend needs a ClusterConfig or explicit probe nodes"
-            )
-        self._host_config: Optional[Dict[str, Any]] = None
-        self._wire_format = PLAIN_FLOAT64
-        if config is not None:
-            self._wire_format = parse_wire_format(
-                getattr(config, "wire_format", "float64")
-            )
-            # Hosts rebuild the world in-process: force the serial engine and
-            # strip the scenario so they never recurse into spawning or attach
-            # their own director.  The wire format is stripped too — it lives
-            # in the coordinator↔host hello, and a host whose in-process
-            # transport re-quantized already-quantized pulls would drift.
-            host_config = dict(config.to_dict())
-            host_config["executor"] = "serial"
-            host_config["executor_workers"] = 0
-            host_config["scenario"] = ""
-            host_config["wire_format"] = "float64"
-            # Resilience is a coordinator concern: hosts must not retry,
-            # hedge or supervise their own in-process mirrors.
-            host_config["resilience"] = {}
-            self._host_config = host_config
         super().__init__()  # the shared handler table: planning-side mirror
-        self._probe_nodes = list(probe_nodes)
+        #: Format every pull asks its reply vector in.
+        self._wire_format = parse_wire_format(wire_format)
+        #: Every node that gets a host, by id; a conformance probe has no
+        #: node object (its host builds the probe handlers itself).
+        self._nodes: Dict[str, Optional[Any]] = dict.fromkeys(probe_nodes)
         self.spawn_timeout = spawn_timeout
         self.call_timeout = call_timeout
         self.connect_timeout = connect_timeout
@@ -719,16 +625,13 @@ class SocketBackend(TransportBackend):
         self._workdir: Optional[Path] = None
         self._started = False
         self._lock = threading.RLock()
-        #: Coordinator-side mirror of the hosts' delta caches, keyed by
-        #: ``(node_id, requester, kind)``: iteration last decoded on that
-        #: stream plus its reconstruction (the delta reference).
-        self._delta_refs: Dict[Tuple[str, str, str], Tuple[int, np.ndarray]] = {}
-        self._delta_lock = threading.Lock()
+        #: Receiver ends of the hosts' streams, keyed ``(node_id, requester,
+        #: kind)``; they outlive a host, whose respawn then sees a ``have``
+        #: it cannot match.
+        self._streams: Dict[Tuple[str, str, str], VectorStream] = {}
 
-    def node_ids(self) -> List[str]:
-        ids = {node_id for node_id, _ in self._handlers}
-        ids.update(self._probe_nodes)
-        return sorted(ids)
+    def register_node(self, node_id: str, node: object) -> None:
+        self._nodes.setdefault(node_id, node)  # a probe id keeps its None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -739,23 +642,20 @@ class SocketBackend(TransportBackend):
                 return
             self._workdir = Path(tempfile.mkdtemp(prefix="repro-process-backend-"))
             try:
-                for node_id in self.node_ids():
-                    spec: Dict[str, Any] = {"node_id": node_id}
-                    if node_id in self._probe_nodes:
-                        spec["probe"] = True
-                    else:
-                        spec["config"] = self._host_config
-                    spec_path = self._workdir / f"{node_id}.json"
-                    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+                for node_id, node in sorted(self._nodes.items()):
                     self._hosts[node_id] = _NodeHost(
-                        node_id, spec_path, self._workdir / f"{node_id}.stderr"
+                        node_id,
+                        self._workdir / f"{node_id}.stderr",
+                        None if node is None else node.snapshot_state(),
                     )
-                # Spawn everything first, await readiness second: imports and
-                # world construction of all hosts overlap.
+                # Spawn everything first, await readiness second: the hosts'
+                # imports overlap, and so does each restore with the imports
+                # of the hosts behind it.
                 for host in self._hosts.values():
                     self._spawn(host)
                 for host in self._hosts.values():
                     self._await_ready(host)
+                    self._restore(host)
             except BaseException:
                 # A host failed to come up and the deployment will never be
                 # handed to the caller: reap every sibling that did spawn so
@@ -769,15 +669,15 @@ class SocketBackend(TransportBackend):
         src_dir = str(Path(__file__).resolve().parents[2])
         existing = env.get("PYTHONPATH", "")
         env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
-        # Hash randomization never feeds the numerics, but pin it anyway so a
-        # host's iteration order can not diverge from the coordinator's.
-        env.setdefault("PYTHONHASHSEED", "0")
+        argv = [sys.executable, "-m", "repro.network.rpc", "--node", host.node_id]
+        if host.snapshot is None:
+            argv.append("--probe")
         # Append: a respawned host must not truncate the previous
         # incarnation's crash diagnostics (stderr_tail reports them).
         stderr_handle = open(host.stderr_path, "ab")
         try:
             host.process = subprocess.Popen(
-                [sys.executable, "-m", "repro.network.rpc", "--spec", str(host.spec_path)],
+                argv,
                 stdout=subprocess.PIPE,
                 stderr=stderr_handle,
                 env=env,
@@ -830,9 +730,15 @@ class SocketBackend(TransportBackend):
         host.client = RpcClient(
             ("127.0.0.1", host.port),
             timeout=self.call_timeout,
-            wire_format=self._wire_format,
             connect_timeout=self.connect_timeout,
         )
+
+    def _restore(self, host: _NodeHost) -> None:
+        """Hand a ready host its node: first spawn, recover and revive alike."""
+        if host.snapshot is not None:
+            host.client.call(
+                {"op": "restore", "node": host.node_id, "state": host.snapshot}
+            )
 
     def close(self) -> None:
         with self._lock:
@@ -885,15 +791,15 @@ class SocketBackend(TransportBackend):
             "iteration": context.iteration,
             "payload": context.payload,
         }
-        entry = None
-        if self._wire_format.delta:
+        stream = None
+        if not self._wire_format.is_plain_float64:
             key = (node_id, context.requester, kind)
-            with self._delta_lock:
-                entry = self._delta_refs.get(key)
-            # Advertise which reconstruction we hold; the host delta-encodes
-            # only on an exact match, so a crash on either side simply costs
-            # one absolute-encoded reply.
-            message["have"] = entry[0] if entry is not None else -1
+            stream = VectorStream.among(self._streams, key, self._wire_format)
+            # Name the reply's format and the reconstruction we hold; the
+            # host delta-encodes only against exactly that one, so a crash on
+            # either side simply costs one absolute-encoded reply.
+            message["fmt"] = self._wire_format.spec
+            message["have"] = stream.iteration
         if self.retry_policy is not None:
             # Pulls are idempotent reads: safe to retry.  The client lookup
             # is inside the attempt so a host respawned between attempts
@@ -909,15 +815,8 @@ class SocketBackend(TransportBackend):
             )
         else:
             result = self._live_client(node_id).call(message)
-        if isinstance(result, dict) and VECTOR_BLOB_KEY in result:
-            reference = entry[1] if entry is not None else None
-            decoded = deserialize_vector(
-                result[VECTOR_BLOB_KEY], copy=True, reference=reference
-            )
-            if self._wire_format.delta:
-                with self._delta_lock:
-                    self._delta_refs[key] = (context.iteration, decoded)
-            return decoded
+        if stream is not None and isinstance(result, dict) and VECTOR_BLOB_KEY in result:
+            return stream.decode(result[VECTOR_BLOB_KEY], context.iteration)
         return result
 
     def _buffer_if_down(self, node_id: str, message: Dict[str, Any]) -> bool:
@@ -997,10 +896,7 @@ class SocketBackend(TransportBackend):
                 return
             self._spawn(host)
             self._await_ready(host)
-            if host.snapshot is not None:
-                host.client.call(
-                    {"op": "restore", "node": node_id, "state": host.snapshot}
-                )
+            self._restore(host)
             pending, host.pending = host.pending, []
         for message in pending:
             host.client.call(message)
@@ -1053,7 +949,7 @@ class SocketBackend(TransportBackend):
         return self.is_running(node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SocketBackend(nodes={len(self._hosts) or len(self.node_ids())}, started={self._started})"
+        return f"SocketBackend(nodes={len(self._nodes)}, started={self._started})"
 
 
 def main() -> int:  # pragma: no cover - exercised via subprocess

@@ -1,4 +1,4 @@
-"""Vector serialization with negotiated wire formats.
+"""Vector serialization in the configured wire format.
 
 The paper notes that TensorFlow tensors cannot be serialized directly by
 protocol buffers, forcing a context switch between the TensorFlow runtime and
@@ -36,7 +36,8 @@ base        code   payload encoding
 Formats are spelled as strings — ``"float64"``, ``"float32"``, ``"int8"``,
 optionally with ``+delta`` and/or ``+zlib`` / ``+zstd`` modifiers, e.g.
 ``"int8+delta+zlib"`` — and parsed by :func:`parse_wire_format` into a
-:class:`WireFormat`.
+:class:`WireFormat`.  A reply vector crosses every transport backend through
+a :class:`VectorStream`, the one place a delta reference is kept and chosen.
 
 The codec is copy-free in both directions where the buffer rules allow it:
 
@@ -112,7 +113,7 @@ BytesLike = Union[bytes, bytearray, memoryview]
 
 @dataclass(frozen=True)
 class WireFormat:
-    """One negotiated payload encoding: base width + optional transforms."""
+    """One payload encoding: base width + optional transforms."""
 
     base: str = "float64"
     delta: bool = False
@@ -146,7 +147,7 @@ class WireFormat:
         return self.spec
 
 
-#: The default format: what the codec shipped before negotiation existed.
+#: The default format: what the codec shipped before it had formats.
 PLAIN_FLOAT64 = WireFormat()
 
 FormatLike = Union[str, WireFormat]
@@ -210,17 +211,13 @@ def format_byte(fmt: WireFormat) -> int:
     return value
 
 
-def format_from_byte(value: int, compressor_id: int = 0) -> WireFormat:
-    """Inverse of :func:`format_byte` (compressor resolved separately)."""
+def format_from_byte(value: int) -> WireFormat:
+    """Base and delta flag of a format byte (a compressed payload names its
+    own compressor, see :func:`_decompress_payload`)."""
     base = _BASE_BY_CODE.get(value & 0x0F)
     if base is None or value & ~(0x0F | _FLAG_DELTA | _FLAG_COMPRESSED):
         raise SerializationError(f"unknown wire format byte 0x{value:02x}")
-    compression = ""
-    if value & _FLAG_COMPRESSED:
-        compression = _COMPRESSOR_BY_ID.get(compressor_id, "")
-        if not compression:
-            raise SerializationError(f"unknown wire compressor id {compressor_id}")
-    return WireFormat(base, bool(value & _FLAG_DELTA), compression)
+    return WireFormat(base, bool(value & _FLAG_DELTA))
 
 
 # ---------------------------------------------------------------------- #
@@ -415,6 +412,64 @@ def serialize_with_reconstruction(
     return blob, deserialize_vector(blob, copy=True, reference=reference)
 
 
+def is_stream_vector(value: object) -> bool:
+    """Whether ``value`` is what a :class:`VectorStream` carries: a flat
+    float64 array (every gradient and model reply).  Anything else crosses a
+    backend through the value codec, always in float64."""
+    return isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1
+
+
+class VectorStream:
+    """One end of a stream of vectors in one wire format — sender or receiver.
+
+    Both ends hold the same two things: the ``iteration`` of the last vector
+    that crossed and the float64 ``reference`` the receiver holds after
+    decoding it (the *reconstruction*, not the sender's raw vector — encoding
+    the next delta against anything else would accumulate quantization
+    drift).  Every backend moves a reply through this object, so a format
+    means the same arithmetic wherever the handler runs.
+
+    A delta format encodes against the reference only when the receiver says
+    it holds exactly that one (``have`` equals the sender's ``iteration``) and
+    it still has the vector's size; otherwise — first message, either end
+    respawned, a reply lost in flight, a resized model — the blob is
+    absolute, which its own format byte says.  The stream heals itself; there
+    is no invalidation protocol.
+    """
+
+    __slots__ = ("fmt", "iteration", "reference")
+
+    def __init__(self, fmt: FormatLike) -> None:
+        self.fmt = parse_wire_format(fmt, require_available=True)
+        self.iteration = -1
+        self.reference: Optional[np.ndarray] = None
+
+    @classmethod
+    def among(cls, streams: dict, key: tuple, fmt: FormatLike) -> "VectorStream":
+        """The stream ``streams`` holds under ``key``, opened in ``fmt`` on
+        first use.  Fan-out threads share the table: ``setdefault`` hands two
+        threads racing for one key the same stream."""
+        stream = streams.get(key)
+        if stream is None:
+            stream = streams.setdefault(key, cls(fmt))
+        return stream
+
+    def encode(self, vector: np.ndarray, iteration: int, have: int) -> bytes:
+        """The blob for ``vector``; :attr:`reference` becomes its reconstruction."""
+        reference = self.reference
+        if reference is not None and (have != self.iteration or reference.size != vector.size):
+            reference = None
+        blob, self.reference = serialize_with_reconstruction(vector, self.fmt, reference)
+        self.iteration = iteration
+        return blob
+
+    def decode(self, blob: BytesLike, iteration: int) -> np.ndarray:
+        """The vector in ``blob``, owned float64; it is the next reference."""
+        self.reference = deserialize_vector(blob, copy=True, reference=self.reference)
+        self.iteration = iteration
+        return self.reference
+
+
 # ---------------------------------------------------------------------- #
 # Deserialization
 # ---------------------------------------------------------------------- #
@@ -498,11 +553,10 @@ def deserialize_vector(
         raise SerializationError(f"malformed serialized vector header: {exc}") from exc
     if size < 0 or ndim > 32:
         raise SerializationError("malformed serialized vector (bad header counts)")
-    fmt = format_from_byte(fmt_value & ~_FLAG_COMPRESSED)
-    compressed = bool(fmt_value & _FLAG_COMPRESSED)
+    fmt = format_from_byte(fmt_value)
 
     body = view[offset:]
-    if compressed:
+    if fmt_value & _FLAG_COMPRESSED:
         _, raw = _decompress_payload(body)
         body = memoryview(raw)
 

@@ -64,10 +64,9 @@ from repro.network.message import Reply, RequestContext
 from repro.network.resilience import PullOutcome, WavePolicy
 from repro.network.serialization import (
     FormatLike,
-    deserialize_vector,
+    VectorStream,
+    is_stream_vector,
     parse_wire_format,
-    serialize_vector,
-    serialize_with_reconstruction,
     serialized_nbytes,
     sharded_nbytes,
 )
@@ -89,11 +88,6 @@ class TransportBackend:
     """
 
     name: str = "abstract"
-    #: Whether servers must push handler-visible state mutations (model
-    #: parameters, published aggregates) through :meth:`sync_state` so remote
-    #: replicas of the node serve fresh data.  False for in-process delivery
-    #: (handlers read live objects), True for the socket backend.
-    needs_state_sync: bool = False
 
     def __init__(self) -> None:
         # Every backend keeps the registration table: the in-process backend
@@ -101,19 +95,14 @@ class TransportBackend:
         # table as its planning-side mirror of what each host serves.
         self._handlers: Dict[Tuple[str, str], Handler] = {}
 
+    def register_node(self, node_id: str, node: object) -> None:
+        """Learn that ``node`` exists (the socket backend hands it to a host)."""
+
     def register_handler(self, node_id: str, kind: str, handler: Handler) -> None:
         self._handlers[(node_id, kind)] = handler
 
     def has_handler(self, node_id: str, kind: str) -> bool:
         return (node_id, kind) in self._handlers
-
-    def node_handlers(self, node_id: str) -> Dict[str, Handler]:
-        """All handlers of one node — what a process host serves over TCP."""
-        return {
-            kind: handler
-            for (owner, kind), handler in self._handlers.items()
-            if owner == node_id
-        }
 
     def invoke(self, node_id: str, kind: str, context: RequestContext) -> Any:
         """Run the ``kind`` handler of ``node_id`` and return its response."""
@@ -126,7 +115,8 @@ class TransportBackend:
         """Release backend resources (terminate subprocesses...); idempotent."""
 
     def sync_state(self, node_id: str, what: str, vector: Any) -> None:
-        """Mirror a server-side state mutation to the node's remote replica."""
+        """Mirror a server-side state mutation to the node's remote replica
+        (nothing to do where handlers read the live object)."""
 
     def apply_control(self, node_id: str, op: str, **params: Any) -> None:
         """Forward a scenario control event (crash, recover, set_attack...)."""
@@ -139,79 +129,50 @@ class InProcessBackend(TransportBackend):
     """Default delivery: handlers are closures invoked on the calling thread
     (or an executor pool thread during a fan-out).
 
-    With a non-default ``wire_format`` every handler result is round-tripped
-    through the real codec — exactly the quantize/encode/decode the socket
-    backend's hello would negotiate — so serial/threaded runs observe the
-    same reduced-precision payloads as a process deployment, and goldens can
-    lock each format without sockets.  The plain-float64 default skips the
-    emulation entirely (bit-exact passthrough, zero overhead), which is what
+    With a non-default ``wire_format`` every reply vector crosses the same
+    :class:`~repro.network.serialization.VectorStream` a node host would send
+    it through, and the requester is handed the sender's own reconstruction
+    — bit for bit what a receiver end decodes from the blob — so
+    serial/threaded runs observe the reduced-precision payloads of a process
+    deployment and goldens can lock each format without sockets.  The
+    plain-float64 default passes results through untouched, which is what
     keeps the seed traces byte-identical.
     """
 
     name = "inprocess"
-    needs_state_sync = False
 
     def __init__(self, wire_format: FormatLike = "float64") -> None:
         super().__init__()
         self.wire_format = parse_wire_format(wire_format)
-        #: Per-stream reconstructions for delta emulation, keyed by
-        #: ``(requester, node_id, kind)`` — mirrors the socket backend's
-        #: sender/receiver caches collapsed into one (same process).
-        self._delta_refs: Dict[Tuple[str, str, str], np.ndarray] = {}
-        self._delta_lock = threading.Lock()
-
-    def _roundtrip(self, value: Any) -> Any:
-        """Codec round trip of one result tree (non-delta formats)."""
-        if isinstance(value, np.ndarray):
-            fmt = self.wire_format.without_delta()
-            return deserialize_vector(serialize_vector(value, fmt), copy=True)
-        if isinstance(value, list):
-            return [self._roundtrip(item) for item in value]
-        if isinstance(value, tuple):
-            return tuple(self._roundtrip(item) for item in value)
-        if isinstance(value, dict):
-            return {key: self._roundtrip(item) for key, item in value.items()}
-        return value
+        #: Sender ends, one per ``(node_id, requester, kind)`` — what each
+        #: node's host keeps for its own node.
+        self._streams: Dict[Tuple[str, str, str], VectorStream] = {}
 
     def invoke(self, node_id: str, kind: str, context: RequestContext) -> Any:
         handler = self._handlers.get((node_id, kind))
         if handler is None:
             raise CommunicationError(f"node '{node_id}' serves no '{kind}' requests")
         result = handler(context)
-        if self.wire_format.is_plain_float64:
+        if self.wire_format.is_plain_float64 or not is_stream_vector(result):
             return result
-        if (
-            self.wire_format.delta
-            and isinstance(result, np.ndarray)
-            and result.dtype == np.float64
-            and result.ndim == 1
-        ):
-            key = (context.requester, node_id, kind)
-            with self._delta_lock:
-                reference = self._delta_refs.get(key)
-            if reference is not None and reference.size != result.size:
-                reference = None  # model dimension changed: restart the stream
-            _, reconstruction = serialize_with_reconstruction(
-                result, self.wire_format, reference=reference
-            )
-            with self._delta_lock:
-                self._delta_refs[key] = reconstruction
-            return reconstruction
-        return self._roundtrip(result)
+        key = (node_id, context.requester, kind)
+        stream = VectorStream.among(self._streams, key, self.wire_format)
+        # Same process: the requester holds whatever this end last sent.
+        stream.encode(result, context.iteration, have=stream.iteration)
+        return stream.reference
 
     def apply_control(self, node_id: str, op: str, **params: Any) -> None:
-        """Forget a crashed node's sender-side delta streams.
+        """Forget a crashed node's sender ends.
 
-        Over sockets its host is SIGKILLed and respawned without the
-        references it was encoding against, so its next reply on every stream
-        is absolute-encoded; the emulation has to lose them too or the two
-        backends quantize different residuals from that round on.
+        Over sockets they die with its SIGKILLed host, so its next reply on
+        every stream is absolute; the in-process node outlives its logical
+        crash and has to lose them too, or the two backends quantize
+        different residuals from that round on.
         """
         if op == "crash":
-            with self._delta_lock:
-                self._delta_refs = {
-                    key: ref for key, ref in self._delta_refs.items() if key[1] != node_id
-                }
+            self._streams = {
+                key: stream for key, stream in self._streams.items() if key[0] != node_id
+            }
 
 
 @dataclass
@@ -246,11 +207,10 @@ class TransportStats:
     """Counters reproducing the paper's communication accounting.
 
     Mutation is lock-protected: the counters are shared by every node of a
-    deployment, and handler bodies running on executor threads during a
-    :meth:`Transport.pull_many` fan-out can issue *nested* pulls (a worker
-    pulling the model while serving a gradient request), so ``record`` may
-    run concurrently with the driving thread's own accounting.  Unprotected
-    ``+=`` read-modify-write cycles drop increments under that interleaving.
+    deployment, and :meth:`note_retry` is called from the executor threads a
+    fan-out runs on (the socket backend retries inside ``invoke``) while the
+    driving thread accounts its own pulls.  Unprotected ``+=``
+    read-modify-write cycles drop increments under that interleaving.
     """
 
     messages_sent: int = 0
@@ -460,6 +420,7 @@ class Transport:
         if node_id in self._nodes:
             raise CommunicationError(f"node id '{node_id}' already registered")
         self._nodes[node_id] = node
+        self.backend.register_node(node_id, node)
 
     def register_handler(self, node_id: str, kind: str, handler: Handler) -> None:
         """Register the server-side handler answering pulls of ``kind`` at ``node_id``."""
@@ -482,8 +443,7 @@ class Transport:
         socket backend forwards the new state to the hosting subprocess so
         peer pulls observe exactly what the in-process path would.
         """
-        if self.backend.needs_state_sync:
-            self.backend.sync_state(node_id, what, vector)
+        self.backend.sync_state(node_id, what, vector)
 
     def close(self) -> None:
         """Shut down the delivery backend and the execution engine."""
@@ -513,7 +473,7 @@ class Transport:
         if isinstance(payload, np.ndarray):
             # Default format: the paper-calibrated per-element width of the
             # link model (float32, matching the published figures).  Any
-            # negotiated format is charged its exact framed size instead.
+            # other format is charged its exact framed size instead.
             if self.wire_format.is_plain_float64:
                 return serialized_nbytes(payload.size, self.link.bytes_per_element)
             return serialized_nbytes(payload.size, fmt=self.wire_format)
@@ -530,7 +490,7 @@ class Transport:
         :class:`~repro.sharding.shard_map.ShardMap`: the sum over shards of
         each slice's framed size, under the same width rules (the link's
         paper-calibrated per-element width for the plain-float64 default, the
-        negotiated format's exact framing otherwise).  This is what sharded
+        configured format's exact framing otherwise).  This is what sharded
         pulls pass as ``record_nbytes`` so the stats ledger charges what the
         slice-wise codec actually frames.
         """
@@ -796,8 +756,7 @@ class Transport:
         """Feed one classified pull to the liveness detector, when attached.
 
         Only fan-out pulls report — they are classified on the coordinating
-        thread, so the detector needs no locking.  Nested single pulls issued
-        from handler bodies (worker model pulls) stay silent by design.
+        thread, so the detector needs no locking.
         """
         health = self.health
         if health is None:

@@ -19,16 +19,18 @@ Two layers live here:
 * **Value codec** — :func:`encode_value` / :func:`decode_value` serialize the
   payload vocabulary of the transport (``None``, bool, int, float, str,
   bytes, ``ndarray`` via :mod:`repro.network.serialization`, and lists /
-  string-keyed dicts of those, recursively).  The encoding is canonical per
-  wire format — the same value and format always produce the same bytes —
-  which is what lets the cross-backend golden suite demand byte-identical
-  traces.
-* **Negotiation** — the first frame on every RPC connection is a hello
-  (:func:`client_hello` / :func:`server_hello`): magic, a protocol version
-  byte, and the requested payload :class:`~repro.network.serialization.WireFormat`.
-  The server applies deterministic downgrade rules (e.g. dropping zstd when
-  the module is unavailable) and echoes the accepted format, which both ends
-  then use for every array payload on that connection.
+  string-keyed dicts of those, recursively).  The encoding is canonical —
+  the same value always produces the same bytes — and arrays always travel
+  as bit-exact float64, which is what lets the cross-backend golden suite
+  demand byte-identical traces.  A reduced-precision wire format never
+  reaches this codec: a reply vector in such a format crosses as the ``bytes``
+  blob of a :class:`~repro.network.serialization.VectorStream`.
+
+There is no connection handshake: both ends of every connection are the same
+build (the coordinator spawns each host with its own interpreter), a request
+names the wire format it wants its reply in, and the protocol version is the
+last byte of :data:`FRAME_MAGIC`, checked on every frame — a peer that does
+not speak the protocol dies on its first one.
 
 The framing deliberately does not compress or checksum: payloads are trusted
 (the coordinator spawned every peer) and the golden suite catches corruption
@@ -50,28 +52,12 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.exceptions import CommunicationError
-from repro.network.serialization import (
-    HAVE_ZSTD,
-    PLAIN_FLOAT64,
-    WireFormat,
-    deserialize_vector,
-    format_byte,
-    format_from_byte,
-    parse_wire_format,
-    serialize_vector_parts,
-)
+from repro.network.serialization import deserialize_vector, serialize_vector_parts
 
-#: Frame preamble: marks the start of every message on the wire.
+#: Frame preamble: marks the start of every message on the wire.  Its last
+#: byte is the protocol version — bump it on an incompatible framing or codec
+#: change and a mismatched peer fails loudly on the first frame it reads.
 FRAME_MAGIC = b"GWP1"
-
-#: Version byte exchanged in the hello handshake; bump on incompatible
-#: framing or codec changes so mismatched peers fail loudly at dial time.
-WIRE_PROTOCOL_VERSION = 1
-
-#: Hello preamble: the first frame on every RPC connection carries
-#: ``magic + version byte + requested/accepted format byte + compressor id``.
-HELLO_MAGIC = b"GWHI"
-_HELLO = struct.Struct("!4sBBB")
 
 #: Frame header: magic + unsigned 32-bit big-endian body length.
 _FRAME_HEADER = struct.Struct("!4sI")
@@ -102,14 +88,10 @@ class ConnectionClosed(CommunicationError):
     """The peer closed the connection cleanly at a frame boundary."""
 
 
-#: Compressor ids carried in the hello frame (0 = no compression).
-_COMPRESSOR_IDS = {"": 0, "zlib": 1, "zstd": 2}
-
-
 # ---------------------------------------------------------------------- #
 # Value codec
 # ---------------------------------------------------------------------- #
-def _encode_into(value: Any, out: List[Any], fmt: WireFormat = PLAIN_FLOAT64) -> None:
+def _encode_into(value: Any, out: List[Any]) -> None:
     if value is None:
         out.append(_TAG_NONE)
     elif value is True:
@@ -128,22 +110,18 @@ def _encode_into(value: Any, out: List[Any], fmt: WireFormat = PLAIN_FLOAT64) ->
         out.append(_TAG_BYTES + _U64.pack(len(value)))
         out.append(bytes(value))
     elif isinstance(value, np.ndarray):
-        # Zero-copy for the float64 passthrough: the array's own buffer is
-        # spliced into the frame as a memoryview part — no tobytes()
-        # materialization.  The single copy happens when the frame is
-        # joined/sent.  Narrow/quantized formats materialize their converted
-        # payload here.  Delta encoding needs a per-stream reference the
-        # generic codec cannot know, so it is stripped: delta traffic travels
-        # as explicit byte blobs at the RPC layer instead.
-        parts = serialize_vector_parts(value, fmt.without_delta())
+        # Zero-copy: the array's own buffer is spliced into the frame as a
+        # memoryview part — no tobytes() materialization.  The single copy
+        # happens when the frame is joined/sent.
+        parts = serialize_vector_parts(value)
         out.append(_TAG_ARRAY + _U64.pack(sum(len(part) for part in parts)))
         out.extend(parts)
     elif isinstance(value, np.generic):  # numpy scalar: send as plain float/int
-        _encode_into(value.item(), out, fmt)
+        _encode_into(value.item(), out)
     elif isinstance(value, (list, tuple)):
         out.append(_TAG_LIST + _U32.pack(len(value)))
         for item in value:
-            _encode_into(item, out, fmt)
+            _encode_into(item, out)
     elif isinstance(value, dict):
         out.append(_TAG_DICT + _U32.pack(len(value)))
         for key, item in value.items():
@@ -154,25 +132,21 @@ def _encode_into(value: Any, out: List[Any], fmt: WireFormat = PLAIN_FLOAT64) ->
             raw = key.encode("utf-8")
             out.append(_U32.pack(len(raw)))
             out.append(raw)
-            _encode_into(item, out, fmt)
+            _encode_into(item, out)
     else:
         raise CommunicationError(
             f"type {type(value).__name__} is not encodable on the wire"
         )
 
 
-def encode_value(value: Any, fmt: WireFormat = PLAIN_FLOAT64) -> bytes:
+def encode_value(value: Any) -> bytes:
     """Serialize one payload value into its canonical byte form.
 
     Array payloads contribute memoryviews of their own storage to the part
-    list; the join below is the encode path's single copy.  ``fmt`` is the
-    connection's negotiated wire format: arrays anywhere in ``value`` are
-    encoded with it (minus delta, which needs RPC-layer references).  The
-    encoding stays canonical per format — the same value and format always
-    produce the same bytes.
+    list; the join below is the encode path's single copy.
     """
     out: List[Any] = []
-    _encode_into(value, out, fmt)
+    _encode_into(value, out)
     return b"".join(out)
 
 
@@ -321,72 +295,6 @@ def recv_frame(sock: socket.socket, scratch: Optional[bytearray] = None) -> byte
         return bytes(body_view)
     finally:
         body_view.release()
-
-
-# ---------------------------------------------------------------------- #
-# Wire-format negotiation (the hello handshake)
-# ---------------------------------------------------------------------- #
-def negotiate_wire_format(requested: WireFormat) -> WireFormat:
-    """The format a server accepts for a client's ``requested`` format.
-
-    The downgrade rules are deterministic so both ends agree without a second
-    round trip: an unavailable compressor (zstd without the ``zstandard``
-    module) is dropped to no compression; everything else is accepted as is.
-    """
-    if requested.compression == "zstd" and not HAVE_ZSTD:
-        return WireFormat(requested.base, requested.delta, "")
-    return requested
-
-
-def _pack_hello(fmt: WireFormat) -> bytes:
-    return _HELLO.pack(
-        HELLO_MAGIC,
-        WIRE_PROTOCOL_VERSION,
-        format_byte(fmt),
-        _COMPRESSOR_IDS[fmt.compression],
-    )
-
-
-def _unpack_hello(body: bytes) -> WireFormat:
-    if len(body) != _HELLO.size:
-        raise CommunicationError(f"malformed wire hello ({len(body)} bytes)")
-    magic, version, fmt_value, compressor_id = _HELLO.unpack(body)
-    if magic != HELLO_MAGIC:
-        raise CommunicationError(f"bad wire hello magic {magic!r}")
-    if version != WIRE_PROTOCOL_VERSION:
-        raise CommunicationError(
-            f"wire protocol version mismatch: peer speaks {version}, "
-            f"this end speaks {WIRE_PROTOCOL_VERSION}"
-        )
-    return format_from_byte(fmt_value, compressor_id)
-
-
-def client_hello(
-    sock: socket.socket, requested: WireFormat, scratch: Optional[bytearray] = None
-) -> WireFormat:
-    """Open a connection's format negotiation from the client side.
-
-    Sends one hello frame (version byte + requested format) and returns the
-    format the server accepted — the format every subsequent message on this
-    connection is encoded with, in both directions.
-    """
-    send_frame(sock, _pack_hello(requested))
-    return _unpack_hello(recv_frame(sock, scratch))
-
-
-def server_hello(
-    sock: socket.socket, scratch: Optional[bytearray] = None
-) -> WireFormat:
-    """Answer a connection's hello from the server side.
-
-    Reads the client's requested format, applies the deterministic downgrade
-    rules (:func:`negotiate_wire_format`) and echoes the accepted format
-    back.  Returns the accepted format.
-    """
-    requested = _unpack_hello(recv_frame(sock, scratch))
-    accepted = negotiate_wire_format(parse_wire_format(requested))
-    send_frame(sock, _pack_hello(accepted))
-    return accepted
 
 
 def send_message(sock: socket.socket, message: Any) -> None:

@@ -136,6 +136,60 @@ class TestValidation:
             ClusterConfig(**{field: value})
 
 
+class TestStragglerFactors:
+    """Every id is a node the deployment builds, every factor a real number
+    >= 1.0 — checked when the config is made, not inside ``Controller.build``."""
+
+    @pytest.mark.parametrize("node_id", ["wroker-1", "worker-99", "server-1", "worker-5"])
+    def test_unknown_node_is_rejected_by_name(self, node_id):
+        with pytest.raises(ConfigurationError, match=f"'{node_id}'"):
+            ClusterConfig(straggler_factors={node_id: 2.0})
+
+    @pytest.mark.parametrize("factor", [0.5, 0.0, -2.0, float("nan"), "3", None, True])
+    def test_factor_below_one_or_not_a_number_is_rejected_by_name(self, factor):
+        with pytest.raises(ConfigurationError, match="worker-1"):
+            ClusterConfig(straggler_factors={"worker-1": factor})
+
+    def test_valid_factors_are_accepted(self):
+        ClusterConfig(straggler_factors={"worker-0": 1.0, "worker-4": 20, "server-0": 2.5})
+
+    def test_decentralized_builds_one_server_per_worker(self):
+        config = ClusterConfig(
+            deployment="decentralized",
+            num_workers=6,
+            num_byzantine_workers=1,
+            straggler_factors={"server-5": 3.0},
+        )
+        assert config.node_ids() == (
+            [f"worker-{i}" for i in range(6)],
+            [f"server-{i}" for i in range(6)],
+        )
+        with pytest.raises(ConfigurationError, match="server-6"):
+            ClusterConfig(
+                deployment="decentralized",
+                num_workers=6,
+                num_byzantine_workers=1,
+                straggler_factors={"server-6": 3.0},
+            )
+
+    def test_roster_is_what_the_controller_builds(self):
+        from repro.core.controller import Controller
+
+        config = ClusterConfig(
+            deployment="msmw",
+            num_workers=4,
+            num_servers=3,
+            model="logistic",
+            dataset_size=80,
+            straggler_factors={"server-2": 2.0},
+        )
+        workers, servers = config.node_ids()
+        with Controller(config).build() as deployment:
+            assert [w.node_id for w in deployment.workers] == workers
+            assert [s.node_id for s in deployment.servers] == servers
+            assert deployment.transport.failures.latency_factor("server-2") == 2.0
+
+
 class TestDerivedQuantities:
     def test_gradient_quorum_synchronous_waits_for_all(self):
         config = ClusterConfig(num_workers=8, num_byzantine_workers=2, gradient_gar="multi-krum")

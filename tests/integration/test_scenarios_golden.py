@@ -89,25 +89,42 @@ class TestGoldenTraces:
         assert stored == set(available_scenarios())
 
 
-class TestDeltaStreamsAcrossBackends:
-    """``int8+delta`` is stream-stateful: every backend must restart a stream
-    at the same round.  A crashed node's host comes back without the
-    references it was encoding against, so the in-process emulation has to
-    drop them on the crash event too — otherwise it keeps shipping deltas where
-    the socket backend ships absolute blobs, and the quantized payloads (hence
-    the traces) part ways from the first post-recovery pull on."""
+#: (wire format, scenario) pairs every backend must agree on.  The delta format
+#: runs where streams restart (crash, partition, churn); the stateless ones on
+#: a calm run and on one with a crash and recover.
+STREAM_CASES = [
+    ("int8+delta", "calm_baseline"),
+    ("int8+delta", "partition_heal"),
+    ("int8+delta", "crash_quorum_edge"),
+    ("int8+delta", "churn_at_f_bound"),
+    *[
+        (wire_format, name)
+        for wire_format in ("float16", "int8", "float32+zlib")
+        for name in ("calm_baseline", "crash_quorum_edge")
+    ],
+]
 
-    @pytest.mark.parametrize(
-        "name", ["calm_baseline", "partition_heal", "crash_quorum_edge", "churn_at_f_bound"]
-    )
+
+class TestDeltaStreamsAcrossBackends:
+    """A reply vector crosses every backend through the same ``VectorStream``,
+    so each wire format must leave the same trace wherever the handlers run.
+
+    ``int8+delta`` is stream-stateful on top: every backend must restart a
+    stream at the same round.  A crashed node's host comes back without the
+    references it was encoding against, so the in-process backend has to drop
+    its sender ends on the crash event too — otherwise it keeps shipping
+    deltas where the socket backend ships absolute blobs, and the quantized
+    payloads (hence the traces) part ways from the first post-recovery pull on."""
+
+    @pytest.mark.parametrize("wire_format, name", STREAM_CASES)
     @pytest.mark.parametrize("executor", BACKEND_PARAMS[1:])
-    def test_int8_delta_trace_matches_the_serial_backend(
-        self, name, executor, require_process_backend
+    def test_trace_matches_the_serial_backend(
+        self, wire_format, name, executor, require_process_backend
     ):
         if executor == "process":
             require_process_backend()
-        reference = run_scenario(name, "serial", wire_format="int8+delta")
-        trace = run_scenario(name, executor, wire_format="int8+delta")
+        reference = run_scenario(name, "serial", wire_format=wire_format)
+        trace = run_scenario(name, executor, wire_format=wire_format)
         assert trace.to_json() == reference.to_json()
 
 

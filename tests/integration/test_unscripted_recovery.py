@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import time
 
 import pytest
 
@@ -102,3 +103,57 @@ def test_supervisor_respawns_sigkilled_worker_and_run_converges(
         # Training-level outcome: the run completed and converged anyway.
         result = session.result()
         assert result.final_accuracy is not None and result.final_accuracy > 0.8
+
+
+def test_host_killed_before_the_first_round_is_handed_the_coordinators_node(
+    tmp_path, require_process_backend
+):
+    """No host-side snapshot exists yet when the kill lands between ``build()``
+    and the first ``step()``.  A revive is a spawn — the respawned host is
+    handed the same coordinator-built node the dead one was — so the run is
+    the un-killed run, plus one respawn event."""
+    require_process_backend()
+    config = ClusterConfig(
+        deployment="ssmw",
+        num_workers=5,
+        num_byzantine_workers=1,
+        gradient_gar="median",
+        model="logistic",
+        dataset="mnist",
+        dataset_size=200,
+        batch_size=8,
+        learning_rate=0.2,
+        num_iterations=4,
+        accuracy_every=2,
+        seed=11,
+        executor="process",
+        scenario=_empty_scenario(tmp_path),
+        resilience={"supervise": True},
+    )
+
+    def run(kill: bool):
+        with Session(config=config) as session:
+            backend = session.deployment.backend
+            if kill:
+                os.kill(backend.pid(VICTIM), signal.SIGKILL)
+                deadline = time.monotonic() + 10.0
+                while backend.is_running(VICTIM) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert not backend.is_running(VICTIM)
+            session.run()
+            respawns = [
+                (event.round_index, event.action, event.target, event.detail)
+                for event in session.deployment.supervisor.events
+            ]
+            rounds = session.deployment.trace.to_dict()["rounds"]
+        for entry in rounds:
+            entry["health"]["events"] = []
+        return rounds, respawns
+
+    calm_rounds, calm_respawns = run(kill=False)
+    killed_rounds, killed_respawns = run(kill=True)
+    assert calm_respawns == []
+    assert killed_respawns == [(0, "respawn", VICTIM, "ok")]
+    # Synchronous quorum: the victim's gradient is in every round's aggregate.
+    assert all(VICTIM in entry["gradient_sources"] for entry in killed_rounds)
+    assert killed_rounds == calm_rounds

@@ -31,7 +31,7 @@ from repro.core.health import LivenessDetector
 from repro.exceptions import NodeCrashedError
 from repro.exceptions import TimeoutError as ReproTimeoutError
 from repro.network.failures import FailureInjector
-from repro.network.resilience import HedgePolicy, ResilienceConfig
+from repro.network.resilience import HedgePolicy
 from repro.network.transport import LinkModel, Transport
 from test_transport_hedging import NODES, build_transport, run_rounds
 
@@ -106,7 +106,7 @@ def cold_transport(seed: int, peers: int, hedge: bool, threaded: bool = False) -
         executor=ThreadedExecutor(max_workers=4) if threaded else None,
     )
     if hedge:
-        transport.hedge = HedgePolicy.from_config(ResilienceConfig(hedge=True))
+        transport.hedge = HedgePolicy()
     for index in range(peers + 1):
         transport.register_node(f"n{index}", object())
         transport.register_handler(

@@ -60,7 +60,7 @@ def backend(tmp_path):
 
 def _fake_host(tmp_path: Path, script: str) -> _NodeHost:
     """A _NodeHost whose 'host process' runs an arbitrary inline script."""
-    host = _NodeHost("probe-0", tmp_path / "spec.json", tmp_path / "stderr.log")
+    host = _NodeHost("probe-0", tmp_path / "stderr.log")
     host.stderr_path.write_text("", encoding="utf-8")
     host.process = subprocess.Popen(
         [sys.executable, "-c", script],
@@ -108,8 +108,8 @@ class TestAwaitReadyFailurePaths:
 class TestCrashRecoverCycles:
     def test_fd_count_is_stable_across_cycles(self):
         """Five crash/recover cycles (each exercising snapshot, SIGKILL,
-        respawn, handshake and a fresh pooled connection) end at exactly the
-        descriptor count of the first warmed-up cycle."""
+        respawn and a fresh pooled connection) end at exactly the descriptor
+        count of the first warmed-up cycle."""
         _require_environment()
         backend = SocketBackend(probe_nodes=["probe-0", "probe-1"])
         try:

@@ -18,7 +18,7 @@ from repro.core.health import LivenessDetector
 from repro.exceptions import CommunicationError
 from repro.exceptions import TimeoutError as ReproTimeoutError
 from repro.network.failures import FailureInjector
-from repro.network.resilience import HedgePolicy, ResilienceConfig
+from repro.network.resilience import HedgePolicy
 from repro.network.transport import LinkModel, Transport
 
 pytestmark = pytest.mark.resilience
@@ -44,7 +44,7 @@ def build_transport(
         executor=ThreadedExecutor(max_workers=8) if threaded else None,
     )
     if hedge:
-        transport.hedge = HedgePolicy.from_config(ResilienceConfig(hedge=True))
+        transport.hedge = HedgePolicy()
     for index, node_id in enumerate(NODES):
         transport.register_node(node_id, object())
         transport.register_handler(

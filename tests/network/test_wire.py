@@ -24,15 +24,12 @@ from repro.network.serialization import (
 )
 from repro.network.wire import (
     ConnectionClosed,
-    client_hello,
     decode_value,
     encode_value,
-    negotiate_wire_format,
     recv_frame,
     recv_message,
     send_frame,
     send_message,
-    server_hello,
 )
 
 
@@ -205,6 +202,15 @@ class TestFraming:
         with pytest.raises(CommunicationError, match="magic"):
             recv_frame(right)
 
+    def test_rejects_another_protocol_version(self, sock_pair):
+        """The version is the magic's last byte and every frame checks it: a
+        peer built against the next protocol dies on its first frame."""
+        left, right = sock_pair
+        assert wire.FRAME_MAGIC == b"GWP1"
+        left.sendall(struct.pack("!4sI", b"GWP2", 4) + b"body")
+        with pytest.raises(CommunicationError, match="magic"):
+            recv_frame(right)
+
     def test_rejects_oversized_frame_announcement(self, sock_pair):
         left, right = sock_pair
         left.sendall(struct.pack("!4sI", wire.FRAME_MAGIC, wire.MAX_FRAME_BYTES + 1))
@@ -283,66 +289,3 @@ class TestTruncatedVectorBodies:
     def test_serialization_error_is_a_communication_error(self):
         """Callers catching the transport's CommunicationError keep working."""
         assert issubclass(SerializationError, CommunicationError)
-
-
-# ---------------------------------------------------------------------- #
-# Wire-format negotiation (the hello exchange)
-# ---------------------------------------------------------------------- #
-class TestHandshake:
-    @pytest.mark.parametrize(
-        "spec", ["float64", "float32", "float16+delta", "int8+zlib", "int8+delta+zlib"]
-    )
-    def test_hello_round_trip(self, sock_pair, spec):
-        left, right = sock_pair
-        requested = parse_wire_format(spec)
-        accepted = {}
-
-        def serve():
-            accepted["server"] = server_hello(right)
-
-        thread = threading.Thread(target=serve)
-        thread.start()
-        try:
-            accepted["client"] = client_hello(left, requested)
-        finally:
-            thread.join()
-        assert accepted["client"] == accepted["server"]
-        assert accepted["client"] == negotiate_wire_format(requested)
-
-    def test_zstd_downgrades_when_unavailable(self):
-        from repro.network.serialization import HAVE_ZSTD
-
-        accepted = negotiate_wire_format(parse_wire_format("int8+zstd"))
-        if HAVE_ZSTD:
-            assert accepted.compression == "zstd"
-        else:
-            assert accepted.compression == ""
-            assert accepted.base == "int8"
-
-    def test_server_rejects_garbage_hello(self, sock_pair):
-        left, right = sock_pair
-        send_frame(left, b"\x00" * wire._HELLO.size)  # framed, but no magic
-        with pytest.raises(CommunicationError, match="hello"):
-            server_hello(right)
-
-    def test_client_rejects_version_mismatch(self, sock_pair):
-        left, right = sock_pair
-        rogue = wire._HELLO.pack(
-            wire.HELLO_MAGIC, wire.WIRE_PROTOCOL_VERSION + 1, 0, 0
-        )
-        send_frame(left, rogue)
-
-        def consume():
-            try:
-                recv_frame(left)
-            except (CommunicationError, OSError):
-                pass
-
-        thread = threading.Thread(target=consume)
-        thread.start()
-        try:
-            with pytest.raises(CommunicationError, match="version"):
-                client_hello(right, parse_wire_format("float64"))
-        finally:
-            left.close()
-            thread.join()

@@ -17,6 +17,8 @@ import pytest
 
 from repro.aggregators import available_gars, init
 from repro.attacks import ATTACK_REGISTRY, build_attack
+from repro.core.byzantine import ByzantineServer, ByzantineWorker
+from repro.core.node import Node
 from repro.core.server import Server
 from repro.core.worker import Worker
 from repro.datasets.partition import partition_iid
@@ -308,8 +310,7 @@ class TestSnapshotContinuesOnTheOneTier:
         for iteration in range(2):
             self.train_round(server, iteration)
 
-        # Fresh nodes (a respawned host rebuilds the world from the config),
-        # then every node's mid-run state restored into them.
+        # Fresh nodes, then every node's mid-run state restored into them.
         _, servers_b, workers_b = build_cluster(num_servers=1, seed=3, momentum=0.9)
         restored = servers_b[0]
         restored.restore_state(server.snapshot_state())
@@ -350,3 +351,40 @@ class TestSnapshotContinuesOnTheOneTier:
             assert not served_b.flags.writeable
             for param in restored.model.parameters():
                 assert np.shares_memory(served_b, param.grad)
+
+    @pytest.mark.parametrize("node_type", [Worker, ByzantineWorker, Server, ByzantineServer])
+    def test_node_from_snapshot_serves_bit_identically_on_its_own_transport(self, node_type):
+        """What a node host does: no world, no config — the snapshot *is* the node."""
+        dataset = make_classification(160, (1, 4, 4), num_classes=4, noise=0.3, seed=0)
+        model = LogisticRegression(input_dim=16, num_classes=4, seed=0)
+        if issubclass(node_type, Worker):
+            node = node_type("node", Transport(), model, dataset, batch_size=8, momentum=0.5)
+        else:
+            node = node_type("node", Transport(), model, test_dataset=dataset, momentum=0.5)
+        dimension = model.num_parameters()
+        state = np.full(dimension, 0.05)
+
+        def serve(target, iteration):
+            """One round of everything ``target`` serves, pulled off its own transport."""
+            if isinstance(target, Server):
+                target.update_model(np.full(dimension, 0.01 * (iteration + 1)))
+                target.latest_aggr_grad = np.full(dimension, float(iteration))
+            return [
+                np.array(target.transport.pull("peer", "node", kind, iteration, state).payload)
+                for kind in sorted(target.handlers())
+            ]
+
+        serve(node, 0)  # mid-run: cursor, momentum, cache and attack RNG have moved
+        twin = Node.from_snapshot(node.snapshot_state(), Transport())
+
+        assert type(twin) is node_type and twin is not node
+        assert twin.transport is not node.transport
+        assert twin.transport.get_node("node") is twin
+        assert twin._serve_lock is not node._serve_lock
+        view = twin.flat_view()
+        for param in twin.model.parameters():
+            assert np.shares_memory(param.data, view.parameter_vector())
+            assert np.shares_memory(param.grad, view.gradient_vector())
+        for iteration in range(1, 4):
+            for served, expected in zip(serve(twin, iteration), serve(node, iteration)):
+                assert np.array_equal(served, expected)
