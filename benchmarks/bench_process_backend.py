@@ -6,8 +6,10 @@ per node, RPC between them — Section 3).  It drives the same
 ``Server.get_gradients`` round on the threaded in-process engine and on the
 multi-process socket backend and reports:
 
-* **startup** — one-off cost of spawning the node subprocesses (interpreter
-  + imports per host, overlapped, then one ``restore`` handing each its node);
+* **startup** — one-off cost of bringing the node hosts up (one zygote
+  imports NumPy and the node classes while the coordinator builds the nodes,
+  then forks a host per node; the ``restore`` requests handing each its node
+  go out side by side);
 * **round time** — steady-state wall-clock per gradient collection round,
   where the process backend additionally pays serialization and a TCP round
   trip per worker (the overhead the paper attributes to its gRPC/protobuf

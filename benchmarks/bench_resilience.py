@@ -170,10 +170,22 @@ def measure_recovery(iterations: int = 6) -> Dict[str, Any]:
     )
     victim = "worker-2"
     killed = {}
+    revives: List[float] = []
 
     try:
         with Session(config=config) as session:
             deployment = session.deployment
+            revive = deployment.backend.revive
+
+            def timed_revive(node_id: str) -> bool:
+                started = time.perf_counter()
+                try:
+                    return revive(node_id)
+                finally:
+                    revives.append(time.perf_counter() - started)
+
+            # What the supervisor's patrol calls: reap, fork, ready, restore.
+            deployment.backend.revive = timed_revive
 
             def assassin(result) -> None:
                 if result.iteration == 1 and victim not in killed:
@@ -188,6 +200,7 @@ def measure_recovery(iterations: int = 6) -> Dict[str, Any]:
                 "killed_pid": killed.get(victim),
                 "respawned_pid": deployment.backend.pid(victim),
                 "restarts": supervisor.restarts(victim),
+                "revive_s": round(revives[0], 4) if revives else None,
                 "completed": session.finished,
                 "final_accuracy": round(float(session.result().final_accuracy), 4),
                 "supervisor_events": [e.to_dict() for e in supervisor.events],
@@ -198,9 +211,17 @@ def measure_recovery(iterations: int = 6) -> Dict[str, Any]:
     print(
         f"recovery: {victim} pid {report['killed_pid']} -> "
         f"{report['respawned_pid']}, restarts={report['restarts']}, "
-        f"completed={report['completed']}"
+        f"revive={report['revive_s']}s, completed={report['completed']}"
     )
     return report
+
+
+def frozen_revive_before() -> Dict[str, Any]:
+    """``revive_s`` with a host that was a fresh interpreter (``python -m
+    repro.network.rpc --node X``: start, imports, restore), measured by this
+    function on the last commit that had one, alternated with the zygote's
+    runs; kept verbatim from the committed file like ``bench_hotpath``'s rows."""
+    return json.loads(OUTPUT_PATH.read_text(encoding="utf-8"))["recovery"]["revive_s"]["before"]
 
 
 # ---------------------------------------------------------------------- #
@@ -232,6 +253,8 @@ def check_acceptance(storm: Dict[str, Any], recovery: Optional[Dict[str, Any]] =
 def run_benchmark(iterations: int = ITERATIONS, warmup: int = WARMUP) -> Dict[str, Any]:
     storm = measure_storm(iterations=iterations, warmup=warmup)
     recovery = measure_recovery()
+    if "skipped" not in recovery:
+        recovery["revive_s"] = {"before": frozen_revive_before(), "after": recovery["revive_s"]}
     return {
         "benchmark": "resilience",
         "description": (
@@ -257,6 +280,7 @@ def run_benchmark(iterations: int = ITERATIONS, warmup: int = WARMUP) -> Dict[st
             "round_time_ratio_max": ROUND_TIME_RATIO_MAX,
             "membership": "at least one straggler declared dead by the detector",
             "recovery": "SIGKILLed host respawned and the run completed",
+            "revive_s": "supervisor revive call -> host restored: interpreter per host (before) vs fork from the zygote (after)",
         },
         "storm": storm,
         "recovery": recovery,

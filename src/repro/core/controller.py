@@ -203,6 +203,23 @@ class Controller:
     # ------------------------------------------------------------------ #
     def build(self) -> Deployment:
         """Construct every node of the configured deployment."""
+        if self.config.executor != "process":
+            return self._build(None)
+        # Imported lazily: the RPC layer pulls in subprocess machinery
+        # that in-process runs never need.
+        from repro.network.rpc import SocketBackend
+
+        backend = SocketBackend(wire_format=self.config.wire_format)
+        try:
+            # The zygote imports NumPy and the node classes while this
+            # process builds the dataset and the nodes it will hand out.
+            backend.prefork()
+            return self._build(backend)
+        except BaseException:
+            backend.close()
+            raise
+
+    def _build(self, backend) -> Deployment:
         config = self.config
         device = DEVICES[config.device]
         framework = FRAMEWORKS[config.framework]
@@ -234,13 +251,6 @@ class Controller:
 
         failures = FailureInjector(seed=config.seed)
         executor = create_executor(config.executor, max_workers=config.executor_workers or None)
-        backend = None
-        if config.executor == "process":
-            # Imported lazily: the RPC layer pulls in subprocess machinery
-            # that in-process runs never need.
-            from repro.network.rpc import SocketBackend
-
-            backend = SocketBackend(wire_format=config.wire_format)
         transport = Transport(
             failures=failures,
             seed=config.seed,
@@ -316,7 +326,7 @@ class Controller:
                         health=deployment.health,
                     )
         if backend is not None:
-            # Spawn the node subprocesses only after every node is built
+            # Fork the node hosts only after every node is built
             # (each host is handed its node's snapshot) and after the
             # director validated the scenario against the cluster.
             backend.start()

@@ -1,8 +1,8 @@
-"""Socket RPC layer and subprocess node hosts for the ``process`` backend.
+"""Socket RPC layer and forked node hosts for the ``process`` backend.
 
 The paper runs every Garfield node as its own OS process speaking gRPC; this
 module is our equivalent on top of :mod:`repro.network.wire`'s length-prefixed
-TCP framing.  Three pieces compose:
+TCP framing.  Four pieces compose:
 
 * :class:`RpcClient` / :class:`RpcServer` — a minimal request/response
   protocol: each request is one framed message (a dict with an ``"op"``
@@ -12,8 +12,17 @@ TCP framing.  Three pieces compose:
   :class:`~repro.exceptions.NodeCrashedError`, the exact type the in-process
   path raises for crashed peers, so the transport's quorum logic is
   backend-agnostic.
-* The **node host** (``python -m repro.network.rpc --node <id>``) — a
-  subprocess that starts empty, is handed its node by the coordinator's
+* The **zygote** (``python -m repro.network.rpc``, :func:`zygote_main`) — one
+  template process per deployment that imports NumPy and the node classes
+  once and then forks (``os.fork``) a host for every request line the
+  coordinator writes to its stdin.  It is single-threaded, holds no socket
+  and no node, ignores ``SIGCHLD`` (the kernel reaps dead hosts, no zombies)
+  and, when stdin reaches EOF — the coordinator is gone, however it died —
+  kills its process group: itself and every host it forked.
+* The **node host** — a forked copy of the zygote that starts empty, binds
+  its :class:`RpcServer`, reports ``GARFIELD-RPC <node> <port> <pid>`` in one
+  ``os.write`` on the stdout all hosts share (port 0 right after the fork,
+  the real one when it listens), is handed its node by the coordinator's
   ``restore`` request (the bytes of :meth:`Node.snapshot_state
   <repro.core.node.Node.snapshot_state>`, rebuilt by
   :meth:`~repro.core.node.Node.from_snapshot`) and serves that node's
@@ -22,14 +31,16 @@ TCP framing.  Three pieces compose:
   aggregates) are mirrored in by ``sync`` requests from the coordinator, so
   peer pulls observe exactly the state the in-process path would.
 * :class:`SocketBackend` — the coordinator-side
-  :class:`~repro.network.transport.TransportBackend` that spawns one host per
-  node, routes ``invoke`` calls over the wire and maps scenario control
+  :class:`~repro.network.transport.TransportBackend` that has one host forked
+  per node, routes ``invoke`` calls over the wire and maps scenario control
   events onto process reality: ``crash`` snapshots the node's state and
-  SIGKILLs the host, ``recover`` respawns it and restores the snapshot (a
+  SIGKILLs the host, ``recover`` forks a new one and restores the snapshot (a
   machine rejoining with its disk intact), ``partition`` means the
   coordinator never dials (connection refusal), and stragglers delay replies
   via the transport's wall-time scale.  First spawn, scripted ``recover`` and
-  supervisor ``revive`` are one path: spawn, await the ready line, restore.
+  supervisor ``revive`` are one path: fork, await the ready line, restore.
+  A host is the zygote's child, not the coordinator's, so it is held by a
+  pidfd: polled, killed and waited on without ever naming a pid.
 
 What crosses the boundary is decided in three places and nowhere else: node
 state by ``restore`` (a pickle of the coordinator's own bytes), reply vectors
@@ -50,12 +61,15 @@ from __future__ import annotations
 import os
 import select
 import shutil
+import signal
 import socket
 import subprocess
 import sys
 import tempfile
 import threading
 import time
+import traceback
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -92,8 +106,13 @@ from repro.network.wire import ConnectionClosed, encode_value, recv_message, sen
 #: receiver's reference).
 VECTOR_BLOB_KEY = "__vector_blob__"
 
-#: First line a node host prints on stdout once its listener is bound.
+#: First word of the two lines a forked host reports on the zygote's stdout,
+#: ``GARFIELD-RPC <node> <port> <pid>``: port 0 right after the fork, the
+#: listener's once it is bound.
 READY_PREFIX = "GARFIELD-RPC"
+
+#: How the zygote is started (the failure-path tests substitute a broken one).
+ZYGOTE_ARGV = (sys.executable, "-m", "repro.network.rpc")
 
 
 # ---------------------------------------------------------------------- #
@@ -102,40 +121,39 @@ READY_PREFIX = "GARFIELD-RPC"
 _AVAILABILITY: Optional[Tuple[bool, str]] = None
 
 
+def _unavailable_reason() -> str:
+    try:
+        os.fork, signal.pidfd_send_signal  # noqa: B018 - what hosts are made and held by
+        os.close(os.pidfd_open(os.getpid()))
+    except (AttributeError, OSError) as exc:
+        return f"no os.fork / pidfd support (Linux >= 5.3 only): {exc}"
+    try:
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+    except OSError as exc:
+        return f"cannot bind localhost sockets: {exc}"
+    try:
+        code = subprocess.run(
+            [sys.executable, "-c", "pass"], capture_output=True, timeout=60
+        ).returncode
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"cannot spawn subprocesses: {exc}"
+    return f"python subprocess exited with {code}" if code else ""
+
+
 def process_backend_available() -> Tuple[bool, str]:
     """Whether this environment permits the process backend at all.
 
-    Returns ``(True, "")`` when localhost sockets can be bound and
-    subprocesses spawned, else ``(False, reason)``; sandboxes that forbid
-    either make the backend (and its tests) skip gracefully with the reason.
-    The probe runs once per interpreter.
+    Returns ``(True, "")`` when localhost sockets can be bound, subprocesses
+    spawned and a forked non-child process held by pidfd, else ``(False,
+    reason)``; platforms and sandboxes that forbid any of it make the backend
+    (and its tests) skip gracefully with the reason — there is no second way
+    to make a host.  The probe runs once per interpreter.
     """
     global _AVAILABILITY
-    if _AVAILABILITY is not None:
-        return _AVAILABILITY
-    try:
-        probe = socket.socket()
-        try:
-            probe.bind(("127.0.0.1", 0))
-        finally:
-            probe.close()
-    except OSError as exc:
-        _AVAILABILITY = (False, f"cannot bind localhost sockets: {exc}")
-        return _AVAILABILITY
-    try:
-        spawned = subprocess.run(
-            [sys.executable, "-c", "pass"], capture_output=True, timeout=60
-        )
-        if spawned.returncode != 0:
-            _AVAILABILITY = (
-                False,
-                f"python subprocess exited with {spawned.returncode}",
-            )
-            return _AVAILABILITY
-    except (OSError, subprocess.SubprocessError) as exc:
-        _AVAILABILITY = (False, f"cannot spawn subprocesses: {exc}")
-        return _AVAILABILITY
-    _AVAILABILITY = (True, "")
+    if _AVAILABILITY is None:
+        reason = _unavailable_reason()
+        _AVAILABILITY = (not reason, reason)
     return _AVAILABILITY
 
 
@@ -436,7 +454,7 @@ class _HostDispatcher:
         if op == "pull":
             return self._pull(message)
         if op == "restore":
-            from repro.core.node import Node  # loaded by host_main already
+            from repro.core.node import Node  # loaded by the zygote already
 
             self.node = Node.from_snapshot(message.get("state", b""), Transport())
             self.handlers = self.node.handlers()
@@ -470,27 +488,56 @@ class _HostDispatcher:
         raise CommunicationError(f"unknown RPC op '{op}'")
 
 
-def host_main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point of ``python -m repro.network.rpc``: serve one node."""
-    import argparse
+def _host_main(node_id: str, stderr_path: str, probe: bool) -> None:
+    """Body of a freshly forked host: bind, report ready, serve; never returns."""
+    code = 1
+    try:
+        # First, so the coordinator learns the pid before anything can fail.
+        os.write(1, f"{READY_PREFIX} {node_id} 0 {os.getpid()}\n".encode())
+        null = os.open(os.devnull, os.O_RDWR)
+        # Append: a respawned host must not truncate the previous
+        # incarnation's crash diagnostics (error messages quote the tail).
+        log = os.open(stderr_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        os.dup2(null, 0)  # the zygote's request pipe is not ours to read
+        os.dup2(log, 2)
+        os.close(log)
+        handlers = build_probe_handlers(node_id) if probe else None
+        server = RpcServer(_HostDispatcher(node_id, handlers))
+        # ONE write: every host shares this pipe, and a line split over two
+        # writes interleaves with a sibling's.
+        os.write(1, f"{READY_PREFIX} {node_id} {server.port} {os.getpid()}\n".encode())
+        os.dup2(null, 1)  # from here on the zygote is the pipe's only writer
+        os.close(null)
+        server.serve_forever()
+        code = 0
+    except BaseException:  # noqa: BLE001 - into <node>.stderr, then die
+        traceback.print_exc()
+    finally:
+        os._exit(code)  # never unwind into the zygote's loop or its atexit
 
-    parser = argparse.ArgumentParser(prog="repro.network.rpc")
-    parser.add_argument("--node", required=True, help="id of the node this host serves")
-    parser.add_argument(
-        "--probe", action="store_true", help="serve the conformance probe handlers"
-    )
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    handlers = None
-    if args.probe:
-        handlers = build_probe_handlers(args.node)
-    else:
-        # Load the node classes before reporting ready, while every other
-        # host of the fleet is importing too — not inside ``restore``, which
-        # the coordinator sends to one host after another.
-        import repro.core.node  # noqa: F401
-    server = RpcServer(_HostDispatcher(args.node, handlers))
-    print(f"{READY_PREFIX} {args.node} {server.port}", flush=True)
-    server.serve_forever()
+
+def zygote_main() -> int:
+    """Entry point of ``python -m repro.network.rpc``: fork one host per request.
+
+    Requests are lines ``<node>\\t<stderr path>\\t<probe 0|1>`` on stdin.  EOF
+    means the coordinator is gone, however it died: the zygote then kills its
+    process group — itself and every host it forked (``SocketBackend`` starts
+    it as the leader of a group of its own; started any other way it just
+    ends).  Until the fork it must hold no Python thread, no socket and no
+    node: a forked thread's locks stay locked forever, and anything open
+    here is open in every host.
+    """
+    import numpy.random  # noqa: F401 - unpickled with every worker's loader
+    import repro.core.node  # noqa: F401 - and with it every node class
+
+    # Dead hosts are reaped by the kernel: no zombie, and nothing to wait for.
+    signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    for request in iter(sys.stdin.buffer.readline, b""):
+        node_id, stderr_path, probe = request.decode().rstrip("\n").split("\t")
+        if os.fork() == 0:
+            _host_main(node_id, stderr_path, probe == "1")
+    if os.getpgrp() == os.getpid():
+        os.killpg(os.getpid(), signal.SIGKILL)
     return 0
 
 
@@ -498,13 +545,14 @@ def host_main(argv: Optional[Sequence[str]] = None) -> int:
 # Coordinator-side backend
 # ---------------------------------------------------------------------- #
 class _NodeHost:
-    """Bookkeeping for one spawned node subprocess."""
+    """Bookkeeping for one forked node host."""
 
     __slots__ = (
         "node_id",
         "stderr_path",
         "snapshot",
-        "process",
+        "pid",
+        "pidfd",
         "port",
         "client",
         "pending",
@@ -519,9 +567,13 @@ class _NodeHost:
         #: coordinator's own copy at first spawn, the host's at every scripted
         #: crash and supervisor checkpoint since.  Every incarnation is
         #: handed it by ``restore``.  ``None`` only for a conformance probe,
-        #: which is spawned with ``--probe`` and handed nothing.
+        #: which is forked with the probe handlers and handed nothing.
         self.snapshot = snapshot
-        self.process: Optional[subprocess.Popen] = None
+        #: Set by the host's "forked" line; the pidfd is how a process that
+        #: is the zygote's child, not ours, is polled, killed and waited on
+        #: without ever naming a pid somebody else may have been given since.
+        self.pid: Optional[int] = None
+        self.pidfd: Optional[int] = None
         self.port: Optional[int] = None
         self.client: Optional[RpcClient] = None
         #: Control/sync messages issued while the host was down, replayed
@@ -530,14 +582,8 @@ class _NodeHost:
 
     @property
     def running(self) -> bool:
-        return self.process is not None and self.process.poll() is None
-
-    def stderr_tail(self, limit: int = 2000) -> str:
-        try:
-            text = self.stderr_path.read_text(encoding="utf-8", errors="replace")
-        except OSError:
-            return ""
-        return text[-limit:]
+        # A pidfd reads as ready once its process has exited.
+        return self.pidfd is not None and not select.select([self.pidfd], [], [], 0)[0]
 
     def take_snapshot(self) -> bool:
         """Best-effort: fetch the running host's state for the next restore."""
@@ -553,24 +599,40 @@ class _NodeHost:
     def teardown(self) -> None:
         """Leave nothing of this incarnation behind, alive or not.
 
-        Kills the process if it still runs (SIGKILL on POSIX — no goodbye),
-        collects the zombie, closes our end of its stdout pipe and drops the
-        client pool, so repeated crashes, failed recovers and unscripted
-        deaths cannot leak processes or file descriptors.
+        Kills the process if it still runs (SIGKILL — no goodbye), waits
+        until it is gone *and* reaped (the zygote ignores ``SIGCHLD``, so the
+        kernel reaps at exit; a signal through the pidfd stops being
+        deliverable exactly then), closes the pidfd and drops the client
+        pool, so repeated crashes, failed recovers and unscripted deaths
+        cannot leak processes or file descriptors.
         """
-        if self.process is not None:
-            if self.process.poll() is None:
-                self.process.kill()
-            self.process.wait()
-            if self.process.stdout is not None:
-                self.process.stdout.close()
+        if self.pidfd is not None:
+            budget = DeadlineBudget(0.1)  # only an orphan of a dead zygote waits it out
+            try:
+                signal.pidfd_send_signal(self.pidfd, signal.SIGKILL)
+                select.select([self.pidfd], [], [])
+                while not budget.expired():
+                    signal.pidfd_send_signal(self.pidfd, 0)
+            except ProcessLookupError:
+                pass
+            os.close(self.pidfd)
+        self.pid = self.pidfd = self.port = None
         if self.client is not None:
             self.client.close()
             self.client = None
 
 
+def _tail(path: Path, limit: int = 2000) -> str:
+    """The end of a host's (or the zygote's) stderr file, for error messages."""
+    try:
+        text = path.read_text(encoding="utf-8", errors="replace")
+    except OSError:
+        return ""
+    return text[-limit:]
+
+
 class SocketBackend(TransportBackend):
-    """Deliver handler invocations to per-node subprocesses over TCP.
+    """Deliver handler invocations to per-node host processes over TCP.
 
     The coordinator keeps the nodes it built — their registration populates
     the handler table used for planning, and :meth:`start` hands each host
@@ -582,7 +644,7 @@ class SocketBackend(TransportBackend):
     ========== ==========================================================
     crash      state snapshot requested, then SIGKILL of the host; pulls
                are refused at plan time exactly like the in-process path
-    recover    host respawned and handed the crash-time snapshot, buffered
+    recover    new host forked and handed the crash-time snapshot, buffered
                control/sync messages replayed
     partition  the coordinator never dials across the cut (connection
                refusal without consuming drop randomness)
@@ -623,6 +685,10 @@ class SocketBackend(TransportBackend):
         self.on_retry: Optional[Callable[[str, int, BaseException], None]] = None
         self._hosts: Dict[str, _NodeHost] = {}
         self._workdir: Optional[Path] = None
+        #: The template process hosts are forked from, and what it (or a
+        #: host) has printed that is not a whole line yet.
+        self._zygote: Optional[Any] = None
+        self._unrouted = b""
         self._started = False
         self._lock = threading.RLock()
         #: Receiver ends of the hosts' streams, keyed ``(node_id, requester,
@@ -640,98 +706,144 @@ class SocketBackend(TransportBackend):
         with self._lock:
             if self._started:
                 return
-            self._workdir = Path(tempfile.mkdtemp(prefix="repro-process-backend-"))
             try:
+                self.prefork()
                 for node_id, node in sorted(self._nodes.items()):
                     self._hosts[node_id] = _NodeHost(
                         node_id,
                         self._workdir / f"{node_id}.stderr",
                         None if node is None else node.snapshot_state(),
                     )
-                # Spawn everything first, await readiness second: the hosts'
-                # imports overlap, and so does each restore with the imports
-                # of the hosts behind it.
-                for host in self._hosts.values():
+                # Fork everything first, await readiness second, then hand
+                # every host its node at once: the restores are independent,
+                # and one after another they are tens of MB sent in a row.
+                hosts = list(self._hosts.values())
+                for host in hosts:
                     self._spawn(host)
-                for host in self._hosts.values():
+                for host in hosts:
                     self._await_ready(host)
-                    self._restore(host)
+                with ThreadPoolExecutor(len(hosts) or 1) as pool:
+                    list(pool.map(self._restore, hosts))
             except BaseException:
                 # A host failed to come up and the deployment will never be
                 # handed to the caller: reap every sibling that did spawn so
-                # no orphan subprocess (or tempdir) outlives the failure.
+                # no orphan process (or tempdir) outlives the failure.
                 self.close()
                 raise
             self._started = True
 
+    def prefork(self) -> None:
+        """Make sure a zygote runs; public so it can import while nodes are built.
+
+        :class:`~repro.core.controller.Controller` calls it before building
+        the dataset; every ``_spawn`` calls it too, which is what replaces a
+        zygote that died under a live deployment (its hosts keep serving,
+        only forking needs a new one).
+        """
+        with self._lock:
+            if self._zygote is not None and self._zygote.poll() is None:
+                return
+            self._stop_zygote()
+            if self._workdir is None:
+                self._workdir = Path(tempfile.mkdtemp(prefix="repro-process-backend-"))
+            env = dict(os.environ)
+            src_dir = str(Path(__file__).resolve().parents[2])
+            existing = env.get("PYTHONPATH", "")
+            env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
+            with open(self._workdir / "zygote.stderr", "ab") as log:
+                # Leader of its own process group: one killpg — its own on
+                # stdin EOF, ours in _stop_zygote — takes the hosts along.
+                self._zygote = subprocess.Popen(
+                    ZYGOTE_ARGV,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=log,
+                    env=env,
+                    bufsize=0,
+                    start_new_session=True,
+                )
+            os.set_blocking(self._zygote.stdout.fileno(), False)
+            self._unrouted = b""
+
+    def _stop_zygote(self) -> None:
+        zygote, self._zygote = self._zygote, None
+        if zygote is None:
+            return
+        if zygote.poll() is None:  # unreaped, so the group id is still its own
+            os.killpg(zygote.pid, signal.SIGKILL)
+        zygote.wait()
+        zygote.stdin.close()
+        zygote.stdout.close()
+
     def _spawn(self, host: _NodeHost) -> None:
-        env = dict(os.environ)
-        src_dir = str(Path(__file__).resolve().parents[2])
-        existing = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
-        argv = [sys.executable, "-m", "repro.network.rpc", "--node", host.node_id]
-        if host.snapshot is None:
-            argv.append("--probe")
-        # Append: a respawned host must not truncate the previous
-        # incarnation's crash diagnostics (stderr_tail reports them).
-        stderr_handle = open(host.stderr_path, "ab")
+        """Ask the zygote for a fresh host; the old incarnation, if any, goes first."""
+        host.teardown()
+        self.prefork()
+        request = f"{host.node_id}\t{host.stderr_path}\t{int(host.snapshot is None)}\n"
         try:
-            host.process = subprocess.Popen(
-                argv,
-                stdout=subprocess.PIPE,
-                stderr=stderr_handle,
-                env=env,
+            self._zygote.stdin.write(request.encode())
+        except OSError:
+            pass  # the zygote died this instant: _await_ready reports it
+
+    def _route(self, line: bytes) -> bool:
+        """Apply one line of the shared pipe to the host it names, if it fits one."""
+        fields = line.decode("utf-8", errors="replace").split()
+        host = self._hosts.get(fields[1]) if len(fields) == 4 else None
+        if host is None or fields[0] != READY_PREFIX or not (fields[2] + fields[3]).isdigit():
+            return False
+        port, pid = int(fields[2]), int(fields[3])
+        if port == 0 and host.pid is None:  # forked
+            host.pid = pid
+            try:
+                host.pidfd = os.pidfd_open(pid)
+            except ProcessLookupError:
+                pass  # dead on arrival: _await_ready reports it with its stderr
+        elif port and pid == host.pid and host.port is None:  # ready
+            host.port = port
+            host.client = RpcClient(
+                ("127.0.0.1", port), timeout=self.call_timeout, connect_timeout=self.connect_timeout
             )
-        finally:
-            stderr_handle.close()
-        host.port = None
-        host.client = None
+        return True  # else: well-formed but late, from an incarnation already torn down
 
     def _await_ready(self, host: _NodeHost) -> None:
-        process = host.process
-        assert process is not None and process.stdout is not None
+        """Read the one pipe every host reports on until ``host`` is ready.
 
-        def _abort(reason: str) -> CommunicationError:
-            # Every failure path must reap the host before surfacing (a
-            # malformed ready line means a *running* process nobody would
-            # otherwise stop).
-            host.teardown()
-            return CommunicationError(reason)
-
-        fd = process.stdout.fileno()
-        os.set_blocking(fd, False)
+        Lines are routed by node id, so a sibling's report read on the way is
+        already applied when its own turn comes; a line that fits no host is
+        charged to the one awaited.  Every failure reaps that host before it
+        surfaces (a malformed ready line means a *running* process nobody
+        would otherwise stop) — and the zygote with its whole group when the
+        host never even reported its pid.
+        """
+        zygote = self._zygote  # the one _spawn wrote to: if dead, reported here
+        fd = zygote.stdout.fileno()
         budget = DeadlineBudget(self.spawn_timeout)
-        buffer = b""
-        while b"\n" not in buffer:
-            if process.poll() is not None:
-                raise _abort(
-                    f"node host '{host.node_id}' exited with {process.returncode} "
-                    f"before becoming ready: {host.stderr_tail()}"
+        malformed = reason = None
+        while host.port is None and reason is None:
+            if zygote.poll() is not None:
+                reason = (
+                    f"zygote exited with {zygote.returncode} before node host "
+                    f"'{host.node_id}' became ready: {_tail(self._workdir / 'zygote.stderr')}"
                 )
-            if budget.expired():
-                raise _abort(
-                    f"node host '{host.node_id}' not ready within "
-                    f"{budget.total:.0f}s: {host.stderr_tail()}"
-                )
-            # Each select draws a short slice of whatever budget remains.
-            readable, _, _ = select.select(
-                [fd], [], [], min(0.05, max(budget.remaining(), 1e-3))
-            )
-            if readable:
-                chunk = os.read(fd, 4096)
-                if chunk:
-                    buffer += chunk
-        line = buffer.split(b"\n", 1)[0].decode("utf-8", errors="replace").split()
-        if len(line) != 3 or line[0] != READY_PREFIX or line[1] != host.node_id:
-            raise _abort(
-                f"node host '{host.node_id}' printed a malformed ready line: {line}"
-            )
-        host.port = int(line[2])
-        host.client = RpcClient(
-            ("127.0.0.1", host.port),
-            timeout=self.call_timeout,
-            connect_timeout=self.connect_timeout,
-        )
+            elif host.pid is not None and malformed is not None:
+                reason = f"node host '{host.node_id}' printed a malformed ready line: {malformed!r}"
+            elif host.pid is not None and not host.running:
+                reason = f"node host '{host.node_id}' exited before becoming ready"
+            elif budget.expired():
+                reason = f"node host '{host.node_id}' not ready within {budget.total:.0f}s"
+            else:
+                # Each select draws a short slice of whatever budget remains.
+                if select.select([fd], [], [], min(0.05, max(budget.remaining(), 1e-3)))[0]:
+                    self._unrouted += os.read(fd, 4096)
+                *lines, self._unrouted = self._unrouted.split(b"\n")
+                for line in lines:
+                    if not self._route(line):
+                        malformed = line
+        if reason is not None:
+            if host.pid is None:
+                self._stop_zygote()
+            host.teardown()
+            raise CommunicationError(f"{reason}: {_tail(host.stderr_path)}")
 
     def _restore(self, host: _NodeHost) -> None:
         """Hand a ready host its node: first spawn, recover and revive alike."""
@@ -750,6 +862,7 @@ class SocketBackend(TransportBackend):
                         pass
                 host.teardown()
             self._hosts.clear()
+            self._stop_zygote()
             if self._workdir is not None:
                 shutil.rmtree(self._workdir, ignore_errors=True)
                 self._workdir = None
@@ -763,7 +876,7 @@ class SocketBackend(TransportBackend):
         host = self._hosts.get(node_id)
         if host is None or not host.running:
             return None
-        return host.process.pid
+        return host.pid
 
     def is_running(self, node_id: str) -> bool:
         host = self._hosts.get(node_id)
@@ -914,7 +1027,7 @@ class SocketBackend(TransportBackend):
         """
         with self._lock:
             host = self._hosts.get(node_id)
-            if host is None or host.process is None or host.running:
+            if host is None or host.running:
                 return
             host.teardown()
 
@@ -952,9 +1065,5 @@ class SocketBackend(TransportBackend):
         return f"SocketBackend(nodes={len(self._nodes)}, started={self._started})"
 
 
-def main() -> int:  # pragma: no cover - exercised via subprocess
-    return host_main()
-
-
 if __name__ == "__main__":  # pragma: no cover - subprocess entry
-    sys.exit(main())
+    sys.exit(zygote_main())

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,34 @@ from repro.core.cluster import ClusterConfig
 from repro.datasets.synthetic import make_classification
 from repro.network.transport import LinkModel, Transport
 from repro.nn.models import LogisticRegression
+
+
+#: Inherited by everything this session starts — coordinators in
+#: subprocesses, zygotes, the hosts forked from them — and by nothing else.
+SESSION_MARK = f"GARFIELD_TEST_SESSION={os.getpid()}\0".encode()
+
+
+def _node_host_processes_of_this_session():
+    found = []
+    for entry in Path("/proc").glob("[0-9]*"):
+        try:
+            command = (entry / "cmdline").read_bytes()  # empty for a zombie
+            if b"repro.network.rpc" in command and SESSION_MARK in (entry / "environ").read_bytes():
+                found.append(f"{entry.name}: {command.replace(bytes(1), b' ').decode()}")
+        except OSError:
+            continue  # gone meanwhile, or not ours to read
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_node_host_outlives_the_session():
+    """Fail the run if a zygote or node host it started is still alive at the
+    end: the orphan class of bug, caught for every process test at once."""
+    name, _, value = SESSION_MARK.decode().rstrip("\0").partition("=")
+    os.environ[name] = value
+    yield
+    survivors = _node_host_processes_of_this_session()
+    assert not survivors, f"node-host processes outlived the test session: {survivors}"
 
 
 @pytest.fixture

@@ -67,3 +67,18 @@ def test_hedging_fired_and_baseline_stayed_clean(storm):
 def test_both_cells_converged(storm):
     assert storm["baseline"]["final_accuracy"] > 0.8
     assert storm["hedged"]["final_accuracy"] > 0.8
+
+
+def test_committed_recovery_cell_carries_revive_before_and_after(bench):
+    """Shape of the committed numbers only — no clock: the frozen ``before``
+    (an interpreter per host) and the ``after`` (a fork from the zygote) are
+    positive seconds, and the function that freezes ``before`` reads it back."""
+    import json
+
+    recovery = json.loads(bench.OUTPUT_PATH.read_text(encoding="utf-8"))["recovery"]
+    assert recovery["completed"] and recovery["restarts"] >= 1
+    revive = recovery["revive_s"]
+    assert set(revive) == {"before", "after"}
+    assert all(isinstance(value, float) and value > 0 for value in revive.values())
+    assert revive["after"] < revive["before"]
+    assert bench.frozen_revive_before() == revive["before"]

@@ -30,24 +30,38 @@ class TestParser:
 
 
 class TestStartUp:
-    def test_cli_and_node_hosts_import_neither_scipy_nor_networkx(self):
-        """Together they cost every interpreter — nine node hosts on the process
-        backend — ~0.8 s and ~80 MB of start-up, for one helper function each."""
-        probe = (
-            "import repro.network.rpc, repro.core.controller, repro.cli, sys; "
-            "print([name for name in ('scipy', 'networkx') if name in sys.modules])"
-        )
+    def _modules_loaded_by(self, program: str) -> str:
         src = str(Path(repro.__file__).resolve().parents[1])
         inherited = os.environ.get("PYTHONPATH")
         done = subprocess.run(
-            [sys.executable, "-c", probe],
+            [sys.executable, "-c", program],
             env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))},
+            stdin=subprocess.DEVNULL,
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_cli_and_node_hosts_import_neither_scipy_nor_networkx(self):
+        """Together they cost an interpreter ~0.8 s and ~80 MB of start-up, for
+        one helper function each."""
+        probe = (
+            "import repro.network.rpc, repro.core.controller, repro.cli, sys; "
+            "print([name for name in ('scipy', 'networkx') if name in sys.modules])"
+        )
+        assert self._modules_loaded_by(probe) == "[]"
+
+    def test_zygote_imports_numpy_and_the_node_classes_and_nothing_heavy(self):
+        """What the zygote holds when it forks is what every host starts
+        with: run it to its end (stdin at EOF, no host asked for) and look."""
+        probe = (
+            "import sys, repro.network.rpc as rpc; rpc.zygote_main(); "
+            "print([name for name in ('scipy', 'networkx', 'numpy.random', 'repro.core.worker') "
+            "if name in sys.modules])"
+        )
+        assert self._modules_loaded_by(probe) == "['numpy.random', 'repro.core.worker']"
 
 
 class TestListCommand:
