@@ -33,6 +33,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.cluster import ClusterConfig
 from repro.core.session import Session
+from repro.detection import DEAD
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_resilience.json"
@@ -93,7 +94,7 @@ def run_cell(
         records = list(session.deployment.metrics.records)
         stats = session.deployment.transport.stats
         health = session.deployment.health
-        dead = list(health.dead) if health is not None else []
+        dead = list(session.deployment.membership.excluded(DEAD))
         statuses = health.statuses() if health is not None else {}
     wall = time.perf_counter() - start
     return {

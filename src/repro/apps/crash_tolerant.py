@@ -55,15 +55,14 @@ class CrashTolerantStrategy(RoundStrategy):
     def run_round(self, ctx: RoundContext) -> None:
         deployment = ctx.deployment
         gar = deployment.gradient_gar  # Average
-        quorum = ctx.config.num_workers
         for server in deployment.servers[self._primary_index:]:
             if deployment.transport.failures.is_crashed(server.node_id):
                 continue
             try:
-                gradients = server.get_gradient_matrix(ctx.iteration, quorum)
+                gradients = ctx.gradients(server)
             except NodeCrashedError:  # pragma: no cover - defensive
                 continue
-            aggregated = gar.aggregate_matrix(gradients)
+            aggregated = gar(gradients=gradients, f=ctx.f)
             if server is ctx.server:
                 ctx.account(gar)
             server.update_model(aggregated)

@@ -62,8 +62,7 @@ class DecentralizedStrategy(RoundStrategy):
         # Phase 1 — every node aggregates the gradients of its peers.
         aggregated: Dict[str, np.ndarray] = {}
         for server in honest:
-            gradients = server.get_gradient_matrix(ctx.iteration, config.gradient_quorum())
-            aggregated[server.node_id] = gar(gradients=gradients, f=config.num_byzantine_workers)
+            aggregated[server.node_id] = gar(gradients=ctx.gradients(server), f=ctx.f)
             if server is ctx.server:
                 ctx.account(gar)
 

@@ -47,8 +47,7 @@ class MSMWStrategy(RoundStrategy):
             self._sharded_gradient_phase(ctx, honest)
         else:
             for server in honest:
-                gradients = server.get_gradient_matrix(ctx.iteration, config.gradient_quorum())
-                aggregated = gar(gradients=gradients, f=config.num_byzantine_workers)
+                aggregated = gar(gradients=ctx.gradients(server), f=ctx.f)
                 if server is ctx.server:
                     ctx.account(gar)
                 server.update_model(aggregated)
@@ -95,10 +94,8 @@ class MSMWStrategy(RoundStrategy):
         shard_map = ShardMap(ctx.server.dimension, config.shards)
         two_phase = isinstance(gar, DistanceGAR)
         for server in honest:
-            buffer = server.get_sharded_gradient_matrices(
-                ctx.iteration, shard_map, config.gradient_quorum()
-            )
-            aggregated = aggregate_shards(gar, buffer, f=config.num_byzantine_workers)
+            buffer = ctx.gradients(server, shard_map)
+            aggregated = aggregate_shards(gar, buffer, f=ctx.f)
             coord_bytes = coord_messages = 0
             if two_phase:
                 coord_bytes, coord_messages = server.record_shard_coordination(

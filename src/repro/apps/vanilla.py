@@ -12,22 +12,15 @@ driven with workers as real subprocesses (``executor="process"``).
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.session import RoundContext, RoundStrategy, register_application
+from repro.core.session import RoundStrategy, register_application
 
 
 @register_application("vanilla")
 class VanillaStrategy(RoundStrategy):
-    """Plain averaging on the single trusted server, always over all workers."""
+    """Plain averaging on the single trusted server, always over all workers.
 
-    def scatter(self, ctx: RoundContext) -> np.ndarray:
-        # Synchronous and fault-oblivious: waits for every worker regardless
-        # of the asynchronous flag.
-        return ctx.server.get_gradient_matrix(ctx.iteration, ctx.config.num_workers)
-
-    def aggregate(self, ctx: RoundContext, gradients: np.ndarray) -> np.ndarray:
-        gar = ctx.deployment.gradient_gar  # Average for this deployment
-        aggregated = gar.aggregate_matrix(gradients)
-        ctx.account(gar)
-        return aggregated
+    The base scatter → aggregate → apply round: for this deployment the
+    Controller builds ``average`` with ``f = 0`` as the gradient rule and
+    ``ClusterConfig.gradient_quorum`` is every worker — synchronous and
+    fault-oblivious regardless of the asynchronous flag.
+    """

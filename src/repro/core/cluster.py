@@ -276,11 +276,12 @@ class ClusterConfig:
 
         Synchronous deployments wait for all workers; asynchronous ones (and
         the decentralized application, per Listing 3) wait only for the
-        fastest ``n_w - f_w``.
+        fastest ``n_w - f_w``.  The fault-oblivious baselines (vanilla,
+        crash-tolerant) wait for everyone whatever the asynchronous flag says.
         """
-        if self.deployment == "decentralized":
-            return self.num_workers - self.num_byzantine_workers
-        if self.asynchronous:
+        if self.deployment in ("vanilla", "crash-tolerant"):
+            return self.num_workers
+        if self.asynchronous or self.deployment == "decentralized":
             return self.num_workers - self.num_byzantine_workers
         return self.num_workers
 

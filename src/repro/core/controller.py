@@ -26,8 +26,9 @@ from repro.core.scenario import ScenarioDirector, load_scenario
 from repro.core.server import Server
 from repro.core.worker import Worker
 from repro.datasets.partition import partition_dataset
-from repro.detection.manager import DetectionManager
 from repro.datasets.synthetic import Dataset
+from repro.detection.manager import DetectionManager
+from repro.detection.membership import Membership
 from repro.exceptions import ConfigurationError
 from repro.network.cost import DEVICES, FRAMEWORKS, CostModel
 from repro.network.failures import FailureInjector
@@ -48,16 +49,22 @@ class Deployment:
     model_gar: Optional[GAR]
     cost_model: CostModel
     metrics: MetricsLog
+    #: Who is pulled, how many replies are awaited and which f holds — the
+    #: one ledger every strategy's gradient pull reads
+    #: (:meth:`~repro.core.session.RoundContext.gradients`) and the detection
+    #: and liveness layers write.  With nobody excluded it is the whole worker
+    #: roster at ``config.gradient_quorum()``.
+    membership: Membership
     alignment: AlignmentProbe = field(default_factory=lambda: AlignmentProbe(every=20))
     #: Chaos-scenario machinery, attached when the config names a scenario.
     director: Optional[ScenarioDirector] = None
     trace: Optional[Trace] = None
     #: Online Byzantine detection state, attached when the config names a
-    #: detector (``None`` otherwise — the default round phases check this).
+    #: detector (``None`` otherwise — the default aggregate phase checks this).
     detection: Optional["DetectionManager"] = None
     #: Liveness failure detection, attached when ``config.resilience``
-    #: enables any self-healing feature (``None`` otherwise — the default
-    #: round phases and the transport check this).
+    #: enables any self-healing feature (``None`` otherwise — the transport
+    #: checks this).
     health: Optional["LivenessDetector"] = None
     #: Process-backend watchdog respawning unscripted host deaths, attached
     #: when ``config.resilience`` enables supervision on the process backend.
@@ -280,14 +287,18 @@ class Controller:
             model_gar=model_gar,
             cost_model=cost_model,
             metrics=metrics,
+            # Sized by the rule that actually runs: the fault-oblivious
+            # baselines average with f = 0 whatever the config declares.
+            membership=Membership(
+                [worker.node_id for worker in workers],
+                declared_f=gradient_gar.f,
+                gar_name=gradient_gar.name,
+                slack=config.num_workers - config.gradient_quorum(),
+            ),
         )
         if config.detector:
             deployment.detection = DetectionManager(
-                detector=config.detector,
-                roster=[worker.node_id for worker in workers],
-                declared_f=config.num_byzantine_workers,
-                gar_name=config.gradient_gar,
-                asynchronous=config.asynchronous,
+                detector=config.detector, membership=deployment.membership
             )
         if config.scenario:
             spec = load_scenario(config.scenario)
@@ -303,10 +314,8 @@ class Controller:
             from repro.network.resilience import HedgePolicy
 
             deployment.health = LivenessDetector(
-                [worker.node_id for worker in workers],
-                declared_f=config.num_byzantine_workers,
-                gar_name=config.gradient_gar,
-                asynchronous=config.asynchronous,
+                deployment.membership,
+                book=deployment.detection.book if deployment.detection else None,
             )
             transport.health = deployment.health
             if resilience.hedge:

@@ -49,6 +49,7 @@ from repro.core.controller import Controller
 from repro.core.metrics import Trace
 from repro.core.scenario import ScenarioDirector, ScenarioEvent, ScenarioSpec, validate_timeline
 from repro.core.session import Session
+from repro.detection.membership import EVICTED
 from repro.exceptions import ConfigurationError, GarfieldError
 from repro.exceptions import TimeoutError as ReproTimeoutError
 
@@ -526,7 +527,7 @@ def run_spec(
             outcome.trace_json = session.trace.to_json()
         detection = session.deployment.detection
         if detection is not None:
-            outcome.final_evicted = list(detection.book.evicted)
+            outcome.final_evicted = list(session.deployment.membership.excluded(EVICTED))
             outcome.final_suspicion = {
                 name: float(score) for name, score in detection.book.scores.items()
             }
@@ -598,7 +599,8 @@ class InvariantChecker:
     The oracle, per budget:
 
     * every completed round's gradient quorum equals
-      :meth:`~repro.core.cluster.ClusterConfig.gradient_quorum` exactly;
+      :meth:`~repro.core.cluster.ClusterConfig.gradient_quorum` exactly, less
+      one per worker the recorded membership events had excluded by then;
     * update norms are finite (or the round carries the divergence flag) and,
       under a tolerated budget, bounded by ``norm_bound``;
     * tolerated schedules with no probabilistic loss complete (liveness),
@@ -703,58 +705,26 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
     def _expected_quorums(self, case: FuzzCase, outcome: RunOutcome) -> List[int]:
         """Per-round expected gradient quorums, membership-aware.
 
-        Without a detector every round must use
+        Replays the deployment's one membership ledger from both recorded
+        event streams: every ``evict`` (detection payload) and every ``dead``
+        (health payload) takes one worker out of the pull set, every
+        ``readmit`` returns one, and round ``r`` waits for the quorum implied
+        by the membership *after* round ``r - 1``'s decisions — the active
+        count minus the configured reply slack, so each exclusion shrinks the
+        wait by exactly one.  With neither layer on there are no events and
+        every round must use
         :meth:`~repro.core.cluster.ClusterConfig.gradient_quorum` exactly.
-        With one, evictions legitimately shrink the pull set: round ``r``
-        waits for the quorum implied by the membership *after* round
-        ``r - 1``'s decisions, which this replays from the recorded
-        membership events.  (Asynchronous deployments keep the *declared*
-        budget as reply slack — ``active - f`` — so each eviction shrinks
-        the wait quorum by exactly one; see
-        :meth:`repro.detection.manager.DetectionManager.pull_quorum`.)
         """
         config = ClusterConfig.from_dict(dict(case.spec.config))
-        static = config.gradient_quorum()
-        has_detector = bool(dict(case.spec.config).get("detector"))
-        # The liveness membership mirror is only consulted by the *default*
-        # scatter phase (ssmw / aggregathor — the same set detection
-        # supports); strategies overriding their round keep the static quorum.
-        has_resilience = bool(dict(case.spec.config).get("resilience")) and case.deployment in (
-            "ssmw",
-            "aggregathor",
-        )
-        if not has_detector and not has_resilience:
-            return [static] * len(outcome.quorums)
         active = int(config.num_workers)
-        declared_f = int(config.num_byzantine_workers)
-
-        def quorum_now() -> int:
-            if config.asynchronous:
-                return max(1, active - declared_f)
-            return active
-
+        slack = active - config.gradient_quorum()
+        change = {"evict": -1, "dead": -1, "readmit": 1}
         expected: List[int] = []
-        if has_detector:
-            for detection in outcome.detections:
-                expected.append(quorum_now())
-                for event in (detection or {}).get("events", ()):
-                    if event["action"] == "evict":
-                        active -= 1
-                    elif event["action"] == "readmit":
-                        active += 1
-        else:
-            # Resilience without a detector: the liveness detector owns the
-            # membership mirror, and only sticky dead declarations shrink it
-            # (round r's declaration takes effect at round r + 1).
-            for health in outcome.healths:
-                expected.append(quorum_now())
-                for event in (health or {}).get("events", ()):
-                    if event["action"] == "dead":
-                        active -= 1
-        # Rounds past the last recorded payload (if any) keep the final
-        # membership's quorum.
-        while len(expected) < len(outcome.quorums):
-            expected.append(quorum_now())
+        for detection, health in zip(outcome.detections, outcome.healths):
+            expected.append(max(1, active - slack))
+            for payload in (detection, health):
+                for event in (payload or {}).get("events", ()):
+                    active += change.get(event["action"], 0)
         return expected
 
     def _check_detection(self, case: FuzzCase, outcome: RunOutcome, report: CaseReport) -> None:

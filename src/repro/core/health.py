@@ -7,21 +7,20 @@ Two cooperating pieces turn the failure *injection* machinery into failure
   per-call outcomes.  The transport feeds it every fan-out result (success
   latency, refused dial, timeout/loss); suspicion accrues on bad outcomes
   and halves on good ones, classifying each peer ``healthy`` / ``suspect`` /
-  ``dead``.  Dead declarations honour the same quorum-safety guard as
-  detection eviction: a declaration that would starve the GAR below
-  ``minimum_inputs(f)`` degrades to ``suspect``.  When a
-  :class:`~repro.detection.manager.DetectionManager` is attached, liveness
-  evidence is fed into its :class:`~repro.detection.reputation.ReputationBook`
-  (suspect peers are down-weighted; dead peers are evicted through the
-  manager's own guard) and membership stays owned by detection; without one
-  the detector runs its own membership mirror consulted by the default
-  scatter phase.
+  ``dead``.  A dead declaration is an exclusion, cause ``dead``, asked of the
+  deployment's :class:`~repro.detection.membership.Membership` — the same
+  ledger and quorum-safety guard detection evictions go through: one that
+  would starve the GAR degrades to ``suspect``.  A dead peer is not an
+  evicted one: it leaves the pull set but spends none of the Byzantine
+  budget.  When a detector is attached too, liveness evidence also feeds its
+  :class:`~repro.detection.reputation.ReputationBook` (suspect and dead peers
+  are down-weighted).
 * :class:`NodeSupervisor` — the process-backend watchdog.  Each round it
   patrols the host fleet: a host that is down *without* a scripted crash
   (unscripted SIGKILL, OOM, wedge) is respawned from its last state
   snapshot, under a restart budget of ``restart_budget`` respawns per
   ``restart_window`` rounds; past the budget the node is declared dead and
-  the effective membership shrinks through the detector's guard.  Running
+  the membership shrinks, guard permitting.  Running
   hosts are snapshotted each patrol so a respawn restores near-current
   state.
 
@@ -36,13 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.aggregators.base import GAR_REGISTRY
+from repro.detection.membership import DEAD, Membership
 from repro.exceptions import ConfigurationError
 
-#: Peer classifications, from best to worst.
+#: Peer classifications, from best to worst; the worst is the membership cause.
 HEALTHY = "healthy"
 SUSPECT = "suspect"
-DEAD = "dead"
 
 # Accrual tuning.  Constants, not constructor arguments: one value each is in
 # use, and the hedged-pull fixture pins the scores they produce.
@@ -102,26 +100,15 @@ class LivenessDetector:
     fan-out classification loop), so it needs no locking.
     """
 
-    def __init__(
-        self,
-        roster: Sequence[str],
-        *,
-        declared_f: int = 0,
-        gar_name: str = "average",
-        asynchronous: bool = False,
-    ) -> None:
-        self.roster: Tuple[str, ...] = tuple(roster)
-        if not self.roster:
-            raise ConfigurationError("liveness detector needs a non-empty roster")
-        if gar_name not in GAR_REGISTRY:
-            raise ConfigurationError(f"unknown GAR '{gar_name}' for liveness guard")
-        self.declared_f = int(declared_f)
-        self.gar_cls = GAR_REGISTRY[gar_name]
-        self.asynchronous = bool(asynchronous)
+    def __init__(self, membership: Membership, book=None) -> None:
+        self.membership = membership
+        self.roster: Tuple[str, ...] = membership.roster
+        #: The detector's :class:`~repro.detection.reputation.ReputationBook`,
+        #: when one is attached: liveness evidence down-weights there too.
+        self.book = book
 
         self.scores: Dict[str, float] = {name: 0.0 for name in self.roster}
         self._status: Dict[str, str] = {name: HEALTHY for name in self.roster}
-        self._dead: Dict[str, int] = {}  # target -> round declared
         self._cohort: List[float] = []  # recent success latencies, all peers
         self._observed_round = False
         self._pending_events: List[HealthEvent] = []
@@ -179,25 +166,11 @@ class LivenessDetector:
         """Ask for ``peer`` to be declared dead at the next round boundary.
 
         The declaration is resolved in :meth:`finish_round` under the
-        quorum-safety guard (or the detection manager's, when attached).
+        membership's quorum-safety guard.
         """
         if peer not in self.scores:
             raise ConfigurationError(f"cannot declare unknown peer '{peer}' dead")
         self._requested_dead.append((peer, reason))
-
-    # ------------------------------------------------------------------ #
-    # Membership mirror (consulted by scatter when no detection manager)
-    # ------------------------------------------------------------------ #
-    @property
-    def dead(self) -> Tuple[str, ...]:
-        """Peers declared dead, in roster order."""
-        return tuple(name for name in self.roster if name in self._dead)
-
-    def is_dead(self, peer: str) -> bool:
-        return peer in self._dead
-
-    def has_exclusions(self) -> bool:
-        return bool(self._dead)
 
     def status(self, peer: str) -> str:
         return self._status[peer]
@@ -205,58 +178,10 @@ class LivenessDetector:
     def statuses(self) -> Dict[str, str]:
         return {name: self._status[name] for name in self.roster}
 
-    def pull_workers(self) -> Tuple[str, ...]:
-        """Peers still worth pulling from, in roster order."""
-        return tuple(name for name in self.roster if name not in self._dead)
-
-    def pull_quorum(self) -> int:
-        """Replies to wait for, given the shrunk membership.
-
-        Mirrors :meth:`repro.detection.manager.DetectionManager.pull_quorum`:
-        asynchronous deployments keep the declared ``f`` as reply slack, so
-        the quorum shrinks by one per dead peer; synchronous ones wait for
-        every peer still alive.
-        """
-        active = len(self.pull_workers())
-        if self.asynchronous:
-            return max(1, active - self.declared_f)
-        return active
-
-    def _may_declare_dead(self, peer: str) -> bool:
-        """Quorum-safety guard: a declaration must not starve the GAR.
-
-        Unlike detection eviction there is no ``f``-cap on how many peers may
-        be declared dead — a dead peer contributes no gradient either way —
-        but the post-declaration quorum must still cover
-        ``minimum_inputs(declared_f)``: the declared Byzantine budget stays
-        conservative because the dead peers need not be the Byzantine ones.
-        """
-        active_after = len(self.pull_workers()) - 1
-        if active_after < 1:
-            return False
-        quorum_after = (
-            active_after - self.declared_f if self.asynchronous else active_after
-        )
-        return quorum_after >= max(1, self.gar_cls.minimum_inputs(self.declared_f))
-
-    def _declare_dead(self, round_index: int, peer: str, reason: str, detection) -> bool:
-        if peer in self._dead:
-            return False
-        if detection is not None:
-            # Membership is owned by the detection manager: declare through
-            # its eviction path so its guard, events and trace stay the one
-            # source of truth.
-            if not detection.force_evict(round_index, peer):
-                return False
-        elif not self._may_declare_dead(peer):
-            return False
-        self._dead[peer] = round_index
-        return True
-
     # ------------------------------------------------------------------ #
     # End-of-round classification
     # ------------------------------------------------------------------ #
-    def finish_round(self, round_index: int, trace=None, detection=None) -> Optional[Dict[str, Any]]:
+    def finish_round(self, round_index: int, trace=None) -> Optional[Dict[str, Any]]:
         """Classify every peer and emit this round's health payload.
 
         Returns ``None`` when the detector saw nothing this round (no
@@ -275,20 +200,18 @@ class LivenessDetector:
 
         events: List[HealthEvent] = list(pending)
         for peer, reason in requested:
-            if self._declare_dead(round_index, peer, reason, detection):
+            if self.membership.exclude(peer, DEAD):
                 events.append(
                     HealthEvent(round_index, DEAD, peer, self.scores[peer], detail=reason)
                 )
 
         for name in self.roster:
             previous = self._status[name]
-            if name in self._dead:
+            if self.membership.cause(name) == DEAD:
                 status = DEAD
             elif self.scores[name] >= DEAD_AFTER:
-                if self._declare_dead(round_index, name, "accrual", detection):
-                    status = DEAD
-                else:
-                    status = SUSPECT  # guard blocked: down-weight, keep pulling
+                # Guard refused: stay suspect (down-weighted), keep pulling.
+                status = DEAD if self.membership.exclude(name, DEAD) else SUSPECT
             elif self.scores[name] >= SUSPECT_AFTER:
                 status = SUSPECT
             else:
@@ -300,8 +223,8 @@ class LivenessDetector:
 
         # Liveness evidence for the reputation book: an unresponsive peer is
         # down-weighted in aggregation even before (or without) eviction.
-        if detection is not None:
-            book = detection.book
+        book = self.book
+        if book is not None:
             for name in self.roster:
                 if self._status[name] in (SUSPECT, DEAD) and name in book.scores:
                     book.scores[name] = max(
@@ -313,7 +236,7 @@ class LivenessDetector:
         payload: Dict[str, Any] = {
             "statuses": {name: self._status[name] for name in self.roster},
             "scores": {name: round(float(self.scores[name]), 6) for name in self.roster},
-            "dead": list(self.dead),
+            "dead": list(self.membership.excluded(DEAD)),
             "events": [event.to_dict() for event in events],
         }
         self.last_payload = payload

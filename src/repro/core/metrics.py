@@ -126,6 +126,13 @@ class Trace:
         self.rounds.append(entry)
         return entry
 
+    def _entry(self, round_index: int) -> Dict[str, Any]:
+        """The round's entry, opened on the fly when the caller never did."""
+        for entry in reversed(self.rounds):
+            if entry["round"] == int(round_index):
+                return entry
+        return self.begin_round(round_index)
+
     def end_round(
         self,
         round_index: int,
@@ -141,11 +148,7 @@ class Trace:
         Robust to callers that never opened the round (an entry is created on
         the fly) so applications cannot corrupt the trace by mis-ordering.
         """
-        entry = next(
-            (r for r in reversed(self.rounds) if r["round"] == int(round_index)), None
-        )
-        if entry is None:
-            entry = self.begin_round(round_index)
+        entry = self._entry(round_index)
         entry["quorum"] = None if quorum is None else int(quorum)
         entry["gradient_sources"] = [str(s) for s in gradient_sources]
         entry["update_norm"] = None if update_norm is None else float(update_norm)
@@ -162,11 +165,7 @@ class Trace:
         in golden — are byte-identical to what they were before the flag
         existed.
         """
-        entry = next(
-            (r for r in reversed(self.rounds) if r["round"] == int(round_index)), None
-        )
-        if entry is None:
-            entry = self.begin_round(round_index)
+        entry = self._entry(round_index)
         entry["diverged"] = True
         return entry
 
@@ -187,11 +186,7 @@ class Trace:
         ``active`` is the post-decision membership, ``events`` the round's
         evict/re-admit decisions in compact dict form.
         """
-        entry = next(
-            (r for r in reversed(self.rounds) if r["round"] == int(round_index)), None
-        )
-        if entry is None:
-            entry = self.begin_round(round_index)
+        entry = self._entry(round_index)
         entry["detection"] = {
             "suspicion": {str(k): float(v) for k, v in (suspicion or {}).items()},
             "active": [str(name) for name in active],
@@ -216,11 +211,7 @@ class Trace:
         healthy/suspect/dead, ``dead`` is the sticky dead set, ``events``
         the round's typed transitions and supervisor actions.
         """
-        entry = next(
-            (r for r in reversed(self.rounds) if r["round"] == int(round_index)), None
-        )
-        if entry is None:
-            entry = self.begin_round(round_index)
+        entry = self._entry(round_index)
         entry["health"] = {
             "statuses": {str(k): str(v) for k, v in (statuses or {}).items()},
             "dead": [str(name) for name in dead],

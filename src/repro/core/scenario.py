@@ -67,8 +67,8 @@ TARGETED_ACTIONS = frozenset(
     {"crash", "recover", "straggler", "clear_straggler", "evict", "readmit"}
 )
 
-#: Actions that require a detection manager on the deployment (they drive the
-#: reputation book's membership state, which only exists for detector runs).
+#: Actions that require a detection manager on the deployment (a forced
+#: transition pins the reputation book's score, which only detector runs have).
 DETECTION_ACTIONS = frozenset({"evict", "readmit"})
 
 #: Actions that must carry a value.

@@ -218,6 +218,30 @@ class RoundContext:
         """Charge one GAR invocation performed by the reporting server."""
         self.accountant.add_aggregation(gar, dimension)
 
+    def gradients(self, server: Server, shard_map=None):
+        """``server``'s gradient pull for this round, over the current membership.
+
+        The one place a strategy gets its gradient rows: the active workers
+        are pulled and ``membership.quorum()`` replies awaited, so a worker
+        evicted or declared dead costs no message and no waiting in any
+        deployment.  With nobody excluded this is the whole roster and
+        ``ClusterConfig.gradient_quorum``.  Returns the read-only ``(q, d)``
+        view, or the staged per-shard buffer when ``shard_map`` is given;
+        aggregate it with :attr:`f`.
+        """
+        membership = self.deployment.membership
+        workers = list(membership.active())
+        if shard_map is None:
+            return server.get_gradient_matrix(self.iteration, membership.quorum(), workers)
+        return server.get_sharded_gradient_matrices(
+            self.iteration, shard_map, membership.quorum(), workers
+        )
+
+    @property
+    def f(self) -> int:
+        """The Byzantine budget the gradient rule must assume this round."""
+        return self.deployment.membership.effective_f()
+
 
 @dataclass(frozen=True)
 class RoundResult:
@@ -301,52 +325,30 @@ class RoundStrategy:
         self.apply(ctx, update)
 
     def scatter(self, ctx: RoundContext) -> np.ndarray:
-        """Collect this round's inputs (default: a robust gradient quorum).
-
-        With a detection manager attached the pull set shrinks to the
-        currently admitted workers and the quorum to the post-eviction size —
-        evicted workers cost no messages and no waiting.  Without one, a
-        liveness detector that has declared peers dead shrinks the pull set
-        the same way — dead peers cost no messages and no waiting.
-        """
-        detection = ctx.deployment.detection
-        if detection is not None:
-            return ctx.server.get_gradient_matrix(
-                ctx.iteration,
-                detection.pull_quorum(),
-                workers=list(detection.pull_workers()),
-            )
-        health = ctx.deployment.health
-        if health is not None and health.has_exclusions():
-            return ctx.server.get_gradient_matrix(
-                ctx.iteration,
-                health.pull_quorum(),
-                workers=list(health.pull_workers()),
-            )
-        return ctx.server.get_gradient_matrix(ctx.iteration, ctx.config.gradient_quorum())
+        """Collect this round's inputs (default: a robust gradient quorum)."""
+        return ctx.gradients(ctx.server)
 
     def aggregate(self, ctx: RoundContext, gradients: np.ndarray) -> np.ndarray:
         """Robustly aggregate the collected inputs (default: the gradient GAR).
 
-        The GAR always runs sized for the rows it receives
-        (:meth:`GAR.resized`) — a pull set shrunk by the liveness detector or
-        by evictions is never scored by a rule built for the full quorum —
-        and that sized rule is what the accountant charges, so eviction shows
-        up as cheaper aggregation, not just fewer messages.  With a detection
-        manager attached the rows are scored and reputation-weighted first
-        (``detection.weigh_and_observe`` — the suspicion update lands in the
-        same round) and ``f`` is the *effective* one (declared f minus
-        evictions).  Membership decisions happen at the end of the round
-        (:meth:`Session.step` calls ``detection.finish_round``).
+        The GAR always runs sized for the rows it receives and the budget
+        still assumed among them (:meth:`GAR.resized` with :attr:`RoundContext.f`
+        — the declared f minus evictions) — a pull set shrunk by evictions or
+        dead declarations is never scored by a rule built for the full quorum
+        — and that sized rule is what the accountant charges, so a shrunk
+        membership shows up as cheaper aggregation, not just fewer messages.
+        With a detection manager attached the rows are scored and
+        reputation-weighted first (``detection.weigh_and_observe`` — the
+        suspicion update lands in the same round).  Membership decisions
+        happen at the end of the round (:meth:`Session.step` calls
+        ``detection.finish_round``).
         """
         detection = ctx.deployment.detection
-        f = ctx.config.num_byzantine_workers
         if detection is not None:
-            f = detection.effective_f()
             gradients = detection.weigh_and_observe(
                 gradients, tuple(ctx.server.last_gradient_sources)
             )
-        gar = ctx.deployment.gradient_gar.resized(len(gradients), f)
+        gar = ctx.deployment.gradient_gar.resized(len(gradients), ctx.f)
         update = gar.aggregate_matrix(gradients)
         ctx.account(gar)
         if detection is not None:
@@ -605,12 +607,12 @@ class Session(Iterator[RoundResult]):
             )
         health_payload = None
         if deployment.health is not None:
-            # Classify liveness after detection scored the round: dead
-            # declarations route through the detection manager when one is
-            # attached, and the trace gains health keys only on active
-            # rounds, so resilience-less goldens stay byte-identical.
+            # Classify liveness after detection scored the round (its
+            # evidence lands on the updated suspicion levels); the trace
+            # gains health keys only on active rounds, so resilience-less
+            # goldens stay byte-identical.
             health_payload = deployment.health.finish_round(
-                iteration, trace=deployment.trace, detection=deployment.detection
+                iteration, trace=deployment.trace
             )
         result = RoundResult(
             iteration=iteration,

@@ -4,7 +4,9 @@ The detection subsystem mirrors the GAR registry (``--detector`` selects a
 scoring rule by name) and sits *in front of* any registered GAR: per-round
 raw suspicion scores feed a decayed :class:`ReputationBook`, which weights
 rows before aggregation and drives evict / re-admit decisions with
-hysteresis.  See ``docs/detection.md`` for the catalogue and the lifecycle.
+hysteresis.  Who is pulled is the deployment's one :class:`Membership`, which
+records those evictions beside the liveness layer's dead declarations.  See
+``docs/detection.md`` for the catalogue and the lifecycle.
 """
 
 from repro.detection.base import (
@@ -15,12 +17,16 @@ from repro.detection.base import (
     register_detector,
 )
 from repro.detection.manager import DetectionManager
+from repro.detection.membership import DEAD, EVICTED, Membership
 from repro.detection.reputation import MembershipEvent, ReputationBook
 
 __all__ = [
+    "DEAD",
     "DETECTOR_REGISTRY",
     "Detector",
     "DetectionManager",
+    "EVICTED",
+    "Membership",
     "MembershipEvent",
     "ReputationBook",
     "available_detectors",

@@ -1,23 +1,22 @@
-"""Per-deployment detection driver: scoring, membership and quorum safety.
+"""Per-deployment detection driver: scoring, weighting and eviction decisions.
 
 One :class:`DetectionManager` is attached to a deployment (as
 ``Deployment.detection``) when ``ClusterConfig.detector`` names a registered
-detector.  The default :class:`~repro.core.session.RoundStrategy` phases
-consult it in three places:
+detector.  It owns the detector and the :class:`ReputationBook`; *who is
+pulled, how many replies are awaited and which f holds* is the deployment's
+:class:`~repro.detection.membership.Membership`, which the manager is handed
+and asks for every transition.  The default
+:class:`~repro.core.session.RoundStrategy` consults the manager in two places:
 
-* **scatter** — the pull set shrinks to :meth:`pull_workers` and the quorum
-  to :meth:`pull_quorum`, so evicted workers cost no messages and no waiting;
 * **aggregate** — the detector scores the round's rows against their
   coordinate-wise median, the :class:`ReputationBook` folds the raw scores
   into its decayed levels, and the GAR runs on the reputation-weighted
-  matrix (:meth:`weigh_and_observe`) with the *effective* f
-  (:meth:`effective_f`) and a right-sized clone — a flagrant outlier is
-  down-weighted in the very round it first appears;
+  matrix (:meth:`weigh_and_observe`) — a flagrant outlier is down-weighted
+  in the very round it first appears;
 * **finish_round** — after the accountant closed the round, evictions /
-  re-admissions are decided under the quorum-safety guard: an eviction that
-  would leave the GAR with fewer usable replies than
-  ``minimum_inputs(effective f)`` is skipped — the worker stays in the pull
-  set and is merely down-weighted.
+  re-admissions are decided; one the membership's quorum-safety guard
+  refuses is skipped — the worker stays in the pull set and is merely
+  down-weighted.
 
 Everything here is deterministic given the round's gradient matrix and source
 order, which the transport already fixes across the serial, threaded and
@@ -26,14 +25,14 @@ process backends.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.aggregators.base import GAR, GAR_REGISTRY, column_median, scale_rows, sorted_columns
+from repro.aggregators.base import column_median, scale_rows, sorted_columns
 from repro.detection.base import Detector, init_detector
+from repro.detection.membership import EVICTED, Membership
 from repro.detection.reputation import MembershipEvent, ReputationBook
-from repro.exceptions import ConfigurationError
 
 
 class DetectionManager:
@@ -43,19 +42,12 @@ class DetectionManager:
         self,
         *,
         detector: "Detector | str",
-        roster: Sequence[str],
-        declared_f: int,
-        gar_name: str,
-        asynchronous: bool = False,
+        membership: Membership,
         book: Optional[ReputationBook] = None,
     ) -> None:
         self.detector = init_detector(detector) if isinstance(detector, str) else detector
-        self.roster: Tuple[str, ...] = tuple(roster)
-        self.declared_f = int(declared_f)
-        if gar_name not in GAR_REGISTRY:
-            raise ConfigurationError(f"unknown gradient GAR '{gar_name}' for detection")
-        self.gar_cls: Type[GAR] = GAR_REGISTRY[gar_name]
-        self.asynchronous = bool(asynchronous)
+        self.membership = membership
+        self.roster: Tuple[str, ...] = membership.roster
         self.book = book if book is not None else ReputationBook(self.roster)
         #: Every membership event in decision order, across the whole run.
         self.events: List[MembershipEvent] = []
@@ -65,33 +57,6 @@ class DetectionManager:
         #: consumed by :meth:`finish_round`).
         self._scored: Optional[Tuple[str, ...]] = None
         self._forced: List[MembershipEvent] = []
-
-    # ------------------------------------------------------------------ #
-    # Membership / quorum queries (consulted by the default round phases)
-    # ------------------------------------------------------------------ #
-    def pull_workers(self) -> Tuple[str, ...]:
-        """Workers still pulled from, in roster order."""
-        return self.book.active()
-
-    def effective_f(self) -> int:
-        """The Byzantine budget still assumed present among active workers."""
-        return max(0, self.declared_f - len(self.book.evicted))
-
-    def pull_quorum(self) -> int:
-        """Replies the server waits for, given the current membership.
-
-        Asynchronous deployments keep the *declared* budget as reply slack,
-        not the effective one: crashes and lies both spend from ``f``, and an
-        eviction only confirms a liar — it must not eat into the slack that
-        keeps the round live when up to ``f`` of the remaining workers stall.
-        The quorum therefore *shrinks* by one per eviction
-        (``active - declared_f``), which is also where the post-eviction
-        rounds/sec gain comes from.
-        """
-        active = len(self.book.active())
-        if self.asynchronous:
-            return max(1, active - self.declared_f)
-        return active
 
     # ------------------------------------------------------------------ #
     # Aggregation support
@@ -109,68 +74,40 @@ class DetectionManager:
         """
         grid = np.asarray(matrix, dtype=np.float64)
         centre = column_median(sorted_columns(grid))
-        raw = self.detector.score(grid, sources, centre, f=self.effective_f())
+        raw = self.detector.score(grid, sources, centre, f=self.membership.effective_f())
         self.book.observe(raw)
         self._scored = tuple(sources)
         return scale_rows(grid, self.book.weights(sources))
 
     # ------------------------------------------------------------------ #
-    # Quorum-safety guard
-    # ------------------------------------------------------------------ #
-    def _may_evict(self, name: str) -> bool:
-        """Whether evicting ``name`` keeps the GAR above its input floor.
-
-        Also caps total evictions at the declared budget: at most ``f``
-        workers can actually be Byzantine, so an (f+1)-th eviction would
-        provably remove an honest worker — it degrades to down-weighting
-        instead, and a zero budget never evicts at all.
-        """
-        active_after = len(self.book.active()) - 1
-        if active_after < 1:
-            return False
-        evicted_after = len(self.roster) - active_after
-        if evicted_after > self.declared_f:
-            return False
-        f_after = max(0, self.declared_f - evicted_after)
-        quorum_after = (
-            active_after - self.declared_f if self.asynchronous else active_after
-        )
-        if quorum_after < 1:
-            return False
-        return quorum_after >= max(1, self.gar_cls.minimum_inputs(f_after))
-
-    # ------------------------------------------------------------------ #
     # Forced transitions (scenario events)
     # ------------------------------------------------------------------ #
+    def _record_forced(self, round_index: int, action: str, name: str) -> None:
+        score = self.book.pin(name, out=action == "evict")
+        event = MembershipEvent(round_index, action, name, score, forced=True)
+        self._forced.append(event)
+        self.events.append(event)
+
     def force_evict(self, round_index: int, name: str) -> bool:
         """Scenario-driven eviction; honours the quorum-safety guard.
 
         Returns True when the worker was actually evicted.  When the guard
-        blocks the eviction the worker's score is still pinned above the
-        hysteresis band, so it degrades to heavy down-weighting.
+        refuses, the still-active worker's score is pinned above the
+        hysteresis band, so the eviction degrades to heavy down-weighting.
         """
-        if name not in self.book.scores:
-            raise ConfigurationError(f"cannot evict unknown worker '{name}'")
-        if self.book.is_evicted(name):
-            return False
-        if not self._may_evict(name):
-            self.book.scores[name] = max(
-                self.book.scores[name], self.book.evict_threshold
-            )
-            return False
-        event = self.book.force_evict(round_index, name)
-        if event is not None:
-            self._forced.append(event)
-            self.events.append(event)
-        return event is not None
+        evicted = self.membership.exclude(name, EVICTED)
+        if evicted:
+            self._record_forced(round_index, "evict", name)
+        elif self.membership.cause(name) is None:
+            self.book.pin(name, out=True)
+        return evicted
 
     def force_readmit(self, round_index: int, name: str) -> bool:
         """Scenario-driven re-admission; returns True when membership changed."""
-        event = self.book.force_readmit(round_index, name)
-        if event is not None:
-            self._forced.append(event)
-            self.events.append(event)
-        return event is not None
+        readmitted = self.membership.readmit(name)
+        if readmitted:
+            self._record_forced(round_index, "readmit", name)
+        return readmitted
 
     # ------------------------------------------------------------------ #
     # End-of-round scoring and decisions
@@ -189,7 +126,7 @@ class DetectionManager:
         if self._scored is not None:
             sources, self._scored = self._scored, None
             observed = True
-            decided = self.book.decide(round_index, sources, may_evict=self._may_evict)
+            decided = self.book.decide(round_index, sources, self.membership)
             self.events.extend(decided)
             events.extend(decided)
         if not observed and not events:
@@ -198,7 +135,7 @@ class DetectionManager:
             "suspicion": {
                 name: round(float(self.book.scores[name]), 6) for name in self.roster
             },
-            "active": list(self.book.active()),
+            "active": list(self.membership.active()),
             "events": [event.to_dict() for event in events],
         }
         self.last_payload = payload

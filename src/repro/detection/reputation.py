@@ -14,19 +14,23 @@ drives the evict / re-admit lifecycle with hysteresis:
   ``readmit_threshold`` — a strictly lower bar, so membership cannot
   oscillate on a borderline worker.
 
-Evicted workers are no longer pulled from, so they produce no fresh raw
-scores; their level decays at the slower ``idle_decay`` rate, which sets the
-re-admission probation time.  All iteration is in roster order and all state
-is plain floats, keeping the book bit-deterministic across backends.
+Who is in or out lives in the deployment's one
+:class:`~repro.detection.membership.Membership`; the book decides *when* to
+ask it for a transition.  Evicted workers are no longer pulled from, so they
+produce no fresh raw scores; their level decays at the slower ``idle_decay``
+rate, which sets the re-admission probation time.  All iteration is in roster
+order and all state is plain floats, keeping the book bit-deterministic
+across backends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.detection.membership import EVICTED, Membership
 from repro.exceptions import ConfigurationError
 
 
@@ -55,7 +59,7 @@ class MembershipEvent:
 
 @dataclass
 class ReputationBook:
-    """Per-worker decayed suspicion scores and membership state."""
+    """Per-worker decayed suspicion scores, strike streaks and hysteresis."""
 
     roster: Tuple[str, ...]
     #: Blend factor for observed rounds: ``s <- decay*s + (1-decay)*raw``.
@@ -81,7 +85,6 @@ class ReputationBook:
     scores: Dict[str, float] = field(init=False)
     _streaks: Dict[str, int] = field(init=False)
     _last_raw: Dict[str, float] = field(init=False)  # this round's raw scores
-    _evicted: Dict[str, int] = field(init=False)  # target -> eviction round
     rounds_observed: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
@@ -98,22 +101,6 @@ class ReputationBook:
         self.scores = {name: 0.0 for name in self.roster}
         self._streaks = {name: 0 for name in self.roster}
         self._last_raw = {}
-        self._evicted = {}
-
-    # ------------------------------------------------------------------ #
-    # Membership queries
-    # ------------------------------------------------------------------ #
-    @property
-    def evicted(self) -> Tuple[str, ...]:
-        """Currently evicted workers, in roster order."""
-        return tuple(name for name in self.roster if name in self._evicted)
-
-    def active(self) -> Tuple[str, ...]:
-        """Workers still part of the pull set, in roster order."""
-        return tuple(name for name in self.roster if name not in self._evicted)
-
-    def is_evicted(self, name: str) -> bool:
-        return name in self._evicted
 
     # ------------------------------------------------------------------ #
     # Score updates
@@ -157,8 +144,7 @@ class ReputationBook:
         self,
         round_index: int,
         observed: Iterable[str],
-        *,
-        may_evict,
+        membership: Membership,
     ) -> List[MembershipEvent]:
         """Run the hysteresis state machine for one observed round.
 
@@ -166,19 +152,17 @@ class ReputationBook:
         round (only they advance eviction streaks, and only when their *raw*
         score struck at or above ``evict_threshold`` — isolated honest
         outlier rounds reset the streak instead of accumulating through the
-        decayed level).  ``may_evict`` is a callback ``(candidate) -> bool``
-        consulted immediately before each eviction; it implements the
-        quorum-safety guard (an eviction that would starve the GAR is
-        skipped, degrading to pure down-weighting).
+        decayed level).  Every transition is asked of ``membership``, whose
+        quorum-safety guard may refuse it: a refused eviction is skipped,
+        degrading to pure down-weighting.
         """
         events: List[MembershipEvent] = []
         observed_set = set(observed)
 
         # Re-admissions first (roster order): an evicted worker whose score
         # decayed through the lower threshold rejoins the pull set.
-        for name in self.roster:
-            if name in self._evicted and self.scores[name] <= self.readmit_threshold:
-                del self._evicted[name]
+        for name in membership.excluded(EVICTED):
+            if self.scores[name] <= self.readmit_threshold and membership.readmit(name):
                 self._streaks[name] = 0
                 events.append(
                     MembershipEvent(round_index, "readmit", name, self.scores[name])
@@ -186,9 +170,8 @@ class ReputationBook:
 
         # Evictions: highest score first so, when the quorum guard only
         # admits some of the candidates, the most suspicious go first.
-        for name in self.roster:
-            if name in self._evicted:
-                continue
+        active = membership.active()
+        for name in active:
             if name not in observed_set:
                 continue
             if self._last_raw.get(name, 0.0) >= self.evict_threshold:
@@ -197,47 +180,28 @@ class ReputationBook:
                 self._streaks[name] = 0
         candidates = [
             name
-            for name in self.roster
-            if name not in self._evicted
-            and self._streaks[name] >= self.patience
-            and self.rounds_observed > self.warmup
+            for name in active
+            if self._streaks[name] >= self.patience and self.rounds_observed > self.warmup
         ]
         candidates.sort(key=lambda name: (-self.scores[name], self.roster.index(name)))
         for name in candidates:
-            if not may_evict(name):
-                continue
-            self._evicted[name] = round_index
-            self._streaks[name] = 0
-            events.append(
-                MembershipEvent(round_index, "evict", name, self.scores[name])
-            )
+            if membership.exclude(name, EVICTED):
+                events.append(
+                    MembershipEvent(round_index, "evict", name, self.scores[name])
+                )
         return events
 
-    # ------------------------------------------------------------------ #
-    # Forced transitions (scenario events)
-    # ------------------------------------------------------------------ #
-    def force_evict(self, round_index: int, name: str) -> Optional[MembershipEvent]:
-        """Scenario-driven eviction; returns the event, or None if already out."""
+    def pin(self, name: str, *, out: bool) -> float:
+        """Clamp ``name``'s score to the side of the hysteresis band a forced
+        transition needs — above it (``out``), so the idle decay keeps the
+        worker out for a few rounds; or into the admitted half, streak
+        cleared, so stale state cannot instantly re-evict.  Returns the score.
+        """
         if name not in self.scores:
             raise ConfigurationError(f"unknown worker '{name}' in reputation book")
-        if name in self._evicted:
-            return None
-        self._evicted[name] = round_index
-        # Pin the score above the hysteresis band so the idle decay keeps the
-        # worker out for a few rounds instead of re-admitting immediately.
-        self.scores[name] = max(self.scores[name], self.evict_threshold)
-        self._streaks[name] = 0
-        return MembershipEvent(round_index, "evict", name, self.scores[name], forced=True)
-
-    def force_readmit(self, round_index: int, name: str) -> Optional[MembershipEvent]:
-        """Scenario-driven re-admission; returns the event, or None if active."""
-        if name not in self.scores:
-            raise ConfigurationError(f"unknown worker '{name}' in reputation book")
-        if name not in self._evicted:
-            return None
-        del self._evicted[name]
-        # Drop the score into the admitted half of the hysteresis band so the
-        # worker is genuinely back (not instantly re-evicted by stale state).
-        self.scores[name] = min(self.scores[name], self.readmit_threshold)
-        self._streaks[name] = 0
-        return MembershipEvent(round_index, "readmit", name, self.scores[name], forced=True)
+        if out:
+            self.scores[name] = max(self.scores[name], self.evict_threshold)
+        else:
+            self.scores[name] = min(self.scores[name], self.readmit_threshold)
+            self._streaks[name] = 0
+        return self.scores[name]

@@ -269,3 +269,84 @@ class TestDecentralized:
         decentralized = self.decentralized_result(num_iterations=3)
         ssmw = run(deployment="ssmw", num_workers=6, num_iterations=3)
         assert decentralized.messages_sent > 2 * ssmw.messages_sent
+
+
+class TestDeadWorkersLeaveEveryPull:
+    """Every strategy pulls from the deployment's one membership: once the
+    liveness layer declares a worker dead, no deployment contacts it or waits
+    for it any more, and the health payload and the pull set agree."""
+
+    CELLS = {
+        # Asynchronous deployments survive a crash (reply slack f = 1) ...
+        "msmw": dict(deployment="msmw", num_servers=3, asynchronous=True, fault="crash"),
+        "msmw-sharded": dict(
+            deployment="msmw", num_servers=3, shards=3, asynchronous=True, fault="crash"
+        ),
+        "decentralized": dict(deployment="decentralized", fault="crash"),
+        # ... the synchronous baselines by design do not, so their worker
+        # turns into a 500x straggler instead.
+        "vanilla": dict(deployment="vanilla", fault="straggle"),
+        "crash-tolerant": dict(deployment="crash-tolerant", num_servers=2, fault="straggle"),
+    }
+
+    @pytest.mark.resilience
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    def test_dead_worker_is_neither_pulled_nor_awaited(self, cell, monkeypatch):
+        from repro.core.session import Session
+        from repro.network.transport import Transport
+
+        options = dict(self.CELLS[cell])
+        fault = options.pop("fault")
+        config = ClusterConfig(
+            num_workers=8,
+            num_byzantine_workers=1,
+            gradient_gar="median",
+            model="logistic",
+            dataset="mnist",
+            dataset_size=160,
+            batch_size=8,
+            num_iterations=10,
+            accuracy_every=10,
+            seed=4,
+            resilience={"hedge": True},
+            **options,
+        )
+        victim = "worker-3"
+        pulled_now, pulled, results = set(), [], []
+        pull_many = Transport.pull_many
+
+        def recording(transport, source, destinations, kind, *args, **kwargs):
+            if kind == "gradient":
+                pulled_now.update(destinations)
+            return pull_many(transport, source, destinations, kind, *args, **kwargs)
+
+        monkeypatch.setattr(Transport, "pull_many", recording)
+
+        def inject(session, iteration, events):
+            failures = session.deployment.transport.failures
+            if iteration == 1 and fault == "crash":
+                failures.crash(victim)
+            elif iteration == 1:
+                failures.set_straggler(victim, 500.0)
+
+        def observe(result):
+            results.append(result)
+            pulled.append(set(pulled_now))
+            pulled_now.clear()
+
+        with Session(config=config) as session:
+            session.on_round_start(inject).on_round(observe)
+            session.run()
+            roster = {worker.node_id for worker in session.deployment.workers}
+
+        dead = set()  # as the previous round's payload left it (sticky)
+        declared = None
+        for result, destinations in zip(results, pulled):
+            assert destinations == roster - dead
+            assert result.quorum == results[0].quorum - len(dead)
+            if result.health is not None:
+                dead = set(result.health["dead"])
+                if declared is None and dead:
+                    declared = result.iteration
+        assert dead == {victim}
+        assert declared is not None and declared < results[-1].iteration

@@ -200,6 +200,10 @@ class TestDerivedQuantities:
             num_workers=9, num_byzantine_workers=2, gradient_gar="multi-krum", asynchronous=True
         )
         assert config.gradient_quorum() == 7
+        # The fault-oblivious baselines wait for everyone regardless.
+        for baseline in ("vanilla", "crash-tolerant"):
+            config.deployment = baseline
+            assert config.gradient_quorum() == 9
 
     def test_decentralized_quorum(self):
         config = ClusterConfig(

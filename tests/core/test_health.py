@@ -1,9 +1,10 @@
 """Unit tests for the liveness detector and the node supervisor.
 
 Exercises the accrual state machine (healthy -> suspect -> dead and back),
-the quorum-safety guard on dead declarations, the detection-manager
-delegation, the trace/health payload contract, and the supervisor's
-restart-budget patrol against fake backends.
+the quorum-safety guard on dead declarations (asked of the
+:class:`Membership` the detector was given), what a dead declaration does and
+does not do to a detector's reputation book, the trace/health payload
+contract, and the supervisor's restart-budget patrol against fake backends.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core.health import (
     NodeSupervisor,
 )
 from repro.core.metrics import Trace
+from repro.detection.membership import EVICTED, Membership
 from repro.exceptions import ConfigurationError
 
 pytestmark = pytest.mark.resilience
@@ -30,10 +32,11 @@ pytestmark = pytest.mark.resilience
 ROSTER = [f"w{i}" for i in range(6)]
 
 
-def make_detector(**overrides):
-    kwargs = dict(declared_f=1, gar_name="median", asynchronous=True)
-    kwargs.update(overrides)
-    return LivenessDetector(ROSTER, **kwargs)
+def make_detector(roster=ROSTER, book=None):
+    """A detector over a fresh asynchronous median membership with f=1."""
+    return LivenessDetector(
+        Membership(roster, declared_f=1, gar_name="median", slack=1), book=book
+    )
 
 
 class TestAccrual:
@@ -54,11 +57,12 @@ class TestAccrual:
         payload = detector.finish_round(1)
         assert payload["statuses"]["w0"] == DEAD
         assert payload["dead"] == ["w0"]
-        assert detector.is_dead("w0") and detector.has_exclusions()
-        # Membership mirror: the dead peer is excluded, async quorum keeps
-        # the declared f as slack over the survivors.
-        assert "w0" not in detector.pull_workers()
-        assert detector.pull_quorum() == len(ROSTER) - 1 - 1
+        membership = detector.membership
+        assert membership.cause("w0") == DEAD
+        # The dead peer is excluded, async quorum keeps the declared f as
+        # slack over the survivors.
+        assert "w0" not in membership.active()
+        assert membership.quorum() == len(ROSTER) - 1 - 1
 
     def test_successes_decay_suspicion_and_emit_recovered(self):
         detector = make_detector()
@@ -95,15 +99,13 @@ class TestQuorumSafetyGuard:
     def test_declaration_that_starves_the_gar_degrades_to_suspect(self):
         # 4 workers, async median with f=1: minimum_inputs(1) = 3, and a
         # declaration leaves quorum 4-1-1 = 2 < 3 — blocked.
-        detector = LivenessDetector(
-            ["w0", "w1", "w2", "w3"], declared_f=1, gar_name="median", asynchronous=True
-        )
+        detector = make_detector(roster=["w0", "w1", "w2", "w3"])
         for _ in range(4):
             detector.observe_refused("w0")  # score 8.0, well past DEAD_AFTER
         payload = detector.finish_round(0)
         assert payload["statuses"]["w0"] == SUSPECT
         assert payload["dead"] == []
-        assert detector.pull_workers() == ("w0", "w1", "w2", "w3")
+        assert detector.membership.active() == ("w0", "w1", "w2", "w3")
 
     def test_declarations_stop_exactly_at_the_quorum_floor(self):
         # 6 workers: first two declarations keep quorum >= 3, the third
@@ -129,58 +131,64 @@ class TestQuorumSafetyGuard:
         assert event["action"] == DEAD and event["detail"] == "restart-budget"
 
 
-class FakeDetection:
-    """Just enough of DetectionManager for the delegation contract."""
-
-    def __init__(self, allow=True):
-        self.allow = allow
-        self.evicted = []
-        self.book = FakeBook()
-
-    def force_evict(self, round_index, target):
-        if self.allow:
-            self.evicted.append((round_index, target))
-        return self.allow
-
-
 class FakeBook:
+    """Just enough of ReputationBook for the liveness feed."""
+
     def __init__(self):
         self.scores = {name: 0.0 for name in ROSTER}
         self.evict_threshold = 4.0
 
 
 class TestDetectionDelegation:
+    """With a detector attached too: a dead peer is excluded, never evicted."""
+
     def test_dead_declarations_route_through_force_evict(self):
-        detector = make_detector()
-        detection = FakeDetection(allow=True)
+        # Re-pinned: a dead declaration no longer routes through the
+        # manager's force_evict — it is an exclusion with cause ``dead`` that
+        # spends none of the Byzantine budget.
+        detector = make_detector(book=FakeBook())
         for _ in range(3):
             detector.observe_refused("w0")
-        payload = detector.finish_round(2, detection=detection)
-        assert detection.evicted == [(2, "w0")]
+        payload = detector.finish_round(2)
         assert payload["dead"] == ["w0"]
+        membership = detector.membership
+        assert membership.cause("w0") == DEAD
+        assert membership.excluded(EVICTED) == ()
+        assert membership.effective_f() == 1
 
     def test_refused_delegation_keeps_the_peer_suspect(self):
-        detector = make_detector()
-        detection = FakeDetection(allow=False)
+        # Re-pinned: the refusal now comes from the membership's own guard,
+        # and an eviction cap already spent does not cause it — the dead are
+        # not counted against ``<= f``.
+        detector = make_detector(book=FakeBook())
+        membership = detector.membership
+        assert membership.exclude("w5", EVICTED)  # f=1: the budget is spent
         for _ in range(3):
             detector.observe_refused("w0")
-        payload = detector.finish_round(2, detection=detection)
-        assert payload["dead"] == []
-        assert payload["statuses"]["w0"] == SUSPECT
+        assert detector.finish_round(2)["dead"] == ["w0"]
+        for peer in ("w1", "w2", "w3"):
+            for _ in range(3):
+                detector.observe_refused(peer)
+        # minimum_inputs(effective f = 0) is 1: w1 and w2 may go (quorum
+        # 6-4-1 = 1), w3 would leave nothing to wait for.
+        payload = detector.finish_round(3)
+        assert payload["dead"] == ["w0", "w1", "w2"]
+        assert payload["statuses"]["w3"] == SUSPECT
+        assert membership.excluded(EVICTED) == ("w5",)
 
     def test_liveness_evidence_feeds_the_reputation_book(self):
-        detector = make_detector()
-        detection = FakeDetection(allow=False)
+        book = FakeBook()
+        detector = make_detector(book=book)
         detector.observe_timeout("w1")
         detector.observe_timeout("w1")  # 3.0: suspect
-        detector.finish_round(0, detection=detection)
-        assert detection.book.scores["w1"] == pytest.approx(3.0)
+        detector.finish_round(0)
+        assert book.scores["w1"] == pytest.approx(3.0)
         # The feed is capped at the eviction threshold (weights-only) and
         # never lowers an existing score.
         for _ in range(4):
             detector.observe_refused("w1")
-        detector.finish_round(1, detection=detection)
-        assert detection.book.scores["w1"] == pytest.approx(4.0)
+        detector.finish_round(1)
+        assert book.scores["w1"] == pytest.approx(4.0)
 
 
 class TestTracePayload:

@@ -594,7 +594,8 @@ class TestAggregateSizesTheRule:
             deployment.health.request_dead(honest)
             session.step()
             result = session.step()
-        assert honest in deployment.health.dead and honest not in result.gradient_sources
+        assert deployment.membership.cause(honest) == "dead"
+        assert honest not in result.gradient_sources
         assert aggregated[0] == (8, 2, 6, 8)
         assert aggregated[2] == (7, 2, 5, 7)
         # The deployment's own rule is never mutated.

@@ -72,7 +72,7 @@ class TestOnlineEviction:
             result = session.run()
         detection = session.deployment.detection
         # The attacking workers are the roster's tail by convention.
-        assert set(detection.book.evicted) == {"worker-4", "worker-5"}
+        assert set(detection.membership.excluded("evicted")) == {"worker-4", "worker-5"}
         evictions = [e for e in detection.events if e.action == "evict"]
         assert sorted(e.target for e in evictions) == ["worker-4", "worker-5"]
         assert all(e.round_index <= 5 for e in evictions)
@@ -90,7 +90,7 @@ class TestOnlineEviction:
         with Session(config=config) as session:
             results = [session.step() for _ in range(config.num_iterations)]
         detection = session.deployment.detection
-        assert set(detection.book.evicted) == {"worker-6", "worker-7"}
+        assert set(detection.membership.excluded("evicted")) == {"worker-6", "worker-7"}
         eviction_rounds = sorted(
             e.round_index for e in detection.events if e.action == "evict"
         )
@@ -157,6 +157,57 @@ class TestScenarioLifecycle:
         for before, after in zip(evicted_span, evicted_span[1:]):
             assert after == pytest.approx(before * 0.9, rel=1e-4)
         assert suspicion[6] <= 0.5  # forced readmit drops into the band
+
+
+class TestDeadIsNotEvicted:
+    """Detector + resilience on one deployment: a liveness ``dead``
+    declaration takes the worker out of the pull set but is not an eviction —
+    a crash is not a lie, so it spends none of the Byzantine budget."""
+
+    def test_honest_crash_keeps_the_rule_sized_for_the_declared_f(self, monkeypatch):
+        """11 workers, f=2, both little-is-enough attackers alive, honest
+        worker-0 crashes at round 1.  Before the fix the declaration was
+        routed through ``force_evict``: ``effective_f`` fell to 1 and
+        Multi-Krum ran sized for one Byzantine row over rows holding two."""
+        from repro.aggregators.base import GAR
+
+        sized = []
+        aggregate_matrix = GAR.aggregate_matrix
+
+        def recording(gar, matrix):
+            sized.append((gar.n, gar.f, len(matrix)))
+            return aggregate_matrix(gar, matrix)
+
+        monkeypatch.setattr(GAR, "aggregate_matrix", recording)
+        config = detection_config(
+            num_workers=11,
+            worker_attack="little-is-enough",
+            gradient_gar="multi-krum",
+            detector="mad",
+            asynchronous=True,
+            resilience={"hedge": True},
+            num_iterations=8,
+            seed=1,
+        )
+        with Session(config=config) as session:
+            session.on_round_start(
+                lambda s, iteration, events: iteration == 1
+                and s.deployment.transport.failures.crash("worker-0")
+            )
+            results = list(session)
+            deployment = session.deployment
+        declared = next(r.iteration for r in results if "worker-0" in r.health["dead"])
+        assert declared < results[-1].iteration
+        for result in results[declared + 1 :]:
+            assert "worker-0" not in result.detection["active"]
+            assert not any(e["action"] == "evict" for e in result.detection["events"])
+            assert {"worker-9", "worker-10"} <= set(result.detection["active"])
+            # One row fewer, the same budget: the attackers are still there.
+            assert sized[result.iteration] == (8, 2, 8)
+        assert deployment.detection.events == []
+        assert deployment.membership.excluded("dead") == ("worker-0",)
+        assert deployment.membership.excluded("evicted") == ()
+        assert deployment.membership.effective_f() == 2
 
 
 class TestCrossBackendDeterminism:

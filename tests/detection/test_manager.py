@@ -1,6 +1,7 @@
-"""Unit tests for the :class:`DetectionManager` quorum-safety layer.
+"""Unit tests for the :class:`DetectionManager` and the quorum safety of its decisions.
 
-The manager owns the two guarantees the round engine relies on:
+Every transition the manager decides is asked of the :class:`Membership` it
+was given, which owns the two guarantees the round engine relies on:
 
 * **quorum safety** — an eviction is allowed only while the GAR keeps at
   least ``minimum_inputs(effective f)`` usable replies; at the floor the
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.detection.manager import DetectionManager
+from repro.detection.membership import EVICTED, Membership
 from repro.exceptions import ConfigurationError
 
 pytestmark = pytest.mark.detection
@@ -32,18 +34,19 @@ def make_manager(
     asynchronous: bool = False,
     detector: str = "distance",
 ) -> DetectionManager:
-    return DetectionManager(
-        detector=detector,
-        roster=[f"worker-{i}" for i in range(n)],
+    """A manager over a fresh membership sized the way the Controller sizes it."""
+    membership = Membership(
+        [f"worker-{i}" for i in range(n)],
         declared_f=declared_f,
         gar_name=gar,
-        asynchronous=asynchronous,
+        slack=declared_f if asynchronous else 0,
     )
+    return DetectionManager(detector=detector, membership=membership)
 
 
 def flagrant_matrix(manager: DetectionManager, attackers=("worker-0",)):
     """A calm crowd with the named workers replaced by -100x rows."""
-    sources = list(manager.pull_workers())
+    sources = list(manager.membership.active())
     rng = np.random.default_rng(3)
     matrix = rng.normal(1.0, 0.05, size=(len(sources), 10))
     for row, name in enumerate(sources):
@@ -72,24 +75,24 @@ class TestConstruction:
 class TestQuorums:
     def test_sync_quorum_is_the_active_set(self):
         manager = make_manager(n=6, asynchronous=False)
-        assert manager.pull_quorum() == 6
+        assert manager.membership.quorum() == 6
         manager.force_evict(0, "worker-0")
-        assert manager.pull_quorum() == 5
+        assert manager.membership.quorum() == 5
 
     def test_async_quorum_keeps_declared_f_as_slack(self):
         """n - declared_f before any eviction, shrinking by exactly one per
         eviction: the slack for crashed/straggling workers is never eaten."""
         manager = make_manager(n=6, declared_f=2, asynchronous=True)
-        assert manager.pull_quorum() == 4
+        assert manager.membership.quorum() == 4
         manager.force_evict(0, "worker-0")
-        assert manager.pull_quorum() == 3
-        assert manager.effective_f() == 1
+        assert manager.membership.quorum() == 3
+        assert manager.membership.effective_f() == 1
 
     def test_evicted_workers_leave_the_pull_set(self):
         manager = make_manager(n=6)
         manager.force_evict(0, "worker-3")
-        assert "worker-3" not in manager.pull_workers()
-        assert len(manager.pull_workers()) == 5
+        assert "worker-3" not in manager.membership.active()
+        assert len(manager.membership.active()) == 5
 
 
 class TestEvictionGuards:
@@ -100,11 +103,11 @@ class TestEvictionGuards:
         worker is never evicted no matter how long it keeps attacking."""
         manager = make_manager(n=8, declared_f=2)
         drive_rounds(manager, 6, attackers=("worker-0", "worker-1"))
-        assert set(manager.book.evicted) == {"worker-0", "worker-1"}
-        assert manager.effective_f() == 0
+        assert set(manager.membership.excluded(EVICTED)) == {"worker-0", "worker-1"}
+        assert manager.membership.effective_f() == 0
         drive_rounds(manager, 8, attackers=("worker-2",))
-        assert set(manager.book.evicted) == {"worker-0", "worker-1"}
-        assert "worker-2" in manager.pull_workers()
+        assert set(manager.membership.excluded(EVICTED)) == {"worker-0", "worker-1"}
+        assert "worker-2" in manager.membership.active()
         assert manager.book.scores["worker-2"] == 0.0
 
     def test_budget_caps_forced_evictions_too(self):
@@ -112,14 +115,14 @@ class TestEvictionGuards:
         assert manager.force_evict(0, "worker-0") is True
         assert manager.force_evict(0, "worker-1") is True
         assert manager.force_evict(1, "worker-2") is False
-        assert not manager.book.is_evicted("worker-2")
+        assert manager.membership.cause("worker-2") is None
         # Blocked by the budget, the worker still degrades to down-weighting.
         assert manager.book.scores["worker-2"] >= manager.book.evict_threshold
 
     def test_zero_budget_never_evicts(self):
         manager = make_manager(n=5, declared_f=0)
         drive_rounds(manager, 8)
-        assert manager.book.evicted == ()
+        assert manager.membership.excluded(EVICTED) == ()
         # With f=0 the envelope silences scoring entirely.
         assert all(score == 0.0 for score in manager.book.scores.values())
 
@@ -128,18 +131,18 @@ class TestEvictionGuards:
         rows for minimum_inputs(0)=3 — exactly the floor — but with n=3 the
         floor blocks immediately and the striker is only down-weighted."""
         at_floor = make_manager(n=4, declared_f=1, gar="krum")
-        assert at_floor._may_evict("worker-0") is True  # 3 rows == floor, ok
+        assert at_floor.membership.exclude("worker-0", EVICTED) is True  # 3 rows == floor, ok
         below = make_manager(n=3, declared_f=1, gar="krum")
         events = drive_rounds(below, 8)
         assert events == []
-        assert below.book.evicted == ()
-        weights = below.book.weights(below.pull_workers())
+        assert below.membership.excluded(EVICTED) == ()
+        weights = below.book.weights(below.membership.active())
         assert weights[0] < 0.2
 
     def test_blocked_forced_eviction_pins_the_score(self):
         manager = make_manager(n=3, declared_f=1, gar="krum")
         assert manager.force_evict(0, "worker-0") is False
-        assert not manager.book.is_evicted("worker-0")
+        assert manager.membership.cause("worker-0") is None
         assert manager.book.scores["worker-0"] >= manager.book.evict_threshold
 
     def test_forced_eviction_of_unknown_worker_raises(self):
@@ -187,4 +190,4 @@ class TestRoundFlow:
         evictions = [e for e in events if e["action"] == "evict"]
         assert [e["target"] for e in evictions] == ["worker-0"]
         assert evictions[0]["round"] <= 3  # warmup + patience, no dithering
-        assert manager.effective_f() == 1
+        assert manager.membership.effective_f() == 1

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.executor import ThreadedExecutor
 from repro.core.health import LivenessDetector
+from repro.detection.membership import Membership
 from repro.exceptions import NodeCrashedError
 from repro.exceptions import TimeoutError as ReproTimeoutError
 from repro.network.failures import FailureInjector
@@ -53,7 +54,7 @@ def record(name: str, threaded: bool) -> dict:
     keywords, crashed, quorum = SETUPS[name]
     transport = build_transport(hedge=True, threaded=threaded, **keywords)
     transport.health = LivenessDetector(
-        NODES[1:], declared_f=1, gar_name="median", asynchronous=True
+        Membership(NODES[1:], declared_f=1, gar_name="median", slack=1)
     )
     if crashed is not None:
         transport.failures.crash(crashed)

@@ -231,8 +231,11 @@ class TestLivenessFeed:
 
     def detector(self):
         from repro.core.health import LivenessDetector
+        from repro.detection.membership import Membership
 
-        return LivenessDetector(self.PEERS, declared_f=1, gar_name="median", asynchronous=True)
+        return LivenessDetector(
+            Membership(self.PEERS, declared_f=1, gar_name="median", slack=1)
+        )
 
     def test_partitioned_peer_accrues_suspicion_without_hedging(self):
         # --retry / --supervise without --hedge: a pull cut off by a partition

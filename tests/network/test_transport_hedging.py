@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.executor import ThreadedExecutor
 from repro.core.health import LivenessDetector
+from repro.detection.membership import Membership
 from repro.exceptions import CommunicationError
 from repro.exceptions import TimeoutError as ReproTimeoutError
 from repro.network.failures import FailureInjector
@@ -100,7 +101,7 @@ class TestStragglerOutwaiting:
         straggler = "node-1"
         transport = build_transport(hedge=True, stragglers={straggler: 50.0})
         transport.health = LivenessDetector(
-            NODES[1:], declared_f=1, gar_name="median", asynchronous=True
+            Membership(NODES[1:], declared_f=1, gar_name="median", slack=1)
         )
         run_rounds(transport, rounds=8, quorum=4)
         # Slow-reply evidence accrued; the fast peers stayed clean.

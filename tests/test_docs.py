@@ -151,6 +151,7 @@ def test_package_exports_resolve():
     ]
     declaring = [module for module in modules if hasattr(module, "__all__")]
     assert len(declaring) >= 9
+    assert "Membership" in importlib.import_module("repro.detection").__all__
     for module in declaring:
         exported = module.__all__
         assert len(set(exported)) == len(exported), f"{module.__name__}.__all__ repeats a name"
