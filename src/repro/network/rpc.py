@@ -46,8 +46,8 @@ What crosses the boundary is decided in three places and nowhere else: node
 state by ``restore`` (a pickle of the coordinator's own bytes), reply vectors
 in a non-default wire format by a
 :class:`~repro.network.serialization.VectorStream` (the request names the
-format and the reference it holds), everything else by the value codec,
-always in float64.
+format and the sequence number of the reply it holds, the reply names its
+own), everything else by the value codec, always in float64.
 
 Determinism: every random quantity is pre-sampled coordinator-side by the
 transport before any byte crosses a socket, each host serves the very node
@@ -93,7 +93,7 @@ from repro.network.resilience import (
 )
 from repro.network.serialization import (
     FormatLike,
-    VectorStream,
+    StreamTable,
     is_stream_vector,
     parse_wire_format,
 )
@@ -105,6 +105,10 @@ from repro.network.wire import ConnectionClosed, encode_value, recv_message, sen
 #: but plain float64 travels (the value codec knows neither formats nor the
 #: receiver's reference).
 VECTOR_BLOB_KEY = "__vector_blob__"
+
+#: Response key beside :data:`VECTOR_BLOB_KEY`: the blob's sequence number on
+#: its stream, which the requester sends back as ``"have"`` on its next pull.
+VECTOR_SEQUENCE_KEY = "__vector_sequence__"
 
 #: First word of the two lines a forked host reports on the zygote's stdout,
 #: ``GARFIELD-RPC <node> <port> <pid>``: port 0 right after the fork, the
@@ -423,10 +427,9 @@ class _HostDispatcher:
         self.node_id = node_id
         self.node: Optional[Any] = None
         self.handlers: Dict[str, Handler] = handlers or {}
-        #: Sender ends, keyed ``(requester, kind, format)``.  They die with
-        #: the process; the requester's ``have`` then no longer matches and
-        #: the next reply on each stream is absolute.
-        self._streams: Dict[Tuple[str, str, str], VectorStream] = {}
+        #: Sender ends.  They die with the process; the next reply on each
+        #: stream is then absolute.
+        self._streams = StreamTable()
 
     def _pull(self, message: Dict[str, Any]) -> Any:
         kind = message.get("kind", "")
@@ -439,9 +442,9 @@ class _HostDispatcher:
         if "fmt" not in message or not is_stream_vector(result):
             return result
         fmt = str(message["fmt"])  # unknown or unavailable: a typed error response
-        stream = VectorStream.among(self._streams, (requester, kind, fmt), fmt)
-        blob = stream.encode(result, iteration, int(message.get("have", -1)))
-        return {VECTOR_BLOB_KEY: blob}
+        stream = self._streams.stream(self.node_id, kind, requester, fmt)
+        blob, sequence = stream.encode(result, int(message.get("have", 0)))
+        return {VECTOR_BLOB_KEY: blob, VECTOR_SEQUENCE_KEY: sequence}
 
     def __call__(self, message: Any) -> Any:
         if not isinstance(message, dict) or "op" not in message:
@@ -691,10 +694,9 @@ class SocketBackend(TransportBackend):
         self._unrouted = b""
         self._started = False
         self._lock = threading.RLock()
-        #: Receiver ends of the hosts' streams, keyed ``(node_id, requester,
-        #: kind)``; they outlive a host, whose respawn then sees a ``have``
-        #: it cannot match.
-        self._streams: Dict[Tuple[str, str, str], VectorStream] = {}
+        #: Receiver ends of the hosts' streams.  A respawned host counts its
+        #: replies from 0 again, so ``_spawn`` drops the node's ends too.
+        self._streams = StreamTable()
 
     def register_node(self, node_id: str, node: object) -> None:
         self._nodes.setdefault(node_id, node)  # a probe id keeps its None
@@ -778,6 +780,7 @@ class SocketBackend(TransportBackend):
     def _spawn(self, host: _NodeHost) -> None:
         """Ask the zygote for a fresh host; the old incarnation, if any, goes first."""
         host.teardown()
+        self._streams.forget(host.node_id)
         self.prefork()
         request = f"{host.node_id}\t{host.stderr_path}\t{int(host.snapshot is None)}\n"
         try:
@@ -906,13 +909,12 @@ class SocketBackend(TransportBackend):
         }
         stream = None
         if not self._wire_format.is_plain_float64:
-            key = (node_id, context.requester, kind)
-            stream = VectorStream.among(self._streams, key, self._wire_format)
+            stream = self._streams.stream(node_id, kind, context.requester, self._wire_format)
             # Name the reply's format and the reconstruction we hold; the
             # host delta-encodes only against exactly that one, so a crash on
             # either side simply costs one absolute-encoded reply.
             message["fmt"] = self._wire_format.spec
-            message["have"] = stream.iteration
+            message["have"] = stream.sequence
         if self.retry_policy is not None:
             # Pulls are idempotent reads: safe to retry.  The client lookup
             # is inside the attempt so a host respawned between attempts
@@ -929,7 +931,7 @@ class SocketBackend(TransportBackend):
         else:
             result = self._live_client(node_id).call(message)
         if stream is not None and isinstance(result, dict) and VECTOR_BLOB_KEY in result:
-            return stream.decode(result[VECTOR_BLOB_KEY], context.iteration)
+            return stream.decode(result[VECTOR_BLOB_KEY], result[VECTOR_SEQUENCE_KEY])
         return result
 
     def _buffer_if_down(self, node_id: str, message: Dict[str, Any]) -> bool:

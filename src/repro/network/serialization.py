@@ -37,7 +37,8 @@ Formats are spelled as strings — ``"float64"``, ``"float32"``, ``"int8"``,
 optionally with ``+delta`` and/or ``+zlib`` / ``+zstd`` modifiers, e.g.
 ``"int8+delta+zlib"`` — and parsed by :func:`parse_wire_format` into a
 :class:`WireFormat`.  A reply vector crosses every transport backend through
-a :class:`VectorStream`, the one place a delta reference is kept and chosen.
+a :class:`VectorStream`, the one place a delta reference is kept and chosen,
+held in a :class:`StreamTable`, which encodes a vector once for all its pulls.
 
 The codec is copy-free in both directions where the buffer rules allow it:
 
@@ -61,9 +62,10 @@ the element width — and delta blobs decoded without their reference.
 from __future__ import annotations
 
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -419,55 +421,140 @@ def is_stream_vector(value: object) -> bool:
     return isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1
 
 
+class _Crossing(NamedTuple):
+    """One trip through the codec: against what, what went in, what came out.
+
+    ``bits`` is the sender's private copy of its input as ``uint64`` (handlers
+    serve live views that are overwritten later, and ``-0.0`` must not equal
+    ``+0.0``); a receiver keeps ``None`` there."""
+
+    reference: Optional[np.ndarray]
+    bits: Optional[np.ndarray]
+    blob: BytesLike
+    reconstruction: np.ndarray
+
+
+class _Source:
+    """The last crossing of one source, shared by every stream it feeds.  It
+    is replaced whole, never edited, so another thread reads one crossing or
+    the next, never a mix of the two."""
+
+    last: Optional[_Crossing] = None
+
+
 class VectorStream:
     """One end of a stream of vectors in one wire format — sender or receiver.
 
-    Both ends hold the same two things: the ``iteration`` of the last vector
-    that crossed and the float64 ``reference`` the receiver holds after
-    decoding it (the *reconstruction*, not the sender's raw vector — encoding
-    the next delta against anything else would accumulate quantization
-    drift).  Every backend moves a reply through this object, so a format
-    means the same arithmetic wherever the handler runs.
+    Both ends hold the same two things: the ``sequence`` number of the last
+    reply that crossed (the sender counts its encodes, the receiver keeps the
+    number of the reply it last decoded, 0 before the first) and the float64
+    ``reference`` the receiver holds after decoding it (the *reconstruction*,
+    not the sender's raw vector — encoding the next delta against anything
+    else would accumulate quantization drift).  Every backend moves a reply
+    through this object, so a format means the same arithmetic wherever the
+    handler runs.
 
     A delta format encodes against the reference only when the receiver says
-    it holds exactly that one (``have`` equals the sender's ``iteration``) and
+    it holds exactly that one (``have`` equals the sender's ``sequence``) and
     it still has the vector's size; otherwise — first message, either end
     respawned, a reply lost in flight, a resized model — the blob is
     absolute, which its own format byte says.  The stream heals itself; there
-    is no invalidation protocol.
+    is no invalidation protocol.  A delta reply is therefore always encoded
+    against the reply numbered one before it, and a receiver that holds
+    another one refuses it with :class:`~repro.exceptions.SerializationError`.
+
+    Encodes and decodes are memoised per source (see :class:`StreamTable`):
+    when this stream's effective reference *is* the one the source last
+    crossed against, and the input bits (or, decoding, the blob bytes) equal
+    that crossing's, the crossing's blob and reconstruction are taken as they
+    are.  The codec is a pure function of (format, input bits, reference
+    bits), so a hit is exactly what encoding again would produce — only
+    cheaper.  Reconstructions are read-only: several streams may hold one.
     """
 
-    __slots__ = ("fmt", "iteration", "reference")
+    __slots__ = ("fmt", "sequence", "reference", "_source", "_lock")
 
-    def __init__(self, fmt: FormatLike) -> None:
+    def __init__(self, fmt: FormatLike, source: Optional[_Source] = None) -> None:
         self.fmt = parse_wire_format(fmt, require_available=True)
-        self.iteration = -1
+        self.sequence = 0
         self.reference: Optional[np.ndarray] = None
+        self._source = _Source() if source is None else source
+        self._lock = threading.Lock()  # a retried pull may meet its first attempt
 
-    @classmethod
-    def among(cls, streams: dict, key: tuple, fmt: FormatLike) -> "VectorStream":
-        """The stream ``streams`` holds under ``key``, opened in ``fmt`` on
-        first use.  Fan-out threads share the table: ``setdefault`` hands two
-        threads racing for one key the same stream."""
-        stream = streams.get(key)
+    def encode(self, vector: np.ndarray, have: Optional[int] = None) -> Tuple[bytes, int]:
+        """The blob for ``vector`` and its sequence number; :attr:`reference`
+        becomes its reconstruction.  ``have`` is the sequence number the
+        receiver holds — ``None`` when it shares this process and so holds
+        whatever this end last sent."""
+        with self._lock:
+            reference = self.reference
+            stale = not self.fmt.delta or have not in (None, self.sequence)
+            if reference is not None and (stale or reference.size != vector.size):
+                reference = None
+            last, bits = self._source.last, vector.view(np.uint64)
+            if last is not None and last.reference is reference and np.array_equal(last.bits, bits):
+                blob, reconstruction = last.blob, last.reconstruction
+            else:
+                blob, reconstruction = serialize_with_reconstruction(vector, self.fmt, reference)
+                reconstruction.setflags(write=False)
+                self._source.last = _Crossing(reference, bits.copy(), blob, reconstruction)
+            self.reference = reconstruction
+            self.sequence += 1
+            return blob, self.sequence
+
+    def decode(self, blob: BytesLike, sequence: int) -> np.ndarray:
+        """The vector in ``blob``, the sender's reply number ``sequence``:
+        read-only float64, and the next reference."""
+        with self._lock:
+            delta = len(blob) > len(_MAGIC) and bool(blob[len(_MAGIC)] & _FLAG_DELTA)
+            if delta and sequence != self.sequence + 1:
+                raise SerializationError(
+                    f"delta reply {sequence} needs reply {sequence - 1}; this end holds {self.sequence}"
+                )
+            reference = self.reference if delta else None
+            last = self._source.last
+            if last is not None and last.reference is reference and last.blob == blob:
+                reconstruction = last.reconstruction
+            else:
+                reconstruction = deserialize_vector(blob, copy=True, reference=reference)
+                reconstruction.setflags(write=False)
+                self._source.last = _Crossing(reference, None, bytes(blob), reconstruction)
+            self.reference, self.sequence = reconstruction, sequence
+            return reconstruction
+
+
+class StreamTable:
+    """Every stream one end keeps — a node host's or the in-process
+    backend's sender ends, the socket backend's receiver ends — keyed
+    ``(node, kind, requester, format)``.
+
+    The streams of one *source* ``(node, kind, format)`` share its last
+    crossing, so a vector pulled by several requesters is quantized once and
+    fanned out, not once per pull (a worker serves each of its gradients to
+    every replica).  Streams that shared a crossing share its reconstruction
+    as their next reference, which is what lets them keep sharing.  Threads
+    racing on one source can at worst both miss and encode the same blob
+    twice.
+    """
+
+    def __init__(self) -> None:
+        self._ends: Dict[Tuple[str, str, str, FormatLike], VectorStream] = {}
+        self._sources: Dict[Tuple[str, str, FormatLike], _Source] = {}
+
+    def stream(self, node: str, kind: str, requester: str, fmt: FormatLike) -> VectorStream:
+        """The stream for this key, opened in ``fmt`` on first use (racing
+        threads are handed the same one by ``setdefault``)."""
+        key = (node, kind, requester, fmt)
+        stream = self._ends.get(key)
         if stream is None:
-            stream = streams.setdefault(key, cls(fmt))
+            source = self._sources.setdefault((node, kind, fmt), _Source())
+            stream = self._ends.setdefault(key, VectorStream(fmt, source))
         return stream
 
-    def encode(self, vector: np.ndarray, iteration: int, have: int) -> bytes:
-        """The blob for ``vector``; :attr:`reference` becomes its reconstruction."""
-        reference = self.reference
-        if reference is not None and (have != self.iteration or reference.size != vector.size):
-            reference = None
-        blob, self.reference = serialize_with_reconstruction(vector, self.fmt, reference)
-        self.iteration = iteration
-        return blob
-
-    def decode(self, blob: BytesLike, iteration: int) -> np.ndarray:
-        """The vector in ``blob``, owned float64; it is the next reference."""
-        self.reference = deserialize_vector(blob, copy=True, reference=self.reference)
-        self.iteration = iteration
-        return self.reference
+    def forget(self, node: str) -> None:
+        """Drop every stream of ``node``: its next reply on each is absolute."""
+        self._ends = {key: s for key, s in self._ends.items() if key[0] != node}
+        self._sources = {key: s for key, s in self._sources.items() if key[0] != node}
 
 
 # ---------------------------------------------------------------------- #

@@ -64,7 +64,7 @@ from repro.network.message import Reply, RequestContext
 from repro.network.resilience import PullOutcome, WavePolicy
 from repro.network.serialization import (
     FormatLike,
-    VectorStream,
+    StreamTable,
     is_stream_vector,
     parse_wire_format,
     serialized_nbytes,
@@ -130,13 +130,16 @@ class InProcessBackend(TransportBackend):
     (or an executor pool thread during a fan-out).
 
     With a non-default ``wire_format`` every reply vector crosses the same
-    :class:`~repro.network.serialization.VectorStream` a node host would send
-    it through, and the requester is handed the sender's own reconstruction
-    — bit for bit what a receiver end decodes from the blob — so
-    serial/threaded runs observe the reduced-precision payloads of a process
-    deployment and goldens can lock each format without sockets.  The
-    plain-float64 default passes results through untouched, which is what
-    keeps the seed traces byte-identical.
+    :class:`~repro.network.serialization.VectorStream` sender end a node host
+    would send it through, held in the same
+    :class:`~repro.network.serialization.StreamTable` (so a gradient pulled by
+    every replica is quantized once), and the requester is handed the
+    sender's own reconstruction — bit for bit what a receiver end decodes
+    from the blob, and read-only because other requesters may hold it too —
+    so serial/threaded runs observe the reduced-precision payloads of a
+    process deployment and goldens can lock each format without sockets.
+    The plain-float64 default passes results through untouched, before the
+    table, which is what keeps the seed traces byte-identical.
     """
 
     name = "inprocess"
@@ -144,9 +147,8 @@ class InProcessBackend(TransportBackend):
     def __init__(self, wire_format: FormatLike = "float64") -> None:
         super().__init__()
         self.wire_format = parse_wire_format(wire_format)
-        #: Sender ends, one per ``(node_id, requester, kind)`` — what each
-        #: node's host keeps for its own node.
-        self._streams: Dict[Tuple[str, str, str], VectorStream] = {}
+        #: Sender ends: what each node's host keeps for its own node.
+        self._streams = StreamTable()
 
     def invoke(self, node_id: str, kind: str, context: RequestContext) -> Any:
         handler = self._handlers.get((node_id, kind))
@@ -155,10 +157,8 @@ class InProcessBackend(TransportBackend):
         result = handler(context)
         if self.wire_format.is_plain_float64 or not is_stream_vector(result):
             return result
-        key = (node_id, context.requester, kind)
-        stream = VectorStream.among(self._streams, key, self.wire_format)
-        # Same process: the requester holds whatever this end last sent.
-        stream.encode(result, context.iteration, have=stream.iteration)
+        stream = self._streams.stream(node_id, kind, context.requester, self.wire_format)
+        stream.encode(result)  # same process: the requester holds what this end last sent
         return stream.reference
 
     def apply_control(self, node_id: str, op: str, **params: Any) -> None:
@@ -170,9 +170,7 @@ class InProcessBackend(TransportBackend):
         different residuals from that round on.
         """
         if op == "crash":
-            self._streams = {
-                key: stream for key, stream in self._streams.items() if key[0] != node_id
-            }
+            self._streams.forget(node_id)
 
 
 @dataclass

@@ -16,10 +16,11 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, SerializationError
 from repro.network.message import RequestContext
 from repro.network.rpc import (
     VECTOR_BLOB_KEY,
+    VECTOR_SEQUENCE_KEY,
     RpcClient,
     RpcServer,
     _HostDispatcher,
@@ -68,20 +69,20 @@ class TestBothEnds:
         sender, receiver = VectorStream(spec), VectorStream(spec)
         chained = None  # the reference of the plain serialize_with_reconstruction chain
         for iteration, vector in walk():
-            blob = sender.encode(vector, iteration, receiver.iteration)
-            decoded = receiver.decode(blob, iteration)
+            blob, sequence = sender.encode(vector, receiver.sequence)
+            decoded = receiver.decode(blob, sequence)
             expected_blob, chained = serialize_with_reconstruction(vector, spec, reference=chained)
             assert blob == expected_blob
             assert np.array_equal(decoded, sender.reference)
             assert np.array_equal(decoded, chained)
-            assert decoded.dtype == np.float64 and decoded.flags.writeable
-            assert sender.iteration == receiver.iteration == iteration
+            assert decoded.dtype == np.float64 and not decoded.flags.writeable
+            assert sender.sequence == receiver.sequence == iteration + 1
             assert is_delta(blob) == ("delta" in spec and iteration > 0)
 
     def test_plain_float64_is_the_identity(self):
         sender, receiver = VectorStream("float64"), VectorStream("float64")
-        for iteration, vector in walk(rounds=2):
-            decoded = receiver.decode(sender.encode(vector, iteration, receiver.iteration), iteration)
+        for _, vector in walk(rounds=2):
+            decoded = receiver.decode(*sender.encode(vector, receiver.sequence))
             assert np.array_equal(decoded, vector)
 
 
@@ -90,9 +91,9 @@ class TestSelfHealing:
     byte says so — and the stream is delta-encoded again from the one after."""
 
     @staticmethod
-    def exchange(sender, receiver, iteration, vector):
-        blob = sender.encode(vector, iteration, receiver.iteration)
-        decoded = receiver.decode(blob, iteration)
+    def exchange(sender, receiver, vector):
+        blob, sequence = sender.encode(vector, receiver.sequence)
+        decoded = receiver.decode(blob, sequence)
         assert np.array_equal(decoded, sender.reference)
         return blob
 
@@ -101,32 +102,54 @@ class TestSelfHealing:
         """The host was SIGKILLed: its respawn holds no reference."""
         sender, receiver = VectorStream(spec), VectorStream(spec)
         steps = list(walk(rounds=5))
-        for iteration, vector in steps[:2]:
-            self.exchange(sender, receiver, iteration, vector)
+        for _, vector in steps[:2]:
+            self.exchange(sender, receiver, vector)
         sender = VectorStream(spec)
-        flags = [is_delta(self.exchange(sender, receiver, t, v)) for t, v in steps[2:]]
+        flags = [is_delta(self.exchange(sender, receiver, v)) for _, v in steps[2:]]
         assert flags == [False, True, True]
 
     @pytest.mark.parametrize("spec", DELTA_FORMATS)
     def test_receiver_that_missed_a_reply(self, spec):
         sender, receiver = VectorStream(spec), VectorStream(spec)
         steps = list(walk(rounds=6))
-        for iteration, vector in steps[:2]:
-            self.exchange(sender, receiver, iteration, vector)
-        lost_iteration, lost_vector = steps[2]
-        sender.encode(lost_vector, lost_iteration, receiver.iteration)  # never arrives
-        assert receiver.iteration == lost_iteration - 1  # ``have`` is now stale
-        flags = [is_delta(self.exchange(sender, receiver, t, v)) for t, v in steps[3:]]
+        for _, vector in steps[:2]:
+            self.exchange(sender, receiver, vector)
+        sender.encode(steps[2][1], receiver.sequence)  # never arrives
+        assert receiver.sequence == sender.sequence - 1  # ``have`` is now stale
+        flags = [is_delta(self.exchange(sender, receiver, v)) for _, v in steps[3:]]
         assert flags == [False, True, True]
+
+    def test_reply_lost_on_a_repull_at_the_same_iteration(self):
+        """Iteration 1 is pulled twice and only its first reply arrives: an
+        iteration cannot tell the two apart, a per-stream sequence number can."""
+        sender, receiver = VectorStream("int8+delta"), VectorStream("int8+delta")
+        v0, v1, v2, v3 = (vector for _, vector in walk(rounds=4))
+        self.exchange(sender, receiver, v0)  # iteration 0
+        self.exchange(sender, receiver, v1)  # iteration 1
+        sender.encode(v2, receiver.sequence)  # iteration 1 again; the reply is lost
+        blob = self.exchange(sender, receiver, v3)  # iteration 2
+        assert not is_delta(blob)
+        assert np.array_equal(receiver.reference, serialize_with_reconstruction(v3, "int8")[1])
+        assert np.abs(receiver.reference - v3).max() < 0.02
+
+    def test_delta_against_a_reply_the_receiver_lacks_is_refused(self):
+        sender, holder, stranger = (VectorStream("int8+delta") for _ in range(3))
+        v0, v1 = (vector for _, vector in walk(rounds=2))
+        self.exchange(sender, holder, v0)
+        blob, sequence = sender.encode(v1, holder.sequence)
+        assert is_delta(blob)
+        with pytest.raises(SerializationError, match="this end holds 0"):
+            stranger.decode(blob, sequence)
+        assert stranger.sequence == 0 and stranger.reference is None
+        assert np.array_equal(holder.decode(blob, sequence), sender.reference)
 
     @pytest.mark.parametrize("spec", DELTA_FORMATS)
     def test_size_change(self, spec):
         sender, receiver = VectorStream(spec), VectorStream(spec)
-        for iteration, vector in walk(rounds=2, size=300):
-            self.exchange(sender, receiver, iteration, vector)
+        for _, vector in walk(rounds=2, size=300):
+            self.exchange(sender, receiver, vector)
         flags = [
-            is_delta(self.exchange(sender, receiver, 2 + t, v))
-            for t, v in walk(rounds=3, size=301, seed=1)
+            is_delta(self.exchange(sender, receiver, v)) for _, v in walk(rounds=3, size=301, seed=1)
         ]
         assert flags == [False, True, True]
 
@@ -134,10 +157,10 @@ class TestSelfHealing:
         """The coordinator side restarted: it says it holds nothing."""
         sender, receiver = VectorStream("int8+delta"), VectorStream("int8+delta")
         steps = list(walk(rounds=4))
-        for iteration, vector in steps[:2]:
-            self.exchange(sender, receiver, iteration, vector)
+        for _, vector in steps[:2]:
+            self.exchange(sender, receiver, vector)
         receiver = VectorStream("int8+delta")
-        flags = [is_delta(self.exchange(sender, receiver, t, v)) for t, v in steps[2:]]
+        flags = [is_delta(self.exchange(sender, receiver, v)) for _, v in steps[2:]]
         assert flags == [False, True]
 
     def test_unavailable_format_is_refused_at_construction(self):
@@ -183,12 +206,29 @@ class TestHostAnswersWhatTheInProcessBackendAnswers:
         local.register_handler("probe-0", "scale", build_probe_handlers("probe-0")["scale"])
         receiver = VectorStream(spec)
         for iteration, vector in walk(rounds=4, size=600):
-            reply = pull(probe_host, iteration, vector, fmt=spec, have=receiver.iteration)
-            assert set(reply) == {VECTOR_BLOB_KEY}
+            reply = pull(probe_host, iteration, vector, fmt=spec, have=receiver.sequence)
+            assert set(reply) == {VECTOR_BLOB_KEY, VECTOR_SEQUENCE_KEY}
             assert is_delta(reply[VECTOR_BLOB_KEY]) == ("delta" in spec and iteration > 0)
-            remote = receiver.decode(reply[VECTOR_BLOB_KEY], iteration)
+            remote = receiver.decode(reply[VECTOR_BLOB_KEY], reply[VECTOR_SEQUENCE_KEY])
             context = RequestContext(requester="tester", iteration=iteration, payload=vector)
             assert np.array_equal(remote, local.invoke("probe-0", "scale", context))
+
+    def test_reply_lost_on_a_repull_at_the_same_iteration(self, probe_host):
+        spec, receiver = "int8+delta", VectorStream("int8+delta")
+        v0, v1, v2, v3 = (vector for _, vector in walk(rounds=4, size=600))
+
+        def exchange(iteration, vector):
+            reply = pull(probe_host, iteration, vector, fmt=spec, have=receiver.sequence)
+            receiver.decode(reply[VECTOR_BLOB_KEY], reply[VECTOR_SEQUENCE_KEY])
+            return reply[VECTOR_BLOB_KEY]
+
+        exchange(0, v0)
+        exchange(1, v1)
+        pull(probe_host, 1, v2, fmt=spec, have=receiver.sequence)  # the reply is lost
+        assert not is_delta(exchange(2, v3))
+        assert np.array_equal(
+            receiver.reference, serialize_with_reconstruction(2.0 * v3, "int8")[1]
+        )
 
     def test_unnamed_format_travels_by_the_value_codec_in_float64(self, probe_host):
         vector = np.linspace(-1.0, 1.0, 300)

@@ -206,6 +206,44 @@ class TestZeroCopyDecode:
             decoded[0] = 5.0
 
 
+class TestSharedReconstructions:
+    """In a narrow wire format one reconstruction is handed to every requester
+    of the same vector: nobody may write it, and a round buffer copies it."""
+
+    @staticmethod
+    def int8_transport():
+        transport = Transport(wire_format="int8+delta")
+        for index in range(3):
+            served = np.random.default_rng(index).normal(size=300)
+            transport.register_node(f"worker-{index}", object())
+            transport.register_handler(f"worker-{index}", "gradient", lambda ctx, v=served: v)
+        return transport
+
+    def test_a_shared_reconstruction_is_read_only(self):
+        transport = self.int8_transport()
+        first, second = (
+            transport.backend.invoke("worker-0", "gradient", RequestContext(name, 0))
+            for name in ("server-0", "server-1")
+        )
+        assert first is second
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+
+    def test_no_round_buffer_row_aliases_it(self):
+        transport = self.int8_transport()
+        workers = [f"worker-{index}" for index in range(3)]
+        pulled = []
+        for name in ("server-0", "server-1"):
+            sink = RoundBuffer(capacity=3, dimension=300)
+            replies, _ = transport.pull_many(name, workers, "gradient", quorum=3, sink=sink)
+            matrix = sink.matrix()
+            for reply in replies:
+                assert not np.shares_memory(matrix, reply.payload)
+            pulled.append({reply.source: reply.payload for reply in replies})
+        assert all(pulled[0][worker] is pulled[1][worker] for worker in workers)
+
+
 class TestRoundBufferOwnership:
     def test_write_after_seal_raises(self):
         from repro.exceptions import CommunicationError
