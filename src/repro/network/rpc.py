@@ -118,6 +118,10 @@ READY_PREFIX = "GARFIELD-RPC"
 #: How the zygote is started (the failure-path tests substitute a broken one).
 ZYGOTE_ARGV = (sys.executable, "-m", "repro.network.rpc")
 
+#: Name prefix of a deployment's work directory under ``$TMPDIR``: the
+#: zygote's and every host's stderr file.
+WORKDIR_PREFIX = "repro-process-backend-"
+
 
 # ---------------------------------------------------------------------- #
 # Environment probe
@@ -174,31 +178,15 @@ def _raise_remote(response: Dict[str, Any]) -> None:
     raise CommunicationError(f"{name}: {message}")
 
 
-class _PooledConnection:
-    """One pooled socket plus its reusable receive scratch buffer.
-
-    The scratch bytearray persists across rounds, so steady-state reply
-    reception reuses the same staging storage frame after frame (see
-    :func:`repro.network.wire.recv_frame`).
-    """
-
-    __slots__ = ("sock", "scratch")
-
-    def __init__(self, sock: socket.socket) -> None:
-        self.sock = sock
-        self.scratch = bytearray(64)
-
-    def close(self) -> None:
-        self.sock.close()
-
-
 class RpcClient:
     """Pooled connections to one node host.
 
-    Each :meth:`call` checks a connection out of the pool (dialling a new one
+    Each :meth:`call` checks a socket out of the pool (dialling a new one
     when the pool is dry, which is what lets concurrent fan-out threads talk
     to the same host), performs one framed request/response round trip and
-    returns the connection — socket and frame scratch buffer — for reuse.
+    returns the socket for reuse.  A socket holds no buffer between calls:
+    each reply frame is received into storage of its own, which the decoded
+    result aliases.
 
     Failures are typed by phase.  The *dial* (the TCP connect) runs under
     ``connect_timeout`` and fails as :class:`~repro.exceptions.DialError`: a
@@ -223,11 +211,11 @@ class RpcClient:
         self.timeout = timeout
         #: Dial budget: the TCP connect.
         self.connect_timeout = connect_timeout
-        self._free: List[_PooledConnection] = []
+        self._free: List[socket.socket] = []
         self._lock = threading.Lock()
         self._closed = False
 
-    def _checkout(self) -> _PooledConnection:
+    def _checkout(self) -> socket.socket:
         with self._lock:
             if self._closed:
                 raise NodeCrashedError(f"client for {self.address} is closed")
@@ -243,41 +231,41 @@ class RpcClient:
         # From here on the socket carries framed calls: switch to the read
         # deadline so a slow reply fails as DeadlineError, not a stuck call.
         sock.settimeout(self.timeout)
-        return _PooledConnection(sock)
+        return sock
 
-    def _checkin(self, conn: _PooledConnection) -> None:
+    def _checkin(self, sock: socket.socket) -> None:
         with self._lock:
             if not self._closed:
-                self._free.append(conn)
+                self._free.append(sock)
                 return
-        conn.close()
+        sock.close()
 
     def call(self, message: Dict[str, Any]) -> Any:
         """One request/response round trip; returns the remote result."""
         # Encode before anything touches the socket: an unencodable payload
         # is a caller bug (plain CommunicationError), not a dead peer.
         body = encode_value(message)
-        conn = self._checkout()
+        sock = self._checkout()
         try:
-            send_frame(conn.sock, body)
-            response = recv_message(conn.sock, conn.scratch)
+            send_frame(sock, body)
+            response = recv_message(sock)
         except socket.timeout as exc:
             # Must precede the OSError clause below (socket.timeout *is* an
             # OSError): the dial succeeded and the request went out, but no
             # full reply arrived within the read deadline — the peer is slow
             # or wedged, not provably dead.  The connection is mid-frame and
             # unusable; drop it.
-            conn.close()
+            sock.close()
             raise DeadlineError(
                 f"node host at {self.address} produced no reply within "
                 f"{self.timeout:.1f}s (read deadline)"
             ) from exc
         except (ConnectionClosed, CommunicationError, OSError) as exc:
-            conn.close()
+            sock.close()
             raise NodeCrashedError(
                 f"node host at {self.address} died mid-call: {exc}"
             ) from exc
-        self._checkin(conn)
+        self._checkin(sock)
         if not isinstance(response, dict) or "ok" not in response:
             raise CommunicationError(f"malformed RPC response: {response!r}")
         if response["ok"]:
@@ -288,8 +276,8 @@ class RpcClient:
         with self._lock:
             self._closed = True
             free, self._free = self._free, []
-        for conn in free:
-            conn.close()
+        for sock in free:
+            sock.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -323,13 +311,10 @@ class RpcServer:
             pass
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        # One scratch per connection, reused for every request frame this
-        # peer ever sends (rounds reuse pooled connections client-side too).
-        scratch = bytearray(64)
         with conn:
             while not self._stopping.is_set():
                 try:
-                    message = recv_message(conn, scratch)
+                    message = recv_message(conn)
                 except (ConnectionClosed, CommunicationError, OSError):
                     return  # peer went away, or never spoke the protocol
                 try:
@@ -523,12 +508,14 @@ def zygote_main() -> int:
     """Entry point of ``python -m repro.network.rpc``: fork one host per request.
 
     Requests are lines ``<node>\\t<stderr path>\\t<probe 0|1>`` on stdin.  EOF
-    means the coordinator is gone, however it died: the zygote then kills its
-    process group — itself and every host it forked (``SocketBackend`` starts
-    it as the leader of a group of its own; started any other way it just
-    ends).  Until the fork it must hold no Python thread, no socket and no
-    node: a forked thread's locks stay locked forever, and anything open
-    here is open in every host.
+    means the coordinator is gone, however it died (its ``close()`` kills the
+    zygote before it can read EOF): the zygote then removes the work
+    directory its own stderr file lives in and kills its process group —
+    itself and every host it forked (``SocketBackend`` starts it as the
+    leader of a group of its own; started any other way it just ends).
+    Until the fork it must hold no Python thread, no socket and no node: a
+    forked thread's locks stay locked forever, and anything open here is
+    open in every host.
     """
     import numpy.random  # noqa: F401 - unpickled with every worker's loader
     import repro.core.node  # noqa: F401 - and with it every node class
@@ -540,6 +527,9 @@ def zygote_main() -> int:
         if os.fork() == 0:
             _host_main(node_id, stderr_path, probe == "1")
     if os.getpgrp() == os.getpid():
+        workdir = Path(os.readlink("/proc/self/fd/2")).parent
+        if workdir.name.startswith(WORKDIR_PREFIX):  # never a directory not ours
+            shutil.rmtree(workdir, ignore_errors=True)
         os.killpg(os.getpid(), signal.SIGKILL)
     return 0
 
@@ -747,7 +737,7 @@ class SocketBackend(TransportBackend):
                 return
             self._stop_zygote()
             if self._workdir is None:
-                self._workdir = Path(tempfile.mkdtemp(prefix="repro-process-backend-"))
+                self._workdir = Path(tempfile.mkdtemp(prefix=WORKDIR_PREFIX))
             env = dict(os.environ)
             src_dir = str(Path(__file__).resolve().parents[2])
             existing = env.get("PYTHONPATH", "")

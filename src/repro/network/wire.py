@@ -9,7 +9,8 @@ deterministic value codec (so tensors survive the crossing bit-exactly).
 Two layers live here:
 
 * **Framing** — every message is ``MAGIC + u32 length + body``.
-  :func:`send_frame` writes a frame with ``sendall``; :func:`recv_frame`
+  :func:`send_frame` gathers header and body into ``sendmsg`` calls, looping
+  over however many short sends the kernel makes; :func:`recv_frame`
   reassembles one from however many partial ``recv`` calls the kernel decides
   to serve (1-byte dribbles included — see ``tests/network/test_wire.py``).
   A clean EOF *between* frames raises :class:`ConnectionClosed`; an EOF
@@ -36,18 +37,20 @@ The framing deliberately does not compress or checksum: payloads are trusted
 (the coordinator spawned every peer) and the golden suite catches corruption
 far more loudly than a CRC would.
 
-Both directions are copy-frugal: encoded tensors are spliced into frames as
-memoryviews of their own storage (no ``tobytes()``), reception stages into a
-per-connection scratch ``bytearray`` reused across rounds (``recv_into``, no
-chunk lists), and decoded tensors are read-only ``frombuffer`` views into the
-frame body.
+A frame body is copied once in user space, on the send side:
+:func:`encode_value` joins the tensors' own storage (memoryviews, no
+``tobytes()``) into the body, and :func:`send_frame` hands the kernel header
+and body side by side instead of concatenating them.  The receive side copies
+nothing: each body is ``recv_into``'d straight into a buffer of its own, and
+decoded tensors are read-only ``frombuffer`` views of that buffer, which
+lives exactly as long as the last of them.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Union
 
 import numpy as np
 
@@ -65,6 +68,9 @@ _FRAME_HEADER = struct.Struct("!4sI")
 #: Upper bound on one frame body (1 GiB) — a corrupted length prefix fails
 #: loudly instead of attempting a gigantic allocation.
 MAX_FRAME_BYTES = 1 << 30
+
+#: A frame body: what :func:`encode_value` builds or :func:`recv_frame` receives.
+Buffer = Union[bytes, memoryview]
 
 _U32 = struct.Struct("!I")
 _U64 = struct.Struct("!Q")
@@ -156,13 +162,13 @@ class _Reader:
     Operates on a ``memoryview`` so :meth:`take` never copies; decoded arrays
     are read-only views into the frame body (kept alive through their
     ``base``), which is what makes the decode side of the wire copy-free.
-    The frame body must therefore be immutable ``bytes`` — receive paths that
-    stage into a reusable scratch buffer snapshot it first.
+    The frame body must therefore never change: ``bytes``, or the read-only
+    buffer :func:`recv_frame` gives each frame.
     """
 
     __slots__ = ("blob", "view", "offset")
 
-    def __init__(self, blob: bytes) -> None:
+    def __init__(self, blob: Buffer) -> None:
         self.blob = blob
         self.view = memoryview(blob)
         self.offset = 0
@@ -210,7 +216,7 @@ class _Reader:
         raise CommunicationError(f"unknown wire tag {tag!r}")
 
 
-def decode_value(blob: bytes) -> Any:
+def decode_value(blob: Buffer) -> Any:
     """Inverse of :func:`encode_value`; rejects trailing garbage.
 
     Decoded arrays are read-only zero-copy views into ``blob``.
@@ -228,19 +234,30 @@ def decode_value(blob: bytes) -> Any:
 # Framing
 # ---------------------------------------------------------------------- #
 def send_frame(sock: socket.socket, body: bytes) -> None:
-    """Write one length-prefixed frame (header and body in a single sendall)."""
+    """Write one length-prefixed frame without joining header and body.
+
+    Both go out gathered in ``sendmsg`` calls.  A socket with a timeout (every
+    ``RpcClient`` connection) sends what fits and returns a short count, so
+    the loop resumes from wherever the kernel stopped.
+    """
     if len(body) > MAX_FRAME_BYTES:
         raise CommunicationError(
             f"frame of {len(body)} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )
-    sock.sendall(_FRAME_HEADER.pack(FRAME_MAGIC, len(body)) + body)
+    pending = [memoryview(_FRAME_HEADER.pack(FRAME_MAGIC, len(body))), memoryview(body)]
+    while pending:
+        sent = sock.sendmsg(pending)
+        while pending and sent >= len(pending[0]):
+            sent -= len(pending.pop(0))
+        if pending:
+            pending[0] = pending[0][sent:]
 
 
 def _recv_exact_into(sock: socket.socket, buffer: memoryview, *, at_boundary: bool) -> None:
     """Fill ``buffer`` exactly, looping over however many recvs it takes.
 
-    ``recv_into`` writes straight into the caller's (reusable) staging buffer
-    — no per-chunk allocations, no join.
+    ``recv_into`` writes straight into the caller's buffer — no per-chunk
+    allocations, no join.
     """
     received = 0
     total = len(buffer)
@@ -255,46 +272,25 @@ def _recv_exact_into(sock: socket.socket, buffer: memoryview, *, at_boundary: bo
         received += count
 
 
-def _ensure_capacity(scratch: bytearray, count: int) -> None:
-    if len(scratch) < count:
-        scratch.extend(bytes(count - len(scratch)))
-
-
-def recv_frame(sock: socket.socket, scratch: Optional[bytearray] = None) -> bytes:
+def recv_frame(sock: socket.socket) -> memoryview:
     """Reassemble one frame body, tolerating arbitrarily fragmented reads.
 
-    ``scratch`` is an optional reusable staging buffer: long-lived
-    connections (the RPC client pool, the node-host serve loops) pass the
-    same bytearray for every frame so steady-state reception allocates only
-    the returned immutable body — which decode then views zero-copy — instead
-    of a chunk list plus a join per message.
+    The body is received straight into a buffer that belongs to this frame
+    alone and is returned read-only: :func:`decode_value` views it without a
+    copy, and no later frame can overwrite what an earlier one decoded to.
     """
-    if scratch is None:
-        scratch = bytearray(_FRAME_HEADER.size)
-    _ensure_capacity(scratch, _FRAME_HEADER.size)
-    header_view = memoryview(scratch)[: _FRAME_HEADER.size]
-    try:
-        _recv_exact_into(sock, header_view, at_boundary=True)
-    finally:
-        header_view.release()
-    magic, length = _FRAME_HEADER.unpack_from(scratch, 0)
+    header = bytearray(_FRAME_HEADER.size)
+    _recv_exact_into(sock, memoryview(header), at_boundary=True)
+    magic, length = _FRAME_HEADER.unpack(header)
     if magic != FRAME_MAGIC:
         raise CommunicationError(f"bad frame magic {magic!r}")
     if length > MAX_FRAME_BYTES:
         raise CommunicationError(
             f"frame announces {length} bytes, over the {MAX_FRAME_BYTES}-byte limit"
         )
-    if length == 0:
-        return b""
-    _ensure_capacity(scratch, length)
-    body_view = memoryview(scratch)[:length]
-    try:
-        _recv_exact_into(sock, body_view, at_boundary=False)
-        # One immutable snapshot per frame: decoded arrays will alias it, so
-        # it must not change when the scratch is reused for the next frame.
-        return bytes(body_view)
-    finally:
-        body_view.release()
+    body = memoryview(np.empty(length, np.uint8))
+    _recv_exact_into(sock, body, at_boundary=False)
+    return body.toreadonly()
 
 
 def send_message(sock: socket.socket, message: Any) -> None:
@@ -302,6 +298,6 @@ def send_message(sock: socket.socket, message: Any) -> None:
     send_frame(sock, encode_value(message))
 
 
-def recv_message(sock: socket.socket, scratch: Optional[bytearray] = None) -> Any:
+def recv_message(sock: socket.socket) -> Any:
     """Receive one frame and decode it with the value codec."""
-    return decode_value(recv_frame(sock, scratch))
+    return decode_value(recv_frame(sock))

@@ -152,7 +152,8 @@ class TestZygoteDeath:
 
     def test_sigkilled_coordinator_takes_zygote_and_hosts_with_it(self, tmp_path):
         """The orphan bug: hosts used to outlive a coordinator that never
-        reached ``close()`` and serve on forever."""
+        reached ``close()`` and serve on forever — and its work directory
+        stayed in ``$TMPDIR`` after they were gone."""
         script = (
             "import sys, time\n"
             "from repro.network.rpc import SocketBackend\n"
@@ -164,15 +165,19 @@ class TestZygoteDeath:
         coordinator = subprocess.Popen(
             [sys.executable, "-c", script],
             stdout=subprocess.PIPE,
-            # Its workdir dies with nobody to remove it: keep it under tmp_path.
+            # Its workdir goes under tmp_path, where the test can look for it.
             env={**os.environ, "PYTHONPATH": SRC, "TMPDIR": str(tmp_path)},
         )
+        workdir = rpc.WORKDIR_PREFIX + "*"
         try:
             pids = [int(word) for word in coordinator.stdout.readline().split()]
             assert len(pids) == 3 and not any(_gone(pid) for pid in pids)
+            assert len(list(tmp_path.glob(workdir))) == 1
             coordinator.kill()
             coordinator.wait()
             assert _wait_dead(pids, 2.0) == [], "hosts or zygote outlived the coordinator"
+            # The zygote removes it before its killpg: gone once the zygote is.
+            assert list(tmp_path.glob(workdir)) == [], "the work directory outlived the coordinator"
         finally:
             coordinator.kill()
             coordinator.wait()

@@ -11,6 +11,8 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +144,19 @@ def _send_in_background(target, *args):
     return thread
 
 
+class _CountingSocket(socket.socket):
+    """A socket that records the byte count each ``sendmsg`` call reports."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.sent = []
+
+    def sendmsg(self, *args):
+        count = super().sendmsg(*args)
+        self.sent.append(count)
+        return count
+
+
 class TestFraming:
     @pytest.mark.parametrize("body", [b"", b"x", b"payload" * 1000, bytes(2 * 1024 * 1024)])
     def test_frame_round_trip(self, sock_pair, body):
@@ -227,6 +242,36 @@ class TestFraming:
         with pytest.raises(CommunicationError, match="limit"):
             send_frame(left, _Huge())
 
+    def test_short_sends_resume_where_the_kernel_stopped(self):
+        """A socket with a timeout (as every RpcClient socket has) returns
+        short ``sendmsg`` counts once its small send buffer is full: a
+        multi-MB frame and the small one behind it still arrive whole and in
+        order."""
+        left, right = socket.socketpair()
+        sender = _CountingSocket(fileno=left.detach())
+        sender.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+        sender.settimeout(10.0)
+        right.settimeout(10.0)
+        big = np.random.default_rng(3).bytes(4 * 1024 * 1024)
+        small = b"the frame behind it"
+
+        def send_both():
+            send_frame(sender, big)
+            send_frame(sender, small)
+
+        writer = _send_in_background(send_both)
+        try:
+            time.sleep(0.05)  # a slow reader: the sender meets a full buffer first
+            assert recv_frame(right) == big
+            assert recv_frame(right) == small
+        finally:
+            writer.join(timeout=10.0)
+            sender.close()
+            right.close()
+        assert not writer.is_alive()
+        assert len(sender.sent) > 2  # short counts happened, and were resumed
+        assert sum(sender.sent) == 2 * wire._FRAME_HEADER.size + len(big) + len(small)
+
     def test_message_round_trip_with_tensors(self, sock_pair):
         left, right = sock_pair
         message = {
@@ -242,6 +287,58 @@ class TestFraming:
         assert received["op"] == "pull"
         assert received["iteration"] == 12
         assert np.array_equal(received["payload"], message["payload"])
+
+
+# ---------------------------------------------------------------------- #
+# Copy budget: one user-space copy of a body on send, none on receive
+# ---------------------------------------------------------------------- #
+class TestCopyBudget:
+    """Peak traced allocation while one 30 730-element float64 message (the
+    msmw-process-f64 model size) crosses a socket, against its body size."""
+
+    PAYLOAD = np.random.default_rng(5).normal(size=30_730)
+
+    def message(self):
+        return {"op": "pull", "iteration": 3, "payload": self.PAYLOAD}
+
+    def test_send_side_allocates_the_body_once(self, sock_pair):
+        left, right = sock_pair
+        total = wire._FRAME_HEADER.size + len(encode_value(self.message()))
+        sink = memoryview(bytearray(total))
+
+        def drain():
+            received = 0
+            while received < total:
+                received += right.recv_into(sink[received:])
+
+        reader = _send_in_background(drain)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            body = encode_value(self.message())
+            send_frame(left, body)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert peak <= 1.1 * len(body), f"send side peaked at {peak / len(body):.2f}x the body"
+
+    def test_receive_side_decodes_in_the_frame_buffer(self, sock_pair):
+        left, right = sock_pair
+        body = encode_value(self.message())
+        writer = _send_in_background(send_frame, left, body)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            received = recv_message(right)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=10.0)
+        assert not writer.is_alive()
+        assert peak <= 1.1 * len(body), f"receive side peaked at {peak / len(body):.2f}x the body"
+        assert received["payload"].tobytes() == self.PAYLOAD.tobytes()
 
 
 # ---------------------------------------------------------------------- #

@@ -205,6 +205,24 @@ class TestZeroCopyDecode:
         with pytest.raises(ValueError):
             decoded[0] = 5.0
 
+    def test_consecutive_frames_decode_into_storage_of_their_own(self):
+        """Decoded arrays alias their frame's buffer; the next frame on the
+        same connection must land somewhere else."""
+        import socket
+
+        from repro.network.wire import recv_message, send_message
+
+        left, right = socket.socketpair()
+        with left, right:
+            send_message(left, {"g": np.arange(6.0)})
+            send_message(left, {"g": np.full(6, -1.0)})
+            first = recv_message(right)["g"]
+            snapshot = first.tobytes()
+            second = recv_message(right)["g"]
+        assert not first.flags.writeable and not second.flags.writeable
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == snapshot
+
 
 class TestSharedReconstructions:
     """In a narrow wire format one reconstruction is handed to every requester
