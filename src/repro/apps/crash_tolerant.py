@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.core.controller import Deployment
 from repro.core.server import Server
 from repro.core.session import RoundContext, RoundStrategy, register_application
-from repro.exceptions import NodeCrashedError, TrainingError
+from repro.exceptions import TrainingError
 
 
 @register_application("crash-tolerant")
@@ -54,15 +54,6 @@ class CrashTolerantStrategy(RoundStrategy):
 
     def run_round(self, ctx: RoundContext) -> None:
         deployment = ctx.deployment
-        gar = deployment.gradient_gar  # Average
         for server in deployment.servers[self._primary_index:]:
-            if deployment.transport.failures.is_crashed(server.node_id):
-                continue
-            try:
-                gradients = ctx.gradients(server)
-            except NodeCrashedError:  # pragma: no cover - defensive
-                continue
-            aggregated = gar(gradients=gradients, f=ctx.f)
-            if server is ctx.server:
-                ctx.account(gar)
-            server.update_model(aggregated)
+            if not deployment.transport.failures.is_crashed(server.node_id):
+                server.update_model(self.aggregate(ctx, ctx.gradients(server), server))

@@ -16,20 +16,20 @@ from the (fastest) correct replica.
 
 Byzantine tolerance: up to ``f_w`` Byzantine workers (gradient GAR
 precondition, e.g. ``n_w >= 2 f_w + 3`` for Multi-Krum) *and* up to ``f_ps``
-Byzantine servers, requiring the model GAR's precondition over the
-``model_quorum + 1`` aggregated models (e.g. ``>= 2 f_ps + 1`` for Median);
-liveness in asynchronous runs additionally needs ``q + f`` deployed nodes
-per pull.  Both communication rounds fan out through the execution engine;
-under the process backend each replica's model state is mirrored to its
-hosting subprocess after every update, so the inter-server model exchange
-observes exactly the state the in-process path would.
+Byzantine servers, requiring the model GAR's precondition over the rows of
+the replica membership's quorum (e.g. ``>= 2 f_ps + 1`` for Median).  Both
+tiers are memberships (``Deployment.membership`` / ``Deployment.replicas``):
+a replica the liveness layer declares dead stops pulling, being pulled and
+updating, and each model GAR call is sized for the live replicas at the
+unchanged ``f_ps``; liveness in asynchronous runs additionally needs
+``q + f`` deployed nodes per pull.  Both communication rounds fan out
+through the execution engine; under the process backend each replica's
+model state is mirrored to its hosting subprocess after every update, so the
+inter-server model exchange observes exactly the state the in-process path
+would.
 """
 
 from __future__ import annotations
-
-from typing import Dict
-
-import numpy as np
 
 from repro.aggregators.base import DistanceGAR
 from repro.core.session import RoundContext, RoundStrategy, register_application
@@ -37,41 +37,31 @@ from repro.core.session import RoundContext, RoundStrategy, register_application
 
 @register_application("msmw")
 class MSMWStrategy(RoundStrategy):
-    """Listing 2 on every honest server replica: gradients, then models."""
+    """Listing 2 on every live honest server replica: gradients, then models."""
 
     def run_round(self, ctx: RoundContext) -> None:
-        deployment, config = ctx.deployment, ctx.config
-        gar, model_gar = deployment.gradient_gar, deployment.model_gar
-        honest = deployment.honest_servers
-        if config.shards > 1:
-            self._sharded_gradient_phase(ctx, honest)
+        live = ctx.deployment.live_servers
+        if ctx.config.shards > 1:
+            self._sharded_gradient_phase(ctx, live)
         else:
-            for server in honest:
-                aggregated = gar(gradients=ctx.gradients(server), f=ctx.f)
-                if server is ctx.server:
-                    ctx.account(gar)
-                server.update_model(aggregated)
+            for server in live:
+                server.update_model(self.aggregate(ctx, ctx.gradients(server), server))
 
         # Second communication round: contract the replicas' models.  Each
         # replica's round buffer holds the peer models plus its own state as
         # the final row — the layout the model GAR aggregates directly.
-        new_models: Dict[str, np.ndarray] = {}
-        for server in honest:
-            models = server.get_model_matrix(
-                config.model_quorum(), iteration=ctx.iteration, include_self=True
-            )
-            new_models[server.node_id] = model_gar.aggregate_matrix(models)
-            if server is ctx.server:
-                ctx.account(model_gar)
-        for server in honest:
-            server.write_model(new_models[server.node_id])
+        new_models = [
+            self.aggregate(ctx, ctx.models(server), server, model=True) for server in live
+        ]
+        for server, model in zip(live, new_models):
+            server.write_model(model)
 
-        deployment.alignment.maybe_sample(
-            ctx.iteration, [server.flat_parameters() for server in honest]
+        ctx.deployment.alignment.maybe_sample(
+            ctx.iteration, [server.flat_parameters() for server in live]
         )
 
     # ------------------------------------------------------------------ #
-    def _sharded_gradient_phase(self, ctx: RoundContext, honest) -> None:
+    def _sharded_gradient_phase(self, ctx: RoundContext, live) -> None:
         """The gradient round with a sharded parameter-vector (``shards > 1``).
 
         Wire-identical to the classic phase — same targets, quorum selection
@@ -93,7 +83,7 @@ class MSMWStrategy(RoundStrategy):
         gar = deployment.gradient_gar
         shard_map = ShardMap(ctx.server.dimension, config.shards)
         two_phase = isinstance(gar, DistanceGAR)
-        for server in honest:
+        for server in live:
             buffer = ctx.gradients(server, shard_map)
             aggregated = aggregate_shards(gar, buffer, f=ctx.f)
             coord_bytes = coord_messages = 0

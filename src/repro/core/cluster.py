@@ -82,8 +82,11 @@ class ClusterConfig:
     #: Online Byzantine detection: name of a registered detector (see
     #: :mod:`repro.detection`) or empty for none (the default — detection is
     #: strictly opt-in, so traces and goldens are unchanged without it).
-    #: Only deployments using the default scatter/aggregate round phases
-    #: (ssmw, aggregathor and compatible third-party strategies) support it.
+    #: Single-server deployments (ssmw, aggregathor and compatible
+    #: third-party strategies) support it; msmw and decentralized need a
+    #: replica-local ReputationBook — a Byzantine worker may tell each
+    #: replica a different gradient — which does not exist yet, and the
+    #: fault-oblivious baselines (vanilla, crash-tolerant) stay undefended.
     detector: str = ""
     #: Wire format of gradient/model reply payloads:
     #: ``"base[+delta][+zlib|+zstd]"`` with base one of ``float64`` (the
@@ -192,11 +195,15 @@ class ClusterConfig:
                     f"unknown detector '{self.detector}'; "
                     f"choose from {sorted(DETECTOR_REGISTRY)}"
                 )
-            if self.deployment in ("vanilla", "msmw", "decentralized", "crash-tolerant"):
+            if self.deployment in ("vanilla", "crash-tolerant", "msmw", "decentralized"):
+                reason = (
+                    "it is a fault-oblivious baseline"
+                    if self.deployment in ("vanilla", "crash-tolerant")
+                    else "its server replicas have no replica-local ReputationBook"
+                )
                 raise ConfigurationError(
-                    f"detector '{self.detector}' requires the default round "
-                    f"phases; deployment '{self.deployment}' overrides them "
-                    "(supported: ssmw, aggregathor)"
+                    f"detector '{self.detector}' is not supported by deployment "
+                    f"'{self.deployment}': {reason} (supported: ssmw, aggregathor)"
                 )
         if self.gradient_gar not in GAR_REGISTRY:
             raise ConfigurationError(f"unknown gradient GAR '{self.gradient_gar}'")
@@ -247,15 +254,15 @@ class ClusterConfig:
                 f"{gar_cls.minimum_inputs(self.num_byzantine_workers)} gradients to tolerate "
                 f"f_w={self.num_byzantine_workers}, but the deployment only collects {q_gradients}"
             )
-        # ... and on the model side for replicated-server deployments.
-        if self.deployment == "msmw":
-            model_gar_cls = GAR_REGISTRY[self.model_gar]
+        # ... and on the model side wherever replicas exchange models.
+        if self.deployment in ("msmw", "decentralized"):
+            needed = GAR_REGISTRY[self.model_gar].minimum_inputs(self.model_f())
             q_models = self.model_quorum() + 1  # peers plus own model
-            if q_models < model_gar_cls.minimum_inputs(self.num_byzantine_servers):
+            if q_models < needed:
                 raise ConfigurationError(
-                    f"GAR '{self.model_gar}' needs at least "
-                    f"{model_gar_cls.minimum_inputs(self.num_byzantine_servers)} models to tolerate "
-                    f"f_ps={self.num_byzantine_servers}, but the deployment only aggregates {q_models}"
+                    f"GAR '{self.model_gar}' needs at least {needed} models to tolerate "
+                    f"f={self.model_f()} Byzantine replicas, but the deployment only "
+                    f"aggregates {q_models}"
                 )
 
     # ------------------------------------------------------------------ #
@@ -290,6 +297,13 @@ class ClusterConfig:
         from repro.network.resilience import ResilienceConfig
 
         return ResilienceConfig.from_value(self.resilience)
+
+    def model_f(self) -> int:
+        """The Byzantine replicas the model GAR tolerates: ``f_ps``, or ``f_w``
+        where every node is a replica (decentralized)."""
+        if self.deployment == "decentralized":
+            return self.num_byzantine_workers
+        return self.num_byzantine_servers
 
     def model_quorum(self) -> int:
         """How many peer models a server replica waits for per iteration."""

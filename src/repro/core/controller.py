@@ -28,7 +28,7 @@ from repro.core.worker import Worker
 from repro.datasets.partition import partition_dataset
 from repro.datasets.synthetic import Dataset
 from repro.detection.manager import DetectionManager
-from repro.detection.membership import Membership
+from repro.detection.membership import DEAD, Membership
 from repro.exceptions import ConfigurationError
 from repro.network.cost import DEVICES, FRAMEWORKS, CostModel
 from repro.network.failures import FailureInjector
@@ -55,6 +55,12 @@ class Deployment:
     #: and liveness layers write.  With nobody excluded it is the whole worker
     #: roster at ``config.gradient_quorum()``.
     membership: Membership
+    #: The same ledger over the server replicas, wherever a model GAR exists
+    #: (msmw, decentralized; ``None`` otherwise): the model phase pulls from
+    #: it (:meth:`~repro.core.session.RoundContext.models`) and the liveness
+    #: layer declares replicas dead in it.  With nobody dead its quorum is
+    #: the model GAR's row count, the puller's own row included.
+    replicas: Optional[Membership] = None
     alignment: AlignmentProbe = field(default_factory=lambda: AlignmentProbe(every=20))
     #: Chaos-scenario machinery, attached when the config names a scenario.
     director: Optional[ScenarioDirector] = None
@@ -121,12 +127,18 @@ class Deployment:
         return [w for w in self.workers if not isinstance(w, ByzantineWorker)]
 
     @property
+    def live_servers(self) -> List[Server]:
+        """The honest servers not declared dead: the replicas that run a round."""
+        dead = self.replicas.excluded(DEAD) if self.replicas is not None else ()
+        return [s for s in self.honest_servers if s.node_id not in dead]
+
+    @property
     def primary(self) -> Server:
-        """The first honest server — the reporting replica for metrics."""
-        honest = self.honest_servers
-        if not honest:
-            raise ConfigurationError("deployment has no honest server to report from")
-        return honest[0]
+        """The first live server — the reporting replica for metrics."""
+        live = self.live_servers
+        if not live:
+            raise ConfigurationError("deployment has no live honest server to report from")
+        return live[0]
 
 
 @dataclass
@@ -296,6 +308,19 @@ class Controller:
                 slack=config.num_workers - config.gradient_quorum(),
             ),
         )
+        if model_gar is not None:
+            # Decentralized's contract step runs the gradient rule on replica
+            # rows too: the guard answers to whichever rule needs more of them.
+            guarded = [model_gar]
+            if config.deployment == "decentralized" and config.non_iid:
+                guarded.append(gradient_gar)
+            deployment.replicas = Membership(
+                [server.node_id for server in servers],
+                declared_f=model_gar.f,
+                gar_name=max(guarded, key=lambda gar: gar.minimum_inputs(model_gar.f)).name,
+                slack=len(servers) - model_gar.n,
+                floor=2,
+            )
         if config.detector:
             deployment.detection = DetectionManager(
                 detector=config.detector, membership=deployment.membership
@@ -316,6 +341,7 @@ class Controller:
             deployment.health = LivenessDetector(
                 deployment.membership,
                 book=deployment.detection.book if deployment.detection else None,
+                replicas=deployment.replicas,
             )
             transport.health = deployment.health
             if resilience.hedge:
@@ -353,17 +379,9 @@ class Controller:
 
     def _build_model_gar(self) -> Optional[GAR]:
         config = self.config
-        if config.deployment == "msmw":
-            return init_gar(
-                config.model_gar, n=config.model_quorum() + 1, f=config.num_byzantine_servers
-            )
-        if config.deployment == "decentralized":
-            return init_gar(
-                config.model_gar, n=config.model_quorum() + 1, f=config.num_byzantine_workers
-            )
-        if config.deployment == "crash-tolerant":
-            return init_gar("average", n=max(1, config.model_quorum() + 1), f=0)
-        return None
+        if config.deployment not in ("msmw", "decentralized"):
+            return None
+        return init_gar(config.model_gar, n=config.model_quorum() + 1, f=config.model_f())
 
     # ------------------------------------------------------------------ #
     def _build_workers(self, config, transport, experiment, shards, device, framework, cost_model) -> List[Worker]:

@@ -705,10 +705,11 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
     def _expected_quorums(self, case: FuzzCase, outcome: RunOutcome) -> List[int]:
         """Per-round expected gradient quorums, membership-aware.
 
-        Replays the deployment's one membership ledger from both recorded
-        event streams: every ``evict`` (detection payload) and every ``dead``
-        (health payload) takes one worker out of the pull set, every
-        ``readmit`` returns one, and round ``r`` waits for the quorum implied
+        Replays the deployment's worker membership from both recorded event
+        streams: every ``evict`` (detection payload) and every ``dead``
+        (health payload) of a worker takes one worker out of the pull set,
+        every ``readmit`` returns one — a dead server replica changes nothing
+        here — and round ``r`` waits for the quorum implied
         by the membership *after* round ``r - 1``'s decisions — the active
         count minus the configured reply slack, so each exclusion shrinks the
         wait by exactly one.  With neither layer on there are no events and
@@ -716,6 +717,7 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
         :meth:`~repro.core.cluster.ClusterConfig.gradient_quorum` exactly.
         """
         config = ClusterConfig.from_dict(dict(case.spec.config))
+        workers = set(config.node_ids()[0])
         active = int(config.num_workers)
         slack = active - config.gradient_quorum()
         change = {"evict": -1, "dead": -1, "readmit": 1}
@@ -724,7 +726,9 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
             expected.append(max(1, active - slack))
             for payload in (detection, health):
                 for event in (payload or {}).get("events", ()):
-                    active += change.get(event["action"], 0)
+                    # A dead server replica leaves the replica ledger, not this one.
+                    if event["target"] in workers:
+                        active += change.get(event["action"], 0)
         return expected
 
     def _check_detection(self, case: FuzzCase, outcome: RunOutcome, report: CaseReport) -> None:

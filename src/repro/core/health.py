@@ -8,21 +8,22 @@ Two cooperating pieces turn the failure *injection* machinery into failure
   latency, refused dial, timeout/loss); suspicion accrues on bad outcomes
   and halves on good ones, classifying each peer ``healthy`` / ``suspect`` /
   ``dead``.  A dead declaration is an exclusion, cause ``dead``, asked of the
-  deployment's :class:`~repro.detection.membership.Membership` — the same
-  ledger and quorum-safety guard detection evictions go through: one that
-  would starve the GAR degrades to ``suspect``.  A dead peer is not an
-  evicted one: it leaves the pull set but spends none of the Byzantine
-  budget.  When a detector is attached too, liveness evidence also feeds its
-  :class:`~repro.detection.reputation.ReputationBook` (suspect and dead peers
-  are down-weighted).
+  deployment's :class:`~repro.detection.membership.Membership` the peer
+  belongs to — the workers', or the server replicas' where a model phase
+  pulls them — under the same quorum-safety guard detection evictions go
+  through: one that would starve the GAR degrades to ``suspect``.  A dead
+  peer is not an evicted one: it leaves the pull set but spends none of the
+  Byzantine budget.  When a detector is attached too, liveness evidence also
+  feeds its :class:`~repro.detection.reputation.ReputationBook` (suspect and
+  dead workers are down-weighted).
 * :class:`NodeSupervisor` — the process-backend watchdog.  Each round it
   patrols the host fleet: a host that is down *without* a scripted crash
   (unscripted SIGKILL, OOM, wedge) is respawned from its last state
   snapshot, under a restart budget of ``restart_budget`` respawns per
   ``restart_window`` rounds; past the budget the node is declared dead and
-  the membership shrinks, guard permitting.  Running
-  hosts are snapshotted each patrol so a respawn restores near-current
-  state.
+  its membership — a server's is the replicas' — shrinks, guard permitting.
+  Running hosts are snapshotted each patrol so a respawn restores
+  near-current state.
 
 Everything here is opt-in: nothing is constructed unless
 ``ClusterConfig.resilience`` enables a feature, so every pre-resilience
@@ -54,7 +55,8 @@ SLOW_WEIGHT = 1.0
 #: ... and what a normal success multiplies it by.
 SUCCESS_DECAY = 0.5
 #: A success counts as slow when its latency exceeds ``SLOW_FACTOR`` times the
-#: median of the last ``COHORT_WINDOW`` success latencies (all peers), once
+#: median of the last ``COHORT_WINDOW`` success latencies (all peers of its
+#: ledger: workers, or server replicas), once
 #: at least ``COHORT_MIN_SAMPLES`` of them exist.
 SLOW_FACTOR = 8.0
 COHORT_WINDOW = 256
@@ -100,16 +102,24 @@ class LivenessDetector:
     fan-out classification loop), so it needs no locking.
     """
 
-    def __init__(self, membership: Membership, book=None) -> None:
+    def __init__(self, membership: Membership, book=None, replicas: Optional[Membership] = None):
         self.membership = membership
-        self.roster: Tuple[str, ...] = membership.roster
+        ledgers = [ledger for ledger in (membership, replicas) if ledger is not None]
+        #: Peer -> the ledger its dead declaration goes to: the workers'
+        #: membership, then (msmw, decentralized) the server replicas'.
+        self._ledger: Dict[str, Membership] = {
+            name: ledger for ledger in ledgers for name in ledger.roster
+        }
+        self.roster: Tuple[str, ...] = tuple(self._ledger)
+        #: Ledger -> recent success latencies of its peers: a model pull is
+        #: never the yardstick of a gradient pull, nor the reverse.
+        self._cohort: Dict[Membership, List[float]] = {ledger: [] for ledger in ledgers}
         #: The detector's :class:`~repro.detection.reputation.ReputationBook`,
         #: when one is attached: liveness evidence down-weights there too.
         self.book = book
 
         self.scores: Dict[str, float] = {name: 0.0 for name in self.roster}
         self._status: Dict[str, str] = {name: HEALTHY for name in self.roster}
-        self._cohort: List[float] = []  # recent success latencies, all peers
         self._observed_round = False
         self._pending_events: List[HealthEvent] = []
         self._requested_dead: List[Tuple[str, str]] = []  # (target, reason)
@@ -121,21 +131,16 @@ class LivenessDetector:
     # ------------------------------------------------------------------ #
     # Per-call observations (fed by Transport._note_health)
     # ------------------------------------------------------------------ #
-    def _cohort_reference(self) -> Optional[float]:
-        if len(self._cohort) < COHORT_MIN_SAMPLES:
-            return None
-        ordered = sorted(self._cohort)
-        return ordered[len(ordered) // 2]
-
     def observe_success(self, peer: str, latency: float) -> None:
         """A usable reply: decays suspicion — unless the reply straggled."""
         if peer not in self.scores:
             return
         self._observed_round = True
-        reference = self._cohort_reference()
-        self._cohort.append(float(latency))
-        if len(self._cohort) > COHORT_WINDOW:
-            del self._cohort[: len(self._cohort) - COHORT_WINDOW]
+        cohort = self._cohort[self._ledger[peer]]
+        reference = sorted(cohort)[len(cohort) // 2] if len(cohort) >= COHORT_MIN_SAMPLES else None
+        cohort.append(float(latency))
+        if len(cohort) > COHORT_WINDOW:
+            del cohort[: len(cohort) - COHORT_WINDOW]
         if reference is not None and latency > SLOW_FACTOR * reference:
             self.scores[peer] += SLOW_WEIGHT
         else:
@@ -172,9 +177,6 @@ class LivenessDetector:
             raise ConfigurationError(f"cannot declare unknown peer '{peer}' dead")
         self._requested_dead.append((peer, reason))
 
-    def status(self, peer: str) -> str:
-        return self._status[peer]
-
     def statuses(self) -> Dict[str, str]:
         return {name: self._status[name] for name in self.roster}
 
@@ -200,18 +202,18 @@ class LivenessDetector:
 
         events: List[HealthEvent] = list(pending)
         for peer, reason in requested:
-            if self.membership.exclude(peer, DEAD):
+            if self._ledger[peer].exclude(peer, DEAD):
                 events.append(
                     HealthEvent(round_index, DEAD, peer, self.scores[peer], detail=reason)
                 )
 
         for name in self.roster:
             previous = self._status[name]
-            if self.membership.cause(name) == DEAD:
+            if self._ledger[name].cause(name) == DEAD:
                 status = DEAD
             elif self.scores[name] >= DEAD_AFTER:
                 # Guard refused: stay suspect (down-weighted), keep pulling.
-                status = DEAD if self.membership.exclude(name, DEAD) else SUSPECT
+                status = DEAD if self._ledger[name].exclude(name, DEAD) else SUSPECT
             elif self.scores[name] >= SUSPECT_AFTER:
                 status = SUSPECT
             else:
@@ -236,7 +238,7 @@ class LivenessDetector:
         payload: Dict[str, Any] = {
             "statuses": {name: self._status[name] for name in self.roster},
             "scores": {name: round(float(self.scores[name]), 6) for name in self.roster},
-            "dead": list(self.membership.excluded(DEAD)),
+            "dead": [name for name in self.roster if self._status[name] == DEAD],
             "events": [event.to_dict() for event in events],
         }
         self.last_payload = payload
@@ -336,9 +338,8 @@ class NodeSupervisor:
                 )
                 self._emit(event)
                 fired.append(event)
-                # Only workers live in the liveness roster; a given-up
-                # server is recorded as an event but cannot shrink the
-                # gradient membership.
+                # A given-up server leaves the replica membership where one
+                # exists (msmw, decentralized); elsewhere it is only an event.
                 if self.health is not None and node in self.health.roster:
                     self.health.request_dead(node, reason="restart-budget")
                 continue

@@ -339,14 +339,17 @@ class Server(Node):
         quorum: Optional[int] = None,
         iteration: int = 0,
         include_self: bool = False,
+        peers: Optional[List[str]] = None,
     ) -> np.ndarray:
         """Pull peer model states into the round buffer; return the ``(q, d)`` view.
 
         With ``include_self`` the server's own parameter vector is appended as
-        the final row — the layout Listing 2/3 aggregate.  Read-only, recycled
-        by the next model pull.
+        the final row — the layout Listing 2/3 aggregate.  ``peers`` restricts
+        the pull to a subset of the replicas (replicas declared dead are
+        neither contacted nor waited for).  Read-only, recycled by the next
+        model pull.
         """
-        buffer = self._pull("model", iteration, quorum)
+        buffer = self._pull("model", iteration, quorum, peers)
         if include_self:
             buffer.append_row(self.flat_parameters())
         return buffer.matrix()
@@ -365,13 +368,15 @@ class Server(Node):
         quorum: Optional[int] = None,
         iteration: int = 0,
         extra: Optional[np.ndarray] = None,
+        peers: Optional[List[str]] = None,
     ) -> np.ndarray:
         """Pull peers' latest aggregates into the round buffer (contract step).
 
         ``extra`` (this node's own aggregate in Listing 3) is appended as the
-        final row.  Read-only, recycled by the next aggregated-gradient pull.
+        final row; ``peers`` restricts the pull as in :meth:`get_model_matrix`.
+        Read-only, recycled by the next aggregated-gradient pull.
         """
-        buffer = self._pull("aggregated_gradient", iteration, quorum)
+        buffer = self._pull("aggregated_gradient", iteration, quorum, peers)
         if extra is not None:
             buffer.append_row(extra)
         return buffer.matrix()

@@ -237,6 +237,24 @@ class RoundContext:
             self.iteration, shard_map, membership.quorum(), workers
         )
 
+    def models(self, server: Server, aggregate: Optional[np.ndarray] = None) -> np.ndarray:
+        """``server``'s replica pull for this round, over the replica membership.
+
+        The model-phase twin of :meth:`gradients`: the active peer replicas
+        are pulled and ``replicas.quorum() - 1`` replies awaited, then
+        ``server``'s own row is appended — its model state, or with
+        ``aggregate`` (Listing 3's contract step) that aggregate, after the
+        peers' published ones.  A replica declared dead costs no message and
+        no waiting, and with nobody dead this is the model GAR's static row
+        count.  Returns the read-only ``(q, d)`` view.
+        """
+        replicas = self.deployment.replicas
+        peers = [name for name in replicas.active() if name != server.node_id]
+        pull = dict(iteration=self.iteration, peers=peers)
+        if aggregate is None:
+            return server.get_model_matrix(replicas.quorum() - 1, include_self=True, **pull)
+        return server.get_aggr_grad_matrix(replicas.quorum() - 1, extra=aggregate, **pull)
+
     @property
     def f(self) -> int:
         """The Byzantine budget the gradient rule must assume this round."""
@@ -301,9 +319,10 @@ class RoundStrategy:
     The default phases implement the single-trusted-server round of
     Listing 1 (SSMW); strategies with more structure (replicated servers,
     decentralized contraction, primary/backup failover) override
-    :meth:`run_round` or the individual phases.  Strategy instances are
-    created per session and may keep per-run state (e.g. the crash-tolerant
-    primary index).
+    :meth:`run_round` and still aggregate every replica's rows through
+    :meth:`aggregate` — one aggregation phase for every deployment.
+    Strategy instances are created per session and may keep per-run state
+    (e.g. the crash-tolerant primary index).
     """
 
     #: Registry name; assigned by :func:`register_application`.
@@ -314,7 +333,8 @@ class RoundStrategy:
         """One-time preparation before the first round (default: nothing)."""
 
     def reporting_server(self, deployment: Deployment, iteration: int) -> Server:
-        """The replica that reports metrics for this round (default: primary)."""
+        """The replica that reports metrics for this round (default: primary,
+        the first honest replica not declared dead)."""
         return deployment.primary
 
     # ------------------------------------------------------------------ #
@@ -328,31 +348,39 @@ class RoundStrategy:
         """Collect this round's inputs (default: a robust gradient quorum)."""
         return ctx.gradients(ctx.server)
 
-    def aggregate(self, ctx: RoundContext, gradients: np.ndarray) -> np.ndarray:
-        """Robustly aggregate the collected inputs (default: the gradient GAR).
+    def aggregate(
+        self, ctx: RoundContext, rows: np.ndarray, server: Optional[Server] = None, model: bool = False
+    ) -> np.ndarray:
+        """Robustly aggregate ``server``'s rows (default: the reporting server's).
 
-        The GAR always runs sized for the rows it receives and the budget
-        still assumed among them (:meth:`GAR.resized` with :attr:`RoundContext.f`
-        — the declared f minus evictions) — a pull set shrunk by evictions or
-        dead declarations is never scored by a rule built for the full quorum
-        — and that sized rule is what the accountant charges, so a shrunk
-        membership shows up as cheaper aggregation, not just fewer messages.
-        With a detection manager attached the rows are scored and
-        reputation-weighted first (``detection.weigh_and_observe`` — the
-        suspicion update lands in the same round).  Membership decisions
-        happen at the end of the round (:meth:`Session.step` calls
-        ``detection.finish_round``).
+        The one aggregation phase of every bundled deployment: the gradient
+        GAR, or with ``model`` the model GAR.  The rule always runs sized for
+        the rows it receives (:meth:`GAR.resized`) — the gradient rule at the
+        budget still assumed among them (:attr:`RoundContext.f`, the declared
+        f minus evictions), the model rule at its declared f — so a pull set
+        shrunk by evictions or dead declarations is never scored by a rule
+        built for the full quorum, and with nobody excluded the rule *is* the
+        deployment's own instance.  The reporting server's sized rule is what
+        the accountant charges, so a shrunk membership shows up as cheaper
+        aggregation, not just fewer messages.  With a detection manager
+        attached gradient rows are scored and reputation-weighted first
+        (``detection.weigh_and_observe`` — the suspicion update lands in the
+        same round).  Membership decisions happen at the end of the round
+        (:meth:`Session.step` calls ``detection.finish_round``).
         """
-        detection = ctx.deployment.detection
+        server = ctx.server if server is None else server
+        detection = None if model else ctx.deployment.detection
         if detection is not None:
-            gradients = detection.weigh_and_observe(
-                gradients, tuple(ctx.server.last_gradient_sources)
-            )
-        gar = ctx.deployment.gradient_gar.resized(len(gradients), ctx.f)
-        update = gar.aggregate_matrix(gradients)
-        ctx.account(gar)
-        if detection is not None:
-            ctx.accountant.add_detection(detection, len(gradients))
+            rows = detection.weigh_and_observe(rows, tuple(server.last_gradient_sources))
+        if model:
+            gar = ctx.deployment.model_gar.resized(len(rows))
+        else:
+            gar = ctx.deployment.gradient_gar.resized(len(rows), ctx.f)
+        update = gar.aggregate_matrix(rows)
+        if server is ctx.server:
+            ctx.account(gar)
+            if detection is not None:
+                ctx.accountant.add_detection(detection, len(rows))
         return update
 
     def apply(self, ctx: RoundContext, update: np.ndarray) -> None:

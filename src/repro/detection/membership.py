@@ -1,30 +1,33 @@
 """The one ledger of who is pulled, how many replies are awaited and which f holds.
 
-Every deployment carries exactly one :class:`Membership` over its worker
-roster (``Deployment.membership``).  A worker leaves the pull set for one of
-two causes, and the causes spend different things:
+Every deployment carries one :class:`Membership` over its worker roster
+(``Deployment.membership``), and a deployment with a model GAR (msmw,
+decentralized) a second one over its server replicas
+(``Deployment.replicas``).  A node leaves the pull set for one of two
+causes, and the causes spend different things:
 
 * :data:`EVICTED` — caught lying by the detection layer.  Each eviction
   removes one presumed-Byzantine row, so it spends the Byzantine budget:
   :meth:`Membership.effective_f` is ``declared_f - |evicted|``, and at most
-  ``declared_f`` workers are ever evicted at once (an ``(f+1)``-th eviction
-  would provably remove an honest worker).  Evictions are reversible
-  (:meth:`Membership.readmit`).
+  ``declared_f`` nodes are ever evicted at once (an ``(f+1)``-th eviction
+  would provably remove an honest one).  Evictions are reversible
+  (:meth:`Membership.readmit`).  Detection never evicts a replica.
 * :data:`DEAD` — declared unresponsive by the liveness layer.  A crash is not
-  a lie: the dead worker need not be one of the Byzantine ones, so the
+  a lie: the dead node need not be one of the Byzantine ones, so the
   budget is untouched and there is no cap on how many may die.  Sticky.
 
-Either way the worker costs no message and no waiting: :meth:`Membership.quorum`
-is ``max(1, |active| - slack)``, where ``slack`` is the reply slack the
-deployment was configured with (``num_workers - gradient_quorum()`` — the
-declared f of an asynchronous run, 0 of a synchronous one).  With nobody
-excluded that *is* ``ClusterConfig.gradient_quorum()`` over the whole roster,
-so a run without detection or resilience is the degenerate case, not a
-separate path.
+Either way the node costs no message and no waiting: :meth:`Membership.quorum`
+is ``max(floor, |active| - slack)``, where ``slack`` is the reply slack the
+deployment was configured with — ``num_workers - gradient_quorum()`` for the
+workers (the declared f of an asynchronous run, 0 of a synchronous one), and
+for the replicas the roster minus the model GAR's rows (a replica's own row
+counts, so their ``floor`` is 2: at least one peer).  With nobody excluded
+that *is* the static quorum over the whole roster, so a run without
+detection or resilience is the degenerate case, not a separate path.
 
 Both transitions pass the single quorum-safety guard
 (:meth:`Membership._safe`): afterwards ``|evicted| <= declared_f`` and the
-awaited replies still cover ``minimum_inputs(effective f)`` of the gradient
+awaited replies still cover ``minimum_inputs(effective f)`` of the ledger's
 GAR.  A refused transition changes nothing; callers degrade to down-weighting
 (eviction) or ``suspect`` (death).
 """
@@ -42,7 +45,7 @@ DEAD = "dead"
 
 
 class Membership:
-    """Roster order, exclusions by cause, and the sizes a gradient pull derives from them."""
+    """Roster order, exclusions by cause, and the sizes a pull derives from them."""
 
     def __init__(
         self,
@@ -51,43 +54,47 @@ class Membership:
         declared_f: int = 0,
         gar_name: str = "average",
         slack: int = 0,
+        floor: int = 1,
     ) -> None:
         self.roster: Tuple[str, ...] = tuple(roster)
         if not self.roster:
             raise ConfigurationError("membership needs a non-empty roster")
         if gar_name not in GAR_REGISTRY:
-            raise ConfigurationError(f"unknown gradient GAR '{gar_name}' for membership")
+            raise ConfigurationError(f"unknown GAR '{gar_name}' for membership")
         self.gar_cls = GAR_REGISTRY[gar_name]
         self.declared_f = int(declared_f)
         self.slack = int(slack)
-        self._out: Dict[str, str] = {}  # worker -> cause
+        self.floor = int(floor)
+        self._out: Dict[str, str] = {}  # node -> cause
 
     # ------------------------------------------------------------------ #
     def active(self) -> Tuple[str, ...]:
-        """Workers still pulled from, in roster order."""
+        """Nodes still pulled from, in roster order."""
+        if not self._out:
+            return self.roster
         return tuple(name for name in self.roster if name not in self._out)
 
     def excluded(self, cause: str) -> Tuple[str, ...]:
-        """Workers out of the pull set for ``cause``, in roster order."""
+        """Nodes out of the pull set for ``cause``, in roster order."""
         return tuple(name for name in self.roster if self._out.get(name) == cause)
 
     def cause(self, name: str) -> Optional[str]:
         """Why ``name`` is excluded, or ``None`` while it is active."""
         if name not in self.roster:
-            raise ConfigurationError(f"unknown worker '{name}' in membership")
+            raise ConfigurationError(f"unknown node '{name}' in membership")
         return self._out.get(name)
 
     def quorum(self) -> int:
-        """Replies a gradient pull waits for, given the current membership.
+        """Rows a pull delivers, given the current membership.
 
         The slack stays the configured one whoever is excluded: an eviction
-        only confirms a liar, and up to f of the workers still pulled may
+        only confirms a liar, and up to f of the nodes still pulled may
         stall, so each exclusion shrinks the wait by exactly one.
         """
-        return max(1, len(self.roster) - len(self._out) - self.slack)
+        return max(self.floor, len(self.roster) - len(self._out) - self.slack)
 
     def effective_f(self) -> int:
-        """The Byzantine budget still assumed present among the active workers."""
+        """The Byzantine budget still assumed present among the active nodes."""
         return self.declared_f - len(self.excluded(EVICTED))
 
     # ------------------------------------------------------------------ #
@@ -97,7 +104,7 @@ class Membership:
         evicted += len(self.excluded(EVICTED))
         if evicted > self.declared_f:
             return False
-        floor = max(1, self.gar_cls.minimum_inputs(self.declared_f - evicted))
+        floor = max(self.floor, self.gar_cls.minimum_inputs(self.declared_f - evicted))
         return len(self.roster) - len(self._out) + active - self.slack >= floor
 
     def exclude(self, name: str, cause: str) -> bool:

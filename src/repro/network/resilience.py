@@ -364,7 +364,7 @@ class WavePolicy:
         return [(destination, 0.0) for destination in destinations], ()
 
     def deadline(self, peer: str, cold_start: float) -> float:
-        """How long a first-wave pull to ``peer`` may take before it is hedged."""
+        """How long a pull to ``peer`` may take, from its issue, before it is hedged."""
         return math.inf
 
     def observe(self, peer: str, latency: float) -> None:
@@ -373,7 +373,8 @@ class WavePolicy:
     def follow_ups(
         self, outcomes: Sequence[PullOutcome], reserves: Sequence[str]
     ) -> List[Tuple[str, float]]:
-        """The second (and last) wave, given how the first one ended."""
+        """The next wave, given how the previous one ended and the reserves
+        still unasked (``pull_many`` asks again while the quorum is short)."""
         return []
 
 
@@ -383,10 +384,11 @@ class HedgePolicy(WavePolicy):
 
     The first wave is the ``quorum`` peers with the lowest tracked median
     latency (a peer without history ranks first, so everyone gets sampled);
-    the rest are reserves.  Every first-wave pull that has not arrived by its
-    deadline — the peer's tracked latency percentile, the cohort's while the
-    peer is new, the link's cold-start value before that — is re-issued at
-    the deadline to the next reserve, in first-wave order.  With no reserve
+    the rest are reserves.  Every pull that has not arrived by its deadline —
+    its issue time plus the peer's tracked latency percentile, the cohort's
+    while the peer is new, the link's cold-start value before that — is
+    re-issued at the deadline to the next reserve, in wave order; while the
+    quorum is short a missed follow-up is hedged the same way.  With no reserve
     left, a pull whose message was lost (dropped, or the peer died
     mid-reply) is re-issued to the same peer; a refused, silent or merely
     slow peer is not asked twice.  A straggler's own reply still counts if it

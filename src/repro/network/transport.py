@@ -586,10 +586,12 @@ class Transport:
         default :class:`~repro.network.resilience.WavePolicy`) names the first
         wave, :meth:`_wave` plans, dispatches and classifies it, the policy
         turns the outcomes into follow-up pulls (none by default), those run
-        through :meth:`_wave` too, and the fastest ``quorum`` arrivals of both
-        waves win.  By default the first wave is every destination in the
-        caller's order; see :class:`~repro.network.resilience.HedgePolicy` for
-        the hedged waves.
+        through :meth:`_wave` too, and the fastest ``quorum`` arrivals of all
+        waves win.  While the quorum is still short after a follow-up wave and
+        reserves remain unasked, the policy turns that wave's outcomes into
+        the next one, over the reserves still unasked.  By default the first
+        wave is every destination in the caller's order; see
+        :class:`~repro.network.resilience.HedgePolicy` for the hedged waves.
 
         Returns ``(replies, elapsed)`` where ``elapsed`` is the simulated time
         until the quorum-th reply arrived (calls are parallelized, so slower
@@ -622,9 +624,16 @@ class Transport:
         request = (source, kind, iteration, payload, record_nbytes)
         wave, reserves = policy.first_wave(destinations, quorum)
         outcomes = self._wave(wave, policy, request)
-        hedges = policy.follow_ups(outcomes, reserves)
-        if hedges:
-            outcomes += self._wave(hedges, policy, request, follow_up=True)
+        unasked = list(reserves)
+        hedges = policy.follow_ups(outcomes, unasked)
+        while hedges:
+            followed = self._wave(hedges, policy, request, follow_up=True)
+            outcomes += followed
+            asked = {destination for destination, _ in hedges}
+            unasked = [peer for peer in unasked if peer not in asked]
+            if not unasked or sum(o.status == "usable" for o in outcomes) >= quorum:
+                break
+            hedges = policy.follow_ups(followed, unasked)
 
         usable = [outcome for outcome in outcomes if outcome.status == "usable"]
         if len(usable) < quorum:
@@ -667,10 +676,10 @@ class Transport:
            finished in) — each pull exactly once: refused, dropped, lost
            mid-reply, silent or infinitely late, or usable.  Every served
            reply is accounted, every outcome reaches the liveness detector,
-           and the policy's deadline for a peer is read immediately before
-           that peer's own latency is folded in — so it already reflects the
-           peers classified before it in this wave.  Follow-up pulls are never
-           hedged again and have no deadline.
+           and the policy's deadline for a peer (counted from the pull's issue
+           time) is read immediately before that peer's own latency is folded
+           in — so it already reflects the peers classified before it in this
+           wave.
         """
         source, kind, iteration, payload, record_nbytes = request
         plans: List[Any] = []
@@ -695,7 +704,7 @@ class Transport:
             if plan is _REFUSED:
                 status, deadline = "refused", issued_at  # a refused dial is known at once
             else:
-                deadline = math.inf if follow_up else policy.deadline(destination, cold_start)
+                deadline = issued_at + policy.deadline(destination, cold_start)
                 if plan is None:
                     status = "dropped"
                 elif (reply := next(served)) is None:

@@ -75,6 +75,26 @@ class TestValidation:
                 model_gar="median",
             )
 
+    def test_model_gar_condition_for_decentralized(self):
+        """The same rule at the workers' f: krum needs 2f + 3 = 5 models, and
+        five nodes with f = 1 aggregate only 4 (their own plus three peers).
+        This used to pass validation and fail in Controller.build()."""
+        with pytest.raises(ConfigurationError, match="krum' needs at least 5 models"):
+            ClusterConfig(
+                deployment="decentralized",
+                num_workers=5,
+                num_byzantine_workers=1,
+                gradient_gar="median",
+                model_gar="krum",
+            )
+        ClusterConfig(
+            deployment="decentralized",
+            num_workers=6,
+            num_byzantine_workers=1,
+            gradient_gar="median",
+            model_gar="krum",
+        )
+
     def test_paper_tensorflow_setup_is_valid(self):
         """18 workers (3 Byzantine), 6 servers (1 Byzantine), Bulyan + Median."""
         config = ClusterConfig(

@@ -81,6 +81,14 @@ class TestBuild:
 
     def test_ssmw_has_no_model_gar(self):
         assert Controller(fast_config()).build().model_gar is None
+        # Crash-tolerant replicas never exchange models: no model GAR either.
+        crash_tolerant = fast_config(
+            deployment="crash-tolerant",
+            num_servers=2,
+            num_byzantine_workers=0,
+            num_attacking_workers=0,
+        )
+        assert Controller(crash_tolerant).build().model_gar is None
 
     def test_decentralized_builds_one_server_per_worker(self):
         deployment = Controller(

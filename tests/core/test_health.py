@@ -87,6 +87,23 @@ class TestAccrual:
             SLOW_WEIGHT * SUCCESS_DECAY
         )
 
+    def test_each_ledger_is_judged_against_its_own_cohort(self):
+        # Slow model pulls must not raise the bar a gradient pull is judged
+        # by: with one shared cohort the median below would be 1.0, and the
+        # worker's 0.05 reply would count as a normal success.
+        servers = [f"server-{i}" for i in range(4)]
+        detector = LivenessDetector(
+            Membership(ROSTER, declared_f=1, gar_name="median", slack=1),
+            replicas=Membership(servers, declared_f=1, gar_name="median", slack=1, floor=2),
+        )
+        for index in range(COHORT_MIN_SAMPLES):
+            detector.observe_success(ROSTER[1 + index % 4], 0.001)
+            detector.observe_success(servers[index % 4], 1.0)
+        detector.observe_success("w0", 0.05)
+        assert detector.scores["w0"] == pytest.approx(SLOW_WEIGHT)
+        detector.observe_success("server-0", 1.0)
+        assert detector.scores["server-0"] == 0.0
+
     def test_unknown_peers_are_silently_ignored(self):
         detector = make_detector()
         detector.observe_success("stranger", 1.0)
@@ -117,6 +134,24 @@ class TestQuorumSafetyGuard:
         payload = detector.finish_round(0)
         assert payload["dead"] == ["w0", "w1"]
         assert payload["statuses"]["w2"] == SUSPECT
+
+    def test_replica_death_that_starves_the_model_gar_stays_suspect(self):
+        # 4 replicas, async median with f_ps=1: 3 rows (2 peers + own), and a
+        # death would leave 2 < minimum_inputs(1) = 3 — blocked, the replica
+        # keeps being pulled.  A worker death goes to the other ledger.
+        servers = [f"server-{i}" for i in range(4)]
+        replicas = Membership(servers, declared_f=1, gar_name="median", slack=1, floor=2)
+        detector = LivenessDetector(
+            Membership(ROSTER, declared_f=1, gar_name="median", slack=1), replicas=replicas
+        )
+        for peer in ("server-0", "w0"):
+            for _ in range(3):
+                detector.observe_refused(peer)
+        payload = detector.finish_round(0)
+        assert payload["statuses"]["server-0"] == SUSPECT
+        assert payload["dead"] == ["w0"]
+        assert replicas.active() == tuple(servers)
+        assert detector.membership.cause("w0") == DEAD
 
     def test_request_dead_unknown_peer_is_a_config_error(self):
         with pytest.raises(ConfigurationError):
@@ -307,7 +342,22 @@ class TestNodeSupervisor:
         fired = supervisor.patrol(0)
         assert [e.action for e in fired] == ["gave-up"]
         payload = health.finish_round(0)
-        assert payload["dead"] == []  # servers are not liveness roster members
+        assert payload["dead"] == []  # no model phase: no replica ledger to shrink
+
+    def test_given_up_server_leaves_the_replica_membership(self):
+        replicas = Membership(
+            ["server-0", "server-1", "server-2"], declared_f=0, gar_name="median", floor=2
+        )
+        health = LivenessDetector(
+            Membership(ROSTER, declared_f=1, gar_name="median", slack=1), replicas=replicas
+        )
+        supervisor, backend, _, _ = make_supervisor(restart_budget=0, health=health)
+        backend.running["server-0"] = False
+        supervisor.patrol(0)
+        payload = health.finish_round(0)
+        assert payload["dead"] == ["server-0"]
+        assert replicas.excluded(DEAD) == ("server-0",)
+        assert health.membership.active() == tuple(ROSTER)
 
     def test_failed_revive_feeds_refused_evidence(self):
         supervisor, backend, _, health = make_supervisor()

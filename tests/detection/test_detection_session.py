@@ -46,8 +46,11 @@ class TestConfigValidation:
             detection_config(detector="psychic")
 
     @pytest.mark.parametrize("deployment", ["vanilla", "msmw", "decentralized"])
-    def test_detection_requires_the_default_round_phases(self, deployment):
-        with pytest.raises(ConfigurationError, match="requires the default round"):
+    def test_detection_is_rejected_where_it_cannot_run(self, deployment):
+        # Every deployment aggregates through the default phase now; what
+        # replicated servers still lack is a replica-local reputation book.
+        reason = "fault-oblivious baseline" if deployment == "vanilla" else "replica-local ReputationBook"
+        with pytest.raises(ConfigurationError, match=reason):
             detection_config(
                 deployment=deployment,
                 num_servers=3 if deployment in ("msmw", "decentralized") else 1,

@@ -68,7 +68,7 @@ def drive_rounds(manager: DetectionManager, rounds: int, attackers=("worker-0",)
 
 class TestConstruction:
     def test_unknown_gar_is_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown gradient GAR"):
+        with pytest.raises(ConfigurationError, match="unknown GAR"):
             make_manager(gar="nonsense")
 
 
@@ -147,7 +147,7 @@ class TestEvictionGuards:
 
     def test_forced_eviction_of_unknown_worker_raises(self):
         manager = make_manager()
-        with pytest.raises(ConfigurationError, match="unknown worker"):
+        with pytest.raises(ConfigurationError, match="unknown node"):
             manager.force_evict(0, "stranger")
 
 

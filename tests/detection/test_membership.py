@@ -58,11 +58,19 @@ class TestDegenerateCase:
             assert membership.quorum() == config.gradient_quorum()
             assert membership.active() == tuple(w.node_id for w in deployed.workers)
             assert membership.effective_f() == deployed.gradient_gar.f
+            replicas = deployed.replicas
+            if deployed.model_gar is None:
+                assert replicas is None
+            else:
+                # The model GAR's static row count: peers plus the own row.
+                assert replicas.quorum() == config.model_quorum() + 1 == deployed.model_gar.n
+                assert replicas.active() == tuple(s.node_id for s in deployed.servers)
+                assert replicas.effective_f() == deployed.model_gar.f
 
     def test_construction_is_validated(self):
         with pytest.raises(ConfigurationError, match="non-empty roster"):
             Membership(())
-        with pytest.raises(ConfigurationError, match="unknown gradient GAR"):
+        with pytest.raises(ConfigurationError, match="unknown GAR"):
             Membership(["w0"], gar_name="nonsense")
 
 
@@ -102,6 +110,30 @@ class TestGuardProperty:
                 )
                 assert set(membership.excluded(DEAD)) == dead
 
+    @pytest.mark.parametrize("gar_name", sorted(GAR_REGISTRY))
+    def test_no_death_sequence_starves_the_model_rule(self, gar_name):
+        """The replica roster: deaths only, the own row counted (floor 2).
+        Whatever replicas die, the awaited rows still cover the model GAR's
+        ``minimum_inputs`` at the unchanged f and leave at least one peer;
+        a death that would not is refused and changes nothing."""
+        rng = random.Random(f"replicas-{gar_name}")
+        gar_cls = GAR_REGISTRY[gar_name]
+        for _ in range(60):
+            f_ps = rng.choice([f for f in range(4) if gar_cls.minimum_inputs(f) <= 12])
+            rows = rng.randint(max(2, gar_cls.minimum_inputs(f_ps)), 12)
+            roster = [f"server-{i}" for i in range(rows + rng.randint(0, f_ps))]
+            replicas = Membership(
+                roster, declared_f=f_ps, gar_name=gar_name, slack=len(roster) - rows, floor=2
+            )
+            for name in rng.sample(roster, len(roster)):
+                before = snapshot(replicas)
+                if not replicas.exclude(name, DEAD):
+                    assert snapshot(replicas) == before
+                assert replicas.quorum() >= max(2, gar_cls.minimum_inputs(f_ps))
+                assert replicas.effective_f() == f_ps
+            # Deaths stop exactly at the floor: one more row would be too few.
+            assert replicas.quorum() == max(2, gar_cls.minimum_inputs(f_ps))
+
     def test_unknown_workers_are_configuration_errors(self):
         membership = Membership(["w0", "w1"], declared_f=1)
         for call in (
@@ -109,7 +141,7 @@ class TestGuardProperty:
             lambda: membership.readmit("stranger"),
             lambda: membership.cause("stranger"),
         ):
-            with pytest.raises(ConfigurationError, match="unknown worker"):
+            with pytest.raises(ConfigurationError, match="unknown node"):
                 call()
 
 

@@ -217,9 +217,9 @@ class TestForcedTransitions:
         book, membership = make_book()
         with pytest.raises(ConfigurationError, match="unknown worker"):
             book.pin("stranger", out=True)
-        with pytest.raises(ConfigurationError, match="unknown worker"):
+        with pytest.raises(ConfigurationError, match="unknown node"):
             membership.exclude("stranger", EVICTED)
-        with pytest.raises(ConfigurationError, match="unknown worker"):
+        with pytest.raises(ConfigurationError, match="unknown node"):
             membership.readmit("stranger")
 
     def test_event_serialization_is_compact(self):

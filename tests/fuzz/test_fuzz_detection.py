@@ -130,19 +130,11 @@ class TestSteadyAttacks:
 #: The self-healing options ``repro fuzz --supervised`` layers on.
 SUPERVISED = {"retry": True, "hedge": True, "supervise": True}
 
-#: Fails the same way at the parent commit with resilience alone (no
-#: detector): two partitioned first-wave peers plus one late reply outnumber
-#: the two reserves of the single hedge wave.  Not a membership defect.
-_HEDGE_SHORTFALL = "fuzz-7023-141-aggregathor-at-distance"
-
+#: ``fuzz-7023-141-aggregathor-at-distance`` is the case that needs more than
+#: one follow-up wave: its last round's follow-up goes to a reserve that is
+#: partitioned too, and only the next reserve fills the quorum.
 _JOINT = [
-    pytest.param(
-        overlay_detector(case, resilience=SUPERVISED),
-        id=case.name,
-        marks=[pytest.mark.xfail(reason="single-wave hedge shortfall", strict=True)]
-        if case.name == _HEDGE_SHORTFALL
-        else [],
-    )
+    pytest.param(overlay_detector(case, resilience=SUPERVISED), id=case.name)
     for case in _CALM + _ZERO_BUDGET + _ATTACKED
 ]
 

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.fuzz import InvariantChecker, ScenarioGenerator, build_session_for_spec, run_spec
+from repro.core.fuzz import (
+    FuzzCase,
+    InvariantChecker,
+    ScenarioGenerator,
+    build_session_for_spec,
+    run_spec,
+)
 from repro.core.scenario import ScenarioEvent, ScenarioSpec
 from repro.exceptions import GarfieldError, TimeoutError, TrainingError
 
@@ -222,3 +228,44 @@ class TestCheckerOracle:
         quiet = dataclasses.replace(case, spec=quiet_spec)
         report = InvariantChecker().check(quiet, determinism=False)
         assert {v.invariant for v in report.violations} == {"loud-at-overbudget"}
+
+    def test_a_dead_server_replica_leaves_the_gradient_quorum_alone(self):
+        """A replica's ``dead`` event shrinks the replica ledger only: the
+        oracle must not expect a smaller gradient quorum for it."""
+        spec = _spec(
+            "msmw-replica-dies",
+            {
+                "deployment": "msmw",
+                "asynchronous": True,
+                "num_workers": 7,
+                "num_byzantine_workers": 1,
+                "num_servers": 4,
+                "num_byzantine_servers": 1,
+                "gradient_gar": "median",
+                "model_gar": "average",
+                "resilience": {"retry": True},
+            },
+            [{"round": 1, "action": "crash", "target": "server-0"}],
+        )
+        outcome = run_spec(spec)
+        deaths = [
+            event["target"]
+            for health in outcome.healths
+            for event in (health or {}).get("events", ())
+            if event["action"] == "dead"
+        ]
+        assert deaths == ["server-0"]
+        assert set(outcome.quorums) == {6}
+        case = FuzzCase(
+            index=0,
+            seed=5,
+            deployment="msmw",
+            budget="at",
+            margin=1,
+            mechanism="server-crash",
+            spec=spec,
+            guarantees_completion=True,
+            expects_loud_failure=False,
+        )
+        report = InvariantChecker().check(case, determinism=False)
+        assert report.passed, [v.to_dict() for v in report.violations]
