@@ -277,13 +277,15 @@ def mean_around_median(matrix: np.ndarray, keep: int) -> np.ndarray:
     """Per coordinate, the mean of the ``keep`` values closest to the median.
 
     Column-independent: applying it to column slices and concatenating is
-    bitwise what it gives on the whole matrix.
+    bitwise what it gives on the whole matrix.  Byte-equal to the same formula
+    on NumPy's median: ``column_median`` may differ from it only in the sign
+    of a zero, which ``abs`` removes before the argsort sees it.
     """
-    # The one library median left in src/, on purpose: on sorted_columns this
-    # function measured 14.1 -> 3.4 ms at (13, 30730) (ISSUE 19), which takes
-    # ssmw-bulyan-wide's share.aggregators below the ``>= 0.4`` the frozen
-    # benchmarks/e2e/test_e2e_smoke.py asserts; it waits for a benchmark re-anchor.
-    median = np.median(matrix, axis=0)
+    # The keep values nearest the median are a contiguous window of the sorted
+    # block, so the argsort could go too.  It stays until ties have a defined
+    # order (ROADMAP item 5), which the window would break differently, and
+    # until the benchmark's aggregation-share floor is re-anchored (item 1).
+    median = column_median(sorted_columns(matrix))
     order = np.argsort(np.abs(matrix - median[None, :]), axis=0)[:keep]
     return np.take_along_axis(matrix, order, axis=0).mean(axis=0)
 

@@ -36,7 +36,9 @@ class Bulyan(DistanceGAR):
         """Stage 1: iterate the inner GAR (Krum) to pick a committee of ``q - 2f``.
 
         Each committee round scores the survivors by slicing the one distance
-        matrix, an O(r^2 log r) operation instead of O(r^2 d).
+        matrix, an O(r^2 log r) operation instead of O(r^2 d).  Once ``2f + 2``
+        rows remain, the last seats go to the lowest row indices with no score,
+        so an early outlier can take one (ROADMAP item 5).
         """
         q = distances.shape[0]
         committee_size = max(1, q - 2 * self.f)

@@ -7,21 +7,29 @@ what ``np.median(matrix, axis=0)`` returns, a NaN column included.  The rules
 and detectors built on the pair are compared with the formulas they replaced,
 kept here as the reference.  Equality is by value, never by byte hash:
 ``np.minimum`` and ``np.sort`` may order ``-0.0`` and ``+0.0`` differently.
+The mean-around-median family (Bulyan's second stage, MeaMed) is the
+exception and compared by bytes, because its median reaches the output only
+through ``|x - median|``, where the sign of a zero is gone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 
 import numpy as np
 import pytest
 
+import repro.aggregators.base
+import repro.aggregators.bulyan
 import repro.aggregators.geometric_median
 import repro.aggregators.median
+import repro.aggregators.phocas
 import repro.detection.detectors
 import repro.detection.manager
 from repro.aggregators import column_median, init, sorted_columns
 from repro.aggregators.base import COMPARE_EXCHANGE_MAX_ROWS as CUT
+from repro.aggregators.base import mean_around_median, pairwise_squared_distances
 from repro.core.cluster import ClusterConfig
 from repro.core.session import Session
 from repro.detection.detectors import _EPS, MadOutlierDetector, _envelope_excess
@@ -30,12 +38,14 @@ from repro.sharding import ShardMap, sharded_aggregate_matrix
 ROWS = range(1, 25)
 DIMENSIONS = (1, 2, 37, 1000, 40_000)
 KINDS = ("continuous", "integer", "duplicated-row", "signed-zero", "infinite")
+#: ``KINDS`` plus scattered NaNs, kept out of ``KINDS``: its value comparisons lack ``equal_nan``.
+KINDS_WITH_NAN = KINDS + ("nan",)
 #: Both sides of the cut, the cut itself and its neighbour.
 NAN_ROWS = (3, 4, CUT, CUT + 1, 12)
 
 
 def make_matrix(kind: str, rows: int, dimension: int) -> np.ndarray:
-    rng = np.random.default_rng([KINDS.index(kind), rows, dimension])
+    rng = np.random.default_rng([KINDS_WITH_NAN.index(kind), rows, dimension])
     matrix = rng.standard_normal((rows, dimension))
     if kind == "integer":
         matrix = np.rint(2.0 * matrix)
@@ -47,14 +57,22 @@ def make_matrix(kind: str, rows: int, dimension: int) -> np.ndarray:
     elif kind == "infinite":
         matrix[rng.random((rows, dimension)) < 0.2] = np.inf
         matrix[rng.random((rows, dimension)) < 0.2] = -np.inf
+    elif kind == "nan":
+        matrix[rng.random((rows, dimension)) < 0.05] = np.nan
     matrix.setflags(write=False)
     return matrix
 
 
-def quiet_median(matrix: np.ndarray) -> np.ndarray:
-    """``np.median`` without its RuntimeWarning on ``-inf + inf`` and NaN columns."""
+@contextlib.contextmanager
+def quiet():
+    """No RuntimeWarning on ``-inf + inf``, NaN columns or an all-NaN Krum score."""
     with warnings.catch_warnings(), np.errstate(invalid="ignore"):
         warnings.simplefilter("ignore", RuntimeWarning)
+        yield
+
+
+def quiet_median(matrix: np.ndarray) -> np.ndarray:
+    with quiet():
         return np.median(matrix, axis=0)
 
 
@@ -83,6 +101,12 @@ def reference_mad_scores(matrix: np.ndarray, f: int) -> np.ndarray:
     mad = np.median(deviation, axis=0, keepdims=True)
     z = deviation / (1.4826 * mad + _EPS)
     return _envelope_excess(np.mean(z, axis=1), f)
+
+
+def reference_mean_around_median(matrix: np.ndarray, keep: int) -> np.ndarray:
+    median = np.median(matrix, axis=0)
+    order = np.argsort(np.abs(matrix - median[None, :]), axis=0)[:keep]
+    return np.take_along_axis(matrix, order, axis=0).mean(axis=0)
 
 
 # ---------------------------------------------------------------------- #
@@ -190,7 +214,42 @@ def test_mad_scores_equal_the_parent_formula(rows):
                 assert np.array_equal(np.array(list(scores.values())), expected), (kind, dimension, f)
 
 
-@pytest.mark.parametrize("name", ("median", "trimmed-mean"))
+@pytest.mark.parametrize("rows", ROWS)
+def test_mean_around_median_is_byte_equal_to_the_parent_formula(rows):
+    for kind in KINDS_WITH_NAN:
+        for dimension in DIMENSIONS[:4]:
+            matrix = make_matrix(kind, rows, dimension)
+            before = matrix.copy()
+            for keep in {keep for keep in (1, rows // 2, rows - 2, rows) if keep >= 1}:
+                with quiet():
+                    result = mean_around_median(matrix, keep)
+                    expected = reference_mean_around_median(matrix, keep)
+                assert result.tobytes() == expected.tobytes(), (kind, dimension, keep)
+            assert np.array_equal(matrix, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("rows", ROWS)
+def test_bulyan_and_meamed_are_byte_equal_to_the_parent_formula(rows, monkeypatch):
+    rules = [("meamed", repro.aggregators.phocas, (rows - 1) // 2)]
+    if rows >= 3:
+        rules.append(("bulyan", repro.aggregators.bulyan, (rows - 3) // 4))
+    for kind in KINDS_WITH_NAN:
+        for dimension in DIMENSIONS[:4]:
+            matrix = make_matrix(kind, rows, dimension)
+            before = matrix.copy()
+            for name, module, most in rules:
+                for f in {min(1, most), most}:
+                    gar = init(name, n=rows, f=f)
+                    with quiet():
+                        result = gar.aggregate_matrix(matrix)
+                        with monkeypatch.context() as patch:
+                            patch.setattr(module, "mean_around_median", reference_mean_around_median)
+                            expected = gar.aggregate_matrix(matrix)
+                    assert result.tobytes() == expected.tobytes(), (name, f, kind, dimension)
+            assert np.array_equal(matrix, before, equal_nan=True)
+
+
+@pytest.mark.parametrize("name", ("median", "trimmed-mean", "meamed"))
 @pytest.mark.parametrize("rows", (3, 4, CUT, CUT + 1, 13))
 def test_column_slices_concatenate_to_the_whole(name, rows):
     f = (rows - 1) // 2
@@ -201,6 +260,22 @@ def test_column_slices_concatenate_to_the_whole(name, rows):
             whole = gar.aggregate_matrix(matrix)
             for shards in (2, 3):
                 sharded = sharded_aggregate_matrix(gar, matrix, ShardMap(dimension, shards))
+                assert sharded.tobytes() == whole.tobytes(), (kind, dimension, shards)
+
+
+@pytest.mark.parametrize("rows", (3, 7, 11, 23))
+def test_bulyan_combine_on_column_slices_of_a_committee(rows):
+    gar = init("bulyan", n=rows, f=(rows - 3) // 4)
+    for kind in KINDS[:4]:
+        for dimension in (37, 1000):
+            matrix = make_matrix(kind, rows, dimension)
+            distances = pairwise_squared_distances(matrix)
+            np.fill_diagonal(distances, 0.0)
+            committee = matrix[gar.select(distances)]
+            whole = gar.combine(committee)
+            for shards in (2, 3):
+                slices = ShardMap(dimension, shards).slices()
+                sharded = np.concatenate([gar.combine(committee[:, part]) for part in slices])
                 assert sharded.tobytes() == whole.tobytes(), (kind, dimension, shards)
 
 
@@ -217,6 +292,7 @@ class _NumpyWithoutMedian:
 @pytest.fixture
 def no_library_median(monkeypatch):
     for module in (
+        repro.aggregators.base,
         repro.aggregators.median,
         repro.aggregators.geometric_median,
         repro.detection.detectors,
@@ -251,6 +327,12 @@ def test_an_msmw_round_contracts_models_without_the_library_median(no_library_me
         gradient_gar="multi-krum",
         model_gar="median",
     )
+    assert len(result.metrics) == 1
+
+
+@pytest.mark.parametrize("rule", ("bulyan", "meamed"))
+def test_an_ssmw_round_aggregates_without_the_library_median(no_library_median, rule):
+    result = _one_round(deployment="ssmw", num_workers=7, num_byzantine_workers=1, gradient_gar=rule)
     assert len(result.metrics) == 1
 
 

@@ -146,6 +146,19 @@ class TestBulyan:
         out = gar.aggregate([np.arange(5.0)] * 7)
         assert np.allclose(out, np.arange(5.0))
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="once 2f + 2 rows remain, the last committee seats go in row order (ROADMAP item 5)",
+    )
+    def test_no_row_enters_the_committee_by_its_index_alone(self):
+        q, f = 23, 5
+        matrix = np.random.default_rng(0).standard_normal((q, 50))
+        matrix[:f] += 1e3  # far outliers, arriving first
+        distances = pairwise_squared_distances(matrix)
+        np.fill_diagonal(distances, 0.0)
+        committee = Bulyan(n=q, f=f).select(distances)
+        assert not set(committee.tolist()) & set(range(f))
+
 
 class TestTrimmedMean:
     def test_trims_extremes(self):
