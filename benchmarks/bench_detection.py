@@ -84,18 +84,14 @@ def run_cell(
     config = make_config(attack, gar, detector, asynchronous, iterations)
     start = time.perf_counter()
     with Session(config=config) as session:
-        session.run()
+        rounds = list(session)
         result = session.result()
-        detection = session.deployment.detection
-        evictions = (
-            [
-                {"round": e.round_index, "target": e.target}
-                for e in detection.events
-                if e.action == "evict"
-            ]
-            if detection is not None
-            else []
-        )
+        evictions = [
+            {"round": e["round"], "target": e["target"]}
+            for r in rounds
+            for e in (r.detection or {}).get("events", ())
+            if e["action"] == "evict"
+        ]
         records = list(session.deployment.metrics.records)
     wall = time.perf_counter() - start
     # Time-to-evict: the round by which the *last* attacker was evicted

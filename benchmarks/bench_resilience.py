@@ -172,6 +172,7 @@ def measure_recovery(iterations: int = 6) -> Dict[str, Any]:
     victim = "worker-2"
     killed = {}
     revives: List[float] = []
+    health_events: List[Dict[str, Any]] = []
 
     try:
         with Session(config=config) as session:
@@ -194,6 +195,7 @@ def measure_recovery(iterations: int = 6) -> Dict[str, Any]:
                     os.kill(killed[victim], signal.SIGKILL)
 
             session.on_round(assassin)
+            session.on_round(lambda r: health_events.extend((r.health or {}).get("events", ())))
             session.run()
             supervisor = deployment.supervisor
             report = {
@@ -204,7 +206,9 @@ def measure_recovery(iterations: int = 6) -> Dict[str, Any]:
                 "revive_s": round(revives[0], 4) if revives else None,
                 "completed": session.finished,
                 "final_accuracy": round(float(session.result().final_accuracy), 4),
-                "supervisor_events": [e.to_dict() for e in supervisor.events],
+                "supervisor_events": [
+                    e for e in health_events if e["action"] in ("respawn", "gave-up")
+                ],
             }
     except Exception as error:  # noqa: BLE001 - environments without subprocesses
         print(f"recovery cell skipped: {type(error).__name__}: {error}")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from conftest import print_table, training_config
 
-from repro.apps import run_application
 from repro.core.controller import Controller
+from repro.core.session import Session
 
 ITERATIONS = 60
 SAMPLE_EVERY = 20
@@ -41,7 +41,7 @@ def run_msmw_with_probe():
     deployment = controller.build()
     deployment.alignment.every = SAMPLE_EVERY
     deployment.alignment.warmup = SAMPLE_EVERY  # "after some large step number"
-    run_application(deployment)
+    Session(deployment).run()
     return controller.collect_result(deployment)
 
 

@@ -2,8 +2,8 @@
 """Quickstart — Listing 1 of the paper, end to end, as a streamed Session.
 
 Builds the SSMW application (one trusted parameter server, several workers of
-which some are Byzantine) with the fluent :class:`repro.SessionBuilder`,
-then *streams* the training rounds: ``for round_result in session:`` yields a
+which some are Byzantine) from a :class:`~repro.core.cluster.ClusterConfig`,
+then *streams* the training rounds of a :class:`repro.Session`: ``for round_result in session:`` yields a
 per-round record (iteration, quorum sources, update norm, loss/accuracy)
 while the model trains on a synthetic MNIST-shaped dataset with Multi-Krum
 aggregation.
@@ -13,24 +13,29 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro import SessionBuilder
+from repro import Session
+from repro.core import ClusterConfig
 
 
 def main() -> None:
-    session = (
-        SessionBuilder()
-        .deployment("ssmw")
-        .workers(8, byzantine=2, attacking=2)  # declared f_w / actually attacking
-        .attack("reversed")                    # the reversed-and-amplified vector attack
-        .gar("multi-krum")
-        .experiment(
-            "logistic", dataset="mnist", dataset_size=600, batch_size=16, learning_rate=0.2
-        )
-        .iterations(50, accuracy_every=10)
-        .executor("threaded")                  # service the worker RPCs concurrently
-        .seed(1)
-        .build()
+    config = ClusterConfig(
+        deployment="ssmw",
+        num_workers=8,
+        num_byzantine_workers=2,               # declared f_w ...
+        num_attacking_workers=2,               # ... and actually attacking
+        worker_attack="reversed",              # the reversed-and-amplified vector attack
+        gradient_gar="multi-krum",
+        model="logistic",
+        dataset="mnist",
+        dataset_size=600,
+        batch_size=16,
+        learning_rate=0.2,
+        num_iterations=50,
+        accuracy_every=10,
+        executor="threaded",                   # service the worker RPCs concurrently
+        seed=1,
     )
+    session = Session(config=config)
 
     print("SSMW with Multi-Krum under the reversed-vector attack (streamed)")
     print("-" * 64)

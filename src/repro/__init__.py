@@ -41,7 +41,9 @@ The public training API is the streaming Session surface (lazily imported so
 
     import repro
 
-    session = repro.SessionBuilder().deployment("ssmw").workers(8, byzantine=2).build()
+    from repro.core import ClusterConfig
+
+    session = repro.Session(config=ClusterConfig(num_workers=8, num_byzantine_workers=2))
     for round_result in session:
         print(round_result.iteration, round_result.accuracy)
 
@@ -53,7 +55,6 @@ from repro.version import __version__
 __all__ = [
     "__version__",
     "Session",
-    "SessionBuilder",
     "RoundStrategy",
     "RoundResult",
     "register_application",
@@ -67,7 +68,6 @@ __all__ = [
 #: Lazy attribute table: name -> providing module (PEP 562).
 _LAZY_EXPORTS = {
     "Session": "repro.core.session",
-    "SessionBuilder": "repro.core.session",
     "RoundStrategy": "repro.core.session",
     "RoundResult": "repro.core.session",
     "register_application": "repro.core.session",

@@ -5,11 +5,9 @@ declarative description of one deployment's scatter → aggregate → apply roun
 — registered with :func:`~repro.core.session.register_application` and
 executed by the single round engine in :mod:`repro.core.session`.  Importing
 this package registers the six bundled strategies; third-party strategies
-plug into the same registry with the decorator.
-
-``run_application(deployment)`` streams a Session over an already-built
-deployment to completion.  The analytic throughput model used by the
-benchmark harness lives in :mod:`repro.apps.throughput`.
+plug into the same registry with the decorator; ``Session(deployment).run()``
+drives an already-built deployment to completion.  The analytic throughput
+model used by the benchmark harness lives in :mod:`repro.apps.throughput`.
 """
 
 from repro.core.session import (
@@ -17,7 +15,6 @@ from repro.core.session import (
     RoundStrategy,
     available_applications,
     register_application,
-    run_application,
 )
 
 from repro.apps.vanilla import VanillaStrategy
@@ -33,7 +30,6 @@ __all__ = [
     "RoundStrategy",
     "available_applications",
     "register_application",
-    "run_application",
     "VanillaStrategy",
     "AggregathorStrategy",
     "CrashTolerantStrategy",

@@ -19,13 +19,13 @@ This package mirrors the component diagram of Figure 1 in the paper:
   parameter-vector alignment measurements of Table 2.
 * :mod:`repro.core.scenario` — declarative chaos scenarios: round-indexed
   failure/attack timelines applied by a director at round boundaries, with
-  deterministic per-round traces.
+  deterministic per-round traces folded from the session's round results.
 * :mod:`repro.core.session` — the streaming Session API: one round engine
   executing per-deployment :class:`~repro.core.session.RoundStrategy`
-  objects, with pause/resume, ``run(until=...)``, early-stop predicates,
-  round callbacks, mid-run checkpoints and the fluent
-  :class:`~repro.core.session.SessionBuilder` / :func:`~repro.core.session.train`
-  entry points.
+  objects and yielding one :class:`~repro.core.session.RoundResult` per
+  round, with pause/resume, ``run(until=...)``, early-stop predicates, round
+  callbacks, mid-run checkpoints and the one-call
+  :func:`~repro.core.session.train` entry point.
 """
 
 from repro.core.cluster import ClusterConfig
@@ -61,11 +61,9 @@ from repro.core.session import (
     RoundResult,
     RoundStrategy,
     Session,
-    SessionBuilder,
     available_applications,
     register_application,
     resolve_application,
-    run_application,
     train,
 )
 from repro.core.node import Node
@@ -79,11 +77,9 @@ __all__ = [
     "RoundResult",
     "RoundStrategy",
     "Session",
-    "SessionBuilder",
     "available_applications",
     "register_application",
     "resolve_application",
-    "run_application",
     "train",
     "Node",
     "Server",

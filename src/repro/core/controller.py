@@ -22,7 +22,7 @@ from repro.core.cluster import ClusterConfig
 from repro.core.executor import Executor, create_executor
 from repro.core.experiment import Experiment
 from repro.core.metrics import AlignmentProbe, MetricsLog, Trace
-from repro.core.scenario import ScenarioDirector, load_scenario
+from repro.core.scenario import ScenarioDirector, ScenarioSpec, load_scenario
 from repro.core.server import Server
 from repro.core.worker import Worker
 from repro.datasets.partition import partition_dataset
@@ -85,12 +85,19 @@ class Deployment:
         """
         return self.transport.executor
 
+    def attach_scenario(self, spec: ScenarioSpec) -> None:
+        """Drive this deployment by ``spec``: its director and the trace recording it."""
+        config = self.config
+        self.trace = Trace(scenario=spec.name, deployment=config.deployment, seed=config.seed)
+        self.director = ScenarioDirector(spec, self)
+
     def begin_round(self, iteration: int) -> List[Dict]:
         """Round-boundary hook the session engine calls before any round phase.
 
         Applies the scenario events scheduled for ``iteration`` (if a
-        director is attached) and opens the round's trace entry; a no-op for
-        scenario-less deployments.  Returns the events applied.
+        director is attached; a no-op for scenario-less deployments) and
+        returns them.  The trace is not written here: the session records
+        the round once it completed, from its ``RoundResult``.
 
         With a node supervisor attached its patrol runs *first*, so an
         unscripted host death from the previous round is respawned before
@@ -99,10 +106,7 @@ class Deployment:
         """
         if self.supervisor is not None:
             self.supervisor.patrol(iteration)
-        events = self.director.apply(iteration) if self.director is not None else []
-        if self.trace is not None:
-            self.trace.begin_round(iteration, events)
-        return events
+        return self.director.apply(iteration) if self.director is not None else []
 
     def close(self) -> None:
         """Release runtime resources: pool threads and (for the process
@@ -326,11 +330,7 @@ class Controller:
                 detector=config.detector, membership=deployment.membership
             )
         if config.scenario:
-            spec = load_scenario(config.scenario)
-            deployment.trace = Trace(
-                scenario=spec.name, deployment=config.deployment, seed=config.seed
-            )
-            deployment.director = ScenarioDirector(spec, deployment)
+            deployment.attach_scenario(load_scenario(config.scenario))
         resilience = config.resilience_config()
         if resilience.active:
             # Imported lazily: resilience-less runs (every golden) never

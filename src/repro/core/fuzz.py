@@ -47,8 +47,8 @@ from repro.aggregators.base import GAR_REGISTRY
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
 from repro.core.metrics import Trace
-from repro.core.scenario import ScenarioDirector, ScenarioEvent, ScenarioSpec, validate_timeline
-from repro.core.session import Session
+from repro.core.scenario import ScenarioEvent, ScenarioSpec, validate_timeline
+from repro.core.session import RoundResult, Session
 from repro.detection.membership import EVICTED
 from repro.exceptions import ConfigurationError, GarfieldError
 from repro.exceptions import TimeoutError as ReproTimeoutError
@@ -441,18 +441,16 @@ class ScenarioGenerator:
 def build_session_for_spec(spec: ScenarioSpec, *, executor: Optional[str] = None) -> Session:
     """A streaming :class:`Session` for an in-memory (unsaved) scenario spec.
 
-    Mirrors the Controller's scenario wiring — trace recorder plus
-    :class:`~repro.core.scenario.ScenarioDirector` — but takes the spec
-    object directly, so generated scenarios need never touch disk.  Saved
-    specs stay replayable through the normal ``repro run --scenario`` path.
+    The Controller's scenario wiring (:meth:`Deployment.attach_scenario`) on
+    the spec object itself, so generated scenarios need never touch disk.
+    Saved specs stay replayable through the normal ``repro run --scenario``
+    path.
     """
     data = dict(spec.config)
     if executor is not None:
         data["executor"] = executor
-    config = ClusterConfig.from_dict(data)
-    deployment = Controller(config).build()
-    deployment.trace = Trace(scenario=spec.name, deployment=config.deployment, seed=config.seed)
-    deployment.director = ScenarioDirector(spec, deployment)
+    deployment = Controller(ClusterConfig.from_dict(data)).build()
+    deployment.attach_scenario(spec)
     return Session(deployment)
 
 
@@ -460,32 +458,28 @@ def build_session_for_spec(spec: ScenarioSpec, *, executor: Optional[str] = None
 class RunOutcome:
     """What one execution of a spec produced, for invariant checking."""
 
-    rounds_run: int = 0
+    #: The run's scenario trace as it ended (a round that raised left no entry).
+    trace: Trace
+    #: Every round the session streamed, in order.
+    results: List[RoundResult] = field(default_factory=list)
     completed: bool = False
     diverged: bool = False
     error: Optional[BaseException] = None
-    trace_json: str = ""
-    quorums: List[int] = field(default_factory=list)
-    norms: List[Optional[float]] = field(default_factory=list)
-    flagged_rounds: List[int] = field(default_factory=list)
-    losses: List[Tuple[int, float]] = field(default_factory=list)
-    #: Per-round detection payloads (``RoundResult.detection``); empty when
-    #: the spec runs without a detector.
-    detections: List[Optional[Dict[str, Any]]] = field(default_factory=list)
-    #: Per-round liveness payloads (``RoundResult.health``); all-``None``
-    #: when the spec runs without resilience.
-    healths: List[Optional[Dict[str, Any]]] = field(default_factory=list)
     #: Final membership / decayed suspicion, captured before session close.
     final_evicted: List[str] = field(default_factory=list)
     final_suspicion: Dict[str, float] = field(default_factory=dict)
 
     @property
+    def rounds_run(self) -> int:
+        return len(self.results)
+
+    @property
     def first_loss(self) -> Optional[float]:
-        return self.losses[0][1] if self.losses else None
+        return next((r.loss for r in self.results if r.loss is not None), None)
 
     @property
     def final_loss(self) -> Optional[float]:
-        return self.losses[-1][1] if self.losses else None
+        return next((r.loss for r in reversed(self.results) if r.loss is not None), None)
 
 
 def run_spec(
@@ -497,21 +491,9 @@ def run_spec(
     ``pause()``, ``resume()``, ``run()`` — which must be indistinguishable
     from an uninterrupted run (the pause/resume invariant).
     """
-    outcome = RunOutcome()
     session = build_session_for_spec(spec, executor=executor)
-
-    def observe(result) -> None:
-        outcome.rounds_run += 1
-        outcome.quorums.append(result.quorum)
-        outcome.norms.append(result.update_norm)
-        outcome.detections.append(result.detection)
-        outcome.healths.append(result.health)
-        if result.diverged:
-            outcome.flagged_rounds.append(result.iteration)
-        if result.loss is not None:
-            outcome.losses.append((result.iteration, float(result.loss)))
-
-    session.on_round(observe)
+    outcome = RunOutcome(trace=session.trace)
+    session.on_round(outcome.results.append)
     try:
         if pause_at is not None:
             session.run(until=pause_at)
@@ -523,8 +505,6 @@ def run_spec(
         outcome.error = error
     finally:
         outcome.diverged = session.diverged
-        if session.trace is not None:
-            outcome.trace_json = session.trace.to_json()
         detection = session.deployment.detection
         if detection is not None:
             outcome.final_evicted = list(session.deployment.membership.excluded(EVICTED))
@@ -643,8 +623,7 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
         report.diverged = outcome.diverged
         report.first_loss = outcome.first_loss
         report.final_loss = outcome.final_loss
-        if outcome.trace_json:
-            report.fingerprint = Trace.from_dict(json.loads(outcome.trace_json)).fingerprint()
+        report.fingerprint = outcome.trace.fingerprint()
         self._check_rounds(case, outcome, report)
         self._check_detection(case, outcome, report)
         self._check_outcome(case, outcome, report)
@@ -661,23 +640,22 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
 
     # ------------------------------------------------------------------ #
     def _check_rounds(self, case: FuzzCase, outcome: RunOutcome, report: CaseReport) -> None:
-        expected_quorums = self._expected_quorums(case, outcome)
-        flagged = set(outcome.flagged_rounds)
-        for index, quorum in enumerate(outcome.quorums):
-            expected = expected_quorums[index]
-            if quorum != expected:
+        for result, expected in zip(outcome.results, self._expected_quorums(case, outcome)):
+            if result.quorum != expected:
                 report.violations.append(
                     InvariantViolation(
                         "quorum-exact",
-                        f"round {index} completed with quorum {quorum}, expected {expected}",
-                        round=index,
+                        f"round {result.iteration} completed with quorum {result.quorum}, "
+                        f"expected {expected}",
+                        round=result.iteration,
                     )
                 )
                 break
-        for index, norm in enumerate(outcome.norms):
-            if norm is None:
+        for result in outcome.results:
+            index, norm = result.iteration, result.update_norm
+            if norm is None or result.diverged:
                 continue
-            if not math.isfinite(norm) and index not in flagged:
+            if not math.isfinite(norm):
                 report.violations.append(
                     InvariantViolation(
                         "finite-or-flagged",
@@ -686,12 +664,7 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
                     )
                 )
                 break
-            if (
-                case.budget != "beyond"
-                and math.isfinite(norm)
-                and norm > self.norm_bound
-                and index not in flagged
-            ):
+            if case.budget != "beyond" and norm > self.norm_bound:
                 report.violations.append(
                     InvariantViolation(
                         "bounded-update-norm",
@@ -722,9 +695,9 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
         slack = active - config.gradient_quorum()
         change = {"evict": -1, "dead": -1, "readmit": 1}
         expected: List[int] = []
-        for detection, health in zip(outcome.detections, outcome.healths):
+        for result in outcome.results:
             expected.append(max(1, active - slack))
-            for payload in (detection, health):
+            for payload in (result.detection, result.health):
                 for event in (payload or {}).get("events", ()):
                     # A dead server replica leaves the replica ledger, not this one.
                     if event["target"] in workers:
@@ -765,8 +738,8 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
             )
         if attacking == 0:
             eviction_scores: Dict[str, float] = {}
-            for detection in outcome.detections:
-                for event in (detection or {}).get("events", ()):
+            for result in outcome.results:
+                for event in (result.detection or {}).get("events", ()):
                     if event["action"] == "evict":
                         eviction_scores[event["target"]] = float(event["score"])
             for name in outcome.final_evicted:
@@ -861,11 +834,12 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
                 )
             return
         if outcome.diverged:
+            flagged = [result.iteration for result in outcome.results if result.diverged]
             report.violations.append(
                 InvariantViolation(
                     "tolerated-divergence",
                     f"budget '{case.budget}' run tripped the divergence detector at rounds "
-                    f"{outcome.flagged_rounds}: the GAR failed to tolerate a within-budget schedule",
+                    f"{flagged}: the GAR failed to tolerate a within-budget schedule",
                 )
             )
             return
@@ -890,8 +864,6 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
         cross_executor: bool,
         pause_resume: bool,
     ) -> None:
-        if not outcome.trace_json:
-            return
         replays: List[Tuple[str, str, Dict[str, Any]]] = []
         if determinism:
             replays.append(("determinism", "serial rerun", {}))
@@ -901,14 +873,15 @@ GarfieldError` or an explicit divergence flag — never a silent completion;
             replays.append(
                 ("pause-resume", "paused/resumed run", {"pause_at": max(1, outcome.rounds_run // 2)})
             )
+        expected = outcome.trace.to_json()
         for invariant, label, kwargs in replays:
-            replay = run_spec(case.spec, **kwargs)
-            if replay.trace_json != outcome.trace_json:
+            replayed = run_spec(case.spec, **kwargs).trace.to_json()
+            if replayed != expected:
                 report.violations.append(
                     InvariantViolation(
                         invariant,
                         f"{label} produced a different trace "
-                        f"({len(replay.trace_json)} vs {len(outcome.trace_json)} bytes)",
+                        f"({len(replayed)} vs {len(expected)} bytes)",
                     )
                 )
 

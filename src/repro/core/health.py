@@ -27,8 +27,9 @@ Two cooperating pieces turn the failure *injection* machinery into failure
 
 Everything here is opt-in: nothing is constructed unless
 ``ClusterConfig.resilience`` enables a feature, so every pre-resilience
-golden trace stays byte-identical.  Health payloads/trace keys follow the
-detection precedent — present only on rounds where the detector was active.
+golden trace stays byte-identical.  Health payloads (and so trace keys)
+follow the detection precedent — present only on rounds where the detector
+was active.
 """
 
 from __future__ import annotations
@@ -123,10 +124,6 @@ class LivenessDetector:
         self._observed_round = False
         self._pending_events: List[HealthEvent] = []
         self._requested_dead: List[Tuple[str, str]] = []  # (target, reason)
-        #: Every health event across the run, in decision order.
-        self.events: List[HealthEvent] = []
-        #: Most recent per-round payload (statuses / scores / dead / events).
-        self.last_payload: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------ #
     # Per-call observations (fed by Transport._note_health)
@@ -183,16 +180,15 @@ class LivenessDetector:
     # ------------------------------------------------------------------ #
     # End-of-round classification
     # ------------------------------------------------------------------ #
-    def finish_round(self, round_index: int, trace=None) -> Optional[Dict[str, Any]]:
+    def finish_round(self, round_index: int) -> Optional[Dict[str, Any]]:
         """Classify every peer and emit this round's health payload.
 
         Returns ``None`` when the detector saw nothing this round (no
         observations, no supervisor events, no pending declarations) so
         resilience-enabled-but-idle rounds do not bloat results.  Otherwise
         the payload carries per-peer statuses and scores, the dead set and
-        the round's typed events, and — for traced runs — lands in the
-        trace under the ``"health"`` key (present only on active rounds,
-        keeping every pre-resilience golden byte-identical).
+        the round's typed events (supervisor actions included); it becomes
+        the round's ``RoundResult.health``.
         """
         pending, self._pending_events = self._pending_events, []
         requested, self._requested_dead = self._requested_dead, []
@@ -234,22 +230,12 @@ class LivenessDetector:
                         float(min(self.scores[name], book.evict_threshold)),
                     )
 
-        self.events.extend(events)
-        payload: Dict[str, Any] = {
+        return {
             "statuses": {name: self._status[name] for name in self.roster},
             "scores": {name: round(float(self.scores[name]), 6) for name in self.roster},
             "dead": [name for name in self.roster if self._status[name] == DEAD],
             "events": [event.to_dict() for event in events],
         }
-        self.last_payload = payload
-        if trace is not None:
-            trace.record_health(
-                round_index,
-                statuses=payload["statuses"],
-                dead=payload["dead"],
-                events=payload["events"],
-            )
-        return payload
 
 
 class NodeSupervisor:
@@ -295,8 +281,6 @@ class NodeSupervisor:
         self.snapshot_every = max(0, int(snapshot_every))
         self._restarts: Dict[str, List[int]] = {name: [] for name in self.roster}
         self._given_up: set = set()
-        #: Every supervisor action across the run, in decision order.
-        self.events: List[HealthEvent] = []
 
     # ------------------------------------------------------------------ #
     def restarts(self, node_id: str) -> int:
@@ -307,7 +291,6 @@ class NodeSupervisor:
         return node_id in self._given_up
 
     def _emit(self, event: HealthEvent) -> None:
-        self.events.append(event)
         if self.health is not None:
             self.health.note_event(event)
 

@@ -7,8 +7,9 @@ reproduces the Table 2 measurement: the cosine of the angle between the
 largest-norm difference vectors of the replicas' parameter vectors.
 
 ``Trace`` is the deterministic per-round event/outcome log emitted by
-scenario-driven runs (:mod:`repro.core.scenario`): for every round it records
-the scenario events applied, the gradient-quorum outcome observed by the
+scenario-driven runs (:mod:`repro.core.scenario`): a fold over the
+:class:`~repro.core.session.RoundResult` stream, one entry per completed round
+— the scenario events applied, the gradient-quorum outcome observed by the
 reporting server, the aggregated-update norm, and loss/accuracy at evaluation
 rounds.  Its canonical JSON form is what the golden-trace regression suite
 compares byte for byte.
@@ -112,112 +113,22 @@ class Trace:
     rounds: List[Dict[str, Any]] = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
-    def begin_round(self, round_index: int, events: Sequence[Dict[str, Any]] = ()) -> Dict[str, Any]:
-        """Open the entry for one round, recording the scenario events applied."""
-        entry: Dict[str, Any] = {
-            "round": int(round_index),
-            "events": [dict(event) for event in events],
-            "quorum": None,
-            "gradient_sources": [],
-            "update_norm": None,
-            "accuracy": None,
-            "loss": None,
-        }
+    def record(self, result) -> None:
+        """Append the entry of one completed round: its ``RoundResult``, renamed.
+
+        ``iteration`` becomes ``round``; ``diverged`` is present only on
+        flagged rounds, and ``detection`` / ``health`` only on rounds that
+        layer reported on (health without its raw accrual ``scores``) — so
+        traces of runs without those layers, every golden included, carry
+        none of the three keys.
+        """
+        entry = result.to_dict()
+        entry["round"] = entry.pop("iteration")
+        if not entry["diverged"]:
+            del entry["diverged"]
+        if "health" in entry:
+            entry["health"].pop("scores", None)
         self.rounds.append(entry)
-        return entry
-
-    def _entry(self, round_index: int) -> Dict[str, Any]:
-        """The round's entry, opened on the fly when the caller never did."""
-        for entry in reversed(self.rounds):
-            if entry["round"] == int(round_index):
-                return entry
-        return self.begin_round(round_index)
-
-    def end_round(
-        self,
-        round_index: int,
-        *,
-        quorum: Optional[int] = None,
-        gradient_sources: Sequence[str] = (),
-        update_norm: Optional[float] = None,
-        accuracy: Optional[float] = None,
-        loss: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Fill the quorum/outcome fields of a round opened by :meth:`begin_round`.
-
-        Robust to callers that never opened the round (an entry is created on
-        the fly) so applications cannot corrupt the trace by mis-ordering.
-        """
-        entry = self._entry(round_index)
-        entry["quorum"] = None if quorum is None else int(quorum)
-        entry["gradient_sources"] = [str(s) for s in gradient_sources]
-        entry["update_norm"] = None if update_norm is None else float(update_norm)
-        entry["accuracy"] = None if accuracy is None else float(accuracy)
-        entry["loss"] = None if loss is None else float(loss)
-        return entry
-
-    def mark_diverged(self, round_index: int) -> Dict[str, Any]:
-        """Flag a round as diverged — the loud counterpart to silent poisoning.
-
-        Adds ``"diverged": true`` to the round's entry (creating the entry if
-        the caller never opened the round).  The key is *only* present on
-        diverged rounds, so traces of healthy runs — including every checked
-        in golden — are byte-identical to what they were before the flag
-        existed.
-        """
-        entry = self._entry(round_index)
-        entry["diverged"] = True
-        return entry
-
-    def record_detection(
-        self,
-        round_index: int,
-        *,
-        suspicion: Optional[Dict[str, float]] = None,
-        active: Sequence[str] = (),
-        events: Sequence[Dict[str, Any]] = (),
-    ) -> Dict[str, Any]:
-        """Attach one round's detection outcome to its entry.
-
-        Like :meth:`mark_diverged`, the ``"detection"`` key is *only* present
-        on rounds a detector actually scored, so traces of detector-less runs
-        — including every pre-detection golden — stay byte-identical.
-        Suspicion scores are recorded per worker (pre-rounded floats),
-        ``active`` is the post-decision membership, ``events`` the round's
-        evict/re-admit decisions in compact dict form.
-        """
-        entry = self._entry(round_index)
-        entry["detection"] = {
-            "suspicion": {str(k): float(v) for k, v in (suspicion or {}).items()},
-            "active": [str(name) for name in active],
-            "events": [dict(event) for event in events],
-        }
-        return entry
-
-    def record_health(
-        self,
-        round_index: int,
-        *,
-        statuses: Optional[Dict[str, str]] = None,
-        dead: Sequence[str] = (),
-        events: Sequence[Dict[str, Any]] = (),
-    ) -> Dict[str, Any]:
-        """Attach one round's liveness outcome to its entry.
-
-        Like :meth:`record_detection`, the ``"health"`` key is *only* present
-        on rounds the liveness detector actually scored, so traces of
-        resilience-less runs — including every pre-resilience golden — stay
-        byte-identical.  ``statuses`` maps each peer to
-        healthy/suspect/dead, ``dead`` is the sticky dead set, ``events``
-        the round's typed transitions and supervisor actions.
-        """
-        entry = self._entry(round_index)
-        entry["health"] = {
-            "statuses": {str(k): str(v) for k, v in (statuses or {}).items()},
-            "dead": [str(name) for name in dead],
-            "events": [dict(event) for event in events],
-        }
-        return entry
 
     @property
     def diverged(self) -> bool:

@@ -17,8 +17,9 @@ makes those regimes first-class, reproducible workloads:
   :class:`~repro.network.failures.FailureInjector`, its Byzantine nodes'
   attack objects and the cluster state.  The session round engine
   (:mod:`repro.core.session`) calls ``deployment.begin_round(iteration)``
-  before any phase of a round runs, which invokes the director and opens the
-  round's :class:`~repro.core.metrics.Trace` entry.
+  before any phase of a round runs, which invokes the director; the round's
+  :class:`~repro.core.metrics.Trace` entry is written once it completed, from
+  its ``RoundResult``.
 * :data:`SCENARIO_LIBRARY` — the bundled named scenarios
   (``calm_baseline``, ``crash_quorum_edge``, ``attack_onset_mid_training``,
   ``straggler_storm``, ``partition_heal``, ``churn_at_f_bound``,

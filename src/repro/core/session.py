@@ -14,20 +14,22 @@ first-class:
   into the same registry.
 * :class:`Session` — the streaming driver.  ``for round_result in session:``
   executes one round per step and yields a :class:`RoundResult` (iteration,
-  loss/accuracy, quorum sources, update norm).  Sessions support
-  ``pause()`` / ``resume()``, ``run(until=...)``, early-stop predicates,
-  user callbacks at round boundaries, and mid-run checkpoint / trace export.
-* :class:`SessionBuilder` / :func:`train` — the fluent entry points that
-  compose :class:`~repro.core.cluster.ClusterConfig`, a chaos scenario, an
-  executor backend, GARs and attacks from the existing registries.
+  loss/accuracy, quorum sources, update norm) — the one per-round record:
+  the scenario :class:`~repro.core.metrics.Trace` is a fold over it.
+  Sessions support ``pause()`` / ``resume()``, ``run(until=...)``,
+  early-stop predicates, user callbacks at round boundaries, and mid-run
+  checkpoint / trace export.
+* :func:`train` — the one-call entry point: a
+  :class:`~repro.core.cluster.ClusterConfig` (or a chaos scenario's) driven
+  to completion.
 
 The engine reproduces the legacy ``run_*`` loops step for step: round
 boundaries call :meth:`~repro.core.controller.Deployment.begin_round` (which
-applies scenario events and opens the trace entry) *before* any user
-callback, the accountant brackets exactly the same communication, and
-evaluation happens at the same iterations — so the six checked-in golden
-traces stay byte-identical on the serial, threaded and process backends
-whether a run is streamed, paused and resumed, or driven end to end.
+applies scenario events) *before* any user callback, the accountant brackets
+exactly the same communication, and evaluation happens at the same
+iterations — so the checked-in golden traces stay byte-identical on the
+serial, threaded and process backends whether a run is streamed, paused and
+resumed, or driven end to end.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ from typing import (
 
 import numpy as np
 
+from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller, Deployment, TrainingResult
 from repro.core.metrics import IterationRecord
+from repro.core.scenario import config_for_scenario
 from repro.core.server import Server
 from repro.exceptions import ConfigurationError
 
@@ -121,12 +125,7 @@ class RoundAccountant:
             self.server.dimension, num_scored
         )
 
-    def end(
-        self,
-        iteration: int,
-        accuracy: Optional[float] = None,
-        loss: Optional[float] = None,
-    ) -> IterationRecord:
+    def end(self, iteration: int, accuracy: Optional[float] = None) -> IterationRecord:
         config = self.deployment.config
         dimension = self.server.dimension
         comm = (self.server.gradient_comm_time + self.server.model_comm_time) - self._comm_start
@@ -145,21 +144,12 @@ class RoundAccountant:
             # so resilience-less rounds add literally nothing (goldens).
             comm += self.deployment.cost_model.hedge_time(dimension, resilience_messages)
         compute = self.deployment.cost_model.compute_time(dimension, config.batch_size)
-        trace = self.deployment.trace
-        if trace is not None:
-            # Scenario-driven runs also record the test loss at evaluation
+        loss = None
+        if accuracy is not None and self.deployment.trace is not None:
+            # Scenario-driven runs also measure the test loss at evaluation
             # rounds, so golden traces lock down convergence, not just
-            # accuracy plateaus.
-            if accuracy is not None and loss is None:
-                loss = self.server.compute_loss()
-            trace.end_round(
-                iteration,
-                quorum=len(self.server.last_gradient_sources),
-                gradient_sources=self.server.last_gradient_sources,
-                update_norm=self.server.last_update_norm,
-                accuracy=accuracy,
-                loss=loss,
-            )
+            # accuracy plateaus (and the divergence check can read it).
+            loss = self.server.compute_loss()
         record = IterationRecord(
             iteration=iteration,
             compute_time=compute,
@@ -263,7 +253,11 @@ class RoundContext:
 
 @dataclass(frozen=True)
 class RoundResult:
-    """One streamed record per training round, yielded by :class:`Session`."""
+    """One streamed record per training round, yielded by :class:`Session`.
+
+    The one per-round record: a scenario run's trace entry is this result,
+    renamed (:meth:`~repro.core.metrics.Trace.record`).
+    """
 
     iteration: int
     #: Scenario events applied at this round boundary (compact dict form).
@@ -571,9 +565,9 @@ class Session(Iterator[RoundResult]):
     def on_round_start(self, callback: RoundStartCallback) -> "Session":
         """Call ``callback(session, iteration, events)`` at each round boundary.
 
-        Fires *after* the scenario director applied the round's events (and
-        the trace entry opened) but before any phase of the round runs —
-        the ordering ``tests/core/test_session.py`` locks down.
+        Fires *after* the scenario director applied the round's events but
+        before any phase of the round runs (the trace holds the previous
+        rounds only) — the ordering ``tests/core/test_session.py`` locks down.
         """
         self._round_start_callbacks.append(callback)
         return self
@@ -624,24 +618,17 @@ class Session(Iterator[RoundResult]):
         self.strategy.run_round(ctx)
         accuracy = reporting.compute_accuracy() if should_evaluate(deployment, iteration) else None
         record = accountant.end(iteration, accuracy=accuracy)
-        diverged = self._detect_divergence(iteration, record, reporting)
+        diverged = self._detect_divergence(record, reporting)
         detection_payload = None
         if deployment.detection is not None:
-            # Score the round's observations after the accountant closed the
-            # entry (the trace gains detection keys only on detector runs, so
-            # detector-less goldens stay byte-identical).
-            detection_payload = deployment.detection.finish_round(
-                iteration, trace=deployment.trace
-            )
+            # Decide memberships on the round's updated scores once the
+            # accountant closed the round.
+            detection_payload = deployment.detection.finish_round(iteration)
         health_payload = None
         if deployment.health is not None:
             # Classify liveness after detection scored the round (its
-            # evidence lands on the updated suspicion levels); the trace
-            # gains health keys only on active rounds, so resilience-less
-            # goldens stay byte-identical.
-            health_payload = deployment.health.finish_round(
-                iteration, trace=deployment.trace
-            )
+            # evidence lands on the updated suspicion levels).
+            health_payload = deployment.health.finish_round(iteration)
         result = RoundResult(
             iteration=iteration,
             events=tuple(events),
@@ -655,6 +642,9 @@ class Session(Iterator[RoundResult]):
             detection=detection_payload,
             health=health_payload,
         )
+        if deployment.trace is not None:
+            # The trace's one writer: a round that raised above leaves no entry.
+            deployment.trace.record(result)
         self._last_result = result
         self._next_round += 1
         if self._next_round >= deployment.config.num_iterations:
@@ -670,8 +660,8 @@ class Session(Iterator[RoundResult]):
             self.stopped_early = True
         return result
 
-    def _detect_divergence(self, iteration: int, record: IterationRecord, reporting: Server) -> bool:
-        """Flag numerical blow-up or runaway loss, loudly, in trace and result.
+    def _detect_divergence(self, record: IterationRecord, reporting: Server) -> bool:
+        """Flag numerical blow-up or runaway loss, loudly, in the round's result.
 
         Divergence means: a non-finite update norm or loss, an update norm
         beyond :data:`DIVERGENCE_NORM_BOUND`, or an evaluated loss exceeding
@@ -698,8 +688,6 @@ class Session(Iterator[RoundResult]):
                 diverged = True
         if diverged:
             self._diverged = True
-            if self.deployment.trace is not None:
-                self.deployment.trace.mark_diverged(iteration)
         return diverged
 
     def __iter__(self) -> "Session":
@@ -757,7 +745,7 @@ class Session(Iterator[RoundResult]):
         if self.deployment.trace is None:
             raise ConfigurationError(
                 "this session records no trace; run it under a scenario "
-                "(ClusterConfig.scenario or SessionBuilder.scenario)"
+                "(ClusterConfig.scenario or train(scenario=...))"
             )
         self.deployment.trace.save(path)
 
@@ -785,167 +773,8 @@ class Session(Iterator[RoundResult]):
 
 
 # ---------------------------------------------------------------------- #
-# Fluent construction
+# One-call training
 # ---------------------------------------------------------------------- #
-class SessionBuilder:
-    """Fluent composition of a :class:`Session` from the existing registries.
-
-    Example::
-
-        session = (
-            SessionBuilder()
-            .deployment("ssmw")
-            .workers(8, byzantine=2, attacking=2)
-            .attack("reversed")
-            .gar("multi-krum")
-            .executor("threaded")
-            .iterations(50, accuracy_every=10)
-            .seed(1)
-            .build()
-        )
-        for round_result in session:
-            ...
-    """
-
-    def __init__(self, **fields: Any) -> None:
-        self._fields: Dict[str, Any] = dict(fields)
-        self._scenario: Optional[str] = None
-        self._strategy: Optional[RoundStrategy] = None
-        self._early_stop: Optional[StopPredicate] = None
-        self._round_callbacks: List[RoundCallback] = []
-        self._round_start_callbacks: List[RoundStartCallback] = []
-
-    # ------------------------------------------------------------------ #
-    def deployment(self, name: str) -> "SessionBuilder":
-        self._fields["deployment"] = name
-        return self
-
-    def workers(
-        self, count: int, *, byzantine: Optional[int] = None, attacking: Optional[int] = None
-    ) -> "SessionBuilder":
-        self._fields["num_workers"] = count
-        if byzantine is not None:
-            self._fields["num_byzantine_workers"] = byzantine
-        if attacking is not None:
-            self._fields["num_attacking_workers"] = attacking
-        return self
-
-    def servers(
-        self, count: int, *, byzantine: Optional[int] = None, attacking: Optional[int] = None
-    ) -> "SessionBuilder":
-        self._fields["num_servers"] = count
-        if byzantine is not None:
-            self._fields["num_byzantine_servers"] = byzantine
-        if attacking is not None:
-            self._fields["num_attacking_servers"] = attacking
-        return self
-
-    def attack(self, name: str, *, side: str = "workers") -> "SessionBuilder":
-        if side not in ("workers", "servers", "both"):
-            raise ConfigurationError("attack side must be 'workers', 'servers' or 'both'")
-        if side in ("workers", "both"):
-            self._fields["worker_attack"] = name
-        if side in ("servers", "both"):
-            self._fields["server_attack"] = name
-        return self
-
-    def gar(self, gradient: Optional[str] = None, *, model: Optional[str] = None) -> "SessionBuilder":
-        if gradient is not None:
-            self._fields["gradient_gar"] = gradient
-        if model is not None:
-            self._fields["model_gar"] = model
-        return self
-
-    def experiment(
-        self,
-        model: Optional[str] = None,
-        *,
-        dataset: Optional[str] = None,
-        dataset_size: Optional[int] = None,
-        batch_size: Optional[int] = None,
-        learning_rate: Optional[float] = None,
-    ) -> "SessionBuilder":
-        for key, value in (
-            ("model", model),
-            ("dataset", dataset),
-            ("dataset_size", dataset_size),
-            ("batch_size", batch_size),
-            ("learning_rate", learning_rate),
-        ):
-            if value is not None:
-                self._fields[key] = value
-        return self
-
-    def iterations(self, count: int, *, accuracy_every: Optional[int] = None) -> "SessionBuilder":
-        self._fields["num_iterations"] = count
-        if accuracy_every is not None:
-            self._fields["accuracy_every"] = accuracy_every
-        return self
-
-    def executor(self, name: str, *, workers: Optional[int] = None) -> "SessionBuilder":
-        self._fields["executor"] = name
-        if workers is not None:
-            self._fields["executor_workers"] = workers
-        return self
-
-    def seed(self, value: int) -> "SessionBuilder":
-        self._fields["seed"] = value
-        return self
-
-    def scenario(self, ref: Optional[str]) -> "SessionBuilder":
-        """Drive the run with a bundled scenario name or a scenario JSON path."""
-        self._scenario = ref
-        return self
-
-    def options(self, **fields: Any) -> "SessionBuilder":
-        """Set any remaining :class:`ClusterConfig` fields by name."""
-        self._fields.update(fields)
-        return self
-
-    def strategy(self, strategy: RoundStrategy) -> "SessionBuilder":
-        """Use an explicit strategy instance instead of the registry lookup."""
-        self._strategy = strategy
-        return self
-
-    def early_stop(self, predicate: StopPredicate) -> "SessionBuilder":
-        self._early_stop = predicate
-        return self
-
-    def on_round(self, callback: RoundCallback) -> "SessionBuilder":
-        self._round_callbacks.append(callback)
-        return self
-
-    def on_round_start(self, callback: RoundStartCallback) -> "SessionBuilder":
-        self._round_start_callbacks.append(callback)
-        return self
-
-    # ------------------------------------------------------------------ #
-    def config(self):
-        """The validated :class:`~repro.core.cluster.ClusterConfig` this builds."""
-        from repro.core.cluster import ClusterConfig
-        from repro.core.scenario import config_for_scenario
-
-        if self._scenario:
-            return config_for_scenario(self._scenario, **self._fields)
-        return ClusterConfig(**self._fields)
-
-    def build(self) -> Session:
-        """Construct the deployment and wrap it in a ready-to-stream session."""
-        session = Session(
-            config=self.config(), strategy=self._strategy, early_stop=self._early_stop
-        )
-        for callback in self._round_callbacks:
-            session.on_round(callback)
-        for callback in self._round_start_callbacks:
-            session.on_round_start(callback)
-        return session
-
-    def run(self, until: Optional[Union[int, StopPredicate]] = None) -> TrainingResult:
-        """Build the session, drive it, close the deployment, return the result."""
-        with self.build() as session:
-            return session.run(until=until)
-
-
 def train(
     *,
     scenario: Optional[str] = None,
@@ -957,32 +786,18 @@ def train(
 ) -> TrainingResult:
     """One-call Byzantine-resilient training: ``repro.train(...)``.
 
-    Keyword arguments are :class:`~repro.core.cluster.ClusterConfig` fields;
-    ``scenario`` / ``until`` / ``early_stop`` / ``on_round`` expose the
-    session controls.  Builds the cluster, streams the rounds, closes the
-    deployment and returns the :class:`~repro.core.controller.TrainingResult`.
+    Keyword arguments are :class:`~repro.core.cluster.ClusterConfig` fields
+    (with ``scenario``, merged under the scenario's own config by
+    :func:`~repro.core.scenario.config_for_scenario`); ``until`` /
+    ``early_stop`` / ``on_round`` / ``strategy`` expose the session controls.
+    Builds the cluster, streams the rounds, closes the deployment and returns
+    the :class:`~repro.core.controller.TrainingResult`.
     """
-    builder = SessionBuilder(**config_fields)
-    if scenario is not None:
-        builder.scenario(scenario)
-    if strategy is not None:
-        builder.strategy(strategy)
-    if early_stop is not None:
-        builder.early_stop(early_stop)
-    if on_round is not None:
-        builder.on_round(on_round)
-    return builder.run(until=until)
-
-
-# ---------------------------------------------------------------------- #
-# Legacy entry points
-# ---------------------------------------------------------------------- #
-def run_application(deployment: Deployment) -> None:
-    """Run the training loop matching the deployment's configured application.
-
-    The historical imperative entry point, now a thin wrapper that streams a
-    :class:`Session` to completion.  Leaves the deployment open (callers own
-    its lifecycle) and returns nothing; metrics/trace accumulate on the
-    deployment exactly as the legacy per-app loops did.
-    """
-    Session(deployment).run()
+    if scenario:
+        config = config_for_scenario(scenario, **config_fields)
+    else:
+        config = ClusterConfig(**config_fields)
+    with Session(config=config, strategy=strategy, early_stop=early_stop) as session:
+        if on_round is not None:
+            session.on_round(on_round)
+        return session.run(until=until)

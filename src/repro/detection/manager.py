@@ -49,10 +49,6 @@ class DetectionManager:
         self.membership = membership
         self.roster: Tuple[str, ...] = membership.roster
         self.book = book if book is not None else ReputationBook(self.roster)
-        #: Every membership event in decision order, across the whole run.
-        self.events: List[MembershipEvent] = []
-        #: Most recent per-round payload (suspicion / active / events).
-        self.last_payload: Optional[Dict[str, Any]] = None
         #: Sources scored this round (set by :meth:`weigh_and_observe`,
         #: consumed by :meth:`finish_round`).
         self._scored: Optional[Tuple[str, ...]] = None
@@ -84,9 +80,7 @@ class DetectionManager:
     # ------------------------------------------------------------------ #
     def _record_forced(self, round_index: int, action: str, name: str) -> None:
         score = self.book.pin(name, out=action == "evict")
-        event = MembershipEvent(round_index, action, name, score, forced=True)
-        self._forced.append(event)
-        self.events.append(event)
+        self._forced.append(MembershipEvent(round_index, action, name, score, forced=True))
 
     def force_evict(self, round_index: int, name: str) -> bool:
         """Scenario-driven eviction; honours the quorum-safety guard.
@@ -112,7 +106,7 @@ class DetectionManager:
     # ------------------------------------------------------------------ #
     # End-of-round scoring and decisions
     # ------------------------------------------------------------------ #
-    def finish_round(self, round_index: int, trace=None) -> Optional[Dict[str, Any]]:
+    def finish_round(self, round_index: int) -> Optional[Dict[str, Any]]:
         """Run the membership state machine on the round's updated scores.
 
         Returns the round's detection payload (decayed suspicion per worker,
@@ -126,24 +120,13 @@ class DetectionManager:
         if self._scored is not None:
             sources, self._scored = self._scored, None
             observed = True
-            decided = self.book.decide(round_index, sources, self.membership)
-            self.events.extend(decided)
-            events.extend(decided)
+            events.extend(self.book.decide(round_index, sources, self.membership))
         if not observed and not events:
             return None
-        payload: Dict[str, Any] = {
+        return {
             "suspicion": {
                 name: round(float(self.book.scores[name]), 6) for name in self.roster
             },
             "active": list(self.membership.active()),
             "events": [event.to_dict() for event in events],
         }
-        self.last_payload = payload
-        if trace is not None:
-            trace.record_detection(
-                round_index,
-                suspicion=payload["suspicion"],
-                active=payload["active"],
-                events=payload["events"],
-            )
-        return payload

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
-from repro.core.session import RoundAccountant, should_evaluate
+from repro.core.session import RoundAccountant, Session, should_evaluate
 from repro.network.topology import messages_per_round
 
 
@@ -85,9 +85,7 @@ class TestMessageAccountingCrossCheck:
         per_round = {}
         for nw in (4, 8):
             deployment = build_deployment(num_workers=nw, num_iterations=3)
-            from repro.apps import run_application
-
-            run_application(deployment)
+            Session(deployment).run()
             per_round[nw] = deployment.transport.stats.pulls_issued / 3
         assert per_round[8] == pytest.approx(2 * per_round[4])
         analytic = messages_per_round("ssmw", 8)
@@ -105,9 +103,7 @@ class TestMessageAccountingCrossCheck:
                 model_gar="median",
                 num_iterations=2,
             )
-            from repro.apps import run_application
-
-            run_application(deployment)
+            Session(deployment).run()
             per_round[n] = deployment.transport.stats.pulls_issued / 2
         # Quadratic growth: ~4x the pulls when the cluster doubles.
         assert per_round[8] / per_round[4] > 2.5

@@ -10,9 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import available_applications, run_application
+from repro.apps import available_applications
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
+from repro.core.session import Session
 from repro.exceptions import ConfigurationError
 
 
@@ -55,7 +56,7 @@ class TestDispatch:
         deployment = Controller(ClusterConfig(model="logistic", dataset_size=100)).build()
         deployment.config.deployment = "unknown"
         with pytest.raises(ConfigurationError):
-            run_application(deployment)
+            Session(deployment).run()
 
 
 class TestVanilla:
@@ -115,7 +116,7 @@ class TestAggregathor:
         )
         controller = Controller(config)
         deployment = controller.build()
-        run_application(deployment)
+        Session(deployment).run()
         assert deployment.servers[0].optimizer.lr == pytest.approx(0.08)
 
 
@@ -132,7 +133,7 @@ class TestCrashTolerant:
             seed=2,
         )
         deployment = Controller(config).build()
-        run_application(deployment)
+        Session(deployment).run()
         states = [s.flat_parameters() for s in deployment.servers]
         assert np.allclose(states[0], states[1])
         assert np.allclose(states[0], states[2])
@@ -150,7 +151,7 @@ class TestCrashTolerant:
         )
         deployment = Controller(config).build()
         deployment.transport.failures.crash("server-0")
-        run_application(deployment)
+        Session(deployment).run()
         assert len(deployment.metrics) == 6
 
     def test_all_replicas_crashed_raises(self):
@@ -170,7 +171,7 @@ class TestCrashTolerant:
         deployment.transport.failures.crash("server-0")
         deployment.transport.failures.crash("server-1")
         with pytest.raises(TrainingError):
-            run_application(deployment)
+            Session(deployment).run()
 
 
 class TestMSMW:
@@ -211,7 +212,7 @@ class TestMSMW:
             seed=6,
         )
         deployment = Controller(config).build()
-        run_application(deployment)
+        Session(deployment).run()
         states = [s.flat_parameters() for s in deployment.honest_servers]
         spread = max(np.linalg.norm(states[0] - s) for s in states[1:])
         assert spread < 1.0
@@ -232,7 +233,7 @@ class TestMSMW:
         )
         deployment = Controller(config).build()
         deployment.alignment.every = 1
-        run_application(deployment)
+        Session(deployment).run()
         assert len(deployment.alignment.samples) == 3
         assert all(0.0 <= s["cos_phi"] <= 1.0 for s in deployment.alignment.samples)
 
@@ -292,7 +293,6 @@ class TestDeadWorkersLeaveEveryPull:
     @pytest.mark.resilience
     @pytest.mark.parametrize("cell", sorted(CELLS))
     def test_dead_worker_is_neither_pulled_nor_awaited(self, cell, monkeypatch):
-        from repro.core.session import Session
         from repro.network.transport import Transport
 
         options = dict(self.CELLS[cell])

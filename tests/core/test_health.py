@@ -3,7 +3,7 @@
 Exercises the accrual state machine (healthy -> suspect -> dead and back),
 the quorum-safety guard on dead declarations (asked of the
 :class:`Membership` the detector was given), what a dead declaration does and
-does not do to a detector's reputation book, the trace/health payload
+does not do to a detector's reputation book, the health payload
 contract, and the supervisor's restart-budget patrol against fake backends.
 """
 
@@ -23,7 +23,6 @@ from repro.core.health import (
     LivenessDetector,
     NodeSupervisor,
 )
-from repro.core.metrics import Trace
 from repro.detection.membership import EVICTED, Membership
 from repro.exceptions import ConfigurationError
 
@@ -43,7 +42,6 @@ class TestAccrual:
     def test_idle_round_yields_no_payload(self):
         detector = make_detector()
         assert detector.finish_round(0) is None
-        assert detector.last_payload is None
 
     def test_refused_dials_walk_suspect_then_dead(self):
         detector = make_detector()
@@ -227,17 +225,6 @@ class TestDetectionDelegation:
 
 
 class TestTracePayload:
-    def test_active_round_lands_under_the_health_key(self):
-        trace = Trace(scenario="t", deployment="ssmw", seed=0)
-        trace.begin_round(0)
-        trace.begin_round(1)
-        detector = make_detector()
-        detector.observe_refused("w0")
-        detector.finish_round(0, trace=trace)
-        detector.finish_round(1, trace=trace)  # idle: nothing recorded
-        assert trace.rounds[0]["health"]["statuses"]["w0"] == SUSPECT
-        assert "health" not in trace.rounds[1]
-
     def test_event_dict_omits_empty_detail(self):
         with_detail = HealthEvent(0, "respawn", "w0", detail="ok").to_dict()
         without = HealthEvent(0, SUSPECT, "w0", score=2.0).to_dict()

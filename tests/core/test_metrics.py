@@ -122,43 +122,119 @@ class TestAlignmentProbe:
         assert probe.maybe_sample(12, vectors) is not None
 
 
-class TestTraceDivergenceFlag:
+def round_result(iteration, **fields):
+    """A completed round as the Session yields it (defaults: a calm round)."""
+    from repro.core.session import RoundResult
+
+    data = dict(
+        iteration=iteration,
+        events=(),
+        quorum=2,
+        gradient_sources=("worker-0", "worker-1"),
+        update_norm=0.25,
+        accuracy=None,
+        loss=None,
+        record=IterationRecord(iteration),
+    )
+    data.update(fields)
+    return RoundResult(**data)
+
+
+class TestTraceRecord:
+    """``Trace.record``: the trace's one writer, one entry per completed round."""
+
     def _trace(self):
         from repro.core.metrics import Trace
 
         return Trace(scenario="t", deployment="ssmw", seed=1)
 
-    def test_mark_diverged_annotates_the_open_round(self):
+    def test_entry_is_the_result_renamed(self):
         trace = self._trace()
-        trace.begin_round(0)
-        trace.mark_diverged(0)
+        events = ({"round": 0, "action": "heal"},)
+        trace.record(round_result(0, events=events, accuracy=0.5, loss=0.9))
+        assert trace.rounds == [
+            {
+                "round": 0,
+                "events": [{"round": 0, "action": "heal"}],
+                "quorum": 2,
+                "gradient_sources": ["worker-0", "worker-1"],
+                "update_norm": 0.25,
+                "accuracy": 0.5,
+                "loss": 0.9,
+            }
+        ]
+
+    def test_flagged_round_carries_the_flag(self):
+        trace = self._trace()
+        trace.record(round_result(0, diverged=True))
         assert trace.rounds[0]["diverged"] is True
         assert trace.diverged
 
     def test_key_absent_on_healthy_rounds(self):
         trace = self._trace()
-        trace.begin_round(0)
-        trace.begin_round(1)
-        trace.mark_diverged(1)
+        trace.record(round_result(0))
+        trace.record(round_result(1, diverged=True))
         assert "diverged" not in trace.rounds[0]
         assert trace.rounds[1]["diverged"] is True
-
-    def test_mark_diverged_creates_missing_entry(self):
-        trace = self._trace()
-        entry = trace.mark_diverged(4)
-        assert entry["round"] == 4 and entry["diverged"] is True
-        assert trace.diverged
 
     def test_flag_survives_json_roundtrip(self):
         import json
 
         trace = self._trace()
-        trace.begin_round(0)
-        trace.mark_diverged(0)
+        trace.record(round_result(0, diverged=True))
         data = json.loads(trace.to_json())
         assert data["rounds"][0]["diverged"] is True
 
     def test_healthy_trace_not_diverged(self):
         trace = self._trace()
-        trace.begin_round(0)
+        trace.record(round_result(0))
         assert not trace.diverged
+
+    def test_detection_payload_is_copied_verbatim(self):
+        payload = {
+            "suspicion": {"worker-0": 0.0, "worker-1": 1.25},
+            "active": ["worker-0"],
+            "events": [{"round": 0, "action": "evict", "target": "worker-1", "score": 1.25}],
+        }
+        trace = self._trace()
+        trace.record(round_result(0, detection=payload))
+        trace.record(round_result(1))
+        assert trace.rounds[0]["detection"] == payload
+        assert "detection" not in trace.rounds[1]
+
+    def test_health_entry_drops_the_accrual_scores(self):
+        from repro.core.health import SUSPECT, LivenessDetector
+        from repro.detection.membership import Membership
+
+        detector = LivenessDetector(
+            Membership(["w0", "w1", "w2"], declared_f=0, gar_name="median")
+        )
+        detector.observe_refused("w0")
+        payload = detector.finish_round(0)
+        assert detector.finish_round(1) is None  # idle: nothing to record
+        trace = self._trace()
+        trace.record(round_result(0, health=payload))
+        trace.record(round_result(1))
+        health = trace.rounds[0]["health"]
+        assert health["statuses"]["w0"] == SUSPECT
+        assert set(health) == {"statuses", "dead", "events"}
+        assert "scores" in payload  # the streamed result keeps them
+        assert "health" not in trace.rounds[1]
+
+    def test_canonical_json_is_stable(self):
+        trace = self._trace()
+        trace.record(round_result(0, events=({"round": 0, "action": "heal"},), accuracy=0.5))
+        assert trace.to_json() == trace.to_json()
+        assert trace.to_json().endswith("\n")
+        assert len(trace.fingerprint()) == 16
+
+    def test_save_load_roundtrip(self, tmp_path):
+        from repro.core.metrics import Trace
+
+        trace = self._trace()
+        trace.record(round_result(0, loss=0.9, diverged=True))
+        path = tmp_path / "trace.json"
+        trace.save(path)
+        loaded = Trace.load(path)
+        assert loaded == trace
+        assert loaded.to_json() == trace.to_json()

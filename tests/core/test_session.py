@@ -7,10 +7,12 @@ The contracts locked here are the load-bearing ones of the API redesign:
 * pause/resume produces a trace byte-identical to an uninterrupted run, on
   every execution backend;
 * ``run(until=...)`` and early-stop predicates stop at the exact round;
-* callback ordering relative to ``ScenarioDirector.begin_round`` (events are
-  applied and the trace entry is open before any user callback fires);
-* the ``@register_application`` registry accepts third-party strategies and
-  the legacy ``run_*`` shims warn while reproducing identical traces;
+* callback ordering relative to ``Deployment.begin_round`` (events are
+  applied before any user callback fires, and the trace holds exactly the
+  rounds completed so far);
+* the ``@register_application`` registry accepts third-party strategies, and
+  ``train`` / ``Session`` over a prebuilt deployment reproduce the golden
+  traces;
 * ``should_evaluate`` always evaluates the final iteration, so no run ends
   with a stale accuracy.
 """
@@ -29,11 +31,9 @@ from repro.core.session import (
     RoundResult,
     RoundStrategy,
     Session,
-    SessionBuilder,
     available_applications,
     register_application,
     resolve_application,
-    run_application,
     train,
 )
 from repro.exceptions import ConfigurationError
@@ -45,8 +45,8 @@ BACKEND_PARAMS = [
 ]
 
 
-def small_config(**overrides) -> ClusterConfig:
-    defaults = dict(
+def small_fields(**overrides) -> dict:
+    fields = dict(
         deployment="ssmw",
         num_workers=5,
         num_byzantine_workers=1,
@@ -62,8 +62,12 @@ def small_config(**overrides) -> ClusterConfig:
         learning_rate=0.1,
         seed=11,
     )
-    defaults.update(overrides)
-    return ClusterConfig(**defaults)
+    fields.update(overrides)
+    return fields
+
+
+def small_config(**overrides) -> ClusterConfig:
+    return ClusterConfig(**small_fields(**overrides))
 
 
 class TestStreaming:
@@ -200,11 +204,11 @@ class TestUntilAndEarlyStop:
 
 class TestCallbacks:
     def test_round_start_fires_after_director_applied_events(self):
-        """Callback ordering vs ScenarioDirector.begin_round is locked.
+        """Callback ordering vs Deployment.begin_round is locked.
 
         ``churn_at_f_bound`` crashes worker-0 at round 2: by the time the
         round-start callback fires, the director must already have applied
-        the crash and the trace entry for the round must be open.
+        the crash, while the trace still holds only the completed rounds.
         """
         observed = {}
         session = Session(config=config_for_scenario("churn_at_f_bound"))
@@ -213,18 +217,15 @@ class TestCallbacks:
             if iteration == 2:
                 observed["events"] = [e["action"] for e in events]
                 observed["crashed"] = s.deployment.transport.failures.is_crashed("worker-0")
-                observed["trace_rounds_open"] = len(s.deployment.trace.rounds)
-                observed["trace_entry_closed"] = s.deployment.trace.rounds[-1]["quorum"]
+                observed["trace_rounds"] = [e["round"] for e in s.deployment.trace.rounds]
 
         session.on_round_start(on_start)
         with session:
             session.run()
         assert observed["events"] == ["crash"]
         assert observed["crashed"] is True
-        # begin_round already opened the entry for round 2 (director first)…
-        assert observed["trace_rounds_open"] == 3
-        # …but no phase ran yet: the quorum outcome is still unset.
-        assert observed["trace_entry_closed"] is None
+        # Rounds 0 and 1 completed; round 2 gets its entry once it completes.
+        assert observed["trace_rounds"] == [0, 1]
 
     def test_round_callbacks_fire_in_registration_order_after_each_round(self):
         calls = []
@@ -238,6 +239,30 @@ class TestCallbacks:
             ("start", 0), ("first", 0), ("second", 0),
             ("start", 1), ("first", 1), ("second", 1),
         ]
+
+
+class TestTraceRecordsCompletedRounds:
+    def test_a_round_that_raises_leaves_no_entry(self):
+        """``crash_quorum_edge`` past its margin: a third crash at round 3
+        leaves 4 live workers for a 5-reply quorum, and the round times out.
+        The trace must read exactly as it did after round 2 — no half-open
+        entry claiming the round ran."""
+        from repro.core.scenario import ScenarioSpec, load_scenario
+        from repro.exceptions import TimeoutError as QuorumTimeout
+
+        data = load_scenario("crash_quorum_edge").to_dict()
+        data["events"].append({"round": 3, "action": "crash", "target": "worker-2"})
+        spec = ScenarioSpec.from_dict(data)
+        deployment = Controller(ClusterConfig.from_dict(spec.config)).build()
+        deployment.attach_scenario(spec)
+        with Session(deployment) as session:
+            session.run(until=3)
+            before = session.trace.to_json()
+            with pytest.raises(QuorumTimeout):
+                session.step()
+            assert session.trace.to_json() == before
+            assert [entry["round"] for entry in session.trace.rounds] == [0, 1, 2]
+            assert session.next_round == 3
 
 
 class TestMidRunArtifacts:
@@ -292,68 +317,51 @@ class TestFinalIterationEvaluation:
         assert [i for i, _ in result.accuracy_history] == [0, 2, 3]
 
 
-class TestSessionBuilder:
-    def test_fluent_chain_builds_expected_config(self):
-        config = (
-            SessionBuilder()
-            .deployment("msmw")
-            .workers(7, byzantine=1, attacking=1)
-            .servers(4, byzantine=1, attacking=1)
-            .attack("reversed", side="both")
-            .gar("multi-krum", model="median")
-            .experiment("logistic", dataset="mnist", dataset_size=150, batch_size=8)
-            .iterations(3, accuracy_every=2)
-            .executor("threaded", workers=4)
-            .seed(6)
-            .options(momentum=0.5)
-            .config()
-        )
-        assert config.deployment == "msmw"
-        assert (config.num_workers, config.num_byzantine_workers) == (7, 1)
-        assert (config.num_servers, config.num_byzantine_servers) == (4, 1)
-        assert config.worker_attack == config.server_attack == "reversed"
-        assert (config.gradient_gar, config.model_gar) == ("multi-krum", "median")
-        assert (config.executor, config.executor_workers) == ("threaded", 4)
-        assert config.momentum == 0.5
+class TestTrain:
+    def test_train_with_scenario_wires_trace(self):
+        result = train(scenario="calm_baseline", until=1)
+        assert result.trace is not None and result.trace.scenario == "calm_baseline"
+        assert len(result.trace) == 1
 
-    def test_invalid_attack_side_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SessionBuilder().attack("reversed", side="everyone")
-
-    def test_builder_scenario_wires_trace(self):
-        session = SessionBuilder().scenario("calm_baseline").build()
-        with session:
-            session.run(until=1)
-        assert session.trace is not None and session.trace.scenario == "calm_baseline"
-
-    def test_builder_run_returns_training_result(self):
-        result = (
-            SessionBuilder()
-            .deployment("ssmw")
-            .workers(5, byzantine=1, attacking=1)
-            .gar("multi-krum")
-            .experiment("logistic", dataset_size=150, batch_size=8)
-            .iterations(3, accuracy_every=2)
-            .seed(11)
-            .run()
-        )
-        assert len(result.metrics) == 3 and result.final_accuracy is not None
-
-    def test_builder_callbacks_attach(self):
+    def test_train_attaches_callback_and_early_stop(self):
         seen = []
-        result = (
-            SessionBuilder()
-            .deployment("ssmw")
-            .workers(5, byzantine=1, attacking=1)
-            .gar("multi-krum")
-            .experiment("logistic", dataset_size=150, batch_size=8)
-            .iterations(4, accuracy_every=2)
-            .seed(11)
-            .on_round(lambda r: seen.append(r.iteration))
-            .early_stop(lambda r: r.iteration == 1)
-            .run()
+        result = train(
+            deployment="ssmw",
+            num_workers=5,
+            num_byzantine_workers=1,
+            num_attacking_workers=1,
+            gradient_gar="multi-krum",
+            model="logistic",
+            dataset_size=150,
+            batch_size=8,
+            num_iterations=4,
+            accuracy_every=2,
+            seed=11,
+            on_round=lambda r: seen.append(r.iteration),
+            early_stop=lambda r: r.iteration == 1,
         )
         assert seen == [0, 1] and len(result.metrics) == 2
+
+    def test_train_uses_an_explicit_strategy(self):
+        applied = []
+
+        class CountingStrategy(RoundStrategy):
+            def apply(self, ctx, update):
+                applied.append(ctx.iteration)
+                super().apply(ctx, update)
+
+        result = train(
+            deployment="vanilla",
+            num_workers=4,
+            model="logistic",
+            dataset_size=120,
+            batch_size=8,
+            num_iterations=3,
+            accuracy_every=2,
+            seed=2,
+            strategy=CountingStrategy(),
+        )
+        assert applied == [0, 1, 2] and result.final_accuracy is not None
 
     def test_train_one_call(self):
         result = train(
@@ -367,6 +375,15 @@ class TestSessionBuilder:
             seed=2,
         )
         assert len(result.metrics) == 3
+
+    def test_train_returns_training_result(self):
+        result = train(**small_fields(num_iterations=3))
+        assert len(result.metrics) == 3 and result.final_accuracy is not None
+        assert [i for i, _ in result.accuracy_history] == [0, 2]
+
+    def test_train_rejects_an_invalid_attack_before_running(self):
+        with pytest.raises(ConfigurationError):
+            train(**small_fields(num_attacking_workers=2))
 
     def test_train_with_scenario_reproduces_golden(self):
         from pathlib import Path
@@ -441,24 +458,25 @@ class TestRegistry:
             ClusterConfig(deployment="never-registered")
 
 
-class TestRunApplication:
-    def test_run_application_dispatches_without_warning(self, recwarn):
-        deployment = Controller(small_config(num_iterations=2)).build()
-        run_application(deployment)
-        deployment.close()
-        assert len(deployment.metrics) == 2
-        assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
-
-    def test_run_application_trace_identical_to_golden(self):
+class TestPrebuiltDeployment:
+    def test_session_over_a_built_deployment_reproduces_golden(self):
         from pathlib import Path
 
         golden = (
             Path(__file__).parent.parent / "integration" / "golden" / "calm_baseline.json"
         ).read_text(encoding="utf-8")
         deployment = Controller(config_for_scenario("calm_baseline")).build()
-        run_application(deployment)
-        deployment.close()
+        with deployment:
+            Session(deployment).run()
+        assert len(deployment.metrics) == deployment.config.num_iterations
         assert deployment.trace.to_json() == golden
+
+    def test_session_over_a_built_deployment_runs_without_warning(self, recwarn):
+        deployment = Controller(small_config(num_iterations=2)).build()
+        with deployment:
+            Session(deployment).run()
+        assert len(deployment.metrics) == 2
+        assert not [w for w in recwarn.list if issubclass(w.category, DeprecationWarning)]
 
     def test_aggregathor_handicap_applied_once_across_sessions(self):
         config = small_config(
@@ -480,16 +498,10 @@ class TestDivergenceDetection:
     """The divergence flag: loud counterpart to silently poisoned completion."""
 
     def _traced_session(self, **overrides):
-        from repro.core.scenario import ScenarioDirector, ScenarioSpec
+        from repro.core.scenario import ScenarioSpec
 
-        config = small_config(**overrides)
-        deployment = Controller(config).build()
-        deployment.trace = Trace(
-            scenario="divergence-test", deployment=config.deployment, seed=config.seed
-        )
-        deployment.director = ScenarioDirector(
-            ScenarioSpec(name="divergence-test", config={}, events=[]), deployment
-        )
+        deployment = Controller(small_config(**overrides)).build()
+        deployment.attach_scenario(ScenarioSpec(name="divergence-test"))
         return Session(deployment)
 
     def test_healthy_run_carries_no_flag(self):
@@ -524,10 +536,10 @@ class TestDivergenceDetection:
         with self._traced_session(num_iterations=1) as session:
             record = lambda loss: SimpleNamespace(loss=loss)
             server = lambda norm: SimpleNamespace(last_update_norm=norm)
-            assert session._detect_divergence(0, record(None), server(float("inf")))
-            assert session._detect_divergence(0, record(None), server(DIVERGENCE_NORM_BOUND * 2))
-            assert session._detect_divergence(0, record(float("nan")), server(1.0))
-            assert not session._detect_divergence(0, record(None), server(1.0))
+            assert session._detect_divergence(record(None), server(float("inf")))
+            assert session._detect_divergence(record(None), server(DIVERGENCE_NORM_BOUND * 2))
+            assert session._detect_divergence(record(float("nan")), server(1.0))
+            assert not session._detect_divergence(record(None), server(1.0))
 
     def test_loss_threshold_uses_floor_and_factor(self):
         from types import SimpleNamespace
@@ -539,14 +551,14 @@ class TestDivergenceDetection:
             record = lambda loss: SimpleNamespace(loss=loss)
             server = SimpleNamespace(last_update_norm=1.0)
             # Factor alone (25 x 1.0) is below the floor: not diverged yet.
-            assert not session._detect_divergence(0, record(DIVERGENCE_LOSS_FACTOR), server)
-            assert session._detect_divergence(0, record(DIVERGENCE_LOSS_FLOOR + 1), server)
+            assert not session._detect_divergence(record(DIVERGENCE_LOSS_FACTOR), server)
+            assert session._detect_divergence(record(DIVERGENCE_LOSS_FLOOR + 1), server)
             # With a large baseline the factor dominates the floor.
             session._diverged = False
             session._baseline_loss = 10.0
-            assert not session._detect_divergence(0, record(DIVERGENCE_LOSS_FLOOR + 1), server)
+            assert not session._detect_divergence(record(DIVERGENCE_LOSS_FLOOR + 1), server)
             assert session._detect_divergence(
-                0, record(DIVERGENCE_LOSS_FACTOR * 10.0 + 1), server
+                record(DIVERGENCE_LOSS_FACTOR * 10.0 + 1), server
             )
 
     def test_flag_is_sticky_on_the_session(self):
@@ -554,10 +566,10 @@ class TestDivergenceDetection:
 
         with self._traced_session(num_iterations=1) as session:
             record = SimpleNamespace(loss=None)
-            assert session._detect_divergence(0, record, SimpleNamespace(last_update_norm=float("inf")))
+            assert session._detect_divergence(record, SimpleNamespace(last_update_norm=float("inf")))
             assert session.diverged
             # A later healthy round does not clear the run-level flag.
-            assert not session._detect_divergence(1, record, SimpleNamespace(last_update_norm=1.0))
+            assert not session._detect_divergence(record, SimpleNamespace(last_update_norm=1.0))
             assert session.diverged
 
 

@@ -72,13 +72,16 @@ class TestConfigValidation:
 class TestOnlineEviction:
     def test_reversed_attackers_are_evicted_and_training_survives(self):
         with Session(config=detection_config()) as session:
-            result = session.run()
+            rounds = list(session)
+            result = session.result()
         detection = session.deployment.detection
         # The attacking workers are the roster's tail by convention.
         assert set(detection.membership.excluded("evicted")) == {"worker-4", "worker-5"}
-        evictions = [e for e in detection.events if e.action == "evict"]
-        assert sorted(e.target for e in evictions) == ["worker-4", "worker-5"]
-        assert all(e.round_index <= 5 for e in evictions)
+        evictions = [
+            e for r in rounds for e in r.detection["events"] if e["action"] == "evict"
+        ]
+        assert sorted(e["target"] for e in evictions) == ["worker-4", "worker-5"]
+        assert all(e["round"] <= 5 for e in evictions)
         # With both attackers gone a plain average converges fine.
         assert result.final_accuracy is not None and result.final_accuracy > 0.5
 
@@ -95,7 +98,7 @@ class TestOnlineEviction:
         detection = session.deployment.detection
         assert set(detection.membership.excluded("evicted")) == {"worker-6", "worker-7"}
         eviction_rounds = sorted(
-            e.round_index for e in detection.events if e.action == "evict"
+            e["round"] for r in results for e in r.detection["events"] if e["action"] == "evict"
         )
         # n=8, f=2: the quorum starts at n - f = 6 and shrinks by exactly one
         # per eviction (each decision takes effect the following round) — the
@@ -207,7 +210,7 @@ class TestDeadIsNotEvicted:
             assert {"worker-9", "worker-10"} <= set(result.detection["active"])
             # One row fewer, the same budget: the attackers are still there.
             assert sized[result.iteration] == (8, 2, 8)
-        assert deployment.detection.events == []
+        assert not any(e["action"] == "evict" for r in results for e in r.detection["events"])
         assert deployment.membership.excluded("dead") == ("worker-0",)
         assert deployment.membership.excluded("evicted") == ()
         assert deployment.membership.effective_f() == 2

@@ -170,7 +170,6 @@ class TestRoundFlow:
         assert set(payload["suspicion"]) == set(manager.roster)
         assert payload["active"] == list(manager.roster)
         assert payload["events"] == []
-        assert manager.last_payload is payload
 
     def test_finish_round_without_observations_returns_none(self):
         manager = make_manager()

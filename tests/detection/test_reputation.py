@@ -189,29 +189,31 @@ class TestForcedTransitions:
     def test_force_evict_pins_score_above_the_band(self):
         manager = self.forcing()
         assert manager.force_evict(2, "worker-1") is True
-        event = manager.events[-1]
-        assert isinstance(event, MembershipEvent) and event.forced
         assert is_evicted(manager.membership, "worker-1")
         assert manager.book.scores["worker-1"] >= manager.book.evict_threshold
+        [event] = manager.finish_round(2)["events"]
+        assert (event["action"], event["target"], event["forced"]) == ("evict", "worker-1", True)
 
     def test_force_evict_twice_is_a_noop(self):
         manager = self.forcing()
         assert manager.force_evict(2, "worker-1") is True
         assert manager.force_evict(3, "worker-1") is False
-        assert len(manager.events) == 1
+        assert len(manager.finish_round(3)["events"]) == 1
 
     def test_force_readmit_reenters_the_admitted_band(self):
         manager = self.forcing()
         manager.force_evict(2, "worker-1")
+        manager.finish_round(2)
         assert manager.force_readmit(5, "worker-1") is True
-        assert manager.events[-1].action == "readmit" and manager.events[-1].forced
+        [event] = manager.finish_round(5)["events"]
+        assert event["action"] == "readmit" and event["forced"]
         assert not is_evicted(manager.membership, "worker-1")
         assert manager.book.scores["worker-1"] <= manager.book.readmit_threshold
 
     def test_force_readmit_of_active_worker_is_a_noop(self):
         manager = self.forcing()
         assert manager.force_readmit(1, "worker-0") is False
-        assert manager.events == []
+        assert manager.finish_round(1) is None
 
     def test_unknown_worker_is_a_configuration_error(self):
         book, membership = make_book()

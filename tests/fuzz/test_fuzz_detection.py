@@ -165,13 +165,13 @@ class TestJointLedger:
             last = outcome.rounds_run - 1
             evicting += any(
                 event["action"] == "evict"
-                for payload in outcome.detections
-                for event in (payload or {}).get("events", ())
+                for result in outcome.results
+                for event in (result.detection or {}).get("events", ())
             )
             dying += any(
                 event["action"] == "dead" and event["round"] < last
-                for payload in outcome.healths
-                for event in (payload or {}).get("events", ())
+                for result in outcome.results
+                for event in (result.health or {}).get("events", ())
             )
         assert evicting >= 3 and dying >= 1
 

@@ -62,7 +62,8 @@ class TestVanillaBeyondBound:
         outcome = run_spec(spec)
         assert outcome.error is None  # averaging never times out here ...
         assert outcome.diverged  # ... so the flag is the loud channel
-        assert outcome.flagged_rounds and outcome.flagged_rounds[0] == 0
+        assert outcome.results[0].diverged
+        assert outcome.trace.rounds[0]["diverged"] is True
 
     def test_flag_lands_in_round_results_and_trace(self):
         spec = _spec(
@@ -250,12 +251,12 @@ class TestCheckerOracle:
         outcome = run_spec(spec)
         deaths = [
             event["target"]
-            for health in outcome.healths
-            for event in (health or {}).get("events", ())
+            for result in outcome.results
+            for event in (result.health or {}).get("events", ())
             if event["action"] == "dead"
         ]
         assert deaths == ["server-0"]
-        assert set(outcome.quorums) == {6}
+        assert {result.quorum for result in outcome.results} == {6}
         case = FuzzCase(
             index=0,
             seed=5,

@@ -9,9 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps import run_application
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
+from repro.core.session import Session
 from repro.exceptions import TimeoutError
 
 
@@ -49,7 +49,7 @@ class TestStragglers:
         fast = build(seed=16)
         slow = build(seed=16, straggler_factors={"worker-1": 50.0})
         for deployment in (fast, slow):
-            run_application(deployment)
+            Session(deployment).run()
         assert slow.metrics.total_time > fast.metrics.total_time
 
 
@@ -57,7 +57,7 @@ class TestCrashedWorkers:
     def test_async_deployment_survives_a_crashed_worker(self):
         deployment = build(asynchronous=True)
         deployment.transport.failures.crash("worker-2")
-        run_application(deployment)
+        Session(deployment).run()
         assert len(deployment.metrics) == 6
         assert deployment.metrics.final_accuracy is not None
 
@@ -65,7 +65,7 @@ class TestCrashedWorkers:
         deployment = build(asynchronous=False)
         deployment.transport.failures.crash("worker-2")
         with pytest.raises(TimeoutError):
-            run_application(deployment)
+            Session(deployment).run()
 
     def test_crashed_worker_counts_against_liveness_margin(self):
         # Asynchronous quorum is n_w - f_w = 5; with two crashes only 4 workers
@@ -74,21 +74,21 @@ class TestCrashedWorkers:
         deployment.transport.failures.crash("worker-2")
         deployment.transport.failures.crash("worker-3")
         with pytest.raises(TimeoutError):
-            run_application(deployment)
+            Session(deployment).run()
 
 
 class TestLossyNetwork:
     def test_occasional_drops_are_absorbed_by_async_quorum(self):
         deployment = build(asynchronous=True)
         deployment.transport.failures.drop_probability = 0.05
-        run_application(deployment)
+        Session(deployment).run()
         assert len(deployment.metrics) == 6
 
     def test_heavy_loss_breaks_liveness(self):
         deployment = build(asynchronous=True)
         deployment.transport.failures.drop_probability = 0.9
         with pytest.raises(TimeoutError):
-            run_application(deployment)
+            Session(deployment).run()
 
 
 class TestCombinedFaults:
@@ -106,7 +106,7 @@ class TestCombinedFaults:
             model_gar="median",
             straggler_factors={"worker-3": 20.0},
         )
-        run_application(deployment)
+        Session(deployment).run()
         assert deployment.metrics.final_accuracy is not None
         states = [s.flat_parameters() for s in deployment.honest_servers]
         spread = max(np.linalg.norm(states[0] - s) for s in states[1:])

@@ -83,20 +83,16 @@ def test_supervisor_respawns_sigkilled_worker_and_run_converges(
         assert respawned is not None and respawned != killed["pid"]
         assert deployment.supervisor.restarts(VICTIM) >= 1
         assert not deployment.supervisor.gave_up(VICTIM)
-        respawns = [e for e in deployment.supervisor.events if e.action == "respawn"]
-        assert respawns and respawns[0].target == VICTIM
 
         # The respawn surfaced as a typed health event in the trace.
-        trace_events = [
+        respawns = [
             event
             for entry in deployment.trace.rounds
             if "health" in entry
             for event in entry["health"]["events"]
+            if event["action"] == "respawn"
         ]
-        assert any(
-            event["action"] == "respawn" and event["target"] == VICTIM
-            for event in trace_events
-        )
+        assert respawns and respawns[0]["target"] == VICTIM
         # No scripted chaos ran: the scenario timeline stayed empty.
         assert all(not entry["events"] for entry in deployment.trace.rounds)
 
@@ -141,11 +137,13 @@ def test_host_killed_before_the_first_round_is_handed_the_coordinators_node(
                     time.sleep(0.01)
                 assert not backend.is_running(VICTIM)
             session.run()
-            respawns = [
-                (event.round_index, event.action, event.target, event.detail)
-                for event in session.deployment.supervisor.events
-            ]
             rounds = session.deployment.trace.to_dict()["rounds"]
+        respawns = [
+            (event["round"], event["action"], event["target"], event.get("detail"))
+            for entry in rounds
+            for event in entry["health"]["events"]
+            if event["action"] in ("respawn", "gave-up")
+        ]
         for entry in rounds:
             entry["health"]["events"] = []
         return rounds, respawns

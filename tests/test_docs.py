@@ -46,7 +46,7 @@ def test_top_level_exports_track_real_exports_only(check_docs):
     """`repro.<attr>` references validate against __all__/_LAZY_EXPORTS, not
     arbitrary quoted words from the package docstring."""
     exports = check_docs.top_level_exports()
-    assert {"train", "Session", "SessionBuilder"} <= exports
+    assert {"train", "Session", "RoundResult"} <= exports
     # 'ssmw' appears quoted in the package docstring example but is NOT an
     # export; a sloppy scan would accept the broken reference `repro.ssmw`.
     assert "ssmw" not in exports
