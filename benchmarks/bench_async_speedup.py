@@ -3,7 +3,7 @@
 Not a paper figure: this benchmark validates the systems claim behind all of
 them (Section 3.2) — that ``get_gradients(t, q)`` issues its worker RPCs
 concurrently and completes when the fastest ``q`` replies arrive.  It drives
-the same ``Server.get_gradients`` code path twice, once on the deterministic
+the same ``Server.get_gradient_matrix`` code path twice, once on the deterministic
 :class:`~repro.core.executor.SerialExecutor` and once on the
 :class:`~repro.core.executor.ThreadedExecutor`, with wall-clock fidelity
 enabled on the transport (replies really wait their simulated latency) and
@@ -133,7 +133,7 @@ def test_async_fastest_q_speedup(benchmark, table_printer):
 
     deployment = build("threaded")
     server = deployment.servers[0]
-    benchmark(lambda: server.get_gradients(0, QUORUM))
+    benchmark(lambda: server.get_gradient_matrix(0, QUORUM))
     deployment.executor.shutdown()
 
 

@@ -3,7 +3,7 @@
 Not a paper figure: this benchmark prices the systems step this repo's
 process backend takes towards the paper's deployment model (one OS process
 per node, RPC between them — Section 3).  It drives the same
-``Server.get_gradients`` round on the threaded in-process engine and on the
+``Server.get_gradient_matrix`` round on the threaded in-process engine and on the
 multi-process socket backend and reports:
 
 * **startup** — one-off cost of bringing the node hosts up (one zygote
@@ -72,7 +72,7 @@ def run_rounds(deployment) -> Tuple[float, float, List[np.ndarray]]:
     start = time.perf_counter()
     for iteration in range(ROUNDS):
         comm_before = server.gradient_comm_time
-        gradients = server.get_gradients(iteration, quorum)
+        gradients = server.get_gradient_matrix(iteration, quorum)
         simulated += server.gradient_comm_time - comm_before
         aggregated = gar(gradients=gradients, f=config.num_byzantine_workers)
         server.update_model(aggregated)
@@ -132,7 +132,7 @@ def test_process_backend_round_time(benchmark, table_printer):
     try:
         server = deployment.servers[0]
         quorum = deployment.config.gradient_quorum()
-        benchmark(lambda: server.get_gradients(0, quorum))
+        benchmark(lambda: server.get_gradient_matrix(0, quorum))
     finally:
         deployment.close()
 

@@ -27,11 +27,16 @@ through the execution engine; under the process backend each replica's
 model state is mirrored to its hosting subprocess after every update, so the
 inter-server model exchange observes exactly the state the in-process path
 would.
+
+Sharding (``ClusterConfig.shards`` above 1) splits the parameter vector
+once, on the deployment (``Deployment.shard_map``): each replica's gradient
+pull then stages its replies per shard and the same aggregate phase runs the
+gradient GAR shard by shard (:mod:`repro.sharding`), so the round above is
+unchanged.
 """
 
 from __future__ import annotations
 
-from repro.aggregators.base import DistanceGAR
 from repro.core.session import RoundContext, RoundStrategy, register_application
 
 
@@ -41,11 +46,8 @@ class MSMWStrategy(RoundStrategy):
 
     def run_round(self, ctx: RoundContext) -> None:
         live = ctx.deployment.live_servers
-        if ctx.config.shards > 1:
-            self._sharded_gradient_phase(ctx, live)
-        else:
-            for server in live:
-                server.update_model(self.aggregate(ctx, ctx.gradients(server), server))
+        for server in live:
+            server.update_model(self.aggregate(ctx, ctx.gradients(server), server))
 
         # Second communication round: contract the replicas' models.  Each
         # replica's round buffer holds the peer models plus its own state as
@@ -59,44 +61,3 @@ class MSMWStrategy(RoundStrategy):
         ctx.deployment.alignment.maybe_sample(
             ctx.iteration, [server.flat_parameters() for server in live]
         )
-
-    # ------------------------------------------------------------------ #
-    def _sharded_gradient_phase(self, ctx: RoundContext, live) -> None:
-        """The gradient round with a sharded parameter-vector (``shards > 1``).
-
-        Wire-identical to the classic phase — same targets, quorum selection
-        and RNG stream, with reply latencies still those of the full-``d``
-        payload (a worker's uplink serializes all of its slices back to back)
-        — but each replica stages replies in a
-        :class:`~repro.sharding.buffers.ShardedRoundBuffer` and aggregates
-        slice by slice, so only one ``(q, d_shard)`` block is ever resident.
-        Distance-based GARs run the two-phase partial-distance protocol,
-        whose coordination traffic is charged explicitly.  The accountant
-        sees slice-framed bytes (:meth:`RoundAccountant.add_wire_traffic`)
-        and an aggregation charge at the widest shard — the critical path of
-        ``shards`` parallel lanes.
-        """
-        from repro.sharding.aggregation import aggregate_shards
-        from repro.sharding.shard_map import ShardMap
-
-        deployment, config = ctx.deployment, ctx.config
-        gar = deployment.gradient_gar
-        shard_map = ShardMap(ctx.server.dimension, config.shards)
-        two_phase = isinstance(gar, DistanceGAR)
-        for server in live:
-            buffer = ctx.gradients(server, shard_map)
-            aggregated = aggregate_shards(gar, buffer, f=ctx.f)
-            coord_bytes = coord_messages = 0
-            if two_phase:
-                coord_bytes, coord_messages = server.record_shard_coordination(
-                    buffer.rows, shard_map.num_shards
-                )
-            if server is ctx.server:
-                # Shard lanes aggregate in parallel; the round pays the
-                # widest lane, not the sum.
-                ctx.account(gar, dimension=shard_map.max_size)
-                reply_bytes, reply_messages = server.last_sharded_traffic
-                ctx.accountant.add_wire_traffic(
-                    reply_bytes + coord_bytes, reply_messages + coord_messages
-                )
-            server.update_model(aggregated)

@@ -33,6 +33,7 @@ from repro.exceptions import ConfigurationError
 from repro.network.cost import DEVICES, FRAMEWORKS, CostModel
 from repro.network.failures import FailureInjector
 from repro.network.transport import Transport
+from repro.sharding.shard_map import ShardMap
 
 
 @dataclass
@@ -61,6 +62,11 @@ class Deployment:
     #: layer declares replicas dead in it.  With nobody dead its quorum is
     #: the model GAR's row count, the puller's own row included.
     replicas: Optional[Membership] = None
+    #: The split of the parameter vector into ``config.shards`` contiguous
+    #: slices, decided once for the whole run (``None`` unsharded).  With it,
+    #: every gradient pull stages replies per shard and the aggregate phase
+    #: runs shard by shard (:mod:`repro.sharding`).
+    shard_map: Optional[ShardMap] = None
     alignment: AlignmentProbe = field(default_factory=lambda: AlignmentProbe(every=20))
     #: Chaos-scenario machinery, attached when the config names a scenario.
     director: Optional[ScenarioDirector] = None
@@ -311,6 +317,7 @@ class Controller:
                 gar_name=gradient_gar.name,
                 slack=config.num_workers - config.gradient_quorum(),
             ),
+            shard_map=ShardMap(servers[0].dimension, config.shards) if config.shards > 1 else None,
         )
         if model_gar is not None:
             # Decentralized's contract step runs the gradient rule on replica

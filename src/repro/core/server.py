@@ -8,11 +8,14 @@ pair of abstractions from Section 3.2:
 * ``get_models(q)`` — pull model states from the other server replicas and
   return the fastest ``q``.
 
-Both fan out one RPC per peer through the transport's execution engine
-(:mod:`repro.core.executor`): with the threaded engine the workers are
-serviced concurrently, so the round's wall-clock cost tracks the slowest
-single peer instead of the sum over peers — while the *simulated* elapsed
-time charged to the server is the latency of the ``q``-th fastest reply.
+Here they are :meth:`Server.get_gradient_matrix` and
+:meth:`Server.get_model_matrix`, which return the ``q`` replies as one
+read-only ``(q, d)`` matrix.  Both fan out one RPC per peer through the
+transport's execution engine (:mod:`repro.core.executor`): with the threaded
+engine the workers are serviced concurrently, so the round's wall-clock cost
+tracks the slowest single peer instead of the sum over peers — while the
+*simulated* elapsed time charged to the server is the latency of the
+``q``-th fastest reply.
 
 On top of those it exposes ``update_model()``, ``write_model()`` and
 ``compute_accuracy()``, matching Listing 1–3 of the paper.
@@ -67,21 +70,22 @@ class Server(Node):
         self.optimizer = optimizer or SGD(model.parameters(), lr=learning_rate, momentum=momentum)
         self.eval_batch_size = eval_batch_size
 
-        # Communication accounting (simulated seconds / message counts), from
-        # this server's own perspective.
+        # Communication accounting (simulated seconds, message counts and
+        # their bytes), from this server's own perspective: the one ledger
+        # the round accountant prices serialization from.
         self.gradient_comm_time = 0.0
         self.model_comm_time = 0.0
         self.messages_exchanged = 0
+        self.bytes_exchanged = 0
         self.iterations_run = 0
+        #: Cost-model size of one d-sized message (requests, unsharded replies).
+        self._message_bytes = self.cost_model.message_bytes(self.dimension)
 
         # Per-round observations consumed by the scenario trace recorder: the
         # sources of the last gradient quorum (ordered by simulated arrival)
         # and the norm of the last aggregated update applied.
         self.last_gradient_sources: List[str] = []
         self.last_update_norm: Optional[float] = None
-        #: (bytes, messages) of the last sharded gradient pull's slice
-        #: traffic — consumed by the round accountant's explicit-bytes path.
-        self.last_sharded_traffic = (0, 0)
 
         # Latest aggregated gradient — served to peers during the
         # decentralized *contract* step (Listing 3); exposed through the
@@ -222,8 +226,11 @@ class Server(Node):
         buffer = self._round_buffer(kind, len(peers) + (0 if gradients else 1), shard_map)
         # A sharded reply arrives as one slice message per shard and is
         # charged slice-framed.
-        reply_nbytes = None if shard_map is None else self.transport.sharded_reply_nbytes(shard_map)
-        reply_messages = 1 if shard_map is None else shard_map.num_shards
+        if shard_map is None:
+            record_nbytes, reply_nbytes, reply_messages = None, self._message_bytes, 1
+        else:
+            record_nbytes = reply_nbytes = self.transport.sharded_reply_nbytes(shard_map)
+            reply_messages = shard_map.num_shards
         replies, elapsed = self.transport.pull_many(
             self.node_id,
             targets,
@@ -232,22 +239,21 @@ class Server(Node):
             iteration=iteration,
             payload=self.flat_parameters() if gradients else None,
             sink=buffer,
-            record_nbytes=reply_nbytes,
+            record_nbytes=record_nbytes,
         )
+        replied = len(replies)
         if gradients:
             self.gradient_comm_time += elapsed
             # Each request carried the model state: one more d-sized message
             # through this server's NIC per target.
-            self.messages_exchanged += len(targets)
+            requests = len(targets)
+            self.messages_exchanged += requests
+            self.bytes_exchanged += requests * self._message_bytes
             self.last_gradient_sources = [reply.source for reply in replies]
-            if shard_map is not None:
-                self.last_sharded_traffic = (
-                    len(replies) * reply_nbytes,
-                    len(replies) * reply_messages,
-                )
         else:
             self.model_comm_time += elapsed
-        self.messages_exchanged += len(replies) * reply_messages
+        self.messages_exchanged += replied * reply_messages
+        self.bytes_exchanged += replied * reply_nbytes
         return buffer
 
     def get_gradient_matrix(
@@ -285,9 +291,9 @@ class Server(Node):
         is a :class:`~repro.sharding.buffers.ShardedRoundBuffer`: replies are
         staged as row views and only one ``(q, d_shard)`` slice is ever
         materialized at a time.  Stats bytes are charged slice-framed
-        (:meth:`~repro.network.transport.Transport.sharded_reply_nbytes`) and
-        each reply counts as ``num_shards`` messages; the slice-traffic totals
-        are exposed via :attr:`last_sharded_traffic` for the round accountant.
+        (:meth:`~repro.network.transport.Transport.sharded_reply_nbytes`), in
+        the stats and in :attr:`bytes_exchanged` alike, and each reply counts
+        as ``num_shards`` messages.
 
         Returns the staged buffer; consume it with
         :func:`repro.sharding.aggregation.aggregate_shards` before the next
@@ -295,8 +301,8 @@ class Server(Node):
         """
         return self._pull("gradient", iteration, quorum, workers, shard_map)
 
-    def record_shard_coordination(self, quorum: int, num_shards: int) -> tuple:
-        """Account one two-phase coordination exchange; returns ``(bytes, messages)``.
+    def record_shard_coordination(self, quorum: int, num_shards: int) -> None:
+        """Account one two-phase coordination exchange at its framed sizes.
 
         ``num_shards - 1`` partial ``(q, q)`` distance matrices converge on
         the coordinator lane and ``num_shards - 1`` index broadcasts fan back
@@ -309,30 +315,14 @@ class Server(Node):
         from repro.network.serialization import serialized_nbytes
 
         if num_shards <= 1 or quorum <= 0:
-            return 0, 0
-        partial = serialized_nbytes(quorum * quorum)
-        indices = serialized_nbytes(quorum)
-        total = 0
-        messages = 0
-        for nbytes in (partial, indices):
+            return
+        for nbytes in (serialized_nbytes(quorum * quorum), serialized_nbytes(quorum)):
             latency = self.transport.link.latency_from_jitter(0.0, nbytes)
             for _ in range(num_shards - 1):
                 self.transport.stats.record("shard-coordination", nbytes, latency)
-                total += nbytes
-                messages += 1
             self.gradient_comm_time += latency
-        self.messages_exchanged += messages
-        return total, messages
-
-    def get_gradients(self, iteration: int, quorum: Optional[int] = None) -> List[np.ndarray]:
-        """Pull gradient estimates from the workers; return the fastest ``quorum``.
-
-        Legacy list form of :meth:`get_gradient_matrix`: each entry is an
-        independent copy the caller owns (safe to hold across rounds).  Hot
-        paths should prefer the zero-copy matrix form.
-        """
-        matrix = self.get_gradient_matrix(iteration, quorum)
-        return [np.array(row) for row in matrix]
+            self.messages_exchanged += num_shards - 1
+            self.bytes_exchanged += (num_shards - 1) * nbytes
 
     def get_model_matrix(
         self,
@@ -354,15 +344,6 @@ class Server(Node):
             buffer.append_row(self.flat_parameters())
         return buffer.matrix()
 
-    def get_models(self, quorum: Optional[int] = None, iteration: int = 0) -> List[np.ndarray]:
-        """Pull model states from the other server replicas; return the fastest ``quorum``.
-
-        Legacy list form of :meth:`get_model_matrix`; entries are independent
-        copies the caller owns.
-        """
-        matrix = self.get_model_matrix(quorum, iteration=iteration)
-        return [np.array(row) for row in matrix]
-
     def get_aggr_grad_matrix(
         self,
         quorum: Optional[int] = None,
@@ -380,15 +361,6 @@ class Server(Node):
         if extra is not None:
             buffer.append_row(extra)
         return buffer.matrix()
-
-    def get_aggr_grads(self, quorum: Optional[int] = None, iteration: int = 0) -> List[np.ndarray]:
-        """Pull the latest aggregated gradients from peers (decentralized contract step).
-
-        Legacy list form of :meth:`get_aggr_grad_matrix`; entries are
-        independent copies the caller owns.
-        """
-        matrix = self.get_aggr_grad_matrix(quorum, iteration=iteration)
-        return [np.array(row) for row in matrix]
 
     # ------------------------------------------------------------------ #
     # Checkpointing

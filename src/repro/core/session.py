@@ -49,12 +49,14 @@ from typing import (
 
 import numpy as np
 
+from repro.aggregators.base import DistanceGAR
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller, Deployment, TrainingResult
 from repro.core.metrics import IterationRecord
 from repro.core.scenario import config_for_scenario
 from repro.core.server import Server
 from repro.exceptions import ConfigurationError
+from repro.sharding.aggregation import aggregate_shards
 
 
 # ---------------------------------------------------------------------- #
@@ -79,10 +81,9 @@ class RoundAccountant:
         self.server = reporting_server
         self._comm_start = 0.0
         self._messages_start = 0
+        self._bytes_start = 0
         self._aggregation_time = 0.0
         self._resilience_start = 0
-        self._explicit_bytes = 0
-        self._explicit_messages = 0
 
     # ------------------------------------------------------------------ #
     def _resilience_messages(self) -> int:
@@ -93,22 +94,9 @@ class RoundAccountant:
     def begin(self) -> None:
         self._comm_start = self.server.gradient_comm_time + self.server.model_comm_time
         self._messages_start = self.server.messages_exchanged
+        self._bytes_start = self.server.bytes_exchanged
         self._aggregation_time = 0.0
         self._resilience_start = self._resilience_messages()
-        self._explicit_bytes = 0
-        self._explicit_messages = 0
-
-    def add_wire_traffic(self, nbytes: int, messages: int) -> None:
-        """Declare ``messages`` of this round's traffic as exactly ``nbytes``.
-
-        By default :meth:`end` charges every exchanged message at the full
-        model dimension.  Sharded rounds move most bytes as slice-sized
-        messages plus small coordination frames; the strategy reports those
-        through this hook so serialization is charged on the bytes actually
-        framed, while any remaining (implicit) messages still pay full-``d``.
-        """
-        self._explicit_bytes += int(nbytes)
-        self._explicit_messages += int(messages)
 
     def add_aggregation(self, gar, dimension: Optional[int] = None) -> None:
         """Account one GAR invocation at the given dimension (defaults to the model's)."""
@@ -129,14 +117,14 @@ class RoundAccountant:
         config = self.deployment.config
         dimension = self.server.dimension
         comm = (self.server.gradient_comm_time + self.server.model_comm_time) - self._comm_start
-        messages = self.server.messages_exchanged - self._messages_start
-        vanilla = config.deployment == "vanilla"
-        implicit = messages - self._explicit_messages
-        comm += self.deployment.cost_model.serialization_time(dimension, implicit, vanilla=vanilla)
-        if self._explicit_messages > 0:
-            comm += self.deployment.cost_model.serialization_time_for_bytes(
-                self._explicit_bytes, self._explicit_messages, vanilla=vanilla
-            )
+        # Serialization is priced on the server's byte ledger: d-sized
+        # messages at the cost model's size, slice replies and shard
+        # coordination at their framed sizes.
+        comm += self.deployment.cost_model.serialization_time_for_bytes(
+            self.server.bytes_exchanged - self._bytes_start,
+            self.server.messages_exchanged - self._messages_start,
+            vanilla=config.deployment == "vanilla",
+        )
         resilience_messages = self._resilience_messages() - self._resilience_start
         if resilience_messages > 0:
             # Hedged and retried pulls are real extra traffic: charge their
@@ -204,11 +192,7 @@ class RoundContext:
     def config(self):
         return self.deployment.config
 
-    def account(self, gar, dimension: Optional[int] = None) -> None:
-        """Charge one GAR invocation performed by the reporting server."""
-        self.accountant.add_aggregation(gar, dimension)
-
-    def gradients(self, server: Server, shard_map=None):
+    def gradients(self, server: Server):
         """``server``'s gradient pull for this round, over the current membership.
 
         The one place a strategy gets its gradient rows: the active workers
@@ -216,11 +200,13 @@ class RoundContext:
         evicted or declared dead costs no message and no waiting in any
         deployment.  With nobody excluded this is the whole roster and
         ``ClusterConfig.gradient_quorum``.  Returns the read-only ``(q, d)``
-        view, or the staged per-shard buffer when ``shard_map`` is given;
-        aggregate it with :attr:`f`.
+        view, or the staged per-shard buffer when the deployment has a
+        :attr:`~repro.core.controller.Deployment.shard_map`; either goes to
+        :meth:`RoundStrategy.aggregate`.
         """
         membership = self.deployment.membership
         workers = list(membership.active())
+        shard_map = self.deployment.shard_map
         if shard_map is None:
             return server.get_gradient_matrix(self.iteration, membership.quorum(), workers)
         return server.get_sharded_gradient_matrices(
@@ -343,7 +329,7 @@ class RoundStrategy:
         return ctx.gradients(ctx.server)
 
     def aggregate(
-        self, ctx: RoundContext, rows: np.ndarray, server: Optional[Server] = None, model: bool = False
+        self, ctx: RoundContext, rows, server: Optional[Server] = None, model: bool = False
     ) -> np.ndarray:
         """Robustly aggregate ``server``'s rows (default: the reporting server's).
 
@@ -356,23 +342,36 @@ class RoundStrategy:
         built for the full quorum, and with nobody excluded the rule *is* the
         deployment's own instance.  The reporting server's sized rule is what
         the accountant charges, so a shrunk membership shows up as cheaper
-        aggregation, not just fewer messages.  With a detection manager
-        attached gradient rows are scored and reputation-weighted first
-        (``detection.weigh_and_observe`` — the suspicion update lands in the
-        same round).  Membership decisions happen at the end of the round
-        (:meth:`Session.step` calls ``detection.finish_round``).
+        aggregation, not just fewer messages.  Gradient rows staged per shard
+        (the deployment has a ``shard_map``) run through
+        :func:`~repro.sharding.aggregation.aggregate_shards`: a distance rule
+        pays the two-phase coordination exchange, and the charge is the widest
+        shard's — the critical path of the parallel shard lanes.  With a
+        detection manager attached gradient rows are scored and
+        reputation-weighted first (``detection.weigh_and_observe`` — the
+        suspicion update lands in the same round).  Membership decisions
+        happen at the end of the round (:meth:`Session.step` calls
+        ``detection.finish_round``).
         """
         server = ctx.server if server is None else server
-        detection = None if model else ctx.deployment.detection
+        deployment = ctx.deployment
+        detection = None if model else deployment.detection
+        shard_map = None if model else deployment.shard_map
         if detection is not None:
             rows = detection.weigh_and_observe(rows, tuple(server.last_gradient_sources))
+        count = len(rows) if shard_map is None else rows.rows
         if model:
-            gar = ctx.deployment.model_gar.resized(len(rows))
+            gar = deployment.model_gar.resized(count)
         else:
-            gar = ctx.deployment.gradient_gar.resized(len(rows), ctx.f)
-        update = gar.aggregate_matrix(rows)
+            gar = deployment.gradient_gar.resized(count, ctx.f)
+        if shard_map is None:
+            update = gar.aggregate_matrix(rows)
+        else:
+            update = aggregate_shards(gar, rows)
+            if isinstance(gar, DistanceGAR):
+                server.record_shard_coordination(count, shard_map.num_shards)
         if server is ctx.server:
-            ctx.account(gar)
+            ctx.accountant.add_aggregation(gar, None if shard_map is None else shard_map.max_size)
             if detection is not None:
                 ctx.accountant.add_detection(detection, len(rows))
         return update

@@ -11,9 +11,8 @@ faithful in-process substitute:
   with per-link latency / bandwidth models and crash / straggler injection;
   ``pull_many`` implements the "fastest q of n" semantics that
   ``get_gradients`` / ``get_models`` need.
-* :mod:`repro.network.topology` — cluster topologies (parameter-server star,
-  replicated-server, peer-to-peer) built on networkx, with message-count
-  accounting per training round.
+* :mod:`repro.network.topology` — the messages one training round of each
+  deployment (parameter-server star, replicated servers, peer-to-peer) needs.
 * :mod:`repro.network.cost` — the analytic per-iteration cost model (compute,
   serialization, transfer, aggregation) used to reproduce the paper's
   throughput figures, with a CPU/GPU device abstraction.
@@ -30,7 +29,7 @@ from repro.network.serialization import (
 )
 from repro.network.transport import LinkModel, RoundBuffer, Transport, TransportStats
 from repro.network.failures import FailureInjector
-from repro.network.topology import ClusterTopology, build_topology, messages_per_round
+from repro.network.topology import messages_per_round
 from repro.network.cost import (
     CPU,
     DEVICES,
@@ -58,8 +57,6 @@ __all__ = [
     "Transport",
     "TransportStats",
     "FailureInjector",
-    "ClusterTopology",
-    "build_topology",
     "messages_per_round",
     "Device",
     "CPU",

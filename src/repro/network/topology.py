@@ -1,21 +1,16 @@
-"""Cluster topologies and per-round message accounting.
+"""Per-round message accounting of each deployment.
 
 The paper explains decentralized learning's poor scalability by its O(n^2)
 messages per round versus O(n) for the parameter-server architectures
-(Figure 9).  This module builds the communication graph of each deployment
-with networkx and counts the messages a single training round requires, which
-both the cost model and the tests rely on.
+(Figure 9).  This module counts the messages a single training round of each
+deployment requires (the Figure 9 benchmark reads them).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List
+from typing import Dict
 
 from repro.exceptions import ConfigurationError
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 #: Deployment names understood by :func:`messages_per_round`.
 DEPLOYMENTS = (
@@ -26,86 +21,6 @@ DEPLOYMENTS = (
     "msmw",
     "decentralized",
 )
-
-
-@dataclass
-class ClusterTopology:
-    """Node inventory and communication graph of one deployment."""
-
-    deployment: str
-    num_workers: int
-    num_servers: int
-    graph: nx.DiGraph  # a string under the __future__ import: never evaluated
-
-    @property
-    def worker_ids(self) -> List[str]:
-        return [n for n, data in self.graph.nodes(data=True) if data["role"] == "worker"]
-
-    @property
-    def server_ids(self) -> List[str]:
-        return [n for n, data in self.graph.nodes(data=True) if data["role"] == "server"]
-
-    @property
-    def num_links(self) -> int:
-        return self.graph.number_of_edges()
-
-
-def build_topology(deployment: str, num_workers: int, num_servers: int = 1) -> ClusterTopology:
-    """Build the directed communication graph of a deployment.
-
-    Edges point from the puller to the node it pulls from (one edge per
-    directed communication relation used in a round).
-    """
-    deployment = deployment.lower()
-    if deployment not in DEPLOYMENTS:
-        raise ConfigurationError(f"unknown deployment '{deployment}'; choose from {DEPLOYMENTS}")
-    if num_workers < 1:
-        raise ConfigurationError("need at least one worker")
-
-    # Imported here, not at module level: every node host imports this module
-    # for the message counts, and only this function needs networkx (~20 MB).
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    workers = [f"worker-{i}" for i in range(num_workers)]
-    for worker in workers:
-        graph.add_node(worker, role="worker")
-
-    if deployment == "decentralized":
-        # Every node is both a server and a worker; all-to-all links.
-        for worker in workers:
-            graph.nodes[worker]["role"] = "worker"
-        for a in workers:
-            for b in workers:
-                if a != b:
-                    graph.add_edge(a, b)
-        return ClusterTopology(deployment, num_workers, 0, graph)
-
-    if deployment in ("vanilla", "aggregathor", "ssmw"):
-        effective_servers = 1
-    else:
-        if num_servers < 1:
-            raise ConfigurationError("replicated deployments need at least one server")
-        effective_servers = num_servers
-
-    servers = [f"server-{i}" for i in range(effective_servers)]
-    for server in servers:
-        graph.add_node(server, role="server")
-
-    # Workers pull models from servers; servers pull gradients from workers.
-    for server in servers:
-        for worker in workers:
-            graph.add_edge(server, worker)  # server pulls gradient from worker
-            graph.add_edge(worker, server)  # worker pulls model from server
-
-    if deployment in ("msmw", "crash-tolerant") and effective_servers > 1:
-        # Server replicas pull models from each other.
-        for a in servers:
-            for b in servers:
-                if a != b:
-                    graph.add_edge(a, b)
-
-    return ClusterTopology(deployment, num_workers, effective_servers, graph)
 
 
 def messages_per_round(deployment: str, num_workers: int, num_servers: int = 1) -> Dict[str, int]:
@@ -127,6 +42,10 @@ def messages_per_round(deployment: str, num_workers: int, num_servers: int = 1) 
     deployment = deployment.lower()
     if deployment not in DEPLOYMENTS:
         raise ConfigurationError(f"unknown deployment '{deployment}'; choose from {DEPLOYMENTS}")
+    if num_workers < 1:
+        raise ConfigurationError("need at least one worker")
+    if deployment in ("crash-tolerant", "msmw") and num_servers < 1:
+        raise ConfigurationError("replicated deployments need at least one server")
     nw, nps = num_workers, num_servers
     if deployment in ("vanilla", "aggregathor", "ssmw"):
         return {"model_messages": nw, "gradient_messages": nw, "server_model_messages": 0}

@@ -33,7 +33,7 @@ class TestRoundAccountant:
         server = deployment.servers[0]
         accountant = RoundAccountant(deployment, server)
         accountant.begin()
-        server.get_gradients(0, 5)
+        server.get_gradient_matrix(0, 5)
         accountant.add_aggregation(deployment.gradient_gar)
         record = accountant.end(0, accuracy=0.5)
         assert record.compute_time > 0
@@ -49,7 +49,7 @@ class TestRoundAccountant:
             server = deployment.servers[0]
             accountant = RoundAccountant(deployment, server)
             accountant.begin()
-            server.get_gradients(0, 5)
+            server.get_gradient_matrix(0, 5)
             accountant.end(0)
         assert (
             vanilla.metrics.records[0].communication_time

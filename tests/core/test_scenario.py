@@ -432,14 +432,17 @@ class TestDirectorApply:
         server = deployment.servers[0]
         director = ScenarioDirector(spec_of([{"round": 0, "action": "attack_stop"}]), deployment)
 
-        attacked = server.get_gradients(0, 5)
+        # Copied: the next pull recycles the round buffer.
+        attacked = server.get_gradient_matrix(0, 5).copy()
         director.apply(0)
-        honest = server.get_gradients(1, 5)
+        honest = server.get_gradient_matrix(1, 5)
         # The reversed attack negates the honest gradient: with the attack
         # stopped the Byzantine worker's reply flips direction.
         import numpy as np
 
-        assert np.linalg.norm(sum(honest)) != pytest.approx(np.linalg.norm(sum(attacked)))
+        assert np.linalg.norm(honest.sum(axis=0)) != pytest.approx(
+            np.linalg.norm(attacked.sum(axis=0))
+        )
 
 
 class TestDeploymentWiring:

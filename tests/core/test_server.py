@@ -88,33 +88,33 @@ class TestModelState:
 class TestNetworkingAbstractions:
     def test_get_gradients_returns_quorum(self):
         _, servers, workers, _ = build_ps_cluster(num_workers=5)
-        gradients = servers[0].get_gradients(iteration=0, quorum=3)
-        assert len(gradients) == 3
-        assert all(g.shape == (servers[0].dimension,) for g in gradients)
+        gradients = servers[0].get_gradient_matrix(iteration=0, quorum=3)
+        assert gradients.shape == (3, servers[0].dimension)
 
     def test_get_gradients_defaults_to_all_workers(self):
         _, servers, workers, _ = build_ps_cluster(num_workers=4)
-        assert len(servers[0].get_gradients(iteration=0)) == 4
+        assert len(servers[0].get_gradient_matrix(iteration=0)) == 4
 
     def test_get_gradients_accumulates_comm_time_and_messages(self):
         _, servers, _, _ = build_ps_cluster(num_workers=4)
         server = servers[0]
-        server.get_gradients(iteration=0, quorum=2)
+        server.get_gradient_matrix(iteration=0, quorum=2)
         assert server.gradient_comm_time > 0
         assert server.messages_exchanged == 4 + 2
+        assert server.bytes_exchanged == 6 * server.cost_model.message_bytes(server.dimension)
 
     def test_get_gradients_without_workers_raises(self):
         transport = Transport()
         server = Server("lonely", transport, LogisticRegression(input_dim=16, num_classes=4))
         with pytest.raises(ConfigurationError):
-            server.get_gradients(0)
+            server.get_gradient_matrix(0)
 
     def test_get_models_fetches_peer_state(self):
         _, servers, _, _ = build_ps_cluster(num_servers=3)
         target_state = np.full(servers[0].dimension, 0.5)
         servers[1].write_model(target_state)
         servers[2].write_model(target_state)
-        models = servers[0].get_models(quorum=2)
+        models = servers[0].get_model_matrix(quorum=2)
         assert len(models) == 2
         assert all(np.allclose(m, target_state) for m in models)
 
@@ -125,12 +125,12 @@ class TestNetworkingAbstractions:
     def test_get_models_without_peers_raises(self):
         _, servers, _, _ = build_ps_cluster(num_servers=1)
         with pytest.raises(ConfigurationError):
-            servers[0].get_models()
+            servers[0].get_model_matrix()
 
     def test_get_aggr_grads_serves_latest(self):
         _, servers, _, _ = build_ps_cluster(num_servers=2)
         servers[1].latest_aggr_grad = np.full(servers[1].dimension, 2.0)
-        grads = servers[0].get_aggr_grads(quorum=1)
+        grads = servers[0].get_aggr_grad_matrix(quorum=1)
         assert np.allclose(grads[0], 2.0)
 
     def test_get_aggr_grads_silent_when_unset(self):
@@ -138,7 +138,7 @@ class TestNetworkingAbstractions:
 
         _, servers, _, _ = build_ps_cluster(num_servers=2)
         with pytest.raises(TimeoutError):
-            servers[0].get_aggr_grads(quorum=1)
+            servers[0].get_aggr_grad_matrix(quorum=1)
 
 
 class TestEvaluation:
@@ -158,7 +158,7 @@ class TestEvaluation:
         server = servers[0]
         before = server.compute_accuracy()
         for iteration in range(25):
-            gradients = server.get_gradients(iteration)
+            gradients = server.get_gradient_matrix(iteration)
             server.update_model(np.mean(gradients, axis=0))
         after = server.compute_accuracy()
         assert after >= before

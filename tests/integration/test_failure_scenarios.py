@@ -39,7 +39,7 @@ class TestStragglers:
         server = deployment.servers[0]
         quorum = deployment.config.gradient_quorum()
         for iteration in range(3):
-            gradients = server.get_gradients(iteration, quorum)
+            gradients = server.get_gradient_matrix(iteration, quorum)
             assert len(gradients) == quorum
         # The straggler still computed gradients (it was asked) but its replies
         # never made the quorum, so training time is unaffected.

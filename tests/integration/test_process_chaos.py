@@ -108,7 +108,7 @@ class TestSigkillCrashThenRecover:
                     pid_after = backend.pid("worker-0")
                     assert pid_after is not None and pid_after != pid_before
                     assert _pid_is_alive(pid_after)
-                gradients = server.get_gradients(iteration, quorum)
+                gradients = server.get_gradient_matrix(iteration, quorum)
                 sources_per_round[iteration] = list(server.last_gradient_sources)
                 server.update_model(gar(gradients=gradients, f=config.num_byzantine_workers))
 

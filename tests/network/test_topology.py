@@ -1,45 +1,11 @@
-"""Tests for cluster topologies and message accounting."""
+"""Tests for per-round message accounting."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.network.topology import DEPLOYMENTS, build_topology, messages_per_round
-
-
-class TestBuildTopology:
-    def test_single_server_star(self):
-        topo = build_topology("ssmw", num_workers=4)
-        assert len(topo.worker_ids) == 4
-        assert len(topo.server_ids) == 1
-        # Each worker<->server pair has two directed edges.
-        assert topo.num_links == 8
-
-    def test_vanilla_forces_single_server(self):
-        topo = build_topology("vanilla", num_workers=3, num_servers=5)
-        assert len(topo.server_ids) == 1
-
-    def test_msmw_adds_server_to_server_links(self):
-        topo = build_topology("msmw", num_workers=4, num_servers=3)
-        assert topo.num_links == 4 * 3 * 2 + 3 * 2
-
-    def test_decentralized_is_complete_graph(self):
-        topo = build_topology("decentralized", num_workers=5)
-        assert topo.num_links == 5 * 4
-        assert len(topo.server_ids) == 0
-
-    def test_unknown_deployment(self):
-        with pytest.raises(ConfigurationError):
-            build_topology("federated", num_workers=3)
-
-    def test_requires_workers(self):
-        with pytest.raises(ConfigurationError):
-            build_topology("ssmw", num_workers=0)
-
-    def test_replicated_requires_servers(self):
-        with pytest.raises(ConfigurationError):
-            build_topology("msmw", num_workers=3, num_servers=0)
+from repro.network.topology import DEPLOYMENTS, messages_per_round
 
 
 class TestMessagesPerRound:
@@ -81,3 +47,30 @@ class TestMessagesPerRound:
     def test_unknown_deployment(self):
         with pytest.raises(ConfigurationError):
             messages_per_round("gossip", num_workers=5)
+
+    def test_single_server_star(self):
+        counts = messages_per_round("ssmw", num_workers=4)
+        # One model and one gradient message per worker<->server pair.
+        assert counts == {"model_messages": 4, "gradient_messages": 4, "server_model_messages": 0}
+
+    def test_vanilla_forces_single_server(self):
+        for deployment in ("vanilla", "aggregathor", "ssmw"):
+            many = messages_per_round(deployment, num_workers=3, num_servers=5)
+            assert many == messages_per_round(deployment, num_workers=3, num_servers=1)
+
+    def test_msmw_adds_server_to_server_links(self):
+        counts = messages_per_round("msmw", num_workers=4, num_servers=3)
+        assert sum(counts.values()) == 4 * 3 * 2 + 3 * 2
+
+    def test_decentralized_is_complete_graph(self):
+        counts = messages_per_round("decentralized", num_workers=5)
+        assert set(counts.values()) == {5 * 4}
+
+    def test_requires_workers(self):
+        with pytest.raises(ConfigurationError):
+            messages_per_round("ssmw", num_workers=0)
+
+    def test_replicated_requires_servers(self):
+        for deployment in ("crash-tolerant", "msmw"):
+            with pytest.raises(ConfigurationError):
+                messages_per_round(deployment, num_workers=3, num_servers=0)
