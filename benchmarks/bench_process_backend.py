@@ -65,15 +65,16 @@ def run_rounds(deployment) -> Tuple[float, float, List[np.ndarray]]:
     """Drive ``ROUNDS`` collection+update rounds; return (wall/round, sim, grads)."""
     config = deployment.config
     server = deployment.servers[0]
+    ledger = deployment.transport.ledger
     gar = deployment.gradient_gar
     quorum = config.gradient_quorum()
     aggregates: List[np.ndarray] = []
     simulated = 0.0
     start = time.perf_counter()
     for iteration in range(ROUNDS):
-        comm_before = server.gradient_comm_time
+        ledger.open_round()
         gradients = server.get_gradient_matrix(iteration, quorum)
-        simulated += server.gradient_comm_time - comm_before
+        simulated += ledger.charge(server.node_id).elapsed
         aggregated = gar(gradients=gradients, f=config.num_byzantine_workers)
         server.update_model(aggregated)
         aggregates.append(aggregated)

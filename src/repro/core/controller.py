@@ -356,9 +356,7 @@ class Controller:
             if backend is not None:
                 if resilience.retry:
                     backend.retry_policy = resilience.retry_policy(config.seed)
-                    backend.on_retry = (
-                        lambda node, attempt, error: transport.stats.note_retry()
-                    )
+                    backend.on_retry = lambda node, attempt, error: transport.ledger.retried()
                 if resilience.supervise:
                     deployment.supervisor = NodeSupervisor(
                         backend,

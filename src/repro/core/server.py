@@ -70,16 +70,7 @@ class Server(Node):
         self.optimizer = optimizer or SGD(model.parameters(), lr=learning_rate, momentum=momentum)
         self.eval_batch_size = eval_batch_size
 
-        # Communication accounting (simulated seconds, message counts and
-        # their bytes), from this server's own perspective: the one ledger
-        # the round accountant prices serialization from.
-        self.gradient_comm_time = 0.0
-        self.model_comm_time = 0.0
-        self.messages_exchanged = 0
-        self.bytes_exchanged = 0
         self.iterations_run = 0
-        #: Cost-model size of one d-sized message (requests, unsharded replies).
-        self._message_bytes = self.cost_model.message_bytes(self.dimension)
 
         # Per-round observations consumed by the scenario trace recorder: the
         # sources of the last gradient quorum (ordered by simulated arrival)
@@ -201,7 +192,7 @@ class Server(Node):
         targets: Optional[Sequence[str]] = None,
         shard_map=None,
     ):
-        """Quorum-pull ``kind`` into this server's round buffer and account it.
+        """Quorum-pull ``kind`` into this server's round buffer.
 
         The one pull behind every ``get_*_matrix``.  Gradients come from the
         workers (``targets`` may restrict them) and the request ships the
@@ -209,7 +200,8 @@ class Server(Node):
         All RPCs are issued concurrently through :attr:`executor`; rows are
         ordered by simulated arrival, and the elapsed time charged to this
         server is the latency of the ``quorum``-th fastest reply — never the
-        sum over peers.  Returns the filled, still unsealed buffer.
+        sum over peers.  The transport's ledger charges the pull to this
+        server.  Returns the filled, still unsealed buffer.
         """
         gradients = kind == "gradient"
         peers = self.workers if gradients else self.servers
@@ -224,14 +216,7 @@ class Server(Node):
         # Replica pulls keep a spare row for this server's own vector (model
         # contraction, decentralized re-aggregation).
         buffer = self._round_buffer(kind, len(peers) + (0 if gradients else 1), shard_map)
-        # A sharded reply arrives as one slice message per shard and is
-        # charged slice-framed.
-        if shard_map is None:
-            record_nbytes, reply_nbytes, reply_messages = None, self._message_bytes, 1
-        else:
-            record_nbytes = reply_nbytes = self.transport.sharded_reply_nbytes(shard_map)
-            reply_messages = shard_map.num_shards
-        replies, elapsed = self.transport.pull_many(
+        replies, _ = self.transport.pull_many(
             self.node_id,
             targets,
             kind,
@@ -239,21 +224,10 @@ class Server(Node):
             iteration=iteration,
             payload=self.flat_parameters() if gradients else None,
             sink=buffer,
-            record_nbytes=record_nbytes,
+            shard_map=shard_map,
         )
-        replied = len(replies)
         if gradients:
-            self.gradient_comm_time += elapsed
-            # Each request carried the model state: one more d-sized message
-            # through this server's NIC per target.
-            requests = len(targets)
-            self.messages_exchanged += requests
-            self.bytes_exchanged += requests * self._message_bytes
             self.last_gradient_sources = [reply.source for reply in replies]
-        else:
-            self.model_comm_time += elapsed
-        self.messages_exchanged += replied * reply_messages
-        self.bytes_exchanged += replied * reply_nbytes
         return buffer
 
     def get_gradient_matrix(
@@ -290,39 +264,15 @@ class Server(Node):
         arrival time is that of the full ``d``-sized payload) — but the sink
         is a :class:`~repro.sharding.buffers.ShardedRoundBuffer`: replies are
         staged as row views and only one ``(q, d_shard)`` slice is ever
-        materialized at a time.  Stats bytes are charged slice-framed
-        (:meth:`~repro.network.transport.Transport.sharded_reply_nbytes`), in
-        the stats and in :attr:`bytes_exchanged` alike, and each reply counts
-        as ``num_shards`` messages.
+        materialized at a time.  The ledger charges each reply slice-framed
+        (:meth:`~repro.network.transport.Transport.sharded_reply_nbytes`), as
+        ``num_shards`` messages.
 
         Returns the staged buffer; consume it with
         :func:`repro.sharding.aggregation.aggregate_shards` before the next
         pull of any kind reuses the workers' gradient storage.
         """
         return self._pull("gradient", iteration, quorum, workers, shard_map)
-
-    def record_shard_coordination(self, quorum: int, num_shards: int) -> None:
-        """Account one two-phase coordination exchange at its framed sizes.
-
-        ``num_shards - 1`` partial ``(q, q)`` distance matrices converge on
-        the coordinator lane and ``num_shards - 1`` index broadcasts fan back
-        out, all at full float64 framing.  Everything is deterministic — the
-        latencies use zero jitter, so no RNG is consumed and the pull stream
-        stays identical to an unsharded round.  The fan-in and fan-out each
-        travel in parallel, so the simulated elapsed time charged is one
-        partial-matrix hop plus one broadcast hop.
-        """
-        from repro.network.serialization import serialized_nbytes
-
-        if num_shards <= 1 or quorum <= 0:
-            return
-        for nbytes in (serialized_nbytes(quorum * quorum), serialized_nbytes(quorum)):
-            latency = self.transport.link.latency_from_jitter(0.0, nbytes)
-            for _ in range(num_shards - 1):
-                self.transport.stats.record("shard-coordination", nbytes, latency)
-            self.gradient_comm_time += latency
-            self.messages_exchanged += num_shards - 1
-            self.bytes_exchanged += (num_shards - 1) * nbytes
 
     def get_model_matrix(
         self,

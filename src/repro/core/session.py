@@ -25,8 +25,9 @@ first-class:
 
 The engine reproduces the legacy ``run_*`` loops step for step: round
 boundaries call :meth:`~repro.core.controller.Deployment.begin_round` (which
-applies scenario events) *before* any user callback, the accountant brackets
-exactly the same communication, and evaluation happens at the same
+applies scenario events) *before* any user callback, the accountant opens the
+round on the transport's ledger after them and reads the reporting server's
+charge once the round's work is done, and evaluation happens at the same
 iterations — so the checked-in golden traces stay byte-identical on the
 serial, threaded and process backends whether a run is streamed, paused and
 resumed, or driven end to end.
@@ -69,9 +70,11 @@ class RoundAccountant:
 
     * *computation* — one worker's gradient-estimation time (workers compute
       in parallel, so the round pays the time of one estimate);
-    * *communication* — the pull latencies observed by the reporting server
-      plus the serialization / context-switch overhead of the messages it
-      exchanged (zero for vanilla deployments, Section 4.1);
+    * *communication* — the reporting server's charge in the transport's
+      ledger (:class:`~repro.network.ledger.Charge`): the simulated time it
+      waited on quorums and coordination hops, plus the serialization /
+      context-switch overhead of the messages it exchanged (zero for vanilla
+      deployments, Section 4.1);
     * *aggregation* — the robust-aggregation time of every GAR invocation the
       reporting server performed this round.
     """
@@ -79,24 +82,13 @@ class RoundAccountant:
     def __init__(self, deployment: Deployment, reporting_server: Server) -> None:
         self.deployment = deployment
         self.server = reporting_server
-        self._comm_start = 0.0
-        self._messages_start = 0
-        self._bytes_start = 0
         self._aggregation_time = 0.0
-        self._resilience_start = 0
 
     # ------------------------------------------------------------------ #
-    def _resilience_messages(self) -> int:
-        """Hedged + retried messages issued so far by the transport."""
-        stats = self.deployment.transport.stats
-        return stats.hedges_issued + stats.retries_issued
-
     def begin(self) -> None:
-        self._comm_start = self.server.gradient_comm_time + self.server.model_comm_time
-        self._messages_start = self.server.messages_exchanged
-        self._bytes_start = self.server.bytes_exchanged
+        """Open the round: the ledger's charges start again from zero."""
         self._aggregation_time = 0.0
-        self._resilience_start = self._resilience_messages()
+        self.deployment.transport.ledger.open_round()
 
     def add_aggregation(self, gar, dimension: Optional[int] = None) -> None:
         """Account one GAR invocation at the given dimension (defaults to the model's)."""
@@ -115,23 +107,16 @@ class RoundAccountant:
 
     def end(self, iteration: int, accuracy: Optional[float] = None) -> IterationRecord:
         config = self.deployment.config
+        cost_model = self.deployment.cost_model
         dimension = self.server.dimension
-        comm = (self.server.gradient_comm_time + self.server.model_comm_time) - self._comm_start
-        # Serialization is priced on the server's byte ledger: d-sized
-        # messages at the cost model's size, slice replies and shard
-        # coordination at their framed sizes.
-        comm += self.deployment.cost_model.serialization_time_for_bytes(
-            self.server.bytes_exchanged - self._bytes_start,
-            self.server.messages_exchanged - self._messages_start,
-            vanilla=config.deployment == "vanilla",
+        charge = self.deployment.transport.ledger.charge(self.server.node_id)
+        # Model-sized messages at the cost model's size, slice replies and
+        # shard coordination at their framed sizes.
+        nbytes = charge.vectors * cost_model.message_bytes(dimension) + charge.nbytes
+        comm = charge.elapsed + cost_model.serialization_time_for_bytes(
+            nbytes, charge.messages, vanilla=config.deployment == "vanilla"
         )
-        resilience_messages = self._resilience_messages() - self._resilience_start
-        if resilience_messages > 0:
-            # Hedged and retried pulls are real extra traffic: charge their
-            # serialization overhead into the communication bucket.  Guarded
-            # so resilience-less rounds add literally nothing (goldens).
-            comm += self.deployment.cost_model.hedge_time(dimension, resilience_messages)
-        compute = self.deployment.cost_model.compute_time(dimension, config.batch_size)
+        compute = cost_model.compute_time(dimension, config.batch_size)
         loss = None
         if accuracy is not None and self.deployment.trace is not None:
             # Scenario-driven runs also measure the test loss at evaluation
@@ -369,7 +354,9 @@ class RoundStrategy:
         else:
             update = aggregate_shards(gar, rows)
             if isinstance(gar, DistanceGAR):
-                server.record_shard_coordination(count, shard_map.num_shards)
+                deployment.transport.coordinate_shards(
+                    server.node_id, count, shard_map.num_shards
+                )
         if server is ctx.server:
             ctx.accountant.add_aggregation(gar, None if shard_map is None else shard_map.max_size)
             if detection is not None:

@@ -263,19 +263,3 @@ class CostModel:
             raise ConfigurationError("dimension must be positive")
         elements = self.DETECTION_PASSES * num_scored * dimension
         return elements / self.device.aggregation_elements_per_second
-
-    def hedge_time(self, dimension: int, num_messages: int) -> float:
-        """Serialization cost of ``num_messages`` hedged or retried pulls.
-
-        A hedged (or retried) pull is one extra model-sized message on the
-        wire: the round already pays its latency through the transport's
-        quorum selection, but the duplicate bytes still cost serialization /
-        context-switch time at the endpoints.  Charged per round only when
-        resilience issued extra traffic, so resilience-less rounds (every
-        golden) add exactly nothing.
-        """
-        if num_messages <= 0:
-            return 0.0
-        if dimension <= 0:
-            raise ConfigurationError("dimension must be positive")
-        return self.serialization_time(dimension, num_messages)

@@ -674,7 +674,7 @@ class SocketBackend(TransportBackend):
         #: their own buffered-replay path.
         self.retry_policy = retry_policy
         #: Observer fired as ``on_retry(node_id, attempt, error)`` before
-        #: each retry sleep; the transport wires it to its stats counters.
+        #: each retry sleep; the controller wires it to the transport's ledger.
         self.on_retry: Optional[Callable[[str, int, BaseException], None]] = None
         self._hosts: Dict[str, _NodeHost] = {}
         self._workdir: Optional[Path] = None

@@ -2,9 +2,10 @@
 
 This is the stand-in for Garfield's gRPC layer.  Every node registers a
 handler per RPC kind (``"gradient"``, ``"model"``, ...).  A requester pulls
-data from one peer (:meth:`Transport.pull`) or from many peers in parallel
-(:meth:`Transport.pull_many`), receiving the fastest ``quorum`` replies — the
-exact semantics required by ``get_gradients(t, q)`` / ``get_models(q)``.
+data from many peers in parallel (:meth:`Transport.pull_many`), receiving the
+fastest ``quorum`` replies — the exact semantics required by
+``get_gradients(t, q)`` / ``get_models(q)``.  Each communication fact is
+written once into the transport's :class:`~repro.network.ledger.Ledger`.
 
 Where a handler actually *runs* is the backend's business: the
 :class:`TransportBackend` interface separates the transport's protocol logic
@@ -51,15 +52,15 @@ yield bit-identical replies for a fixed seed.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import CommunicationError, NodeCrashedError, TimeoutError
 from repro.network.failures import FailureInjector
+from repro.network.ledger import Ledger, TransportStats
 from repro.network.message import Reply, RequestContext
 from repro.network.resilience import PullOutcome, WavePolicy
 from repro.network.serialization import (
@@ -201,71 +202,6 @@ class LinkModel:
 
 
 @dataclass
-class TransportStats:
-    """Counters reproducing the paper's communication accounting.
-
-    Mutation is lock-protected: the counters are shared by every node of a
-    deployment, and :meth:`note_retry` is called from the executor threads a
-    fan-out runs on (the socket backend retries inside ``invoke``) while the
-    driving thread accounts its own pulls.  Unprotected ``+=``
-    read-modify-write cycles drop increments under that interleaving.
-    """
-
-    messages_sent: int = 0
-    bytes_sent: int = 0
-    pulls_issued: int = 0
-    time_communicating: float = 0.0
-    #: Resilience accounting: hedge pulls issued on top of the primary wave,
-    #: the bytes their replies carried, and socket-level retry attempts.  All
-    #: three stay 0 unless the run opted into ``ClusterConfig.resilience``.
-    hedges_issued: int = 0
-    hedged_bytes: int = 0
-    retries_issued: int = 0
-    per_kind_messages: Dict[str, int] = field(default_factory=dict)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def record(self, kind: str, nbytes: int, latency: float) -> None:
-        with self._lock:
-            self.messages_sent += 1
-            self.bytes_sent += nbytes
-            self.time_communicating += latency
-            self.per_kind_messages[kind] = self.per_kind_messages.get(kind, 0) + 1
-
-    def note_pull_issued(self) -> None:
-        """Count one pull plan (see :meth:`Transport._plan`)."""
-        with self._lock:
-            self.pulls_issued += 1
-
-    def note_hedge_issued(self) -> None:
-        """Count one hedge pull (a re-issued straggling/lost primary pull)."""
-        with self._lock:
-            self.hedges_issued += 1
-
-    def note_hedge_bytes(self, nbytes: int) -> None:
-        """Account the payload bytes one hedge reply carried."""
-        with self._lock:
-            self.hedged_bytes += nbytes
-
-    def note_retry(self) -> None:
-        """Count one socket-level retry attempt (SocketBackend.on_retry)."""
-        with self._lock:
-            self.retries_issued += 1
-
-    def reset(self) -> None:
-        with self._lock:
-            self.messages_sent = 0
-            self.bytes_sent = 0
-            self.pulls_issued = 0
-            self.time_communicating = 0.0
-            self.hedges_issued = 0
-            self.hedged_bytes = 0
-            self.retries_issued = 0
-            self.per_kind_messages.clear()
-
-
-@dataclass
 class _PlannedPull:
     """One pre-sampled pull, ready to be dispatched to an executor."""
 
@@ -396,7 +332,8 @@ class Transport:
             raise CommunicationError("wall_time_scale must be non-negative")
         self.link = link or LinkModel()
         self.failures = failures or FailureInjector(seed=seed)
-        self.stats = TransportStats()
+        #: The one communication record: every pull fact is written here once.
+        self.ledger = Ledger()
         self.executor = executor or SerialExecutor()
         self.wire_format = parse_wire_format(wire_format)
         self.backend = backend or InProcessBackend(wire_format=self.wire_format)
@@ -409,6 +346,11 @@ class Transport:
         #: is what keeps every pre-resilience golden trace byte-identical.
         self.hedge: Optional[WavePolicy] = None
         self.health = None  # duck-typed: repro.core.health.LivenessDetector
+
+    @property
+    def stats(self) -> TransportStats:
+        """The deployment-wide communication totals, folded from :attr:`ledger`."""
+        return self.ledger.stats
 
     # ------------------------------------------------------------------ #
     # Registration
@@ -488,13 +430,30 @@ class Transport:
         :class:`~repro.sharding.shard_map.ShardMap`: the sum over shards of
         each slice's framed size, under the same width rules (the link's
         paper-calibrated per-element width for the plain-float64 default, the
-        configured format's exact framing otherwise).  This is what sharded
-        pulls pass as ``record_nbytes`` so the stats ledger charges what the
-        slice-wise codec actually frames.
+        configured format's exact framing otherwise).  This is what the
+        ledger records for each reply of a sharded pull, so accounting charges
+        what the slice-wise codec actually frames.
         """
         if self.wire_format.is_plain_float64:
             return sharded_nbytes(shard_map, self.link.bytes_per_element)
         return sharded_nbytes(shard_map, fmt=self.wire_format)
+
+    def coordinate_shards(self, requester: str, quorum: int, num_shards: int) -> None:
+        """Record one two-phase shard-coordination exchange at its framed sizes.
+
+        ``num_shards - 1`` partial ``(q, q)`` distance matrices converge on
+        the coordinator lane and ``num_shards - 1`` index broadcasts fan back
+        out, all at full float64 framing.  Everything is deterministic — the
+        latencies use zero jitter, so no RNG is consumed and the pull stream
+        stays identical to an unsharded round.  The fan-in and fan-out each
+        travel in parallel, so ``requester`` waits one partial-matrix hop plus
+        one broadcast hop.
+        """
+        if num_shards <= 1 or quorum <= 0:
+            return
+        for nbytes in (serialized_nbytes(quorum * quorum), serialized_nbytes(quorum)):
+            latency = self.link.latency_from_jitter(0.0, nbytes)
+            self.ledger.coordinated(requester, num_shards - 1, nbytes, latency)
 
     def _maybe_wall_wait(self, latency: float) -> None:
         """Sleep the scaled simulated latency when wall fidelity is enabled."""
@@ -502,15 +461,13 @@ class Transport:
             time.sleep(latency * self.wall_time_scale)
 
     def _plan(self, source: str, destination: str, kind: str) -> Optional[_PlannedPull]:
-        """Account one pull and pre-sample its random quantities, in order.
+        """Pre-sample one pull's random quantities, in wave order.
 
-        Shared by :meth:`pull` and :meth:`pull_many` so both consume the RNG
-        stream identically.  Raises on crashed peers and unknown kinds (the
-        fan-out caller decides whether to skip or propagate); returns ``None``
-        when the message is lost — dropped by the lossy link or cut off by a
+        Raises on crashed peers and unknown kinds (the wave turns a crash
+        into a refused pull and propagates the rest); returns ``None`` when
+        the message is lost — dropped by the lossy link or cut off by a
         network partition between ``source`` and ``destination``.
         """
-        self.stats.note_pull_issued()
         if self.failures.is_crashed(destination):
             raise NodeCrashedError(f"node '{destination}' has crashed")
         if not self.backend.has_handler(destination, kind):
@@ -553,22 +510,6 @@ class Transport:
             nbytes=nbytes,
         )
 
-    def pull(
-        self,
-        source: str,
-        destination: str,
-        kind: str,
-        iteration: int = 0,
-        payload: Any = None,
-    ) -> Reply:
-        """Pull ``kind`` data from ``destination`` on behalf of ``source``."""
-        planned = self._plan(source, destination, kind)
-        if planned is None:  # dropped in transit
-            return Reply(source=destination, kind=kind, iteration=iteration, payload=None, latency=np.inf)
-        reply = self._serve(planned, source, kind, iteration, payload)
-        self.stats.record(kind, reply.nbytes, reply.latency)
-        return reply
-
     def pull_many(
         self,
         source: str,
@@ -578,7 +519,7 @@ class Transport:
         iteration: int = 0,
         payload: Any = None,
         sink: Optional[RoundBuffer] = None,
-        record_nbytes: Optional[int] = None,
+        shard_map=None,
     ) -> Tuple[List[Reply], float]:
         """Pull from ``destinations`` concurrently; return the fastest ``quorum`` replies.
 
@@ -607,12 +548,13 @@ class Transport:
         in arrival order — the zero-copy hand-off consumed by
         ``GAR.aggregate_matrix``, and the round's single payload copy.
 
-        ``record_nbytes`` overrides the byte count the stats ledger records
-        per served reply — sharded pulls pass the slice-framed total
-        (:meth:`sharded_reply_nbytes`) so accounting reflects the scatter
-        encoding.  Latency (and therefore arrival order, elapsed time and the
-        RNG stream) is always derived from the reply's own framed size, which
-        is what keeps sharded runs byte-identical to unsharded ones.
+        With a ``shard_map`` each reply is scattered as one slice message
+        per shard: the :attr:`ledger` records it at the slice-framed total
+        (:meth:`sharded_reply_nbytes`).  Latency (and therefore arrival order,
+        elapsed time and the RNG stream) is always derived from the reply's
+        own framed size, which is what keeps sharded runs byte-identical to
+        unsharded ones.  The closed quorum is written to the ledger once, on
+        the requester's account.
         """
         if quorum <= 0:
             raise CommunicationError("quorum must be positive")
@@ -621,7 +563,11 @@ class Transport:
                 f"quorum {quorum} exceeds the number of destinations {len(destinations)}"
             )
         policy = self.hedge or _PULL_EVERYONE
-        request = (source, kind, iteration, payload, record_nbytes)
+        reply_messages, reply_nbytes = 1, None
+        if shard_map is not None:
+            reply_messages = shard_map.num_shards
+            reply_nbytes = self.sharded_reply_nbytes(shard_map)
+        request = (source, kind, iteration, payload, reply_nbytes)
         wave, reserves = policy.first_wave(destinations, quorum)
         outcomes = self._wave(wave, policy, request)
         unasked = list(reserves)
@@ -652,11 +598,13 @@ class Transport:
             o.reply if o.arrival == o.reply.latency else replace(o.reply, latency=o.arrival)
             for o in usable
         ]
+        elapsed = usable[-1].arrival
+        self.ledger.closed(source, quorum, elapsed, reply_messages, reply_nbytes)
         if sink is not None:
             sink.reset()
             for index, reply in enumerate(selected):
                 sink.write_row(index, reply.payload)
-        return selected, usable[-1].arrival
+        return selected, elapsed
 
     def _wave(
         self,
@@ -667,7 +615,8 @@ class Transport:
     ) -> List[PullOutcome]:
         """Plan, dispatch and classify one wave of pulls; one outcome per pull.
 
-        1. *Plan* (serial, in wave order) — account the pull, notice crashed
+        1. *Plan* (serial, in wave order) — record the wave as issued, on the
+           requester's account when the request ships a payload, notice crashed
            peers, sample the drop decision and the latency jitter.  Nothing
            else in a quorum pull touches shared randomness.
         2. *Dispatch* — every planned handler invocation goes through the
@@ -681,11 +630,10 @@ class Transport:
            in — so it already reflects the peers classified before it in this
            wave.
         """
-        source, kind, iteration, payload, record_nbytes = request
+        source, kind, iteration, payload, reply_nbytes = request
+        self.ledger.issued(source, len(wave), follow_up, payload is not None)
         plans: List[Any] = []
         for destination, _ in wave:
-            if follow_up:
-                self.stats.note_hedge_issued()
             try:
                 plans.append(self._plan(source, destination, kind))
             except NodeCrashedError:
@@ -713,10 +661,8 @@ class Transport:
                     # exactly once — its own reply is discarded, nothing else.
                     status = "lost"
                 else:
-                    recorded = reply.nbytes if record_nbytes is None else record_nbytes
-                    self.stats.record(reply.kind, recorded, reply.latency)
-                    if follow_up:
-                        self.stats.note_hedge_bytes(recorded)
+                    recorded = reply.nbytes if reply_nbytes is None else reply_nbytes
+                    self.ledger.served(reply.kind, recorded, reply.latency, follow_up)
                     if reply.is_silent or not math.isfinite(reply.latency):
                         status = "silent"
                     else:

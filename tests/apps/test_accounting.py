@@ -107,3 +107,54 @@ class TestMessageAccountingCrossCheck:
             per_round[n] = deployment.transport.stats.pulls_issued / 2
         # Quadratic growth: ~4x the pulls when the cluster doubles.
         assert per_round[8] / per_round[4] > 2.5
+
+
+class TestHedgedRoundCharges:
+    """A hedged round charges each request once, when it is issued."""
+
+    def test_reporting_server_pays_issued_pulls_and_selected_replies(self, monkeypatch):
+        config = ClusterConfig(
+            deployment="ssmw",
+            num_workers=9,
+            num_byzantine_workers=2,
+            gradient_gar="median",
+            asynchronous=True,
+            resilience={"hedge": True},
+            model="logistic",
+            dataset_size=200,
+            batch_size=8,
+            num_iterations=5,
+            accuracy_every=5,
+            seed=1,
+        )
+        with Session(config=config) as session:
+            deployment = session.deployment
+            transport = deployment.transport
+            waited = []
+            pull_many = transport.pull_many
+
+            def spy(*args, **kwargs):
+                replies, elapsed = pull_many(*args, **kwargs)
+                waited.append(elapsed)
+                return replies, elapsed
+
+            monkeypatch.setattr(transport, "pull_many", spy)
+            cost_model = deployment.cost_model
+            issued_so_far, issued_per_round = 0, []
+            for result in session:
+                issued = transport.stats.pulls_issued - issued_so_far
+                issued_so_far += issued
+                issued_per_round.append(issued)
+                server = session.reporting_server
+                assert len(waited) == result.iteration + 1  # one gradient pull a round
+                messages = issued + result.quorum
+                nbytes = messages * cost_model.message_bytes(server.dimension)
+                assert result.record.communication_time == waited[-1] + (
+                    cost_model.serialization_time_for_bytes(nbytes, messages)
+                ), f"round {result.iteration}"
+            stats = transport.stats
+        # The run covers both defects: first waves smaller than the roster,
+        # and follow-up waves.
+        assert min(issued_per_round) < config.num_workers
+        assert stats.hedges_issued > 0
+        assert stats.retries_issued == 0

@@ -10,6 +10,7 @@ from repro.core.byzantine import ByzantineServer, ByzantineWorker
 from repro.core.server import Server
 from repro.core.worker import Worker
 from repro.datasets.synthetic import make_classification
+from repro.exceptions import TimeoutError
 from repro.network.transport import Transport
 from repro.nn.models import LogisticRegression
 
@@ -59,8 +60,9 @@ class TestByzantineWorker:
     def test_serves_corrupted_gradient(self, cluster):
         transport, server, _, honest_worker, byz_worker = cluster
         flat = server.flat_parameters()
-        honest_reply = transport.pull("server-0", "worker-0", "gradient", iteration=0, payload=flat)
-        byz_reply = transport.pull("server-0", "worker-1", "gradient", iteration=0, payload=flat)
+        pull = dict(quorum=1, iteration=0, payload=flat)
+        [honest_reply], _ = transport.pull_many("server-0", ["worker-0"], "gradient", **pull)
+        [byz_reply], _ = transport.pull_many("server-0", ["worker-1"], "gradient", **pull)
         # The reversed attack multiplies by -100, so the norms differ hugely.
         assert np.linalg.norm(byz_reply.payload) > 10 * np.linalg.norm(honest_reply.payload)
 
@@ -83,8 +85,10 @@ class TestByzantineWorker:
         worker = ByzantineWorker(
             "w", transport, LogisticRegression(16, 4), dataset, batch_size=8, attack="drop"
         )
-        reply = transport.pull("s", "w", "gradient", payload=np.zeros(worker.model.num_parameters()))
-        assert reply.is_silent
+        with pytest.raises(TimeoutError, match=r"0 usable .* silent/late: w \|"):
+            transport.pull_many(
+                "s", ["w"], "gradient", quorum=1, payload=np.zeros(worker.model.num_parameters())
+            )
 
 
 class TestByzantineServer:
@@ -94,12 +98,12 @@ class TestByzantineServer:
     def test_serves_corrupted_model(self, cluster):
         transport, honest_server, byz_server, _, _ = cluster
         honest_state = byz_server.flat_parameters()
-        reply = transport.pull("server-0", "server-1", "model")
+        [reply], _ = transport.pull_many("server-0", ["server-1"], "model", quorum=1)
         assert not np.allclose(reply.payload, honest_state)
 
     def test_honest_server_model_is_untouched(self, cluster):
         transport, honest_server, _, _, _ = cluster
-        reply = transport.pull("server-1", "server-0", "model")
+        [reply], _ = transport.pull_many("server-1", ["server-0"], "model", quorum=1)
         assert np.allclose(reply.payload, honest_server.flat_parameters())
 
     def test_byzantine_server_still_trains_locally(self, cluster):
@@ -111,10 +115,10 @@ class TestByzantineServer:
     def test_corrupted_aggregated_gradient(self, cluster):
         transport, _, byz_server, _, _ = cluster
         byz_server.latest_aggr_grad = np.ones(byz_server.dimension)
-        reply = transport.pull("server-0", "server-1", "aggregated_gradient")
+        [reply], _ = transport.pull_many("server-0", ["server-1"], "aggregated_gradient", quorum=1)
         assert not np.allclose(reply.payload, 1.0)
 
     def test_unset_aggregated_gradient_stays_silent(self, cluster):
         transport, _, byz_server, _, _ = cluster
-        reply = transport.pull("server-0", "server-1", "aggregated_gradient")
-        assert reply.is_silent
+        with pytest.raises(TimeoutError, match=r"0 usable .* silent/late: server-1 \|"):
+            transport.pull_many("server-0", ["server-1"], "aggregated_gradient", quorum=1)

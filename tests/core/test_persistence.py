@@ -173,7 +173,7 @@ class TestCrashRecoverScenario:
         assert crashed.iterations_run == 6
         assert np.allclose(crashed.flat_parameters(), backup.flat_parameters())
         # The restored replica answers model pulls with the caught-up state.
-        reply = deployment.transport.pull("worker-0", "server-0", "model")
+        [reply], _ = deployment.transport.pull_many("worker-0", ["server-0"], "model", quorum=1)
         assert np.allclose(np.asarray(reply.payload), backup.flat_parameters())
 
     def test_all_replicas_crashed_aborts(self, tmp_path):

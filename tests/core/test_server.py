@@ -95,13 +95,16 @@ class TestNetworkingAbstractions:
         _, servers, workers, _ = build_ps_cluster(num_workers=4)
         assert len(servers[0].get_gradient_matrix(iteration=0)) == 4
 
-    def test_get_gradients_accumulates_comm_time_and_messages(self):
+    def test_get_gradients_charges_comm_time_and_messages(self):
         _, servers, _, _ = build_ps_cluster(num_workers=4)
         server = servers[0]
         server.get_gradient_matrix(iteration=0, quorum=2)
-        assert server.gradient_comm_time > 0
-        assert server.messages_exchanged == 4 + 2
-        assert server.bytes_exchanged == 6 * server.cost_model.message_bytes(server.dimension)
+        charge = server.transport.ledger.charge(server.node_id)
+        assert charge.elapsed > 0
+        # Four requests shipping the model state, two selected replies: all
+        # model-sized.
+        assert charge.messages == charge.vectors == 4 + 2
+        assert charge.nbytes == 0
 
     def test_get_gradients_without_workers_raises(self):
         transport = Transport()

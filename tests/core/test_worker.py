@@ -66,7 +66,9 @@ class TestWorker:
     def test_serve_gradient_through_transport(self, setup):
         transport, worker, model = setup
         flat = worker.flat_view().parameter_vector().copy()
-        reply = transport.pull("server-x", "worker-0", "gradient", iteration=0, payload=flat)
+        [reply], _ = transport.pull_many(
+            "server-x", ["worker-0"], "gradient", quorum=1, iteration=0, payload=flat
+        )
         assert reply.payload.shape == flat.shape
 
     def test_gradient_cached_per_iteration(self, setup):

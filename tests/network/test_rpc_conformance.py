@@ -86,22 +86,26 @@ class TestTransportConformance:
     def test_echo_round_trips_tensors_bit_exact(self, conformant_transport, size):
         """Framing conformance: 0-byte through >1 MiB tensors survive a pull."""
         payload = np.linspace(-1.0, 1.0, size)
-        reply = conformant_transport.pull("tester", "probe-0", "echo", payload=payload)
+        [reply], _ = conformant_transport.pull_many(
+            "tester", ["probe-0"], "echo", quorum=1, payload=payload
+        )
         assert isinstance(reply.payload, np.ndarray)
         assert np.array_equal(reply.payload, payload)
 
     def test_structured_payloads_round_trip(self, conformant_transport):
         payload = {"vectors": [np.arange(3, dtype=np.float64)], "tag": "x", "n": 2}
-        reply = conformant_transport.pull("tester", "probe-1", "echo", payload=payload)
+        [reply], _ = conformant_transport.pull_many(
+            "tester", ["probe-1"], "echo", quorum=1, payload=payload
+        )
         assert reply.payload["tag"] == "x"
         assert reply.payload["n"] == 2
         assert np.array_equal(reply.payload["vectors"][0], payload["vectors"][0])
 
     def test_handlers_execute_where_the_node_lives(self, conformant_transport):
-        reply = conformant_transport.pull("tester", "probe-2", "whoami")
+        [reply], _ = conformant_transport.pull_many("tester", ["probe-2"], "whoami", quorum=1)
         assert reply.payload == "probe-2"
-        scaled = conformant_transport.pull(
-            "tester", "probe-3", "scale", payload=np.asarray([1.0, -2.0])
+        [scaled], _ = conformant_transport.pull_many(
+            "tester", ["probe-3"], "scale", quorum=1, payload=np.asarray([1.0, -2.0])
         )
         assert np.array_equal(scaled.payload, np.asarray([2.0, -4.0]))
 
@@ -137,11 +141,11 @@ class TestTransportConformance:
 
     def test_remote_handler_errors_keep_their_exception_type(self, conformant_transport):
         with pytest.raises(CommunicationError, match="exploded"):
-            conformant_transport.pull("tester", "probe-0", "fail")
+            conformant_transport.pull_many("tester", ["probe-0"], "fail", quorum=1)
 
     def test_unknown_kind_raises_identically(self, conformant_transport):
         with pytest.raises(CommunicationError, match="serves no 'nonsense'"):
-            conformant_transport.pull("tester", "probe-0", "nonsense")
+            conformant_transport.pull_many("tester", ["probe-0"], "nonsense", quorum=1)
 
     def test_unencodable_result_is_a_clear_error_never_a_fake_crash(
         self, conformant_transport
@@ -151,17 +155,19 @@ class TestTransportConformance:
         must surface as a clear CommunicationError — not masquerade as the
         peer crashing (which pull_many would silently count as 'lost')."""
         if conformant_transport.backend.name == "inprocess":
-            reply = conformant_transport.pull("tester", "probe-0", "unencodable")
+            [reply], _ = conformant_transport.pull_many(
+                "tester", ["probe-0"], "unencodable", quorum=1
+            )
             assert reply.payload == {"oops": {1, 2, 3}}
         else:
             with pytest.raises(CommunicationError, match="not wire-encodable") as exc:
-                conformant_transport.pull("tester", "probe-0", "unencodable")
+                conformant_transport.pull_many("tester", ["probe-0"], "unencodable", quorum=1)
             assert not isinstance(exc.value, NodeCrashedError)
 
-    def test_crashed_peer_raises_node_crashed(self, conformant_transport):
+    def test_crashed_peer_is_refused(self, conformant_transport):
         conformant_transport.failures.crash("probe-1")
-        with pytest.raises(NodeCrashedError):
-            conformant_transport.pull("tester", "probe-1", "echo")
+        with pytest.raises(TimeoutError, match=r"0 usable .* never replied: probe-1\]"):
+            conformant_transport.pull_many("tester", ["probe-1"], "echo", quorum=1)
 
     def test_crashed_peers_are_skipped_in_fan_outs(self, conformant_transport):
         conformant_transport.failures.crash("probe-2")
@@ -172,16 +178,20 @@ class TestTransportConformance:
 
     def test_partitioned_peer_is_unreachable(self, conformant_transport):
         conformant_transport.failures.set_partition([["probe-3"]])
-        reply = conformant_transport.pull("tester", "probe-3", "echo", payload=np.ones(2))
-        assert reply.is_silent  # connection never attempted across the cut
+        # The connection is never attempted across the cut: no reply at all.
+        with pytest.raises(TimeoutError, match=r"0 usable .* never replied: probe-3\]"):
+            conformant_transport.pull_many(
+                "tester", ["probe-3"], "echo", quorum=1, payload=np.ones(2)
+            )
 
 
 @pytest.mark.backend("process")
 @pytest.mark.slow
 class TestSocketBackendCrashSemantics:
     """Socket-only conformance: a peer dying *mid-reply* must surface exactly
-    like the in-process crash path (NodeCrashedError), and a fan-out holding
-    exactly ``n - f`` live peers must still meet its quorum."""
+    like the in-process crash path (NodeCrashedError, which a fan-out counts
+    as one lost pull), and a fan-out holding exactly ``n - f`` live peers
+    must still meet its quorum."""
 
     @pytest.fixture
     def socket_transport(self):
@@ -189,14 +199,14 @@ class TestSocketBackendCrashSemantics:
         yield transport
         transport.close()
 
-    def test_sigkill_mid_reply_raises_node_crashed(self, socket_transport):
+    def test_sigkill_mid_reply_is_a_lost_pull(self, socket_transport):
         backend = socket_transport.backend
         victim = "probe-0"
         outcome = {}
 
         def slow_pull():
             try:
-                socket_transport.pull("tester", victim, "nap", payload=2.0)
+                socket_transport.pull_many("tester", [victim], "nap", quorum=1, payload=2.0)
                 outcome["error"] = None
             except Exception as exc:  # noqa: BLE001 - recorded for the assert
                 outcome["error"] = exc
@@ -207,7 +217,9 @@ class TestSocketBackendCrashSemantics:
         backend.apply_control(victim, "crash")  # snapshot attempt + SIGKILL
         thread.join(timeout=30)
         assert not thread.is_alive()
-        assert isinstance(outcome["error"], NodeCrashedError)
+        # The backend raised NodeCrashedError mid-reply: the pull is lost.
+        assert isinstance(outcome["error"], TimeoutError)
+        assert f"lost mid-reply: {victim} |" in str(outcome["error"])
 
     def test_straggling_peer_killed_mid_reply_counts_once_at_n_minus_f(self, socket_transport):
         """The satellite regression, over real sockets: a peer that straggles
@@ -243,7 +255,7 @@ class TestSocketBackendCrashSemantics:
         backend.apply_control(victim, "recover")
         pid_after = backend.pid(victim)
         assert pid_after is not None and pid_after != pid_before
-        reply = socket_transport.pull("tester", victim, "whoami")
+        [reply], _ = socket_transport.pull_many("tester", [victim], "whoami", quorum=1)
         assert reply.payload == victim
 
 

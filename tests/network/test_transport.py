@@ -46,35 +46,41 @@ class TestRegistration:
 class TestPull:
     def test_pull_returns_payload_and_latency(self):
         transport = build_cluster(3)
-        reply = transport.pull("node-0", "node-1", "value")
+        [reply], elapsed = transport.pull_many("node-0", ["node-1"], "value", quorum=1)
         assert np.allclose(reply.payload, 1.0)
+        assert elapsed == reply.latency
         assert reply.latency > 0
         assert reply.nbytes > 0
 
     def test_pull_unknown_kind_raises(self):
         transport = build_cluster(2)
-        with pytest.raises(CommunicationError):
-            transport.pull("node-0", "node-1", "gradient")
+        with pytest.raises(CommunicationError, match="serves no 'gradient'"):
+            transport.pull_many("node-0", ["node-1"], "gradient", quorum=1)
 
-    def test_pull_from_crashed_node_raises(self):
+    def test_pull_from_crashed_node_is_refused(self):
         transport = build_cluster(2)
         transport.failures.crash("node-1")
-        with pytest.raises(NodeCrashedError):
-            transport.pull("node-0", "node-1", "value")
+        with pytest.raises(TimeoutError, match=r"0 usable .* never replied: node-1\]"):
+            transport.pull_many("node-0", ["node-1"], "value", quorum=1)
+        assert transport.stats.pulls_issued == 1
+        assert transport.stats.messages_sent == 0
 
     def test_stats_accumulate(self):
         transport = build_cluster(3)
-        transport.pull("node-0", "node-1", "value")
-        transport.pull("node-0", "node-2", "value")
+        transport.pull_many("node-0", ["node-1"], "value", quorum=1)
+        transport.pull_many("node-0", ["node-2"], "value", quorum=1)
         assert transport.stats.messages_sent == 2
         assert transport.stats.bytes_sent > 0
         assert transport.stats.per_kind_messages["value"] == 2
 
-    def test_stats_reset(self):
+    def test_open_round_clears_the_charges_and_keeps_the_totals(self):
         transport = build_cluster(2)
-        transport.pull("node-0", "node-1", "value")
-        transport.stats.reset()
-        assert transport.stats.messages_sent == 0
+        [reply], elapsed = transport.pull_many("node-0", ["node-1"], "value", quorum=1)
+        charge = transport.ledger.charge("node-0")
+        assert (charge.messages, charge.vectors, charge.elapsed) == (1, 1, elapsed)
+        transport.ledger.open_round()
+        assert transport.ledger.charge("node-0").messages == 0
+        assert transport.stats.messages_sent == 1
 
     def test_request_payload_reaches_handler(self):
         transport = Transport()
@@ -88,7 +94,7 @@ class TestPull:
             return np.zeros(1)
 
         transport.register_handler("b", "echo", handler)
-        transport.pull("a", "b", "echo", iteration=3, payload=np.arange(4.0))
+        transport.pull_many("a", ["b"], "echo", quorum=1, iteration=3, payload=np.arange(4.0))
         assert np.allclose(received["payload"], np.arange(4.0))
         assert received["requester"] == "a"
 

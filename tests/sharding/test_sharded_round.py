@@ -6,10 +6,11 @@ like any other:
 
 * after a worker is declared dead, the rule charged is the one resized for
   the rows actually aggregated, at the widest shard;
-* the reporting server prices every message it exchanged from its byte
-  ledger — requests and model replies at ``message_bytes(d)``, gradient
-  replies slice-framed, coordination frames at their framed size — and the
-  accountant makes one ``serialization_time_for_bytes`` call over it.
+* the transport's ledger charges every message the reporting server
+  exchanged to that server — requests and model replies at
+  ``message_bytes(d)``, gradient replies slice-framed, coordination frames at
+  their framed size — and the accountant makes one
+  ``serialization_time_for_bytes`` call over that charge.
 """
 
 from __future__ import annotations
@@ -86,20 +87,10 @@ def test_the_accountant_prices_a_sharded_round_from_the_byte_ledger():
     )
     with Session(config=config) as session:
         deployment = session.deployment
-        before = {}
-
-        def snapshot(_session, _iteration, _events):
-            server = session.reporting_server
-            before.update(
-                comm=server.gradient_comm_time + server.model_comm_time,
-                messages=server.messages_exchanged,
-                nbytes=server.bytes_exchanged,
-            )
-
-        session.on_round_start(snapshot)
         session.step()
         result = session.step()
         server = session.reporting_server
+        charge = deployment.transport.ledger.charge(server.node_id)
 
     dimension, cost_model = server.dimension, deployment.cost_model
     message_bytes = cost_model.message_bytes(dimension)
@@ -112,15 +103,10 @@ def test_the_accountant_prices_a_sharded_round_from_the_byte_ledger():
         serialized_nbytes(replies * replies) + serialized_nbytes(replies)
     )
 
-    messages = server.messages_exchanged - before["messages"]
-    nbytes = server.bytes_exchanged - before["nbytes"]
-    assert messages == requests + replies * SHARDS + model_replies + coordination
-    assert nbytes == (
-        (requests + model_replies) * message_bytes
-        + replies * slice_framed
-        + coordination_bytes
-    )
-    latencies = (server.gradient_comm_time + server.model_comm_time) - before["comm"]
-    assert result.record.communication_time == latencies + cost_model.serialization_time_for_bytes(
-        nbytes, messages
+    assert charge.messages == requests + replies * SHARDS + model_replies + coordination
+    assert charge.vectors == requests + model_replies
+    assert charge.nbytes == replies * slice_framed + coordination_bytes
+    nbytes = charge.vectors * message_bytes + charge.nbytes
+    assert result.record.communication_time == charge.elapsed + (
+        cost_model.serialization_time_for_bytes(nbytes, charge.messages)
     )

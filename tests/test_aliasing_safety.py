@@ -425,8 +425,9 @@ class TestSnapshotContinuesOnTheOneTier:
             if isinstance(target, Server):
                 target.update_model(np.full(dimension, 0.01 * (iteration + 1)))
                 target.latest_aggr_grad = np.full(dimension, float(iteration))
+            pull = target.transport.pull_many
             return [
-                np.array(target.transport.pull("peer", "node", kind, iteration, state).payload)
+                np.array(pull("peer", ["node"], kind, 1, iteration, state)[0][0].payload)
                 for kind in sorted(target.handlers())
             ]
 
