@@ -59,7 +59,7 @@
 PYTHON ?= python
 SEED ?= 1
 PAIRS ?= 10
-LOC_MAX ?= 8550
+LOC_MAX ?= 8585
 export PYTHONPATH := src
 
 .PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench fuzz-smoke fuzz docs-check loc quickstart
@@ -85,7 +85,8 @@ test-sharding:
 test-backends:
 	$(PYTHON) -m pytest tests/network/test_wire.py tests/network/test_vector_stream.py \
 		tests/network/test_rpc_conformance.py tests/integration/test_scenarios_golden.py \
-		tests/integration/test_ledger_fixture.py tests/integration/test_process_chaos.py -q
+		tests/integration/test_ledger_fixture.py tests/integration/test_process_chaos.py \
+		tests/integration/test_state_mirrors.py -q
 
 update-golden:
 	$(PYTHON) -m pytest tests/integration/test_scenarios_golden.py -q --update-golden

@@ -15,10 +15,10 @@ This module provides the abstraction that fixes that:
   concurrently and their results are drained from a completion queue as they
   finish, which is what lets :meth:`repro.network.transport.Transport.pull_many`
   overlap the service times of independent peers.
-* :class:`ProcessExecutor` — the engine of the multi-process socket backend:
-  the same completion-queue draining, but each task is one blocking RPC to a
-  node subprocess (:mod:`repro.network.rpc`), so the handler work itself runs
-  in a separate OS process.
+* :class:`ProcessExecutor` — the engine of the multi-process socket backend.
+  Handler work runs in the node subprocesses (:mod:`repro.network.rpc`) and
+  the socket backend sends a whole wave and drains its replies on the calling
+  thread, so there is nothing left to overlap here: tasks run inline.
 
 Determinism contract
 --------------------
@@ -158,18 +158,19 @@ class ThreadedExecutor(Executor):
         return f"ThreadedExecutor(max_workers={self.max_workers})"
 
 
-class ProcessExecutor(ThreadedExecutor):
+class ProcessExecutor(SerialExecutor):
     """Engine paired with the multi-process socket backend.
 
     With ``executor="process"`` every node runs as its own OS subprocess
     (:mod:`repro.network.rpc`), so the *work* of a fan-out — gradient
-    computation, model serving — happens outside this interpreter.  What
-    remains in the coordinator is blocking socket I/O, one RPC per
-    destination, which this engine overlaps on a thread pool exactly like
-    :class:`ThreadedExecutor` overlaps handler invocations.  Determinism is
-    unchanged: the transport pre-samples all randomness before dispatch and
-    the subprocesses are seeded from the same cluster config, so a fixed seed
-    yields the same canonical trace as the serial engine.
+    computation, model serving — happens outside this interpreter, and the
+    socket backend keeps a whole wave in flight from the calling thread
+    (:meth:`~repro.network.rpc.SocketBackend.deliver`) without a thread per
+    peer.  No pull reaches this engine; anything else runs inline.
+    Determinism is unchanged: the transport pre-samples all randomness
+    before dispatch and every host serves the very node the coordinator
+    built, so a fixed seed yields the same canonical trace as the serial
+    engine.
     """
 
     name = "process"

@@ -28,11 +28,14 @@ TCP framing.  Four pieces compose:
   :meth:`~repro.core.node.Node.from_snapshot`) and serves that node's
   handlers over TCP.  It builds nothing itself: no config, no dataset, no
   other node.  Server-side state mutations (model updates, published
-  aggregates) are mirrored in by ``sync`` requests from the coordinator, so
-  peer pulls observe exactly the state the in-process path would.
+  aggregates) reach it as ``mirror`` entries in the outbox its next request
+  carries, applied before that request is served, so peer pulls observe
+  exactly the state the in-process path would.
 * :class:`SocketBackend` — the coordinator-side
   :class:`~repro.network.transport.TransportBackend` that has one host forked
-  per node, routes ``invoke`` calls over the wire and maps scenario control
+  per node and sends each wave of pulls from one thread: every request is
+  written first, each on a pooled connection of its own, then the replies
+  are drained with ``select`` as they arrive.  It maps scenario control
   events onto process reality: ``crash`` snapshots the node's state and
   SIGKILLs the host, ``recover`` forks a new one and restores the snapshot (a
   machine rejoining with its disk intact), ``partition`` means the
@@ -58,6 +61,7 @@ backend (``tests/integration/test_scenarios_golden.py``).
 
 from __future__ import annotations
 
+import functools
 import os
 import select
 import shutil
@@ -69,9 +73,8 @@ import tempfile
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,8 +171,10 @@ def process_backend_available() -> Tuple[bool, str]:
 # ---------------------------------------------------------------------- #
 # Client
 # ---------------------------------------------------------------------- #
-def _raise_remote(response: Dict[str, Any]) -> None:
-    """Re-raise a remote handler failure as its local exception type."""
+def _result(response: Dict[str, Any]) -> Any:
+    """The result a response carries; a remote handler failure is re-raised as its local type."""
+    if response["ok"]:
+        return response.get("result")
     name = str(response.get("error", "CommunicationError"))
     message = str(response.get("message", "remote call failed"))
     exc_cls = getattr(_exceptions, name, None)
@@ -178,15 +183,22 @@ def _raise_remote(response: Dict[str, Any]) -> None:
     raise CommunicationError(f"{name}: {message}")
 
 
+def _raised(result: Any) -> Any:
+    """``result``, unless it is the error an exchange failed with: then that is raised."""
+    if isinstance(result, BaseException):
+        raise result
+    return result
+
+
 class RpcClient:
     """Pooled connections to one node host.
 
-    Each :meth:`call` checks a socket out of the pool (dialling a new one
-    when the pool is dry, which is what lets concurrent fan-out threads talk
-    to the same host), performs one framed request/response round trip and
-    returns the socket for reuse.  A socket holds no buffer between calls:
-    each reply frame is received into storage of its own, which the decoded
-    result aliases.
+    Each request (:meth:`send`) checks a socket out of the pool, dialling a
+    new one when the pool is dry, so requests to one host may be in flight
+    side by side; :meth:`receive` reads its reply and returns the socket for
+    reuse, and :meth:`call` is the two in a row.  A socket holds no buffer
+    between calls: each reply frame is received into storage of its own,
+    which the decoded result aliases.
 
     Failures are typed by phase.  The *dial* (the TCP connect) runs under
     ``connect_timeout`` and fails as :class:`~repro.exceptions.DialError`: a
@@ -240,37 +252,45 @@ class RpcClient:
                 return
         sock.close()
 
-    def call(self, message: Dict[str, Any]) -> Any:
-        """One request/response round trip; returns the remote result."""
+    def _lost(self, sock: socket.socket, exc: BaseException) -> CommunicationError:
+        """The typed error of a connection that failed mid-call; drops the socket."""
+        sock.close()  # mid-frame, or dead: unusable either way
+        if isinstance(exc, socket.timeout):
+            # The dial succeeded and the request went out, but no full reply
+            # arrived within the read deadline — the peer is slow or wedged,
+            # not provably dead.
+            return DeadlineError(
+                f"node host at {self.address} produced no reply within "
+                f"{self.timeout:.1f}s (read deadline)"
+            )
+        return NodeCrashedError(f"node host at {self.address} died mid-call: {exc}")
+
+    def send(self, message: Dict[str, Any]) -> socket.socket:
+        """Write one request on a pooled connection of its own; :meth:`receive` reads the reply."""
         # Encode before anything touches the socket: an unencodable payload
         # is a caller bug (plain CommunicationError), not a dead peer.
         body = encode_value(message)
         sock = self._checkout()
         try:
             send_frame(sock, body)
+        except (CommunicationError, OSError) as exc:
+            raise self._lost(sock, exc) from exc
+        return sock
+
+    def receive(self, sock: socket.socket) -> Dict[str, Any]:
+        """Read the response to the request :meth:`send` wrote on ``sock``, then pool ``sock``."""
+        try:
             response = recv_message(sock)
-        except socket.timeout as exc:
-            # Must precede the OSError clause below (socket.timeout *is* an
-            # OSError): the dial succeeded and the request went out, but no
-            # full reply arrived within the read deadline — the peer is slow
-            # or wedged, not provably dead.  The connection is mid-frame and
-            # unusable; drop it.
-            sock.close()
-            raise DeadlineError(
-                f"node host at {self.address} produced no reply within "
-                f"{self.timeout:.1f}s (read deadline)"
-            ) from exc
-        except (ConnectionClosed, CommunicationError, OSError) as exc:
-            sock.close()
-            raise NodeCrashedError(
-                f"node host at {self.address} died mid-call: {exc}"
-            ) from exc
+        except (CommunicationError, OSError) as exc:  # socket.timeout is an OSError
+            raise self._lost(sock, exc) from exc
         self._checkin(sock)
         if not isinstance(response, dict) or "ok" not in response:
             raise CommunicationError(f"malformed RPC response: {response!r}")
-        if response["ok"]:
-            return response.get("result")
-        _raise_remote(response)
+        return response
+
+    def call(self, message: Dict[str, Any]) -> Any:
+        """One request/response round trip; returns the remote result."""
+        return _result(self.receive(self.send(message)))
 
     def close(self) -> None:
         with self._lock:
@@ -401,11 +421,14 @@ def build_probe_handlers(node_id: str) -> Dict[str, Handler]:
 
 
 class _HostDispatcher:
-    """Maps RPC ops onto the hosted node: pulls, state sync, chaos control.
+    """Maps RPC ops onto the hosted node: pulls, state mirrors, chaos control.
 
     A host starts with no node; the coordinator's first request is the
     ``restore`` that hands it one.  A conformance probe never gets a node,
-    only the ``handlers`` it is constructed with.
+    only the ``handlers`` it is constructed with.  Any later request may
+    carry an ``"outbox"``: messages queued for this host since its last
+    reply — ``mirror`` ops and control ops issued while it was down — which
+    are applied, in order, before the request itself is served.
     """
 
     def __init__(self, node_id: str, handlers: Optional[Dict[str, Handler]] = None) -> None:
@@ -435,6 +458,8 @@ class _HostDispatcher:
         if not isinstance(message, dict) or "op" not in message:
             raise CommunicationError(f"malformed RPC request: {message!r}")
         op = message["op"]
+        for queued in message.get("outbox", ()):
+            self(queued)
         if op == "ping":
             return "pong"
         if op == "shutdown":
@@ -449,7 +474,7 @@ class _HostDispatcher:
             return None
         if self.node is None:
             raise CommunicationError(f"host '{self.node_id}' holds no node to serve op '{op}'")
-        if op == "sync":
+        if op == "mirror":
             what = message.get("what")
             vector = message.get("vector")
             if what == "params":
@@ -459,7 +484,7 @@ class _HostDispatcher:
                     None if vector is None else np.asarray(vector, dtype=np.float64)
                 )
             else:
-                raise CommunicationError(f"unknown sync target '{what}'")
+                raise CommunicationError(f"unknown mirror target '{what}'")
             return None
         if op == "set_attack":
             from repro.attacks import build_attack
@@ -548,7 +573,7 @@ class _NodeHost:
         "pidfd",
         "port",
         "client",
-        "pending",
+        "outbox",
     )
 
     def __init__(
@@ -569,25 +594,17 @@ class _NodeHost:
         self.pidfd: Optional[int] = None
         self.port: Optional[int] = None
         self.client: Optional[RpcClient] = None
-        #: Control/sync messages issued while the host was down, replayed
-        #: in order right after a recover's restore.
-        self.pending: List[Dict[str, Any]] = []
+        #: Messages the next request to this host carries: state mirrors (a
+        #: newer one of the same ``what`` replaces a queued one) and control
+        #: ops issued while the host was down.  An entry leaves only once a
+        #: request carrying it got a reply, so what a host that died with it
+        #: in flight never acknowledged reaches the next incarnation.
+        self.outbox: List[Dict[str, Any]] = []
 
     @property
     def running(self) -> bool:
         # A pidfd reads as ready once its process has exited.
         return self.pidfd is not None and not select.select([self.pidfd], [], [], 0)[0]
-
-    def take_snapshot(self) -> bool:
-        """Best-effort: fetch the running host's state for the next restore."""
-        try:
-            snapshot = self.client.call({"op": "snapshot", "node": self.node_id})
-        except (GarfieldError, OSError):
-            return False  # already dying: the previous snapshot stands
-        if isinstance(snapshot, (bytes, bytearray)):
-            self.snapshot = bytes(snapshot)
-            return True
-        return False
 
     def teardown(self) -> None:
         """Leave nothing of this incarnation behind, alive or not.
@@ -637,8 +654,8 @@ class SocketBackend(TransportBackend):
     ========== ==========================================================
     crash      state snapshot requested, then SIGKILL of the host; pulls
                are refused at plan time exactly like the in-process path
-    recover    new host forked and handed the crash-time snapshot, buffered
-               control/sync messages replayed
+    recover    new host forked and handed the crash-time snapshot; what
+               its outbox gathered meanwhile rides on its next request
     partition  the coordinator never dials across the cut (connection
                refusal without consuming drop randomness)
     straggler  latency factor applied to the pre-sampled reply latency;
@@ -670,8 +687,8 @@ class SocketBackend(TransportBackend):
         self.call_timeout = call_timeout
         self.connect_timeout = connect_timeout
         #: When set, idempotent pulls retry under this policy (respawning
-        #: hosts get re-dialled); control/sync calls never retry — they have
-        #: their own buffered-replay path.
+        #: hosts get re-dialled); control ops never retry — a host that is
+        #: down gets them in its outbox.
         self.retry_policy = retry_policy
         #: Observer fired as ``on_retry(node_id, attempt, error)`` before
         #: each retry sleep; the controller wires it to the transport's ledger.
@@ -684,6 +701,8 @@ class SocketBackend(TransportBackend):
         self._unrouted = b""
         self._started = False
         self._lock = threading.RLock()
+        #: Guards every host's outbox; held only to read or rewrite a list.
+        self._outbox_lock = threading.Lock()
         #: Receiver ends of the hosts' streams.  A respawned host counts its
         #: replies from 0 again, so ``_spawn`` drops the node's ends too.
         self._streams = StreamTable()
@@ -707,15 +726,14 @@ class SocketBackend(TransportBackend):
                         None if node is None else node.snapshot_state(),
                     )
                 # Fork everything first, await readiness second, then hand
-                # every host its node at once: the restores are independent,
-                # and one after another they are tens of MB sent in a row.
+                # every host its node in one wave: each host unpickles its
+                # node while the next one's bytes are still being sent.
                 hosts = list(self._hosts.values())
                 for host in hosts:
                     self._spawn(host)
                 for host in hosts:
                     self._await_ready(host)
-                with ThreadPoolExecutor(len(hosts) or 1) as pool:
-                    list(pool.map(self._restore, hosts))
+                self._restore(hosts)
             except BaseException:
                 # A host failed to come up and the deployment will never be
                 # handed to the caller: reap every sibling that did spawn so
@@ -838,21 +856,18 @@ class SocketBackend(TransportBackend):
             host.teardown()
             raise CommunicationError(f"{reason}: {_tail(host.stderr_path)}")
 
-    def _restore(self, host: _NodeHost) -> None:
-        """Hand a ready host its node: first spawn, recover and revive alike."""
-        if host.snapshot is not None:
-            host.client.call(
-                {"op": "restore", "node": host.node_id, "state": host.snapshot}
-            )
+    def _restore(self, hosts: Sequence[_NodeHost]) -> None:
+        """Hand ready hosts their nodes in one wave: first spawn, recover and revive alike."""
+        nodes = [host for host in hosts if host.snapshot is not None]  # a probe is handed nothing
+        for result, _ in self._exchange([(h.node_id, {"op": "restore", "state": h.snapshot}) for h in nodes]):
+            _raised(result)
 
     def close(self) -> None:
         with self._lock:
+            self._exchange(  # best effort: a host that does not answer is killed anyway
+                [(node_id, {"op": "shutdown"}) for node_id, host in self._hosts.items() if host.client]
+            )
             for host in self._hosts.values():
-                if host.client is not None:
-                    try:
-                        host.client.call({"op": "shutdown"})
-                    except (GarfieldError, OSError):
-                        pass
                 host.teardown()
             self._hosts.clear()
             self._stop_zygote()
@@ -886,85 +901,139 @@ class SocketBackend(TransportBackend):
             raise NodeCrashedError(f"node host '{node_id}' is not running")
         return host.client
 
-    def invoke(self, node_id: str, kind: str, context: RequestContext) -> Any:
+    def _post(self, host: _NodeHost, message: Dict[str, Any]) -> None:
+        """Queue ``message`` in the host's outbox; a mirror replaces its older self."""
+        mirror = message["op"] == "mirror"
+        with self._outbox_lock:
+            host.outbox = [m for m in host.outbox if not (mirror and m.get("what") == message["what"])]
+            host.outbox.append(message)
+
+    def _exchange(self, requests: Sequence[Tuple[str, Dict[str, Any]]]) -> List[Tuple[Any, float]]:
+        """One wave on the calling thread: write every request, then drain the replies.
+
+        Each request goes out on a pooled connection of its own before any
+        reply is read; the replies are then read as ``select`` reports them,
+        under one read deadline for the wave.  Every request but a
+        ``restore`` carries its host's outbox, and the entries it carried
+        leave the outbox once its reply is in.  Returns, per request in
+        order, its result — or the error it failed with, never raised — and
+        the monotonic time its reply arrived.
+        """
+        outcomes: List[Tuple[Any, float]] = [(None, 0.0)] * len(requests)
+        in_flight = {}
+        for index, (node_id, message) in enumerate(requests):
+            try:
+                client = self._live_client(node_id)
+                host = self._hosts[node_id]
+                with self._outbox_lock:
+                    carried = [] if message["op"] == "restore" else list(host.outbox)
+                if carried:
+                    message = {**message, "outbox": carried}
+                in_flight[client.send(message)] = (index, host, client, carried)
+            except GarfieldError as exc:
+                outcomes[index] = (exc, time.monotonic())
+        budget = DeadlineBudget(self.call_timeout)
+        while in_flight:
+            ready = select.select(list(in_flight), [], [], budget.remaining())[0]
+            if not ready:  # no reply within the read deadline: the peers are slow, not dead
+                for sock, (index, _, client, _) in in_flight.items():
+                    outcomes[index] = (client._lost(sock, socket.timeout()), time.monotonic())
+                break
+            for sock in ready:
+                index, host, client, carried = in_flight.pop(sock)
+                try:
+                    response = client.receive(sock)
+                    with self._outbox_lock:
+                        host.outbox = [m for m in host.outbox if all(m is not c for c in carried)]
+                    result = _result(response)
+                except GarfieldError as exc:
+                    result = exc
+                outcomes[index] = (result, time.monotonic())
+        return outcomes
+
+    def _pulls(self, calls: Sequence[Tuple[str, str, RequestContext]]) -> List[Tuple[Any, float]]:
+        """One wave of pulls: :meth:`_exchange` plus reply streams and retries."""
         if not self._started:
             raise CommunicationError("socket backend not started")
-        message: Dict[str, Any] = {
-            "op": "pull",
-            "node": node_id,
-            "kind": kind,
-            "requester": context.requester,
-            "iteration": context.iteration,
-            "payload": context.payload,
-        }
-        stream = None
-        if not self._wire_format.is_plain_float64:
-            stream = self._streams.stream(node_id, kind, context.requester, self._wire_format)
-            # Name the reply's format and the reconstruction we hold; the
-            # host delta-encodes only against exactly that one, so a crash on
-            # either side simply costs one absolute-encoded reply.
-            message["fmt"] = self._wire_format.spec
-            message["have"] = stream.sequence
-        if self.retry_policy is not None:
-            # Pulls are idempotent reads: safe to retry.  The client lookup
-            # is inside the attempt so a host respawned between attempts
-            # (by the supervisor) is re-resolved and re-dialled.
-            def _notify(attempt: int, error: BaseException) -> None:
-                if self.on_retry is not None:
-                    self.on_retry(node_id, attempt, error)
+        requests, streams = [], []
+        for node_id, kind, context in calls:
+            message: Dict[str, Any] = {"op": "pull", "node": node_id, "kind": kind}
+            message.update(requester=context.requester, iteration=context.iteration, payload=context.payload)
+            stream = None
+            if not self._wire_format.is_plain_float64:
+                stream = self._streams.stream(node_id, kind, context.requester, self._wire_format)
+                # Name the reply's format and the reconstruction we hold; the
+                # host delta-encodes only against exactly that one, so a crash
+                # on either side simply costs one absolute-encoded reply.
+                message.update(fmt=self._wire_format.spec, have=stream.sequence)
+            requests.append((node_id, message))
+            streams.append(stream)
+        outcomes = self._exchange(requests)
+        for index, ((node_id, message), stream) in enumerate(zip(requests, streams)):
+            result, arrived = outcome = outcomes[index]
+            if self.retry_policy is not None and isinstance(result, BaseException):
+                result, arrived = self._retry(node_id, message, outcome)
+            if stream is not None and isinstance(result, dict) and VECTOR_BLOB_KEY in result:
+                result = stream.decode(result[VECTOR_BLOB_KEY], result[VECTOR_SEQUENCE_KEY])
+            outcomes[index] = (result, arrived)
+        return outcomes
 
-            result = self.retry_policy.call(
-                lambda: self._live_client(node_id).call(message),
-                key=node_id,
-                on_retry=_notify,
-            )
-        else:
-            result = self._live_client(node_id).call(message)
-        if stream is not None and isinstance(result, dict) and VECTOR_BLOB_KEY in result:
-            return stream.decode(result[VECTOR_BLOB_KEY], result[VECTOR_SEQUENCE_KEY])
-        return result
+    def _retry(self, node_id: str, message: Dict[str, Any], first: Tuple[Any, float]) -> Tuple[Any, float]:
+        """Run a pull whose wave attempt failed through :attr:`retry_policy`.
 
-    def _buffer_if_down(self, node_id: str, message: Dict[str, Any]) -> bool:
-        """Queue ``message`` for post-recover replay when the host is down.
-
-        Sync messages are deduplicated per target (only the latest state
-        matters); control messages are kept in order.  Returns whether the
-        message was buffered.
+        Pulls are idempotent reads, so they are safe to retry.  The wave's
+        outcome is the policy's first attempt; each later one is a wave of
+        one, which re-resolves the host, so a host respawned between
+        attempts (by the supervisor) is re-dialled.
         """
-        with self._lock:
-            host = self._hosts.get(node_id)
-            if host is None or host.running:
-                return False
-            if message["op"] == "sync":
-                host.pending = [
-                    m
-                    for m in host.pending
-                    if not (m["op"] == "sync" and m["what"] == message["what"])
-                ]
-            host.pending.append(message)
-            return True
+        attempts = iter([first])
 
-    def _call_or_buffer(self, node_id: str, message: Dict[str, Any]) -> None:
-        """Deliver a control/sync message, buffering it if the host is down.
+        def attempt() -> Tuple[Any, float]:
+            outcome = next(attempts, None) or self._exchange([(node_id, message)])[0]
+            return _raised(outcome[0]), outcome[1]
 
-        The down-check and the RPC cannot be atomic (holding the lock across
-        the call would serialize against a concurrent crash's snapshot RPC),
-        so a crash landing mid-call is caught and re-checked: if the host
-        died, the message joins the replay queue instead of surfacing a
-        NodeCrashedError out of Server.update_model or the director.
-        """
-        if self._buffer_if_down(node_id, message):
-            return
+        notify = None if self.on_retry is None else functools.partial(self.on_retry, node_id)
         try:
-            self._live_client(node_id).call(message)
-        except NodeCrashedError:
-            if not self._buffer_if_down(node_id, message):
-                raise
+            return self.retry_policy.call(attempt, key=node_id, on_retry=notify)
+        except GarfieldError as exc:
+            return exc, time.monotonic()
+
+    def invoke(self, node_id: str, kind: str, context: RequestContext) -> Any:
+        return _raised(self._pulls([(node_id, kind, context)])[0][0])
+
+    def deliver(
+        self, transport: Transport, planned: Sequence[Any], kind: str, context: RequestContext
+    ) -> Iterator[Tuple[int, Any]]:
+        """Send the whole wave at once and release each reply as it is due.
+
+        A reply is released its scaled simulated latency
+        (:meth:`~repro.network.transport.Transport.wall_delay`) after it
+        arrived, so with ``wall_time_scale`` the waits of a wave overlap.  A
+        peer that died mid-reply is a lost pull: it yields nothing.
+        """
+        released = []
+        outcomes = self._pulls([(plan.destination, kind, context) for plan in planned])
+        for index, (plan, (result, arrived)) in enumerate(zip(planned, outcomes)):
+            if not isinstance(result, NodeCrashedError):
+                reply = transport.make_reply(plan, kind, context.iteration, _raised(result))
+                released.append((arrived + transport.wall_delay(reply.latency), index, reply))
+        for due, index, reply in sorted(released, key=lambda entry: entry[0]):
+            time.sleep(max(0.0, due - time.monotonic()))
+            yield index, reply
 
     def sync_state(self, node_id: str, what: str, vector: Any) -> None:
-        self._call_or_buffer(
-            node_id, {"op": "sync", "node": node_id, "what": what, "vector": vector}
-        )
+        """Queue the mirror for the next request to the node's host; no frame of its own.
+
+        Every request to the host carries it, and the host applies it before
+        serving, so a peer pull still observes exactly the state the
+        in-process path would.  The vector is copied: the mirror is the
+        state as of this call.
+        """
+        host = self._hosts.get(node_id)
+        if host is None:
+            raise CommunicationError(f"no process host for node '{node_id}'")
+        vector = None if vector is None else np.array(vector, dtype=np.float64)
+        self._post(host, {"op": "mirror", "what": what, "vector": vector})
 
     # ------------------------------------------------------------------ #
     # Scenario control
@@ -977,7 +1046,30 @@ class SocketBackend(TransportBackend):
         elif op == "recover":
             self._recover(node_id)
         else:
-            self._call_or_buffer(node_id, {"op": op, "node": node_id, **params})
+            self._control(node_id, {"op": op, "node": node_id, **params})
+
+    def _control(self, node_id: str, message: Dict[str, Any]) -> None:
+        """Send a control op; a host that is down (or dies under it) gets it in its outbox.
+
+        The queued op reaches the host with its first request after the
+        restore, so a ``set_attack`` issued while a node is crashed still
+        lands, as it does on the in-process node.
+        """
+        host = self._hosts.get(node_id)
+        if host is None or host.running:
+            [(result, _)] = self._exchange([(node_id, message)])
+            if not isinstance(result, NodeCrashedError) or host.running:
+                _raised(result)
+                return
+        self._post(host, message)
+
+    def _snapshot(self, host: _NodeHost) -> bool:
+        """Best-effort: fetch the running host's state, its outbox applied, for the next restore."""
+        [(snapshot, _)] = self._exchange([(host.node_id, {"op": "snapshot", "node": host.node_id})])
+        if isinstance(snapshot, (bytes, bytearray)):
+            host.snapshot = bytes(snapshot)
+            return True
+        return False  # already dying: the previous snapshot stands
 
     def _crash(self, node_id: str) -> None:
         """Snapshot the node's state, then SIGKILL its host.
@@ -991,20 +1083,18 @@ class SocketBackend(TransportBackend):
             host = self._hosts.get(node_id)
             if host is None or not host.running:
                 return
-            host.take_snapshot()
+            self._snapshot(host)
             host.teardown()
 
     def _recover(self, node_id: str) -> None:
+        """Fork a new host and restore the snapshot; its outbox rides on its next request."""
         with self._lock:
             host = self._hosts.get(node_id)
             if host is None or host.running:
                 return
             self._spawn(host)
             self._await_ready(host)
-            self._restore(host)
-            pending, host.pending = host.pending, []
-        for message in pending:
-            host.client.call(message)
+            self._restore([host])
 
     # ------------------------------------------------------------------ #
     # Supervisor surface (unscripted deaths — no scenario event involved)
@@ -1035,14 +1125,14 @@ class SocketBackend(TransportBackend):
             host = self._hosts.get(node_id)
             if host is None or host.client is None or not host.running:
                 return False
-            return host.take_snapshot()
+            return self._snapshot(host)
 
     def revive(self, node_id: str) -> bool:
         """Reap a dead host and respawn it from its last snapshot.
 
         The supervisor's one-call recovery: reap (collect the zombie, close
-        stale fds), respawn, restore the newest snapshot, replay buffered
-        control/sync messages.  Returns whether the host came back up; a
+        stale fds), respawn, restore the newest snapshot; the outbox rides on
+        the host's next request.  Returns whether the host came back up; a
         failed respawn is reported, not raised — the caller owns the restart
         budget and the declare-dead decision.
         """

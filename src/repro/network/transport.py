@@ -34,11 +34,14 @@ Two layers of "time" coexist here:
   elapsed time of a parallel pull is the arrival of the q-th fastest reply,
   never the sum.
 * **Wall-clock time** — handler execution (gradient computation on a worker)
-  is real work.  Each wave's handler invocations go through the deployment's
-  :class:`~repro.core.executor.Executor` and are drained from a completion
-  queue, so with a :class:`~repro.core.executor.ThreadedExecutor`
-  independent peers are serviced concurrently and the round's wall-clock cost
-  tracks the slowest single peer rather than the sum over peers.
+  is real work.  Each planned wave is handed to the backend
+  (:meth:`TransportBackend.deliver`).  In process, its handler invocations
+  go through the deployment's :class:`~repro.core.executor.Executor` and are
+  drained from a completion queue, so with a
+  :class:`~repro.core.executor.ThreadedExecutor` independent peers are
+  serviced concurrently and the round's wall-clock cost tracks the slowest
+  single peer rather than the sum over peers; the socket backend writes the
+  whole wave out before it reads any reply, to the same effect.
 
 Determinism: every random quantity (message drops, latency jitter) is sampled
 while a wave is *planned* — serially, on the calling thread, in wave order,
@@ -54,7 +57,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,6 +111,30 @@ class TransportBackend:
     def invoke(self, node_id: str, kind: str, context: RequestContext) -> Any:
         """Run the ``kind`` handler of ``node_id`` and return its response."""
         raise NotImplementedError
+
+    def deliver(
+        self, transport: Transport, planned: Sequence[_PlannedPull], kind: str, context: RequestContext
+    ) -> Iterator[Tuple[int, Optional[Reply]]]:
+        """Deliver one planned wave; yield ``(index, reply)`` as each reply is released.
+
+        A peer that dies mid-reply yields ``None`` or nothing (a lost pull).
+        Here every pull is one task on the transport's executor — invoke,
+        assemble the reply, wait out its wall delay — so a threaded engine
+        overlaps the peers and the serial one runs them back to back.
+        """
+
+        def serve(plan: _PlannedPull) -> Optional[Reply]:
+            try:
+                response = self.invoke(plan.destination, kind, context)
+            except NodeCrashedError:
+                return None
+            reply = transport.make_reply(plan, kind, context.iteration, response)
+            delay = transport.wall_delay(reply.latency)
+            if delay:
+                time.sleep(delay)
+            return reply
+
+        return transport.executor.map_unordered([(lambda plan=plan: serve(plan)) for plan in planned])
 
     def start(self) -> None:
         """Bring the backend up (spawn subprocesses...); idempotent."""
@@ -306,8 +333,9 @@ class Transport:
         wall_time_scale`` real seconds, making wall-clock behaviour mirror the
         simulated link.  This is how the async benchmarks demonstrate the
         fastest-q pipeline: with the serial engine the sleeps accumulate, with
-        the threaded engine they overlap.  The default ``0.0`` keeps the
-        simulation purely analytic (no sleeping), which is what tests use.
+        the threaded engine (and over sockets) they overlap.  The default
+        ``0.0`` keeps the simulation purely analytic (no sleeping), which is
+        what tests use.
     """
 
     def __init__(
@@ -455,10 +483,11 @@ class Transport:
             latency = self.link.latency_from_jitter(0.0, nbytes)
             self.ledger.coordinated(requester, num_shards - 1, nbytes, latency)
 
-    def _maybe_wall_wait(self, latency: float) -> None:
-        """Sleep the scaled simulated latency when wall fidelity is enabled."""
+    def wall_delay(self, latency: float) -> float:
+        """Real seconds a reply of simulated ``latency`` is held back (0 without wall fidelity)."""
         if self.wall_time_scale > 0 and np.isfinite(latency):
-            time.sleep(latency * self.wall_time_scale)
+            return latency * self.wall_time_scale
+        return 0.0
 
     def _plan(self, source: str, destination: str, kind: str) -> Optional[_PlannedPull]:
         """Pre-sample one pull's random quantities, in wave order.
@@ -482,31 +511,20 @@ class Transport:
             factor=self.failures.latency_factor(destination),
         )
 
-    def _serve(
-        self,
-        planned: _PlannedPull,
-        source: str,
-        kind: str,
-        iteration: int,
-        payload: Any,
-    ) -> Reply:
-        """Invoke one handler and assemble its reply (executor task body).
+    def make_reply(self, plan: _PlannedPull, kind: str, iteration: int, response: Any) -> Reply:
+        """Assemble the reply to one planned pull from its handler's response.
 
         Everything stochastic (``jitter``, ``factor``, drop decisions) was
-        sampled before dispatch, so this function is deterministic and safe to
-        run concurrently with other destinations' handlers.
+        sampled before dispatch, so this is deterministic and safe to run
+        concurrently with other destinations' replies.
         """
-        context = RequestContext(requester=source, iteration=iteration, payload=payload)
-        response = self.backend.invoke(planned.destination, kind, context)
         nbytes = self._payload_nbytes(response)
-        latency = self.link.latency_from_jitter(planned.jitter, nbytes, planned.factor)
-        self._maybe_wall_wait(latency)
         return Reply(
-            source=planned.destination,
+            source=plan.destination,
             kind=kind,
             iteration=iteration,
             payload=response,
-            latency=latency,
+            latency=self.link.latency_from_jitter(plan.jitter, nbytes, plan.factor),
             nbytes=nbytes,
         )
 
@@ -619,8 +637,9 @@ class Transport:
            requester's account when the request ships a payload, notice crashed
            peers, sample the drop decision and the latency jitter.  Nothing
            else in a quorum pull touches shared randomness.
-        2. *Dispatch* — every planned handler invocation goes through the
-           executor; with a threaded engine peers are serviced concurrently.
+        2. *Dispatch* — the backend delivers every planned pull
+           (:meth:`TransportBackend.deliver`); with a threaded engine, or
+           over sockets, peers are serviced concurrently.
         3. *Classify* (serial, in wave order, whatever order the engine
            finished in) — each pull exactly once: refused, dropped, lost
            mid-reply, silent or infinitely late, or usable.  Every served
@@ -640,7 +659,12 @@ class Transport:
                 plans.append(_REFUSED)
 
         planned = [plan for plan in plans if isinstance(plan, _PlannedPull)]
-        served = iter(self._dispatch(planned, source, kind, iteration, payload))
+        context = RequestContext(requester=source, iteration=iteration, payload=payload)
+        # A peer that dies mid-reply delivers nothing: its slot stays None.
+        replies: List[Optional[Reply]] = [None] * len(planned)
+        for index, reply in self.backend.deliver(self, planned, kind, context):
+            replies[index] = reply
+        served = iter(replies)
 
         # The link's idea of "late" before any peer has a latency history: a
         # handful of base latencies plus mean jitter — generous for a healthy
@@ -671,39 +695,6 @@ class Transport:
             outcomes.append(PullOutcome(destination, status, deadline, arrival, reply))
             self._note_health(outcomes[-1])
         return outcomes
-
-    # ------------------------------------------------------------------ #
-    # Fan-out plumbing
-    # ------------------------------------------------------------------ #
-    def _dispatch(
-        self,
-        planned: Sequence[_PlannedPull],
-        source: str,
-        kind: str,
-        iteration: int,
-        payload: Any,
-    ) -> List[Optional[Reply]]:
-        """Run every planned pull through the executor; index-aligned results.
-
-        A peer crashing mid-reply yields ``None``, a lost message, instead of
-        failing the fan-out: a peer that straggles and then dies while its
-        (slow) reply is in flight must reduce the usable count by exactly
-        one.  The serial/threaded backends cannot hit this (crashes are
-        planned away at round boundaries), but over real sockets a SIGKILL
-        can land at any instant.
-        """
-
-        def serve(plan: _PlannedPull) -> Optional[Reply]:
-            try:
-                return self._serve(plan, source, kind, iteration, payload)
-            except NodeCrashedError:
-                return None
-
-        collected: List[Optional[Reply]] = [None] * len(planned)
-        tasks = [(lambda plan=plan: serve(plan)) for plan in planned]
-        for index, reply in self.executor.map_unordered(tasks):
-            collected[index] = reply
-        return collected
 
     def _note_health(self, outcome: PullOutcome) -> None:
         """Feed one classified pull to the liveness detector, when attached.

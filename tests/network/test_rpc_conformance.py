@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.executor import ThreadedExecutor
+from repro.core.executor import SerialExecutor, ThreadedExecutor
 from repro.exceptions import CommunicationError, NodeCrashedError, TimeoutError
 from repro.network.rpc import (
     SocketBackend,
@@ -33,7 +33,7 @@ from repro.network.transport import LinkModel, Transport
 PROBE_NODES = [f"probe-{i}" for i in range(5)]
 
 
-def _build_transport(flavor: str) -> Transport:
+def _build_transport(flavor: str, executor=None) -> Transport:
     backend = None
     if flavor == "socket":
         available, reason = process_backend_available()
@@ -43,7 +43,7 @@ def _build_transport(flavor: str) -> Transport:
     transport = Transport(
         link=LinkModel(base_latency=1e-4, jitter=1e-5),
         seed=3,
-        executor=ThreadedExecutor(max_workers=8),
+        executor=executor or ThreadedExecutor(max_workers=8),
         backend=backend,
     )
     for node_id in PROBE_NODES:
@@ -244,6 +244,24 @@ class TestSocketBackendCrashSemantics:
             killer.join()
         assert len(replies) == quorum
         assert victim not in {r.source for r in replies}
+
+    @pytest.mark.parametrize("quorum", [len(PROBE_NODES), 3])
+    def test_the_whole_wave_is_in_flight_without_a_pool(self, quorum):
+        """Under the serial engine a wave of five half-second naps still
+        takes about one nap: every request is out before any reply is read,
+        and no thread is blocked per peer."""
+        transport = _build_transport("socket", executor=SerialExecutor())
+        try:
+            started = time.monotonic()
+            replies, _ = transport.pull_many(
+                "tester", PROBE_NODES, "nap", quorum=quorum, iteration=7, payload=0.5
+            )
+            took = time.monotonic() - started
+        finally:
+            transport.close()
+        assert len(replies) == quorum
+        assert all(np.array_equal(reply.payload, [7.0]) for reply in replies)
+        assert took < 2 * 0.5, f"the wave took {took:.2f}s: its naps ran one after another"
 
     def test_recovered_host_serves_again_with_a_fresh_pid(self, socket_transport):
         backend = socket_transport.backend

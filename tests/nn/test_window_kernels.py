@@ -11,9 +11,12 @@ depend on the two being the *same function to the last bit*, so:
   ``np.array_equal`` over a grid of kernels, strides and paddings on sizes the
   window does not tile;
 * ``window_kernels_fixture.json`` holds the ``update_norm`` of five ``ssmw`` /
-  ``mnist_cnn`` rounds recorded with the old helpers (floats as ``repr``).  Run
-  this file as a script to regenerate it — against the old source, and only
-  when the arithmetic itself is meant to change;
+  ``mnist_cnn`` rounds recorded with the old helpers (floats as ``repr``), and
+  the OpenBLAS thread count they were recorded under: GEMM blocks its sums by
+  thread count, so the last bits of the norms depend on it, and the rounds
+  are replayed in a child interpreter pinned to that count.  Run this file
+  as a script to regenerate it — against the old source, and only when the
+  arithmetic itself is meant to change;
 * a guard runs one ``mnist_cnn`` step with ``np.add.at`` made to raise.
 """
 
@@ -21,6 +24,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -234,8 +240,29 @@ def record() -> list:
         return [repr(session.step().update_norm) for _ in range(ROUNDS)]
 
 
+def record_pinned(blas_threads: int) -> list:
+    """:func:`record` in a child interpreter whose OpenBLAS runs ``blas_threads`` threads.
+
+    The count is read once, when OpenBLAS loads, so it cannot be changed in
+    a process that already imported NumPy.
+    """
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=str(blas_threads),
+        PYTHONPATH=src + (os.pathsep + path if path else ""),
+    )
+    done = subprocess.run(
+        [sys.executable, __file__, "--print"], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def test_training_rounds_reproduce_the_recorded_update_norms():
-    assert record() == json.loads(FIXTURE.read_text(encoding="utf-8"))["update_norm"]
+    fixture = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    assert record_pinned(fixture["blas_threads"]) == fixture["update_norm"]
 
 
 class _AddWithoutAt:
@@ -266,5 +293,10 @@ def test_cnn_step_never_calls_the_unbuffered_scatter_add(monkeypatch):
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps({"update_norm": record()}, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {FIXTURE}")
+    if sys.argv[1:] == ["--print"]:
+        print(json.dumps(record()))
+    else:
+        threads = 2
+        fixture = {"blas_threads": threads, "update_norm": record_pinned(threads)}
+        FIXTURE.write_text(json.dumps(fixture, indent=1) + "\n", encoding="utf-8")
+        print(f"wrote {FIXTURE}")
