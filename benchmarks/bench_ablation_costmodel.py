@@ -12,23 +12,14 @@ from __future__ import annotations
 
 from conftest import print_table
 
-from repro.apps.throughput import ThroughputModel
+from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
 from repro.network.cost import NetworkParameters
 
 
 def build(network: NetworkParameters | None = None) -> ThroughputModel:
     return ThroughputModel(
-        model="resnet50",
-        device="cpu",
-        framework="tensorflow",
-        num_workers=18,
-        num_byzantine_workers=3,
-        num_servers=6,
-        num_byzantine_servers=1,
-        gradient_gar="bulyan",
-        model_gar="median",
-        asynchronous=True,
-        network=network,
+        model="resnet50", gradient_gar="bulyan", model_gar="median", asynchronous=True,
+        network=network, **PAPER_TESTBEDS["cpu"],
     )
 
 
@@ -73,16 +64,9 @@ def test_ablation_cost_model_ingredients(benchmark, table_printer):
 
 def test_ablation_pipelining_and_gpu_collectives(benchmark, table_printer):
     """The PyTorch-path optimisations (pipelined aggregation, GPU-direct collectives)."""
-    pytorch = ThroughputModel(
-        model="resnet50", device="gpu", framework="pytorch",
-        num_workers=10, num_byzantine_workers=3, num_servers=3, num_byzantine_servers=1,
-        gradient_gar="multi-krum", model_gar="median",
-    )
-    tensorflow_on_gpu = ThroughputModel(
-        model="resnet50", device="gpu", framework="tensorflow",
-        num_workers=10, num_byzantine_workers=3, num_servers=3, num_byzantine_servers=1,
-        gradient_gar="multi-krum", model_gar="median",
-    )
+    gpu = dict(model="resnet50", gradient_gar="multi-krum", model_gar="median", **PAPER_TESTBEDS["gpu"])
+    pytorch = ThroughputModel(**gpu)
+    tensorflow_on_gpu = ThroughputModel(**{**gpu, "framework": "tensorflow"})
 
     rows = []
     for label, model in [("pytorch (pipelined, gpu-direct)", pytorch), ("tensorflow path on gpu", tensorflow_on_gpu)]:

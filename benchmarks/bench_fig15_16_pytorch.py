@@ -13,22 +13,14 @@ from __future__ import annotations
 
 from conftest import print_table
 
-from repro.apps.throughput import ThroughputModel
+from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
 
 MODELS = ["mnist_cnn", "cifarnet", "inception", "resnet50", "resnet152", "vgg"]
 
 
 def build(model_name: str) -> ThroughputModel:
     return ThroughputModel(
-        model=model_name,
-        device="gpu",
-        framework="pytorch",
-        num_workers=10,
-        num_byzantine_workers=3,
-        num_servers=3,
-        num_byzantine_servers=1,
-        gradient_gar="multi-krum",
-        model_gar="median",
+        model=model_name, gradient_gar="multi-krum", model_gar="median", **PAPER_TESTBEDS["gpu"]
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 from conftest import print_table
 
-from repro.apps.throughput import ThroughputModel
+from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
 
 MODELS = ["mnist_cnn", "cifarnet", "inception", "resnet50", "resnet200", "vgg"]
 DEPLOYMENTS = ["crash-tolerant", "ssmw", "msmw", "decentralized"]
@@ -19,30 +19,14 @@ DEPLOYMENTS = ["crash-tolerant", "ssmw", "msmw", "decentralized"]
 
 def cpu_model(name: str) -> ThroughputModel:
     return ThroughputModel(
-        model=name,
-        device="cpu",
-        framework="tensorflow",
-        num_workers=18,
-        num_byzantine_workers=3,
-        num_servers=6,
-        num_byzantine_servers=1,
-        gradient_gar="bulyan",
-        model_gar="median",
-        asynchronous=True,
+        model=name, gradient_gar="bulyan", model_gar="median", asynchronous=True,
+        **PAPER_TESTBEDS["cpu"],
     )
 
 
 def gpu_model(name: str) -> ThroughputModel:
     return ThroughputModel(
-        model=name,
-        device="gpu",
-        framework="pytorch",
-        num_workers=10,
-        num_byzantine_workers=3,
-        num_servers=3,
-        num_byzantine_servers=1,
-        gradient_gar="multi-krum",
-        model_gar="median",
+        model=name, gradient_gar="multi-krum", model_gar="median", **PAPER_TESTBEDS["gpu"]
     )
 
 

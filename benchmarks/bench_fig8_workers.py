@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from conftest import print_table
 
-from repro.apps.throughput import ThroughputModel
+from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
 
 CPU_SWEEP = [3, 6, 9, 12, 15, 18]
 GPU_SWEEP = [5, 7, 9, 11, 13]
@@ -19,24 +19,19 @@ CPU_DEPLOYMENTS = ["vanilla", "aggregathor", "crash-tolerant", "ssmw", "msmw", "
 GPU_DEPLOYMENTS = ["vanilla", "crash-tolerant", "ssmw", "msmw", "decentralized"]
 
 
-def build(model, device, framework, num_workers):
-    return ThroughputModel(
-        model=model,
-        device=device,
-        framework=framework,
-        num_workers=num_workers,
-        num_byzantine_workers=min(3, max(0, (num_workers - 3) // 4)),
-        num_servers=6 if device == "cpu" else 3,
-        num_byzantine_servers=1,
-        gradient_gar="multi-krum",
-        model_gar="median",
-    )
+def build(model, device, num_workers):
+    testbed = {
+        **PAPER_TESTBEDS[device],
+        "num_workers": num_workers,
+        "num_byzantine_workers": min(3, max(0, (num_workers - 3) // 4)),
+    }
+    return ThroughputModel(model=model, gradient_gar="multi-krum", model_gar="median", **testbed)
 
 
-def sweep(model, device, framework, sweep_values, deployments):
+def sweep(model, device, sweep_values, deployments):
     table = {}
     for nw in sweep_values:
-        tm = build(model, device, framework, nw)
+        tm = build(model, device, nw)
         table[nw] = {d: tm.throughput_batches_per_s(d) for d in deployments}
     return table
 
@@ -48,7 +43,7 @@ def print_sweep(title, table, deployments, printer):
 
 def test_fig8a_cpu_worker_scaling(benchmark, table_printer):
     """Figure 8a: throughput vs n_w, CPU / CifarNet / TensorFlow systems."""
-    table = sweep("cifarnet", "cpu", "tensorflow", CPU_SWEEP, CPU_DEPLOYMENTS)
+    table = sweep("cifarnet", "cpu", CPU_SWEEP, CPU_DEPLOYMENTS)
     print_sweep("Figure 8a — throughput (batches/s) vs n_w (CPU, CifarNet)", table, CPU_DEPLOYMENTS, table_printer)
 
     first, last = CPU_SWEEP[0], CPU_SWEEP[-1]
@@ -69,12 +64,12 @@ def test_fig8a_cpu_worker_scaling(benchmark, table_printer):
     for nw in CPU_SWEEP:
         assert table[nw]["vanilla"] == max(table[nw].values())
 
-    benchmark(lambda: build("cifarnet", "cpu", "tensorflow", 18).throughput_batches_per_s("ssmw"))
+    benchmark(lambda: build("cifarnet", "cpu", 18).throughput_batches_per_s("ssmw"))
 
 
 def test_fig8b_gpu_worker_scaling(benchmark, table_printer):
     """Figure 8b: throughput vs n_w, GPU / ResNet-50 / PyTorch systems."""
-    table = sweep("resnet50", "gpu", "pytorch", GPU_SWEEP, GPU_DEPLOYMENTS)
+    table = sweep("resnet50", "gpu", GPU_SWEEP, GPU_DEPLOYMENTS)
     print_sweep("Figure 8b — throughput (batches/s) vs n_w (GPU, ResNet-50)", table, GPU_DEPLOYMENTS, table_printer)
 
     first, last = GPU_SWEEP[0], GPU_SWEEP[-1]
@@ -89,8 +84,8 @@ def test_fig8b_gpu_worker_scaling(benchmark, table_printer):
 
     # The GPU cluster is roughly an order of magnitude faster than the CPU one
     # for the same deployment and model family (Figure 8a vs 8b in the paper).
-    cpu = build("cifarnet", "cpu", "tensorflow", 13).throughput_batches_per_s("ssmw")
-    gpu = build("cifarnet", "gpu", "pytorch", 13).throughput_batches_per_s("ssmw")
+    cpu = build("cifarnet", "cpu", 13).throughput_batches_per_s("ssmw")
+    gpu = build("cifarnet", "gpu", 13).throughput_batches_per_s("ssmw")
     assert gpu > 2.0 * cpu
 
-    benchmark(lambda: build("resnet50", "gpu", "pytorch", 13).throughput_batches_per_s("msmw"))
+    benchmark(lambda: build("resnet50", "gpu", 13).throughput_batches_per_s("msmw"))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.apps.throughput import ThroughputModel
+from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
 from repro.nn.models import PAPER_MODEL_DIMENSIONS
 
 DEPLOYMENTS = ["vanilla", "aggregathor", "crash-tolerant", "ssmw", "msmw", "decentralized"]
@@ -25,23 +25,15 @@ def main() -> None:
     if model_name not in PAPER_MODEL_DIMENSIONS:
         raise SystemExit(f"unknown model '{model_name}'; choose from {sorted(PAPER_MODEL_DIMENSIONS)}")
 
-    framework = "tensorflow" if device == "cpu" else "pytorch"
-    workers, servers = (18, 6) if device == "cpu" else (10, 3)
-    model = ThroughputModel(
-        model=model_name,
-        device=device,
-        framework=framework,
-        num_workers=workers,
-        num_byzantine_workers=3,
-        num_servers=servers,
-        num_byzantine_servers=1,
-        gradient_gar="multi-krum",
-        model_gar="median",
-    )
+    if device not in PAPER_TESTBEDS:
+        raise SystemExit(f"unknown device '{device}'; choose from {sorted(PAPER_TESTBEDS)}")
+    testbed = PAPER_TESTBEDS[device]
+    model = ThroughputModel(model=model_name, gradient_gar="multi-krum", model_gar="median", **testbed)
 
     print(
         f"model={model_name} (d={PAPER_MODEL_DIMENSIONS[model_name]:,}), device={device}, "
-        f"framework={framework}, {workers} workers / {servers} servers"
+        f"framework={testbed['framework']}, "
+        f"{testbed['num_workers']} workers / {testbed['num_servers']} servers"
     )
     header = f"{'deployment':16s} {'compute':>9s} {'comm':>9s} {'agg':>9s} {'total':>9s} {'slowdown':>9s}"
     print(header)

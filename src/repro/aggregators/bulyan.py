@@ -37,23 +37,23 @@ class Bulyan(DistanceGAR):
 
         Each committee round scores the survivors by slicing the one distance
         matrix, an O(r^2 log r) operation instead of O(r^2 d).  Once ``2f + 2``
-        rows remain, the last seats go to the lowest row indices with no score,
-        so an early outlier can take one (ROADMAP item 5).
+        rows remain Krum's ``2f + 3`` precondition no longer holds, so the
+        last seats go to the best of one final scoring of those rows (stable
+        order), never to a row for its index alone.
         """
         q = distances.shape[0]
         committee_size = max(1, q - 2 * self.f)
         remaining = list(range(q))
         committee: list[int] = []
-        while len(committee) < committee_size and remaining:
-            if len(remaining) <= 2 * self.f + 2:
-                # Not enough vectors left for meaningful Krum scores; take the rest.
-                committee.extend(remaining)
-                break
+        while len(committee) < committee_size:
             idx = np.asarray(remaining)
             scores = krum_scores_from_distances(distances[np.ix_(idx, idx)], self.f)
-            best_local = int(np.argmin(scores))
-            committee.append(remaining.pop(best_local))
-        return np.asarray(committee[:committee_size], dtype=np.intp)
+            if len(remaining) <= 2 * self.f + 2:
+                best = np.argsort(scores, kind="stable")[: committee_size - len(committee)]
+                committee.extend(idx[best].tolist())
+                break
+            committee.append(remaining.pop(int(np.argmin(scores))))
+        return np.asarray(committee, dtype=np.intp)
 
     def combine(self, rows: np.ndarray) -> np.ndarray:
         """Stage 2: per coordinate, average the ``k - 2f`` committee values closest to the median."""

@@ -21,7 +21,7 @@ makes all-to-all (decentralized) deployments scale quadratically (Figure 9a).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.aggregators.base import GAR, init as init_gar
 from repro.exceptions import ConfigurationError
@@ -45,6 +45,17 @@ FABRIC_CAPACITY_FACTOR = 16.0
 P2P_FABRIC_CAPACITY_FACTOR = 4.0
 #: Extra transfer inefficiency of AggregaThor's non-parallelized RPC layer.
 AGGREGATHOR_TRANSFER_FACTOR = 1.15
+
+#: The paper's two testbeds, as ``ThroughputModel`` keyword arguments: the
+#: CPU cluster runs TensorFlow, the GPU cluster PyTorch.  ``repro throughput``
+#: and the figure benchmarks unpack one and override what they sweep.
+PAPER_TESTBEDS: Dict[str, Dict[str, Any]] = {
+    "cpu": dict(device="cpu", framework="tensorflow", num_workers=18, num_byzantine_workers=3,
+                num_servers=6, num_byzantine_servers=1),
+    "gpu": dict(device="gpu", framework="pytorch", num_workers=10, num_byzantine_workers=3,
+                num_servers=3, num_byzantine_servers=1),
+}
+_CPU_TESTBED = PAPER_TESTBEDS["cpu"]
 
 
 @dataclass
@@ -81,12 +92,12 @@ class ThroughputModel:
         model: str = "resnet50",
         dimension: Optional[int] = None,
         batch_size: int = 32,
-        num_workers: int = 18,
-        num_byzantine_workers: int = 3,
-        num_servers: int = 6,
-        num_byzantine_servers: int = 1,
-        device: str = "cpu",
-        framework: str = "tensorflow",
+        num_workers: int = _CPU_TESTBED["num_workers"],
+        num_byzantine_workers: int = _CPU_TESTBED["num_byzantine_workers"],
+        num_servers: int = _CPU_TESTBED["num_servers"],
+        num_byzantine_servers: int = _CPU_TESTBED["num_byzantine_servers"],
+        device: str = _CPU_TESTBED["device"],
+        framework: str = _CPU_TESTBED["framework"],
         gradient_gar: str = "multi-krum",
         model_gar: str = "median",
         contract_steps: int = 0,

@@ -55,9 +55,14 @@ def available_attacks() -> List[str]:
     return sorted(ATTACK_REGISTRY)
 
 
-def build_attack(name: str, seed: int = 0, **kwargs) -> Attack:
-    """Instantiate an attack by name."""
+def attack_class(name: str) -> Type[Attack]:
+    """The registered attack a (case- and ``_``/``-``-insensitive) name denotes."""
     key = name.lower().replace("_", "-")
     if key not in ATTACK_REGISTRY:
         raise ConfigurationError(f"unknown attack '{name}'; available: {available_attacks()}")
-    return ATTACK_REGISTRY[key](seed=seed, **kwargs)
+    return ATTACK_REGISTRY[key]
+
+
+def build_attack(name: str, seed: int = 0, **kwargs) -> Attack:
+    """Instantiate an attack by name."""
+    return attack_class(name)(seed=seed, **kwargs)

@@ -13,8 +13,8 @@ Run a small SSMW training job under the reversed-vector attack and save the
 result as JSON::
 
     python -m repro run --deployment ssmw --workers 8 --byzantine-workers 2 \
-        --attacking-workers 2 --attack reversed --gar multi-krum \
-        --iterations 30 --output result.json
+        --attacking-workers 2 --worker-attack reversed --gradient-gar multi-krum \
+        --model logistic --iterations 30 --output result.json
 
 Print the analytic per-iteration latency breakdown of every deployment for a
 given model and device (the Figure 6/7 view)::
@@ -25,19 +25,67 @@ given model and device (the Figure 6/7 view)::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import List, Optional, Sequence
+import typing
+from typing import Optional, Sequence
 
 from repro.aggregators import available_gars
+from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
 from repro.attacks import available_attacks
 from repro.core.cluster import ClusterConfig
-from repro.core.executor import available_executors
-from repro.core.scenario import SCENARIO_LIBRARY, available_scenarios, config_for_scenario
+from repro.core.scenario import SCENARIO_LIBRARY, available_scenarios, build_config
 from repro.core.session import Session, available_applications
 from repro.detection import available_detectors
-from repro.network.topology import DEPLOYMENTS
+from repro.network.resilience import ResilienceConfig
 from repro.nn.models import MODEL_REGISTRY, PAPER_MODEL_DIMENSIONS
 from repro.version import __version__
+
+#: The ClusterConfig fields a ``repro run`` namespace may carry.
+_CONFIG_FIELDS = frozenset(field.name for field in dataclasses.fields(ClusterConfig))
+
+
+def config_flag(name: str) -> str:
+    """The run flag of a config field: ``num_workers`` -> ``--workers``."""
+    return "--" + name.removeprefix("num_").replace("_", "-")
+
+
+class _ResilienceOption(argparse.Action):
+    """``--retry`` / ``--hedge`` / ``--supervise``: one key of ``resilience`` on."""
+
+    def __init__(self, option_strings, dest, **kwargs) -> None:
+        super().__init__(option_strings, "resilience", nargs=0, **kwargs)
+        self.option = dest
+
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        namespace.resilience = {**getattr(namespace, "resilience", {}), self.option: True}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per scalar ``ClusterConfig`` field and per resilience option.
+
+    Every flag defaults to ``SUPPRESS``, so the parsed namespace holds exactly
+    the fields the user set.
+    """
+    hints = typing.get_type_hints(ClusterConfig)
+    for field in dataclasses.fields(ClusterConfig):
+        kind = hints[field.name]
+        if field.name == "resilience":
+            for option in dataclasses.fields(ResilienceConfig):
+                parser.add_argument(
+                    config_flag(option.name), action=_ResilienceOption, dest=option.name,
+                    default=argparse.SUPPRESS, help="resilience option (default: off)",
+                )
+        elif kind is bool:
+            parser.add_argument(
+                config_flag(field.name), action="store_true", dest=field.name,
+                default=argparse.SUPPRESS, help=f"bool (default: {field.default})",
+            )
+        elif kind in (int, float, str):
+            parser.add_argument(
+                config_flag(field.name), type=kind, dest=field.name, metavar=kind.__name__.upper(),
+                default=argparse.SUPPRESS, help=f"default: {field.default!r}",
+            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,92 +101,19 @@ def build_parser() -> argparse.ArgumentParser:
     list_parser.set_defaults(handler=_cmd_list)
 
     # ------------------------------------------------------------------ #
-    run_parser = subparsers.add_parser("run", help="run one training deployment end to end")
-    run_parser.add_argument("--deployment", choices=sorted(DEPLOYMENTS), default="ssmw")
-    run_parser.add_argument("--workers", type=int, default=6)
-    run_parser.add_argument("--byzantine-workers", type=int, default=0)
-    run_parser.add_argument("--attacking-workers", type=int, default=0)
-    run_parser.add_argument("--servers", type=int, default=1)
-    run_parser.add_argument("--byzantine-servers", type=int, default=0)
-    run_parser.add_argument("--attacking-servers", type=int, default=0)
-    run_parser.add_argument("--attack", default="random", help="worker/server attack name")
-    run_parser.add_argument("--gar", default="multi-krum", help="gradient aggregation rule")
-    run_parser.add_argument("--model-gar", default="median", help="model aggregation rule")
-    run_parser.add_argument("--model", default="logistic")
-    run_parser.add_argument("--dataset", choices=["mnist", "cifar10"], default="mnist")
-    run_parser.add_argument("--dataset-size", type=int, default=400)
-    run_parser.add_argument("--batch-size", type=int, default=16)
-    run_parser.add_argument("--learning-rate", type=float, default=0.2)
-    run_parser.add_argument("--iterations", type=int, default=30)
-    run_parser.add_argument("--accuracy-every", type=int, default=10)
-    run_parser.add_argument("--seed", type=int, default=1)
-    run_parser.add_argument(
-        "--executor",
-        choices=available_executors(),
-        default="serial",
-        help=(
-            "engine servicing RPC fan-outs: serial (deterministic, in-order), "
-            "threaded (concurrent peers), process (every node a real OS "
-            "subprocess over TCP); all three reproduce the same trace for a "
-            "fixed seed"
+    run_parser = subparsers.add_parser(
+        "run",
+        help="run one training deployment end to end",
+        description=(
+            "Every ClusterConfig field is a flag, named by dropping 'num_' and "
+            "turning '_' into '-' (straggler_factors is Python/JSON only); see "
+            "docs/api.md for what each field means.  A flag you do not pass is "
+            "no override: the field keeps its ClusterConfig default, or the "
+            "value --scenario gives it."
         ),
+        allow_abbrev=False,
     )
-    run_parser.add_argument(
-        "--wire-format",
-        default="float64",
-        help=(
-            "encoding of gradient/model reply payloads: base[+delta][+zlib|+zstd] "
-            "with base float64 (bit-exact default), float32, float16 or int8 "
-            "(quantized); e.g. 'float16' or 'int8+delta+zlib'"
-        ),
-    )
-    run_parser.add_argument(
-        "--detector",
-        default="",
-        help=(
-            "online Byzantine detection: name of a registered detector "
-            "(distance, mad, variance) scoring workers each round, weighting "
-            "their gradients by reputation and evicting persistent outliers; "
-            "empty (default) disables detection entirely"
-        ),
-    )
-    run_parser.add_argument(
-        "--retry",
-        action="store_true",
-        help="self-healing: retry idempotent pulls with bounded exponential "
-        "backoff on retryable transport errors (process backend)",
-    )
-    run_parser.add_argument(
-        "--hedge",
-        action="store_true",
-        help="self-healing: re-issue straggling or lost quorum pulls to "
-        "reserve peers, ranked by tracked per-peer latency",
-    )
-    run_parser.add_argument(
-        "--supervise",
-        action="store_true",
-        help="self-healing: respawn unscripted host deaths from their last "
-        "state snapshot under a restart budget (process backend)",
-    )
-    run_parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help=(
-            "split the flat parameter vector into this many contiguous slices "
-            "for the msmw gradient phase (shard-parallel aggregation; "
-            "coordinate-wise GARs shard exactly, distance-based GARs run the "
-            "two-phase protocol); 1 (default) keeps the classic full-d path"
-        ),
-    )
-    run_parser.add_argument("--asynchronous", action="store_true")
-    run_parser.add_argument("--non-iid", action="store_true")
-    run_parser.add_argument(
-        "--scenario",
-        help="chaos scenario driving the run: a bundled name (see 'repro scenarios') "
-        "or a path to a scenario JSON file; the scenario's cluster shape overrides "
-        "conflicting flags",
-    )
+    _add_config_flags(run_parser)
     run_parser.add_argument(
         "--trace-output", help="write the deterministic scenario trace to this JSON file"
     )
@@ -239,11 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
         "throughput", help="print the analytic per-iteration latency breakdown per deployment"
     )
     throughput_parser.add_argument("--model", choices=sorted(PAPER_MODEL_DIMENSIONS), default="resnet50")
-    throughput_parser.add_argument("--device", choices=["cpu", "gpu"], default="cpu")
-    throughput_parser.add_argument("--workers", type=int, default=None)
-    throughput_parser.add_argument("--servers", type=int, default=None)
-    throughput_parser.add_argument("--byzantine-workers", type=int, default=3)
-    throughput_parser.add_argument("--byzantine-servers", type=int, default=1)
+    throughput_parser.add_argument("--device", choices=sorted(PAPER_TESTBEDS), default="cpu")
+    # An unset cluster flag keeps the --device testbed's value.
+    for name in ("num_workers", "num_servers", "num_byzantine_workers", "num_byzantine_servers"):
+        throughput_parser.add_argument(config_flag(name), type=int, dest=name, default=argparse.SUPPRESS)
     throughput_parser.add_argument("--gar", default="multi-krum")
     throughput_parser.set_defaults(handler=_cmd_throughput)
 
@@ -291,50 +265,7 @@ def _print_round(result) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    kwargs = dict(
-        deployment=args.deployment,
-        num_workers=args.workers,
-        num_byzantine_workers=args.byzantine_workers,
-        num_attacking_workers=args.attacking_workers,
-        num_servers=args.servers,
-        num_byzantine_servers=args.byzantine_servers,
-        num_attacking_servers=args.attacking_servers,
-        worker_attack=args.attack,
-        server_attack=args.attack,
-        gradient_gar=args.gar,
-        model_gar=args.model_gar,
-        model=args.model,
-        dataset=args.dataset,
-        dataset_size=args.dataset_size,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        num_iterations=args.iterations,
-        accuracy_every=args.accuracy_every,
-        asynchronous=args.asynchronous,
-        non_iid=args.non_iid,
-        executor=args.executor,
-        wire_format=args.wire_format,
-        detector=args.detector,
-        shards=args.shards,
-        seed=args.seed,
-    )
-    resilience = {
-        key: True
-        for key, enabled in (
-            ("retry", args.retry),
-            ("hedge", args.hedge),
-            ("supervise", args.supervise),
-        )
-        if enabled
-    }
-    if resilience:
-        # Only materialised when a flag is set, so flag-less runs build the
-        # exact same config dict as before the resilience surface existed.
-        kwargs["resilience"] = resilience
-    if args.scenario:
-        config = config_for_scenario(args.scenario, **kwargs)
-    else:
-        config = ClusterConfig(**kwargs)
+    config = build_config(**{name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS})
     # The CLI is a thin wrapper over the streaming Session API: one engine
     # behind every deployment, whether the rounds are streamed or batched.
     with Session(config=config) as session:
@@ -435,24 +366,18 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
-    from repro.apps.throughput import ThroughputModel
-
-    framework = "tensorflow" if args.device == "cpu" else "pytorch"
-    workers = args.workers if args.workers is not None else (18 if args.device == "cpu" else 10)
-    servers = args.servers if args.servers is not None else (6 if args.device == "cpu" else 3)
+    cluster = {key: value for key, value in vars(args).items() if key.startswith("num_")}
     model = ThroughputModel(
         model=args.model,
-        device=args.device,
-        framework=framework,
-        num_workers=workers,
-        num_byzantine_workers=args.byzantine_workers,
-        num_servers=servers,
-        num_byzantine_servers=args.byzantine_servers,
         gradient_gar=args.gar,
         model_gar="median",
+        **{**PAPER_TESTBEDS[args.device], **cluster},
     )
     vanilla_total = model.breakdown("vanilla").total
-    print(f"model={args.model}, device={args.device}, {workers} workers / {servers} servers")
+    print(
+        f"model={args.model}, device={args.device}, "
+        f"{model.num_workers} workers / {model.num_servers} servers"
+    )
     print(f"{'deployment':16s} {'compute':>9s} {'comm':>9s} {'agg':>9s} {'total':>9s} {'slowdown':>9s}")
     for deployment in ["vanilla", "aggregathor", "crash-tolerant", "ssmw", "msmw", "decentralized"]:
         b = model.breakdown(deployment)

@@ -14,11 +14,14 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Tuple
 
 from repro.aggregators.base import GAR_REGISTRY
+from repro.attacks.base import attack_class
 from repro.core.executor import EXECUTOR_REGISTRY
+from repro.core.experiment import DATASET_SHAPES
 from repro.exceptions import ConfigurationError
 from repro.network.cost import DEVICES, FRAMEWORKS
 from repro.network.serialization import parse_wire_format
 from repro.network.topology import DEPLOYMENTS
+from repro.nn.models import MODEL_REGISTRY
 
 
 @dataclass
@@ -54,9 +57,10 @@ class ClusterConfig:
     device: str = "cpu"
     framework: str = "tensorflow"
     #: Execution engine used to fan out worker/replica RPCs: ``"serial"``
-    #: (deterministic, in-order — the default, used by tests) or
-    #: ``"threaded"`` (concurrent service of independent peers; still
-    #: deterministic because all randomness is pre-sampled by the transport).
+    #: (deterministic, in-order — the default, used by tests),
+    #: ``"threaded"`` (concurrent service of independent peers) or
+    #: ``"process"`` (every node a real OS process over TCP); all three are
+    #: deterministic because all randomness is pre-sampled by the transport.
     executor: str = "serial"
     #: Thread count for the threaded executor; 0 picks an automatic size.
     executor_workers: int = 0
@@ -151,6 +155,19 @@ class ClusterConfig:
             raise ConfigurationError("learning_rate must be > 0")
         if self.dataset_size < 1:
             raise ConfigurationError("dataset_size must be >= 1")
+        if not self.dirichlet_alpha > 0:
+            raise ConfigurationError("dirichlet_alpha must be > 0")
+        if self.contract_steps < 0:
+            raise ConfigurationError("contract_steps must be >= 0")
+        if not self.dataset_noise >= 0:
+            raise ConfigurationError("dataset_noise must be >= 0")
+        # Names resolve the way their builders resolve them.
+        if self.model.lower() not in MODEL_REGISTRY:
+            raise ConfigurationError(f"unknown model '{self.model}'; choose from {sorted(MODEL_REGISTRY)}")
+        if self.dataset not in DATASET_SHAPES:
+            raise ConfigurationError(f"unknown dataset '{self.dataset}'; choose from {sorted(DATASET_SHAPES)}")
+        attack_class(self.worker_attack)
+        attack_class(self.server_attack)
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigurationError("test_fraction must lie strictly between 0 and 1")
         for name in ("momentum", "worker_momentum"):

@@ -250,14 +250,12 @@ class Controller:
 
     def _build(self, backend) -> Deployment:
         config = self.config
-        device = DEVICES[config.device]
-        framework = FRAMEWORKS[config.framework]
         # A default-format run keeps the paper-calibrated byte accounting
         # (wire_format=None); any other format switches the cost model
         # to the codec's exact framed sizes so reported bytes match the wire.
         cost_model = CostModel(
-            device=device,
-            framework=framework,
+            device=DEVICES[config.device],
+            framework=FRAMEWORKS[config.framework],
             wire_format=None if config.wire_format == "float64" else config.wire_format,
         )
 
@@ -293,8 +291,8 @@ class Controller:
         gradient_gar = self._build_gradient_gar()
         model_gar = self._build_model_gar()
 
-        workers = self._build_workers(config, transport, experiment, shards, device, framework, cost_model)
-        servers = self._build_servers(config, transport, experiment, test_set, device, framework, cost_model)
+        workers = self._build_workers(config, transport, experiment, shards)
+        servers = self._build_servers(config, transport, experiment, test_set)
 
         metrics = MetricsLog(deployment=config.deployment)
         deployment_cls = Deployment if backend is None else ProcessDeployment
@@ -389,7 +387,7 @@ class Controller:
         return init_gar(config.model_gar, n=config.model_quorum() + 1, f=config.model_f())
 
     # ------------------------------------------------------------------ #
-    def _build_workers(self, config, transport, experiment, shards, device, framework, cost_model) -> List[Worker]:
+    def _build_workers(self, config, transport, experiment, shards) -> List[Worker]:
         workers: List[Worker] = []
         attacking = set(range(config.num_workers - config.num_attacking_workers, config.num_workers))
         for index, node_id in enumerate(config.node_ids()[0]):
@@ -400,10 +398,7 @@ class Controller:
                 model=model,
                 dataset=shards[index],
                 batch_size=min(config.batch_size, len(shards[index])),
-                device=device,
-                framework=framework,
                 seed=config.seed + index,
-                cost_model=cost_model,
                 cache_gradients=not config.fresh_gradients_per_replica,
                 momentum=config.worker_momentum,
             )
@@ -415,7 +410,7 @@ class Controller:
                 workers.append(Worker(**kwargs))
         return workers
 
-    def _build_servers(self, config, transport, experiment, test_set, device, framework, cost_model) -> List[Server]:
+    def _build_servers(self, config, transport, experiment, test_set) -> List[Server]:
         worker_ids, server_ids = config.node_ids()
         num_servers = len(server_ids)
         if config.deployment == "decentralized":
@@ -435,9 +430,6 @@ class Controller:
                 test_dataset=test_set,
                 learning_rate=config.learning_rate,
                 momentum=config.momentum,
-                device=device,
-                framework=framework,
-                cost_model=cost_model,
             )
             if index in attacking:
                 servers.append(

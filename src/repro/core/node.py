@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import pickle
 import threading
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.network.cost import CPU, CostModel, Device, TENSORFLOW, FrameworkProfile
 from repro.network.transport import Handler, Transport
 from repro.nn.layers import Module
 from repro.nn.parameters import FlatParameterView, attach_flat_view
@@ -28,25 +27,15 @@ _SNAPSHOT_EXCLUDE = ("transport", "_serve_lock")
 class Node:
     """A participant in the cluster, attached to the shared transport.
 
-    Every node has an identifier, a device (CPU or GPU), a cost model used
-    to account the simulated time of its local computations, and — set by the
-    ``Server`` / ``Worker`` subclass — the ``model`` replica it owns.
+    Every node has an identifier and — set by the ``Server`` / ``Worker``
+    subclass — the ``model`` replica it owns.  What a round costs is the
+    deployment's ``RoundAccountant``'s to say, not the node's.
     """
 
     model: Module
 
-    def __init__(
-        self,
-        node_id: str,
-        transport: Transport,
-        device: Device = CPU,
-        framework: FrameworkProfile = TENSORFLOW,
-        cost_model: Optional[CostModel] = None,
-    ) -> None:
+    def __init__(self, node_id: str, transport: Transport) -> None:
         self.node_id = node_id
-        self.device = device
-        self.framework = framework
-        self.cost_model = cost_model or CostModel(device=device, framework=framework)
         self.attach(transport)
 
     # ------------------------------------------------------------------ #
@@ -124,4 +113,4 @@ class Node:
         return attach_flat_view(self.model.parameters())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(id={self.node_id!r}, device={self.device.name})"
+        return f"{type(self).__name__}(id={self.node_id!r})"

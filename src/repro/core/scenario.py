@@ -676,3 +676,18 @@ def config_for_scenario(ref: str, **overrides):
     spec = load_scenario(ref)
     data = {**overrides, **spec.config, "scenario": ref}
     return ClusterConfig.from_dict(data)
+
+
+def build_config(scenario: Optional[str] = None, **fields):
+    """The config ``repro.train(...)`` and ``repro run`` build from ``fields``.
+
+    With a ``scenario`` the fields go under its own config
+    (:func:`config_for_scenario`); without one they are a plain
+    :class:`~repro.core.cluster.ClusterConfig`, so a field the caller does
+    not set keeps the dataclass default either way.
+    """
+    if scenario:
+        return config_for_scenario(scenario, **fields)
+    from repro.core.cluster import ClusterConfig
+
+    return ClusterConfig(**fields)

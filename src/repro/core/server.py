@@ -30,7 +30,6 @@ import numpy as np
 from repro.core.node import Node
 from repro.datasets.synthetic import Dataset
 from repro.exceptions import ConfigurationError, TrainingError
-from repro.network.cost import CPU, CostModel, Device, TENSORFLOW, FrameworkProfile
 from repro.network.message import RequestContext
 from repro.network.transport import RoundBuffer, Transport
 from repro.nn.layers import Module
@@ -53,12 +52,9 @@ class Server(Node):
         optimizer: Optional[Optimizer] = None,
         learning_rate: float = 0.05,
         momentum: float = 0.0,
-        device: Device = CPU,
-        framework: FrameworkProfile = TENSORFLOW,
-        cost_model: Optional[CostModel] = None,
         eval_batch_size: int = 256,
     ) -> None:
-        super().__init__(node_id, transport, device=device, framework=framework, cost_model=cost_model)
+        super().__init__(node_id, transport)
         self.model = model
         # Contiguous flat parameter/gradient storage: parameter_vector reads,
         # model-state payloads and the optimizer's axpy all share one buffer.

@@ -51,10 +51,9 @@ from typing import (
 import numpy as np
 
 from repro.aggregators.base import DistanceGAR
-from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller, Deployment, TrainingResult
 from repro.core.metrics import IterationRecord
-from repro.core.scenario import config_for_scenario
+from repro.core.scenario import build_config
 from repro.core.server import Server
 from repro.exceptions import ConfigurationError
 from repro.sharding.aggregation import aggregate_shards
@@ -779,10 +778,7 @@ def train(
     Builds the cluster, streams the rounds, closes the deployment and returns
     the :class:`~repro.core.controller.TrainingResult`.
     """
-    if scenario:
-        config = config_for_scenario(scenario, **config_fields)
-    else:
-        config = ClusterConfig(**config_fields)
+    config = build_config(scenario, **config_fields)
     with Session(config=config, strategy=strategy, early_stop=early_stop) as session:
         if on_round is not None:
             session.on_round(on_round)

@@ -14,7 +14,6 @@ import numpy as np
 from repro.core.node import Node
 from repro.datasets.loader import DataLoader
 from repro.datasets.synthetic import Dataset
-from repro.network.cost import CPU, CostModel, Device, TENSORFLOW, FrameworkProfile
 from repro.network.message import RequestContext
 from repro.network.transport import Transport
 from repro.nn.layers import Module
@@ -47,26 +46,21 @@ class Worker(Node):
         model: Module,
         dataset: Dataset,
         batch_size: int = 32,
-        device: Device = CPU,
-        framework: FrameworkProfile = TENSORFLOW,
         loss: Optional[CrossEntropyLoss] = None,
         seed: int = 0,
-        cost_model: Optional[CostModel] = None,
         cache_gradients: bool = True,
         momentum: float = 0.0,
     ) -> None:
-        super().__init__(node_id, transport, device=device, framework=framework, cost_model=cost_model)
+        super().__init__(node_id, transport)
         self.model = model
         # Contiguous flat parameter/gradient storage: loading the requested
         # model state is one vectorized copy and the served gradient is a
         # read-only view of the flat gradient buffer (no per-layer gather).
         self.flat_view()
         self.loader = DataLoader(dataset, batch_size=batch_size, seed=seed)
-        self.batch_size = batch_size
         self.loss_fn = loss or CrossEntropyLoss()
         self.last_loss: Optional[float] = None
         self.gradients_computed = 0
-        self.compute_time = 0.0
         # One gradient is computed per training iteration and shared with every
         # replica that asks for it (push semantics of the paper's protocols);
         # the cache below implements that on top of the pull-based transport.
@@ -106,9 +100,6 @@ class Worker(Node):
         loss.backward()
         self.last_loss = loss.item()
         self.gradients_computed += 1
-        self.compute_time += self.cost_model.compute_time(
-            self.model.num_parameters(), self.batch_size
-        )
         gradient = view.gradient_vector()
         if self.momentum > 0.0:
             if self._velocity is None:

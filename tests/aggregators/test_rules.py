@@ -146,10 +146,6 @@ class TestBulyan:
         out = gar.aggregate([np.arange(5.0)] * 7)
         assert np.allclose(out, np.arange(5.0))
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="once 2f + 2 rows remain, the last committee seats go in row order (ROADMAP item 5)",
-    )
     def test_no_row_enters_the_committee_by_its_index_alone(self):
         q, f = 23, 5
         matrix = np.random.default_rng(0).standard_normal((q, 50))

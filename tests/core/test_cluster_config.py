@@ -156,6 +156,27 @@ class TestValidation:
             ClusterConfig(**{field: value})
 
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("model", "resnet9000"),  # was: accepted, failed in Controller.build
+            ("dataset", "imagenet"),
+            ("worker_attack", "gentle-nudge"),
+            ("server_attack", "gentle-nudge"),
+            ("dirichlet_alpha", 0.0),  # was: a late DatasetError, and only when non_iid
+            ("dirichlet_alpha", -1.0),
+            ("contract_steps", -1),  # was: accepted, range() ran no steps
+            ("dataset_noise", -0.5),  # was: accepted
+        ],
+    )
+    def test_unknown_names_and_negative_knobs_fail_at_config_time(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field}|{value}"):
+            ClusterConfig(**{field: value})
+
+    def test_names_are_matched_the_way_their_builders_match_them(self):
+        ClusterConfig(model="Logistic", worker_attack="little_is_enough", server_attack="Reversed")
+
+
 class TestStragglerFactors:
     """Every id is a node the deployment builds, every factor a real number
     >= 1.0 — checked when the config is made, not inside ``Controller.build``."""

@@ -38,7 +38,6 @@ class TestWorker:
         worker.compute_gradient(worker.flat_view().parameter_vector().copy())
         assert worker.gradients_computed == 1
         assert worker.last_loss is not None and worker.last_loss > 0
-        assert worker.compute_time > 0
 
     def test_gradient_descends_loss_locally(self, setup):
         """Following the worker's gradient should reduce its local loss."""

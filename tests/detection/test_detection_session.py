@@ -57,7 +57,7 @@ class TestConfigValidation:
                 num_byzantine_servers=0,
                 num_attacking_workers=0,
                 num_byzantine_workers=0 if deployment == "vanilla" else 2,
-                worker_attack="reversed" if deployment != "vanilla" else "",
+                worker_attack="reversed" if deployment != "vanilla" else "none",
             )
 
     def test_detector_off_builds_no_manager(self):

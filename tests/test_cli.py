@@ -2,16 +2,30 @@
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import build_parser, config_flag, main
+from repro.core.cluster import ClusterConfig
+from repro.core.scenario import config_for_scenario
+from repro.network.resilience import ResilienceConfig
+
+
+def run_parser() -> argparse.ArgumentParser:
+    subparsers = next(
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return subparsers.choices["run"]
 
 
 class TestParser:
@@ -89,8 +103,8 @@ class TestScenariosCommand:
     def test_trace_output_without_scenario_warns(self, capsys, tmp_path):
         trace_path = tmp_path / "t.json"
         args = [
-            "run", "--workers", "4", "--dataset-size", "100", "--iterations", "2",
-            "--trace-output", str(trace_path),
+            "run", "--workers", "4", "--model", "logistic", "--dataset-size", "100",
+            "--iterations", "2", "--trace-output", str(trace_path),
         ]
         assert main(args) == 0
         assert "requires --scenario" in capsys.readouterr().err
@@ -119,8 +133,9 @@ class TestRunCommand:
                 "--workers", "5",
                 "--byzantine-workers", "1",
                 "--attacking-workers", "1",
-                "--attack", "reversed",
-                "--gar", "multi-krum",
+                "--worker-attack", "reversed",
+                "--gradient-gar", "multi-krum",
+                "--model", "logistic",
                 "--dataset-size", "150",
                 "--batch-size", "8",
                 "--iterations", "4",
@@ -137,6 +152,7 @@ class TestRunCommand:
             [
                 "run",
                 "--workers", "4",
+                "--model", "logistic",
                 "--dataset-size", "100",
                 "--batch-size", "8",
                 "--iterations", "3",
@@ -159,6 +175,7 @@ class TestRunCommand:
                 "run",
                 "--deployment", "vanilla",
                 "--workers", "4",
+                "--model", "logistic",
                 "--dataset-size", "120",
                 "--batch-size", "8",
                 "--iterations", "3",
@@ -191,6 +208,7 @@ class TestRunCommand:
                 "run",
                 "--deployment", "ssmw",
                 "--workers", "4",
+                "--model", "logistic",
                 "--dataset-size", "100",
                 "--batch-size", "8",
                 "--iterations", "3",
@@ -210,6 +228,7 @@ class TestRunCommand:
                 "run",
                 "--deployment", "ssmw",
                 "--workers", "4",
+                "--model", "logistic",
                 "--dataset-size", "100",
                 "--batch-size", "8",
                 "--iterations", "6",
@@ -219,6 +238,67 @@ class TestRunCommand:
         )
         assert code == 0
         assert "over 2 iterations" in capsys.readouterr().out
+
+
+class TestRunFlags:
+    """``repro run``'s flags are generated from ``ClusterConfig``: one per
+    scalar field and per resilience option, none with a default of its own."""
+
+    def test_every_scalar_field_and_resilience_option_is_exactly_one_flag(self):
+        hints = typing.get_type_hints(ClusterConfig)
+        scalars = {
+            field.name for field in dataclasses.fields(ClusterConfig)
+            if hints[field.name] in (bool, int, float, str)
+        }
+        options = {field.name for field in dataclasses.fields(ResilienceConfig)}
+        actions = [action for action in run_parser()._actions if action.option_strings]
+        for name in scalars:
+            (action,) = [action for action in actions if action.dest == name]
+            assert action.option_strings == [config_flag(name)]
+        resilience = [action for action in actions if action.dest == "resilience"]
+        assert sorted(action.option_strings[0] for action in resilience) == sorted(
+            config_flag(option) for option in options
+        )
+        hand_written = {"help", "trace_output", "output", "stream", "until"}
+        assert {action.dest for action in actions} == scalars | {"resilience"} | hand_written
+
+    def test_no_run_flag_carries_a_default_of_its_own(self):
+        for action in run_parser()._actions:
+            if action.dest in {field.name for field in dataclasses.fields(ClusterConfig)}:
+                assert action.default is argparse.SUPPRESS, action.dest
+        parsed = vars(build_parser().parse_args(["run"]))
+        assert set(parsed) == {"command", "handler", "trace_output", "output", "stream", "until"}
+
+    def test_resilience_flags_build_one_dict(self):
+        parsed = build_parser().parse_args(["run", "--retry", "--supervise"])
+        assert parsed.resilience == {"retry": True, "supervise": True}
+
+    @pytest.mark.parametrize(
+        "argv", [["--gar", "multi-krum"], ["--attack", "reversed"], ["--work", "4"]]
+    )
+    def test_retired_and_abbreviated_flags_fail_loudly(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", *argv])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_unset_flags_keep_the_config_defaults(self, tmp_path, capsys):
+        output = tmp_path / "r.json"
+        assert main(["run", "--until", "1", "--output", str(output)]) == 0
+        assert json.loads(output.read_text())["config"] == ClusterConfig().to_dict()
+
+    def test_scenario_file_fills_only_what_it_sets(self, tmp_path, capsys):
+        scenario = tmp_path / "shape.json"
+        scenario.write_text(json.dumps({
+            "name": "shape",
+            "config": {"deployment": "ssmw", "num_workers": 7, "num_byzantine_workers": 1},
+            "events": [],
+        }))
+        output = tmp_path / "r.json"
+        assert main(["run", "--scenario", str(scenario), "--until", "1", "--output", str(output)]) == 0
+        recorded = json.loads(output.read_text())["config"]
+        assert recorded == config_for_scenario(str(scenario)).to_dict()
+        assert recorded["dataset_size"] == ClusterConfig().dataset_size
 
 
 class TestFuzzCommand:
