@@ -13,6 +13,10 @@
 #                         golden byte-identity, cost-model agreement
 #   make test-backends  — transport conformance + golden equivalence across the
 #                         serial / threaded / process backends
+#   make test-gars      — the aggregation rules: behaviour, column kernel,
+#                         properties (one selection order), recorded hashes,
+#                         sharded equivalence, and a NaN sender within f end
+#                         to end
 #   make update-golden  — explicitly re-bless the golden scenario traces
 #   make bench-smoke    — the async fastest-q speedup benchmark (~10 s)
 #   make bench-hotpath  — zero-copy pipeline vs the frozen legacy copy-chain
@@ -59,10 +63,10 @@
 PYTHON ?= python
 SEED ?= 1
 PAIRS ?= 10
-LOC_MAX ?= 8488
+LOC_MAX ?= 8478
 export PYTHONPATH := src
 
-.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench fuzz-smoke fuzz docs-check loc quickstart
+.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends test-gars update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench fuzz-smoke fuzz docs-check loc quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -87,6 +91,11 @@ test-backends:
 		tests/network/test_rpc_conformance.py tests/integration/test_scenarios_golden.py \
 		tests/integration/test_ledger_fixture.py tests/integration/test_process_chaos.py \
 		tests/integration/test_state_mirrors.py -q
+
+test-gars:
+	$(PYTHON) -m pytest tests/aggregators/test_rules.py tests/aggregators/test_column_kernel.py \
+		tests/aggregators/test_properties.py tests/aggregators/test_rules_fixture.py \
+		tests/sharding/test_sharded_aggregation.py tests/integration/test_nonfinite_rows.py -q
 
 update-golden:
 	$(PYTHON) -m pytest tests/integration/test_scenarios_golden.py -q --update-golden

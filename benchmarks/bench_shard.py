@@ -43,6 +43,7 @@ from repro.sharding import (
     combine_partial_distances,
     partial_squared_distances,
 )
+from repro.sharding.aggregation import combine_slice_ranks, slice_ranks
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT_PATH = REPO_ROOT / "BENCH_shard.json"
@@ -104,7 +105,8 @@ def lane_times(gar_name: str, matrix: np.ndarray, shard_map: ShardMap) -> List[f
     times = []
     if isinstance(gar, DistanceGAR):
         partials = [partial_squared_distances(buffer.materialize(s)) for s, _ in shard_map]
-        selected = gar.select(combine_partial_distances(partials))
+        ranks = [slice_ranks(buffer.materialize(s)) for s, _ in shard_map]
+        selected = gar.select(combine_partial_distances(partials), combine_slice_ranks(ranks))
         for shard, _ in shard_map:
             times.append(
                 best_of(lambda s=shard: gar.combine(buffer.materialize(s)[selected]))

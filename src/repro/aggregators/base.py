@@ -12,6 +12,13 @@ Two kinds of rule build on :class:`GAR`:
   else; the unsharded :meth:`DistanceGAR._aggregate` and the sharded two-phase
   protocol (:mod:`repro.sharding.aggregation`) both run them, each computing
   the distances exactly once per aggregation.
+
+Every selection follows one order, :func:`rank`: by score, a NaN score last,
+ties by :func:`row_positions` — each row's place in the byte order of its own
+values, never its arrival slot.  Column order statistics follow the same rule
+(:func:`sorted_columns` puts a NaN last, so it counts as the largest value).
+Which rows a rule keeps thus depends only on the multiset of rows, and up to
+``f`` rows holding a NaN or an infinity are absorbed like any other outlier.
 """
 
 from __future__ import annotations
@@ -226,6 +233,38 @@ def pairwise_squared_distances(matrix: np.ndarray) -> np.ndarray:
     return squared
 
 
+def row_keys(matrix: np.ndarray) -> np.ndarray:
+    """The rows of ``matrix`` as ``(q,)`` opaque byte strings: NumPy orders them by their bytes.
+
+    A view whenever each row is contiguous, as in a column slice of a round buffer.
+    """
+    rows = matrix if matrix.strides[1] == matrix.itemsize else np.ascontiguousarray(matrix)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
+def place(order: np.ndarray) -> np.ndarray:
+    """The inverse of the permutation ``order``: each row's place in it."""
+    positions = np.empty_like(order)
+    positions[order] = np.arange(order.size)
+    return positions
+
+
+def row_positions(matrix: np.ndarray) -> np.ndarray:
+    """Each row's place in the byte order of its own values (equal rows by index).
+
+    The tie-break of :func:`rank`: it depends on what a row holds, not on the
+    slot it arrived in, so a sender cannot win a tie by its latency.
+    """
+    return place(np.argsort(row_keys(matrix), kind="stable"))
+
+
+def rank(scores: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Row indices from best to worst: ascending ``scores``, a NaN score last,
+    ties by ``positions`` (:func:`row_positions`).  The one selection order of
+    every rule that keeps some rows and drops others."""
+    return np.lexsort((positions, scores))
+
+
 #: Largest row count :func:`sorted_columns` orders by whole-row compare-exchanges;
 #: above it ``np.sort`` is faster.  Read from the ``"cut"`` rows of
 #: ``BENCH_hotpath.json["gar"]``: the largest k that wins at every measured d.
@@ -262,15 +301,16 @@ def sorted_columns(matrix: np.ndarray) -> np.ndarray:
 
 
 def column_median(ordered: np.ndarray) -> np.ndarray:
-    """Per-column median of a block from :func:`sorted_columns`, as ``numpy.median(.., axis=0)`` gives it."""
+    """Per-column median of a block from :func:`sorted_columns`.
+
+    What ``numpy.median(.., axis=0)`` gives, except that a NaN counts as the
+    largest value (it sorts last) instead of making its whole column NaN: a
+    column is NaN only when NaNs reach its middle.
+    """
     k = ordered.shape[0]
     if k % 2:
-        median = ordered[k // 2].copy()
-    else:
-        median = (ordered[k // 2 - 1] + ordered[k // 2]) / 2.0
-    # NaNs sort last, so the last row says which columns hold one: those are NaN.
-    median[np.isnan(ordered[-1])] = np.nan
-    return median
+        return ordered[k // 2].copy()
+    return (ordered[k // 2 - 1] + ordered[k // 2]) / 2.0
 
 
 def mean_around_median(matrix: np.ndarray, keep: int) -> np.ndarray:
@@ -282,9 +322,10 @@ def mean_around_median(matrix: np.ndarray, keep: int) -> np.ndarray:
     of a zero, which ``abs`` removes before the argsort sees it.
     """
     # The keep values nearest the median are a contiguous window of the sorted
-    # block, so the argsort could go too.  It stays until ties have a defined
-    # order (ROADMAP item 5), which the window would break differently, and
-    # until the benchmark's aggregation-share floor is re-anchored (item 1).
+    # block, so the argsort could go too.  Equal distances on either side of
+    # the median resolve by row order, which the callers fix: MeaMed passes
+    # value-sorted columns, Bulyan a committee in rank order.  The window waits
+    # for the benchmark's aggregation-share floor to be re-anchored (ROADMAP).
     median = column_median(sorted_columns(matrix))
     order = np.argsort(np.abs(matrix - median[None, :]), axis=0)[:keep]
     return np.take_along_axis(matrix, order, axis=0).mean(axis=0)
@@ -300,11 +341,14 @@ class DistanceGAR(GAR):
     new distance rule shards with no edit under :mod:`repro.sharding`.
     """
 
-    def select(self, distances: np.ndarray) -> np.ndarray:
+    def select(self, distances: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Indices of the rows to combine, from the ``(q, q)`` squared distances.
 
-        ``distances`` is non-negative with an exact-zero diagonal, may be
-        read-only and must not be mutated.
+        ``distances`` has an exact-zero diagonal and is non-negative except
+        for NaN entries (a row holding a NaN or an infinity); it may be
+        read-only and must not be mutated.  ``positions`` is
+        :func:`row_positions` of the rows: order candidates through
+        :func:`rank` and the choice is the same for any arrival order.
         """
         raise NotImplementedError
 
@@ -315,7 +359,7 @@ class DistanceGAR(GAR):
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         distances = pairwise_squared_distances(matrix)
         np.fill_diagonal(distances, 0.0)
-        return self.combine(matrix[self.select(distances)])
+        return self.combine(matrix[self.select(distances, row_positions(matrix))])
 
     def flops(self, d: int) -> float:
         return float(self.n ** 2 * d)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregators.base import DistanceGAR, mean_around_median, register_gar
+from repro.aggregators.base import DistanceGAR, mean_around_median, rank, register_gar
 from repro.aggregators.krum import krum_scores_from_distances
 
 
@@ -32,27 +32,24 @@ class Bulyan(DistanceGAR):
     def minimum_inputs(cls, f: int) -> int:
         return 4 * f + 3
 
-    def select(self, distances: np.ndarray) -> np.ndarray:
+    def select(self, distances: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Stage 1: iterate the inner GAR (Krum) to pick a committee of ``q - 2f``.
 
         Each committee round scores the survivors by slicing the one distance
-        matrix, an O(r^2 log r) operation instead of O(r^2 d).  Once ``2f + 2``
-        rows remain Krum's ``2f + 3`` precondition no longer holds, so the
-        last seats go to the best of one final scoring of those rows (stable
-        order), never to a row for its index alone.
+        matrix, an O(r^2 log r) operation instead of O(r^2 d), and seats the
+        first of :func:`rank`.  Once ``2f + 2`` rows remain Krum's ``2f + 3``
+        precondition no longer holds, so one final ranking of those rows fills
+        the last seats.  The committee comes out in rank order.
         """
-        q = distances.shape[0]
-        committee_size = max(1, q - 2 * self.f)
-        remaining = list(range(q))
+        committee_size = max(1, distances.shape[0] - 2 * self.f)
+        remaining = np.arange(distances.shape[0])
         committee: list[int] = []
         while len(committee) < committee_size:
-            idx = np.asarray(remaining)
-            scores = krum_scores_from_distances(distances[np.ix_(idx, idx)], self.f)
-            if len(remaining) <= 2 * self.f + 2:
-                best = np.argsort(scores, kind="stable")[: committee_size - len(committee)]
-                committee.extend(idx[best].tolist())
-                break
-            committee.append(remaining.pop(int(np.argmin(scores))))
+            scores = krum_scores_from_distances(distances[np.ix_(remaining, remaining)], self.f)
+            order = rank(scores, positions[remaining])
+            seats = 1 if remaining.size > 2 * self.f + 2 else committee_size - len(committee)
+            committee.extend(remaining[order[:seats]].tolist())
+            remaining = remaining[order[seats:]]
         return np.asarray(committee, dtype=np.intp)
 
     def combine(self, rows: np.ndarray) -> np.ndarray:

@@ -37,6 +37,10 @@ class GeometricMedian(GAR):
         return 2 * f + 1
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
+        # A row holding a NaN or an infinity would poison every weight: drop it.
+        finite = np.isfinite(np.einsum("ij,ij->i", matrix, matrix))
+        if not finite.all():
+            matrix = matrix[finite]
         estimate = column_median(sorted_columns(matrix))
         for _ in range(self.iterations):
             distances = np.linalg.norm(matrix - estimate[None, :], axis=1)

@@ -14,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from repro.aggregators.base import DistanceGAR, register_gar
+from repro.aggregators.base import DistanceGAR, rank, register_gar
 from repro.exceptions import AggregationError
 
 
@@ -45,11 +45,13 @@ class MDA(DistanceGAR):
     def minimum_inputs(cls, f: int) -> int:
         return 2 * f + 1
 
-    def select(self, distances: np.ndarray) -> np.ndarray:
-        """Indices of the minimum-diameter ``q - f`` subset.
+    def select(self, distances: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Indices of the minimum-diameter ``q - f`` subset, in position order.
 
-        Enumeration order is that of ``itertools.combinations``, so ties
-        resolve identically wherever the distances come from.
+        Subsets are enumerated (``itertools.combinations``) over the rows in
+        position order, and the first with the minimal diameter wins, a NaN
+        diameter last: the choice, and the order in which the subset is
+        returned and summed, depend only on the rows' values.
         """
         q = distances.shape[0]
         if self.f == 0:
@@ -60,32 +62,22 @@ class MDA(DistanceGAR):
                 f"MDA would need to enumerate {comb(q, keep)} subsets "
                 f"(q={q}, f={self.f}); this exceeds the safety limit"
             )
-        euclidean = np.sqrt(distances)
+        rows = np.argsort(positions, kind="stable")
+        euclidean = np.sqrt(distances[np.ix_(rows, rows)])
 
-        best_subset: tuple = ()
-        best_diameter = np.inf
         # Score subsets in vectorized batches: for a (B, keep) block of candidate
         # index tuples, gather the (B, keep, keep) distance blocks and reduce to
-        # per-subset diameters in one shot.
+        # per-subset diameters in one shot; each batch keeps its first best.
         batch_size = max(1, min(self.subset_batch, self.batch_budget_bytes // (keep * keep * 8)))
         iterator = combinations(range(q), keep)
-        while True:
-            batch = list(islice(iterator, batch_size))
-            if not batch:
-                break
+        winners: list[tuple[float, np.ndarray]] = []
+        while batch := list(islice(iterator, batch_size)):
             idx = np.asarray(batch)
             diameters = euclidean[idx[:, :, None], idx[:, None, :]].max(axis=(1, 2))
-            local = int(np.argmin(diameters))
-            if diameters[local] < best_diameter:
-                best_diameter = float(diameters[local])
-                best_subset = batch[local]
-        return np.asarray(best_subset, dtype=np.intp)
-
-    def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
-        if self.f == 0:
-            # Every row is kept: the plain mean, no distances needed.
-            return matrix.mean(axis=0)
-        return super()._aggregate(matrix)
+            local = rank(diameters, np.arange(len(batch)))[0]
+            winners.append((diameters[local], idx[local]))
+        best = rank(np.array([diameter for diameter, _ in winners]), np.arange(len(winners)))[0]
+        return rows[winners[best][1]]
 
     def flops(self, d: int) -> float:
         keep = self.n - self.f

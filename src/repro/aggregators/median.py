@@ -7,7 +7,8 @@ quorum by whole-row compare-exchanges (``np.minimum`` / ``np.maximum``: no
 branch, no per-coordinate call) and the median is the middle of the ordered
 block.  ``numpy.median(axis=0)`` is *not* that primitive: it selects column by
 column, ~10x slower for 3 rows at d = 30 730 (``docs/performance.md``, section
-7).  A column holding a NaN has a NaN median, as with ``numpy.median``.
+7).  A NaN counts as the largest value of its column, so up to ``f`` of them
+per column are outvoted like any other outlier.
 """
 
 from __future__ import annotations
@@ -39,6 +40,3 @@ class Median(GAR):
         # The cost model's figure (pinned by the goldens): linear in the inputs per
         # coordinate; the worst case is quadratic (documented in Section 6.3).
         return float(self.n * d)
-
-    def worst_case_flops(self, d: int) -> float:
-        return float(self.n ** 2 * d)

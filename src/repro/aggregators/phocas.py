@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.aggregators.base import GAR, mean_around_median, register_gar
+from repro.aggregators.base import GAR, mean_around_median, register_gar, sorted_columns
 
 
 @register_gar
@@ -32,7 +32,9 @@ class MeaMed(GAR):
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         if self.f == 0:
             return matrix.mean(axis=0)
-        return mean_around_median(matrix, matrix.shape[0] - self.f)
+        # Value-sorted columns: equal distances on either side of the median
+        # resolve by value, not by row, and each column stays its own.
+        return mean_around_median(sorted_columns(matrix), matrix.shape[0] - self.f)
 
     def flops(self, d: int) -> float:
         return float(self.n * np.log2(max(self.n, 2)) * d)

@@ -23,42 +23,19 @@ under the process backend observe each fresh aggregate before they pull it.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
-from repro.core.session import RoundContext, RoundStrategy, register_application
+from repro.apps.msmw import MSMWStrategy
+from repro.core.session import RoundContext, register_application
 
 
 @register_application("decentralized")
-class DecentralizedStrategy(RoundStrategy):
-    """Listing 3 on every live honest node: gradients, optional contraction, models."""
+class DecentralizedStrategy(MSMWStrategy):
+    """Listing 3 on every live honest node: MSMW's round, with the contract step."""
 
-    def run_round(self, ctx: RoundContext) -> None:
-        live = ctx.deployment.live_servers
-
-        # Phase 1 — every node aggregates the gradients of its peers.
-        aggregated = [self.aggregate(ctx, ctx.gradients(server), server) for server in live]
-
-        # Phase 2 — contract the aggregated gradients when data is non-iid.
-        if ctx.config.non_iid:
-            aggregated = self._contract(ctx, live, aggregated)
-        for server, update in zip(live, aggregated):
-            server.update_model(update)
-
-        # Phase 3 — exchange and robustly aggregate the model states.
-        new_models = [
-            self.aggregate(ctx, ctx.models(server), server, model=True) for server in live
-        ]
-        for server, model in zip(live, new_models):
-            server.write_model(model)
-
-        ctx.deployment.alignment.maybe_sample(
-            ctx.iteration, [server.flat_parameters() for server in live]
-        )
-
-    def _contract(self, ctx: RoundContext, live, aggregated: List[np.ndarray]) -> List[np.ndarray]:
-        """The contract(...) helper of Listing 3: multi-round gradient re-aggregation."""
+    def contract(self, ctx: RoundContext, live, aggregated: list) -> list:
+        """The contract(...) helper of Listing 3: multi-round gradient re-aggregation
+        when the data is non-iid."""
+        if not ctx.config.non_iid:
+            return aggregated
         for _ in range(ctx.config.contract_steps):
             # Publish the current aggregate, then everybody pulls and re-aggregates.
             for server, update in zip(live, aggregated):

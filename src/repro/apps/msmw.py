@@ -42,12 +42,18 @@ from repro.core.session import RoundContext, RoundStrategy, register_application
 
 @register_application("msmw")
 class MSMWStrategy(RoundStrategy):
-    """Listing 2 on every live honest server replica: gradients, then models."""
+    """Listing 2 on every live honest server replica: gradients, then models.
+
+    Every replica aggregates its gradients before any applies its own, and
+    :meth:`contract` sits in between: the identity here, Listing 3's contract
+    step in :class:`~repro.apps.decentralized.DecentralizedStrategy`.
+    """
 
     def run_round(self, ctx: RoundContext) -> None:
         live = ctx.deployment.live_servers
-        for server in live:
-            server.update_model(self.aggregate(ctx, ctx.gradients(server), server))
+        aggregated = [self.aggregate(ctx, ctx.gradients(server), server) for server in live]
+        for server, update in zip(live, self.contract(ctx, live, aggregated)):
+            server.update_model(update)
 
         # Second communication round: contract the replicas' models.  Each
         # replica's round buffer holds the peer models plus its own state as
@@ -61,3 +67,7 @@ class MSMWStrategy(RoundStrategy):
         ctx.deployment.alignment.maybe_sample(
             ctx.iteration, [server.flat_parameters() for server in live]
         )
+
+    def contract(self, ctx: RoundContext, live, aggregated: list) -> list:
+        """The replicas' aggregated gradients as they are applied: unchanged here."""
+        return aggregated

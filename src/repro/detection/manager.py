@@ -67,10 +67,19 @@ class DetectionManager:
         matrix carries the *updated* weights — so a flagrant outlier is
         down-weighted in the very round it first appears, not one round
         later.  Membership decisions still wait for :meth:`finish_round`.
+
+        A row holding a NaN or an infinity is the most suspicious row there
+        is: it strikes at ``evict_threshold`` outright, and the detector
+        scores the finite rows alone, at a budget of ``f`` minus those rows —
+        so it cannot blind the detector to the others.
         """
         grid = np.asarray(matrix, dtype=np.float64)
-        centre = column_median(sorted_columns(grid))
-        raw = self.detector.score(grid, sources, centre, f=self.membership.effective_f())
+        finite = np.isfinite(grid).all(axis=1)
+        raw = {name: self.book.evict_threshold for name, ok in zip(sources, finite) if not ok}
+        if finite.any():
+            clean, kept = grid[finite], [name for name, ok in zip(sources, finite) if ok]
+            f = max(0, self.membership.effective_f() - len(raw))
+            raw.update(self.detector.score(clean, kept, column_median(sorted_columns(clean)), f=f))
         self.book.observe(raw)
         self._scored = tuple(sources)
         return scale_rows(grid, self.book.weights(sources))

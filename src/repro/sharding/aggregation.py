@@ -14,13 +14,17 @@ coordinate-separability of squared distances::
     ||x - y||^2 = sum_s ||x[s] - y[s]||^2        (s ranges over the shards)
 
 * **Phase 1** — every shard owner computes the partial ``(q, q)`` squared
-  distances over its slice and ships it to the coordinator (shard 0's owner),
-  which sums them into the global squared-distance matrix and hands it to the
-  rule's own ``select``.  The sum over shards of the per-slice Gram expansions
-  equals the full-matrix expansion exactly in real arithmetic; in float64 the
-  two differ only in the last ulp, so the *selection* (an argmin / argsort
-  over well-separated scores) is bitwise-equal on anything but adversarially
-  tie-crafted inputs — the property suite locks this on random matrices.
+  distances over its slice, and the dense byte-order rank of each row's slice
+  (:func:`slice_ranks`), and ships both to the coordinator (shard 0's owner).
+  It sums the partials into the global squared-distance matrix, combines the
+  ranks lexicographically in shard order into the rows' positions — exactly
+  :func:`~repro.aggregators.base.row_positions` of the whole rows, which no
+  owner sees — and hands both to the rule's own ``select``.  The sum over
+  shards of the per-slice Gram expansions equals the full-matrix expansion
+  exactly in real arithmetic; in float64 the two differ only in the last ulp,
+  so the *selection* (a ranking of well-separated scores) is bitwise-equal on
+  anything but adversarially tie-crafted inputs — the property suite locks
+  this on random matrices.
 * **Phase 2** — the coordinator broadcasts the selected row indices; every
   shard runs the rule's own ``combine`` on those rows of its slice.
   ``combine`` is column-independent, so the concatenated result is bitwise
@@ -36,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.aggregators.base import GAR, GAR_REGISTRY, DistanceGAR, gram_squared_distances
+from repro.aggregators.base import GAR, GAR_REGISTRY, DistanceGAR, gram_squared_distances, place, row_keys
 from repro.exceptions import AggregationError
 from repro.sharding.shard_map import ShardMap
 
@@ -84,6 +88,31 @@ def combine_partial_distances(partials: Sequence[np.ndarray]) -> np.ndarray:
     return total
 
 
+def slice_ranks(slice_matrix: np.ndarray) -> np.ndarray:
+    """One shard's dense rank of each row's slice in byte order: equal slices share a rank."""
+    keys = row_keys(slice_matrix)
+    order = np.argsort(keys, kind="stable").tolist()
+    dense = [0] * len(order)
+    for low, high in zip(order, order[1:]):
+        # One-element slices compare in place; ``keys[order]`` would copy every row.
+        dense[high] = dense[low] + bool(keys[low : low + 1] != keys[high : high + 1])
+    return np.array(dense)
+
+
+def _phase_one(slice_matrix: np.ndarray):
+    """What one shard owner ships to the coordinator."""
+    return partial_squared_distances(slice_matrix), slice_ranks(slice_matrix)
+
+
+def combine_slice_ranks(ranks: Sequence[np.ndarray]) -> np.ndarray:
+    """Coordinator step: the rows' positions from the shards' ranks, shard 0 first.
+
+    A row's bytes are its slices' bytes in shard order, so ordering by the
+    ranks lexicographically is ordering by the whole row's bytes.
+    """
+    return place(np.lexsort(tuple(reversed(ranks))))
+
+
 # ---------------------------------------------------------------------- #
 # Drivers
 # ---------------------------------------------------------------------- #
@@ -129,12 +158,9 @@ def aggregate_shards(
             f"{gar.minimum_inputs(gar.f)} to tolerate f={gar.f}"
         )
 
-    # Phase 1 — each shard's partial distances, summed by the coordinator.
-    partials = [
-        partial_squared_distances(buffer.materialize(shard))
-        for shard in range(shard_map.num_shards)
-    ]
-    selected = gar.select(combine_partial_distances(partials))
+    # Phase 1 — each shard's partial distances and slice ranks, combined by the coordinator.
+    partials, ranks = zip(*(_phase_one(buffer.materialize(shard)) for shard in range(shard_map.num_shards)))
+    selected = gar.select(combine_partial_distances(partials), combine_slice_ranks(ranks))
     # Phase 2 — broadcast the indices; every shard combines locally.
     for shard, sl in shard_map:
         out[sl] = gar.combine(buffer.materialize(shard)[selected])

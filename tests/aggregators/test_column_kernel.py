@@ -3,7 +3,8 @@
 ``sorted_columns`` has two sides — whole-row compare-exchanges up to
 ``COMPARE_EXCHANGE_MAX_ROWS`` rows, ``np.sort`` above — and both must be
 value-equal to ``np.sort(matrix, axis=0)``; ``column_median`` on top must be
-what ``np.median(matrix, axis=0)`` returns, a NaN column included.  The rules
+what ``np.median(matrix, axis=0)`` returns, except that a NaN counts as the
+largest value of its column (the middle of ``np.sort``'s order, NaNs last).  The rules
 and detectors built on the pair are compared with the formulas they replaced,
 kept here as the reference.  Equality is by value, never by byte hash:
 ``np.minimum`` and ``np.sort`` may order ``-0.0`` and ``+0.0`` differently.
@@ -29,7 +30,7 @@ import repro.detection.detectors
 import repro.detection.manager
 from repro.aggregators import column_median, init, sorted_columns
 from repro.aggregators.base import COMPARE_EXCHANGE_MAX_ROWS as CUT
-from repro.aggregators.base import mean_around_median, pairwise_squared_distances
+from repro.aggregators.base import mean_around_median, pairwise_squared_distances, row_positions
 from repro.core.cluster import ClusterConfig
 from repro.core.session import Session
 from repro.detection.detectors import _EPS, MadOutlierDetector, _envelope_excess
@@ -76,6 +77,13 @@ def quiet_median(matrix: np.ndarray) -> np.ndarray:
         return np.median(matrix, axis=0)
 
 
+def reference_median(matrix: np.ndarray) -> np.ndarray:
+    """``np.median`` with a NaN counted as the largest value: the middle of ``np.sort``."""
+    ordered, k = np.sort(matrix, axis=0), matrix.shape[0]
+    with quiet():
+        return ordered[k // 2] if k % 2 else ordered[k // 2 - 1 : k // 2 + 1].mean(axis=0)
+
+
 # ---------------------------------------------------------------------- #
 # The parent's formulas, kept as the reference
 # ---------------------------------------------------------------------- #
@@ -104,7 +112,7 @@ def reference_mad_scores(matrix: np.ndarray, f: int) -> np.ndarray:
 
 
 def reference_mean_around_median(matrix: np.ndarray, keep: int) -> np.ndarray:
-    median = np.median(matrix, axis=0)
+    median = reference_median(matrix)
     order = np.argsort(np.abs(matrix - median[None, :]), axis=0)[:keep]
     return np.take_along_axis(matrix, order, axis=0).mean(axis=0)
 
@@ -123,6 +131,7 @@ def test_sorted_columns_equals_numpy_sort_and_median(rows):
             with np.errstate(invalid="ignore"):
                 median = column_median(ordered)
             assert np.array_equal(median, quiet_median(matrix), equal_nan=True), (kind, dimension)
+            assert np.array_equal(median, reference_median(matrix), equal_nan=True), (kind, dimension)
 
 
 @pytest.mark.parametrize("rows", (1, 3, CUT, CUT + 1, 13))
@@ -145,18 +154,22 @@ def test_the_grid_reaches_both_sides_of_the_cut():
 
 
 # ---------------------------------------------------------------------- #
-# NaN and infinities: numpy.median's answers, on both sides of the cut
+# NaN and infinities, on both sides of the cut: a NaN is the largest value
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("rows", NAN_ROWS)
-def test_median_of_a_column_holding_nan_is_nan(rows):
+def test_a_nan_counts_as_the_largest_value_of_its_column(rows):
     matrix = np.random.default_rng(rows).standard_normal((rows, 9))
     matrix[0, 1] = matrix[rows // 2, 3] = matrix[-1, 5] = np.nan
     matrix[:, 7] = np.nan
     matrix[0, 8], matrix[-1, 8] = np.inf, -np.inf
-    gar = init("median", n=rows, f=0)
+    gar = init("median", n=rows, f=1)
     result = gar.aggregate_matrix(matrix)
-    assert np.array_equal(result, quiet_median(matrix), equal_nan=True)
-    assert np.isnan(result[[1, 3, 5, 7]]).all() and np.isfinite(result[[0, 2, 4, 6]]).all()
+    assert np.array_equal(result, reference_median(matrix), equal_nan=True)
+    # One NaN in a column is outvoted like any outlier; only NaNs in the middle show.
+    assert np.isfinite(result[[0, 1, 2, 3, 4, 5, 6, 8]]).all() and np.isnan(result[7])
+    lone = matrix[:, [1, 3, 5]]
+    assert (result[[1, 3, 5]] >= np.nanmin(lone, axis=0)).all()
+    assert (result[[1, 3, 5]] <= np.nanmax(lone, axis=0)).all()
     # NaNs sort last on both sides, as in np.sort.
     assert np.array_equal(sorted_columns(matrix), np.sort(matrix, axis=0), equal_nan=True)
 
@@ -175,7 +188,7 @@ def test_even_quorum_straddling_both_infinities_is_nan(rows):
 
 @pytest.mark.parametrize("rows", NAN_ROWS)
 def test_trimmed_mean_still_trims_a_nan_as_an_extreme_value(rows):
-    """Not this change's question (ROADMAP item 3): the answer stays the parent's."""
+    """A NaN is the largest value of its column, so ``f = 1`` trims it."""
     matrix = np.random.default_rng(rows).standard_normal((rows, 6))
     matrix[0, 1] = matrix[-1, 4] = np.nan
     result = init("trimmed-mean", n=rows, f=1).aggregate_matrix(matrix)
@@ -271,7 +284,7 @@ def test_bulyan_combine_on_column_slices_of_a_committee(rows):
             matrix = make_matrix(kind, rows, dimension)
             distances = pairwise_squared_distances(matrix)
             np.fill_diagonal(distances, 0.0)
-            committee = matrix[gar.select(distances)]
+            committee = matrix[gar.select(distances, row_positions(matrix))]
             whole = gar.combine(committee)
             for shards in (2, 3):
                 slices = ShardMap(dimension, shards).slices()

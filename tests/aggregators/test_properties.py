@@ -35,13 +35,58 @@ def test_median_within_coordinate_bounds(vectors):
     assert (out >= stacked.min(axis=0) - 1e-9).all()
 
 
+# ---------------------------------------------------------------------- #
+# One selection order: the output depends on the multiset of rows only
+# ---------------------------------------------------------------------- #
+#: Rules that rank or sort rows before they sum any: bitwise order-free.
+ORDER_FREE_GARS = ("krum", "multi-krum", "mda", "median", "trimmed-mean", "meamed", "bulyan")
+#: Rules that sum every row in arrival order: order-free up to round-off only.
+ARRIVAL_ORDER_SUMS = ("average", "geometric-median")
+
+
+def assert_permutation_invariant(name, matrix, permutation):
+    gar = init(name, n=matrix.shape[0], f=1)
+    forward, permuted = gar.aggregate_matrix(matrix), gar.aggregate_matrix(matrix[permutation])
+    if name in ARRIVAL_ORDER_SUMS:
+        assert np.allclose(forward, permuted, rtol=1e-12, atol=1e-12), name
+    else:
+        assert np.array_equal(forward, permuted), name
+
+
+@pytest.mark.parametrize("name", ORDER_FREE_GARS + ARRIVAL_ORDER_SUMS)
 @settings(max_examples=40, deadline=None)
-@given(vectors=vector_lists(3))
-def test_median_permutation_invariant(vectors):
-    gar = Median(n=len(vectors), f=1)
-    forward = gar.aggregate(vectors)
-    backward = gar.aggregate(list(reversed(vectors)))
-    assert np.allclose(forward, backward)
+@given(data=st.data())
+def test_permuting_the_rows_does_not_move_the_output(name, data):
+    quorum = GAR_REGISTRY[name].minimum_inputs(1)
+    vectors = data.draw(vector_lists(quorum))
+    permutation = data.draw(st.permutations(range(len(vectors))))
+    assert_permutation_invariant(name, np.stack(vectors), np.asarray(permutation))
+
+
+def tied_matrices(rows, dimension, rng):
+    """Inputs where scores, distances and column values tie exactly."""
+    integer = np.rint(2.0 * rng.standard_normal((rows, dimension)))
+    duplicated = rng.standard_normal((rows, dimension))
+    duplicated[rows // 2 :] = duplicated[: rows - rows // 2]
+    # Pairs c + o and c - o (and c itself when the count is odd): the set is its
+    # own reflection through c, so each pair ties on every score, exactly.
+    centre = np.rint(4.0 * rng.standard_normal(dimension))
+    offsets = np.rint(4.0 * rng.standard_normal((rows // 2, dimension)))
+    mirrored = centre + np.concatenate([offsets, -offsets, np.zeros((rows % 2, dimension))])
+    return {"integer": integer, "duplicated-row": duplicated, "mirrored-pair": mirrored}
+
+
+@pytest.mark.parametrize("name", ORDER_FREE_GARS + ARRIVAL_ORDER_SUMS)
+@pytest.mark.parametrize("dimension", (1, 2, 37))
+def test_exact_ties_resolve_by_value_not_by_arrival(name, dimension):
+    """A Byzantine sender controls its latency, hence its row index: with
+    exact ties no rule may let that index pick the output."""
+    rng = np.random.default_rng([dimension, len(name)])
+    for extra in (0, 1, 2):
+        rows = GAR_REGISTRY[name].minimum_inputs(1) + extra
+        for kind, matrix in tied_matrices(rows, dimension, rng).items():
+            for _ in range(12):
+                assert_permutation_invariant(name, matrix, rng.permutation(rows))
 
 
 @settings(max_examples=40, deadline=None)
@@ -55,8 +100,7 @@ def test_krum_returns_an_input(vectors):
 @given(vectors=vector_lists(5))
 def test_multikrum_output_in_coordinate_bounds(vectors):
     # Multi-Krum averages a subset of the inputs, so every coordinate of the
-    # output must lie within the coordinate-wise range of the inputs.  (Exact
-    # permutation invariance does not hold when Krum scores tie.)
+    # output must lie within the coordinate-wise range of the inputs.
     out = MultiKrum(n=len(vectors), f=1).aggregate(vectors)
     stacked = np.stack(vectors)
     assert (out <= stacked.max(axis=0) + 1e-9).all()

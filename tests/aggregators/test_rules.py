@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.aggregators import MDA, Average, Bulyan, Krum, Median, MultiKrum, TrimmedMean
-from repro.aggregators.base import pairwise_squared_distances
+from repro.aggregators import MDA, Average, Bulyan, Krum, Median, MultiKrum, TrimmedMean, init
+from repro.aggregators.base import GAR_REGISTRY, pairwise_squared_distances, row_positions
 from repro.exceptions import AggregationError
 
 
@@ -86,7 +86,8 @@ class TestMultiKrum:
     def test_selection_indices_exclude_outliers(self):
         gar = MultiKrum(n=9, f=2, m=5)
         vectors = honest_cluster(7) + [np.full(6, 50.0), np.full(6, -50.0)]
-        selected = gar.select(pairwise_squared_distances(np.stack(vectors)))
+        matrix = np.stack(vectors)
+        selected = gar.select(pairwise_squared_distances(matrix), row_positions(matrix))
         assert 7 not in selected and 8 not in selected
 
     def test_with_f_zero_close_to_average(self):
@@ -152,7 +153,7 @@ class TestBulyan:
         matrix[:f] += 1e3  # far outliers, arriving first
         distances = pairwise_squared_distances(matrix)
         np.fill_diagonal(distances, 0.0)
-        committee = Bulyan(n=q, f=f).select(distances)
+        committee = Bulyan(n=q, f=f).select(distances, row_positions(matrix))
         assert not set(committee.tolist()) & set(range(f))
 
 
@@ -166,3 +167,36 @@ class TestTrimmedMean:
         gar = TrimmedMean(n=4, f=0)
         vectors = honest_cluster(4)
         assert np.allclose(gar.aggregate(vectors), np.mean(vectors, axis=0))
+
+
+# ---------------------------------------------------------------------- #
+# One non-finite policy: a row holding a NaN or an infinity is an outlier
+# ---------------------------------------------------------------------- #
+ROBUST_RULES = ("krum", "multi-krum", "mda", "median", "trimmed-mean", "meamed", "bulyan", "geometric-median")
+
+
+def poisoned_row(kind: str, honest_row: np.ndarray) -> np.ndarray:
+    if kind == "all-nan":
+        return np.full_like(honest_row, np.nan)
+    if kind == "all-inf":
+        return np.full_like(honest_row, np.inf)
+    row = honest_row.copy()  # an honest row but for one NaN coordinate
+    row[3] = np.nan
+    return row
+
+
+@pytest.mark.parametrize("kind", ("all-nan", "all-inf", "one-nan"))
+@pytest.mark.parametrize("name", ROBUST_RULES)
+def test_a_non_finite_row_is_absorbed_within_f(name, kind):
+    """At f = 1 one non-finite row, in any arrival slot, leaves the output
+    finite and inside the honest rows' coordinate range."""
+    for extra in (0, 2):
+        rows = GAR_REGISTRY[name].minimum_inputs(1) + extra
+        honest = np.random.default_rng([rows, len(kind)]).standard_normal((rows - 1, 8))
+        gar = init(name, n=rows, f=1)
+        for slot in range(rows):
+            matrix = np.insert(honest, slot, poisoned_row(kind, honest[0]), axis=0)
+            out = gar.aggregate_matrix(matrix)
+            assert np.isfinite(out).all(), (rows, slot)
+            assert (out <= honest.max(axis=0) + 1e-9).all(), (rows, slot)
+            assert (out >= honest.min(axis=0) - 1e-9).all(), (rows, slot)

@@ -11,6 +11,7 @@ sharded/unsharded equality all rest on these functions not moving.
 
 Run this file as a script to regenerate the fixture — against the source whose
 arithmetic is the reference, and only when the arithmetic is meant to change.
+It prints the keys whose hash moved before it rewrites the file.
 """
 
 from __future__ import annotations
@@ -71,5 +72,9 @@ def test_rule_outputs_match_the_recorded_hashes(name):
 
 
 if __name__ == "__main__":
-    FIXTURE.write_text(json.dumps(record(), indent=1) + "\n", encoding="utf-8")
+    previous = json.loads(FIXTURE.read_text(encoding="utf-8")) if FIXTURE.exists() else {}
+    current = record()
+    moved = [key for key in current if previous.get(key) != current[key]]
+    print(f"{len(moved)} of {len(current)} keys moved" + "".join(f"\n  {key}" for key in moved))
+    FIXTURE.write_text(json.dumps(current, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {FIXTURE}")

@@ -10,7 +10,8 @@ Two families, two guarantees:
   width;
 * distance-based GARs (Krum, Multi-Krum, MDA, Bulyan) run the two-phase
   protocol — per-shard partial pairwise squared distances, summed into the
-  global matrix, selection broadcast back — and the selected indices are
+  global matrix, per-shard slice ranks combined into the rows' byte-order
+  positions, selection broadcast back — and the selected indices are
   bitwise-equal to unsharded selection on random matrices, hence the combined
   vectors are too (given the width->=2 caveat for Bulyan's trimmed mean).
 """
@@ -22,7 +23,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.aggregators.base import GAR_REGISTRY, DistanceGAR, pairwise_squared_distances
+from repro.aggregators.base import (
+    GAR_REGISTRY,
+    DistanceGAR,
+    pairwise_squared_distances,
+    row_positions,
+)
 from repro.sharding import (
     ShardMap,
     ShardedRoundBuffer,
@@ -31,6 +37,7 @@ from repro.sharding import (
     sharded_aggregate_matrix,
     supports_sharding,
 )
+from repro.sharding.aggregation import combine_slice_ranks, slice_ranks
 
 pytestmark = pytest.mark.sharding
 
@@ -92,6 +99,30 @@ def test_coordinate_wise_gars_shard_exactly(name, rows, dimension, num_shards, f
 # ---------------------------------------------------------------------- #
 # Two-phase distance protocol
 # ---------------------------------------------------------------------- #
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(1, 12),
+    dimension=st.integers(1, 40),
+    num_shards=st.integers(1, 6),
+    levels=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_sharded_positions_equal_unsharded_positions(rows, dimension, num_shards, levels, seed):
+    """No owner sees a whole row, yet the shards' dense slice ranks, combined
+    in shard order, give every row exactly its unsharded byte-order position
+    — on few-valued inputs, where rows and slices often repeat."""
+    if num_shards > dimension:
+        return
+    rng = np.random.default_rng(seed)
+    matrix = rng.integers(0, levels, size=(rows, dimension)).astype(np.float64)
+    matrix = np.where(rng.random(matrix.shape) < 0.5, -matrix, matrix)  # signed zeros too
+    matrix[rng.random(rows) < 0.3] = matrix[0]
+    ranks = [slice_ranks(matrix[:, sl]) for _, sl in ShardMap(dimension, num_shards)]
+    for rank_of_slice in ranks:  # dense: equal slices share a rank, none is skipped
+        assert set(rank_of_slice.tolist()) == set(range(rank_of_slice.max() + 1))
+    assert np.array_equal(combine_slice_ranks(ranks), row_positions(matrix))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     name=st.sampled_from(sorted(DISTANCE_GARS)),
@@ -109,9 +140,10 @@ def test_two_phase_selection_is_bitwise_equal(name, dimension, num_shards, f, se
     gar = make_gar(name, rows, f)
     whole_distances = pairwise_squared_distances(matrix)
     np.fill_diagonal(whole_distances, 0.0)
-    local = gar.select(whole_distances)
+    local = gar.select(whole_distances, row_positions(matrix))
     distributed = gar.select(
-        combine_partial_distances([partial_squared_distances(matrix[:, sl]) for _, sl in shard_map])
+        combine_partial_distances([partial_squared_distances(matrix[:, sl]) for _, sl in shard_map]),
+        combine_slice_ranks([slice_ranks(matrix[:, sl]) for _, sl in shard_map]),
     )
     assert np.array_equal(local, distributed), (name, dimension, num_shards)
     whole = gar.aggregate_matrix(matrix)
