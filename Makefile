@@ -63,7 +63,7 @@
 PYTHON ?= python
 SEED ?= 1
 PAIRS ?= 10
-LOC_MAX ?= 8478
+LOC_MAX ?= 8474
 export PYTHONPATH := src
 
 .PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends test-gars update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench fuzz-smoke fuzz docs-check loc quickstart

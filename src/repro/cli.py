@@ -178,13 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also replay every Nth case with a mid-run pause/resume (0 = never)",
     )
     fuzz_parser.add_argument(
-        "--supervised",
-        action="store_true",
-        help="run every generated scenario under the self-healing runtime "
-        "(retry + hedged pulls + supervision) and additionally require that "
-        "no tolerated-fault run ends in a quorum timeout",
-    )
-    fuzz_parser.add_argument(
         "--no-determinism",
         action="store_true",
         help="skip the serial rerun trace comparison (faster, weaker)",
@@ -338,7 +331,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         start=args.start,
         deployments=deployments,
         budgets=budgets,
-        supervised=args.supervised,
         determinism=not args.no_determinism,
         cross_executor_every=args.cross_executor_every,
         pause_resume_every=args.pause_resume_every,
@@ -354,6 +346,10 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         f"fuzz: {len(result.reports)} scenarios (seed {args.seed}), "
         f"{len(failures)} invariant failure(s)"
     )
+    print("layers: " + "; ".join(
+        f"{layer} " + " ".join(f"{value}={n}" for value, n in sorted(tally.items()))
+        for layer, tally in result.layers.items()
+    ))
     for report in failures:
         invariants = ", ".join(sorted({v.invariant for v in report.violations}))
         where = f" -> {report.saved_path}" if report.saved_path else ""

@@ -295,6 +295,19 @@ class ClusterConfig:
             [f"server-{index}" for index in range(num_servers)],
         )
 
+    def byzantine_ids(self) -> List[str]:
+        """The ids of the attacking nodes this deployment builds, workers first.
+
+        The last ``num_attacking_workers`` workers attack, and so do the last
+        ``num_attacking_servers`` servers (in decentralized, the server object
+        of every attacking worker).
+        """
+        workers, servers = self.node_ids()
+        attacking_servers = (
+            self.num_attacking_workers if self.deployment == "decentralized" else self.num_attacking_servers
+        )
+        return workers[len(workers) - self.num_attacking_workers :] + servers[len(servers) - attacking_servers :]
+
     def gradient_quorum(self) -> int:
         """How many gradients a server waits for per iteration.
 

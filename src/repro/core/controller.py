@@ -389,7 +389,7 @@ class Controller:
     # ------------------------------------------------------------------ #
     def _build_workers(self, config, transport, experiment, shards) -> List[Worker]:
         workers: List[Worker] = []
-        attacking = set(range(config.num_workers - config.num_attacking_workers, config.num_workers))
+        attacking = set(config.byzantine_ids())
         for index, node_id in enumerate(config.node_ids()[0]):
             model = experiment.build_model(seed=config.seed)
             kwargs = dict(
@@ -402,7 +402,7 @@ class Controller:
                 cache_gradients=not config.fresh_gradients_per_replica,
                 momentum=config.worker_momentum,
             )
-            if index in attacking:
+            if node_id in attacking:
                 workers.append(
                     ByzantineWorker(attack=config.worker_attack, attack_seed=config.seed + index, **kwargs)
                 )
@@ -412,12 +412,7 @@ class Controller:
 
     def _build_servers(self, config, transport, experiment, test_set) -> List[Server]:
         worker_ids, server_ids = config.node_ids()
-        num_servers = len(server_ids)
-        if config.deployment == "decentralized":
-            attacking = set(range(num_servers - config.num_attacking_workers, num_servers))
-        else:
-            attacking = set(range(num_servers - config.num_attacking_servers, num_servers))
-
+        attacking = set(config.byzantine_ids())
         servers: List[Server] = []
         for index, node_id in enumerate(server_ids):
             model = experiment.build_model(seed=config.seed)  # identical initial state on all replicas
@@ -431,7 +426,7 @@ class Controller:
                 learning_rate=config.learning_rate,
                 momentum=config.momentum,
             )
-            if index in attacking:
+            if node_id in attacking:
                 servers.append(
                     ByzantineServer(attack=config.server_attack, attack_seed=config.seed + 100 + index, **kwargs)
                 )

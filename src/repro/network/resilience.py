@@ -371,10 +371,11 @@ class WavePolicy:
         """Learn the latency of one usable reply."""
 
     def follow_ups(
-        self, outcomes: Sequence[PullOutcome], reserves: Sequence[str]
+        self, outcomes: Sequence[PullOutcome], reserves: Sequence[str], last: int = 0
     ) -> List[Tuple[str, float]]:
-        """The next wave, given how the previous one ended and the reserves
-        still unasked (``pull_many`` asks again while the quorum is short)."""
+        """The next wave, given every outcome of the pull so far (the last
+        wave is ``outcomes[last:]``) and the reserves still unasked
+        (``pull_many`` asks again while the quorum is short)."""
         return []
 
 
@@ -388,12 +389,15 @@ class HedgePolicy(WavePolicy):
     its issue time plus the peer's tracked latency percentile, the cohort's
     while the peer is new, the link's cold-start value before that — is
     re-issued at the deadline to the next reserve, in wave order; while the
-    quorum is short a missed follow-up is hedged the same way.  With no reserve
-    left, a pull whose message was lost (dropped, or the peer died
-    mid-reply) is re-issued to the same peer; a refused, silent or merely
-    slow peer is not asked twice.  A straggler's own reply still counts if it
-    beats its hedge.  Decisions depend only on the deterministic latency plan,
-    so same-seed runs hedge identically on every engine.
+    quorum is short a missed follow-up is hedged the same way.  A pull whose
+    message was lost (dropped, or the peer died mid-reply) is re-issued to the
+    same peer: at its deadline when no reserve is left for it, and, while the
+    quorum is still short, once the last wave has settled when it was an
+    earlier wave's.  No peer is asked more than twice in one pull, so a
+    permanent partition still ends; a refused, silent or merely slow peer is
+    not asked twice.  A straggler's own reply still counts if it beats its
+    hedge.  Decisions depend only on the deterministic latency plan, so
+    same-seed runs hedge identically on every engine.
     """
 
     tracker: LatencyTracker = field(default_factory=LatencyTracker)
@@ -409,17 +413,19 @@ class HedgePolicy(WavePolicy):
     def observe(self, peer, latency):
         self.tracker.observe(peer, latency)
 
-    def follow_ups(self, outcomes, reserves):
+    def follow_ups(self, outcomes, reserves, last=0):
         reserves = list(reserves)
+        settled = max(min(o.arrival, o.deadline) for o in outcomes[last:])
         hedges = []
-        for outcome in outcomes:
+        for position, outcome in enumerate(outcomes):
             if outcome.arrival <= outcome.deadline:
                 continue
-            if reserves:
-                target = reserves.pop(0)
-            elif outcome.status in ("dropped", "lost"):
-                target = outcome.destination
-            else:
+            peer, issued_at = outcome.destination, outcome.deadline
+            if position < last:  # an earlier wave's: only a lost pull is asked again
+                issued_at = settled
+            elif reserves:
+                hedges.append((reserves.pop(0), issued_at))
                 continue
-            hedges.append((target, outcome.deadline))
+            if outcome.status in ("dropped", "lost") and sum(o.destination == peer for o in outcomes) < 2:
+                hedges.append((peer, issued_at))
         return hedges

@@ -546,9 +546,9 @@ class Transport:
         wave, :meth:`_wave` plans, dispatches and classifies it, the policy
         turns the outcomes into follow-up pulls (none by default), those run
         through :meth:`_wave` too, and the fastest ``quorum`` arrivals of all
-        waves win.  While the quorum is still short after a follow-up wave and
-        reserves remain unasked, the policy turns that wave's outcomes into
-        the next one, over the reserves still unasked.  By default the first
+        waves win.  While the quorum is still short after a follow-up wave,
+        the policy turns every outcome so far into the next wave, over the
+        reserves still unasked, until it asks no one.  By default the first
         wave is every destination in the caller's order; see
         :class:`~repro.network.resilience.HedgePolicy` for the hedged waves.
 
@@ -588,16 +588,15 @@ class Transport:
         request = (source, kind, iteration, payload, reply_nbytes)
         wave, reserves = policy.first_wave(destinations, quorum)
         outcomes = self._wave(wave, policy, request)
-        unasked = list(reserves)
-        hedges = policy.follow_ups(outcomes, unasked)
+        hedges = policy.follow_ups(outcomes, reserves)
         while hedges:
-            followed = self._wave(hedges, policy, request, follow_up=True)
-            outcomes += followed
-            asked = {destination for destination, _ in hedges}
-            unasked = [peer for peer in unasked if peer not in asked]
-            if not unasked or sum(o.status == "usable" for o in outcomes) >= quorum:
+            last = len(outcomes)
+            outcomes += self._wave(hedges, policy, request, follow_up=True)
+            if sum(o.status == "usable" for o in outcomes) >= quorum:
                 break
-            hedges = policy.follow_ups(followed, unasked)
+            asked = {destination for destination, _ in hedges}
+            reserves = [peer for peer in reserves if peer not in asked]
+            hedges = policy.follow_ups(outcomes, reserves, last)
 
         usable = [outcome for outcome in outcomes if outcome.status == "usable"]
         if len(usable) < quorum:
@@ -607,7 +606,7 @@ class Transport:
                 quorum,
                 destinations=destinations,
                 replied=[o.destination for o in usable],
-                lost=[o.destination for o in outcomes if o.status == "lost"],
+                lost=list(dict.fromkeys(o.destination for o in outcomes if o.status == "lost")),
                 silent=[o.destination for o in outcomes if o.status == "silent"],
             )
         usable.sort(key=lambda outcome: outcome.arrival)  # stable: ties keep wave order

@@ -1,9 +1,10 @@
 """Detection under fuzz: the reputation invariants over generated chaos.
 
-Overlays ``detector="distance"`` onto generated ssmw/aggregathor timelines —
-the same specs the plain campaigns run, so the generator's RNG stream is
-untouched — and drives them through the :class:`InvariantChecker`, which
-activates two detection-specific invariants:
+Campaigns draw a detector for some ssmw/aggregathor cases; these tests pin
+``detector="distance"`` on pools of generated timelines chosen for what they
+exercise — calm runs, a zero declared budget, steady flagrant attacks — and
+drive them through the :class:`InvariantChecker`, which activates two
+detection-specific invariants:
 
 * **no-calm-eviction** — a run with no attacking workers must end with an
   empty evicted set (honest-only mini-batch noise never crosses the
@@ -19,9 +20,13 @@ compose: an eviction must never eat the reply slack that keeps a round live
 while workers are down.
 
 The same pools run once more with the supervised resilience dict layered on
-top (:class:`TestJointLedger`) — the detector x resilience combination no
-campaign samples — so evictions and liveness ``dead`` declarations land in
-one membership and the quorum oracle replays both event streams together.
+top (:class:`TestJointLedger`) — a combination every campaign also draws,
+pinned here on pools chosen for it — so evictions and liveness ``dead``
+declarations land in one membership and the quorum oracle replays both event
+streams together.
+
+The overlays start from the bare deployment: the feature layers a case drew
+are stripped first, so these pools stay what they were chosen as.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.fuzz import FuzzCase, InvariantChecker, ScenarioGenerator
+from repro.core.fuzz import LAYERS, FuzzCase, InvariantChecker, ScenarioGenerator
 from repro.core.scenario import ScenarioSpec
 
 pytestmark = [pytest.mark.fuzz, pytest.mark.detection]
@@ -46,8 +51,8 @@ _TOGGLES = ("attack_start", "attack_stop", "byzantine_count")
 
 
 def overlay_detector(case: FuzzCase, detector: str = "distance", **config_overrides) -> FuzzCase:
-    """The same generated case, with online detection switched on."""
-    config = dict(case.spec.config)
+    """The same generated case on its bare deployment, with online detection switched on."""
+    config = {key: value for key, value in case.spec.config.items() if key not in LAYERS}
     config["detector"] = detector
     config.update(config_overrides)
     spec = ScenarioSpec(
@@ -127,7 +132,7 @@ class TestSteadyAttacks:
         assert report.passed, f"{case.name}: {details}"
 
 
-#: The self-healing options ``repro fuzz --supervised`` layers on.
+#: The self-healing options of the ``resilience`` feature layer.
 SUPERVISED = {"retry": True, "hedge": True, "supervise": True}
 
 #: ``fuzz-7023-141-aggregathor-at-distance`` is the case that needs more than

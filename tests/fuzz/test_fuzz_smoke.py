@@ -2,9 +2,10 @@
 
 This is the ``make fuzz-smoke`` entry point and the acceptance gate of the
 fuzzing subsystem: a fixed-seed campaign of 30+ generated scenarios across all
-five fuzzable deployments and all three fault budgets must pass every
-invariant, the shrinker must reduce failing timelines to minimal reproducing
-specs, and saved specs must replay through the ordinary scenario path.
+five fuzzable deployments and all three fault budgets, with every feature
+layer both on and off, must pass every invariant, the shrinker must reduce
+failing timelines to minimal reproducing specs, and saved specs must replay
+through the ordinary scenario path.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import pytest
 from repro.core.fuzz import (
     BUDGETS,
     FUZZ_DEPLOYMENTS,
+    LAYERS,
     FuzzCase,
     InvariantChecker,
     ScenarioGenerator,
     run_campaign,
+    run_spec,
     shrink_case,
 )
 from repro.core.scenario import ScenarioEvent, ScenarioSpec, load_scenario
@@ -78,9 +81,54 @@ class TestSmokeCampaign:
         assert data["passed"] is True
         assert data["scenarios_run"] == SMOKE_COUNT
         assert set(data["deployments"]) == set(FUZZ_DEPLOYMENTS)
+        assert "no-timeout-under-supervision" in data["invariants_checked"]
         path = tmp_path / "FUZZ_report.json"
         smoke_campaign.save_report(path)
         assert json.loads(path.read_text())["scenarios_run"] == SMOKE_COUNT
+
+
+class TestLayers:
+    """Every case draws its feature layers; the smoke window runs each both ways."""
+
+    def test_every_layer_is_on_and_off_in_the_smoke_window(self, smoke_campaign):
+        for layer, (default, *_) in LAYERS.items():
+            values = [report.case.layer(layer) for report in smoke_campaign.reports]
+            assert default in values, f"{layer} is never off"
+            assert any(value != default for value in values), f"{layer} is never on"
+
+    def test_the_report_counts_each_layer(self, smoke_campaign):
+        layers = smoke_campaign.to_dict()["layers"]
+        assert set(layers) == set(LAYERS)
+        for tally in layers.values():
+            assert sum(count for value, count in tally.items() if value != "refused") == SMOKE_COUNT
+        # validate referees the draws: shards outside msmw keep the default.
+        assert layers["shards"]["refused"] > 0
+
+
+class TestUnshardedTwin:
+    """A sharded case's unsharded twin must reproduce its trace byte for byte."""
+
+    @staticmethod
+    def _sharded_case():
+        cases = ScenarioGenerator(seed=SMOKE_SEED).cases(SMOKE_COUNT)
+        return next(case for case in cases if case.layer("shards") > 1)
+
+    def test_the_twin_reproduces_the_trace(self):
+        case = self._sharded_case()
+        sharded = run_spec(case.spec)
+        assert sharded.completed
+        assert sharded.trace.to_json() == run_spec(case.spec, shards=1).trace.to_json()
+
+    def test_a_lossy_shard_path_is_caught(self, monkeypatch):
+        import repro.core.session as session_module
+
+        exact = session_module.aggregate_shards
+        monkeypatch.setattr(
+            session_module, "aggregate_shards", lambda *args, **kwargs: exact(*args, **kwargs) * 1.001
+        )
+        report = InvariantChecker().check(self._sharded_case())
+        messages = [v.message for v in report.violations if v.invariant == "determinism"]
+        assert any("unsharded twin" in message for message in messages), report.violations
 
 
 class TestHarnessTeeth:
@@ -126,7 +174,8 @@ def _over_budget_case() -> FuzzCase:
     """
     generator = ScenarioGenerator(seed=SMOKE_SEED)
     base = generator.case(5)  # an ssmw 'at'-budget case: margin == f_w
-    config = dict(base.spec.config)
+    # The bare deployment: the case's drawn feature layers (resilience) go.
+    config = {key: value for key, value in base.spec.config.items() if key not in LAYERS}
     config.update(
         num_workers=7, num_byzantine_workers=2, num_attacking_workers=0,
         gradient_gar="median", num_iterations=8, accuracy_every=4,

@@ -4,8 +4,9 @@ The generator is the harness's trusted base: if it can emit an invalid spec,
 a campaign failure might be a generator bug rather than a library bug.  These
 properties pin the contract for arbitrary (seed, index) pairs: every emitted
 spec validates against its own roster, generation is a pure function of
-(seed, index), the budget knob maps onto the declared fault margin, and specs
-survive a JSON round-trip byte-exactly.
+(seed, index), the budget knob maps onto the declared fault margin, specs
+survive a JSON round-trip byte-exactly, and the attackers the oracle names
+are the ones the deployment builds.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.byzantine import ByzantineServer, ByzantineWorker
 from repro.core.cluster import ClusterConfig
-from repro.core.fuzz import (
-    BUDGETS,
-    FUZZ_DEPLOYMENTS,
-    ScenarioGenerator,
-    byzantine_ids_for_config,
-    roster_for_config,
-)
+from repro.core.controller import Controller
+from repro.core.fuzz import BUDGETS, FUZZ_DEPLOYMENTS, ScenarioGenerator
 from repro.core.scenario import ScenarioSpec, validate_timeline
 
 pytestmark = pytest.mark.fuzz
@@ -36,12 +33,13 @@ indices = st.integers(min_value=0, max_value=500)
 @settings(max_examples=60, deadline=None)
 def test_generated_specs_validate_against_their_roster(seed, index):
     case = ScenarioGenerator(seed=seed).case(index)
-    workers, servers = roster_for_config(case.spec.config)
+    config = ClusterConfig.from_dict(dict(case.spec.config))
+    workers, servers = config.node_ids()
     validate_timeline(  # raises ConfigurationError on any invalid timeline
         case.spec,
         [*workers, *servers],
-        byzantine_ids=byzantine_ids_for_config(case.spec.config),
-        max_byzantine_count=int(case.spec.config.get("num_attacking_workers", 0)),
+        byzantine_ids=config.byzantine_ids(),
+        max_byzantine_count=config.num_attacking_workers,
     )
 
 
@@ -109,3 +107,46 @@ def test_budget_cycle_is_exhaustive(seed, index):
     if case.guarantees_completion:
         assert case.budget != "beyond"
         assert not any(event.action == "drop_rate" for event in case.spec.events)
+
+
+@given(seed=seeds, index=indices)
+@settings(max_examples=60, deadline=None)
+def test_validate_referees_every_layer(seed, index):
+    """A refused draw keeps the default; what is kept is what validate allows."""
+    case = ScenarioGenerator(seed=seed).case(index)
+    config = case.spec.config
+    for layer in case.refused:
+        assert layer not in config
+    if case.layer("detector"):
+        assert case.deployment in ("ssmw", "aggregathor")
+    if case.layer("shards") > 1:
+        assert case.deployment == "msmw" and config["shards"] <= config["num_servers"]
+
+
+def _built_attackers(config: ClusterConfig):
+    deployment = Controller(config).build()
+    try:
+        return [
+            node.node_id
+            for node in [*deployment.workers, *deployment.servers]
+            if isinstance(node, (ByzantineWorker, ByzantineServer))
+        ]
+    finally:
+        deployment.close()
+
+
+@given(seed=seeds, index=indices)
+@settings(max_examples=30, deadline=None)
+def test_byzantine_ids_are_the_attackers_the_deployment_builds(seed, index):
+    config = ClusterConfig.from_dict(dict(ScenarioGenerator(seed=seed).case(index).spec.config))
+    assert config.byzantine_ids() == _built_attackers(config)
+
+
+def test_byzantine_ids_name_attacking_server_replicas():
+    config = ClusterConfig(
+        deployment="msmw", model="logistic", num_workers=7, num_byzantine_workers=1,
+        num_attacking_workers=1, num_servers=4, num_byzantine_servers=1,
+        num_attacking_servers=1, gradient_gar="median", model_gar="median",
+        asynchronous=True,
+    )
+    assert config.byzantine_ids() == ["worker-6", "server-3"] == _built_attackers(config)

@@ -12,8 +12,9 @@ behaviour" here:
 * The degenerate case: while the tracker is cold, the link fault-free and the
   quorum is the whole membership, the hedging policy *is* the default one.
 * A failure matrix: every way a pull can fail lands the peer in the same
-  category of the ``quorum shortfall`` message, and reaches the liveness
-  detector exactly once, under both policies.
+  category of the ``quorum shortfall`` message under both policies, and
+  reaches the liveness detector once per pull — once by default, twice
+  when the hedged path re-asks a lost message.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class TestNothingToHedge:
 # --------------------------------------------------------------------- #
 VICTIM = "node-2"
 #: The only reserve of a 4-of-5 hedged pull: crashed, so a hedge cannot save
-#: the round and both policies pull every peer exactly once.
+#: the round.
 DEAD_RESERVE = "node-5"
 
 
@@ -217,6 +218,11 @@ FAILURES = {
 }
 
 
+#: The failures that lose the message: the hedged path asks the victim once
+#: more after its reserve is refused, the default path never does.
+LOST = {"dropped", "partitioned", "died mid-reply"}
+
+
 def shortfall(failure: str, hedge: bool):
     transport = build_transport(hedge=hedge)
     transport.failures = TargetedDrops(seed=3)
@@ -247,7 +253,49 @@ def test_each_failure_is_classified_once_under_both_policies(failure):
         + [(node, "success") for node in ("node-1", "node-3", "node-4")]
     )
     assert plain_health == expected_health
-    assert hedged_health == expected_health
+    assert hedged_health == sorted(expected_health + [(VICTIM, outcome)] * (failure in LOST))
+
+
+class TestLostPullsAreReAsked:
+    """Once the reserves are spent, a hedged pull re-asks every lost pull."""
+
+    def test_a_lost_pull_of_an_earlier_wave_is_asked_again(self):
+        # node-2 is dropped once and its reserve is dropped too: the reserve
+        # is re-asked at its deadline and node-2, an earlier wave's loss, once
+        # that wave has settled.  Both second asks get through.
+        transport = build_transport(hedge=True)
+        transport.health = RecordingHealth()
+        lost_once = {"node-2", "node-5"}
+
+        class DropFirstAsk(FailureInjector):
+            planning = None
+
+            def is_unreachable(self, source, destination):
+                self.planning = destination
+                return super().is_unreachable(source, destination)
+
+            def should_drop(self):
+                if self.planning in lost_once:
+                    lost_once.discard(self.planning)
+                    return True
+                return False
+
+        transport.failures = DropFirstAsk(seed=3)
+        replies, _ = transport.pull_many("node-0", NODES[1:], "value", quorum=4)
+        assert len(replies) == 4
+        asks = [peer for peer, _ in transport.health.calls]
+        assert asks.count("node-2") == asks.count("node-5") == 2
+
+    def test_a_permanent_partition_ends_in_a_timeout_naming_the_peer(self):
+        # The victim and its one reserve sit on an island for good: each is
+        # asked twice, and the pull then gives up.
+        transport = build_transport(hedge=True)
+        transport.health = RecordingHealth()
+        transport.failures.set_partition([VICTIM, "node-5"])
+        with pytest.raises(ReproTimeoutError, match=f"never replied: {VICTIM}, node-5"):
+            transport.pull_many("node-0", NODES[1:], "value", quorum=4)
+        assert transport.health.calls.count((VICTIM, "timeout")) == 2
+        assert transport.health.calls.count(("node-5", "timeout")) == 2
 
 
 if __name__ == "__main__":
