@@ -47,6 +47,9 @@
 #                       — each named workload on <rev> and on the working tree,
 #                         alternated PAIRS times: medians, quartiles and win
 #                         count per end-to-end metric (what a perf claim needs)
+#   make bench-figures  — the analytic figure benches (Figs. 6-10, 13-16 and the
+#                         cost-model ablation): the paper-claim assertions of
+#                         each strategy's closed form, ~15 s
 #   make bench          — the full figure-reproduction benchmark suite (minutes)
 #   make fuzz-smoke     — tier-1 scenario-fuzzing smoke: fixed seeds, dozens of
 #                         generated scenarios, every invariant checked
@@ -66,7 +69,7 @@ PAIRS ?= 10
 LOC_MAX ?= 8474
 export PYTHONPATH := src
 
-.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends test-gars update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench fuzz-smoke fuzz docs-check loc quickstart
+.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends test-gars update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench-figures bench fuzz-smoke fuzz docs-check loc quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -126,6 +129,14 @@ bench-e2e-compare:
 
 bench-e2e-ab:
 	python3 scripts/ab_e2e.py --parent $(PARENT) --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
+
+FIGURE_BENCHES = benchmarks/bench_fig6_model_dim.py benchmarks/bench_fig7_breakdown.py \
+	benchmarks/bench_fig8_workers.py benchmarks/bench_fig9_decentralized.py \
+	benchmarks/bench_fig10_byzantine_count.py benchmarks/bench_fig13_14_byzantine_sweep.py \
+	benchmarks/bench_fig15_16_pytorch.py benchmarks/bench_ablation_costmodel.py
+
+bench-figures:
+	$(PYTHON) -m pytest $(FIGURE_BENCHES) -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from conftest import print_table
 
-from repro.apps.throughput import ThroughputModel
-from repro.network.topology import messages_per_round
+from repro.apps.throughput import ThroughputModel, messages_per_round
 
 N_SWEEP = [2, 3, 4, 5, 6]
 D_SWEEP = [10_000, 100_000, 1_000_000, 10_000_000, 100_000_000]

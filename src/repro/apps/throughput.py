@@ -10,12 +10,16 @@ aggregation time.  ``ThroughputModel`` composes those ingredients (using
 :mod:`repro.network.cost`) into a per-iteration latency breakdown for every
 deployment, from which the benchmark harness regenerates each figure.
 
-The communication term models one training round as a sequence of phases
-(model broadcast, gradient collection, inter-server model exchange); each
-phase costs the transfer time of its busiest endpoint plus the serialization
-work that endpoint performs, and a shared-fabric term proportional to the
-total number of bytes crossing the network accounts for the congestion that
-makes all-to-all (decentralized) deployments scale quadratically (Figure 9a).
+Every deployment states its own round in closed form
+(:meth:`~repro.core.session.RoundStrategy.closed_form`): its message counts
+and its sequence of communication phases (model broadcast, gradient
+collection, inter-server model exchange).  Each phase costs the transfer
+time of its busiest endpoint plus the serialization work that endpoint
+performs, and a shared-fabric term proportional to the total number of bytes
+crossing the network accounts for the congestion that makes all-to-all
+(decentralized) deployments scale quadratically (Figure 9a).  The GARs are
+sized as the runtime sizes them, by the deployment's
+:class:`~repro.core.cluster.DeploymentShape`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.aggregators.base import GAR, init as init_gar
+from repro.aggregators.base import GAR, GAR_REGISTRY, init as init_gar
+from repro.core.cluster import DeploymentShape
+from repro.core.session import strategy_class
 from repro.exceptions import ConfigurationError
 from repro.network.cost import (
     DEVICES,
@@ -31,7 +37,6 @@ from repro.network.cost import (
     CostModel,
     NetworkParameters,
 )
-from repro.network.topology import DEPLOYMENTS
 from repro.nn.models import PAPER_MODEL_DIMENSIONS, model_compute_intensity, model_dimension
 
 #: Capacity of the shared switching fabric relative to one endpoint link, for
@@ -43,8 +48,6 @@ FABRIC_CAPACITY_FACTOR = 16.0
 #: ones, which is what prevents peer-to-peer deployments from scaling
 #: (Figures 8 and 9 of the paper).
 P2P_FABRIC_CAPACITY_FACTOR = 4.0
-#: Extra transfer inefficiency of AggregaThor's non-parallelized RPC layer.
-AGGREGATHOR_TRANSFER_FACTOR = 1.15
 
 #: The paper's two testbeds, as ``ThroughputModel`` keyword arguments: the
 #: CPU cluster runs TensorFlow, the GPU cluster PyTorch.  ``repro throughput``
@@ -70,10 +73,6 @@ class IterationBreakdown:
     @property
     def total(self) -> float:
         return self.computation + self.communication + self.aggregation
-
-    @property
-    def throughput_updates_per_s(self) -> float:
-        return 1.0 / self.total if self.total > 0 else 0.0
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -128,36 +127,31 @@ class ThroughputModel:
     # ------------------------------------------------------------------ #
     # GAR construction helpers
     # ------------------------------------------------------------------ #
-    def _gradient_gar(self, deployment: str) -> GAR:
-        if deployment in ("vanilla", "crash-tolerant"):
-            return init_gar("average", n=self.num_workers, f=0)
-        if deployment == "decentralized" or (deployment == "msmw" and self.asynchronous):
-            quorum = self.num_workers - self.num_byzantine_workers
-        else:
-            quorum = self.num_workers
+    @staticmethod
+    def _clamped(name: str, n: int, f: int) -> GAR:
         # The analytic model only needs the GAR for its cost estimate; clamp the
         # input count to the rule's minimum so undersized what-if sweeps (e.g.
         # Figure 10's f sweeps) still produce a breakdown instead of failing.
-        from repro.aggregators.base import GAR_REGISTRY
+        minimum = GAR_REGISTRY[name.lower().replace("_", "-")].minimum_inputs(f)
+        return init_gar(name, n=max(n, minimum, 1), f=f)
 
-        key = self.gradient_gar_name.lower().replace("_", "-")
-        minimum = GAR_REGISTRY[key].minimum_inputs(self.num_byzantine_workers)
-        return init_gar(self.gradient_gar_name, n=max(quorum, minimum, 1), f=self.num_byzantine_workers)
+    def _gradient_gar(self, shape: DeploymentShape) -> GAR:
+        if not shape.byzantine:
+            return init_gar("average", n=self.num_workers, f=0)
+        if shape.servers == "per-worker" or (shape.servers == "replicas" and self.asynchronous):
+            quorum = self.num_workers - self.num_byzantine_workers
+        else:
+            quorum = self.num_workers
+        return self._clamped(self.gradient_gar_name, quorum, self.num_byzantine_workers)
 
-    def _model_gar(self, deployment: str) -> Optional[GAR]:
-        from repro.aggregators.base import GAR_REGISTRY
-
-        key = self.model_gar_name.lower().replace("_", "-")
-        if deployment == "msmw":
-            minimum = GAR_REGISTRY[key].minimum_inputs(self.num_byzantine_servers)
-            return init_gar(
-                self.model_gar_name, n=max(self.num_servers, minimum), f=self.num_byzantine_servers
-            )
-        if deployment == "decentralized":
-            minimum = GAR_REGISTRY[key].minimum_inputs(self.num_byzantine_workers)
-            n = max(2, self.num_workers - self.num_byzantine_workers, minimum)
-            return init_gar(self.model_gar_name, n=n, f=self.num_byzantine_workers)
-        return None
+    def _model_gar(self, shape: DeploymentShape) -> Optional[GAR]:
+        if not shape.model_phase:
+            return None
+        if shape.servers == "per-worker":
+            n = max(2, self.num_workers - self.num_byzantine_workers)
+        else:
+            n = self.num_servers
+        return self._clamped(self.model_gar_name, n, shape.model_f(self))
 
     # ------------------------------------------------------------------ #
     # Communication model
@@ -177,68 +171,29 @@ class ThroughputModel:
         return total_messages * self.cost.message_bytes(self.dimension) / bandwidth
 
     def communication_time(self, deployment: str) -> float:
-        """Per-iteration communication latency of the given deployment."""
-        deployment = deployment.lower()
-        if deployment not in DEPLOYMENTS:
-            raise ConfigurationError(f"unknown deployment '{deployment}'; choose from {DEPLOYMENTS}")
-        nw, nps = self.num_workers, self.num_servers
+        """Per-iteration communication latency of the given deployment: the
+        phases of its closed form plus the fabric term, scaled by its
+        communication factor."""
+        strategy = strategy_class(deployment.lower())
+        form = strategy.closed_form(self.num_workers, self.num_servers, self.contract_steps)
+        native = strategy.shape.native
         on_gpu = self.device.name == "gpu"
-        vanilla = deployment == "vanilla"
-
-        if deployment in ("vanilla", "aggregathor", "ssmw"):
-            # One server broadcasts the model to nw workers then collects nw gradients.
-            broadcast = self._phase_time(nw, 0 if vanilla else nw, vanilla, on_gpu)
-            collect = self._phase_time(nw, 0 if vanilla else 1, vanilla, on_gpu)
-            fabric = self._fabric_time(2 * nw, vanilla)
-            total = broadcast + collect + fabric
-            if deployment == "aggregathor":
-                total *= AGGREGATHOR_TRANSFER_FACTOR
-            return total
-
-        if deployment == "crash-tolerant":
-            # Only the primary broadcasts the model, but every replica collects
-            # every worker's gradient, so each worker serializes and sends nps copies.
-            broadcast = self._phase_time(nw, nw, False, on_gpu)
-            collect = self._phase_time(max(nw, nps), nps, False, on_gpu)
-            fabric = self._fabric_time(nw + nw * nps, False)
-            return broadcast + collect + fabric
-
-        if deployment == "msmw":
-            # Every replica broadcasts to and collects from every worker, then
-            # the replicas exchange models among themselves.
-            broadcast = self._phase_time(nw, nw, False, on_gpu)
-            collect = self._phase_time(max(nw, nps), nps, False, on_gpu)
-            exchange = self._phase_time(2 * (nps - 1), nps - 1, False, on_gpu)
-            fabric = self._fabric_time(2 * nw * nps + nps * (nps - 1), False)
-            return broadcast + collect + exchange + fabric
-
-        # Decentralized: all-to-all gradient, model and contract-round exchanges.
-        # Every node both issues and serves (n-1) transfers per round, so it
-        # serializes/deserializes in both directions, and the simultaneous
-        # all-to-all traffic congests the fabric (incast).
-        n = nw
-        rounds = 2 + max(self.contract_steps, 0)
-        per_node = rounds * 2 * (n - 1)
-        exchange = self._phase_time(per_node, rounds * 2 * (n - 1), False, on_gpu)
-        fabric = self._fabric_time(rounds * n * (n - 1), False, all_to_all=True)
-        return exchange + fabric
+        total = sum(self._phase_time(sent, serialized, native, on_gpu) for sent, serialized in form.phases)
+        total += self._fabric_time(form.fabric_messages, native, all_to_all=form.all_to_all)
+        return total * form.communication_factor
 
     # ------------------------------------------------------------------ #
     def aggregation_time(self, deployment: str) -> float:
         """Robust-aggregation time per iteration on the reporting node."""
-        deployment = deployment.lower()
-        gradient_gar = self._gradient_gar(deployment)
+        shape = strategy_class(deployment.lower()).shape
+        gradient_gar = self._gradient_gar(shape)
         total = self.cost.aggregation_time(gradient_gar, self.dimension)
-        model_gar = self._model_gar(deployment)
+        model_gar = self._model_gar(shape)
         if model_gar is not None:
             total += self.cost.aggregation_time(model_gar, self.dimension)
-        if deployment == "decentralized":
+        if shape.contract:
             total += max(self.contract_steps, 0) * self.cost.aggregation_time(gradient_gar, self.dimension)
-        if deployment == "crash-tolerant":
-            # Replicas average the collected models implicitly via averaging of
-            # gradients only; no extra robust aggregation.
-            pass
-        if self.framework.pipelines_aggregation and deployment not in ("vanilla",):
+        if self.framework.pipelines_aggregation and not shape.native:
             # Garfield on PyTorch overlaps per-layer aggregation with communication.
             total *= 0.5
         return total
@@ -263,6 +218,17 @@ class ThroughputModel:
     def throughput_batches_per_s(self, deployment: str) -> float:
         """Throughput in batches/second (Figure 8): nw batches are processed per update."""
         return self.num_workers / self.breakdown(deployment).total
+
+
+def messages_per_round(deployment: str, num_workers: int, num_servers: int = 1) -> Dict[str, int]:
+    """Model-sized and gradient-sized messages one round of ``deployment``
+    needs: its strategy's closed-form counts (Figure 9 reads them)."""
+    strategy = strategy_class(deployment.lower())
+    if num_workers < 1:
+        raise ConfigurationError("need at least one worker")
+    if strategy.shape.servers == "replicas" and num_servers < 1:
+        raise ConfigurationError("replicated deployments need at least one server")
+    return strategy.closed_form(num_workers, num_servers).messages
 
 
 def iteration_breakdown(deployment: str, **kwargs) -> IterationBreakdown:

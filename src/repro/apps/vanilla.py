@@ -12,6 +12,7 @@ driven with workers as real subprocesses (``executor="process"``).
 
 from __future__ import annotations
 
+from repro.core.cluster import DeploymentShape
 from repro.core.session import RoundStrategy, register_application
 
 
@@ -22,5 +23,8 @@ class VanillaStrategy(RoundStrategy):
     The base scatter → aggregate → apply round: for this deployment the
     Controller builds ``average`` with ``f = 0`` as the gradient rule and
     ``ClusterConfig.gradient_quorum`` is every worker — synchronous and
-    fault-oblivious regardless of the asynchronous flag.
+    fault-oblivious regardless of the asynchronous flag.  It runs natively,
+    so it pays no serialization cost, and it is priced as SSMW's star.
     """
+
+    shape = DeploymentShape(byzantine=False, native=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.aggregators.base import GAR_REGISTRY
 from repro.attacks.base import attack_class
@@ -20,8 +20,91 @@ from repro.core.experiment import DATASET_SHAPES
 from repro.exceptions import ConfigurationError
 from repro.network.cost import DEVICES, FRAMEWORKS
 from repro.network.serialization import parse_wire_format
-from repro.network.topology import DEPLOYMENTS
 from repro.nn.models import MODEL_REGISTRY
+
+#: The server layouts a :class:`DeploymentShape` may declare.
+SERVER_LAYOUTS = ("single", "replicas", "per-worker")
+
+
+@dataclass(frozen=True)
+class DeploymentShape:
+    """What one deployment is built from, as its strategy declares it.
+
+    Every :class:`~repro.core.session.RoundStrategy` carries one (``shape``;
+    the default is SSMW's), and everything outside the strategy reads it
+    instead of the deployment's name: :class:`ClusterConfig` validates and
+    sizes by it, the Controller builds the GARs it names, the accountant and
+    the analytic :class:`~repro.apps.throughput.ThroughputModel` price it.
+    The sizing methods take any ``cluster`` carrying ``num_workers``,
+    ``num_byzantine_workers``, ``num_servers``, ``num_byzantine_servers``,
+    ``asynchronous``, ``gradient_gar`` and ``model_gar`` — a config or a
+    throughput model — so the runtime and the closed form run the same rules.
+    """
+
+    #: ``"single"`` (one trusted server), ``"replicas"`` (``num_servers``
+    #: server replicas) or ``"per-worker"`` (every worker owns a server).
+    servers: str = "single"
+    #: Byzantine-tolerant (the configured GARs at the declared f) or
+    #: fault-oblivious (plain averaging at f = 0 over every worker).
+    byzantine: bool = True
+    #: Replicas exchange models through the model GAR after every update.
+    model_phase: bool = False
+    #: Non-iid runs re-aggregate the replicas' aggregates (Listing 3's contract).
+    contract: bool = False
+    #: Runs inside the framework's own runtime: no serialization cost.
+    native: bool = False
+    #: The gradient phase can be split into ``ClusterConfig.shards`` shards.
+    shardable: bool = False
+
+    def __post_init__(self) -> None:
+        if self.servers not in SERVER_LAYOUTS:
+            raise ConfigurationError(f"unknown server layout '{self.servers}'; choose from {SERVER_LAYOUTS}")
+
+    def gradient_quorum(self, cluster) -> int:
+        """How many gradients a server waits for per iteration.
+
+        Synchronous deployments wait for all workers; asynchronous ones (and
+        every per-worker layout, per Listing 3) wait only for the fastest
+        ``n_w - f_w``.  Fault-oblivious deployments wait for everyone
+        whatever the asynchronous flag says.
+        """
+        if not self.byzantine:
+            return cluster.num_workers
+        if cluster.asynchronous or self.servers == "per-worker":
+            return cluster.num_workers - cluster.num_byzantine_workers
+        return cluster.num_workers
+
+    def model_f(self, cluster) -> int:
+        """The Byzantine replicas the model GAR tolerates: ``f_ps``, or ``f_w``
+        where every worker is a replica."""
+        if self.servers == "per-worker":
+            return cluster.num_byzantine_workers
+        return cluster.num_byzantine_servers
+
+    def model_quorum(self, cluster) -> int:
+        """How many peer models a server replica waits for per iteration."""
+        if self.servers == "per-worker":
+            return max(1, cluster.num_workers - cluster.num_byzantine_workers - 1)
+        if cluster.num_servers <= 1:
+            return 0
+        if cluster.asynchronous:
+            return max(1, cluster.num_servers - cluster.num_byzantine_servers - 1)
+        return cluster.num_servers - 1
+
+    def gradient_rule(self, cluster) -> Tuple[str, int, int]:
+        """``(name, n, f)`` of the gradient GAR: the configured rule at
+        ``f_w`` over the gradient quorum, or plain averaging at f = 0 where
+        the deployment is fault-oblivious."""
+        if not self.byzantine:
+            return "average", self.gradient_quorum(cluster), 0
+        return cluster.gradient_gar, self.gradient_quorum(cluster), cluster.num_byzantine_workers
+
+    def model_rule(self, cluster) -> Optional[Tuple[str, int, int]]:
+        """``(name, n, f)`` of the model GAR — the peer models plus the
+        replica's own — or ``None`` without a model phase."""
+        if not self.model_phase:
+            return None
+        return cluster.model_gar, self.model_quorum(cluster) + 1, self.model_f(cluster)
 
 
 @dataclass
@@ -119,17 +202,9 @@ class ClusterConfig:
 
     def validate(self) -> None:
         """Check structural and Byzantine-resilience constraints."""
-        if self.deployment not in DEPLOYMENTS:
-            # Third-party strategies registered via @register_application are
-            # first-class deployments too; the structural checks below only
-            # constrain the six bundled shapes.
-            from repro.core.session import is_registered_application
-
-            if not is_registered_application(self.deployment):
-                raise ConfigurationError(
-                    f"unknown deployment '{self.deployment}'; bundled: {DEPLOYMENTS} "
-                    "(or register a RoundStrategy with @register_application)"
-                )
+        # Resolves the registered strategy (bundled or third-party): every
+        # structural check below reads its declared shape, never its name.
+        shape = self.shape
         if self.num_workers < 1:
             raise ConfigurationError("need at least one worker")
         workers, servers = self.node_ids()
@@ -212,15 +287,16 @@ class ClusterConfig:
                     f"unknown detector '{self.detector}'; "
                     f"choose from {sorted(DETECTOR_REGISTRY)}"
                 )
-            if self.deployment in ("vanilla", "crash-tolerant", "msmw", "decentralized"):
+            if not shape.byzantine or shape.servers != "single":
                 reason = (
                     "it is a fault-oblivious baseline"
-                    if self.deployment in ("vanilla", "crash-tolerant")
+                    if not shape.byzantine
                     else "its server replicas have no replica-local ReputationBook"
                 )
                 raise ConfigurationError(
                     f"detector '{self.detector}' is not supported by deployment "
-                    f"'{self.deployment}': {reason} (supported: ssmw, aggregathor)"
+                    f"'{self.deployment}': {reason} (supported: one Byzantine-tolerant "
+                    "server, e.g. ssmw, aggregathor)"
                 )
         if self.gradient_gar not in GAR_REGISTRY:
             raise ConfigurationError(f"unknown gradient GAR '{self.gradient_gar}'")
@@ -229,10 +305,10 @@ class ClusterConfig:
         if not isinstance(self.shards, int) or isinstance(self.shards, bool) or self.shards < 1:
             raise ConfigurationError("shards must be a positive integer")
         if self.shards > 1:
-            if self.deployment != "msmw":
+            if not shape.shardable:
                 raise ConfigurationError(
-                    f"sharded aggregation (shards={self.shards}) is only supported by the "
-                    f"'msmw' deployment, not '{self.deployment}'"
+                    f"sharded aggregation (shards={self.shards}) needs a shardable gradient "
+                    f"phase (e.g. 'msmw'), which '{self.deployment}' does not declare"
                 )
             if self.shards > self.num_servers:
                 raise ConfigurationError(
@@ -248,18 +324,18 @@ class ClusterConfig:
                     "(see docs/sharding.md)"
                 )
 
-        if self.deployment in ("vanilla", "aggregathor", "ssmw"):
+        if shape.servers == "single":
             if self.num_servers != 1:
                 raise ConfigurationError(f"{self.deployment} uses exactly one parameter server")
             if self.num_byzantine_servers != 0:
                 raise ConfigurationError(f"{self.deployment} assumes a trusted server (f_ps = 0)")
-        if self.deployment in ("crash-tolerant", "msmw"):
+        elif shape.servers == "replicas":
             if self.num_servers < 2:
                 raise ConfigurationError(f"{self.deployment} needs at least two server replicas")
             if not 0 <= self.num_byzantine_servers < self.num_servers:
                 raise ConfigurationError("need 0 <= f_ps < n_ps")
-        if self.deployment == "decentralized" and self.num_servers != 0:
-            # The decentralized app has no distinct servers; normalise silently.
+        else:
+            # Every worker owns its server: no distinct servers to count.
             self.num_servers = 0
 
         # GAR resilience conditions on the gradient side.
@@ -272,24 +348,32 @@ class ClusterConfig:
                 f"f_w={self.num_byzantine_workers}, but the deployment only collects {q_gradients}"
             )
         # ... and on the model side wherever replicas exchange models.
-        if self.deployment in ("msmw", "decentralized"):
-            needed = GAR_REGISTRY[self.model_gar].minimum_inputs(self.model_f())
-            q_models = self.model_quorum() + 1  # peers plus own model
+        model_rule = shape.model_rule(self)
+        if model_rule is not None:
+            name, q_models, f = model_rule
+            needed = GAR_REGISTRY[name].minimum_inputs(f)
             if q_models < needed:
                 raise ConfigurationError(
-                    f"GAR '{self.model_gar}' needs at least {needed} models to tolerate "
-                    f"f={self.model_f()} Byzantine replicas, but the deployment only "
-                    f"aggregates {q_models}"
+                    f"GAR '{name}' needs at least {needed} models to tolerate "
+                    f"f={f} Byzantine replicas, but the deployment only aggregates {q_models}"
                 )
 
     # ------------------------------------------------------------------ #
+    @property
+    def shape(self) -> DeploymentShape:
+        """The registered strategy's declared :class:`DeploymentShape`."""
+        from repro.core.session import strategy_class
+
+        return strategy_class(self.deployment).shape
+
     def node_ids(self) -> Tuple[List[str], List[str]]:
         """The ``(worker ids, server ids)`` this deployment builds.
 
-        The one place the roster is spelled.  The decentralized application
-        has no distinct servers: every worker owns a server object.
+        The one place the roster is spelled.  A per-worker layout
+        (decentralized) has no distinct servers: every worker owns a server
+        object.
         """
-        num_servers = self.num_workers if self.deployment == "decentralized" else self.num_servers
+        num_servers = self.num_workers if self.shape.servers == "per-worker" else self.num_servers
         return (
             [f"worker-{index}" for index in range(self.num_workers)],
             [f"server-{index}" for index in range(num_servers)],
@@ -299,28 +383,18 @@ class ClusterConfig:
         """The ids of the attacking nodes this deployment builds, workers first.
 
         The last ``num_attacking_workers`` workers attack, and so do the last
-        ``num_attacking_servers`` servers (in decentralized, the server object
-        of every attacking worker).
+        ``num_attacking_servers`` servers (in a per-worker layout, the server
+        object of every attacking worker).
         """
         workers, servers = self.node_ids()
         attacking_servers = (
-            self.num_attacking_workers if self.deployment == "decentralized" else self.num_attacking_servers
+            self.num_attacking_workers if self.shape.servers == "per-worker" else self.num_attacking_servers
         )
         return workers[len(workers) - self.num_attacking_workers :] + servers[len(servers) - attacking_servers :]
 
     def gradient_quorum(self) -> int:
-        """How many gradients a server waits for per iteration.
-
-        Synchronous deployments wait for all workers; asynchronous ones (and
-        the decentralized application, per Listing 3) wait only for the
-        fastest ``n_w - f_w``.  The fault-oblivious baselines (vanilla,
-        crash-tolerant) wait for everyone whatever the asynchronous flag says.
-        """
-        if self.deployment in ("vanilla", "crash-tolerant"):
-            return self.num_workers
-        if self.asynchronous or self.deployment == "decentralized":
-            return self.num_workers - self.num_byzantine_workers
-        return self.num_workers
+        """How many gradients a server waits for per iteration (:meth:`DeploymentShape.gradient_quorum`)."""
+        return self.shape.gradient_quorum(self)
 
     def resilience_config(self):
         """The validated :class:`repro.network.resilience.ResilienceConfig`."""
@@ -329,21 +403,12 @@ class ClusterConfig:
         return ResilienceConfig.from_value(self.resilience)
 
     def model_f(self) -> int:
-        """The Byzantine replicas the model GAR tolerates: ``f_ps``, or ``f_w``
-        where every node is a replica (decentralized)."""
-        if self.deployment == "decentralized":
-            return self.num_byzantine_workers
-        return self.num_byzantine_servers
+        """The Byzantine replicas the model GAR tolerates (:meth:`DeploymentShape.model_f`)."""
+        return self.shape.model_f(self)
 
     def model_quorum(self) -> int:
-        """How many peer models a server replica waits for per iteration."""
-        if self.deployment == "decentralized":
-            return max(1, self.num_workers - self.num_byzantine_workers - 1)
-        if self.num_servers <= 1:
-            return 0
-        if self.asynchronous:
-            return max(1, self.num_servers - self.num_byzantine_servers - 1)
-        return self.num_servers - 1
+        """How many peer models a server replica waits for (:meth:`DeploymentShape.model_quorum`)."""
+        return self.shape.model_quorum(self)
 
     @property
     def effective_batch_size(self) -> int:

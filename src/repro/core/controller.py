@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.aggregators.base import GAR, init as init_gar
 from repro.core.byzantine import ByzantineServer, ByzantineWorker
-from repro.core.cluster import ClusterConfig
+from repro.core.cluster import ClusterConfig, DeploymentShape
 from repro.core.executor import Executor, create_executor
 from repro.core.experiment import Experiment
 from repro.core.metrics import AlignmentProbe, MetricsLog, Trace
@@ -56,6 +56,8 @@ class Deployment:
     #: and liveness layers write.  With nobody excluded it is the whole worker
     #: roster at ``config.gradient_quorum()``.
     membership: Membership
+    #: What the deployment is built from, as its strategy declares it.
+    shape: DeploymentShape = DeploymentShape()
     #: The same ledger over the server replicas, wherever a model GAR exists
     #: (msmw, decentralized; ``None`` otherwise): the model phase pulls from
     #: it (:meth:`~repro.core.session.RoundContext.models`) and the liveness
@@ -288,8 +290,10 @@ class Controller:
         for node_id, factor in config.straggler_factors.items():
             failures.set_straggler(node_id, factor)
 
-        gradient_gar = self._build_gradient_gar()
-        model_gar = self._build_model_gar()
+        shape = config.shape
+        gradient_gar = init_gar(*shape.gradient_rule(config))
+        model_rule = shape.model_rule(config)
+        model_gar = init_gar(*model_rule) if model_rule is not None else None
 
         workers = self._build_workers(config, transport, experiment, shards)
         servers = self._build_servers(config, transport, experiment, test_set)
@@ -315,13 +319,14 @@ class Controller:
                 gar_name=gradient_gar.name,
                 slack=config.num_workers - config.gradient_quorum(),
             ),
+            shape=shape,
             shard_map=ShardMap(servers[0].dimension, config.shards) if config.shards > 1 else None,
         )
         if model_gar is not None:
-            # Decentralized's contract step runs the gradient rule on replica
-            # rows too: the guard answers to whichever rule needs more of them.
+            # A contract step runs the gradient rule on replica rows too: the
+            # guard answers to whichever rule needs more of them.
             guarded = [model_gar]
-            if config.deployment == "decentralized" and config.non_iid:
+            if shape.contract and config.non_iid:
                 guarded.append(gradient_gar)
             deployment.replicas = Membership(
                 [server.node_id for server in servers],
@@ -369,22 +374,6 @@ class Controller:
             # director validated the scenario against the cluster.
             backend.start()
         return deployment
-
-    # ------------------------------------------------------------------ #
-    def _build_gradient_gar(self) -> GAR:
-        config = self.config
-        if config.deployment in ("vanilla", "crash-tolerant"):
-            # Non-Byzantine baselines average the workers' gradients.
-            return init_gar("average", n=config.gradient_quorum(), f=0)
-        return init_gar(
-            config.gradient_gar, n=config.gradient_quorum(), f=config.num_byzantine_workers
-        )
-
-    def _build_model_gar(self) -> Optional[GAR]:
-        config = self.config
-        if config.deployment not in ("msmw", "decentralized"):
-            return None
-        return init_gar(config.model_gar, n=config.model_quorum() + 1, f=config.model_f())
 
     # ------------------------------------------------------------------ #
     def _build_workers(self, config, transport, experiment, shards) -> List[Worker]:

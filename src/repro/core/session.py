@@ -51,6 +51,7 @@ from typing import (
 import numpy as np
 
 from repro.aggregators.base import DistanceGAR
+from repro.core.cluster import DeploymentShape
 from repro.core.controller import Controller, Deployment, TrainingResult
 from repro.core.metrics import IterationRecord
 from repro.core.scenario import build_config
@@ -72,8 +73,8 @@ class RoundAccountant:
     * *communication* — the reporting server's charge in the transport's
       ledger (:class:`~repro.network.ledger.Charge`): the simulated time it
       waited on quorums and coordination hops, plus the serialization /
-      context-switch overhead of the messages it exchanged (zero for vanilla
-      deployments, Section 4.1);
+      context-switch overhead of the messages it exchanged (zero for a
+      deployment whose shape is ``native``, e.g. vanilla, Section 4.1);
     * *aggregation* — the robust-aggregation time of every GAR invocation the
       reporting server performed this round.
     """
@@ -113,7 +114,7 @@ class RoundAccountant:
         # shard coordination at their framed sizes.
         nbytes = charge.vectors * cost_model.message_bytes(dimension) + charge.nbytes
         comm = charge.elapsed + cost_model.serialization_time_for_bytes(
-            nbytes, charge.messages, vanilla=config.deployment == "vanilla"
+            nbytes, charge.messages, vanilla=self.deployment.shape.native
         )
         compute = cost_model.compute_time(dimension, config.batch_size)
         loss = None
@@ -277,6 +278,25 @@ class RoundResult:
 # ---------------------------------------------------------------------- #
 # RoundStrategy and the application registry
 # ---------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ClosedForm:
+    """One round of a deployment in closed form, as the analytic model prices it.
+
+    ``messages`` are the model-sized and gradient-sized messages of one round
+    (Figure 9's counts).  Each of ``phases`` is one communication phase in
+    round order, as ``(endpoint transfers, serialized messages)`` of its
+    busiest endpoint; ``fabric_messages`` is what crosses the shared fabric
+    (all-to-all traffic congests it more), and ``communication_factor``
+    scales the whole communication term.
+    """
+
+    messages: Dict[str, int]
+    phases: Tuple[Tuple[int, int], ...]
+    fabric_messages: int
+    all_to_all: bool = False
+    communication_factor: float = 1.0
+
+
 class RoundStrategy:
     """One deployment's round, as scatter → aggregate → apply phases.
 
@@ -287,10 +307,31 @@ class RoundStrategy:
     :meth:`aggregate` — one aggregation phase for every deployment.
     Strategy instances are created per session and may keep per-run state
     (e.g. the crash-tolerant primary index).
+
+    A strategy also declares what it is built from (:attr:`shape`) and what
+    one of its rounds costs in closed form (:meth:`closed_form`); both
+    default to SSMW's, so a third-party strategy that declares nothing is
+    validated, built and priced as SSMW.
     """
 
     #: Registry name; assigned by :func:`register_application`.
     name: str = ""
+    #: Server layout, fault model and phases the deployment is built from.
+    shape: DeploymentShape = DeploymentShape()
+
+    @classmethod
+    def closed_form(cls, num_workers: int, num_servers: int = 1, contract_steps: int = 0) -> ClosedForm:
+        """One round in closed form (default: one server's star).
+
+        The server broadcasts the model to every worker then collects one
+        gradient from each: ``n_w`` model and ``n_w`` gradient messages.
+        """
+        nw = num_workers
+        return ClosedForm(
+            messages={"model_messages": nw, "gradient_messages": nw, "server_model_messages": 0},
+            phases=((nw, nw), (nw, 1)),
+            fabric_messages=2 * nw,
+        )
 
     # ------------------------------------------------------------------ #
     def setup(self, deployment: Deployment) -> None:
@@ -431,23 +472,20 @@ def available_applications() -> List[str]:
     return sorted(APPLICATION_REGISTRY)
 
 
-def is_registered_application(name: str) -> bool:
-    """Whether ``name`` resolves to a registered strategy (without erroring)."""
-    if name in APPLICATION_REGISTRY:
-        return True
+def strategy_class(name: str) -> Type[RoundStrategy]:
+    """The strategy class registered under ``name``."""
     _ensure_builtin_strategies()
-    return name in APPLICATION_REGISTRY
+    if name not in APPLICATION_REGISTRY:
+        raise ConfigurationError(
+            f"unknown deployment '{name}'; registered: {available_applications()} "
+            "(or register a RoundStrategy with @register_application)"
+        )
+    return APPLICATION_REGISTRY[name]
 
 
 def resolve_application(name: str) -> RoundStrategy:
     """Instantiate the registered strategy for ``name``."""
-    _ensure_builtin_strategies()
-    if name not in APPLICATION_REGISTRY:
-        raise ConfigurationError(
-            f"no application registered for deployment '{name}'; "
-            f"available: {available_applications()}"
-        )
-    return APPLICATION_REGISTRY[name]()
+    return strategy_class(name)()
 
 
 # ---------------------------------------------------------------------- #

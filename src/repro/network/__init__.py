@@ -11,8 +11,6 @@ faithful in-process substitute:
   with per-link latency / bandwidth models and crash / straggler injection;
   ``pull_many`` implements the "fastest q of n" semantics that
   ``get_gradients`` / ``get_models`` need.
-* :mod:`repro.network.topology` — the messages one training round of each
-  deployment (parameter-server star, replicated servers, peer-to-peer) needs.
 * :mod:`repro.network.cost` — the analytic per-iteration cost model (compute,
   serialization, transfer, aggregation) used to reproduce the paper's
   throughput figures, with a CPU/GPU device abstraction.
@@ -29,7 +27,6 @@ from repro.network.serialization import (
 )
 from repro.network.transport import LinkModel, RoundBuffer, Transport, TransportStats
 from repro.network.failures import FailureInjector
-from repro.network.topology import messages_per_round
 from repro.network.cost import (
     CPU,
     DEVICES,
@@ -57,7 +54,6 @@ __all__ = [
     "Transport",
     "TransportStats",
     "FailureInjector",
-    "messages_per_round",
     "Device",
     "CPU",
     "GPU",

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.apps.throughput import messages_per_round
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
 from repro.core.session import RoundAccountant, Session, should_evaluate
-from repro.network.topology import messages_per_round
 
 
 def build_deployment(**overrides):

@@ -20,9 +20,9 @@ import pytest
 from repro.aggregators.base import GAR_REGISTRY
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
+from repro.core.session import available_applications
 from repro.detection.membership import DEAD, EVICTED, Membership
 from repro.exceptions import ConfigurationError
-from repro.network.topology import DEPLOYMENTS
 
 pytestmark = pytest.mark.detection
 
@@ -39,7 +39,7 @@ def snapshot(membership: Membership):
 
 class TestDegenerateCase:
     @pytest.mark.parametrize("asynchronous", [False, True])
-    @pytest.mark.parametrize("deployment", DEPLOYMENTS)
+    @pytest.mark.parametrize("deployment", available_applications())
     def test_fresh_deployment_is_the_static_quorum_over_the_roster(
         self, deployment, asynchronous
     ):

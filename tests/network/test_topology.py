@@ -1,13 +1,13 @@
-"""Tests for per-round message accounting."""
+"""Tests for per-round message accounting: each strategy's closed-form counts."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.apps.throughput import messages_per_round
 from repro.core.cluster import ClusterConfig
-from repro.core.session import Session
+from repro.core.session import Session, available_applications
 from repro.exceptions import ConfigurationError
-from repro.network.topology import DEPLOYMENTS, messages_per_round
 
 
 class TestMessagesPerRound:
@@ -42,7 +42,7 @@ class TestMessagesPerRound:
             assert decentralized == 3 * n * (n - 1)
 
     def test_all_deployments_supported(self):
-        for deployment in DEPLOYMENTS:
+        for deployment in available_applications():
             counts = messages_per_round(deployment, num_workers=5, num_servers=3)
             assert all(value >= 0 for value in counts.values())
 
