@@ -25,10 +25,9 @@ sized as the runtime sizes them, by the deployment's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.aggregators.base import GAR, GAR_REGISTRY, init as init_gar
-from repro.core.cluster import DeploymentShape
 from repro.core.session import strategy_class
 from repro.exceptions import ConfigurationError
 from repro.network.cost import (
@@ -117,8 +116,8 @@ class ThroughputModel:
         self.num_byzantine_servers = num_byzantine_servers
         self.device = DEVICES[device]
         self.framework = FRAMEWORKS[framework]
-        self.gradient_gar_name = gradient_gar
-        self.model_gar_name = model_gar
+        self.gradient_gar = gradient_gar
+        self.model_gar = model_gar
         self.contract_steps = contract_steps
         self.asynchronous = asynchronous
         self.network = network or NetworkParameters()
@@ -128,30 +127,22 @@ class ThroughputModel:
     # GAR construction helpers
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _clamped(name: str, n: int, f: int) -> GAR:
-        # The analytic model only needs the GAR for its cost estimate; clamp the
-        # input count to the rule's minimum so undersized what-if sweeps (e.g.
-        # Figure 10's f sweeps) still produce a breakdown instead of failing.
+    def _clamped(rule: Optional[Tuple[str, int, int]]) -> Optional[GAR]:
+        # The runtime's (name, n, f), except that the analytic model only needs
+        # the GAR for its cost estimate: clamp the input count to the rule's
+        # minimum so undersized what-if sweeps (e.g. Figure 10's f sweeps)
+        # still produce a breakdown instead of failing.
+        if rule is None:
+            return None
+        name, n, f = rule
         minimum = GAR_REGISTRY[name.lower().replace("_", "-")].minimum_inputs(f)
         return init_gar(name, n=max(n, minimum, 1), f=f)
 
-    def _gradient_gar(self, shape: DeploymentShape) -> GAR:
-        if not shape.byzantine:
-            return init_gar("average", n=self.num_workers, f=0)
-        if shape.servers == "per-worker" or (shape.servers == "replicas" and self.asynchronous):
-            quorum = self.num_workers - self.num_byzantine_workers
-        else:
-            quorum = self.num_workers
-        return self._clamped(self.gradient_gar_name, quorum, self.num_byzantine_workers)
+    def _gradient_gar(self, deployment: str) -> GAR:
+        return self._clamped(strategy_class(deployment.lower()).shape.gradient_rule(self))
 
-    def _model_gar(self, shape: DeploymentShape) -> Optional[GAR]:
-        if not shape.model_phase:
-            return None
-        if shape.servers == "per-worker":
-            n = max(2, self.num_workers - self.num_byzantine_workers)
-        else:
-            n = self.num_servers
-        return self._clamped(self.model_gar_name, n, shape.model_f(self))
+    def _model_gar(self, deployment: str) -> Optional[GAR]:
+        return self._clamped(strategy_class(deployment.lower()).shape.model_rule(self))
 
     # ------------------------------------------------------------------ #
     # Communication model
@@ -186,9 +177,9 @@ class ThroughputModel:
     def aggregation_time(self, deployment: str) -> float:
         """Robust-aggregation time per iteration on the reporting node."""
         shape = strategy_class(deployment.lower()).shape
-        gradient_gar = self._gradient_gar(shape)
+        gradient_gar = self._gradient_gar(deployment)
         total = self.cost.aggregation_time(gradient_gar, self.dimension)
-        model_gar = self._model_gar(shape)
+        model_gar = self._model_gar(deployment)
         if model_gar is not None:
             total += self.cost.aggregation_time(model_gar, self.dimension)
         if shape.contract:
