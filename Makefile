@@ -136,7 +136,7 @@ FIGURE_BENCHES = benchmarks/bench_fig6_model_dim.py benchmarks/bench_fig7_breakd
 	benchmarks/bench_fig15_16_pytorch.py benchmarks/bench_ablation_costmodel.py
 
 bench-figures:
-	$(PYTHON) -m pytest $(FIGURE_BENCHES) -q
+	$(PYTHON) -m pytest $(FIGURE_BENCHES) -q -s
 
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s

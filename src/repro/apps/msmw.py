@@ -57,8 +57,9 @@ class MSMWStrategy(RoundStrategy):
         """Every replica broadcasts to and collects from every worker, then
         the replicas exchange models among themselves."""
         nw, nps = num_workers, num_servers
+        links = nw * nps
         return ClosedForm(
-            messages=dict(model_messages=nw * nps, gradient_messages=nw * nps, server_model_messages=nps * (nps - 1)),
+            messages=dict(model_messages=links, gradient_messages=links, server_model_messages=nps * (nps - 1)),
             phases=((nw, nw), (max(nw, nps), nps), (2 * (nps - 1), nps - 1)),
             fabric_messages=2 * nw * nps + nps * (nps - 1),
         )

@@ -73,6 +73,10 @@ class IterationBreakdown:
     def total(self) -> float:
         return self.computation + self.communication + self.aggregation
 
+    @property
+    def throughput_updates_per_s(self) -> float:
+        return 1.0 / self.total if self.total > 0 else 0.0
+
     def as_dict(self) -> Dict[str, float]:
         return {
             "computation": self.computation,

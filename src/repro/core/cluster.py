@@ -74,13 +74,6 @@ class DeploymentShape:
             return cluster.num_workers - cluster.num_byzantine_workers
         return cluster.num_workers
 
-    def model_f(self, cluster) -> int:
-        """The Byzantine replicas the model GAR tolerates: ``f_ps``, or ``f_w``
-        where every worker is a replica."""
-        if self.servers == "per-worker":
-            return cluster.num_byzantine_workers
-        return cluster.num_byzantine_servers
-
     def model_quorum(self, cluster) -> int:
         """How many peer models a server replica waits for per iteration."""
         if self.servers == "per-worker":
@@ -101,10 +94,13 @@ class DeploymentShape:
 
     def model_rule(self, cluster) -> Optional[Tuple[str, int, int]]:
         """``(name, n, f)`` of the model GAR — the peer models plus the
-        replica's own — or ``None`` without a model phase."""
+        replica's own, at ``f_ps``, or at ``f_w`` where every worker is a
+        replica — or ``None`` without a model phase."""
         if not self.model_phase:
             return None
-        return cluster.model_gar, self.model_quorum(cluster) + 1, self.model_f(cluster)
+        per_worker = self.servers == "per-worker"
+        f = cluster.num_byzantine_workers if per_worker else cluster.num_byzantine_servers
+        return cluster.model_gar, self.model_quorum(cluster) + 1, f
 
 
 @dataclass
@@ -401,10 +397,6 @@ class ClusterConfig:
         from repro.network.resilience import ResilienceConfig
 
         return ResilienceConfig.from_value(self.resilience)
-
-    def model_f(self) -> int:
-        """The Byzantine replicas the model GAR tolerates (:meth:`DeploymentShape.model_f`)."""
-        return self.shape.model_f(self)
 
     def model_quorum(self) -> int:
         """How many peer models a server replica waits for (:meth:`DeploymentShape.model_quorum`)."""

@@ -79,3 +79,27 @@ class TestDetectionOracle:
         report, found = violations(case)
         assert report.passed, found
         assert report.error == "TimeoutError"
+
+
+class TestOpenDetectionFindings:
+    """Two ``attacker-reputation`` findings with a detector under hedged pulls,
+    pinned until the oracle or the detector is settled: judge only attackers
+    the book scored (``RoundResult.gradient_sources`` names them), or make the
+    detector see every attacker."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a reserve attacker is never scored and an honest worker is evicted",
+    )
+    def test_mad_with_an_attacker_held_in_reserve(self):
+        case = pinned(1, 135, detector="mad", resilience=SUPERVISED)
+        assert case.deployment == "ssmw"
+        report, found = violations(case)
+        assert "attacker-reputation" not in {violation["invariant"] for violation in found}, found
+
+    @pytest.mark.xfail(strict=True, reason="a scored attacker ends at 0.02")
+    def test_variance_with_int8_delta(self):
+        case = pinned(2026, 95, detector="variance", resilience=SUPERVISED, wire_format="int8+delta")
+        assert case.deployment == "ssmw"
+        report, found = violations(case)
+        assert "attacker-reputation" not in {violation["invariant"] for violation in found}, found
