@@ -170,6 +170,7 @@ class ThroughputModel:
         phases of its closed form plus the fabric term, scaled by its
         communication factor."""
         strategy = strategy_class(deployment.lower())
+        strategy.shape.check_replicas(self.num_servers, self.num_byzantine_servers)
         form = strategy.closed_form(self.num_workers, self.num_servers, self.contract_steps)
         native = strategy.shape.native
         on_gpu = self.device.name == "gpu"
@@ -221,8 +222,7 @@ def messages_per_round(deployment: str, num_workers: int, num_servers: int = 1) 
     strategy = strategy_class(deployment.lower())
     if num_workers < 1:
         raise ConfigurationError("need at least one worker")
-    if strategy.shape.servers == "replicas" and num_servers < 1:
-        raise ConfigurationError("replicated deployments need at least one server")
+    strategy.shape.check_replicas(num_servers)
     return strategy.closed_form(num_workers, num_servers).messages
 
 

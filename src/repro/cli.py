@@ -28,7 +28,7 @@ import argparse
 import dataclasses
 import sys
 import typing
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 from repro.aggregators import available_gars
 from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_parser.add_argument(
         "--deployments",
         default=None,
-        help="comma-separated deployments to fuzz (default: all fuzzable ones)",
+        help="comma-separated registered deployments whose shape leaves a fault margin "
+        "(default: the five bundled ones)",
     )
     fuzz_parser.add_argument(
         "--budgets",
@@ -300,16 +301,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.core.fuzz import BUDGETS, FUZZ_DEPLOYMENTS, run_campaign
 
-    deployments = (
-        tuple(part.strip() for part in args.deployments.split(",") if part.strip())
-        if args.deployments
-        else FUZZ_DEPLOYMENTS
-    )
-    budgets = (
-        tuple(part.strip() for part in args.budgets.split(",") if part.strip())
-        if args.budgets
-        else BUDGETS
-    )
+    def listed(value: Optional[str], default: Tuple[str, ...]) -> Tuple[str, ...]:
+        return tuple(part.strip() for part in value.split(",") if part.strip()) if value else default
+
 
     def progress(report) -> None:
         if args.quiet:
@@ -329,8 +323,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         seed=args.seed,
         count=args.count,
         start=args.start,
-        deployments=deployments,
-        budgets=budgets,
+        deployments=listed(args.deployments, FUZZ_DEPLOYMENTS),
+        budgets=listed(args.budgets, BUDGETS),
         determinism=not args.no_determinism,
         cross_executor_every=args.cross_executor_every,
         pause_resume_every=args.pause_resume_every,

@@ -84,6 +84,17 @@ class DeploymentShape:
             return max(1, cluster.num_servers - cluster.num_byzantine_servers - 1)
         return cluster.num_servers - 1
 
+    def check_replicas(self, num_servers: int, num_byzantine_servers: int = 0) -> None:
+        """The replica-count rule of a ``replicas`` layout — at least two
+        replicas and ``0 <= f_ps < n_ps`` — as the config, the closed form and
+        the analytic model all apply it; other layouts pass."""
+        if self.servers != "replicas":
+            return
+        if num_servers < 2:
+            raise ConfigurationError(f"replicated deployments need at least two server replicas, got {num_servers}")
+        if not 0 <= num_byzantine_servers < num_servers:
+            raise ConfigurationError(f"need 0 <= f_ps < n_ps, got f_ps={num_byzantine_servers}, n_ps={num_servers}")
+
     def gradient_rule(self, cluster) -> Tuple[str, int, int]:
         """``(name, n, f)`` of the gradient GAR: the configured rule at
         ``f_w`` over the gradient quorum, or plain averaging at f = 0 where
@@ -325,33 +336,23 @@ class ClusterConfig:
                 raise ConfigurationError(f"{self.deployment} uses exactly one parameter server")
             if self.num_byzantine_servers != 0:
                 raise ConfigurationError(f"{self.deployment} assumes a trusted server (f_ps = 0)")
-        elif shape.servers == "replicas":
-            if self.num_servers < 2:
-                raise ConfigurationError(f"{self.deployment} needs at least two server replicas")
-            if not 0 <= self.num_byzantine_servers < self.num_servers:
-                raise ConfigurationError("need 0 <= f_ps < n_ps")
-        else:
+        elif shape.servers == "per-worker":
             # Every worker owns its server: no distinct servers to count.
             self.num_servers = 0
+        shape.check_replicas(self.num_servers, self.num_byzantine_servers)
 
-        # GAR resilience conditions on the gradient side.
-        gar_cls = GAR_REGISTRY[self.gradient_gar]
-        q_gradients = self.gradient_quorum()
-        if q_gradients < gar_cls.minimum_inputs(self.num_byzantine_workers):
-            raise ConfigurationError(
-                f"GAR '{self.gradient_gar}' needs at least "
-                f"{gar_cls.minimum_inputs(self.num_byzantine_workers)} gradients to tolerate "
-                f"f_w={self.num_byzantine_workers}, but the deployment only collects {q_gradients}"
-            )
-        # ... and on the model side wherever replicas exchange models.
-        model_rule = shape.model_rule(self)
-        if model_rule is not None:
-            name, q_models, f = model_rule
+        # The resilience condition of every GAR the deployment runs, as its
+        # shape sizes it: the gradient rule, and the model rule wherever
+        # replicas exchange models.
+        for inputs, rule in (("gradients", shape.gradient_rule(self)), ("models", shape.model_rule(self))):
+            if rule is None:
+                continue
+            name, n, f = rule
             needed = GAR_REGISTRY[name].minimum_inputs(f)
-            if q_models < needed:
+            if n < needed:
                 raise ConfigurationError(
-                    f"GAR '{name}' needs at least {needed} models to tolerate "
-                    f"f={f} Byzantine replicas, but the deployment only aggregates {q_models}"
+                    f"GAR '{name}' needs at least {needed} {inputs} to tolerate f={f}, "
+                    f"but the deployment only collects {n}"
                 )
 
     # ------------------------------------------------------------------ #

@@ -14,21 +14,25 @@ validate` accepts it.  Every case is derived from
   ``random.Random(f"{seed}/{index}")``, so a (seed, index) pair names one
   scenario forever — across runs, processes and refactors that keep the
   grammar (the seed-stability fixtures lock this).
-* a **budget** knob per case — ``below`` / ``at`` / ``beyond`` the
-  deployment's fault margin (``f_w`` simultaneous worker crashes for the
-  asynchronous deployments, ``n_ps - 1`` server crashes for the
-  crash-tolerant baseline).  Tolerated budgets must complete and converge;
-  ``beyond`` budgets must fail *loudly* — a typed :class:`~repro.exceptions.\
+  Every size is drawn from what the strategy declares in its
+  :class:`~repro.core.cluster.DeploymentShape`, never from its name, so a
+  registered third-party strategy is fuzzed like a bundled one.
+* a **budget** knob per case — ``below`` / ``at`` / ``beyond`` the shape's
+  fault margin (``f_w`` simultaneous worker crashes for a Byzantine-tolerant
+  shape, ``n_ps - 1`` server crashes for a fault-oblivious one with server
+  replicas).  Tolerated budgets must complete and converge; ``beyond``
+  budgets must fail *loudly* — a typed :class:`~repro.exceptions.\
 GarfieldError` or an explicit divergence flag, never a silently poisoned
   model.
-* :class:`InvariantChecker` — consumes a :class:`~repro.core.session.Session`
-  round by round and asserts properties instead of goldens: exact gradient
+* :class:`InvariantChecker` — runs a case through a
+  :class:`~repro.core.session.Session` and judges it by the ordered table
+  :data:`INVARIANT_CHECKS` of properties instead of goldens: exact gradient
   quorums, finite-or-flagged update norms, bounded norms under attack with a
   robust GAR, liveness and convergence under tolerated schedules, loud typed
   failure beyond the bound, trace determinism (same seed ⇒ byte-identical
   canonical JSON, across the serial and threaded executors, and between a
-  sharded case and its unsharded twin) and pause/resume equivalence
-  mid-chaos.
+  sharded case and its unsharded twin), pause/resume equivalence mid-chaos
+  and the reputation properties of online detection.
 * :func:`shrink_events` — ddmin over the event timeline: when a case fails,
   the shrinker bisects the events down to a minimal spec that still
   reproduces the same invariant violation; the result is a scenario JSON
@@ -48,14 +52,15 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.aggregators.base import GAR_REGISTRY
-from repro.core.cluster import ClusterConfig
+from repro.core.cluster import ClusterConfig, DeploymentShape
 from repro.core.controller import Controller
 from repro.core.metrics import Trace
 from repro.core.scenario import ScenarioEvent, ScenarioSpec, validate_timeline
-from repro.core.session import RoundResult, Session
+from repro.core.session import RoundResult, Session, strategy_class
 from repro.detection.membership import EVICTED
 from repro.exceptions import ConfigurationError, GarfieldError
 from repro.exceptions import TimeoutError as ReproTimeoutError
@@ -76,27 +81,12 @@ CONVERGENCE_FLOOR = 0.75
 #: The budget knob: below the fault margin, exactly at it, deliberately past it.
 BUDGETS = ("below", "at", "beyond")
 
-#: Deployments the generator samples (vanilla is exercised by the directed
-#: negative-path tests instead: with ``f = 0`` every budget is "beyond").
+#: The deployments a generator samples by default, in the order the case
+#: index cycles them.  ``deployments=`` takes any registered strategy whose
+#: shape leaves a fault margin to spend; vanilla's does not (f = 0 on one
+#: server: every budget is "beyond"), so the directed negative-path tests
+#: exercise it instead.
 FUZZ_DEPLOYMENTS = ("ssmw", "aggregathor", "msmw", "decentralized", "crash-tolerant")
-
-#: Every invariant the checker can report, for the campaign summary.
-INVARIANTS = (
-    "typed-failure-only",
-    "quorum-exact",
-    "finite-or-flagged",
-    "bounded-update-norm",
-    "liveness",
-    "convergence",
-    "tolerated-divergence",
-    "loud-at-overbudget",
-    "determinism",
-    "pause-resume",
-    "no-calm-eviction",
-    "attacker-reputation",
-    "eviction-budget",
-    "no-timeout-under-supervision",
-)
 
 #: The feature layers every case draws after its timeline, in draw order: each
 #: layer's default first, then its other values.  A case keeps the default
@@ -119,6 +109,11 @@ _EXPERIMENT: Dict[str, Any] = {
     "batch_size": 8,
     "learning_rate": 0.2,
 }
+#: What a case draws its gradient GAR and its workers' attack from.
+_GRADIENT_GARS = ("median", "krum", "multi-krum")
+_WORKER_ATTACKS = ("reversed", "random", "little-is-enough")
+#: The smallest cluster a case runs; the shape's rules grow it from here.
+_MIN_WORKERS = 3
 
 
 # ---------------------------------------------------------------------- #
@@ -155,22 +150,50 @@ class FuzzCase:
         return self.spec.config.get(name, LAYERS[name][0])
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "seed": self.seed,
-            "deployment": self.deployment,
-            "budget": self.budget,
-            "margin": self.margin,
-            "mechanism": self.mechanism,
-            "guarantees_completion": self.guarantees_completion,
-            "expects_loud_failure": self.expects_loud_failure,
-            "spec": self.spec.to_dict(),
-        }
+        data = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "refused"}
+        return {**data, "spec": self.spec.to_dict()}
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "FuzzCase":
+        """A case recorded by :meth:`to_dict`, replayed whatever the generator now draws."""
+        return cls(**{**data, "spec": ScenarioSpec.from_dict(data["spec"])})
 
 
 # ---------------------------------------------------------------------- #
 # The generator
 # ---------------------------------------------------------------------- #
+def _has_margin(shape: DeploymentShape) -> bool:
+    """Whether a shape tolerates any fault a case could spend."""
+    return shape.byzantine or shape.servers == "replicas"
+
+
+def _fault_pool(shape: DeploymentShape, config: Dict[str, Any]) -> Tuple[int, List[str]]:
+    """The simultaneous faults a case may spend, and the nodes it spends them on.
+
+    A Byzantine-tolerant shape spends ``f_w`` on its workers (a per-worker
+    layout keeps ``worker-0``, which hosts the reporting node); a
+    fault-oblivious one with server replicas spends ``n_ps - 1`` on them.
+    """
+    if shape.byzantine:
+        first = 1 if shape.servers == "per-worker" else 0
+        return config["num_byzantine_workers"], [f"worker-{i}" for i in range(first, config["num_workers"])]
+    return config["num_servers"] - 1, [f"server-{i}" for i in range(config["num_servers"])]
+
+
+def _meets(rule: Optional[Tuple[str, int, int]]) -> bool:
+    """Whether a shape's ``(name, n, f)`` rule has the inputs its GAR needs."""
+    return rule is None or rule[1] >= GAR_REGISTRY[rule[0]].minimum_inputs(rule[2])
+
+
+def _replicas_fit(shape: DeploymentShape, sizes: SimpleNamespace) -> bool:
+    """Whether ``sizes`` meets the shape's replica rule and its model rule."""
+    try:
+        shape.check_replicas(sizes.num_servers, sizes.num_byzantine_servers)
+    except ConfigurationError:
+        return False
+    return _meets(shape.model_rule(sizes))
+
+
 class ScenarioGenerator:
     """Seeded, deterministic sampler of valid chaos timelines.
 
@@ -192,11 +215,12 @@ class ScenarioGenerator:
     ) -> None:
         if not deployments:
             raise ConfigurationError("the generator needs at least one deployment")
-        unknown = set(deployments) - set(FUZZ_DEPLOYMENTS)
-        if unknown:
-            raise ConfigurationError(
-                f"cannot fuzz deployments {sorted(unknown)}; supported: {FUZZ_DEPLOYMENTS}"
-            )
+        for deployment in deployments:
+            if not _has_margin(strategy_class(deployment).shape):
+                raise ConfigurationError(
+                    f"cannot fuzz deployment '{deployment}': its shape is fault-oblivious "
+                    "on one server, so it has no fault margin to spend"
+                )
         bad = set(budgets) - set(BUDGETS)
         if bad:
             raise ConfigurationError(f"unknown budgets {sorted(bad)}; choose from {BUDGETS}")
@@ -212,10 +236,10 @@ class ScenarioGenerator:
         rng = random.Random(f"{self.seed}/{index}")
         deployment = self.deployments[index % len(self.deployments)]
         budget = self.budgets[(index // len(self.deployments)) % len(self.budgets)]
-        config, margin, crash_pool = self._sample_config(rng, deployment)
-        events, mechanism, guaranteed = self._sample_events(
-            rng, deployment, budget, config, margin, crash_pool
-        )
+        shape = strategy_class(deployment).shape
+        config = self._sample_config(rng, deployment, shape)
+        margin, pool = _fault_pool(shape, config)
+        events, mechanism, guaranteed = self._sample_events(rng, shape, budget, config, margin, pool)
         refused = self._sample_layers(rng, config)
         spec = ScenarioSpec(
             name=f"fuzz-{self.seed}-{index}-{deployment}-{budget}",
@@ -224,101 +248,61 @@ class ScenarioGenerator:
                 f"budget '{budget}' via {mechanism} (margin {margin})"
             ),
             config=config,
-            events=[ScenarioEvent.from_dict(event) for event in events],
+            events=events,
         )
         cluster = ClusterConfig.from_dict(dict(config))
         validate_timeline(  # a generator bug, not a fuzz finding — fail here
-            spec,
-            [node for ids in cluster.node_ids() for node in ids],
-            byzantine_ids=cluster.byzantine_ids(),
-            max_byzantine_count=cluster.num_attacking_workers,
+            spec, [node for ids in cluster.node_ids() for node in ids],
+            byzantine_ids=cluster.byzantine_ids(), max_byzantine_count=cluster.num_attacking_workers,
         )
         return FuzzCase(
-            index=index,
-            seed=self.seed,
-            deployment=deployment,
-            budget=budget,
-            margin=margin,
-            mechanism=mechanism,
-            spec=spec,
-            guarantees_completion=guaranteed and budget != "beyond",
-            expects_loud_failure=budget == "beyond",
-            refused=refused,
+            index=index, seed=self.seed, deployment=deployment, budget=budget, margin=margin,
+            mechanism=mechanism, spec=spec, guarantees_completion=guaranteed and budget != "beyond",
+            expects_loud_failure=budget == "beyond", refused=refused,
         )
 
     def cases(self, count: int, start: int = 0) -> List[FuzzCase]:
         return [self.case(start + i) for i in range(count)]
 
     # ------------------------------------------------------------------ #
-    def _sample_config(
-        self, rng: random.Random, deployment: str
-    ) -> Tuple[Dict[str, Any], int, List[str]]:
-        """A valid ClusterConfig dict plus the fault margin and crash pool."""
-        config: Dict[str, Any] = {
-            "deployment": deployment,
-            **_EXPERIMENT,
-            "num_iterations": rng.randint(8, 12),
-            "accuracy_every": rng.choice((4, 5)),
-            "seed": rng.randint(0, 9999),
-        }
-        if deployment in ("ssmw", "aggregathor"):
-            f_w = rng.choice((1, 2))
-            gar = rng.choice(("median", "krum", "multi-krum"))
-            need = GAR_REGISTRY[gar].minimum_inputs(f_w)
-            n_w = f_w + need + rng.randint(0, 2)
+    @staticmethod
+    def _sample_config(rng: random.Random, deployment: str, shape: DeploymentShape) -> Dict[str, Any]:
+        """A valid ClusterConfig dict whose every size the shape's rules set.
+
+        ``n_w`` is the smallest cluster whose gradient rule (and, where every
+        worker owns a replica, model rule) meets its GAR's minimum; on server
+        replicas ``n_ps`` is the smallest count the replica rule and the model
+        rule accept at the drawn ``f_ps``.  Each gets 0 or 1 spare on top.
+        """
+        config: Dict[str, Any] = dict(
+            deployment=deployment, **_EXPERIMENT, num_iterations=rng.randint(8, 12),
+            accuracy_every=rng.choice((4, 5)), seed=rng.randint(0, 9999), asynchronous=True,
+            num_byzantine_workers=0, model_gar="median",
+        )
+        if shape.byzantine:  # a fault-oblivious shape averages at f_w = 0
+            # Where every worker owns a replica a round costs O(n_w^2) pulls,
+            # so that layout keeps f_w = 1 and its clusters small.
+            f_w = 1 if shape.servers == "per-worker" else rng.choice((1, 2))
             config.update(
-                num_workers=n_w,
-                num_byzantine_workers=f_w,
-                num_attacking_workers=rng.randint(0, f_w),
-                worker_attack=rng.choice(("reversed", "random", "little-is-enough")),
-                gradient_gar=gar,
-                asynchronous=True,
-                num_servers=1,
+                num_byzantine_workers=f_w, num_attacking_workers=rng.randint(0, f_w),
+                worker_attack=rng.choice(_WORKER_ATTACKS), gradient_gar=rng.choice(_GRADIENT_GARS),
             )
-            margin, pool = f_w, [f"worker-{i}" for i in range(n_w)]
-        elif deployment == "msmw":
-            f_w = rng.choice((1, 2))
-            gar = rng.choice(("median", "multi-krum"))
-            need = GAR_REGISTRY[gar].minimum_inputs(f_w)
-            n_w = f_w + need + rng.randint(0, 1)
-            n_ps, f_ps = rng.choice(((3, 0), (4, 1)))
+        # One server has no peers, so a replica layout's model rule holds
+        # until its replicas are sized below.
+        sizes = SimpleNamespace(**config, num_workers=_MIN_WORKERS, num_servers=1, num_byzantine_servers=0)
+        while not (_meets(shape.gradient_rule(sizes)) and _meets(shape.model_rule(sizes))):
+            sizes.num_workers += 1
+        config["num_workers"] = sizes.num_workers + rng.randint(0, 1)
+        if shape.servers == "replicas":
+            sizes.num_byzantine_servers = f_ps = rng.choice((0, 1)) if shape.model_phase else 0
+            while not _replicas_fit(shape, sizes):
+                sizes.num_servers += 1
             config.update(
-                num_workers=n_w,
-                num_byzantine_workers=f_w,
-                num_attacking_workers=rng.randint(0, f_w),
-                worker_attack=rng.choice(("reversed", "random")),
-                num_servers=n_ps,
+                num_servers=sizes.num_servers + rng.randint(0, 1),
                 num_byzantine_servers=f_ps,
                 num_attacking_servers=rng.randint(0, f_ps),
-                server_attack="random",
-                gradient_gar=gar,
-                model_gar="median",
-                asynchronous=True,
             )
-            margin, pool = f_w, [f"worker-{i}" for i in range(n_w)]
-        elif deployment == "decentralized":
-            n_w = rng.randint(4, 6)
-            config.update(
-                num_workers=n_w,
-                num_byzantine_workers=1,
-                num_attacking_workers=rng.randint(0, 1),
-                worker_attack=rng.choice(("reversed", "random")),
-                gradient_gar="median",
-                model_gar="median",
-                num_servers=0,
-            )
-            # worker-0 hosts the reporting node; crashing it is out of scope.
-            margin, pool = 1, [f"worker-{i}" for i in range(1, n_w)]
-        elif deployment == "crash-tolerant":
-            n_w = rng.randint(3, 5)
-            n_ps = rng.randint(2, 4)
-            config.update(num_workers=n_w, num_servers=n_ps)
-            # Server crashes are the tolerated fault; the synchronous quorum
-            # means a single worker crash is already beyond the bound.
-            margin, pool = n_ps - 1, [f"server-{i}" for i in range(n_ps)]
-        else:  # pragma: no cover - guarded by __init__
-            raise ConfigurationError(f"cannot fuzz deployment '{deployment}'")
-        return config, margin, pool
+        return config
 
     @staticmethod
     def _sample_layers(rng: random.Random, config: Dict[str, Any]) -> Tuple[str, ...]:
@@ -340,110 +324,82 @@ class ScenarioGenerator:
                 config[layer] = value
         return tuple(refused)
 
+    @staticmethod
     def _sample_events(
-        self,
-        rng: random.Random,
-        deployment: str,
-        budget: str,
-        config: Dict[str, Any],
-        margin: int,
-        crash_pool: List[str],
-    ) -> Tuple[List[Dict[str, Any]], str, bool]:
+        rng: random.Random, shape: DeploymentShape, budget: str, config: Dict[str, Any],
+        margin: int, pool: List[str],
+    ) -> Tuple[List[ScenarioEvent], str, bool]:
         """The event timeline for one case; returns (events, mechanism, guaranteed)."""
         rounds = int(config["num_iterations"])
         workers = [f"worker-{i}" for i in range(int(config["num_workers"]))]
         attacking = int(config.get("num_attacking_workers", 0))
-        events: List[Dict[str, Any]] = []
+        events: List[ScenarioEvent] = []
         guaranteed = True
         mechanism = "calm"
+        # The pool holds workers exactly when the shape is Byzantine-tolerant.
+        crash = "crash" if shape.byzantine else "server-crash"
+
+        def add(round_: int, action: str, target: Optional[str] = None, value: Any = None) -> None:
+            events.append(ScenarioEvent(round_, action, target, value))
 
         def crash_window(targets: Sequence[str], *, recover: bool) -> None:
             start = rng.randint(1, max(1, rounds // 2))
             duration = rng.randint(1, 2)
             for target in targets:
-                events.append({"round": start, "action": "crash", "target": target})
+                add(start, "crash", target)
                 if recover:
-                    events.append(
-                        {"round": min(start + duration, rounds - 1), "action": "recover", "target": target}
-                    )
+                    add(min(start + duration, rounds - 1), "recover", target)
 
         if budget == "beyond":
-            if deployment == "crash-tolerant" and rng.random() < 0.5:
-                # Variant: one crashed worker starves the synchronous quorum.
+            if shape.gradient_quorum(SimpleNamespace(**config)) == len(workers) and rng.random() < 0.5:
+                # Variant: one crashed worker starves a quorum of every worker.
                 crash_window([rng.choice(workers)], recover=False)
                 mechanism = "worker-crash"
             else:
-                targets = rng.sample(crash_pool, min(margin + 1, len(crash_pool)))
-                crash_window(targets, recover=False)
-                mechanism = "server-crash" if deployment == "crash-tolerant" else "crash"
+                crash_window(rng.sample(pool, min(margin + 1, len(pool))), recover=False)
+                mechanism = crash
             guaranteed = False
         elif budget == "at":
-            if deployment != "crash-tolerant" and rng.random() < 0.4:
+            if shape.byzantine and rng.random() < 0.4:
                 # Spend the margin on a partition instead of crashes.
-                island = rng.sample(crash_pool, margin)
+                island = rng.sample(pool, margin)
                 start = rng.randint(1, rounds - 3)
-                events.append({"round": start, "action": "partition", "value": [island]})
-                events.append({"round": start + rng.randint(1, 2), "action": "heal"})
+                add(start, "partition", value=[island])
+                add(start + rng.randint(1, 2), "heal")
                 mechanism = "partition"
             else:
-                crash_window(rng.sample(crash_pool, margin), recover=True)
-                mechanism = "server-crash" if deployment == "crash-tolerant" else "crash"
+                crash_window(rng.sample(pool, margin), recover=True)
+                mechanism = crash
         else:  # below
             spend = rng.randint(0, max(0, margin - 1))
             if spend:
-                crash_window(rng.sample(crash_pool, spend), recover=True)
-                mechanism = "crash"
+                crash_window(rng.sample(pool, spend), recover=True)
+                mechanism = crash
 
         # Garnish tolerated budgets with faults that cost no margin.
         if budget != "beyond":
             for target in rng.sample(workers, rng.randint(0, min(2, len(workers)))):
                 start = rng.randint(1, rounds - 2)
-                events.append(
-                    {
-                        "round": start,
-                        "action": "straggler",
-                        "target": target,
-                        "value": round(rng.uniform(2.0, 30.0), 2),
-                    }
-                )
-                events.append(
-                    {
-                        "round": rng.randint(start + 1, rounds - 1),
-                        "action": "clear_straggler",
-                        "target": target,
-                    }
-                )
+                add(start, "straggler", target, round(rng.uniform(2.0, 30.0), 2))
+                add(rng.randint(start + 1, rounds - 1), "clear_straggler", target)
             if rng.random() < 0.25:
                 # Probabilistic message loss: still deterministic per seed,
                 # but completion is no longer analytically guaranteed.
                 start = rng.randint(1, rounds - 2)
-                events.append(
-                    {"round": start, "action": "drop_rate", "value": round(rng.uniform(0.005, 0.03), 3)}
-                )
-                events.append(
-                    {"round": rng.randint(start + 1, rounds - 1), "action": "drop_rate", "value": 0.0}
-                )
+                add(start, "drop_rate", value=round(rng.uniform(0.005, 0.03), 3))
+                add(rng.randint(start + 1, rounds - 1), "drop_rate", value=0.0)
                 guaranteed = False
 
         if attacking > 0:
             pattern = rng.choice(("steady", "onset", "stop", "churn"))
             if pattern == "onset":
-                attack = config.get("worker_attack", "random")
-                events.append({"round": 0, "action": "attack_stop"})
-                events.append(
-                    {"round": rng.randint(2, rounds - 2), "action": "attack_start", "value": attack}
-                )
+                add(0, "attack_stop")
+                add(rng.randint(2, rounds - 2), "attack_start", value=config["worker_attack"])
             elif pattern == "stop":
-                events.append({"round": rng.randint(1, rounds - 1), "action": "attack_stop"})
+                add(rng.randint(1, rounds - 1), "attack_stop")
             elif pattern == "churn":
                 for _ in range(rng.randint(1, 2)):
-                    events.append(
-                        {
-                            "round": rng.randint(0, rounds - 1),
-                            "action": "byzantine_count",
-                            "value": rng.randint(0, attacking),
-                        }
-                    )
+                    add(rng.randint(0, rounds - 1), "byzantine_count", value=rng.randint(0, attacking))
         return events, mechanism, guaranteed
 
 
@@ -466,18 +422,28 @@ def build_session_for_spec(spec: ScenarioSpec, **overrides: Any) -> Session:
 
 @dataclass
 class RunOutcome:
-    """What one execution of a spec produced, for invariant checking."""
+    """What one execution of a spec left beyond its :class:`RoundResult` stream."""
 
     #: The run's scenario trace as it ended (a round that raised left no entry).
     trace: Trace
     #: Every round the session streamed, in order.
     results: List[RoundResult] = field(default_factory=list)
-    completed: bool = False
-    diverged: bool = False
     error: Optional[BaseException] = None
     #: Final membership / decayed suspicion, captured before session close.
     final_evicted: List[str] = field(default_factory=list)
     final_suspicion: Dict[str, float] = field(default_factory=dict)
+    #: What the checker adds before judging: the canonical trace JSON of
+    #: each replay it ran, by label, and the update-norm bound it judges by.
+    replays: Dict[str, str] = field(default_factory=dict)
+    norm_bound: float = UPDATE_NORM_BOUND
+
+    @property
+    def completed(self) -> bool:
+        return self.error is None
+
+    @property
+    def diverged(self) -> bool:
+        return any(result.diverged for result in self.results)
 
     @property
     def rounds_run(self) -> int:
@@ -510,11 +476,9 @@ def run_spec(spec: ScenarioSpec, *, pause_at: Optional[int] = None, **overrides:
             session.pause()
             session.resume()
         session.run()
-        outcome.completed = session.finished
     except Exception as error:  # noqa: BLE001 - the checker types the failure
         outcome.error = error
     finally:
-        outcome.diverged = session.diverged
         detection = session.deployment.detection
         if detection is not None:
             outcome.final_evicted = list(session.deployment.membership.excluded(EVICTED))
@@ -523,6 +487,257 @@ def run_spec(spec: ScenarioSpec, *, pause_at: Optional[int] = None, **overrides:
             }
         session.close()
     return outcome
+
+
+# ---------------------------------------------------------------------- #
+# The invariants
+# ---------------------------------------------------------------------- #
+#: What an invariant returns: nothing when it holds, else its message — with
+#: the round it broke in, for the invariants judged round by round.
+Finding = Optional[Union[str, Tuple[str, int]]]
+
+#: The replay the pause-resume invariant judges; every other one is a
+#: determinism replay.
+_PAUSED = "paused/resumed run"
+
+
+def _cluster(case: FuzzCase) -> ClusterConfig:
+    return ClusterConfig.from_dict(dict(case.spec.config))
+
+
+def _typed(error: Optional[BaseException]) -> bool:
+    """Whether ``error`` is a runtime failure the library names."""
+    return isinstance(error, GarfieldError) and not isinstance(error, ConfigurationError)
+
+
+def _excluded_by_round(case: FuzzCase, outcome: RunOutcome) -> List[Set[str]]:
+    """The workers out of the pull set as each round run began.
+
+    Replays the deployment's worker membership from both recorded event
+    streams: every ``evict`` (detection payload) and every ``dead`` (health
+    payload) of a worker takes it out of the pull set, every ``readmit``
+    returns it — a dead server replica changes nothing here.
+    """
+    workers = set(_cluster(case).node_ids()[0])
+    out: Set[str] = set()
+    excluded: List[Set[str]] = []
+    for result in outcome.results:
+        excluded.append(set(out))
+        for payload in (result.detection, result.health):
+            for event in (payload or {}).get("events", ()):
+                # A dead server replica leaves the replica ledger, not this one.
+                if event["target"] not in workers:
+                    continue
+                if event["action"] in ("evict", "dead"):
+                    out.add(event["target"])
+                elif event["action"] == "readmit":
+                    out.discard(event["target"])
+    return excluded
+
+
+def _applied_norms(outcome: RunOutcome) -> List[Tuple[int, float]]:
+    """``(round, norm)`` of every update applied without a divergence flag."""
+    return [(r.iteration, r.update_norm) for r in outcome.results if r.update_norm is not None and not r.diverged]
+
+
+def typed_failure_only(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """Any exception is a :class:`~repro.exceptions.GarfieldError` — and not a
+    :class:`~repro.exceptions.ConfigurationError`, which would mean the
+    generator emitted an invalid spec."""
+    error = outcome.error
+    if error is None or _typed(error):
+        return None
+    return f"run raised {type(error).__name__} ({error}); every runtime failure must be a typed GarfieldError"
+
+
+def quorum_exact(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """Every round's gradient quorum is ``gradient_quorum()`` exactly, less one
+    per worker excluded by round ``r - 1``'s decisions (with neither detection
+    nor resilience on, nobody is)."""
+    quorum = _cluster(case).gradient_quorum()
+    for result, out in zip(outcome.results, _excluded_by_round(case, outcome)):
+        expected = max(1, quorum - len(out))
+        if result.quorum != expected:
+            index = result.iteration
+            return f"round {index} ran with quorum {result.quorum}, expected {expected}", index
+    return None
+
+
+def finite_or_flagged(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """A non-finite update norm carries the divergence flag."""
+    for index, norm in _applied_norms(outcome):
+        if not math.isfinite(norm):
+            return f"round {index} applied a non-finite update without a divergence flag", index
+    return None
+
+
+def bounded_update_norm(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """Under a tolerated budget the robust GAR keeps update norms in the honest range."""
+    for index, norm in _applied_norms(outcome):
+        if case.budget != "beyond" and math.isfinite(norm) and norm > outcome.norm_bound:
+            return f"round {index} update norm {norm:.2f} exceeds the bound {outcome.norm_bound:.0f}", index
+    return None
+
+
+def liveness(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """A tolerated schedule with no probabilistic loss completes."""
+    error = outcome.error
+    if not (case.guarantees_completion and _typed(error)):
+        return None
+    return f"tolerated budget '{case.budget}' (margin {case.margin}) died with {type(error).__name__}: {error}"
+
+
+def convergence(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """A guaranteed schedule ends no worse than ``max(FLOOR, SLACK * first loss)``."""
+    first, final = outcome.first_loss, outcome.final_loss
+    if not case.guarantees_completion or outcome.error is not None or outcome.diverged or first is None:
+        return None
+    bound = max(CONVERGENCE_FLOOR, CONVERGENCE_SLACK * first)
+    if final is not None and final <= bound:
+        return None
+    return f"final evaluated loss {final} exceeds the bound {bound:.3f} (first evaluated loss {first:.3f})"
+
+
+def tolerated_divergence(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """A tolerated schedule that completes never trips the divergence detector."""
+    if case.expects_loud_failure or outcome.error is not None or not outcome.diverged:
+        return None
+    flagged = [result.iteration for result in outcome.results if result.diverged]
+    return f"tolerated budget '{case.budget}' tripped the divergence detector at rounds {flagged}"
+
+
+def loud_at_overbudget(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """A ``beyond`` schedule ends in an error or the divergence flag — unless
+    one of its margin + 1 crashes hit a worker already out of the pull set (a
+    crash in round ``r`` lands after round ``r - 1``'s membership decisions),
+    which leaves it within the margin."""
+    if not case.expects_loud_failure or outcome.error is not None or outcome.diverged:
+        return None
+    out = _excluded_by_round(case, outcome)
+    if any(e.action == "crash" and e.round < len(out) and e.target in out[e.round] for e in case.spec.events):
+        return None
+    return (
+        f"budget 'beyond' ({case.mechanism}, margin {case.margin}) completed "
+        f"{outcome.rounds_run} rounds with no typed failure and no divergence flag"
+    )
+
+
+def _differing_replays(outcome: RunOutcome, paused: bool) -> Finding:
+    expected = outcome.trace.to_json()
+    differ = [
+        f"{label} ({len(trace)} vs {len(expected)} bytes)"
+        for label, trace in outcome.replays.items()
+        if (label == _PAUSED) == paused and trace != expected
+    ]
+    return f"{', '.join(differ)} produced a different trace" if differ else None
+
+
+def determinism(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """A serial rerun, a threaded run and a sharded case's unsharded twin
+    reproduce the trace byte for byte (whichever of them the checker ran)."""
+    return _differing_replays(outcome, paused=False)
+
+
+def pause_resume(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """A run paused and resumed mid-chaos reproduces the trace byte for byte."""
+    return _differing_replays(outcome, paused=True)
+
+
+def _judges_detection(case: FuzzCase, outcome: RunOutcome) -> bool:
+    return bool(case.spec.config.get("detector")) and bool(outcome.final_suspicion)
+
+
+def no_calm_eviction(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """In a run with no attacking workers, an eviction (possible under a
+    non-zero budget: a tiny heterogeneous shard looks like a moderate
+    attacker) is not permanent — the evicted worker's suspicion decays
+    toward the re-admission bar."""
+    if not _judges_detection(case, outcome) or case.spec.config.get("num_attacking_workers", 0):
+        return None
+    at_eviction = {
+        event["target"]: float(event["score"])
+        for result in outcome.results
+        for event in (result.detection or {}).get("events", ())
+        if event["action"] == "evict"
+    }
+    # An event records its score to 6 decimals: judge the final one at that precision.
+    final = {name: round(score, 6) for name, score in outcome.final_suspicion.items()}
+    stuck = [
+        f"'{name}' at {final.get(name, 0.0):.3f} above its eviction score {at_eviction[name]:.3f}"
+        for name in outcome.final_evicted
+        if name in at_eviction and final.get(name, 0.0) > at_eviction[name]
+    ]
+    return f"attack-free run left {', '.join(stuck)} evicted, not decaying toward re-admission" if stuck else None
+
+
+def attacker_reputation(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """A run that completed under a steady flagrant attack (reversed / random,
+    no mid-run attack toggles) ends with every attacker's decayed suspicion
+    above every honest worker's.  A run that died early may end inside the
+    book's warm-up, so it is not judged."""
+    config, scores = case.spec.config, outcome.final_suspicion
+    toggles = ("attack_start", "attack_stop", "byzantine_count")
+    if (
+        not _judges_detection(case, outcome)
+        or not config.get("num_attacking_workers", 0)
+        or config.get("worker_attack") not in ("reversed", "random")
+        or any(event.action in toggles for event in case.spec.events)
+        or not outcome.completed
+    ):
+        return None
+    attackers = set(_cluster(case).byzantine_ids())
+    honest_max = max((score for name, score in scores.items() if name not in attackers), default=0.0)
+    attacker_min = min((score for name, score in scores.items() if name in attackers), default=float("inf"))
+    if attacker_min > honest_max:
+        return None
+    return (
+        f"steady {config['worker_attack']} attack ended with attacker suspicion floor "
+        f"{attacker_min:.3f} at or below honest ceiling {honest_max:.3f} ({scores})"
+    )
+
+
+def eviction_budget(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """At most ``f`` workers are ever evicted at once: only ``f`` can be
+    Byzantine, so an (f+1)-th eviction would provably hit an honest worker
+    (with ``f == 0``, no eviction ever)."""
+    evicted, f = outcome.final_evicted, int(case.spec.config.get("num_byzantine_workers", 0))
+    if not _judges_detection(case, outcome) or len(evicted) <= f:
+        return None
+    return f"{len(evicted)} workers evicted ({evicted}) exceeds the declared budget f={f}"
+
+
+def no_timeout_under_supervision(case: FuzzCase, outcome: RunOutcome) -> Finding:
+    """The self-healing pitch, held as an invariant: with hedged pulls
+    re-issuing lost / straggling requests and supervision respawning
+    unscripted deaths, no within-budget schedule — probabilistic loss
+    included — may end in a quorum timeout."""
+    resilience = case.spec.config.get("resilience") or {}
+    timed_out = isinstance(outcome.error, ReproTimeoutError)
+    if case.expects_loud_failure or not (timed_out and resilience.get("hedge") and resilience.get("supervise")):
+        return None
+    return f"supervised tolerated budget '{case.budget}' (margin {case.margin}) timed out: {outcome.error}"
+
+
+#: Every invariant, in report order: its name and its judge of ``(case, outcome)``.
+INVARIANT_CHECKS: Tuple[Tuple[str, Callable[[FuzzCase, RunOutcome], Finding]], ...] = (
+    ("typed-failure-only", typed_failure_only),
+    ("quorum-exact", quorum_exact),
+    ("finite-or-flagged", finite_or_flagged),
+    ("bounded-update-norm", bounded_update_norm),
+    ("liveness", liveness),
+    ("convergence", convergence),
+    ("tolerated-divergence", tolerated_divergence),
+    ("loud-at-overbudget", loud_at_overbudget),
+    ("determinism", determinism),
+    ("pause-resume", pause_resume),
+    ("no-calm-eviction", no_calm_eviction),
+    ("attacker-reputation", attacker_reputation),
+    ("eviction-budget", eviction_budget),
+    ("no-timeout-under-supervision", no_timeout_under_supervision),
+)
+
+#: Every invariant the checker can report, for the campaign summary.
+INVARIANTS = tuple(name for name, _ in INVARIANT_CHECKS)
 
 
 # ---------------------------------------------------------------------- #
@@ -584,324 +799,49 @@ class CaseReport:
 
 
 class InvariantChecker:
-    """Runs one :class:`FuzzCase` and asserts the machine-checkable properties.
+    """Runs one :class:`FuzzCase`, then judges it by :data:`INVARIANT_CHECKS`.
 
-    The oracle, per budget:
-
-    * every completed round's gradient quorum equals
-      :meth:`~repro.core.cluster.ClusterConfig.gradient_quorum` exactly, less
-      one per worker the recorded membership events had excluded by then;
-    * update norms are finite (or the round carries the divergence flag) and,
-      under a tolerated budget, bounded by ``norm_bound``;
-    * tolerated schedules with no probabilistic loss complete (liveness),
-      never trip the divergence detector, and end converged;
-    * ``beyond`` schedules end in a typed :class:`~repro.exceptions.\
-GarfieldError` or an explicit divergence flag — never a silent completion;
-    * any exception is a :class:`~repro.exceptions.GarfieldError` (and not a
-      :class:`~repro.exceptions.ConfigurationError`, which would mean the
-      generator emitted an invalid spec);
-    * when the spec enables online detection: evictions never exceed the
-      declared Byzantine budget (none at all with ``f = 0``), attack-free
-      evictions decay toward re-admission, and a steady flagrant attack
-      within budget leaves every attacker's suspicion strictly above every
-      honest worker's;
-    * optionally: a rerun (serial), a threaded run, a paused/resumed run
-      and — for a sharded case — its unsharded twin all produce
-      byte-identical canonical trace JSON.
+    A spec that fails validation breaks ``typed-failure-only`` and is not
+    run.  ``determinism`` reruns the case serially (and, for a sharded case,
+    runs its unsharded twin), ``cross_executor`` runs it threaded and
+    ``pause_resume`` pauses it halfway; the determinism and pause-resume
+    invariants compare those replays' traces with the run's.
     """
 
     def __init__(self, *, norm_bound: float = UPDATE_NORM_BOUND) -> None:
         self.norm_bound = norm_bound
 
-    # ------------------------------------------------------------------ #
     def check(
-        self,
-        case: FuzzCase,
-        *,
-        determinism: bool = True,
-        cross_executor: bool = False,
-        pause_resume: bool = False,
+        self, case: FuzzCase, *, determinism: bool = True, cross_executor: bool = False, pause_resume: bool = False
     ) -> CaseReport:
-        report = CaseReport(case=case)
         try:
             outcome = run_spec(case.spec)
         except ConfigurationError as error:
-            report.violations.append(
-                InvariantViolation("typed-failure-only", f"spec failed validation: {error}")
-            )
-            return report
-        report.rounds_run = outcome.rounds_run
-        report.diverged = outcome.diverged
-        report.first_loss = outcome.first_loss
-        report.final_loss = outcome.final_loss
-        report.fingerprint = outcome.trace.fingerprint()
-        self._check_rounds(case, outcome, report)
-        self._check_detection(case, outcome, report)
-        self._check_outcome(case, outcome, report)
-        self._check_replays(case, outcome, report, determinism, cross_executor, pause_resume)
-        return report
-
-    # ------------------------------------------------------------------ #
-    def _check_rounds(self, case: FuzzCase, outcome: RunOutcome, report: CaseReport) -> None:
-        # Round r waits for the configured quorum less one per worker excluded
-        # by round r - 1's decisions; with neither detection nor resilience on,
-        # nobody is excluded and every round uses gradient_quorum() exactly.
-        quorum = ClusterConfig.from_dict(dict(case.spec.config)).gradient_quorum()
-        for result, out in zip(outcome.results, self._excluded_by_round(case, outcome)):
-            expected = max(1, quorum - len(out))
-            if result.quorum != expected:
-                report.violations.append(
-                    InvariantViolation(
-                        "quorum-exact",
-                        f"round {result.iteration} completed with quorum {result.quorum}, "
-                        f"expected {expected}",
-                        round=result.iteration,
-                    )
-                )
-                break
-        for result in outcome.results:
-            index, norm = result.iteration, result.update_norm
-            if norm is None or result.diverged:
-                continue
-            if not math.isfinite(norm):
-                report.violations.append(
-                    InvariantViolation(
-                        "finite-or-flagged",
-                        f"round {index} applied a non-finite update without a divergence flag",
-                        round=index,
-                    )
-                )
-                break
-            if case.budget != "beyond" and norm > self.norm_bound:
-                report.violations.append(
-                    InvariantViolation(
-                        "bounded-update-norm",
-                        f"round {index} update norm {norm:.2f} exceeds the tolerated-budget "
-                        f"bound {self.norm_bound:.0f}",
-                        round=index,
-                    )
-                )
-                break
-
-    @staticmethod
-    def _excluded_by_round(case: FuzzCase, outcome: RunOutcome) -> List[Set[str]]:
-        """The workers out of the pull set as each round run began.
-
-        Replays the deployment's worker membership from both recorded event
-        streams: every ``evict`` (detection payload) and every ``dead``
-        (health payload) of a worker takes it out of the pull set, every
-        ``readmit`` returns it — a dead server replica changes nothing here.
-        """
-        workers = set(ClusterConfig.from_dict(dict(case.spec.config)).node_ids()[0])
-        out: Set[str] = set()
-        excluded: List[Set[str]] = []
-        for result in outcome.results:
-            excluded.append(set(out))
-            for payload in (result.detection, result.health):
-                for event in (payload or {}).get("events", ()):
-                    # A dead server replica leaves the replica ledger, not this one.
-                    if event["target"] not in workers:
-                        continue
-                    if event["action"] in ("evict", "dead"):
-                        out.add(event["target"])
-                    elif event["action"] == "readmit":
-                        out.discard(event["target"])
-        return excluded
-
-    def _spared_crashes(self, case: FuzzCase, outcome: RunOutcome) -> int:
-        """How many scripted crashes hit a worker already out of the pull set.
-
-        A crash in round ``r`` lands after round ``r - 1``'s membership
-        decisions.  Crashing a worker that is evicted or declared dead by then
-        spends no margin.
-        """
-        excluded = self._excluded_by_round(case, outcome)
-        return sum(
-            1
-            for event in case.spec.events
-            if event.action == "crash"
-            and event.round < len(excluded)
-            and event.target in excluded[event.round]
-        )
-
-    def _check_detection(self, case: FuzzCase, outcome: RunOutcome, report: CaseReport) -> None:
-        """Detector-specific invariants; active only when the spec has one.
-
-        * **eviction-budget** — at most ``f`` workers are ever evicted at
-          once: only ``f`` can actually be Byzantine, so an (f+1)-th
-          eviction would provably hit an honest worker.  With ``f == 0``
-          this means no eviction ever (and the envelope normalisation makes
-          every suspicion score identically zero).
-        * **no-calm-eviction** — in a run with no attacking workers, any
-          eviction (possible under a non-zero declared budget: a tiny
-          heterogeneous shard is statistically indistinguishable from a
-          moderate attacker) is *not permanent*: the evicted worker's
-          suspicion decays monotonically toward the re-admission bar.
-        * **attacker-reputation** — a run that completed under a steady
-          flagrant attack (reversed / random, no mid-run attack toggles)
-          ends with every attacker's decayed suspicion above every honest
-          worker's: reputation separates the populations.  A run that died
-          early may end inside the book's warm-up, so it is not judged.
-        """
-        spec_config = dict(case.spec.config)
-        if not spec_config.get("detector") or not outcome.final_suspicion:
-            return
-        attackers = set(ClusterConfig.from_dict(spec_config).byzantine_ids())
-        attacking = int(spec_config.get("num_attacking_workers", 0))
-        declared_f = int(spec_config.get("num_byzantine_workers", 0))
-        if len(outcome.final_evicted) > declared_f:
-            report.violations.append(
-                InvariantViolation(
-                    "eviction-budget",
-                    f"{len(outcome.final_evicted)} workers evicted "
-                    f"({outcome.final_evicted}) exceeds the declared budget f={declared_f}",
-                )
-            )
-        if attacking == 0:
-            eviction_scores: Dict[str, float] = {}
-            for result in outcome.results:
-                for event in (result.detection or {}).get("events", ()):
-                    if event["action"] == "evict":
-                        eviction_scores[event["target"]] = float(event["score"])
-            for name in outcome.final_evicted:
-                final = outcome.final_suspicion.get(name, 0.0)
-                at_eviction = eviction_scores.get(name)
-                if at_eviction is not None and final > at_eviction + 1e-9:
-                    report.violations.append(
-                        InvariantViolation(
-                            "no-calm-eviction",
-                            f"attack-free run left '{name}' evicted with suspicion "
-                            f"{final:.3f} above its eviction score {at_eviction:.3f} — "
-                            "not decaying toward re-admission",
-                        )
-                    )
-            return
-        steady = not any(
-            event.action in ("attack_start", "attack_stop", "byzantine_count")
-            for event in case.spec.events
-        )
-        flagrant = spec_config.get("worker_attack") in ("reversed", "random")
-        if not (steady and flagrant and outcome.completed):
-            return
-        honest_max = max(
-            (score for name, score in outcome.final_suspicion.items() if name not in attackers),
-            default=0.0,
-        )
-        attacker_min = min(
-            (score for name, score in outcome.final_suspicion.items() if name in attackers),
-            default=float("inf"),
-        )
-        if attacker_min <= honest_max:
-            report.violations.append(
-                InvariantViolation(
-                    "attacker-reputation",
-                    f"steady {spec_config.get('worker_attack')} attack ended with attacker "
-                    f"suspicion floor {attacker_min:.3f} at or below honest ceiling "
-                    f"{honest_max:.3f} ({outcome.final_suspicion})",
-                )
-            )
-
-    def _check_outcome(self, case: FuzzCase, outcome: RunOutcome, report: CaseReport) -> None:
-        error = outcome.error
-        if error is not None:
-            report.error = type(error).__name__
-            report.error_message = str(error)
-            if not isinstance(error, GarfieldError) or isinstance(error, ConfigurationError):
-                report.violations.append(
-                    InvariantViolation(
-                        "typed-failure-only",
-                        f"run raised {type(error).__name__} ({error}); every runtime failure "
-                        "must be a non-configuration GarfieldError",
-                    )
-                )
-                return
-        if case.expects_loud_failure:
-            loud = (error is not None and isinstance(error, GarfieldError)) or outcome.diverged
-            # The case crashes margin + 1 nodes: sparing one leaves the margin.
-            if not loud and not self._spared_crashes(case, outcome):
-                report.violations.append(
-                    InvariantViolation(
-                        "loud-at-overbudget",
-                        f"budget 'beyond' ({case.mechanism}, margin {case.margin}) completed "
-                        f"{outcome.rounds_run} rounds with no typed failure and no divergence flag",
-                    )
-                )
-            return
-        # Tolerated budgets from here on.
-        if error is not None:
-            resilience = dict(case.spec.config).get("resilience") or {}
-            if (
-                isinstance(error, ReproTimeoutError)
-                and resilience.get("hedge")
-                and resilience.get("supervise")
-            ):
-                # The self-healing pitch, held as an invariant: with hedged
-                # pulls re-issuing lost/straggling requests and supervision
-                # respawning unscripted deaths, no within-budget schedule —
-                # probabilistic loss included — may end in a quorum timeout.
-                report.violations.append(
-                    InvariantViolation(
-                        "no-timeout-under-supervision",
-                        f"supervised tolerated schedule (budget '{case.budget}', margin "
-                        f"{case.margin}) still timed out: {error}",
-                    )
-                )
-            if case.guarantees_completion:
-                report.violations.append(
-                    InvariantViolation(
-                        "liveness",
-                        f"tolerated schedule (budget '{case.budget}', margin {case.margin}) died "
-                        f"with {type(error).__name__}: {error}",
-                    )
-                )
-            return
-        if outcome.diverged:
-            flagged = [result.iteration for result in outcome.results if result.diverged]
-            report.violations.append(
-                InvariantViolation(
-                    "tolerated-divergence",
-                    f"budget '{case.budget}' run tripped the divergence detector at rounds "
-                    f"{flagged}: the GAR failed to tolerate a within-budget schedule",
-                )
-            )
-            return
-        if case.guarantees_completion and outcome.first_loss is not None:
-            bound = max(CONVERGENCE_FLOOR, CONVERGENCE_SLACK * outcome.first_loss)
-            if outcome.final_loss is None or outcome.final_loss > bound:
-                report.violations.append(
-                    InvariantViolation(
-                        "convergence",
-                        f"final evaluated loss {outcome.final_loss} exceeds the convergence "
-                        f"bound {bound:.3f} (first evaluated loss {outcome.first_loss:.3f})",
-                    )
-                )
-
-    def _check_replays(
-        self, case: FuzzCase, outcome: RunOutcome, report: CaseReport,
-        determinism: bool, cross_executor: bool, pause_resume: bool,
-    ) -> None:
-        replays: List[Tuple[str, str, Dict[str, Any]]] = []
+            return CaseReport(case, [InvariantViolation("typed-failure-only", f"spec failed validation: {error}")])
+        replays: Dict[str, Dict[str, Any]] = {}
         if determinism:
-            replays.append(("determinism", "serial rerun", {}))
+            replays["serial rerun"] = {}
             if case.layer("shards") > 1:  # sharding is lossless: the twin runs the same
-                replays.append(("determinism", "unsharded twin", {"shards": 1}))
+                replays["unsharded twin"] = {"shards": 1}
         if cross_executor:
-            replays.append(("determinism", "threaded executor", {"executor": "threaded"}))
+            replays["threaded executor"] = {"executor": "threaded"}
         if pause_resume and outcome.rounds_run >= 2:
-            replays.append(
-                ("pause-resume", "paused/resumed run", {"pause_at": max(1, outcome.rounds_run // 2)})
-            )
-        expected = outcome.trace.to_json()
-        for invariant, label, kwargs in replays:
-            replayed = run_spec(case.spec, **kwargs).trace.to_json()
-            if replayed != expected:
-                report.violations.append(
-                    InvariantViolation(
-                        invariant,
-                        f"{label} produced a different trace "
-                        f"({len(replayed)} vs {len(expected)} bytes)",
-                    )
-                )
+            replays[_PAUSED] = {"pause_at": max(1, outcome.rounds_run // 2)}
+        outcome.replays = {label: run_spec(case.spec, **run).trace.to_json() for label, run in replays.items()}
+        outcome.norm_bound = self.norm_bound
+        violations = []
+        for invariant, judge in INVARIANT_CHECKS:
+            finding = judge(case, outcome)
+            if finding is not None:
+                message, round_ = (finding, None) if isinstance(finding, str) else finding
+                violations.append(InvariantViolation(invariant, message, round_))
+        error = outcome.error
+        return CaseReport(
+            case, violations, rounds_run=outcome.rounds_run, error=error and type(error).__name__,
+            error_message="" if error is None else str(error),
+            diverged=outcome.diverged, first_loss=outcome.first_loss, final_loss=outcome.final_loss,
+            fingerprint=outcome.trace.fingerprint(),
+        )
 
 
 # ---------------------------------------------------------------------- #
@@ -920,16 +860,7 @@ def shrink_events(
 
     def still_fails(events: Sequence[Any]) -> bool:
         try:
-            trial = ScenarioSpec(
-                name=f"{spec.name}-shrunk",
-                description=f"ddmin-reduced from {len(spec.events)} events",
-                config=dict(spec.config),
-                events=list(events),
-            )
-        except ConfigurationError:
-            return False
-        try:
-            return reproduces(trial)
+            return reproduces(dataclasses.replace(spec, name=f"{spec.name}-shrunk", events=list(events)))
         except ConfigurationError:
             return False
 
@@ -955,7 +886,8 @@ def shrink_events(
             granularity = min(granularity * 2, len(events))
     if len(events) == 1 and still_fails([]):
         events = []
-    return ScenarioSpec(
+    return dataclasses.replace(
+        spec,
         name=f"{spec.name}-shrunk",
         description=f"ddmin-reduced from {len(spec.events)} events: {spec.description}",
         config=dict(spec.config),

@@ -59,6 +59,15 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             cpu_model().communication_time("gossip")
 
+    def test_a_replica_layout_is_priced_only_at_a_valid_replica_count(self):
+        model = ThroughputModel(num_servers=0, num_byzantine_servers=0)
+        assert model.communication_time("ssmw") > 0  # a single server is priced at any testbed count
+        for deployment in ("msmw", "crash-tolerant"):
+            with pytest.raises(ConfigurationError, match="at least two server replicas"):
+                model.communication_time(deployment)
+        with pytest.raises(ConfigurationError, match="f_ps < n_ps"):
+            cpu_model(num_servers=3, num_byzantine_servers=3).breakdown("msmw")
+
     def test_invalid_device_or_framework(self):
         with pytest.raises(ConfigurationError):
             ThroughputModel(device="tpu")

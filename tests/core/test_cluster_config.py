@@ -54,6 +54,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ClusterConfig(wire_format="int8+brotli")
 
+    def test_fault_oblivious_shapes_are_checked_by_the_rule_they_run(self):
+        """Vanilla and crash-tolerant average at f = 0, so the configured
+        gradient GAR's precondition at the declared f_w does not apply."""
+        base = dict(num_workers=5, num_byzantine_workers=2, model="logistic")
+        assert ClusterConfig(deployment="vanilla", **base).gradient_quorum() == 5
+        assert ClusterConfig(deployment="crash-tolerant", num_servers=3, **base).gradient_quorum() == 5
+
     def test_gar_resilience_enforced(self):
         # Multi-Krum needs n >= 2f + 3; 5 workers cannot tolerate 2 Byzantine.
         with pytest.raises(ConfigurationError):

@@ -32,6 +32,8 @@ are stripped first, so these pools stay what they were chosen as.
 from __future__ import annotations
 
 import dataclasses
+import json
+from pathlib import Path
 
 import pytest
 
@@ -135,13 +137,20 @@ class TestSteadyAttacks:
 #: The self-healing options of the ``resilience`` feature layer.
 SUPERVISED = {"retry": True, "hedge": True, "supervise": True}
 
-#: ``fuzz-7023-141-aggregathor-at-distance`` is the case that needs more than
-#: one follow-up wave: its last round's follow-up goes to a reserve that is
-#: partitioned too, and only the next reserve fills the quorum.
+#: A zero-budget case whose straggler is declared ``dead`` at round 7 of 12 —
+#: an exclusion the f = 0 eviction cap used to refuse — recorded whole, so the
+#: joint pool keeps a death whatever the pools above draw.  (The case that
+#: needs more than one follow-up wave is pinned in ``test_pinned_cases.py``.)
+_DEAD = FuzzCase.from_dict(
+    json.loads((Path(__file__).parent / "fixtures" / "pinned_cases.json").read_text())[
+        "zero_budget_straggler_declared_dead"
+    ]
+)
+
 _JOINT = [
     pytest.param(overlay_detector(case, resilience=SUPERVISED), id=case.name)
     for case in _CALM + _ZERO_BUDGET + _ATTACKED
-]
+] + [pytest.param(_DEAD, id=f"recorded-{_DEAD.spec.name}")]
 
 
 class TestJointLedger:
@@ -158,8 +167,7 @@ class TestJointLedger:
     def test_the_pool_exercises_both_causes(self):
         """At least one joint case evicts and at least one declares a worker
         dead with rounds left to run, so the joint quorum oracle is not
-        vacuous (the zero-budget straggler case: ``dead`` at round 7 of 12 —
-        an exclusion the f = 0 eviction cap used to refuse)."""
+        vacuous."""
         from repro.core.fuzz import run_spec
 
         evicting = dying = 0

@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.core.cluster import ClusterConfig
 from repro.core.fuzz import (
     BUDGETS,
     FUZZ_DEPLOYMENTS,
@@ -165,6 +166,23 @@ class TestHarnessTeeth:
         assert caught & {"bounded-update-norm", "tolerated-divergence", "convergence"}
 
 
+def first_case(has_property) -> FuzzCase:
+    """The first smoke-seed case with the property a test needs."""
+    found = next((case for case in ScenarioGenerator(seed=SMOKE_SEED).cases(100) if has_property(case)), None)
+    assert found is not None, "no case in the first 100 of the smoke seed has the property"
+    return found
+
+
+def steerable_median(case: FuzzCase) -> bool:
+    """A tolerated case whose attackers a mean in place of its median GAR lets through."""
+    cluster = ClusterConfig.from_dict(dict(case.spec.config))
+    return (
+        case.budget != "beyond"
+        and cluster.num_attacking_workers > 0
+        and cluster.shape.gradient_rule(cluster)[0] == "median"
+    )
+
+
 def _over_budget_case() -> FuzzCase:
     """A hand-built tolerated-budget case whose timeline actually over-spends.
 
@@ -172,8 +190,7 @@ def _over_budget_case() -> FuzzCase:
     liveness, and the shrinker must find that exactly margin+1 of the crash
     events (plus none of the garnish) reproduce the violation.
     """
-    generator = ScenarioGenerator(seed=SMOKE_SEED)
-    base = generator.case(5)  # an ssmw 'at'-budget case: margin == f_w
+    base = first_case(lambda case: case.deployment == "ssmw" and case.budget == "at")  # margin == f_w
     # The bare deployment: the case's drawn feature layers (resilience) go.
     config = {key: value for key, value in base.spec.config.items() if key not in LAYERS}
     config.update(
@@ -241,7 +258,7 @@ class TestShrinker:
         campaign = run_campaign(
             seed=SMOKE_SEED,
             count=10,
-            start=15,  # window known to contain a median-GAR tolerated case
+            start=first_case(steerable_median).index,
             determinism=False,
             cross_executor_every=0,
             pause_resume_every=0,
@@ -253,3 +270,36 @@ class TestShrinker:
             assert report.saved_path is not None
             saved = ScenarioSpec.load(report.saved_path)
             assert saved.config == report.case.spec.config
+
+
+class TestThirdPartyStrategy:
+    """The generator sizes a case by what its strategy declares, not by its name."""
+
+    NAME = "third-party-msmw"
+
+    @pytest.fixture
+    def registered(self):
+        from repro.apps.msmw import MSMWStrategy
+        from repro.core.session import APPLICATION_REGISTRY, register_application
+
+        register_application(self.NAME)(type("ThirdPartyMSMW", (MSMWStrategy,), {}))
+        yield self.NAME
+        APPLICATION_REGISTRY.pop(self.NAME, None)
+
+    def test_a_registered_strategy_is_fuzzed_by_its_shape(self, registered):
+        campaign = run_campaign(seed=SMOKE_SEED, count=6, deployments=(registered,), shrink=False)
+        details = [(report.case.name, [v.to_dict() for v in report.violations]) for report in campaign.failures]
+        assert not details, details
+        assert {report.case.deployment for report in campaign.reports} == {registered}
+        assert {report.case.budget for report in campaign.reports} == set(BUDGETS)
+        for report in campaign.reports:
+            config = report.case.spec.config
+            assert config["num_servers"] >= 2 and report.case.margin == config["num_byzantine_workers"]
+
+    def test_a_shape_without_a_fault_margin_is_refused(self):
+        from repro.exceptions import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="no fault margin"):
+            ScenarioGenerator(deployments=("vanilla",))
+        with pytest.raises(ConfigurationError, match="unknown deployment"):
+            ScenarioGenerator(deployments=("gossip",))

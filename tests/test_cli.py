@@ -354,10 +354,20 @@ class TestFuzzCommand:
             "aggregate_matrix",
             lambda self, matrix: np.asarray(matrix).mean(axis=0),
         )
+        from repro.core.fuzz import ScenarioGenerator
+
+        # Start at the first tolerated case whose attackers face a median GAR.
+        start = next(
+            case.index
+            for case in ScenarioGenerator(seed=2026).cases(100)
+            if case.budget != "beyond"
+            and case.spec.config.get("num_attacking_workers", 0)
+            and case.spec.config.get("gradient_gar") == "median"
+        )
         save_dir = tmp_path / "failing"
         code = main(
             [
-                "fuzz", "--seed", "2026", "--start", "15", "--count", "10",
+                "fuzz", "--seed", "2026", "--start", str(start), "--count", "10",
                 "--no-determinism", "--cross-executor-every", "0",
                 "--pause-resume-every", "0", "--save", str(save_dir),
             ]
