@@ -110,6 +110,10 @@ class ThroughputModel:
             raise ConfigurationError(f"unknown device '{device}'")
         if framework not in FRAMEWORKS:
             raise ConfigurationError(f"unknown framework '{framework}'")
+        _check_workers(num_workers, num_byzantine_workers)
+        for role, name in (("gradient", gradient_gar), ("model", model_gar)):
+            if name not in GAR_REGISTRY:
+                raise ConfigurationError(f"unknown {role} GAR '{name}'")
         self.model = model
         self.dimension = dimension if dimension is not None else model_dimension(model)
         self.flops_per_parameter = model_compute_intensity(model)
@@ -139,7 +143,7 @@ class ThroughputModel:
         if rule is None:
             return None
         name, n, f = rule
-        minimum = GAR_REGISTRY[name.lower().replace("_", "-")].minimum_inputs(f)
+        minimum = GAR_REGISTRY[name].minimum_inputs(f)
         return init_gar(name, n=max(n, minimum, 1), f=f)
 
     def _gradient_gar(self, deployment: str) -> GAR:
@@ -220,10 +224,18 @@ def messages_per_round(deployment: str, num_workers: int, num_servers: int = 1) 
     """Model-sized and gradient-sized messages one round of ``deployment``
     needs: its strategy's closed-form counts (Figure 9 reads them)."""
     strategy = strategy_class(deployment.lower())
-    if num_workers < 1:
-        raise ConfigurationError("need at least one worker")
+    _check_workers(num_workers)
     strategy.shape.check_replicas(num_servers)
     return strategy.closed_form(num_workers, num_servers).messages
+
+
+def _check_workers(num_workers: int, num_byzantine_workers: int = 0) -> None:
+    """The worker tier every closed form assumes: at least one worker, and
+    fewer Byzantine workers than workers."""
+    if num_workers < 1:
+        raise ConfigurationError("need at least one worker")
+    if not 0 <= num_byzantine_workers < num_workers:
+        raise ConfigurationError(f"need 0 <= byzantine workers < {num_workers}, got {num_byzantine_workers}")
 
 
 def iteration_breakdown(deployment: str, **kwargs) -> IterationBreakdown:

@@ -369,7 +369,7 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
         f"{model.num_workers} workers / {model.num_servers} servers"
     )
     print(f"{'deployment':16s} {'compute':>9s} {'comm':>9s} {'agg':>9s} {'total':>9s} {'slowdown':>9s}")
-    for deployment in ["vanilla", "aggregathor", "crash-tolerant", "ssmw", "msmw", "decentralized"]:
+    for deployment in available_applications():
         b = model.breakdown(deployment)
         print(
             f"{deployment:16s} {b.computation:9.3f} {b.communication:9.3f} "

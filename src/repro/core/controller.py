@@ -32,6 +32,7 @@ from repro.detection.membership import DEAD, Membership
 from repro.exceptions import ConfigurationError
 from repro.network.cost import DEVICES, FRAMEWORKS, CostModel
 from repro.network.failures import FailureInjector
+from repro.network.serialization import message_nbytes
 from repro.network.transport import Transport
 from repro.sharding.shard_map import ShardMap
 
@@ -252,14 +253,7 @@ class Controller:
 
     def _build(self, backend) -> Deployment:
         config = self.config
-        # A default-format run keeps the paper-calibrated byte accounting
-        # (wire_format=None); any other format switches the cost model
-        # to the codec's exact framed sizes so reported bytes match the wire.
-        cost_model = CostModel(
-            device=DEVICES[config.device],
-            framework=FRAMEWORKS[config.framework],
-            wire_format=None if config.wire_format == "float64" else config.wire_format,
-        )
+        cost_model = CostModel(device=DEVICES[config.device], framework=FRAMEWORKS[config.framework])
 
         experiment = Experiment(
             model_name=config.model,
@@ -359,7 +353,8 @@ class Controller:
             if backend is not None:
                 if resilience.retry:
                     backend.retry_policy = resilience.retry_policy(config.seed)
-                    backend.on_retry = lambda node, attempt, error: transport.ledger.retried()
+                    request = message_nbytes(servers[0].dimension, transport.wire_format)
+                    backend.on_retry = lambda node, attempt, error: transport.ledger.retried(request)
                 if resilience.supervise:
                     deployment.supervisor = NodeSupervisor(
                         backend,

@@ -110,11 +110,8 @@ class RoundAccountant:
         cost_model = self.deployment.cost_model
         dimension = self.server.dimension
         charge = self.deployment.transport.ledger.charge(self.server.node_id)
-        # Model-sized messages at the cost model's size, slice replies and
-        # shard coordination at their framed sizes.
-        nbytes = charge.vectors * cost_model.message_bytes(dimension) + charge.nbytes
         comm = charge.elapsed + cost_model.serialization_time_for_bytes(
-            nbytes, charge.messages, vanilla=self.deployment.shape.native
+            charge.nbytes, charge.messages, vanilla=self.deployment.shape.native
         )
         compute = cost_model.compute_time(dimension, config.batch_size)
         loss = None

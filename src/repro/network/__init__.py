@@ -18,9 +18,8 @@ faithful in-process substitute:
 
 from repro.network.message import Message, Reply
 from repro.network.serialization import (
-    PAPER_BYTES_PER_ELEMENT,
-    WIRE_BYTES_PER_ELEMENT,
     deserialize_vector,
+    message_nbytes,
     serialize_vector,
     serialize_vector_parts,
     serialized_nbytes,
@@ -47,8 +46,7 @@ __all__ = [
     "serialize_vector_parts",
     "deserialize_vector",
     "serialized_nbytes",
-    "WIRE_BYTES_PER_ELEMENT",
-    "PAPER_BYTES_PER_ELEMENT",
+    "message_nbytes",
     "LinkModel",
     "RoundBuffer",
     "Transport",

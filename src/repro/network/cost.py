@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
-from repro.network.serialization import (
-    FormatLike,
-    WireFormat,
-    parse_wire_format,
-    serialized_nbytes,
-)
+from repro.network.serialization import PLAIN_FLOAT64, FormatLike, message_nbytes
 
 
 @dataclass(frozen=True)
@@ -68,20 +63,13 @@ DEVICES = {"cpu": CPU, "gpu": GPU}
 class NetworkParameters:
     """Link and serialization parameters of the simulated testbed.
 
-    ``bytes_per_element`` models the **paper's** wire width — the evaluated
-    systems ship float32 tensors, 4 bytes per element.  It is the width
-    :class:`CostModel` charges in its figure-calibration mode (no
-    ``wire_format``), keeping the throughput figures aligned with the
-    published Grid5000 numbers; a cost model built with the deployment's
-    configured ``wire_format`` charges the exact framed size of
-    :func:`repro.network.serialization.serialized_nbytes` for that format
-    instead.  Both accountings are locked down by
-    ``tests/network/test_cost.py`` / ``tests/network/test_serialization.py``.
+    The link (bandwidth and base latency) is declared here once; the
+    simulated transport's :class:`~repro.network.transport.LinkModel` takes
+    its defaults from it.
     """
 
     bandwidth_bytes_per_s: float = 1.25e9  # 10 Gbps Ethernet
     base_latency: float = 2.0e-4
-    bytes_per_element: int = 4
     #: Rate of the protobuf-encode + memory-copy path taken by Garfield on
     #: TensorFlow (Section 4.1: "the overhead of these conversions ... is
     #: non-negligible").
@@ -95,7 +83,7 @@ class NetworkParameters:
     gpu_direct_efficiency: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_s <= 0 or self.bytes_per_element <= 0:
+        if self.bandwidth_bytes_per_s <= 0:
             raise ConfigurationError("network parameters must be positive")
 
 
@@ -139,23 +127,10 @@ class CostModel:
         device: Device = CPU,
         network: NetworkParameters | None = None,
         framework: FrameworkProfile = TENSORFLOW,
-        wire_format: FormatLike | None = None,
     ) -> None:
         self.device = device
         self.network = network or NetworkParameters()
         self.framework = framework
-        #: ``None`` selects figure-calibration accounting (the paper's
-        #: float32 width via ``network.bytes_per_element``); a format makes
-        #: :meth:`message_bytes` return the exact framed size the codec puts
-        #: on a socket in that format.
-        self.wire_format: WireFormat | None = (
-            None if wire_format is None else parse_wire_format(wire_format)
-        )
-
-    @property
-    def is_calibrated_to_paper(self) -> bool:
-        """Whether byte accounting follows the paper constant, not the codec."""
-        return self.wire_format is None
 
     # ------------------------------------------------------------------ #
     def compute_time(
@@ -176,18 +151,11 @@ class CostModel:
         flops = intensity * dimension * batch_size
         return flops / self.device.flops_per_second
 
-    def message_bytes(self, dimension: int) -> int:
-        """Wire size of one model- or gradient-sized message.
-
-        With a ``wire_format`` this is the exact framed length the codec
-        produces for a ``dimension``-element vector in that format —
-        the same number the transport's stats record — so cost-model bytes
-        and actual bytes-on-the-wire agree for every format.  Without one
-        (figure-calibration mode) it is the paper's ``dimension x 4``.
-        """
-        if self.wire_format is not None:
-            return serialized_nbytes(dimension, fmt=self.wire_format)
-        return dimension * self.network.bytes_per_element
+    def message_bytes(self, dimension: int, fmt: FormatLike = PLAIN_FLOAT64) -> int:
+        """Size of one model- or gradient-sized message in wire format ``fmt``:
+        :func:`~repro.network.serialization.message_nbytes`, the one byte
+        count the transport charges and the ledger folds."""
+        return message_nbytes(dimension, fmt)
 
     def serialization_time(self, dimension: int, num_messages: int, vanilla: bool = False) -> float:
         """Total serialization + context-switch time for ``num_messages`` tensors.
@@ -206,9 +174,9 @@ class CostModel:
         """Serialization + context-switch time for an explicit byte total.
 
         The general form of :meth:`serialization_time` (which delegates here
-        with ``num_messages x message_bytes``, float-identically): sharded
-        rounds charge their exact slice-framed and coordination bytes through
-        this path instead of pretending every message was model-sized.
+        with ``num_messages x message_bytes``, float-identically): the round
+        accountant passes the ledger's byte total for a round, slices and
+        coordination frames included.
         """
         if vanilla or num_messages == 0:
             return 0.0

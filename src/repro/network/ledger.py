@@ -17,16 +17,18 @@ Every number reported about communication is a fold over those writes:
   messages through its NIC, their bytes and the simulated time it waited.  The
   round accountant prices the reporting server's serialization from it.
 
-This module decides what a message costs and who pays for it.  A request is
-charged to its requester when it is issued, and only if it ships a payload
-(the model state a gradient pull carries).  A reply is charged when its
-quorum closes, and only if that quorum selected it.  Unsharded replies and
-requests are model-sized messages, which the cost model prices
-(:meth:`~repro.network.cost.CostModel.message_bytes`).  Slice replies and
-coordination frames count at their framed sizes.  A retry re-sends a
-model-sized request.  The socket layer that retries knows only the
-destination, so every retry of the round is charged to whoever reads the
-round's charge.
+This module decides who pays for a message; one rule decides what it costs.
+Every vector message — a reply, the payload a gradient request ships, a shard
+slice, a retried request — is priced by
+:func:`~repro.network.serialization.message_nbytes`, the same count
+:meth:`~repro.network.cost.CostModel.message_bytes` prices; coordination
+frames count at their framed sizes.  A request is charged to its requester
+when it is issued, and only if it ships a payload (the model state a gradient
+pull carries).  A reply is charged when its quorum closes, and only if that
+quorum selected it.  A retry re-sends a model-sized request.  The socket
+layer that retries knows only the destination, so every retry of the round
+is charged to whoever reads the round's charge.  Each charge is one message
+count and one byte total, which the round accountant reads as it is.
 
 The ledger folds as it is written: it keeps totals and this round's charges,
 never events, so its memory does not grow with the run.  Writes take one
@@ -67,9 +69,7 @@ class Charge:
     """What one requester paid in the current round."""
 
     messages: int = 0
-    #: Model-sized messages among them, priced by the cost model.
-    vectors: int = 0
-    #: Framed bytes of the other messages.
+    #: Their bytes.
     nbytes: int = 0
     #: Simulated time spent waiting on quorums and coordination hops.
     elapsed: float = 0.0
@@ -82,7 +82,7 @@ class Ledger:
         self._lock = threading.Lock()
         self._totals = TransportStats()
         self._charges: Dict[str, Charge] = defaultdict(Charge)
-        self._round_retries = 0
+        self._round_retries = self._round_retry_nbytes = 0
 
     @property
     def stats(self) -> TransportStats:
@@ -93,16 +93,17 @@ class Ledger:
     # ------------------------------------------------------------------ #
     # Writers: one per fact
     # ------------------------------------------------------------------ #
-    def issued(self, requester: str, pulls: int, follow_up: bool, shipped: bool) -> None:
-        """``pulls`` pulls of one wave issued; ``shipped``: each request carries a payload."""
+    def issued(self, requester: str, pulls: int, follow_up: bool, shipped: Optional[int]) -> None:
+        """``pulls`` pulls of one wave issued, each shipping a ``shipped``-byte
+        payload, or none when ``shipped`` is ``None``."""
         with self._lock:
             self._totals.pulls_issued += pulls
             if follow_up:
                 self._totals.hedges_issued += pulls
-            if shipped:
+            if shipped is not None:
                 charge = self._charges[requester]
                 charge.messages += pulls
-                charge.vectors += pulls
+                charge.nbytes += pulls * shipped
 
     def served(self, kind: str, nbytes: int, latency: float, follow_up: bool) -> None:
         """One reply served, recorded at ``nbytes``."""
@@ -115,28 +116,21 @@ class Ledger:
             if follow_up:
                 totals.hedged_bytes += nbytes
 
-    def closed(
-        self, requester: str, selected: int, elapsed: float, messages: int, nbytes: Optional[int]
-    ) -> None:
-        """A quorum of ``selected`` replies closed after ``elapsed`` simulated seconds.
-
-        Each reply is ``messages`` messages of ``nbytes`` framed bytes in all,
-        or one model-sized message when ``nbytes`` is ``None``.
-        """
+    def closed(self, requester: str, messages: int, elapsed: float, nbytes: int) -> None:
+        """A quorum closed after ``elapsed`` simulated seconds; its selected
+        replies were ``messages`` messages of ``nbytes`` bytes in all."""
         with self._lock:
             charge = self._charges[requester]
-            charge.messages += selected * messages
-            if nbytes is None:
-                charge.vectors += selected
-            else:
-                charge.nbytes += selected * nbytes
+            charge.messages += messages
+            charge.nbytes += nbytes
             charge.elapsed += elapsed
 
-    def retried(self) -> None:
-        """One socket-level retry attempt."""
+    def retried(self, nbytes: int) -> None:
+        """One socket-level retry attempt, re-sending an ``nbytes``-byte request."""
         with self._lock:
             self._totals.retries_issued += 1
             self._round_retries += 1
+            self._round_retry_nbytes += nbytes
 
     def coordinated(self, requester: str, frames: int, nbytes: int, latency: float) -> None:
         """One shard-coordination hop: ``frames`` parallel frames of ``nbytes``.
@@ -146,7 +140,7 @@ class Ledger:
         """
         for _ in range(frames):
             self.served("shard-coordination", nbytes, latency, follow_up=False)
-        self.closed(requester, frames, latency, 1, nbytes)
+        self.closed(requester, frames, latency, frames * nbytes)
 
     # ------------------------------------------------------------------ #
     # The round
@@ -155,12 +149,14 @@ class Ledger:
         """Start a round: every requester's charge starts again from zero."""
         with self._lock:
             self._charges.clear()
-            self._round_retries = 0
+            self._round_retries = self._round_retry_nbytes = 0
 
     def charge(self, requester: str) -> Charge:
         """What ``requester`` paid since :meth:`open_round`, the round's retries included."""
         with self._lock:
-            charge, retries = self._charges.get(requester, Charge()), self._round_retries
-        return Charge(
-            charge.messages + retries, charge.vectors + retries, charge.nbytes, charge.elapsed
-        )
+            charge = self._charges.get(requester, Charge())
+            return Charge(
+                charge.messages + self._round_retries,
+                charge.nbytes + self._round_retry_nbytes,
+                charge.elapsed,
+            )

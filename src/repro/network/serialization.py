@@ -83,14 +83,6 @@ _HEADER = struct.Struct("<Iq")  # (ndim, total elements) followed by dims as int
 _MAGIC = b"GARF"
 _COMPRESS_HEADER = struct.Struct("<BQ")  # (compressor id, raw payload length)
 
-#: Bytes per element of the default float64 passthrough format.
-WIRE_BYTES_PER_ELEMENT = 8
-
-#: Bytes per element of the paper's float32 tensors — what the simulated cost
-#: model charges in its figure-calibration mode (see
-#: :class:`repro.network.cost.NetworkParameters`).
-PAPER_BYTES_PER_ELEMENT = 4
-
 #: Elements per int8 quantization chunk; each chunk stores a float64
 #: ``(scale, mid)`` pair, so the per-element overhead is 16/4096 bytes.
 INT8_CHUNK_ELEMENTS = 4096
@@ -130,11 +122,6 @@ class WireFormat:
         if self.compression:
             parts.append(self.compression)
         return "+".join(parts)
-
-    @property
-    def bytes_per_element(self) -> int:
-        """Marginal payload bytes per element (the uncompressed base width)."""
-        return _BASES[self.base][2]
 
     @property
     def is_plain_float64(self) -> bool:
@@ -714,46 +701,35 @@ def deserialize_vector(
 # ---------------------------------------------------------------------- #
 # Size accounting
 # ---------------------------------------------------------------------- #
-def serialized_nbytes(
-    dimension: int,
-    bytes_per_element: Optional[int] = None,
-    fmt: Optional[FormatLike] = None,
-) -> int:
-    """Wire size of a serialized 1-D vector of ``dimension`` elements.
-
-    With ``fmt`` the size is the exact framed length of
-    ``serialize_vector(np.zeros(dimension), fmt)`` for the uncompressed
-    formats (int8 includes its per-chunk scale/mid pairs); compressed formats
-    are charged at their uncompressed width, since the compressed length is
-    data-dependent.  Without ``fmt``, ``bytes_per_element`` scales the
-    payload directly — it defaults to :data:`WIRE_BYTES_PER_ELEMENT` (8, the
-    float64 passthrough); the simulated cost model's figure-calibration mode
-    passes :data:`PAPER_BYTES_PER_ELEMENT` (4) to stay aligned with the
-    published float32 numbers.  The constant header is included for accuracy.
-    """
+def _framed_nbytes(dimension: int, base: str) -> int:
+    """Framed length of a 1-D vector in ``base``, uncompressed."""
     header = len(_MAGIC) + 1 + _HEADER.size + 8  # magic, format byte, counts, 1 dim
-    if fmt is not None:
-        fmt = parse_wire_format(fmt)
-        if fmt.base == "int8":
-            return header + int8_payload_nbytes(dimension)
-        return header + dimension * fmt.bytes_per_element
-    if bytes_per_element is None:
-        bytes_per_element = WIRE_BYTES_PER_ELEMENT
-    return header + dimension * bytes_per_element
+    if base == "int8":
+        return header + int8_payload_nbytes(dimension)
+    return header + dimension * _BASES[base][2]
 
 
-def sharded_nbytes(
-    shard_map,
-    bytes_per_element: Optional[int] = None,
-    fmt: Optional[FormatLike] = None,
-) -> int:
-    """Total wire size of one vector scattered as per-shard slice messages.
+def serialized_nbytes(dimension: int, fmt: FormatLike = PLAIN_FLOAT64) -> int:
+    """Exact framed length of a serialized 1-D vector of ``dimension`` elements.
 
-    The sum over shards of :func:`serialized_nbytes` for each slice width.
-    Always larger than the unsharded size by ``(num_shards - 1)`` headers.
-    Slice traffic is *accounted* at this size, never framed: a sharded round
-    is wire-identical to the classic one (see ``docs/sharding.md``).
+    The length of ``serialize_vector(np.zeros(dimension), fmt)`` for the
+    uncompressed formats (int8 includes its per-chunk scale/mid pairs);
+    compressed formats are given their uncompressed width, since the
+    compressed length is data-dependent.
     """
-    return sum(
-        serialized_nbytes(size, bytes_per_element, fmt) for size in shard_map.sizes
-    )
+    return _framed_nbytes(dimension, parse_wire_format(fmt).base)
+
+
+def message_nbytes(dimension: int, fmt: FormatLike = PLAIN_FLOAT64) -> int:
+    """What one ``dimension``-element vector message costs: the one byte count.
+
+    The framed header plus the payload at the format's priced width.  A
+    float64 base is priced at the paper's float32 width (4 B/element, the
+    tensors its figures ship); float32, float16 and int8 at their own framing
+    (int8 with its chunk layout).  Delta encoding and compression are never
+    priced.  The transport charges every vector reply, gradient-request
+    payload and shard slice at this size, the ledger folds it, and
+    :meth:`~repro.network.cost.CostModel.message_bytes` prices it.
+    """
+    base = parse_wire_format(fmt).base
+    return _framed_nbytes(dimension, "float32" if base == "float64" else base)

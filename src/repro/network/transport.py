@@ -62,6 +62,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.exceptions import CommunicationError, NodeCrashedError, TimeoutError
+from repro.network.cost import NetworkParameters
 from repro.network.failures import FailureInjector
 from repro.network.ledger import Ledger, TransportStats
 from repro.network.message import Reply, RequestContext
@@ -70,9 +71,9 @@ from repro.network.serialization import (
     FormatLike,
     StreamTable,
     is_stream_vector,
+    message_nbytes,
     parse_wire_format,
     serialized_nbytes,
-    sharded_nbytes,
 )
 from repro.utils import make_rng
 
@@ -206,14 +207,13 @@ class LinkModel:
     """Per-link latency and bandwidth parameters.
 
     Defaults approximate the paper's testbed: 2x10 Gbps Ethernet (we use an
-    effective 10 Gbps), sub-millisecond base latency with jitter, and float32
-    payloads.
+    effective 10 Gbps) and sub-millisecond base latency — the cost model's
+    link (:class:`~repro.network.cost.NetworkParameters`) — with jitter.
     """
 
-    base_latency: float = 2e-4
+    base_latency: float = NetworkParameters.base_latency
     jitter: float = 1e-4
-    bandwidth_bytes_per_s: float = 1.25e9  # 10 Gbps
-    bytes_per_element: int = 4
+    bandwidth_bytes_per_s: float = NetworkParameters.bandwidth_bytes_per_s
 
     def sample_jitter(self, rng: np.random.Generator) -> float:
         """Sample the stochastic component of one reply's latency."""
@@ -439,12 +439,7 @@ class Transport:
         if payload is None:
             return 64  # a bare header / control message
         if isinstance(payload, np.ndarray):
-            # Default format: the paper-calibrated per-element width of the
-            # link model (float32, matching the published figures).  Any
-            # other format is charged its exact framed size instead.
-            if self.wire_format.is_plain_float64:
-                return serialized_nbytes(payload.size, self.link.bytes_per_element)
-            return serialized_nbytes(payload.size, fmt=self.wire_format)
+            return message_nbytes(payload.size, self.wire_format)
         if isinstance(payload, (bytes, bytearray)):
             return len(payload)
         if isinstance(payload, (list, tuple)):
@@ -452,19 +447,16 @@ class Transport:
         return 128
 
     def sharded_reply_nbytes(self, shard_map) -> int:
-        """Framed size of one reply scattered as per-shard slice messages.
+        """Size of one reply scattered as per-shard slice messages.
 
         Mirrors :meth:`_payload_nbytes` for a ``d``-sized vector split by a
-        :class:`~repro.sharding.shard_map.ShardMap`: the sum over shards of
-        each slice's framed size, under the same width rules (the link's
-        paper-calibrated per-element width for the plain-float64 default, the
-        configured format's exact framing otherwise).  This is what the
-        ledger records for each reply of a sharded pull, so accounting charges
-        what the slice-wise codec actually frames.
+        :class:`~repro.sharding.shard_map.ShardMap`: each slice is one message
+        priced by :func:`~repro.network.serialization.message_nbytes`, so the
+        reply costs ``num_shards - 1`` more headers than the unsharded one.
+        Slice traffic is *accounted* at this size, never framed: a sharded
+        round is wire-identical to the classic one (see ``docs/sharding.md``).
         """
-        if self.wire_format.is_plain_float64:
-            return sharded_nbytes(shard_map, self.link.bytes_per_element)
-        return sharded_nbytes(shard_map, fmt=self.wire_format)
+        return sum(message_nbytes(size, self.wire_format) for size in shard_map.sizes)
 
     def coordinate_shards(self, requester: str, quorum: int, num_shards: int) -> None:
         """Record one two-phase shard-coordination exchange at its framed sizes.
@@ -616,7 +608,8 @@ class Transport:
             for o in usable
         ]
         elapsed = usable[-1].arrival
-        self.ledger.closed(source, quorum, elapsed, reply_messages, reply_nbytes)
+        nbytes = sum(reply.nbytes if reply_nbytes is None else reply_nbytes for reply in selected)
+        self.ledger.closed(source, quorum * reply_messages, elapsed, nbytes)
         if sink is not None:
             sink.reset()
             for index, reply in enumerate(selected):
@@ -649,7 +642,8 @@ class Transport:
            wave.
         """
         source, kind, iteration, payload, reply_nbytes = request
-        self.ledger.issued(source, len(wave), follow_up, payload is not None)
+        shipped = None if payload is None else self._payload_nbytes(payload)
+        self.ledger.issued(source, len(wave), follow_up, shipped)
         plans: List[Any] = []
         for destination, _ in wave:
             try:

@@ -74,6 +74,26 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             ThroughputModel(framework="jax")
 
+    @pytest.mark.parametrize(
+        "workers, byzantine, match",
+        [(0, 0, "at least one worker"), (-1, 0, "at least one worker"), (4, 4, "byzantine"), (4, -1, "byzantine")],
+    )
+    def test_the_worker_tier_is_checked(self, workers, byzantine, match):
+        # Unchecked, --workers 0 priced decentralized communication at -0.681 s.
+        with pytest.raises(ConfigurationError, match=match):
+            ThroughputModel(num_workers=workers, num_byzantine_workers=byzantine)
+
+    @pytest.mark.parametrize("rule", ["gradient_gar", "model_gar"])
+    def test_an_unknown_gar_is_a_configuration_error(self, rule):
+        # Unchecked, the clamp's registry lookup raised a bare KeyError.
+        with pytest.raises(ConfigurationError, match="unknown .* GAR 'bogus'"):
+            ThroughputModel(**{rule: "bogus"})
+
+    def test_what_if_f_sweeps_stay_clamped(self):
+        # What-if sweeps (Figure 10) price clusters too small for the rule:
+        # Bulyan at n_w = 4, f_w = 3 is clamped to its minimum, not refused.
+        assert cpu_model(num_workers=4, num_byzantine_workers=3).breakdown("msmw").total > 0
+
     def test_iteration_breakdown_helper(self):
         breakdown = iteration_breakdown("ssmw", model="cifarnet")
         assert isinstance(breakdown, IterationBreakdown)

@@ -10,6 +10,7 @@ from repro.core.worker import Worker
 from repro.datasets.partition import partition_iid
 from repro.datasets.synthetic import make_classification
 from repro.exceptions import ConfigurationError, TrainingError
+from repro.network.serialization import message_nbytes
 from repro.network.transport import Transport
 from repro.nn.models import LogisticRegression
 
@@ -102,9 +103,9 @@ class TestNetworkingAbstractions:
         charge = server.transport.ledger.charge(server.node_id)
         assert charge.elapsed > 0
         # Four requests shipping the model state, two selected replies: all
-        # model-sized.
-        assert charge.messages == charge.vectors == 4 + 2
-        assert charge.nbytes == 0
+        # model-sized, each priced by the one rule.
+        assert charge.messages == 4 + 2
+        assert charge.nbytes == (4 + 2) * message_nbytes(server.dimension)
 
     def test_get_gradients_without_workers_raises(self):
         transport = Transport()

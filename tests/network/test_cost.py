@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.aggregators import init
@@ -15,6 +16,8 @@ from repro.network.cost import (
     Device,
     NetworkParameters,
 )
+from repro.network.serialization import HAVE_ZSTD, message_nbytes, serialize_vector, serialized_nbytes
+from repro.network.transport import Transport
 
 
 class TestDevice:
@@ -133,91 +136,75 @@ class TestNetworkParameters:
             NetworkParameters(bandwidth_bytes_per_s=0)
 
     def test_message_bytes_uses_float32(self):
-        assert CostModel().message_bytes(1_000) == 4_000
+        model = CostModel()
+        assert model.message_bytes(1_000) - model.message_bytes(0) == 4_000
 
 
 class TestWireWidthAccounting:
-    """The paper ships float32; our codec ships float64 — both accountings."""
+    """The paper ships float32; our codec ships float64.  The one byte count
+    prices the float64 passthrough at the paper's width."""
 
     def test_cost_model_defaults_to_paper_float32(self):
-        from repro.network.serialization import PAPER_BYTES_PER_ELEMENT
-
-        network = NetworkParameters()
-        assert network.bytes_per_element == 4 == PAPER_BYTES_PER_ELEMENT
-        assert CostModel(network=network).message_bytes(1_000) == 4_000
+        assert CostModel().message_bytes(1_000) == serialized_nbytes(1_000, "float32") == 4_025
 
     def test_wire_accurate_accounting_is_double_the_modeled_one(self):
-        from repro.network.serialization import (
-            WIRE_BYTES_PER_ELEMENT,
-            serialized_nbytes,
-        )
-
-        modeled = serialized_nbytes(50_000, bytes_per_element=NetworkParameters().bytes_per_element)
         actual = serialized_nbytes(50_000)  # defaults to the codec's float64
-        assert WIRE_BYTES_PER_ELEMENT == 8
-        assert actual - modeled == 50_000 * 4
+        assert actual - CostModel().message_bytes(50_000) == 50_000 * 4
 
     def test_transport_accounting_uses_the_modeled_width(self):
         # The golden traces depend on this: simulated latencies charge the
         # paper's float32 wire, not the codec's float64.
-        from repro.network.transport import LinkModel
+        transport = Transport()
+        try:
+            assert transport._payload_nbytes(np.zeros(1_000)) == serialized_nbytes(1_000, "float32")
+        finally:
+            transport.close()
 
-        assert LinkModel().bytes_per_element == 4
+
+#: Every format spec: each base, with and without delta and each compressor.
+ALL_SPECS = [
+    f"{base}{delta}{compression}"
+    for base in ("float64", "float32", "float16", "int8")
+    for delta in ("", "+delta")
+    for compression in ("", "+zlib", "+zstd")
+    if compression != "+zstd" or HAVE_ZSTD
+]
 
 
-class TestNegotiatedFormatAccounting:
-    """The satellite bugfix: a cost model pinned to a negotiated wire format
-    must charge the *actual* framed bytes the codec produces — not the paper
-    constant — for every format, at every dimension."""
+class TestOneByteCount:
+    """One rule, :func:`message_nbytes`, prices every vector message: the
+    transport charges it, the ledger folds it and the cost model prices it."""
 
-    UNCOMPRESSED = ["float64", "float32", "float16", "int8"]
+    UNCOMPRESSED = ["float32", "float16", "int8"]
     DIMENSIONS = [0, 1, 1_000, 4_097, 100_000]
 
     @pytest.mark.parametrize("spec", UNCOMPRESSED)
     @pytest.mark.parametrize("dimension", DIMENSIONS)
     def test_message_bytes_equals_actual_framed_bytes(self, spec, dimension):
-        import numpy as np
-
-        from repro.network.serialization import serialize_vector
-
+        """Outside a float64 base, the priced message is the framed blob."""
         blob = serialize_vector(np.zeros(dimension), spec)
-        model = CostModel(wire_format=spec)
-        assert model.message_bytes(dimension) == len(blob)
+        assert CostModel().message_bytes(dimension, spec) == len(blob)
 
-    @pytest.mark.parametrize("spec", UNCOMPRESSED + ["float32+zlib", "int8+delta"])
-    def test_message_bytes_matches_serialized_nbytes(self, spec):
-        from repro.network.serialization import serialized_nbytes
+    @pytest.mark.parametrize("dimension", DIMENSIONS)
+    def test_float64_is_priced_four_bytes_an_element_below_its_blob(self, dimension):
+        blob = serialize_vector(np.zeros(dimension), "float64")
+        assert len(blob) - CostModel().message_bytes(dimension, "float64") == 4 * dimension
 
-        model = CostModel(wire_format=spec)
-        assert model.message_bytes(50_000) == serialized_nbytes(50_000, fmt=spec)
-
-    def test_unset_format_keeps_paper_calibration(self):
-        model = CostModel()
-        assert model.is_calibrated_to_paper
-        assert model.message_bytes(1_000) == 4_000
-        assert not CostModel(wire_format="float64").is_calibrated_to_paper
-
-    @pytest.mark.parametrize("spec", UNCOMPRESSED)
-    def test_transport_charges_the_same_bytes_as_the_cost_model(self, spec):
-        """The simulated-latency accounting and the analytic cost model agree
-        on the bytes of a negotiated-format gradient message."""
-        import numpy as np
-
-        from repro.network.transport import Transport
-
-        dimension = 12_345
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    @pytest.mark.parametrize("dimension", [1, 1_000, 4_097])
+    def test_transport_ledger_and_cost_model_charge_the_one_rule(self, spec, dimension):
+        rule = message_nbytes(dimension, spec)
         transport = Transport(seed=0, wire_format=spec)
         try:
+            for node in ("a", "b"):
+                transport.register_node(node, object())
+            transport.register_handler("b", "gradient", lambda context: np.ones(dimension))
+            # A request that ships a d-vector and its d-vector reply.
+            transport.pull_many("a", ["b"], "gradient", quorum=1, payload=np.zeros(dimension))
             charged = transport._payload_nbytes(np.zeros(dimension))
+            charge = transport.ledger.charge("a")
         finally:
             transport.close()
-        if spec == "float64":
-            # The default format keeps the paper's float32 calibration so the
-            # golden traces stay byte-identical to the seed.
-            from repro.network.serialization import serialized_nbytes
-
-            assert charged == serialized_nbytes(
-                dimension, transport.link.bytes_per_element
-            )
-        else:
-            assert charged == CostModel(wire_format=spec).message_bytes(dimension)
+        assert charged == CostModel().message_bytes(dimension, spec) == rule
+        assert (charge.messages, charge.nbytes) == (2, 2 * rule)
+        assert transport.stats.bytes_sent == rule

@@ -7,9 +7,8 @@ import pytest
 
 from repro.exceptions import CommunicationError
 from repro.network.serialization import (
-    PAPER_BYTES_PER_ELEMENT,
-    WIRE_BYTES_PER_ELEMENT,
     deserialize_vector,
+    message_nbytes,
     serialize_vector,
     serialize_vector_parts,
     serialized_nbytes,
@@ -100,20 +99,26 @@ class TestSizeAccounting:
         assert serialized_nbytes(2_000) > serialized_nbytes(1_000)
 
     def test_wire_size_defaults_to_actual_float64_width(self):
-        # The codec ships float64: the default accounting must say 8 B/element.
+        # The codec ships float64: its framed length says 8 B/element.
         small, large = serialized_nbytes(0), serialized_nbytes(1_000_000)
-        assert large - small == 8_000_000 == 1_000_000 * WIRE_BYTES_PER_ELEMENT
+        assert large - small == 8_000_000
 
-    def test_paper_float32_accounting_is_explicit(self):
-        # The simulated cost model stays calibrated to the paper's float32
-        # tensors by passing 4 B/element explicitly (LinkModel does this).
-        small = serialized_nbytes(0, bytes_per_element=PAPER_BYTES_PER_ELEMENT)
-        large = serialized_nbytes(1_000_000, bytes_per_element=PAPER_BYTES_PER_ELEMENT)
+    def test_a_float64_message_is_priced_at_the_paper_float32_width(self):
+        # The one byte count prices the float64 passthrough at the paper's
+        # float32 tensors, with the same frame header as the codec.
+        small, large = message_nbytes(0), message_nbytes(1_000_000)
         assert large - small == 4_000_000
+        assert small == serialized_nbytes(0)
 
     def test_default_matches_serialized_blob_length(self):
         vector = np.zeros(257)
         assert len(serialize_vector(vector)) == serialized_nbytes(257)
 
-    def test_custom_bytes_per_element(self):
-        assert serialized_nbytes(100, bytes_per_element=8) - serialized_nbytes(0, bytes_per_element=8) == 800
+    @pytest.mark.parametrize("spec, width", [("float64", 4), ("float32", 4), ("float16", 2)])
+    def test_priced_width_per_base(self, spec, width):
+        assert message_nbytes(100, spec) - message_nbytes(0, spec) == 100 * width
+
+    @pytest.mark.parametrize("spec", ["float64+zlib", "float64+delta", "int8+delta+zlib", "float16+delta"])
+    def test_delta_and_compression_are_never_priced(self, spec):
+        base = spec.split("+")[0]
+        assert message_nbytes(5_000, spec) == message_nbytes(5_000, base)

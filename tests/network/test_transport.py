@@ -8,6 +8,7 @@ import pytest
 from repro.core.health import SUSPECT_AFTER, TIMEOUT_WEIGHT
 from repro.exceptions import CommunicationError, NodeCrashedError, TimeoutError
 from repro.network.failures import FailureInjector
+from repro.network.serialization import message_nbytes
 from repro.network.transport import LinkModel, Transport
 
 
@@ -77,7 +78,7 @@ class TestPull:
         transport = build_cluster(2)
         [reply], elapsed = transport.pull_many("node-0", ["node-1"], "value", quorum=1)
         charge = transport.ledger.charge("node-0")
-        assert (charge.messages, charge.vectors, charge.elapsed) == (1, 1, elapsed)
+        assert (charge.messages, charge.nbytes, charge.elapsed) == (1, message_nbytes(4), elapsed)
         transport.ledger.open_round()
         assert transport.ledger.charge("node-0").messages == 0
         assert transport.stats.messages_sent == 1

@@ -43,8 +43,8 @@ def _hammer(ledger: Ledger, thread_index: int) -> None:
     requester = f"node-{thread_index % 2}"
     for _ in range(ITERATIONS):
         ledger.served(kind, 10, 0.5, follow_up=False)
-        ledger.issued(requester, 1, follow_up=False, shipped=True)
-        ledger.retried()
+        ledger.issued(requester, 1, follow_up=False, shipped=3)
+        ledger.retried(7)
 
 
 def test_concurrent_writes_lose_nothing(frantic_scheduler):
@@ -73,7 +73,8 @@ def test_concurrent_writes_lose_nothing(frantic_scheduler):
     # Each requester's charge: its own requests plus every retry of the round.
     for requester in ("node-0", "node-1"):
         charge = ledger.charge(requester)
-        assert charge.messages == charge.vectors == total // 2 + total
+        assert charge.messages == total // 2 + total
+        assert charge.nbytes == 3 * (total // 2) + 7 * total
 
 
 def test_open_round_is_atomic_against_writers(frantic_scheduler):
@@ -85,7 +86,7 @@ def test_open_round_is_atomic_against_writers(frantic_scheduler):
 
     def writer():
         while not stop.is_set():
-            ledger.closed("server", 2, 0.25, 1, 4)
+            ledger.closed("server", 2, 0.25, 8)
             writes.append(1)
 
     threads = [threading.Thread(target=writer) for _ in range(4)]
@@ -103,6 +104,5 @@ def test_open_round_is_atomic_against_writers(frantic_scheduler):
 
     assert len(writes) >= 100
     charge = ledger.charge("server")
-    assert charge.vectors == 0
     assert charge.nbytes == charge.messages * 4
     assert charge.elapsed == pytest.approx(charge.messages / 2 * 0.25)

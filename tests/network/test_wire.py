@@ -21,8 +21,8 @@ from repro.exceptions import CommunicationError, SerializationError
 from repro.network import wire
 from repro.network.serialization import (
     deserialize_vector,
-    parse_wire_format,
     serialize_vector,
+    serialized_nbytes,
 )
 from repro.network.wire import (
     ConnectionClosed,
@@ -366,10 +366,7 @@ class TestTruncatedVectorBodies:
     def test_empty_body_with_nonempty_header(self, spec):
         """A header announcing 100 elements over zero payload bytes."""
         blob = serialize_vector(np.linspace(0, 1, 100), spec)
-        fmt = parse_wire_format(spec)
-        header_len = len(blob) - (
-            100 * fmt.bytes_per_element + (16 if fmt.base == "int8" else 0)
-        )
+        header_len = len(blob) - (serialized_nbytes(100, spec) - serialized_nbytes(0, spec))
         with pytest.raises(SerializationError, match="truncated"):
             deserialize_vector(blob[:header_len])
 

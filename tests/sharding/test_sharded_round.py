@@ -8,9 +8,9 @@ like any other:
   the rows actually aggregated, at the widest shard;
 * the transport's ledger charges every message the reporting server
   exchanged to that server — requests and model replies at
-  ``message_bytes(d)``, gradient replies slice-framed, coordination frames at
-  their framed size — and the accountant makes one
-  ``serialization_time_for_bytes`` call over that charge.
+  ``message_bytes(d)``, gradient replies one priced message a slice,
+  coordination frames at their framed size — and the accountant makes one
+  ``serialization_time_for_bytes`` call over that byte total.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def test_the_accountant_prices_a_sharded_round_from_the_byte_ledger():
     )
 
     assert charge.messages == requests + replies * SHARDS + model_replies + coordination
-    assert charge.vectors == requests + model_replies
-    assert charge.nbytes == replies * slice_framed + coordination_bytes
-    nbytes = charge.vectors * message_bytes + charge.nbytes
+    assert charge.nbytes == (
+        (requests + model_replies) * message_bytes + replies * slice_framed + coordination_bytes
+    )
     assert result.record.communication_time == charge.elapsed + (
-        cost_model.serialization_time_for_bytes(nbytes, charge.messages)
+        cost_model.serialization_time_for_bytes(charge.nbytes, charge.messages)
     )

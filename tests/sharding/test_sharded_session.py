@@ -19,7 +19,8 @@ from repro.core import Controller, available_scenarios, config_for_scenario
 from repro.core.cluster import ClusterConfig
 from repro.core.session import Session
 from repro.exceptions import ConfigurationError
-from repro.network.serialization import serialize_vector_parts, serialized_nbytes, sharded_nbytes
+from repro.network.serialization import message_nbytes, serialize_vector_parts, serialized_nbytes
+from repro.network.transport import Transport
 from repro.sharding import ShardMap
 
 pytestmark = pytest.mark.sharding
@@ -165,9 +166,7 @@ class TestCostModelAgreement:
         shard_map = ShardMap(plain["dimension"], shards)
         transport = sharded["transport"]
         per_reply_sharded = transport.sharded_reply_nbytes(shard_map)
-        per_reply_plain = serialized_nbytes(
-            plain["dimension"], transport.link.bytes_per_element
-        )
+        per_reply_plain = message_nbytes(plain["dimension"], transport.wire_format)
 
         # One two-phase exchange: k - 1 partial (q, q) distance matrices in,
         # k - 1 selected-index broadcasts out, all at full float64 framing.
@@ -198,7 +197,8 @@ class TestCostModelAgreement:
 
     @pytest.mark.parametrize("dimension,shards", [(17, 4), (7850, 3), (1000, 7)])
     def test_model_bytes_equal_actual_framed_bytes(self, dimension, shards):
-        """The slice-framing formula is the framer, not an estimate of it."""
+        """The slice-framing formula is the framer, not an estimate of it; a
+        float32 transport charges exactly that framing, one message a slice."""
         shard_map = ShardMap(dimension, shards)
         vector = np.random.default_rng(0).standard_normal(dimension)
         for fmt in ("float64", "float32"):  # float64 passthrough: 8 B/elem
@@ -207,7 +207,12 @@ class TestCostModelAgreement:
                 for _, sl in shard_map
                 for part in serialize_vector_parts(vector[sl], fmt)
             )
-            assert framed == sharded_nbytes(shard_map, fmt=fmt)
+            assert framed == sum(serialized_nbytes(size, fmt) for size in shard_map.sizes)
+        transport = Transport(wire_format="float32")
+        try:
+            assert transport.sharded_reply_nbytes(shard_map) == framed
+        finally:
+            transport.close()
 
     def test_serialization_time_delegation_is_float_identical(self):
         plain = run_msmw(1, "median")

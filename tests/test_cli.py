@@ -17,6 +17,7 @@ import repro
 from repro.cli import build_parser, config_flag, main
 from repro.core.cluster import ClusterConfig
 from repro.core.scenario import config_for_scenario
+from repro.core.session import APPLICATION_REGISTRY, RoundStrategy, available_applications, register_application
 from repro.network.resilience import ResilienceConfig
 
 
@@ -118,6 +119,17 @@ class TestThroughputCommand:
         for deployment in ["vanilla", "ssmw", "msmw", "decentralized"]:
             assert deployment in out
         assert "slowdown" in out
+
+    def test_prints_one_row_per_registered_strategy(self, capsys):
+        register_application("third-party-star")(type("Star", (RoundStrategy,), {}))
+        try:
+            assert main(["throughput", "--model", "cifarnet"]) == 0
+        finally:
+            APPLICATION_REGISTRY.pop("third-party-star")
+        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()[2:]}
+        assert set(rows) == {*available_applications(), "third-party-star"}
+        assert rows["vanilla"][-1] == "1.00x"  # the slowdown baseline
+        assert float(rows["third-party-star"][3]) > 0
 
     def test_gpu_profile(self, capsys):
         assert main(["throughput", "--model", "resnet50", "--device", "gpu"]) == 0
