@@ -111,7 +111,9 @@ class ThroughputModel:
         if framework not in FRAMEWORKS:
             raise ConfigurationError(f"unknown framework '{framework}'")
         _check_workers(num_workers, num_byzantine_workers)
-        for role, name in (("gradient", gradient_gar), ("model", model_gar)):
+        # Spelled as init_gar accepts them ("multi_krum", "Median"), kept canonical.
+        self.gradient_gar, self.model_gar = (name.lower().replace("_", "-") for name in (gradient_gar, model_gar))
+        for role, name in (("gradient", self.gradient_gar), ("model", self.model_gar)):
             if name not in GAR_REGISTRY:
                 raise ConfigurationError(f"unknown {role} GAR '{name}'")
         self.model = model
@@ -124,8 +126,6 @@ class ThroughputModel:
         self.num_byzantine_servers = num_byzantine_servers
         self.device = DEVICES[device]
         self.framework = FRAMEWORKS[framework]
-        self.gradient_gar = gradient_gar
-        self.model_gar = model_gar
         self.contract_steps = contract_steps
         self.asynchronous = asynchronous
         self.network = network or NetworkParameters()

@@ -32,7 +32,6 @@ from repro.detection.membership import DEAD, Membership
 from repro.exceptions import ConfigurationError
 from repro.network.cost import DEVICES, FRAMEWORKS, CostModel
 from repro.network.failures import FailureInjector
-from repro.network.serialization import message_nbytes
 from repro.network.transport import Transport
 from repro.sharding.shard_map import ShardMap
 
@@ -353,7 +352,7 @@ class Controller:
             if backend is not None:
                 if resilience.retry:
                     backend.retry_policy = resilience.retry_policy(config.seed)
-                    request = message_nbytes(servers[0].dimension, transport.wire_format)
+                    request = transport.vector_nbytes(servers[0].dimension)
                     backend.on_retry = lambda node, attempt, error: transport.ledger.retried(request)
                 if resilience.supervise:
                     deployment.supervisor = NodeSupervisor(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
-from repro.network.serialization import PLAIN_FLOAT64, FormatLike, message_nbytes
+from repro.network.serialization import message_nbytes
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,11 @@ class CostModel:
         flops = intensity * dimension * batch_size
         return flops / self.device.flops_per_second
 
-    def message_bytes(self, dimension: int, fmt: FormatLike = PLAIN_FLOAT64) -> int:
-        """Size of one model- or gradient-sized message in wire format ``fmt``:
+    def message_bytes(self, dimension: int) -> int:
+        """Size of one model- or gradient-sized message:
         :func:`~repro.network.serialization.message_nbytes`, the one byte
         count the transport charges and the ledger folds."""
-        return message_nbytes(dimension, fmt)
+        return message_nbytes(dimension)
 
     def serialization_time(self, dimension: int, num_messages: int, vanilla: bool = False) -> float:
         """Total serialization + context-switch time for ``num_messages`` tensors.

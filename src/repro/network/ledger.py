@@ -25,7 +25,8 @@ slice, a retried request — is priced by
 frames count at their framed sizes.  A request is charged to its requester
 when it is issued, and only if it ships a payload (the model state a gradient
 pull carries).  A reply is charged when its quorum closes, and only if that
-quorum selected it.  A retry re-sends a model-sized request.  The socket
+quorum selected it.  A retry re-sends a model-sized request, priced by the
+transport (:meth:`~repro.network.transport.Transport.vector_nbytes`).  The socket
 layer that retries knows only the destination, so every retry of the round
 is charged to whoever reads the round's charge.  Each charge is one message
 count and one byte total, which the round accountant reads as it is.

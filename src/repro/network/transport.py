@@ -435,11 +435,16 @@ class Transport:
     # ------------------------------------------------------------------ #
     # Pulls
     # ------------------------------------------------------------------ #
+    def vector_nbytes(self, dimension: int) -> int:
+        """What one ``dimension``-vector message costs in this transport's
+        wire format: :func:`~repro.network.serialization.message_nbytes`."""
+        return message_nbytes(dimension, self.wire_format)
+
     def _payload_nbytes(self, payload: Any) -> int:
         if payload is None:
             return 64  # a bare header / control message
         if isinstance(payload, np.ndarray):
-            return message_nbytes(payload.size, self.wire_format)
+            return self.vector_nbytes(payload.size)
         if isinstance(payload, (bytes, bytearray)):
             return len(payload)
         if isinstance(payload, (list, tuple)):
@@ -456,7 +461,7 @@ class Transport:
         Slice traffic is *accounted* at this size, never framed: a sharded
         round is wire-identical to the classic one (see ``docs/sharding.md``).
         """
-        return sum(message_nbytes(size, self.wire_format) for size in shard_map.sizes)
+        return sum(self.vector_nbytes(size) for size in shard_map.sizes)
 
     def coordinate_shards(self, requester: str, quorum: int, num_shards: int) -> None:
         """Record one two-phase shard-coordination exchange at its framed sizes.

@@ -89,6 +89,13 @@ class TestBasics:
         with pytest.raises(ConfigurationError, match="unknown .* GAR 'bogus'"):
             ThroughputModel(**{rule: "bogus"})
 
+    def test_gar_names_are_spelled_as_init_gar_takes_them(self):
+        spelled = cpu_model(gradient_gar="Multi_Krum", model_gar="MEDIAN")
+        canonical = cpu_model(gradient_gar="multi-krum", model_gar="median")
+        assert (spelled.gradient_gar, spelled.model_gar) == ("multi-krum", "median")
+        for deployment in ("ssmw", "msmw"):
+            assert spelled.breakdown(deployment) == canonical.breakdown(deployment)
+
     def test_what_if_f_sweeps_stay_clamped(self):
         # What-if sweeps (Figure 10) price clusters too small for the rule:
         # Bulyan at n_w = 4, f_w = 3 is clamped to its minimum, not refused.

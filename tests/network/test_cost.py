@@ -173,7 +173,8 @@ ALL_SPECS = [
 
 class TestOneByteCount:
     """One rule, :func:`message_nbytes`, prices every vector message: the
-    transport charges it, the ledger folds it and the cost model prices it."""
+    transport charges it, the ledger folds it and the cost model prices it
+    for the one format it models, plain float64."""
 
     UNCOMPRESSED = ["float32", "float16", "int8"]
     DIMENSIONS = [0, 1, 1_000, 4_097, 100_000]
@@ -183,16 +184,20 @@ class TestOneByteCount:
     def test_message_bytes_equals_actual_framed_bytes(self, spec, dimension):
         """Outside a float64 base, the priced message is the framed blob."""
         blob = serialize_vector(np.zeros(dimension), spec)
-        assert CostModel().message_bytes(dimension, spec) == len(blob)
+        assert message_nbytes(dimension, spec) == len(blob)
 
     @pytest.mark.parametrize("dimension", DIMENSIONS)
     def test_float64_is_priced_four_bytes_an_element_below_its_blob(self, dimension):
         blob = serialize_vector(np.zeros(dimension), "float64")
-        assert len(blob) - CostModel().message_bytes(dimension, "float64") == 4 * dimension
+        assert len(blob) - message_nbytes(dimension, "float64") == 4 * dimension
+
+    @pytest.mark.parametrize("dimension", DIMENSIONS)
+    def test_the_cost_model_prices_the_one_rule(self, dimension):
+        assert CostModel().message_bytes(dimension) == message_nbytes(dimension)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
     @pytest.mark.parametrize("dimension", [1, 1_000, 4_097])
-    def test_transport_ledger_and_cost_model_charge_the_one_rule(self, spec, dimension):
+    def test_transport_and_ledger_charge_the_one_rule(self, spec, dimension):
         rule = message_nbytes(dimension, spec)
         transport = Transport(seed=0, wire_format=spec)
         try:
@@ -205,6 +210,7 @@ class TestOneByteCount:
             charge = transport.ledger.charge("a")
         finally:
             transport.close()
-        assert charged == CostModel().message_bytes(dimension, spec) == rule
+        # The retry charge is the same vector_nbytes the payload goes through.
+        assert charged == transport.vector_nbytes(dimension) == rule
         assert (charge.messages, charge.nbytes) == (2, 2 * rule)
         assert transport.stats.bytes_sent == rule
