@@ -3,16 +3,14 @@
 The paper's evaluation charges every message at float32 width (4 B/element);
 the negotiated wire formats let the codec actually ship that width — or half
 (float16), or one byte per element (int8 with per-chunk scale/offset
-quantization), optionally delta-encoded against the previous round's model
-and/or zlib/zstd-framed.  This benchmark measures three things:
+quantization), optionally delta-encoded against the previous round's model.
+This benchmark measures three things:
 
 * **bytes on the wire** — the exact framed and payload sizes the codec
   produces for one n_w=16 round of d=1e5 gradients, per format.  Ratios are
   reported over *payload* bytes (the ~25-byte constant header excluded):
   framed float32 is 400025/800025 of float64, which rounds above the 0.5
-  bound the payload ratio meets exactly.  Compressed formats additionally
-  report their measured compressed size on Gaussian gradients (compression
-  of dense float noise is format-dependent and data-dependent).
+  bound the payload ratio meets exactly.
 * **rounds/sec** — end-to-end ``pull_many`` rounds through the real
   transport (planning, quorum selection, RoundBuffer hand-off, average +
   multi-krum aggregation) with the in-process backend emulating each format
@@ -47,7 +45,6 @@ from repro.aggregators import init as init_gar
 from repro.core.cluster import ClusterConfig
 from repro.core.session import Session
 from repro.network.serialization import (
-    HAVE_ZSTD,
     deserialize_vector,
     parse_wire_format,
     serialize_vector,
@@ -62,16 +59,8 @@ OUTPUT_PATH = REPO_ROOT / "BENCH_wire.json"
 NUM_WORKERS = 16
 DIMENSION = 100_000
 
-#: Formats measured everywhere.  zstd variants join only where the optional
-#: module is installed (the default container bakes zlib, not zstandard).
-FORMATS: Tuple[str, ...] = (
-    "float64",
-    "float32",
-    "float16",
-    "int8",
-    "float32+zlib",
-    "int8+zlib",
-) + (("float32+zstd", "int8+zstd") if HAVE_ZSTD else ())
+#: Formats measured everywhere.
+FORMATS: Tuple[str, ...] = ("float64", "float32", "float16", "int8")
 
 #: Formats of the codec-only throughput block: the delta stream the
 #: end-to-end benchmark ships joins the grid above.
@@ -98,9 +87,8 @@ def make_gradients(num_workers: int, dimension: int, seed: int = 0) -> np.ndarra
 def measure_bytes(dimension: int = DIMENSION, num_workers: int = NUM_WORKERS) -> List[Dict]:
     """Exact framed/payload byte sizes per format for one round's gradients.
 
-    Uncompressed formats have data-independent sizes (validated against
-    :func:`serialized_nbytes`, the number the cost model charges); compressed
-    formats are measured on the Gaussian gradients themselves.
+    Every format's size is data-independent (validated against
+    :func:`serialized_nbytes`, the framed length of the codec).
     """
     gradients = make_gradients(num_workers, dimension)
     header = serialized_nbytes(0, fmt="float64")  # the constant per-message frame
@@ -111,8 +99,7 @@ def measure_bytes(dimension: int = DIMENSION, num_workers: int = NUM_WORKERS) ->
         framed = sum(len(serialize_vector(g, fmt)) for g in gradients)
         payload = framed - num_workers * header
         nominal = serialized_nbytes(dimension, fmt=fmt)
-        if not fmt.compression:
-            assert framed == num_workers * nominal, (spec, framed, nominal)
+        assert framed == num_workers * nominal, (spec, framed, nominal)
         rows.append(
             {
                 "format": spec,
@@ -343,7 +330,6 @@ def run_benchmark(rounds: int = 10, sweep_iterations: int = 12) -> Dict:
             "int8_payload_ratio_max": INT8_MAX_RATIO,
             "float32_payload_ratio_max": FLOAT32_MAX_RATIO,
         },
-        "have_zstd": HAVE_ZSTD,
         "bytes_on_wire": byte_rows,
         "throughput": throughput_rows,
         "codec": {

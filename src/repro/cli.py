@@ -37,6 +37,7 @@ from repro.core.cluster import ClusterConfig
 from repro.core.scenario import SCENARIO_LIBRARY, available_scenarios, build_config
 from repro.core.session import Session, available_applications
 from repro.detection import available_detectors
+from repro.exceptions import ConfigurationError
 from repro.network.resilience import ResilienceConfig
 from repro.nn.models import MODEL_REGISTRY, PAPER_MODEL_DIMENSIONS
 from repro.version import __version__
@@ -383,7 +384,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point used by ``python -m repro`` and the console script."""
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ConfigurationError as error:  # a bad value, reported as argparse reports one
+        parser.exit(2, f"{parser.prog}: error: {error}\n")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -183,7 +183,7 @@ class ClusterConfig:
     #: fault-oblivious baselines (vanilla, crash-tolerant) stay undefended.
     detector: str = ""
     #: Wire format of gradient/model reply payloads:
-    #: ``"base[+delta][+zlib|+zstd]"`` with base one of ``float64`` (the
+    #: ``"base[+delta]"`` with base one of ``float64`` (the
     #: bit-exact default), ``float32``, ``float16`` or ``int8`` (per-chunk
     #: scale/offset quantization).  Every backend moves a reply vector
     #: through the same :class:`repro.network.serialization.VectorStream`;
@@ -278,9 +278,8 @@ class ClusterConfig:
             raise ConfigurationError("executor_workers must be non-negative")
         if not isinstance(self.scenario, str):
             raise ConfigurationError("scenario must be a bundled name or a JSON file path")
-        # Fail at validation time, not mid-round: unknown tokens and
-        # unavailable compressors (+zstd without the module) are both errors.
-        parse_wire_format(self.wire_format, require_available=True)
+        # Fail at validation time, not mid-round, on an unknown format token.
+        parse_wire_format(self.wire_format)
         # Same for resilience options: unknown keys fail here, not when the
         # supervisor is first consulted.
         self.resilience_config()

@@ -30,9 +30,8 @@ GarfieldError` or an explicit divergence flag, never a silently poisoned
   quorums, finite-or-flagged update norms, bounded norms under attack with a
   robust GAR, liveness and convergence under tolerated schedules, loud typed
   failure beyond the bound, trace determinism (same seed ⇒ byte-identical
-  canonical JSON, across the serial and threaded executors, between a
-  sharded case and its unsharded twin, and between a value-lossless wire
-  format and its float64 twin), pause/resume equivalence mid-chaos
+  canonical JSON, across the serial and threaded executors, and between a
+  sharded case and its unsharded twin), pause/resume equivalence mid-chaos
   and the reputation properties of online detection.
 * :func:`shrink_events` — ddmin over the event timeline: when a case fails,
   the shrinker bisects the events down to a minimal spec that still
@@ -65,7 +64,6 @@ from repro.core.session import RoundResult, Session, strategy_class
 from repro.detection.membership import EVICTED
 from repro.exceptions import ConfigurationError, GarfieldError
 from repro.exceptions import TimeoutError as ReproTimeoutError
-from repro.network.serialization import parse_wire_format
 
 # ---------------------------------------------------------------------- #
 # Tunables (empirically calibrated on the logistic/MNIST fuzz experiment)
@@ -96,7 +94,7 @@ FUZZ_DEPLOYMENTS = ("ssmw", "aggregathor", "msmw", "decentralized", "crash-toler
 #: (detection outside ssmw / aggregathor, shards outside msmw or above the
 #: replica count) keeps the default too.
 LAYERS: Dict[str, Tuple[Any, ...]] = {
-    "wire_format": ("float64", "float32", "int8+delta", "float64+zlib"),
+    "wire_format": ("float64", "float32", "int8+delta", "float16"),
     "detector": ("", "distance", "mad", "variance"),
     "resilience": ({}, {"retry": True, "hedge": True, "supervise": True}),
     "shards": (1, 2, 3, 4),
@@ -635,9 +633,8 @@ def _differing_replays(outcome: RunOutcome, paused: bool) -> Finding:
 
 
 def determinism(case: FuzzCase, outcome: RunOutcome) -> Finding:
-    """A serial rerun, a threaded run, a sharded case's unsharded twin and a
-    value-lossless format's float64 twin reproduce the trace byte for byte
-    (whichever of them the checker ran)."""
+    """A serial rerun, a threaded run and a sharded case's unsharded twin
+    reproduce the trace byte for byte (whichever of them the checker ran)."""
     return _differing_replays(outcome, paused=False)
 
 
@@ -806,7 +803,7 @@ class InvariantChecker:
 
     A spec that fails validation breaks ``typed-failure-only`` and is not
     run.  ``determinism`` reruns the case serially (and runs a sharded case's
-    unsharded twin and a value-lossless format's float64 twin),
+    unsharded twin),
     ``cross_executor`` runs it threaded and
     ``pause_resume`` pauses it halfway; the determinism and pause-resume
     invariants compare those replays' traces with the run's.
@@ -827,9 +824,6 @@ class InvariantChecker:
             replays["serial rerun"] = {}
             if case.layer("shards") > 1:  # sharding is lossless: the twin runs the same
                 replays["unsharded twin"] = {"shards": 1}
-            fmt = parse_wire_format(case.layer("wire_format"))
-            if fmt.compression and fmt.base == "float64" and not fmt.delta:  # lossless, priced alike
-                replays["float64 twin"] = {"wire_format": "float64"}
         if cross_executor:
             replays["threaded executor"] = {"executor": "threaded"}
         if pause_resume and outcome.rounds_run >= 2:

@@ -19,8 +19,8 @@ Two cooperating pieces turn the failure *injection* machinery into failure
 * :class:`NodeSupervisor` — the process-backend watchdog.  Each round it
   patrols the host fleet: a host that is down *without* a scripted crash
   (unscripted SIGKILL, OOM, wedge) is respawned from its last state
-  snapshot, under a restart budget of ``restart_budget`` respawns per
-  ``restart_window`` rounds; past the budget the node is declared dead and
+  snapshot, under a restart budget of ``RESTART_BUDGET`` respawns per
+  ``RESTART_WINDOW`` rounds; past the budget the node is declared dead and
   its membership — a server's is the replicas' — shrinks, guard permitting.
   Running hosts are snapshotted each patrol so a respawn restores
   near-current state.
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.detection.membership import DEAD, Membership
+from repro.detection.reputation import EVICT_THRESHOLD
 from repro.exceptions import ConfigurationError
 
 #: Peer classifications, from best to worst; the worst is the membership cause.
@@ -62,6 +63,12 @@ SUCCESS_DECAY = 0.5
 SLOW_FACTOR = 8.0
 COHORT_WINDOW = 256
 COHORT_MIN_SAMPLES = 8
+
+# Supervision budget, constants for the same reason.
+#: A node is respawned while fewer than ``RESTART_BUDGET`` respawns happened in
+#: the last ``RESTART_WINDOW`` rounds; past that it is declared dead.
+RESTART_BUDGET = 2
+RESTART_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -227,7 +234,7 @@ class LivenessDetector:
                 if self._status[name] in (SUSPECT, DEAD) and name in book.scores:
                     book.scores[name] = max(
                         book.scores[name],
-                        float(min(self.scores[name], book.evict_threshold)),
+                        float(min(self.scores[name], EVICT_THRESHOLD)),
                     )
 
         return {
@@ -249,12 +256,12 @@ class NodeSupervisor:
     * a host down without a scripted crash is an unscripted death: it is
       respawned from its last state snapshot via
       :meth:`~repro.network.rpc.SocketBackend.revive`, as long as fewer than
-      ``restart_budget`` respawns happened in the last ``restart_window``
+      ``RESTART_BUDGET`` respawns happened in the last ``RESTART_WINDOW``
       rounds;
     * past the budget the node is declared dead through the liveness
       detector (quorum-safety guarded) and never respawned again;
-    * running hosts are snapshotted every ``snapshot_every`` rounds so the
-      next respawn restores near-current state.
+    * running hosts are snapshotted every round so the next respawn
+      restores near-current state.
     """
 
     def __init__(
@@ -264,21 +271,11 @@ class NodeSupervisor:
         roster: Sequence[str],
         *,
         health: Optional[LivenessDetector] = None,
-        restart_budget: int = 2,
-        restart_window: int = 8,
-        snapshot_every: int = 1,
     ) -> None:
-        if restart_budget < 0 or restart_window < 1:
-            raise ConfigurationError(
-                "NodeSupervisor needs restart_budget >= 0 and restart_window >= 1"
-            )
         self.backend = backend
         self.failures = failures
         self.roster: Tuple[str, ...] = tuple(roster)
         self.health = health
-        self.restart_budget = int(restart_budget)
-        self.restart_window = int(restart_window)
-        self.snapshot_every = max(0, int(snapshot_every))
         self._restarts: Dict[str, List[int]] = {name: [] for name in self.roster}
         self._given_up: set = set()
 
@@ -304,20 +301,19 @@ class NodeSupervisor:
             if self.failures.is_crashed(node):
                 continue  # scripted crash: the director owns the recovery
             if self.backend.is_running(node):
-                if self.snapshot_every and round_index % self.snapshot_every == 0:
-                    self.backend.snapshot_now(node)
+                self.backend.snapshot_now(node)
                 continue
             # Unscripted death.  Spend one restart from the window budget —
             # or declare the node dead once the budget is exhausted.
-            window_start = round_index - self.restart_window
+            window_start = round_index - RESTART_WINDOW
             recent = [r for r in self._restarts[node] if r > window_start]
-            if len(recent) >= self.restart_budget:
+            if len(recent) >= RESTART_BUDGET:
                 self._given_up.add(node)
                 event = HealthEvent(
                     round_index,
                     "gave-up",
                     node,
-                    detail=f"{len(recent)} restarts in {self.restart_window} rounds",
+                    detail=f"{len(recent)} restarts in {RESTART_WINDOW} rounds",
                 )
                 self._emit(event)
                 fired.append(event)

@@ -32,7 +32,7 @@ import numpy as np
 from repro.aggregators.base import column_median, scale_rows, sorted_columns
 from repro.detection.base import Detector, init_detector
 from repro.detection.membership import EVICTED, Membership
-from repro.detection.reputation import MembershipEvent, ReputationBook
+from repro.detection.reputation import EVICT_THRESHOLD, MembershipEvent, ReputationBook
 
 
 class DetectionManager:
@@ -43,12 +43,11 @@ class DetectionManager:
         *,
         detector: "Detector | str",
         membership: Membership,
-        book: Optional[ReputationBook] = None,
     ) -> None:
         self.detector = init_detector(detector) if isinstance(detector, str) else detector
         self.membership = membership
         self.roster: Tuple[str, ...] = membership.roster
-        self.book = book if book is not None else ReputationBook(self.roster)
+        self.book = ReputationBook(self.roster)
         #: Sources scored this round (set by :meth:`weigh_and_observe`,
         #: consumed by :meth:`finish_round`).
         self._scored: Optional[Tuple[str, ...]] = None
@@ -69,13 +68,13 @@ class DetectionManager:
         later.  Membership decisions still wait for :meth:`finish_round`.
 
         A row holding a NaN or an infinity is the most suspicious row there
-        is: it strikes at ``evict_threshold`` outright, and the detector
+        is: it strikes at ``EVICT_THRESHOLD`` outright, and the detector
         scores the finite rows alone, at a budget of ``f`` minus those rows —
         so it cannot blind the detector to the others.
         """
         grid = np.asarray(matrix, dtype=np.float64)
         finite = np.isfinite(grid).all(axis=1)
-        raw = {name: self.book.evict_threshold for name, ok in zip(sources, finite) if not ok}
+        raw = {name: EVICT_THRESHOLD for name, ok in zip(sources, finite) if not ok}
         if finite.any():
             clean, kept = grid[finite], [name for name, ok in zip(sources, finite) if ok]
             f = max(0, self.membership.effective_f() - len(raw))

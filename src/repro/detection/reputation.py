@@ -5,22 +5,22 @@ memoryless per-round raw scores; the book folds them into an exponentially
 decayed suspicion level per worker, maps levels to aggregation weights, and
 drives the evict / re-admit lifecycle with hysteresis:
 
-* **evict** when the *raw* score lands at or above ``evict_threshold`` for
-  ``patience`` consecutive observed rounds (after a short warm-up) — raw
-  strikes, not the decayed level, gate membership so a single unlucky
+* **evict** when the *raw* score lands at or above :data:`EVICT_THRESHOLD`
+  for :data:`PATIENCE` consecutive observed rounds (after a short warm-up) —
+  raw strikes, not the decayed level, gate membership so a single unlucky
   mini-batch cannot linger above the bar for several rounds and evict an
   honest worker,
 * **re-admit** only once the decayed score has fallen back to or below
-  ``readmit_threshold`` — a strictly lower bar, so membership cannot
+  :data:`READMIT_THRESHOLD` — a strictly lower bar, so membership cannot
   oscillate on a borderline worker.
 
 Who is in or out lives in the deployment's one
 :class:`~repro.detection.membership.Membership`; the book decides *when* to
 ask it for a transition.  Evicted workers are no longer pulled from, so they
-produce no fresh raw scores; their level decays at the slower ``idle_decay``
-rate, which sets the re-admission probation time.  All iteration is in roster
-order and all state is plain floats, keeping the book bit-deterministic
-across backends.
+produce no fresh raw scores; their level decays at the slower
+:data:`IDLE_DECAY` rate, which sets the re-admission probation time.  All
+iteration is in roster order and all state is plain floats, keeping the book
+bit-deterministic across backends.
 """
 
 from __future__ import annotations
@@ -32,6 +32,29 @@ import numpy as np
 
 from repro.detection.membership import EVICTED, Membership
 from repro.exceptions import ConfigurationError
+
+# Reputation tuning.  Constants, not constructor arguments: one value each is
+# in use, and the detection golden pins the scores they produce.
+#: Blend factor for observed rounds: ``s <- DECAY*s + (1-DECAY)*raw``.
+DECAY = 0.6
+#: Multiplicative decay for rounds without an observation (evicted or missing
+#: from the pull): slower than ``DECAY`` so a true attacker's score survives
+#: its own eviction instead of rebounding instantly.
+IDLE_DECAY = 0.9
+#: Raw-score bar for eviction strikes.  Calibrated wide: persistent honest
+#: shard heterogeneity sustains envelope ratios of ~4-6 (down-weighted, never
+#: evicted), while flagrant attacks (reversed / random vectors) sustain ratios
+#: of 30-600+.  Stealthy within-variance attacks (LIE, fall-of-empires)
+#: deliberately stay below any such bar — rejecting them is the robust GAR's
+#: job, not eviction's.
+EVICT_THRESHOLD = 8.0
+#: Re-admission bar, strictly below ``EVICT_THRESHOLD`` (the hysteresis band).
+READMIT_THRESHOLD = 0.5
+#: Consecutive over-threshold raw observations required before eviction.
+PATIENCE = 3
+#: Observed rounds before any eviction is allowed (lets score estimates
+#: stabilise on the first mini-batches).
+WARMUP = 1
 
 
 @dataclass(frozen=True)
@@ -62,26 +85,6 @@ class ReputationBook:
     """Per-worker decayed suspicion scores, strike streaks and hysteresis."""
 
     roster: Tuple[str, ...]
-    #: Blend factor for observed rounds: ``s <- decay*s + (1-decay)*raw``.
-    decay: float = 0.6
-    #: Multiplicative decay for rounds without an observation (evicted or
-    #: missing from the pull): slower than ``decay`` so a true attacker's
-    #: score survives its own eviction instead of rebounding instantly.
-    idle_decay: float = 0.9
-    #: Raw-score bar for eviction strikes.  Calibrated wide: persistent honest
-    #: shard heterogeneity sustains envelope ratios of ~4-6 (down-weighted,
-    #: never evicted), while flagrant attacks (reversed / random vectors)
-    #: sustain ratios of 30-600+.  Stealthy within-variance attacks (LIE,
-    #: fall-of-empires) deliberately stay below any such bar — rejecting them
-    #: is the robust GAR's job, not eviction's.
-    evict_threshold: float = 8.0
-    readmit_threshold: float = 0.5
-    #: Consecutive over-threshold raw observations required before eviction.
-    patience: int = 3
-    #: Observed rounds before any eviction is allowed (lets score estimates
-    #: stabilise on the first mini-batches).
-    warmup: int = 1
-
     scores: Dict[str, float] = field(init=False)
     _streaks: Dict[str, int] = field(init=False)
     _last_raw: Dict[str, float] = field(init=False)  # this round's raw scores
@@ -91,13 +94,6 @@ class ReputationBook:
         self.roster = tuple(self.roster)
         if not self.roster:
             raise ConfigurationError("reputation book needs a non-empty roster")
-        if not 0.0 <= self.decay < 1.0 or not 0.0 <= self.idle_decay < 1.0:
-            raise ConfigurationError("reputation decays must lie in [0, 1)")
-        if self.readmit_threshold >= self.evict_threshold:
-            raise ConfigurationError(
-                "readmit_threshold must sit strictly below evict_threshold "
-                "(hysteresis band)"
-            )
         self.scores = {name: 0.0 for name in self.roster}
         self._streaks = {name: 0 for name in self.roster}
         self._last_raw = {}
@@ -112,11 +108,9 @@ class ReputationBook:
             if name in raw_scores:
                 raw = max(0.0, float(raw_scores[name]))
                 self._last_raw[name] = raw
-                self.scores[name] = (
-                    self.decay * self.scores[name] + (1.0 - self.decay) * raw
-                )
+                self.scores[name] = DECAY * self.scores[name] + (1.0 - DECAY) * raw
             else:
-                self.scores[name] = self.idle_decay * self.scores[name]
+                self.scores[name] = IDLE_DECAY * self.scores[name]
         self.rounds_observed += 1
 
     def weights(self, sources: Sequence[str]) -> np.ndarray:
@@ -150,7 +144,7 @@ class ReputationBook:
 
         ``observed`` names the workers whose raw scores were folded in this
         round (only they advance eviction streaks, and only when their *raw*
-        score struck at or above ``evict_threshold`` — isolated honest
+        score struck at or above ``EVICT_THRESHOLD`` — isolated honest
         outlier rounds reset the streak instead of accumulating through the
         decayed level).  Every transition is asked of ``membership``, whose
         quorum-safety guard may refuse it: a refused eviction is skipped,
@@ -162,7 +156,7 @@ class ReputationBook:
         # Re-admissions first (roster order): an evicted worker whose score
         # decayed through the lower threshold rejoins the pull set.
         for name in membership.excluded(EVICTED):
-            if self.scores[name] <= self.readmit_threshold and membership.readmit(name):
+            if self.scores[name] <= READMIT_THRESHOLD and membership.readmit(name):
                 self._streaks[name] = 0
                 events.append(
                     MembershipEvent(round_index, "readmit", name, self.scores[name])
@@ -174,14 +168,14 @@ class ReputationBook:
         for name in active:
             if name not in observed_set:
                 continue
-            if self._last_raw.get(name, 0.0) >= self.evict_threshold:
+            if self._last_raw.get(name, 0.0) >= EVICT_THRESHOLD:
                 self._streaks[name] += 1
             else:
                 self._streaks[name] = 0
         candidates = [
             name
             for name in active
-            if self._streaks[name] >= self.patience and self.rounds_observed > self.warmup
+            if self._streaks[name] >= PATIENCE and self.rounds_observed > WARMUP
         ]
         candidates.sort(key=lambda name: (-self.scores[name], self.roster.index(name)))
         for name in candidates:
@@ -200,8 +194,8 @@ class ReputationBook:
         if name not in self.scores:
             raise ConfigurationError(f"unknown worker '{name}' in reputation book")
         if out:
-            self.scores[name] = max(self.scores[name], self.evict_threshold)
+            self.scores[name] = max(self.scores[name], EVICT_THRESHOLD)
         else:
-            self.scores[name] = min(self.scores[name], self.readmit_threshold)
+            self.scores[name] = min(self.scores[name], READMIT_THRESHOLD)
             self._streaks[name] = 0
         return self.scores[name]

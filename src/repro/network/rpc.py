@@ -449,7 +449,7 @@ class _HostDispatcher:
         result = handler(RequestContext(requester, iteration, message.get("payload")))
         if "fmt" not in message or not is_stream_vector(result):
             return result
-        fmt = str(message["fmt"])  # unknown or unavailable: a typed error response
+        fmt = str(message["fmt"])  # an unknown format: a typed error response
         stream = self._streams.stream(self.node_id, kind, requester, fmt)
         blob, sequence = stream.encode(result, int(message.get("have", 0)))
         return {VECTOR_BLOB_KEY: blob, VECTOR_SEQUENCE_KEY: sequence}

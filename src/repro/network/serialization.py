@@ -8,8 +8,8 @@ round-trips are verifiable in tests) and expose the size accounting the cost
 model needs.
 
 Every blob is self-describing: after the magic comes one **format byte**
-whose low nibble selects the base element encoding and whose high bits flag
-the optional transforms:
+whose low nibble selects the base element encoding and whose bit ``0x10``
+flags delta encoding:
 
 =========== ====== ==================================================
 base        code   payload encoding
@@ -25,17 +25,13 @@ base        code   payload encoding
                    per element
 =========== ====== ==================================================
 
-* flag ``0x10`` — **delta encoding**: the payload encodes ``vector -
-  reference`` (e.g. against the previous round's model); the receiver must
-  pass the same ``reference`` to :func:`deserialize_vector`.
-* flag ``0x20`` — **compression**: the payload is wrapped in a one-byte
-  compressor id (``1`` = zlib, ``2`` = zstd) plus a u64 raw length followed
-  by the compressed bytes.  zstd is used only when the optional ``zstandard``
-  module is importable (:data:`HAVE_ZSTD`); zlib is always available.
+With flag ``0x10`` (**delta encoding**) the payload encodes ``vector -
+reference`` (e.g. against the previous round's model); the receiver must pass
+the same ``reference`` to :func:`deserialize_vector`.  Any other flag bit is
+an unknown format byte.
 
-Formats are spelled as strings — ``"float64"``, ``"float32"``, ``"int8"``,
-optionally with ``+delta`` and/or ``+zlib`` / ``+zstd`` modifiers, e.g.
-``"int8+delta+zlib"`` — and parsed by :func:`parse_wire_format` into a
+Formats are spelled ``base[+delta]`` — ``"float64"``, ``"float32"``,
+``"int8+delta"`` — and parsed by :func:`parse_wire_format` into a
 :class:`WireFormat`.  A reply vector crosses every transport backend through
 a :class:`VectorStream`, the one place a delta reference is kept and chosen,
 held in a :class:`StreamTable`, which encodes a vector once for all its pulls.
@@ -63,7 +59,6 @@ from __future__ import annotations
 
 import struct
 import threading
-import zlib
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -71,17 +66,8 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, SerializationError
 
-try:  # pragma: no cover - exercised only where the wheel is installed
-    import zstandard as _zstd
-except ImportError:  # the container does not bake zstandard in
-    _zstd = None
-
-#: Whether the optional zstd compressor is importable in this environment.
-HAVE_ZSTD = _zstd is not None
-
 _HEADER = struct.Struct("<Iq")  # (ndim, total elements) followed by dims as int64
 _MAGIC = b"GARF"
-_COMPRESS_HEADER = struct.Struct("<BQ")  # (compressor id, raw payload length)
 
 #: Elements per int8 quantization chunk; each chunk stores a float64
 #: ``(scale, mid)`` pair, so the per-element overhead is 16/4096 bytes.
@@ -97,40 +83,30 @@ _BASES = {
 _BASE_BY_CODE = {code: name for name, (code, _, _) in _BASES.items()}
 
 _FLAG_DELTA = 0x10
-_FLAG_COMPRESSED = 0x20
-
-_COMPRESSORS = {"zlib": 1, "zstd": 2}
-_COMPRESSOR_BY_ID = {code: name for name, code in _COMPRESSORS.items()}
 
 BytesLike = Union[bytes, bytearray, memoryview]
 
 
 @dataclass(frozen=True)
 class WireFormat:
-    """One payload encoding: base width + optional transforms."""
+    """One payload encoding: base width + optional delta encoding."""
 
     base: str = "float64"
     delta: bool = False
-    compression: str = ""  # "", "zlib" or "zstd"
 
     @property
     def spec(self) -> str:
-        """Canonical string form, e.g. ``"int8+delta+zlib"``."""
-        parts = [self.base]
-        if self.delta:
-            parts.append("delta")
-        if self.compression:
-            parts.append(self.compression)
-        return "+".join(parts)
+        """Canonical string form, e.g. ``"int8+delta"``."""
+        return f"{self.base}+delta" if self.delta else self.base
 
     @property
     def is_plain_float64(self) -> bool:
         """Whether this is the bit-exact passthrough the goldens are locked to."""
-        return self.base == "float64" and not self.delta and not self.compression
+        return self.base == "float64" and not self.delta
 
     def without_delta(self) -> "WireFormat":
         """The same format minus delta encoding (for reference-less paths)."""
-        return WireFormat(self.base, False, self.compression) if self.delta else self
+        return WireFormat(self.base) if self.delta else self
 
     def __str__(self) -> str:
         return self.spec
@@ -142,69 +118,46 @@ PLAIN_FLOAT64 = WireFormat()
 FormatLike = Union[str, WireFormat]
 
 
-def parse_wire_format(spec: FormatLike, require_available: bool = False) -> WireFormat:
-    """Parse ``"base[+delta][+zlib|+zstd]"`` into a :class:`WireFormat`.
+def parse_wire_format(spec: FormatLike) -> WireFormat:
+    """Parse ``"base[+delta]"`` into a :class:`WireFormat`.
 
     Raises :class:`~repro.exceptions.ConfigurationError` on unknown tokens.
-    With ``require_available=True`` a format naming an unavailable compressor
-    (``+zstd`` without the ``zstandard`` module) is rejected too — the check
-    configs should run so a run fails at validation time, not mid-round.
     """
     if isinstance(spec, WireFormat):
-        fmt = spec
-        if fmt.base not in _BASES:
-            raise ConfigurationError(f"unknown wire format base '{fmt.base}'")
-        if fmt.compression and fmt.compression not in _COMPRESSORS:
-            raise ConfigurationError(f"unknown wire compressor '{fmt.compression}'")
-    else:
-        if not isinstance(spec, str) or not spec.strip():
-            raise ConfigurationError(f"wire format must be a non-empty string, got {spec!r}")
-        base: Optional[str] = None
-        delta = False
-        compression = ""
-        for token in spec.strip().lower().split("+"):
-            token = token.strip()
-            if token in _BASES:
-                if base is not None:
-                    raise ConfigurationError(f"wire format '{spec}' names two base widths")
-                base = token
-            elif token == "delta":
-                delta = True
-            elif token in _COMPRESSORS:
-                if compression:
-                    raise ConfigurationError(f"wire format '{spec}' names two compressors")
-                compression = token
-            else:
-                raise ConfigurationError(
-                    f"unknown wire format token '{token}' in '{spec}'; bases: "
-                    f"{sorted(_BASES)}, modifiers: 'delta', {sorted(_COMPRESSORS)}"
-                )
-        if base is None:
-            raise ConfigurationError(f"wire format '{spec}' names no base width")
-        fmt = WireFormat(base, delta, compression)
-    if require_available and fmt.compression == "zstd" and not HAVE_ZSTD:
-        raise ConfigurationError(
-            "wire format requests zstd but the 'zstandard' module is not "
-            "installed in this environment; use '+zlib' instead"
-        )
-    return fmt
+        if spec.base not in _BASES:
+            raise ConfigurationError(f"unknown wire format base '{spec.base}'")
+        return spec
+    if not isinstance(spec, str) or not spec.strip():
+        raise ConfigurationError(f"wire format must be a non-empty string, got {spec!r}")
+    base: Optional[str] = None
+    delta = False
+    for token in spec.strip().lower().split("+"):
+        token = token.strip()
+        if token in _BASES:
+            if base is not None:
+                raise ConfigurationError(f"wire format '{spec}' names two base widths")
+            base = token
+        elif token == "delta":
+            delta = True
+        else:
+            raise ConfigurationError(
+                f"unknown wire format token '{token}' in '{spec}'; bases: "
+                f"{sorted(_BASES)}, modifier: 'delta'"
+            )
+    if base is None:
+        raise ConfigurationError(f"wire format '{spec}' names no base width")
+    return WireFormat(base, delta)
 
 
 def format_byte(fmt: WireFormat) -> int:
     """The one-byte on-wire encoding of a :class:`WireFormat`."""
-    value = _BASES[fmt.base][0]
-    if fmt.delta:
-        value |= _FLAG_DELTA
-    if fmt.compression:
-        value |= _FLAG_COMPRESSED
-    return value
+    return _BASES[fmt.base][0] | (_FLAG_DELTA if fmt.delta else 0)
 
 
 def format_from_byte(value: int) -> WireFormat:
-    """Base and delta flag of a format byte (a compressed payload names its
-    own compressor, see :func:`_decompress_payload`)."""
+    """The :class:`WireFormat` a format byte names."""
     base = _BASE_BY_CODE.get(value & 0x0F)
-    if base is None or value & ~(0x0F | _FLAG_DELTA | _FLAG_COMPRESSED):
+    if base is None or value & ~(0x0F | _FLAG_DELTA):
         raise SerializationError(f"unknown wire format byte 0x{value:02x}")
     return WireFormat(base, bool(value & _FLAG_DELTA))
 
@@ -294,20 +247,6 @@ def int8_payload_nbytes(size: int) -> int:
 # ---------------------------------------------------------------------- #
 # Serialization
 # ---------------------------------------------------------------------- #
-def _compress_payload(parts: List[BytesLike], compression: str) -> List[BytesLike]:
-    raw = b"".join(parts)
-    if compression == "zstd":
-        if not HAVE_ZSTD:
-            raise ConfigurationError(
-                "zstd wire compression requested but the 'zstandard' module "
-                "is not installed; use '+zlib' instead"
-            )
-        packed = _zstd.ZstdCompressor().compress(raw)
-    else:
-        packed = zlib.compress(raw, level=1)
-    return [_COMPRESS_HEADER.pack(_COMPRESSORS[compression], len(raw)), packed]
-
-
 def serialize_vector_parts(
     vector: np.ndarray,
     fmt: FormatLike = PLAIN_FLOAT64,
@@ -349,25 +288,17 @@ def serialize_vector_parts(
         if fmt.base != "int8":  # the int8 kernel subtracts straight into its scratch
             values = values - ref
 
-    if fmt.base == "float64":
-        if values is array.reshape(-1) and not fmt.compression:
-            # Bit-exact passthrough: splice the array's own buffer.
-            return [header, memoryview(array).cast("B")]
-        payload: List[BytesLike] = [memoryview(np.ascontiguousarray(values)).cast("B")]
-    elif fmt.base == "int8":
+    if fmt.base == "float64":  # ``values`` is contiguous: splice its own buffer
+        return [header, memoryview(values).cast("B")]
+    if fmt.base == "int8":
         scales, mids, codes = _quantize_int8(values, ref)
-        payload = [
+        return [
+            header,
             memoryview(scales).cast("B"),
             memoryview(mids).cast("B"),
             memoryview(codes).cast("B"),
         ]
-    else:
-        narrowed = values.astype(_BASES[fmt.base][1])
-        payload = [memoryview(narrowed).cast("B")]
-
-    if fmt.compression:
-        payload = _compress_payload(payload, fmt.compression)
-    return [header, *payload]
+    return [header, memoryview(values.astype(_BASES[fmt.base][1])).cast("B")]
 
 
 def serialize_vector(
@@ -462,7 +393,7 @@ class VectorStream:
     __slots__ = ("fmt", "sequence", "reference", "_source", "_lock")
 
     def __init__(self, fmt: FormatLike, source: Optional[_Source] = None) -> None:
-        self.fmt = parse_wire_format(fmt, require_available=True)
+        self.fmt = parse_wire_format(fmt)
         self.sequence = 0
         self.reference: Optional[np.ndarray] = None
         self._source = _Source() if source is None else source
@@ -547,42 +478,6 @@ class StreamTable:
 # ---------------------------------------------------------------------- #
 # Deserialization
 # ---------------------------------------------------------------------- #
-def _decompress_payload(body: memoryview) -> Tuple[str, bytes]:
-    if len(body) < _COMPRESS_HEADER.size:
-        raise SerializationError("truncated compressed vector payload")
-    compressor_id, raw_length = _COMPRESS_HEADER.unpack_from(body, 0)
-    name = _COMPRESSOR_BY_ID.get(compressor_id)
-    if name is None:
-        raise SerializationError(f"unknown wire compressor id {compressor_id}")
-    packed = body[_COMPRESS_HEADER.size :]
-    if name == "zstd":
-        if not HAVE_ZSTD:
-            raise SerializationError(
-                "received a zstd-compressed vector but the 'zstandard' module "
-                "is not installed"
-            )
-        raw = _zstd.ZstdDecompressor().decompress(packed, max_output_size=raw_length)
-    else:
-        try:
-            inflater = zlib.decompressobj()
-            raw = inflater.decompress(packed)
-            raw += inflater.flush()
-        except zlib.error as exc:
-            raise SerializationError(f"corrupt compressed vector payload: {exc}") from exc
-        if not inflater.eof:
-            raise SerializationError("truncated compressed vector payload")
-        if inflater.unused_data:
-            raise SerializationError(
-                f"{len(inflater.unused_data)} trailing bytes after the "
-                "compressed vector payload"
-            )
-    if len(raw) != raw_length:
-        raise SerializationError(
-            f"compressed vector announced {raw_length} raw bytes, got {len(raw)}"
-        )
-    return name, raw
-
-
 def deserialize_vector(
     blob: BytesLike,
     copy: bool = False,
@@ -630,10 +525,6 @@ def deserialize_vector(
     fmt = format_from_byte(fmt_value)
 
     body = view[offset:]
-    if fmt_value & _FLAG_COMPRESSED:
-        _, raw = _decompress_payload(body)
-        body = memoryview(raw)
-
     if out is not None and (
         out.dtype != np.float64 or out.size != size or not out.flags.c_contiguous
     ):
@@ -702,7 +593,7 @@ def deserialize_vector(
 # Size accounting
 # ---------------------------------------------------------------------- #
 def _framed_nbytes(dimension: int, base: str) -> int:
-    """Framed length of a 1-D vector in ``base``, uncompressed."""
+    """Framed length of a 1-D vector in ``base``."""
     header = len(_MAGIC) + 1 + _HEADER.size + 8  # magic, format byte, counts, 1 dim
     if base == "int8":
         return header + int8_payload_nbytes(dimension)
@@ -712,10 +603,8 @@ def _framed_nbytes(dimension: int, base: str) -> int:
 def serialized_nbytes(dimension: int, fmt: FormatLike = PLAIN_FLOAT64) -> int:
     """Exact framed length of a serialized 1-D vector of ``dimension`` elements.
 
-    The length of ``serialize_vector(np.zeros(dimension), fmt)`` for the
-    uncompressed formats (int8 includes its per-chunk scale/mid pairs);
-    compressed formats are given their uncompressed width, since the
-    compressed length is data-dependent.
+    The length of ``serialize_vector(np.zeros(dimension), fmt)`` (int8
+    includes its per-chunk scale/mid pairs).
     """
     return _framed_nbytes(dimension, parse_wire_format(fmt).base)
 
@@ -726,8 +615,7 @@ def message_nbytes(dimension: int, fmt: FormatLike = PLAIN_FLOAT64) -> int:
     The framed header plus the payload at the format's priced width.  A
     float64 base is priced at the paper's float32 width (4 B/element, the
     tensors its figures ship); float32, float16 and int8 at their own framing
-    (int8 with its chunk layout).  Delta encoding and compression are never
-    priced.  The transport charges every vector reply, gradient-request
+    (int8 with its chunk layout).  Delta encoding is never priced.  The transport charges every vector reply, gradient-request
     payload and shard slice at this size, the ledger folds it, and
     :meth:`~repro.network.cost.CostModel.message_bytes` prices it.
     """

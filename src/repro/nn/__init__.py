@@ -12,7 +12,6 @@ exactly the surface the paper's library uses from the underlying frameworks.
 from repro.nn.tensor import Tensor
 from repro.nn.layers import (
     AvgPool2d,
-    BatchNorm1d,
     Conv2d,
     Dropout,
     Flatten,
@@ -23,7 +22,7 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.losses import CrossEntropyLoss, MSELoss
-from repro.nn.optim import SGD, Adam, LRScheduler, StepLR
+from repro.nn.optim import SGD
 from repro.nn.models import (
     MODEL_REGISTRY,
     CifarNet,
@@ -43,7 +42,6 @@ __all__ = [
     "Module",
     "Linear",
     "Conv2d",
-    "BatchNorm1d",
     "ReLU",
     "Dropout",
     "Flatten",
@@ -53,9 +51,6 @@ __all__ = [
     "CrossEntropyLoss",
     "MSELoss",
     "SGD",
-    "Adam",
-    "LRScheduler",
-    "StepLR",
     "MODEL_REGISTRY",
     "build_model",
     "model_dimension",

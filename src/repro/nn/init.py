@@ -20,6 +20,3 @@ def he_normal(shape: tuple, fan_in: int, rng: np.random.Generator) -> np.ndarray
 def zeros(shape: tuple) -> np.ndarray:
     return np.zeros(shape, dtype=np.float64)
 
-
-def ones(shape: tuple) -> np.ndarray:
-    return np.ones(shape, dtype=np.float64)

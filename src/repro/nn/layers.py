@@ -142,32 +142,6 @@ class Conv2d(Module):
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
-class BatchNorm1d(Module):
-    """Batch normalization over the feature dimension of (N, F) tensors."""
-
-    def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
-        super().__init__()
-        self.num_features = num_features
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Parameter(init.ones((num_features,)))
-        self.beta = Parameter(init.zeros((num_features,)))
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.training:
-            mean = x.data.mean(axis=0)
-            var = x.data.var(axis=0)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
-        else:
-            mean, var = self.running_mean, self.running_var
-        centered = x - Tensor(mean)
-        scale = Tensor(1.0 / np.sqrt(var + self.eps))
-        return centered * scale * self.gamma + self.beta
-
-
 class ReLU(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()

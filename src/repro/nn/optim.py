@@ -1,9 +1,8 @@
-"""Optimizers and learning-rate schedules.
+"""Optimizers.
 
 Garfield's update rule is plain SGD (Equation 2 of the paper), optionally with
 momentum — the distributed-momentum variance-reduction trick mentioned in the
 paper's concluding remarks is exposed through the ``momentum`` argument here.
-Adam is included as an extension for the examples.
 """
 
 from __future__ import annotations
@@ -103,64 +102,3 @@ class SGD(Optimizer):
                 self._velocity[index] = self.momentum * self._velocity[index] + grad
                 grad = self._velocity[index]
             param.data -= self.lr * grad
-
-
-class Adam(Optimizer):
-    """Adam optimizer (extension beyond the paper's SGD baseline)."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        lr: float = 0.001,
-        betas: tuple = (0.9, 0.999),
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self._step = 0
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        self._step += 1
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            self._m[index] = self.beta1 * self._m[index] + (1 - self.beta1) * grad
-            self._v[index] = self.beta2 * self._v[index] + (1 - self.beta2) * grad ** 2
-            m_hat = self._m[index] / (1 - self.beta1 ** self._step)
-            v_hat = self._v[index] / (1 - self.beta2 ** self._step)
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class LRScheduler:
-    """Base learning-rate schedule wrapping an optimizer."""
-
-    def __init__(self, optimizer: Optimizer) -> None:
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.iteration = 0
-
-    def step(self) -> float:
-        self.iteration += 1
-        self.optimizer.lr = self.get_lr()
-        return self.optimizer.lr
-
-    def get_lr(self) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class StepLR(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``step_size`` iterations."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if step_size <= 0:
-            raise ValueError("step_size must be positive")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def get_lr(self) -> float:
-        return self.base_lr * (self.gamma ** (self.iteration // self.step_size))

@@ -24,6 +24,7 @@ import time
 
 import pytest
 
+from repro.core import health
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
 from repro.core.scenario import ScenarioDirector, ScenarioEvent, ScenarioSpec
@@ -193,8 +194,9 @@ def test_decentralized_death_that_would_starve_the_contract_rule_is_refused(monk
 
 @pytest.mark.slow
 @pytest.mark.backend("process")
-def test_server_past_its_restart_budget_leaves_the_replicas(require_process_backend):
+def test_server_past_its_restart_budget_leaves_the_replicas(require_process_backend, monkeypatch):
     require_process_backend()
+    monkeypatch.setattr(health, "RESTART_BUDGET", 0)  # the first unscripted death is final
     config = ClusterConfig(
         deployment="msmw",
         asynchronous=True,
@@ -210,7 +212,6 @@ def test_server_past_its_restart_budget_leaves_the_replicas(require_process_back
     victim = "server-1"
     with Session(config=config) as session:
         deployment = session.deployment
-        deployment.supervisor.restart_budget = 0  # the first unscripted death is final
 
         def assassin(result) -> None:
             if result.iteration == 0:

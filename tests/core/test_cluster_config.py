@@ -48,9 +48,11 @@ class TestValidation:
             ClusterConfig(deployment="msmw", num_servers=1)
 
     def test_wire_format_validated(self):
-        assert ClusterConfig(wire_format="int8+delta+zlib").wire_format == "int8+delta+zlib"
+        assert ClusterConfig(wire_format="int8+delta").wire_format == "int8+delta"
         with pytest.raises(ConfigurationError):
             ClusterConfig(wire_format="float128")
+        with pytest.raises(ConfigurationError, match="'zlib'"):
+            ClusterConfig(wire_format="int8+delta+zlib")
         with pytest.raises(ConfigurationError):
             ClusterConfig(wire_format="int8+brotli")
 

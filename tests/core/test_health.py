@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import health as health_module
 from repro.core.health import (
     COHORT_MIN_SAMPLES,
     DEAD,
@@ -169,7 +170,6 @@ class FakeBook:
 
     def __init__(self):
         self.scores = {name: 0.0 for name in ROSTER}
-        self.evict_threshold = 4.0
 
 
 class TestDetectionDelegation:
@@ -209,7 +209,8 @@ class TestDetectionDelegation:
         assert payload["statuses"]["w3"] == SUSPECT
         assert membership.excluded(EVICTED) == ("w5",)
 
-    def test_liveness_evidence_feeds_the_reputation_book(self):
+    def test_liveness_evidence_feeds_the_reputation_book(self, monkeypatch):
+        monkeypatch.setattr(health_module, "EVICT_THRESHOLD", 4.0)
         book = FakeBook()
         detector = make_detector(book=book)
         detector.observe_timeout("w1")
@@ -264,13 +265,11 @@ class FakeFailures:
         return node in self.crashed
 
 
-def make_supervisor(**overrides):
+def make_supervisor(health=None):
     backend = FakeBackend(ROSTER + ["server-0"])
     failures = FakeFailures()
-    health = make_detector()
-    kwargs = dict(health=health, restart_budget=2, restart_window=8)
-    kwargs.update(overrides)
-    supervisor = NodeSupervisor(backend, failures, ROSTER + ["server-0"], **kwargs)
+    health = make_detector() if health is None else health
+    supervisor = NodeSupervisor(backend, failures, ROSTER + ["server-0"], health=health)
     return supervisor, backend, failures, health
 
 
@@ -300,8 +299,9 @@ class TestNodeSupervisor:
         assert payload["events"][0]["action"] == "respawn"
         assert payload["events"][0]["target"] == "w0"
 
-    def test_budget_exhaustion_gives_up_and_declares_dead(self):
-        supervisor, backend, _, health = make_supervisor(restart_budget=1)
+    def test_budget_exhaustion_gives_up_and_declares_dead(self, monkeypatch):
+        monkeypatch.setattr(health_module, "RESTART_BUDGET", 1)
+        supervisor, backend, _, health = make_supervisor()
         backend.running["w0"] = False
         supervisor.patrol(0)  # spends the single budgeted respawn
         backend.running["w0"] = False
@@ -314,8 +314,10 @@ class TestNodeSupervisor:
         assert supervisor.patrol(2) == []
         assert backend.revives == ["w0"]
 
-    def test_budget_refreshes_outside_the_window(self):
-        supervisor, backend, _, _ = make_supervisor(restart_budget=1, restart_window=4)
+    def test_budget_refreshes_outside_the_window(self, monkeypatch):
+        monkeypatch.setattr(health_module, "RESTART_BUDGET", 1)
+        monkeypatch.setattr(health_module, "RESTART_WINDOW", 4)
+        supervisor, backend, _, _ = make_supervisor()
         backend.running["w0"] = False
         supervisor.patrol(0)
         backend.running["w0"] = False
@@ -323,22 +325,24 @@ class TestNodeSupervisor:
         assert [e.action for e in fired] == ["respawn"]
         assert supervisor.restarts("w0") == 2
 
-    def test_given_up_server_cannot_shrink_gradient_membership(self):
-        supervisor, backend, _, health = make_supervisor(restart_budget=0)
+    def test_given_up_server_cannot_shrink_gradient_membership(self, monkeypatch):
+        monkeypatch.setattr(health_module, "RESTART_BUDGET", 0)
+        supervisor, backend, _, health = make_supervisor()
         backend.running["server-0"] = False
         fired = supervisor.patrol(0)
         assert [e.action for e in fired] == ["gave-up"]
         payload = health.finish_round(0)
         assert payload["dead"] == []  # no model phase: no replica ledger to shrink
 
-    def test_given_up_server_leaves_the_replica_membership(self):
+    def test_given_up_server_leaves_the_replica_membership(self, monkeypatch):
+        monkeypatch.setattr(health_module, "RESTART_BUDGET", 0)
         replicas = Membership(
             ["server-0", "server-1", "server-2"], declared_f=0, gar_name="median", floor=2
         )
         health = LivenessDetector(
             Membership(ROSTER, declared_f=1, gar_name="median", slack=1), replicas=replicas
         )
-        supervisor, backend, _, _ = make_supervisor(restart_budget=0, health=health)
+        supervisor, backend, _, _ = make_supervisor(health)
         backend.running["server-0"] = False
         supervisor.patrol(0)
         payload = health.finish_round(0)
@@ -352,8 +356,3 @@ class TestNodeSupervisor:
         backend.running["w0"] = False
         supervisor.patrol(0)
         assert health.scores["w0"] == pytest.approx(REFUSED_WEIGHT)
-
-    def test_invalid_budget_rejected(self):
-        backend = FakeBackend(ROSTER)
-        with pytest.raises(ConfigurationError):
-            NodeSupervisor(backend, FakeFailures(), ROSTER, restart_budget=-1)

@@ -22,6 +22,7 @@ import pytest
 
 from repro.detection.manager import DetectionManager
 from repro.detection.membership import EVICTED, Membership
+from repro.detection.reputation import EVICT_THRESHOLD
 from repro.exceptions import ConfigurationError
 
 pytestmark = pytest.mark.detection
@@ -117,7 +118,7 @@ class TestEvictionGuards:
         assert manager.force_evict(1, "worker-2") is False
         assert manager.membership.cause("worker-2") is None
         # Blocked by the budget, the worker still degrades to down-weighting.
-        assert manager.book.scores["worker-2"] >= manager.book.evict_threshold
+        assert manager.book.scores["worker-2"] >= EVICT_THRESHOLD
 
     def test_zero_budget_never_evicts(self):
         manager = make_manager(n=5, declared_f=0)
@@ -143,7 +144,7 @@ class TestEvictionGuards:
         manager = make_manager(n=3, declared_f=1, gar="krum")
         assert manager.force_evict(0, "worker-0") is False
         assert manager.membership.cause("worker-0") is None
-        assert manager.book.scores["worker-0"] >= manager.book.evict_threshold
+        assert manager.book.scores["worker-0"] >= EVICT_THRESHOLD
 
     def test_forced_eviction_of_unknown_worker_raises(self):
         manager = make_manager()

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.fuzz import FuzzCase, InvariantChecker, run_spec
+from repro.core.fuzz import FuzzCase, InvariantChecker
 
 pytestmark = pytest.mark.fuzz
 
@@ -92,28 +92,6 @@ class TestDetectionOracle:
         assert case.deployment == "aggregathor" and case.spec.config["detector"] == "distance"
         report, found = violations(case)
         assert report.passed, found
-
-
-class TestLosslessFormatTwin:
-    """A value-lossless wire format runs the timeline of plain float64: one
-    byte count prices both.  These three ``float64+zlib`` cases with hedged,
-    retried and supervised pulls were the ones whose twin once differed,
-    when plain float64 was priced at 4 B per element and every other format
-    at its framed width."""
-
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "lossless_twin_msmw_crash_below",
-            "lossless_twin_aggregathor_mad_crashes_beyond",
-            "lossless_twin_msmw_calm_below",
-        ],
-    )
-    def test_the_float64_twin_replays_the_trace(self, name):
-        case = pinned(name)
-        assert case.layer("wire_format") == "float64+zlib" and case.layer("resilience")
-        trace = run_spec(case.spec).trace.to_json()
-        assert run_spec(case.spec, wire_format="float64").trace.to_json() == trace
 
 
 class TestOpenDetectionFindings:

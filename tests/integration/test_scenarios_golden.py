@@ -99,7 +99,7 @@ STREAM_CASES = [
     ("int8+delta", "churn_at_f_bound"),
     *[
         (wire_format, name)
-        for wire_format in ("float16", "int8", "float32+zlib")
+        for wire_format in ("float16", "int8", "float32")
         for name in ("calm_baseline", "crash_quorum_edge")
     ],
 ]

@@ -45,7 +45,7 @@ FIXTURE = Path(__file__).with_name("codec_conformance.json")
 
 SIZES = (0, 1, 4095, 4096, 4097, 7683, 8192, 30_730)
 SCALES = (1e-9, 1.0, 1e6)
-FORMATS = ("int8", "int8+delta", "int8+zlib")
+FORMATS = ("int8", "int8+delta")
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -96,8 +96,7 @@ def cases() -> Iterator[Case]:
         ("signed-zeros", signed_zeros),
         ("negative-zeros", negative_zeros),
     ):
-        for spec in ("int8", "int8+zlib"):
-            yield f"{name}-{spec}", vector, spec, None
+        yield f"{name}-int8", vector, "int8", None
         if name != "extreme-endpoints":  # the delta itself would overflow
             yield f"{name}-int8+delta", vector, "int8+delta", uniform(vector.size, 11)
 
@@ -188,11 +187,7 @@ def test_blob_and_reconstruction_match_the_pinned_digests(name, vector, spec, re
     assert vector.tobytes() == before
 
 
-@pytest.mark.parametrize(
-    "name,vector,spec,reference",
-    [case for case in ALL_CASES if "zlib" not in case[2]],
-    ids=[case[0] for case in ALL_CASES if "zlib" not in case[2]],
-)
+@pytest.mark.parametrize("name,vector,spec,reference", ALL_CASES, ids=[c[0] for c in ALL_CASES])
 def test_kernels_match_the_per_chunk_form(name, vector, spec, reference):
     blob, reconstruction = serialize_with_reconstruction(vector, spec, reference=reference)
     payload, expected = reference_blob_and_reconstruction(vector, reference)

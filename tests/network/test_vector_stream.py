@@ -27,7 +27,6 @@ from repro.network.rpc import (
     build_probe_handlers,
 )
 from repro.network.serialization import (
-    HAVE_ZSTD,
     VectorStream,
     deserialize_vector,
     serialize_with_reconstruction,
@@ -39,10 +38,10 @@ FORMATS = [
     "float32",
     "float16",
     "int8",
-    "float32+zlib",
+    "float64+delta",
+    "float32+delta",
     "float16+delta",
     "int8+delta",
-    "int8+delta+zlib",
 ]
 DELTA_FORMATS = [spec for spec in FORMATS if "delta" in spec]
 
@@ -163,12 +162,11 @@ class TestSelfHealing:
         flags = [is_delta(self.exchange(sender, receiver, v)) for _, v in steps[2:]]
         assert flags == [False, True]
 
-    def test_unavailable_format_is_refused_at_construction(self):
+    def test_unknown_format_is_refused_at_construction(self):
         with pytest.raises(ConfigurationError, match="int9"):
             VectorStream("int9")
-        if not HAVE_ZSTD:
-            with pytest.raises(ConfigurationError, match="zstd"):
-                VectorStream("int8+zstd")
+        with pytest.raises(ConfigurationError, match="zlib"):
+            VectorStream("int8+zlib")
 
 
 @pytest.fixture
@@ -241,13 +239,12 @@ class TestHostAnswersWhatTheInProcessBackendAnswers:
         )
         assert reply == "probe-0"
 
-    def test_unknown_or_unavailable_format_is_a_typed_error_response(self, probe_host):
+    def test_unknown_format_is_a_typed_error_response(self, probe_host):
         vector = np.linspace(-1.0, 1.0, 300)
         with pytest.raises(ConfigurationError, match="int9"):
             pull(probe_host, 0, vector, fmt="int9", have=-1)
-        if not HAVE_ZSTD:
-            with pytest.raises(ConfigurationError, match="zstd"):
-                pull(probe_host, 0, vector, fmt="int8+zstd", have=-1)
+        with pytest.raises(ConfigurationError, match="zlib"):
+            pull(probe_host, 0, vector, fmt="int8+zlib", have=-1)
         # An error *response*: the connection was not dropped and still serves.
         assert len(probe_host._free) == 1
         assert probe_host.call({"op": "ping"}) == "pong"

@@ -348,7 +348,7 @@ class TestTruncatedVectorBodies:
     """Every malformed body must raise SerializationError — the typed codec
     failure — never a bare ValueError out of numpy's frombuffer."""
 
-    FORMATS = ["float64", "float32", "float16", "int8", "float32+zlib"]
+    FORMATS = ["float64", "float32", "float16", "int8"]
 
     @pytest.mark.parametrize("spec", FORMATS)
     def test_off_by_one_byte_short(self, spec):

@@ -16,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.exceptions import SerializationError
+from repro.exceptions import ConfigurationError, SerializationError
 from repro.network.serialization import (
     INT8_CHUNK_ELEMENTS,
     deserialize_vector,
+    format_byte,
+    format_from_byte,
     parse_wire_format,
     serialize_vector,
     serialize_with_reconstruction,
@@ -31,12 +33,10 @@ ALL_FORMATS = [
     "float32",
     "float16",
     "int8",
-    "float64+zlib",
-    "float32+zlib",
-    "int8+zlib",
     "float64+delta",
+    "float32+delta",
     "float16+delta",
-    "int8+delta+zlib",
+    "int8+delta",
 ]
 
 #: Element values bounded to float16's finite range so the narrow formats
@@ -97,7 +97,7 @@ def test_int8_error_within_half_scale_per_chunk(vector):
 @settings(max_examples=25, deadline=None)
 @given(
     vector=vectors(),
-    spec=st.sampled_from(["float64+delta", "float32+delta", "int8+delta", "int8+delta+zlib"]),
+    spec=st.sampled_from(["float64+delta", "float32+delta", "float16+delta", "int8+delta"]),
 )
 def test_delta_identity_when_reference_unchanged(vector, spec):
     """Encoding a vector against itself decodes back to exactly that vector.
@@ -138,9 +138,9 @@ def test_copy_false_views_are_read_only(vector, spec):
 
 @settings(max_examples=20, deadline=None)
 @given(vector=vectors(), spec=st.sampled_from(["float64", "float32", "float16", "int8"]))
-def test_uncompressed_sizes_match_accounting(vector, spec):
+def test_framed_sizes_match_accounting(vector, spec):
     """serialized_nbytes predicts the exact framed length (the cost model's
-    number) for every uncompressed format and size."""
+    number) for every base and size."""
     blob = serialize_vector(vector, spec)
     assert len(blob) == serialized_nbytes(vector.size, fmt=spec)
 
@@ -166,3 +166,25 @@ def test_delta_decode_without_reference_raises():
     blob = serialize_vector(np.arange(5.0), "float64+delta", reference=np.zeros(5))
     with pytest.raises(SerializationError, match="reference"):
         deserialize_vector(blob)
+
+
+@pytest.mark.parametrize("spec", ALL_FORMATS)
+def test_a_format_is_a_base_and_a_delta_flag(spec):
+    """Every spec round-trips through its canonical string and its byte."""
+    fmt = parse_wire_format(spec)
+    assert fmt.spec == spec
+    assert format_from_byte(format_byte(fmt)) == fmt
+
+
+@pytest.mark.parametrize("spec, token", [("int8+zlib", "zlib"), ("float32+zstd", "zstd"), ("int9", "int9")])
+def test_an_unknown_token_is_a_configuration_error_naming_it(spec, token):
+    with pytest.raises(ConfigurationError, match=f"'{token}'"):
+        parse_wire_format(spec)
+
+
+@pytest.mark.parametrize("flag", [0x20, 0x40, 0x80])
+def test_an_unknown_flag_bit_is_an_unknown_format_byte(flag):
+    blob = bytearray(serialize_vector(np.arange(4.0), "float32"))
+    blob[4] |= flag  # the format byte follows the 4-byte magic
+    with pytest.raises(SerializationError, match="unknown wire format byte"):
+        deserialize_vector(bytes(blob))

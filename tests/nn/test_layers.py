@@ -7,7 +7,6 @@ import pytest
 
 from repro.nn.layers import (
     AvgPool2d,
-    BatchNorm1d,
     Conv2d,
     Dropout,
     Flatten,
@@ -92,28 +91,6 @@ class TestConvLayer:
     def test_parameter_count(self):
         layer = Conv2d(3, 8, kernel_size=3)
         assert layer.num_parameters() == 8 * 3 * 3 * 3 + 8
-
-
-class TestBatchNorm:
-    def test_normalizes_in_training_mode(self):
-        layer = BatchNorm1d(4)
-        x = np.random.default_rng(0).normal(loc=5.0, scale=3.0, size=(64, 4))
-        out = layer(Tensor(x))
-        assert np.allclose(out.data.mean(axis=0), 0.0, atol=1e-6)
-        assert np.allclose(out.data.std(axis=0), 1.0, atol=1e-2)
-
-    def test_running_stats_update(self):
-        layer = BatchNorm1d(2, momentum=0.5)
-        x = np.full((8, 2), 10.0)
-        layer(Tensor(x))
-        assert np.all(layer.running_mean > 0)
-
-    def test_eval_uses_running_stats(self):
-        layer = BatchNorm1d(2, momentum=1.0)
-        layer(Tensor(np.full((8, 2), 4.0)))
-        layer.eval()
-        out = layer(Tensor(np.full((2, 2), 4.0)))
-        assert np.allclose(out.data, 0.0, atol=1e-5)
 
 
 class TestDropout:

@@ -1,4 +1,4 @@
-"""Tests for optimizers, schedules and flat-gradient application."""
+"""Tests for the SGD optimizer and flat-gradient application."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn.layers import Linear, Parameter, ReLU, Sequential
-from repro.nn.optim import SGD, Adam, StepLR
+from repro.nn.optim import SGD
 from repro.nn.parameters import attach_flat_view
 from repro.nn.tensor import Tensor
 
@@ -112,45 +112,3 @@ class TestSGD:
             opt.step()
         assert abs(p.data[0]) < 0.1
         assert loss.item() == 0.0
-
-
-class TestAdam:
-    def test_step_moves_against_gradient(self):
-        p = make_param([1.0])
-        opt = Adam([p], lr=0.1)
-        p.grad = np.array([1.0])
-        opt.step()
-        assert p.data[0] < 1.0
-
-    def test_converges_on_quadratic(self):
-        p = make_param([3.0])
-        opt = Adam([p], lr=0.2)
-        for _ in range(200):
-            p.grad = 2.0 * p.data
-            opt.step()
-        assert abs(p.data[0]) < 0.05
-
-    def test_apply_flat_gradient_matches_step(self):
-        reference, flat = make_param([1.0, -2.0]), make_param([1.0, -2.0])
-        opt_reference, opt_flat = Adam([reference], lr=0.1), Adam([flat], lr=0.1)
-        for g in (np.array([0.5, -1.0]), np.array([0.25, 2.0])):
-            reference.grad = g.copy()
-            opt_reference.step()
-            opt_flat.apply_flat_gradient(g)
-            assert np.array_equal(reference.data, flat.data)
-
-
-class TestStepLR:
-    def test_decays_at_step_size(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs[0] == pytest.approx(1.0)
-        assert lrs[1] == pytest.approx(0.1)
-        assert lrs[3] == pytest.approx(0.01)
-
-    def test_rejects_bad_step_size(self):
-        opt = SGD([make_param([0.0])], lr=1.0)
-        with pytest.raises(ValueError):
-            StepLR(opt, step_size=0)

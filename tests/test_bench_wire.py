@@ -3,7 +3,7 @@
 Loads the benchmark harness (``benchmarks/bench_wire.py``) and checks the
 acceptance invariants on configurations small enough for CI: the int8 and
 float32 byte ratios hold at a tiny dimension (they are data-independent for
-the uncompressed formats), and a float32 session matches its float64 twin at
+every format), and a float32 session matches its float64 twin at
 the model level within dequantize tolerance.  The full n_w=16, d=1e5 grid
 with throughput and the robustness sweep lives in ``make bench-wire`` /
 ``BENCH_wire.json``.
@@ -36,12 +36,10 @@ def test_byte_ratios_hold_at_tiny_dimension():
     assert bench.check_acceptance(rows)
 
 
-def test_nominal_bytes_match_framed_bytes_for_uncompressed_formats():
-    """The cost model's number is the real framed size, even at tiny d."""
+def test_nominal_bytes_match_framed_bytes():
+    """The codec's framed length is the real framed size, even at tiny d."""
     bench = load_bench()
     for row in bench.measure_bytes(dimension=513, num_workers=3):
-        if "+zlib" in row["format"] or "+zstd" in row["format"]:
-            continue
         assert row["framed_bytes"] == 3 * row["nominal_message_bytes"], row
 
 

@@ -43,6 +43,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["explode"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["throughput", "--workers", "0"], "need at least one worker"),
+            (["throughput", "--gar", "bogus"], "'bogus'"),
+            (["run", "--wire-format", "int8+zlib"], "'zlib'"),
+        ],
+        ids=["no-workers", "unknown-gar", "unknown-wire-format-token"],
+    )
+    def test_a_configuration_error_is_one_line_and_status_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ") and message in err
+        assert err.count("\n") == 1
+
 
 class TestStartUp:
     def _modules_loaded_by(self, program: str) -> str:
@@ -95,11 +112,11 @@ class TestScenariosCommand:
             assert name in out
         assert "crash  worker-0" in out
 
-    def test_run_with_unknown_scenario_fails(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
+    def test_run_with_unknown_scenario_fails(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", "--scenario", "not-a-scenario"])
+        assert excinfo.value.code == 2
+        assert "not-a-scenario" in capsys.readouterr().err
 
     def test_trace_output_without_scenario_warns(self, capsys, tmp_path):
         trace_path = tmp_path / "t.json"
@@ -174,11 +191,11 @@ class TestRunCommand:
         assert code == 0
         assert "final accuracy" in capsys.readouterr().out
 
-    def test_run_rejects_unknown_wire_format(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
+    def test_run_rejects_unknown_wire_format(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", "--workers", "4", "--iterations", "1", "--wire-format", "float128"])
+        assert excinfo.value.code == 2
+        assert "'float128'" in capsys.readouterr().err
 
     def test_run_writes_json_output(self, tmp_path, capsys):
         output = tmp_path / "result.json"
@@ -200,10 +217,8 @@ class TestRunCommand:
         assert data["config"]["deployment"] == "vanilla"
         assert data["iterations"] == 3
 
-    def test_invalid_configuration_surfaces_library_error(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
+    def test_invalid_configuration_surfaces_library_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "run",
@@ -213,6 +228,8 @@ class TestRunCommand:
                     "--iterations", "2",
                 ]
             )
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")
 
     def test_stream_prints_per_round_lines(self, capsys):
         code = main(
