@@ -1,20 +1,26 @@
-"""Pinned conformance vectors for the int8 codec.
+"""Pinned conformance vectors for the lossy codecs: int8, float32, float16.
 
 The golden scenario traces are all float64, so nothing there notices a
-one-ulp change in the quantizer.  This suite pins SHA-256 digests of the
-exact bytes ``serialize_vector`` emits and of the exact float64 values
-``serialize_with_reconstruction`` hands back, for deterministic vectors
-across the chunk boundaries, three magnitudes and the int8 format family,
-plus the corners the per-chunk arithmetic special-cases (constant chunks,
-an all-zero tail, the float64 extremes, a range too small for a non-zero
-scale, signed zeros).  The digests in ``codec_conformance.json`` were
-generated by the per-chunk implementation this kernel replaced; run this
-file as a script to regenerate them (only when the wire format itself is
-meant to change).
+one-ulp change in the quantizer or in a narrowing cast.  This suite pins
+SHA-256 digests of the exact bytes ``serialize_vector`` emits and of the
+exact float64 values ``serialize_with_reconstruction`` hands back, for
+deterministic vectors across the chunk boundaries, three magnitudes and the
+int8 format family, plus the corners the per-chunk arithmetic special-cases
+(constant chunks, an all-zero tail, the float64 extremes, a range too small
+for a non-zero scale, signed zeros).  The int8 digests in
+``codec_conformance.json`` were generated by the per-chunk implementation
+this kernel replaced; run this file as a script to regenerate them (only
+when the wire format itself is meant to change).
 
 The same cases are also checked against :func:`reference_quantize` /
 :func:`reference_dequantize` — the per-chunk loops kept here as the
 readable specification of the arithmetic and its operation order.
+
+The float32 and float16 bases (plain and delta) are pinned the same way, on
+the magnitudes each width represents and on the corners a narrowing cast
+decides (rounding ties, subnormals, signed zeros, the empty vector), and
+checked against IEEE round-to-nearest-even: no value of the wire width lies
+closer, a tie goes to the even significand, and the sign survives.
 """
 
 from __future__ import annotations
@@ -46,6 +52,10 @@ FIXTURE = Path(__file__).with_name("codec_conformance.json")
 SIZES = (0, 1, 4095, 4096, 4097, 7683, 8192, 30_730)
 SCALES = (1e-9, 1.0, 1e6)
 FORMATS = ("int8", "int8+delta")
+#: float16 overflows to infinity at 1e6, so it is pinned on the two
+#: magnitudes it represents.
+FLOAT_SCALES = {"float32": SCALES, "float16": (1e-9, 1.0)}
+FLOAT_FORMATS = ("float32", "float32+delta", "float16", "float16+delta")
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
@@ -99,6 +109,40 @@ def cases() -> Iterator[Case]:
         yield f"{name}-int8", vector, "int8", None
         if name != "extreme-endpoints":  # the delta itself would overflow
             yield f"{name}-int8+delta", vector, "int8+delta", uniform(vector.size, 11)
+    yield from float_cases()
+
+
+def float_cases() -> Iterator[Case]:
+    """The pinned vectors of the float32 and float16 bases."""
+    for size in (1, 7683):
+        for spec in FLOAT_FORMATS:
+            for scale in FLOAT_SCALES[spec.split("+")[0]]:
+                index = SCALES.index(scale)
+                reference = uniform(size, 1000 * index + 1) * scale
+                vector = reference + uniform(size, 1000 * index + 2) * (scale * 0.05)
+                yield (
+                    f"d{size}-s{scale:g}-{spec}",
+                    vector,
+                    spec,
+                    reference if "delta" in spec else None,
+                )
+    for base in ("float32", "float16"):
+        dtype = np.dtype(f"<f{4 if base == 'float32' else 2}")
+        # Exactly halfway between two neighbours of the wire width.
+        lower = (uniform(1030, 12) + 1.5).astype(dtype)
+        ties = (lower.astype(np.float64) + np.nextafter(lower, dtype.type(np.inf))) / 2.0
+        ties[1::2] *= -1.0
+        tiny = float(np.finfo(dtype).smallest_subnormal)
+        subnormals = uniform(1030, 13) * (8.0 * tiny)
+        signed_zeros = np.where(np.arange(1030) % 3 == 0, -0.0, 0.0)
+        for name, vector in (
+            ("empty", np.zeros(0)),
+            ("rounding-ties", ties),
+            ("subnormals", subnormals),
+            ("signed-zeros", signed_zeros),
+        ):
+            yield f"{name}-{base}", vector, base, None
+            yield f"{name}-{base}+delta", vector, f"{base}+delta", uniform(vector.size, 14)
 
 
 def sha(data) -> str:
@@ -174,6 +218,8 @@ def payload_of(blob: bytes) -> bytes:
 # Tests
 # ---------------------------------------------------------------------- #
 ALL_CASES = list(cases())
+INT8_CASES = [case for case in ALL_CASES if case[2].startswith("int8")]
+FLOAT_CASES = [case for case in ALL_CASES if case[2].startswith("float")]
 
 
 def test_fixture_names_exactly_the_generated_cases():
@@ -187,7 +233,7 @@ def test_blob_and_reconstruction_match_the_pinned_digests(name, vector, spec, re
     assert vector.tobytes() == before
 
 
-@pytest.mark.parametrize("name,vector,spec,reference", ALL_CASES, ids=[c[0] for c in ALL_CASES])
+@pytest.mark.parametrize("name,vector,spec,reference", INT8_CASES, ids=[c[0] for c in INT8_CASES])
 def test_kernels_match_the_per_chunk_form(name, vector, spec, reference):
     blob, reconstruction = serialize_with_reconstruction(vector, spec, reference=reference)
     payload, expected = reference_blob_and_reconstruction(vector, reference)
@@ -231,7 +277,40 @@ def test_non_finite_values_still_raise(spec, bad, position):
         serialize_with_reconstruction(vector, spec, reference=reference)
 
 
-@pytest.mark.parametrize("spec", FORMATS)
+@pytest.mark.parametrize("name,vector,spec,reference", FLOAT_CASES, ids=[c[0] for c in FLOAT_CASES])
+def test_float_payload_is_the_nearest_value_of_the_wire_width(name, vector, spec, reference):
+    dtype = np.dtype(f"<f{4 if spec.startswith('float32') else 2}")
+    values = vector if reference is None else vector - reference
+    blob, reconstruction = serialize_with_reconstruction(vector, spec, reference=reference)
+    payload = np.frombuffer(payload_of(blob), dtype=dtype)
+    sent = payload.astype(np.float64)
+    error = np.abs(sent - values)
+    for direction in (-np.inf, np.inf):
+        neighbour = np.nextafter(payload, dtype.type(direction)).astype(np.float64)
+        assert (error <= np.abs(neighbour - values)).all()
+        tie = error == np.abs(neighbour - values)
+        assert (payload.view(f"<u{dtype.itemsize}")[tie] & 1 == 0).all()
+    assert (np.signbit(payload) == np.signbit(values)).all()
+    expected = sent if reference is None else reference + sent
+    assert reconstruction.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("spec", FLOAT_FORMATS)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_values_cross_the_float_bases(spec, bad):
+    """Unlike int8, a float width carries a non-finite value to the
+    aggregation rule, which ranks it; the rest of the vector is untouched."""
+    vector = uniform(1030, 22)
+    vector[[3, 1029]] = bad
+    reference = uniform(vector.size, 23) if "delta" in spec else None
+    blob, reconstruction = serialize_with_reconstruction(vector, spec, reference=reference)
+    decoded = deserialize_vector(blob, copy=True, reference=reference)
+    assert decoded.tobytes() == reconstruction.tobytes()
+    assert np.array_equal(decoded[[3, 1029]], vector[[3, 1029]], equal_nan=True)
+    assert np.isfinite(np.delete(decoded, [3, 1029])).all()
+
+
+@pytest.mark.parametrize("spec", FORMATS + FLOAT_FORMATS)
 def test_read_only_input_view_encodes_identically_and_is_not_written(spec):
     """Handlers serve read-only views of live buffers: the kernel must work
     on its own array."""
@@ -255,7 +334,7 @@ def test_read_only_input_view_encodes_identically_and_is_not_written(spec):
         assert reference.tobytes() == uniform(size, 32).tobytes()
 
 
-@pytest.mark.parametrize("spec", FORMATS)
+@pytest.mark.parametrize("spec", FORMATS + FLOAT_FORMATS)
 def test_decoding_into_a_round_buffer_row_matches_the_fresh_decode(spec):
     size = 7683
     vector = uniform(size, 41)
