@@ -34,7 +34,7 @@ from repro.network.message import RequestContext
 from repro.network.transport import RoundBuffer, Transport
 from repro.nn.layers import Module
 from repro.nn.losses import CrossEntropyLoss
-from repro.nn.optim import SGD, Optimizer
+from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 
 
@@ -49,7 +49,7 @@ class Server(Node):
         workers: Sequence[str] = (),
         servers: Sequence[str] = (),
         test_dataset: Optional[Dataset] = None,
-        optimizer: Optional[Optimizer] = None,
+        optimizer: Optional[SGD] = None,
         learning_rate: float = 0.05,
         momentum: float = 0.0,
         eval_batch_size: int = 256,

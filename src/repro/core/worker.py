@@ -14,6 +14,7 @@ import numpy as np
 from repro.core.node import Node
 from repro.datasets.loader import DataLoader
 from repro.datasets.synthetic import Dataset
+from repro.exceptions import MissingPayloadError
 from repro.network.message import RequestContext
 from repro.network.transport import Transport
 from repro.nn.layers import Module
@@ -125,7 +126,11 @@ class Worker(Node):
 
         When several server replicas request the same iteration, the gradient
         computed for the first request is reused, matching the behaviour of
-        workers that broadcast one gradient per step to all replicas.
+        workers that broadcast one gradient per step to all replicas.  A
+        request may then ship no model at all (``payload`` is ``None``: the
+        process backend sends none to a host that already answered the
+        iteration); one whose iteration the cache does not hold raises
+        :class:`~repro.exceptions.MissingPayloadError`.
         """
         with self._serve_lock:
             if (
@@ -134,6 +139,8 @@ class Worker(Node):
                 and self._cached_gradient is not None
             ):
                 return self._cached_gradient
+            if context.payload is None:
+                raise MissingPayloadError(f"{self.node_id} holds no gradient of iteration {context.iteration}")
             flat_model = np.asarray(context.payload, dtype=np.float64)
             gradient = self._estimate_gradient(flat_model)
             self._cached_iteration = context.iteration

@@ -41,6 +41,17 @@ class SerializationError(CommunicationError):
     """
 
 
+class MissingPayloadError(CommunicationError):
+    """A request shipped no payload, and its handler holds nothing to serve
+    in its stead: a gradient request without a model reached a worker whose
+    cache does not hold the requested iteration.
+
+    The process backend sends no model to a worker host that already
+    answered the iteration, so this is raised only where that bookkeeping is
+    wrong — loudly, as a typed error response, never a crash of the host.
+    """
+
+
 class TimeoutError(CommunicationError):
     """A blocking collection (``get_gradients`` / ``get_models``) timed out."""
 

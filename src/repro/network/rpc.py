@@ -574,6 +574,7 @@ class _NodeHost:
         "port",
         "client",
         "outbox",
+        "holds",
     )
 
     def __init__(
@@ -600,6 +601,11 @@ class _NodeHost:
         #: request carrying it got a reply, so what a host that died with it
         #: in flight never acknowledged reaches the next incarnation.
         self.outbox: List[Dict[str, Any]] = []
+        #: ``(kind, iteration)`` of the last pull this incarnation answered
+        #: from a node that caches its reply per iteration (a worker's
+        #: gradient), or ``None``: a later request for the same pair ships
+        #: no payload, since the node would serve the cached reply anyway.
+        self.holds: Optional[Tuple[str, int]] = None
 
     @property
     def running(self) -> bool:
@@ -626,7 +632,7 @@ class _NodeHost:
             except ProcessLookupError:
                 pass
             os.close(self.pidfd)
-        self.pid = self.pidfd = self.port = None
+        self.pid = self.pidfd = self.port = self.holds = None
         if self.client is not None:
             self.client.close()
             self.client = None
@@ -915,9 +921,13 @@ class SocketBackend(TransportBackend):
         reply is read; the replies are then read as ``select`` reports them,
         under one read deadline for the wave.  Every request but a
         ``restore`` carries its host's outbox, and the entries it carried
-        leave the outbox once its reply is in.  Returns, per request in
-        order, its result — or the error it failed with, never raised — and
-        the monotonic time its reply arrived.
+        leave the outbox once its reply is in.  A pull the host already
+        answered since its last restore (:attr:`_NodeHost.holds`) ships no
+        payload: the worker serves its cached gradient, so the model is one
+        it would drop (the ledger still charges it — it prices the request
+        the protocol sends, before any backend sees it).  Returns, per
+        request in order, its result — or the error it failed with, never
+        raised — and the monotonic time its reply arrived.
         """
         outcomes: List[Tuple[Any, float]] = [(None, 0.0)] * len(requests)
         in_flight = {}
@@ -929,6 +939,8 @@ class SocketBackend(TransportBackend):
                     carried = [] if message["op"] == "restore" else list(host.outbox)
                 if carried:
                     message = {**message, "outbox": carried}
+                if message["op"] == "pull" and host.holds == (message["kind"], message["iteration"]):
+                    message = {**message, "payload": None}
                 in_flight[client.send(message)] = (index, host, client, carried)
             except GarfieldError as exc:
                 outcomes[index] = (exc, time.monotonic())
@@ -973,6 +985,9 @@ class SocketBackend(TransportBackend):
             result, arrived = outcome = outcomes[index]
             if self.retry_policy is not None and isinstance(result, BaseException):
                 result, arrived = self._retry(node_id, message, outcome)
+            if not isinstance(result, BaseException) and getattr(self._nodes[node_id], "cache_gradients", False):
+                # The worker serves this gradient from its cache from now on.
+                self._hosts[node_id].holds = (message["kind"], message["iteration"])
             if stream is not None and isinstance(result, dict) and VECTOR_BLOB_KEY in result:
                 result = stream.decode(result[VECTOR_BLOB_KEY], result[VECTOR_SEQUENCE_KEY])
             outcomes[index] = (result, arrived)
@@ -984,7 +999,8 @@ class SocketBackend(TransportBackend):
         Pulls are idempotent reads, so they are safe to retry.  The wave's
         outcome is the policy's first attempt; each later one is a wave of
         one, which re-resolves the host, so a host respawned between
-        attempts (by the supervisor) is re-dialled.
+        attempts (by the supervisor) is re-dialled — and shipped the payload
+        again, since a restore leaves :attr:`_NodeHost.holds` empty.
         """
         attempts = iter([first])
 
@@ -1018,7 +1034,8 @@ class SocketBackend(TransportBackend):
                 reply = transport.make_reply(plan, kind, context.iteration, _raised(result))
                 released.append((arrived + transport.wall_delay(reply.latency), index, reply))
         for due, index, reply in sorted(released, key=lambda entry: entry[0]):
-            time.sleep(max(0.0, due - time.monotonic()))
+            if due > time.monotonic():  # one already due goes out without giving up the core
+                time.sleep(max(0.0, due - time.monotonic()))
             yield index, reply
 
     def sync_state(self, node_id: str, what: str, vector: Any) -> None:

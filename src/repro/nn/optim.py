@@ -15,36 +15,7 @@ from repro.nn.layers import Parameter
 from repro.nn.parameters import attach_flat_view
 
 
-class Optimizer:
-    """Base optimizer operating on a list of parameters."""
-
-    def __init__(self, parameters: Sequence[Parameter], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.parameters = list(parameters)
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def apply_flat_gradient(self, flat_gradient: np.ndarray) -> None:
-        """Load a flat gradient vector into the ``grad`` slots then ``step()``.
-
-        This is the path the Garfield server uses: it aggregates worker
-        gradients into one flat vector and applies it to its model replica.
-        The gradient is written through the parameters'
-        :class:`~repro.nn.parameters.FlatParameterView` (attached on first
-        use) in one vectorized copy; a wrong-size vector raises ``ValueError``.
-        """
-        attach_flat_view(self.parameters).set_gradients(flat_gradient)
-        self.step()
-
-
-class SGD(Optimizer):
+class SGD:
     """Stochastic gradient descent with optional momentum and weight decay."""
 
     def __init__(
@@ -54,7 +25,10 @@ class SGD(Optimizer):
         momentum: float = 0.0,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, lr)
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        self.parameters = list(parameters)
+        self.lr = lr
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = momentum

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.core.byzantine import ByzantineWorker
 from repro.core.worker import Worker
 from repro.datasets.synthetic import make_classification
+from repro.exceptions import MissingPayloadError
+from repro.network import rpc
 from repro.network.message import RequestContext
 from repro.network.transport import Transport
 from repro.nn.models import LogisticRegression
@@ -91,3 +96,66 @@ class TestWorker:
         g1 = worker.compute_gradient(flat)
         g2 = worker.compute_gradient(flat)
         assert not np.allclose(g1, g2)
+
+
+def _worker(cls=Worker, **kwargs):
+    dataset = make_classification(64, (1, 4, 4), num_classes=4, noise=0.3, seed=1)
+    model = LogisticRegression(input_dim=16, num_classes=4, seed=0)
+    return cls("worker-0", Transport(seed=0), model, dataset, batch_size=8, seed=2, **kwargs)
+
+
+WORKERS = {
+    "honest": dict(cls=Worker),
+    "byzantine": dict(cls=ByzantineWorker, attack="reversed"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WORKERS))
+class TestRequestWithoutAModel:
+    """A gradient request may ship no model: the worker then serves its cached
+    gradient of that iteration, and one it does not hold is a typed error."""
+
+    def test_served_from_the_cache_of_its_iteration(self, kind):
+        worker = _worker(**WORKERS[kind])
+        flat = worker.flat_view().parameter_vector().copy()
+        first = np.array(worker._serve_gradient(RequestContext("s0", 5, flat)))
+        second = worker._serve_gradient(RequestContext("s1", 5, None))
+        assert worker.gradients_computed == 1
+        assert np.array_equal(first, second)
+
+    def test_an_iteration_the_cache_does_not_hold_is_a_typed_error(self, kind):
+        worker = _worker(**WORKERS[kind])
+        with pytest.raises(MissingPayloadError, match="iteration 5"):
+            worker._serve_gradient(RequestContext("s0", 5, None))
+        flat = worker.flat_view().parameter_vector().copy()
+        worker._serve_gradient(RequestContext("s0", 5, flat))
+        with pytest.raises(MissingPayloadError, match="iteration 6"):
+            worker._serve_gradient(RequestContext("s0", 6, None))
+        assert worker.gradients_computed == 1
+
+    def test_a_worker_that_recomputes_always_needs_the_model(self, kind):
+        worker = _worker(cache_gradients=False, **WORKERS[kind])
+        flat = worker.flat_view().parameter_vector().copy()
+        worker._serve_gradient(RequestContext("s0", 5, flat))
+        with pytest.raises(MissingPayloadError):
+            worker._serve_gradient(RequestContext("s1", 5, None))
+
+    def test_a_host_answers_with_a_typed_error_response_and_keeps_serving(self, kind):
+        """Over a socket, as a node host serves it: the requester gets the
+        error re-raised as its own type, and the next request is served."""
+        worker = _worker(**WORKERS[kind])
+        dispatcher = rpc._HostDispatcher(worker.node_id)
+        dispatcher({"op": "restore", "state": worker.snapshot_state()})
+        server = rpc.RpcServer(dispatcher)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        client = rpc.RpcClient(("127.0.0.1", server.port))
+        pull = {"op": "pull", "kind": "gradient", "requester": "s0", "iteration": 5}
+        try:
+            with pytest.raises(MissingPayloadError, match="iteration 5"):
+                client.call({**pull, "payload": None})
+            flat = worker.flat_view().parameter_vector().copy()
+            gradient = client.call({**pull, "payload": flat})
+            assert np.array_equal(client.call({**pull, "requester": "s1", "payload": None}), gradient)
+        finally:
+            client.close()
+            server.stop()

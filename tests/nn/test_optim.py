@@ -52,12 +52,6 @@ class TestSGD:
         opt.step()
         assert p.data[0] < 10.0
 
-    def test_zero_grad(self):
-        p = make_param([1.0])
-        p.grad = np.array([1.0])
-        SGD([p], lr=0.1).zero_grad()
-        assert p.grad is None
-
     def test_apply_flat_gradient(self):
         layer = Linear(2, 2, rng=np.random.default_rng(0))
         before = np.concatenate([p.data.ravel() for p in layer.parameters()])
@@ -106,7 +100,7 @@ class TestSGD:
         p = make_param([5.0])
         opt = SGD([p], lr=0.1)
         for _ in range(50):
-            opt.zero_grad()
+            p.zero_grad()
             loss = (Tensor(p.data) * 0.0).sum()  # placeholder to keep API parity
             p.grad = 2.0 * p.data  # gradient of p^2
             opt.step()
