@@ -7,9 +7,9 @@ executed by the single round engine in :mod:`repro.core.session`.  Importing
 this package registers the six bundled strategies; third-party strategies
 plug into the same registry with the decorator; ``Session(deployment).run()``
 drives an already-built deployment to completion.  Each strategy also
-declares its :class:`~repro.core.cluster.DeploymentShape` and its round in
-closed form; the analytic throughput model used by the benchmark harness
-(:mod:`repro.apps.throughput`) prices the latter.
+declares its :class:`~repro.core.cluster.DeploymentShape`; the analytic
+throughput model used by the benchmark harness (:mod:`repro.apps.throughput`)
+prices one replayed round of the strategy itself.
 """
 
 from repro.core.session import (

@@ -7,7 +7,7 @@ workers cannot modify the graph).  Its training round is therefore the same
 robust-aggregation round as SSMW; what differs is the communication stack —
 the shared TensorFlow graph avoids Garfield's per-message serialization
 context switches but is tied to the single-server architecture.  The cost
-model reflects that through the communication factor of its closed form
+model reflects that through the transfer factor its shape declares
 (:data:`AGGREGATHOR_TRANSFER_FACTOR`); the convergence difference observed in
 Figure 4a (AggregaThor plateauing slightly below Garfield) came from the
 older TensorFlow version it is pinned to, which we model as a small
@@ -20,10 +20,9 @@ Byzantine tolerance: up to ``f_w`` Byzantine workers under Multi-Krum's
 
 from __future__ import annotations
 
-from dataclasses import replace
-
+from repro.core.cluster import DeploymentShape
 from repro.core.controller import Deployment
-from repro.core.session import ClosedForm, RoundStrategy, register_application
+from repro.core.session import RoundStrategy, register_application
 
 #: Relative optimizer-efficiency handicap of the TF 1.10 stack (Figure 4a).
 LEGACY_STACK_FACTOR = 0.8
@@ -39,13 +38,7 @@ class AggregathorStrategy(RoundStrategy):
     TensorFlow pin as a slightly less effective update.
     """
 
-    @classmethod
-    def closed_form(cls, num_workers: int, num_servers: int = 1, contract_steps: int = 0) -> ClosedForm:
-        """SSMW's star, through the slower RPC layer."""
-        return replace(
-            super().closed_form(num_workers, num_servers, contract_steps),
-            communication_factor=AGGREGATHOR_TRANSFER_FACTOR,
-        )
+    shape = DeploymentShape(transfer_factor=AGGREGATHOR_TRANSFER_FACTOR)
 
     def setup(self, deployment: Deployment) -> None:
         # Idempotent per deployment: a second Session over the same cluster

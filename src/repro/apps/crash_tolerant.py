@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.core.cluster import DeploymentShape
 from repro.core.controller import Deployment
 from repro.core.server import Server
-from repro.core.session import ClosedForm, RoundContext, RoundStrategy, register_application
+from repro.core.session import RoundContext, RoundStrategy, register_application
 from repro.exceptions import TrainingError
 
 
@@ -39,18 +39,6 @@ class CrashTolerantStrategy(RoundStrategy):
 
     shape = DeploymentShape(servers="replicas", byzantine=False)
     _primary_index = 0
-
-    @classmethod
-    def closed_form(cls, num_workers: int, num_servers: int = 1, contract_steps: int = 0) -> ClosedForm:
-        """Only the primary broadcasts the model, but every replica collects
-        every worker's gradient, so each worker serializes and sends ``n_ps``
-        copies."""
-        nw, nps = num_workers, num_servers
-        return ClosedForm(
-            messages={"model_messages": nw, "gradient_messages": nw * nps, "server_model_messages": 0},
-            phases=((nw, nw), (max(nw, nps), nps)),
-            fabric_messages=nw + nw * nps,
-        )
 
     def setup(self, deployment: Deployment) -> None:
         self._primary_index = 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.apps.msmw import MSMWStrategy
 from repro.core.cluster import DeploymentShape
-from repro.core.session import ClosedForm, RoundContext, register_application
+from repro.core.session import RoundContext, register_application
 
 
 @register_application("decentralized")
@@ -33,24 +33,6 @@ class DecentralizedStrategy(MSMWStrategy):
     """Listing 3 on every live honest node: MSMW's round, with the contract step."""
 
     shape = DeploymentShape(servers="per-worker", model_phase=True, contract=True)
-
-    @classmethod
-    def closed_form(cls, num_workers: int, num_servers: int = 1, contract_steps: int = 0) -> ClosedForm:
-        """All-to-all gradient, model and contract-round exchanges: O(n^2).
-
-        Every node both issues and serves ``n - 1`` transfers per exchange,
-        so it serializes in both directions, and the simultaneous all-to-all
-        traffic congests the fabric (incast).  The message counts assume one
-        contract round.
-        """
-        n = num_workers
-        rounds = 2 + max(contract_steps, 0)
-        return ClosedForm(
-            messages={key: n * (n - 1) for key in ("model_messages", "gradient_messages", "server_model_messages")},
-            phases=((rounds * 2 * (n - 1), rounds * 2 * (n - 1)),),
-            fabric_messages=rounds * n * (n - 1),
-            all_to_all=True,
-        )
 
     def contract(self, ctx: RoundContext, live, aggregated: list) -> list:
         """The contract(...) helper of Listing 3: multi-round gradient re-aggregation

@@ -38,7 +38,7 @@ unchanged.
 from __future__ import annotations
 
 from repro.core.cluster import DeploymentShape
-from repro.core.session import ClosedForm, RoundContext, RoundStrategy, register_application
+from repro.core.session import RoundContext, RoundStrategy, register_application
 
 
 @register_application("msmw")
@@ -51,18 +51,6 @@ class MSMWStrategy(RoundStrategy):
     """
 
     shape = DeploymentShape(servers="replicas", model_phase=True, shardable=True)
-
-    @classmethod
-    def closed_form(cls, num_workers: int, num_servers: int = 1, contract_steps: int = 0) -> ClosedForm:
-        """Every replica broadcasts to and collects from every worker, then
-        the replicas exchange models among themselves."""
-        nw, nps = num_workers, num_servers
-        links = nw * nps
-        return ClosedForm(
-            messages=dict(model_messages=links, gradient_messages=links, server_model_messages=nps * (nps - 1)),
-            phases=((nw, nw), (max(nw, nps), nps), (2 * (nps - 1), nps - 1)),
-            fabric_messages=2 * nw * nps + nps * (nps - 1),
-        )
 
     def run_round(self, ctx: RoundContext) -> None:
         live = ctx.deployment.live_servers

@@ -10,13 +10,12 @@ aggregation time.  ``ThroughputModel`` composes those ingredients (using
 :mod:`repro.network.cost`) into a per-iteration latency breakdown for every
 deployment, from which the benchmark harness regenerates each figure.
 
-Every deployment states its own round in closed form
-(:meth:`~repro.core.session.RoundStrategy.closed_form`): its message counts
-and its sequence of communication phases (model broadcast, gradient
-collection, inter-server model exchange).  Each phase costs the transfer
-time of its busiest endpoint plus the serialization work that endpoint
-performs, and a shared-fabric term proportional to the total number of bytes
-crossing the network accounts for the congestion that makes all-to-all
+A deployment's messages are read off one round of its own strategy
+(:func:`round_traffic`): the round is replayed at a small model and its
+ledger's phases priced at the paper's ``d``.  Each phase costs the transfer
+time of its busiest machine plus the serialization work of the machine that
+sends the most, and a shared-fabric term proportional to the total number of
+bytes crossing the network accounts for the congestion that makes all-to-all
 (decentralized) deployments scale quadratically (Figure 9a).  The GARs are
 sized as the runtime sizes them, by the deployment's
 :class:`~repro.core.cluster.DeploymentShape`.
@@ -24,11 +23,14 @@ sized as the runtime sizes them, by the deployment's
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.aggregators.base import GAR, GAR_REGISTRY, init as init_gar
-from repro.core.session import strategy_class
+from repro.core.cluster import ClusterConfig
+from repro.core.session import RoundStrategy, Session, strategy_class
 from repro.exceptions import ConfigurationError
 from repro.network.cost import (
     DEVICES,
@@ -73,10 +75,6 @@ class IterationBreakdown:
     def total(self) -> float:
         return self.computation + self.communication + self.aggregation
 
-    @property
-    def throughput_updates_per_s(self) -> float:
-        return 1.0 / self.total if self.total > 0 else 0.0
-
     def as_dict(self) -> Dict[str, float]:
         return {
             "computation": self.computation,
@@ -110,7 +108,10 @@ class ThroughputModel:
             raise ConfigurationError(f"unknown device '{device}'")
         if framework not in FRAMEWORKS:
             raise ConfigurationError(f"unknown framework '{framework}'")
-        _check_workers(num_workers, num_byzantine_workers)
+        if num_workers < 1:
+            raise ConfigurationError("need at least one worker")
+        if not 0 <= num_byzantine_workers < num_workers:
+            raise ConfigurationError(f"need 0 <= byzantine workers < {num_workers}, got {num_byzantine_workers}")
         # Spelled as init_gar accepts them ("multi_krum", "Median"), kept canonical.
         self.gradient_gar, self.model_gar = (name.lower().replace("_", "-") for name in (gradient_gar, model_gar))
         for role, name in (("gradient", self.gradient_gar), ("model", self.model_gar)):
@@ -171,16 +172,15 @@ class ThroughputModel:
 
     def communication_time(self, deployment: str) -> float:
         """Per-iteration communication latency of the given deployment: the
-        phases of its closed form plus the fabric term, scaled by its
-        communication factor."""
-        strategy = strategy_class(deployment.lower())
-        strategy.shape.check_replicas(self.num_servers, self.num_byzantine_servers)
-        form = strategy.closed_form(self.num_workers, self.num_servers, self.contract_steps)
-        native = strategy.shape.native
+        phases of its replayed round plus the fabric term, scaled by its
+        transfer factor."""
+        shape = strategy_class(deployment.lower()).shape
+        shape.check_replicas(self.num_servers, self.num_byzantine_servers)
+        traffic = round_traffic(deployment, self.num_workers, self.num_servers, self.contract_steps)
         on_gpu = self.device.name == "gpu"
-        total = sum(self._phase_time(sent, serialized, native, on_gpu) for sent, serialized in form.phases)
-        total += self._fabric_time(form.fabric_messages, native, all_to_all=form.all_to_all)
-        return total * form.communication_factor
+        total = sum(self._phase_time(sent, serialized, shape.native, on_gpu) for sent, serialized in traffic.phases)
+        total += self._fabric_time(traffic.fabric_messages, shape.native, all_to_all=shape.servers == "per-worker")
+        return total * shape.transfer_factor
 
     # ------------------------------------------------------------------ #
     def aggregation_time(self, deployment: str) -> float:
@@ -220,22 +220,82 @@ class ThroughputModel:
         return self.num_workers / self.breakdown(deployment).total
 
 
+@dataclass(frozen=True)
+class RoundTraffic:
+    """One replayed round's network messages, as the analytic model prices them.
+
+    ``messages`` are Figure 9's counts, as ``(name, count)`` pairs: the
+    model-sized payloads requests ship, the gradient replies and every other
+    reply (replica models, contract aggregates).  Each of ``phases`` is one network phase in round
+    order, as ``(sent + received by the busiest machine, most sent by any
+    machine)``; ``fabric_messages`` counts every message.
+    """
+
+    messages: Tuple[Tuple[str, int], ...]
+    phases: Tuple[Tuple[int, int], ...]
+    fabric_messages: int
+
+
+def round_traffic(deployment: str, num_workers: int, num_servers: int = 1, contract_steps: int = 0) -> RoundTraffic:
+    """The network messages of one round of ``deployment``'s own strategy.
+
+    The round is replayed once per cluster size: serial, with the logistic
+    model, plain averaging at f = 0 and no attacker.  Every pull goes to every
+    active peer, so the counts depend on neither f nor the quorum.  Each
+    ledger :class:`~repro.network.ledger.Phase` becomes two network phases
+    when its requests ship a payload (broadcast, then collection) and one
+    otherwise.  A pull between two nodes on one machine is no network
+    message: in a per-worker layout ``server-k`` runs on ``worker-k``'s.
+    """
+    strategy = strategy_class(deployment.lower())
+    if strategy.shape.servers != "replicas":
+        num_servers = 1
+    return _replay(strategy, num_workers, num_servers, max(contract_steps, 0) if strategy.shape.contract else 0)
+
+
+@lru_cache(maxsize=256)
+def _replay(strategy: Type[RoundStrategy], num_workers: int, num_servers: int, contract_steps: int) -> RoundTraffic:
+    return replay_round(ClusterConfig(
+        deployment=strategy.name, num_workers=num_workers, num_servers=num_servers, model="logistic",
+        gradient_gar="average", model_gar="average", dataset_size=10 * num_workers, batch_size=1,
+        num_iterations=1, non_iid=contract_steps > 0, contract_steps=contract_steps,
+    ))
+
+
+def replay_round(config: ClusterConfig) -> RoundTraffic:
+    """Run the first round of ``config`` and fold its ledger's phases."""
+    with Session(config=config) as session:
+        ledger = session.deployment.transport.ledger
+        ledger.phases = []
+        session.step()
+        phases = ledger.phases
+    workers, servers = config.node_ids()
+    machine = dict(zip(workers + servers, workers + (workers if config.shape.servers == "per-worker" else servers)))
+    messages = dict.fromkeys(("model_messages", "gradient_messages", "server_model_messages"), 0)
+    network: List[List[Tuple[str, str]]] = []
+    for phase in phases:
+        requests = [(machine[requester], machine[peer]) for requester, peers in phase.waves for peer in peers
+                    if machine[requester] != machine[peer]]
+        if phase.shipped:
+            network.append(requests)
+            messages["model_messages"] += len(requests)
+        network.append([(destination, source) for source, destination in requests])
+        messages["gradient_messages" if phase.kind == "gradient" else "server_model_messages"] += len(requests)
+    priced = tuple(_busiest(sends) for sends in network if sends)
+    return RoundTraffic(tuple(messages.items()), priced, sum(map(len, network)))
+
+
+def _busiest(sends: List[Tuple[str, str]]) -> Tuple[int, int]:
+    """``(sent + received by the busiest machine, most sent by any machine)``
+    of one phase's ``(sender, receiver)`` messages."""
+    sent, received = Counter(source for source, _ in sends), Counter(destination for _, destination in sends)
+    return max((sent + received).values()), max(sent.values())
+
+
 def messages_per_round(deployment: str, num_workers: int, num_servers: int = 1) -> Dict[str, int]:
     """Model-sized and gradient-sized messages one round of ``deployment``
-    needs: its strategy's closed-form counts (Figure 9 reads them)."""
-    strategy = strategy_class(deployment.lower())
-    _check_workers(num_workers)
-    strategy.shape.check_replicas(num_servers)
-    return strategy.closed_form(num_workers, num_servers).messages
-
-
-def _check_workers(num_workers: int, num_byzantine_workers: int = 0) -> None:
-    """The worker tier every closed form assumes: at least one worker, and
-    fewer Byzantine workers than workers."""
-    if num_workers < 1:
-        raise ConfigurationError("need at least one worker")
-    if not 0 <= num_byzantine_workers < num_workers:
-        raise ConfigurationError(f"need 0 <= byzantine workers < {num_workers}, got {num_byzantine_workers}")
+    sends, read off its replayed round (Figure 9 reads them)."""
+    return dict(round_traffic(deployment, num_workers, num_servers).messages)
 
 
 def iteration_breakdown(deployment: str, **kwargs) -> IterationBreakdown:

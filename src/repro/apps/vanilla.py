@@ -24,7 +24,7 @@ class VanillaStrategy(RoundStrategy):
     Controller builds ``average`` with ``f = 0`` as the gradient rule and
     ``ClusterConfig.gradient_quorum`` is every worker — synchronous and
     fault-oblivious regardless of the asynchronous flag.  It runs natively,
-    so it pays no serialization cost, and it is priced as SSMW's star.
+    so it pays no serialization cost; it sends what SSMW's round sends.
     """
 
     shape = DeploymentShape(byzantine=False, native=True)

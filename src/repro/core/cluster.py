@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.aggregators.base import GAR_REGISTRY
 from repro.attacks.base import attack_class
 from repro.core.executor import EXECUTOR_REGISTRY
-from repro.core.experiment import DATASET_SHAPES
+from repro.core.experiment import DATASET_SHAPES, check_model_input
 from repro.exceptions import ConfigurationError
 from repro.network.cost import DEVICES, FRAMEWORKS
 from repro.network.serialization import parse_wire_format
@@ -38,7 +38,7 @@ class DeploymentShape:
     The sizing methods take any ``cluster`` carrying ``num_workers``,
     ``num_byzantine_workers``, ``num_servers``, ``num_byzantine_servers``,
     ``asynchronous``, ``gradient_gar`` and ``model_gar`` — a config or a
-    throughput model — so the runtime and the closed form run the same rules.
+    throughput model — so the runtime and the analytic model run the same rules.
     """
 
     #: ``"single"`` (one trusted server), ``"replicas"`` (``num_servers``
@@ -55,6 +55,8 @@ class DeploymentShape:
     native: bool = False
     #: The gradient phase can be split into ``ClusterConfig.shards`` shards.
     shardable: bool = False
+    #: Scales every transfer the analytic model prices (a slower RPC layer).
+    transfer_factor: float = 1.0
 
     def __post_init__(self) -> None:
         if self.servers not in SERVER_LAYOUTS:
@@ -86,8 +88,8 @@ class DeploymentShape:
 
     def check_replicas(self, num_servers: int, num_byzantine_servers: int = 0) -> None:
         """The replica-count rule of a ``replicas`` layout — at least two
-        replicas and ``0 <= f_ps < n_ps`` — as the config, the closed form and
-        the analytic model all apply it; other layouts pass."""
+        replicas and ``0 <= f_ps < n_ps`` — as the config and the analytic
+        model both apply it; other layouts pass."""
         if self.servers != "replicas":
             return
         if num_servers < 2:
@@ -248,6 +250,7 @@ class ClusterConfig:
             raise ConfigurationError(f"unknown model '{self.model}'; choose from {sorted(MODEL_REGISTRY)}")
         if self.dataset not in DATASET_SHAPES:
             raise ConfigurationError(f"unknown dataset '{self.dataset}'; choose from {sorted(DATASET_SHAPES)}")
+        check_model_input(self.model, self.dataset)
         attack_class(self.worker_attack)
         attack_class(self.server_attack)
         if not 0.0 < self.test_fraction < 1.0:

@@ -24,6 +24,21 @@ DATASET_SHAPES = {
 }
 
 
+def check_model_input(model: str, dataset: str) -> None:
+    """The one channel rule for a (model, dataset) pair.
+
+    ``logistic`` adapts to any input, ``mnist_cnn`` reads single-channel
+    input (mnist) and every other model 3-channel 32x32 input (cifar10).
+    ``ClusterConfig.validate`` and :meth:`Experiment.build_model` both call it.
+    """
+    name = model.lower()
+    channels = DATASET_SHAPES[dataset][0]
+    if name == "mnist_cnn" and channels != 1:
+        raise ConfigurationError("mnist_cnn expects single-channel input (mnist dataset)")
+    if name not in ("logistic", "mnist_cnn") and channels != 3:
+        raise ConfigurationError(f"model '{name}' expects 3-channel input (cifar10 dataset)")
+
+
 @dataclass
 class Experiment:
     """Builds matching (model, dataset) pairs for a named experiment."""
@@ -59,16 +74,9 @@ class Experiment:
     def build_model(self, seed: int | None = None) -> Module:
         """Instantiate a fresh model replica compatible with the dataset shape."""
         seed = self.seed if seed is None else seed
-        channels = self.input_shape[0]
         name = self.model_name.lower()
+        check_model_input(name, self.dataset_name)
         if name == "logistic":
             flat = int(self.input_shape[0] * self.input_shape[1] * self.input_shape[2])
             return build_model(name, input_dim=flat, seed=seed)
-        if name == "mnist_cnn":
-            if channels != 1:
-                raise ConfigurationError("mnist_cnn expects single-channel input (mnist dataset)")
-            return build_model(name, seed=seed)
-        # The remaining models consume 3-channel 32x32 input.
-        if channels != 3:
-            raise ConfigurationError(f"model '{name}' expects 3-channel input (cifar10 dataset)")
         return build_model(name, seed=seed)

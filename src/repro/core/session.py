@@ -275,25 +275,6 @@ class RoundResult:
 # ---------------------------------------------------------------------- #
 # RoundStrategy and the application registry
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ClosedForm:
-    """One round of a deployment in closed form, as the analytic model prices it.
-
-    ``messages`` are the model-sized and gradient-sized messages of one round
-    (Figure 9's counts).  Each of ``phases`` is one communication phase in
-    round order, as ``(endpoint transfers, serialized messages)`` of its
-    busiest endpoint; ``fabric_messages`` is what crosses the shared fabric
-    (all-to-all traffic congests it more), and ``communication_factor``
-    scales the whole communication term.
-    """
-
-    messages: Dict[str, int]
-    phases: Tuple[Tuple[int, int], ...]
-    fabric_messages: int
-    all_to_all: bool = False
-    communication_factor: float = 1.0
-
-
 class RoundStrategy:
     """One deployment's round, as scatter → aggregate → apply phases.
 
@@ -305,30 +286,16 @@ class RoundStrategy:
     Strategy instances are created per session and may keep per-run state
     (e.g. the crash-tolerant primary index).
 
-    A strategy also declares what it is built from (:attr:`shape`) and what
-    one of its rounds costs in closed form (:meth:`closed_form`); both
-    default to SSMW's, so a third-party strategy that declares nothing is
-    validated, built and priced as SSMW.
+    A strategy also declares what it is built from (:attr:`shape`, default
+    SSMW's), so a third-party strategy that declares nothing is validated and
+    built as SSMW.  The analytic throughput model prices the round the
+    strategy runs (:func:`~repro.apps.throughput.round_traffic`).
     """
 
     #: Registry name; assigned by :func:`register_application`.
     name: str = ""
     #: Server layout, fault model and phases the deployment is built from.
     shape: DeploymentShape = DeploymentShape()
-
-    @classmethod
-    def closed_form(cls, num_workers: int, num_servers: int = 1, contract_steps: int = 0) -> ClosedForm:
-        """One round in closed form (default: one server's star).
-
-        The server broadcasts the model to every worker then collects one
-        gradient from each: ``n_w`` model and ``n_w`` gradient messages.
-        """
-        nw = num_workers
-        return ClosedForm(
-            messages={"model_messages": nw, "gradient_messages": nw, "server_model_messages": 0},
-            phases=((nw, nw), (nw, 1)),
-            fabric_messages=2 * nw,
-        )
 
     # ------------------------------------------------------------------ #
     def setup(self, deployment: Deployment) -> None:
@@ -527,7 +494,6 @@ class Session(Iterator[RoundResult]):
         self._finished = False
         self.stopped_early = False
         self._reporting: Optional[Server] = None
-        self._last_result: Optional[RoundResult] = None
         self._diverged = False
         self._baseline_loss: Optional[float] = None
 
@@ -559,10 +525,6 @@ class Session(Iterator[RoundResult]):
     def trace(self):
         """The deterministic scenario trace (``None`` for scenario-less runs)."""
         return self.deployment.trace
-
-    @property
-    def last_result(self) -> Optional[RoundResult]:
-        return self._last_result
 
     @property
     def diverged(self) -> bool:
@@ -665,7 +627,6 @@ class Session(Iterator[RoundResult]):
         if deployment.trace is not None:
             # The trace's one writer: a round that raised above leaves no entry.
             deployment.trace.record(result)
-        self._last_result = result
         self._next_round += 1
         if self._next_round >= deployment.config.num_iterations:
             # Natural completion: a stop recorded by an earlier

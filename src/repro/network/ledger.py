@@ -4,7 +4,7 @@ A :class:`~repro.network.transport.Transport` (and, for retries, its socket
 backend) writes every communication fact into its one :class:`Ledger`, at
 the point it decides that fact:
 
-* a wave of pulls issued (:meth:`Ledger.issued`);
+* a wave of pulls issued, by kind and destination (:meth:`Ledger.issued`);
 * a reply served (:meth:`Ledger.served`);
 * a quorum closed (:meth:`Ledger.closed`);
 * a socket retry (:meth:`Ledger.retried`);
@@ -16,6 +16,11 @@ Every number reported about communication is a fold over those writes:
 * :class:`Charge` holds what one requester paid in the current round: the
   messages through its NIC, their bytes and the simulated time it waited.  The
   round accountant prices the reporting server's serialization from it.
+* :class:`Phase` is who pulled whom in the current round: waves of one kind
+  that distinct requesters issue back to back form one phase, and a requester
+  that pulls again starts the next.  Only a ledger asked to
+  (:attr:`Ledger.phases`) keeps them: the analytic throughput model prices a
+  replayed round from them (:func:`~repro.apps.throughput.round_traffic`).
 
 This module decides who pays for a message; one rule decides what it costs.
 Every vector message — a reply, the payload a gradient request ships, a shard
@@ -31,10 +36,10 @@ layer that retries knows only the destination, so every retry of the round
 is charged to whoever reads the round's charge.  Each charge is one message
 count and one byte total, which the round accountant reads as it is.
 
-The ledger folds as it is written: it keeps totals and this round's charges,
-never events, so its memory does not grow with the run.  Writes take one
-lock, because socket retries are written from the executor threads a fan-out
-runs on.
+The ledger folds as it is written: it keeps totals, this round's charges and,
+once asked, this round's phases, never a run's events, so its memory does not
+grow with the run.  Writes take one lock, because socket retries are written
+from the executor threads a fan-out runs on.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -76,6 +81,17 @@ class Charge:
     elapsed: float = 0.0
 
 
+@dataclass
+class Phase:
+    """Back-to-back waves of one kind, each from a distinct requester."""
+
+    kind: str
+    #: Whether each request ships a payload (a gradient request ships the model).
+    shipped: bool
+    #: ``(requester, peers)`` of each wave, in issue order.
+    waves: List[Tuple[str, Tuple[str, ...]]] = field(default_factory=list)
+
+
 class Ledger:
     """One transport's communication record, folded as it is written."""
 
@@ -84,6 +100,9 @@ class Ledger:
         self._totals = TransportStats()
         self._charges: Dict[str, Charge] = defaultdict(Charge)
         self._round_retries = self._round_retry_nbytes = 0
+        #: This round's phases, or ``None`` (the default) to keep none: a
+        #: caller that wants them sets a list, and :meth:`open_round` renews it.
+        self.phases: Optional[List[Phase]] = None
 
     @property
     def stats(self) -> TransportStats:
@@ -94,10 +113,16 @@ class Ledger:
     # ------------------------------------------------------------------ #
     # Writers: one per fact
     # ------------------------------------------------------------------ #
-    def issued(self, requester: str, pulls: int, follow_up: bool, shipped: Optional[int]) -> None:
-        """``pulls`` pulls of one wave issued, each shipping a ``shipped``-byte
-        payload, or none when ``shipped`` is ``None``."""
+    def issued(self, requester: str, kind: str, peers: Sequence[str], follow_up: bool, shipped: Optional[int]) -> None:
+        """One wave of ``kind`` pulls issued to ``peers``, each shipping a
+        ``shipped``-byte payload, or none when ``shipped`` is ``None``."""
+        pulls = len(peers)
         with self._lock:
+            phases = self.phases
+            if phases is not None:
+                if not phases or phases[-1].kind != kind or requester in dict(phases[-1].waves):
+                    phases.append(Phase(kind, shipped is not None))
+                phases[-1].waves.append((requester, tuple(peers)))
             self._totals.pulls_issued += pulls
             if follow_up:
                 self._totals.hedges_issued += pulls
@@ -147,9 +172,11 @@ class Ledger:
     # The round
     # ------------------------------------------------------------------ #
     def open_round(self) -> None:
-        """Start a round: every requester's charge starts again from zero."""
+        """Start a round: every requester's charge and the round's phases start again."""
         with self._lock:
             self._charges.clear()
+            if self.phases is not None:
+                self.phases = []
             self._round_retries = self._round_retry_nbytes = 0
 
     def charge(self, requester: str) -> Charge:

@@ -648,7 +648,7 @@ class Transport:
         """
         source, kind, iteration, payload, reply_nbytes = request
         shipped = None if payload is None else self._payload_nbytes(payload)
-        self.ledger.issued(source, len(wave), follow_up, shipped)
+        self.ledger.issued(source, kind, [destination for destination, _ in wave], follow_up, shipped)
         plans: List[Any] = []
         for destination, _ in wave:
             try:

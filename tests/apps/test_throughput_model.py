@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.throughput import IterationBreakdown, ThroughputModel, iteration_breakdown, paper_models
+from repro.apps.throughput import (
+    IterationBreakdown,
+    ThroughputModel,
+    iteration_breakdown,
+    messages_per_round,
+    paper_models,
+)
+from repro.core.session import APPLICATION_REGISTRY, RoundStrategy, register_application
 from repro.exceptions import ConfigurationError
 
 
@@ -232,3 +239,32 @@ class TestPaperClaims:
         model_large = gpu_model(dimension=10_000_000)
         ratio = model_large.communication_time("decentralized") / model_small.communication_time("decentralized")
         assert 5.0 < ratio < 11.0
+
+
+class DoublePullStrategy(RoundStrategy):
+    """SSMW's shape, but every round pulls the gradient quorum twice."""
+
+    def scatter(self, ctx):
+        ctx.gradients(ctx.server)
+        return ctx.gradients(ctx.server)
+
+
+@pytest.fixture
+def double_pull():
+    name = "double-pull"
+    register_application(name)(DoublePullStrategy)
+    yield name
+    APPLICATION_REGISTRY.pop(name, None)
+
+
+class TestPricedFromTheRound:
+    """The model prices the round a strategy runs, not a description of it."""
+
+    def test_a_strategy_that_pulls_twice_is_priced_above_ssmw(self, double_pull):
+        model = cpu_model(gradient_gar="multi-krum")
+        assert model.communication_time(double_pull) > model.communication_time("ssmw")
+        assert model.breakdown(double_pull).total > model.breakdown("ssmw").total
+
+    def test_a_strategy_that_pulls_twice_sends_twice_the_messages(self, double_pull):
+        ssmw = messages_per_round("ssmw", num_workers=6)
+        assert messages_per_round(double_pull, num_workers=6) == {key: 2 * count for key, count in ssmw.items()}

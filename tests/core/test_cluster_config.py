@@ -182,6 +182,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=f"{field}|{value}"):
             ClusterConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "model,dataset", [("mnist_cnn", "cifar10"), ("cifarnet", "mnist"), ("vgg", "mnist")]
+    )
+    def test_a_model_that_cannot_read_the_dataset_fails_at_config_time(self, model, dataset):
+        # Was: accepted, then rejected by Experiment.build_model after the
+        # dataset was built (and, on the process backend, the zygote forked).
+        with pytest.raises(ConfigurationError, match="channel input"):
+            ClusterConfig(model=model, dataset=dataset)
+
     def test_names_are_matched_the_way_their_builders_match_them(self):
         ClusterConfig(model="Logistic", worker_attack="little_is_enough", server_attack="Reversed")
 

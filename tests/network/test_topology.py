@@ -1,13 +1,14 @@
-"""Tests for per-round message accounting: each strategy's closed-form counts."""
+"""Tests for per-round message accounting: the counts of each strategy's replayed round."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.apps.throughput import messages_per_round
+from repro.apps.throughput import messages_per_round, replay_round, round_traffic
 from repro.core.cluster import ClusterConfig
-from repro.core.session import Session, available_applications
+from repro.core.session import available_applications
 from repro.exceptions import ConfigurationError
+from repro.network.ledger import Ledger, Phase
 
 
 class TestMessagesPerRound:
@@ -19,7 +20,8 @@ class TestMessagesPerRound:
     def test_crash_tolerant_replicates_gradient_collection(self):
         counts = messages_per_round("crash-tolerant", num_workers=18, num_servers=6)
         assert counts["gradient_messages"] == 18 * 6
-        assert counts["model_messages"] == 18
+        # Every replica's gradient request ships its model, not the primary's alone.
+        assert counts["model_messages"] == 18 * 6
 
     def test_msmw_adds_server_exchange(self):
         counts = messages_per_round("msmw", num_workers=18, num_servers=6)
@@ -78,8 +80,33 @@ class TestMessagesPerRound:
                 messages_per_round(deployment, num_workers=3, num_servers=0)
 
 
+class TestLedgerPhases:
+    """The ledger's fold of one round's waves into phases."""
+
+    def test_no_phase_is_kept_unless_asked(self):
+        ledger = Ledger()
+        ledger.issued("server-0", "gradient", ["worker-0"], follow_up=False, shipped=8)
+        ledger.open_round()
+        assert ledger.phases is None
+
+    def test_distinct_requesters_back_to_back_share_a_phase(self):
+        ledger = Ledger()
+        ledger.phases = []
+        for server in ("server-0", "server-1"):
+            ledger.issued(server, "gradient", ["worker-0", "worker-1"], follow_up=False, shipped=8)
+        ledger.issued("server-0", "model", ["server-1"], follow_up=False, shipped=None)
+        ledger.issued("server-0", "model", ["server-1"], follow_up=False, shipped=None)
+        assert ledger.phases == [
+            Phase("gradient", True, [("server-0", ("worker-0", "worker-1")), ("server-1", ("worker-0", "worker-1"))]),
+            Phase("model", False, [("server-0", ("server-1",))]),
+            Phase("model", False, [("server-0", ("server-1",))]),
+        ]
+        ledger.open_round()
+        assert ledger.phases == []
+
+
 # ---------------------------------------------------------------------- #
-# The hand-written counts against one real round of the protocol
+# The replayed counts against one real round of the protocol
 # ---------------------------------------------------------------------- #
 ROUND_CONFIGS = {
     "vanilla": dict(num_workers=4, num_byzantine_workers=0, gradient_gar="average"),
@@ -90,46 +117,11 @@ ROUND_CONFIGS = {
     "decentralized": dict(num_workers=5, num_byzantine_workers=1, gradient_gar="median"),
 }
 
-KNOWN_GAPS = {
-    "crash-tolerant": "the formula ships the model to the primary only (4); "
-    "every replica's gradient request ships it (12)",
-    "decentralized": "the formula counts 20 gradient and 20 contract messages; an iid "
-    "round sends 25 gradients (each node also pulls its own worker) and no contract",
-}
 
-
-def measured_messages_per_round(deployment: str, config) -> dict:
-    """``messages_per_round``'s three counts, read off one round's transport ledger.
-
-    A gradient request ships the model, so on a parameter server it is a model
-    message too, and replicas exchange ``model`` replies.  A decentralized node
-    exchanges ``model`` replies with its peers and, in the contract step,
-    ``aggregated_gradient`` replies: the formula's model and server messages.
-    """
-    with Session(config=config) as session:
-        session.step()
-        kinds = session.deployment.transport.stats.per_kind_messages
-    gradients, models = kinds.get("gradient", 0), kinds.get("model", 0)
-    if deployment == "decentralized":
-        return {
-            "model_messages": models,
-            "gradient_messages": gradients,
-            "server_model_messages": kinds.get("aggregated_gradient", 0),
-        }
-    return {"model_messages": gradients, "gradient_messages": gradients, "server_model_messages": models}
-
-
-@pytest.mark.parametrize(
-    "deployment",
-    [
-        pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=KNOWN_GAPS[name]))
-        if name in KNOWN_GAPS
-        else name
-        for name in ROUND_CONFIGS
-    ],
-)
+@pytest.mark.parametrize("deployment", sorted(ROUND_CONFIGS))
 def test_messages_per_round_matches_one_real_round(deployment):
-    """Fig. 9's counts are hand-written; a real round of each protocol is the referee."""
+    """The priced round is replayed at f = 0 under plain averaging; a real round
+    at f_w = 1 (a smaller quorum, asynchronous in decentralized) sends the same."""
     overrides = ROUND_CONFIGS[deployment]
     config = ClusterConfig(
         deployment=deployment,
@@ -141,5 +133,4 @@ def test_messages_per_round_matches_one_real_round(deployment):
         seed=3,
         **overrides,
     )
-    expected = messages_per_round(deployment, config.num_workers, config.num_servers)
-    assert measured_messages_per_round(deployment, config) == expected
+    assert replay_round(config) == round_traffic(deployment, config.num_workers, config.num_servers)
