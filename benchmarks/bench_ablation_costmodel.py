@@ -10,17 +10,14 @@ which ingredient.
 
 from __future__ import annotations
 
-from conftest import print_table
-
 from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
+from repro.core.cluster import ClusterConfig
 from repro.network.cost import NetworkParameters
 
 
 def build(network: NetworkParameters | None = None) -> ThroughputModel:
-    return ThroughputModel(
-        model="resnet50", gradient_gar="bulyan", model_gar="median", asynchronous=True,
-        network=network, **PAPER_TESTBEDS["cpu"],
-    )
+    config = ClusterConfig(**{**PAPER_TESTBEDS["cpu"], "gradient_gar": "bulyan", "asynchronous": True})
+    return ThroughputModel(config, model="resnet50", network=network)
 
 
 def test_ablation_cost_model_ingredients(benchmark, table_printer):
@@ -64,9 +61,10 @@ def test_ablation_cost_model_ingredients(benchmark, table_printer):
 
 def test_ablation_pipelining_and_gpu_collectives(benchmark, table_printer):
     """The PyTorch-path optimisations (pipelined aggregation, GPU-direct collectives)."""
-    gpu = dict(model="resnet50", gradient_gar="multi-krum", model_gar="median", **PAPER_TESTBEDS["gpu"])
-    pytorch = ThroughputModel(**gpu)
-    tensorflow_on_gpu = ThroughputModel(**{**gpu, "framework": "tensorflow"})
+    pytorch = ThroughputModel(ClusterConfig(**PAPER_TESTBEDS["gpu"]), model="resnet50")
+    tensorflow_on_gpu = ThroughputModel(
+        ClusterConfig(**{**PAPER_TESTBEDS["gpu"], "framework": "tensorflow"}), model="resnet50"
+    )
 
     rows = []
     for label, model in [("pytorch (pipelined, gpu-direct)", pytorch), ("tensorflow path on gpu", tensorflow_on_gpu)]:

@@ -10,26 +10,19 @@ Both frameworks (TensorFlow and PyTorch substitutes) are evaluated on CPUs.
 
 from __future__ import annotations
 
-from conftest import print_table
-
-from repro.apps.throughput import ThroughputModel
+from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
+from repro.core.cluster import ClusterConfig
 
 FRAMEWORKS = ["tensorflow", "pytorch"]
 F_SWEEP = [0, 1, 2, 3]
 
 
 def build(framework: str, num_byzantine_workers: int, num_servers: int, num_byzantine_servers: int) -> ThroughputModel:
-    return ThroughputModel(
-        model="resnet50",
-        device="cpu",
-        framework=framework,
-        num_workers=18,
-        num_byzantine_workers=num_byzantine_workers,
-        num_servers=num_servers,
-        num_byzantine_servers=num_byzantine_servers,
-        gradient_gar="multi-krum",
-        model_gar="median",
-    )
+    config = ClusterConfig(**{
+        **PAPER_TESTBEDS["cpu"], "framework": framework, "num_byzantine_workers": num_byzantine_workers,
+        "num_servers": num_servers, "num_byzantine_servers": num_byzantine_servers,
+    })
+    return ThroughputModel(config, model="resnet50")
 
 
 def test_fig10a_byzantine_workers(benchmark, table_printer):

@@ -11,17 +11,14 @@ communication+aggregation component (Garfield on PyTorch pipelines the two).
 
 from __future__ import annotations
 
-from conftest import print_table
-
 from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
+from repro.core.cluster import ClusterConfig
 
 MODELS = ["mnist_cnn", "cifarnet", "inception", "resnet50", "resnet152", "vgg"]
 
 
 def build(model_name: str) -> ThroughputModel:
-    return ThroughputModel(
-        model=model_name, gradient_gar="multi-krum", model_gar="median", **PAPER_TESTBEDS["gpu"]
-    )
+    return ThroughputModel(ClusterConfig(**PAPER_TESTBEDS["gpu"]), model=model_name)
 
 
 def test_fig15_pytorch_slowdowns(benchmark, table_printer):

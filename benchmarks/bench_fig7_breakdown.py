@@ -8,25 +8,15 @@ aggregation contributes little (~11%).
 
 from __future__ import annotations
 
-from conftest import print_table
-
-from repro.apps.throughput import ThroughputModel
+from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
+from repro.core.cluster import ClusterConfig
 
 DEPLOYMENTS = ["vanilla", "crash-tolerant", "ssmw", "msmw", "decentralized"]
 
 
 def model() -> ThroughputModel:
     return ThroughputModel(
-        model="resnet50",
-        device="cpu",
-        framework="tensorflow",
-        num_workers=18,
-        num_byzantine_workers=3,
-        num_servers=6,
-        num_byzantine_servers=1,
-        gradient_gar="bulyan",
-        model_gar="median",
-        asynchronous=True,
+        ClusterConfig(**{**PAPER_TESTBEDS["cpu"], "gradient_gar": "bulyan", "asynchronous": True}), model="resnet50"
     )
 
 

@@ -9,9 +9,8 @@ vanilla-vs-fault-tolerant gap stays roughly a constant factor.
 
 from __future__ import annotations
 
-from conftest import print_table
-
 from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
+from repro.core.cluster import ClusterConfig
 
 CPU_SWEEP = [3, 6, 9, 12, 15, 18]
 GPU_SWEEP = [5, 7, 9, 11, 13]
@@ -25,7 +24,7 @@ def build(model, device, num_workers):
         "num_workers": num_workers,
         "num_byzantine_workers": min(3, max(0, (num_workers - 3) // 4)),
     }
-    return ThroughputModel(model=model, gradient_gar="multi-krum", model_gar="median", **testbed)
+    return ThroughputModel(ClusterConfig(**testbed), model=model)
 
 
 def sweep(model, device, sweep_values, deployments):

@@ -9,27 +9,19 @@ for decentralized learning versus O(n) for the parameter-server architecture.
 
 from __future__ import annotations
 
-from conftest import print_table
-
 from repro.apps.throughput import ThroughputModel, messages_per_round
+from repro.core.cluster import ClusterConfig
 
 N_SWEEP = [2, 3, 4, 5, 6]
 D_SWEEP = [10_000, 100_000, 1_000_000, 10_000_000, 100_000_000]
 
 
 def build(num_workers: int, dimension: int) -> ThroughputModel:
-    return ThroughputModel(
-        dimension=dimension,
-        model="resnet50",
-        device="gpu",
-        framework="pytorch",
-        num_workers=num_workers,
-        num_byzantine_workers=0,
-        num_servers=1,
-        num_byzantine_servers=0,
-        gradient_gar="median",
-        model_gar="median",
+    config = ClusterConfig(
+        deployment="vanilla", device="gpu", framework="pytorch", num_workers=num_workers, batch_size=32,
+        gradient_gar="median", model_gar="median",
     )
+    return ThroughputModel(config, model="resnet50", dimension=dimension)
 
 
 def test_fig9a_communication_vs_nodes(benchmark, table_printer):

@@ -9,12 +9,13 @@ harness integrates with ``pytest-benchmark``.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, Union
 
 import pytest
 
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
+from repro.exceptions import ConfigurationError
 
 
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -29,6 +30,16 @@ def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) ->
     print("-" * len(line))
     for row in rows:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+
+
+def priced(price: Callable[[], float]) -> Union[float, str]:
+    """``price()``, or ``"refused: <reason>"`` where ``ClusterConfig.validate``
+    refuses the cluster it prices: a figure prints a refused cell, and prices
+    nothing for it."""
+    try:
+        return price()
+    except ConfigurationError as error:
+        return f"refused: {error}"
 
 
 def training_config(**overrides) -> ClusterConfig:

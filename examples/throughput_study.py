@@ -14,6 +14,8 @@ from __future__ import annotations
 import sys
 
 from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
+from repro.core.cluster import ClusterConfig
+from repro.exceptions import ConfigurationError
 from repro.nn.models import PAPER_MODEL_DIMENSIONS
 
 DEPLOYMENTS = ["vanilla", "aggregathor", "crash-tolerant", "ssmw", "msmw", "decentralized"]
@@ -28,7 +30,7 @@ def main() -> None:
     if device not in PAPER_TESTBEDS:
         raise SystemExit(f"unknown device '{device}'; choose from {sorted(PAPER_TESTBEDS)}")
     testbed = PAPER_TESTBEDS[device]
-    model = ThroughputModel(model=model_name, gradient_gar="multi-krum", model_gar="median", **testbed)
+    model = ThroughputModel(ClusterConfig(**testbed), model=model_name)
 
     print(
         f"model={model_name} (d={PAPER_MODEL_DIMENSIONS[model_name]:,}), device={device}, "
@@ -40,7 +42,11 @@ def main() -> None:
     print("-" * len(header))
     vanilla_total = model.breakdown("vanilla").total
     for deployment in DEPLOYMENTS:
-        b = model.breakdown(deployment)
+        try:
+            b = model.breakdown(deployment)
+        except ConfigurationError as error:  # the runtime would not build this cluster
+            print(f"{deployment:16s} refused: {error}")
+            continue
         print(
             f"{deployment:16s} {b.computation:9.3f} {b.communication:9.3f} "
             f"{b.aggregation:9.3f} {b.total:9.3f} {b.total / vanilla_total:8.2f}x"

@@ -25,7 +25,7 @@ from repro.apps.crash_tolerant import CrashTolerantStrategy
 from repro.apps.ssmw import SSMWStrategy
 from repro.apps.msmw import MSMWStrategy
 from repro.apps.decentralized import DecentralizedStrategy
-from repro.apps.throughput import ThroughputModel, iteration_breakdown
+from repro.apps.throughput import ThroughputModel
 
 __all__ = [
     "APPLICATION_REGISTRY",
@@ -39,5 +39,4 @@ __all__ = [
     "MSMWStrategy",
     "DecentralizedStrategy",
     "ThroughputModel",
-    "iteration_breakdown",
 ]

@@ -16,9 +16,11 @@ ledger's phases priced at the paper's ``d``.  Each phase costs the transfer
 time of its busiest machine plus the serialization work of the machine that
 sends the most, and a shared-fabric term proportional to the total number of
 bytes crossing the network accounts for the congestion that makes all-to-all
-(decentralized) deployments scale quadratically (Figure 9a).  The GARs are
-sized as the runtime sizes them, by the deployment's
-:class:`~repro.core.cluster.DeploymentShape`.
+(decentralized) deployments scale quadratically (Figure 9a).  Every
+deployment is priced on the validated config
+:meth:`~repro.core.cluster.ClusterConfig.fitted` builds for it, with the GARs
+the runtime builds (:meth:`~repro.core.cluster.ClusterConfig.build_gars`): a
+cluster the runtime refuses is refused here too.
 """
 
 from __future__ import annotations
@@ -28,17 +30,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple, Type
 
-from repro.aggregators.base import GAR, GAR_REGISTRY, init as init_gar
 from repro.core.cluster import ClusterConfig
 from repro.core.session import RoundStrategy, Session, strategy_class
-from repro.exceptions import ConfigurationError
 from repro.network.cost import (
     DEVICES,
     FRAMEWORKS,
     CostModel,
     NetworkParameters,
 )
-from repro.nn.models import PAPER_MODEL_DIMENSIONS, model_compute_intensity, model_dimension
+from repro.nn.models import model_compute_intensity, model_dimension
 
 #: Capacity of the shared switching fabric relative to one endpoint link, for
 #: the star-shaped parameter-server traffic patterns.
@@ -50,16 +50,16 @@ FABRIC_CAPACITY_FACTOR = 16.0
 #: (Figures 8 and 9 of the paper).
 P2P_FABRIC_CAPACITY_FACTOR = 4.0
 
-#: The paper's two testbeds, as ``ThroughputModel`` keyword arguments: the
-#: CPU cluster runs TensorFlow, the GPU cluster PyTorch.  ``repro throughput``
-#: and the figure benchmarks unpack one and override what they sweep.
+#: The paper's two testbeds, as ``ClusterConfig`` fields: the CPU cluster runs
+#: TensorFlow, the GPU cluster PyTorch, and their server counts are Garfield's
+#: (msmw's) replicas.  ``repro throughput`` and the figure benchmarks unpack
+#: one and override what they sweep.
 PAPER_TESTBEDS: Dict[str, Dict[str, Any]] = {
-    "cpu": dict(device="cpu", framework="tensorflow", num_workers=18, num_byzantine_workers=3,
-                num_servers=6, num_byzantine_servers=1),
-    "gpu": dict(device="gpu", framework="pytorch", num_workers=10, num_byzantine_workers=3,
-                num_servers=3, num_byzantine_servers=1),
+    "cpu": dict(deployment="msmw", device="cpu", framework="tensorflow", num_workers=18, num_byzantine_workers=3,
+                num_servers=6, num_byzantine_servers=1, batch_size=32, gradient_gar="multi-krum", model_gar="median"),
+    "gpu": dict(deployment="msmw", device="gpu", framework="pytorch", num_workers=10, num_byzantine_workers=3,
+                num_servers=3, num_byzantine_servers=1, batch_size=32, gradient_gar="multi-krum", model_gar="median"),
 }
-_CPU_TESTBED = PAPER_TESTBEDS["cpu"]
 
 
 @dataclass
@@ -85,73 +85,38 @@ class IterationBreakdown:
 
 
 class ThroughputModel:
-    """Computes iteration latency breakdowns for every deployment of the paper."""
+    """Computes iteration latency breakdowns for every deployment of one cluster.
+
+    ``config`` gives the cluster: n and f of both tiers, the GARs, device,
+    framework, batch size, ``asynchronous`` and the contract steps.  Each
+    deployment is priced on :meth:`ClusterConfig.fitted` of that cluster, so
+    a deployment whose rules the cluster does not meet raises validate's
+    :class:`~repro.exceptions.ConfigurationError` instead of being priced.
+    ``model`` (or an explicit ``dimension``) is the paper model whose size
+    and compute intensity the round is priced at.
+    """
 
     def __init__(
         self,
+        config: ClusterConfig,
         model: str = "resnet50",
         dimension: Optional[int] = None,
-        batch_size: int = 32,
-        num_workers: int = _CPU_TESTBED["num_workers"],
-        num_byzantine_workers: int = _CPU_TESTBED["num_byzantine_workers"],
-        num_servers: int = _CPU_TESTBED["num_servers"],
-        num_byzantine_servers: int = _CPU_TESTBED["num_byzantine_servers"],
-        device: str = _CPU_TESTBED["device"],
-        framework: str = _CPU_TESTBED["framework"],
-        gradient_gar: str = "multi-krum",
-        model_gar: str = "median",
-        contract_steps: int = 0,
-        asynchronous: bool = False,
         network: Optional[NetworkParameters] = None,
     ) -> None:
-        if device not in DEVICES:
-            raise ConfigurationError(f"unknown device '{device}'")
-        if framework not in FRAMEWORKS:
-            raise ConfigurationError(f"unknown framework '{framework}'")
-        if num_workers < 1:
-            raise ConfigurationError("need at least one worker")
-        if not 0 <= num_byzantine_workers < num_workers:
-            raise ConfigurationError(f"need 0 <= byzantine workers < {num_workers}, got {num_byzantine_workers}")
-        # Spelled as init_gar accepts them ("multi_krum", "Median"), kept canonical.
-        self.gradient_gar, self.model_gar = (name.lower().replace("_", "-") for name in (gradient_gar, model_gar))
-        for role, name in (("gradient", self.gradient_gar), ("model", self.model_gar)):
-            if name not in GAR_REGISTRY:
-                raise ConfigurationError(f"unknown {role} GAR '{name}'")
+        self.config = config
         self.model = model
         self.dimension = dimension if dimension is not None else model_dimension(model)
         self.flops_per_parameter = model_compute_intensity(model)
-        self.batch_size = batch_size
-        self.num_workers = num_workers
-        self.num_byzantine_workers = num_byzantine_workers
-        self.num_servers = num_servers
-        self.num_byzantine_servers = num_byzantine_servers
-        self.device = DEVICES[device]
-        self.framework = FRAMEWORKS[framework]
-        self.contract_steps = contract_steps
-        self.asynchronous = asynchronous
+        self.device = DEVICES[config.device]
+        self.framework = FRAMEWORKS[config.framework]
         self.network = network or NetworkParameters()
         self.cost = CostModel(device=self.device, network=self.network, framework=self.framework)
 
-    # ------------------------------------------------------------------ #
-    # GAR construction helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _clamped(rule: Optional[Tuple[str, int, int]]) -> Optional[GAR]:
-        # The runtime's (name, n, f), except that the analytic model only needs
-        # the GAR for its cost estimate: clamp the input count to the rule's
-        # minimum so undersized what-if sweeps (e.g. Figure 10's f sweeps)
-        # still produce a breakdown instead of failing.
-        if rule is None:
-            return None
-        name, n, f = rule
-        minimum = GAR_REGISTRY[name].minimum_inputs(f)
-        return init_gar(name, n=max(n, minimum, 1), f=f)
-
-    def _gradient_gar(self, deployment: str) -> GAR:
-        return self._clamped(strategy_class(deployment.lower()).shape.gradient_rule(self))
-
-    def _model_gar(self, deployment: str) -> Optional[GAR]:
-        return self._clamped(strategy_class(deployment.lower()).shape.model_rule(self))
+    def fitted(self, deployment: str) -> ClusterConfig:
+        """The validated config ``deployment`` runs on this cluster."""
+        cluster = self.config.to_dict()
+        del cluster["deployment"]
+        return ClusterConfig.fitted(deployment, **cluster)
 
     # ------------------------------------------------------------------ #
     # Communication model
@@ -174,9 +139,10 @@ class ThroughputModel:
         """Per-iteration communication latency of the given deployment: the
         phases of its replayed round plus the fabric term, scaled by its
         transfer factor."""
-        shape = strategy_class(deployment.lower()).shape
-        shape.check_replicas(self.num_servers, self.num_byzantine_servers)
-        traffic = round_traffic(deployment, self.num_workers, self.num_servers, self.contract_steps)
+        config = self.fitted(deployment)
+        shape = config.shape
+        contract_steps = config.contract_steps if config.non_iid else 0
+        traffic = round_traffic(deployment, config.num_workers, config.num_servers, contract_steps)
         on_gpu = self.device.name == "gpu"
         total = sum(self._phase_time(sent, serialized, shape.native, on_gpu) for sent, serialized in traffic.phases)
         total += self._fabric_time(traffic.fabric_messages, shape.native, all_to_all=shape.servers == "per-worker")
@@ -185,21 +151,21 @@ class ThroughputModel:
     # ------------------------------------------------------------------ #
     def aggregation_time(self, deployment: str) -> float:
         """Robust-aggregation time per iteration on the reporting node."""
-        shape = strategy_class(deployment.lower()).shape
-        gradient_gar = self._gradient_gar(deployment)
+        config = self.fitted(deployment)
+        shape = config.shape
+        gradient_gar, model_gar = config.build_gars()
         total = self.cost.aggregation_time(gradient_gar, self.dimension)
-        model_gar = self._model_gar(deployment)
         if model_gar is not None:
             total += self.cost.aggregation_time(model_gar, self.dimension)
-        if shape.contract:
-            total += max(self.contract_steps, 0) * self.cost.aggregation_time(gradient_gar, self.dimension)
+        if shape.contract and config.non_iid:
+            total += config.contract_steps * self.cost.aggregation_time(gradient_gar, self.dimension)
         if self.framework.pipelines_aggregation and not shape.native:
             # Garfield on PyTorch overlaps per-layer aggregation with communication.
             total *= 0.5
         return total
 
     def computation_time(self) -> float:
-        return self.cost.compute_time(self.dimension, self.batch_size, self.flops_per_parameter)
+        return self.cost.compute_time(self.dimension, self.config.batch_size, self.flops_per_parameter)
 
     # ------------------------------------------------------------------ #
     def breakdown(self, deployment: str) -> IterationBreakdown:
@@ -217,7 +183,7 @@ class ThroughputModel:
 
     def throughput_batches_per_s(self, deployment: str) -> float:
         """Throughput in batches/second (Figure 8): nw batches are processed per update."""
-        return self.num_workers / self.breakdown(deployment).total
+        return self.config.num_workers / self.breakdown(deployment).total
 
 
 @dataclass(frozen=True)
@@ -247,19 +213,20 @@ def round_traffic(deployment: str, num_workers: int, num_servers: int = 1, contr
     otherwise.  A pull between two nodes on one machine is no network
     message: in a per-worker layout ``server-k`` runs on ``worker-k``'s.
     """
-    strategy = strategy_class(deployment.lower())
-    if strategy.shape.servers != "replicas":
-        num_servers = 1
-    return _replay(strategy, num_workers, num_servers, max(contract_steps, 0) if strategy.shape.contract else 0)
+    strategy = strategy_class(deployment)
+    contract_steps = contract_steps if strategy.shape.contract else 0
+    config = ClusterConfig.fitted(
+        deployment, num_workers=num_workers, num_servers=num_servers, model="logistic",
+        gradient_gar="average", model_gar="average", dataset_size=10 * num_workers, batch_size=1,
+        num_iterations=1, non_iid=contract_steps > 0, contract_steps=contract_steps,
+    )
+    return _replay(strategy, config.to_json())
 
 
 @lru_cache(maxsize=256)
-def _replay(strategy: Type[RoundStrategy], num_workers: int, num_servers: int, contract_steps: int) -> RoundTraffic:
-    return replay_round(ClusterConfig(
-        deployment=strategy.name, num_workers=num_workers, num_servers=num_servers, model="logistic",
-        gradient_gar="average", model_gar="average", dataset_size=10 * num_workers, batch_size=1,
-        num_iterations=1, non_iid=contract_steps > 0, contract_steps=contract_steps,
-    ))
+def _replay(strategy: Type[RoundStrategy], config: str) -> RoundTraffic:
+    # Keyed by the strategy class as well, so a name registered anew replays.
+    return replay_round(ClusterConfig.from_json(config))
 
 
 def replay_round(config: ClusterConfig) -> RoundTraffic:
@@ -297,12 +264,3 @@ def messages_per_round(deployment: str, num_workers: int, num_servers: int = 1) 
     sends, read off its replayed round (Figure 9 reads them)."""
     return dict(round_traffic(deployment, num_workers, num_servers).messages)
 
-
-def iteration_breakdown(deployment: str, **kwargs) -> IterationBreakdown:
-    """Convenience wrapper: one-call breakdown for a deployment."""
-    return ThroughputModel(**kwargs).breakdown(deployment)
-
-
-def paper_models() -> Dict[str, int]:
-    """The Table 1 model dimensions, keyed by paper name."""
-    return dict(PAPER_MODEL_DIMENSIONS)

@@ -358,20 +358,20 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
     cluster = {key: value for key, value in vars(args).items() if key.startswith("num_")}
-    model = ThroughputModel(
-        model=args.model,
-        gradient_gar=args.gar,
-        model_gar="median",
-        **{**PAPER_TESTBEDS[args.device], **cluster},
-    )
+    config = ClusterConfig(**{**PAPER_TESTBEDS[args.device], **cluster, "gradient_gar": args.gar})
+    model = ThroughputModel(config, model=args.model)
     vanilla_total = model.breakdown("vanilla").total
     print(
         f"model={args.model}, device={args.device}, "
-        f"{model.num_workers} workers / {model.num_servers} servers"
+        f"{config.num_workers} workers / {config.num_servers} servers"
     )
     print(f"{'deployment':16s} {'compute':>9s} {'comm':>9s} {'agg':>9s} {'total':>9s} {'slowdown':>9s}")
     for deployment in available_applications():
-        b = model.breakdown(deployment)
+        try:
+            b = model.breakdown(deployment)
+        except ConfigurationError as error:
+            print(f"{deployment:16s} refused: {error}")
+            continue
         print(
             f"{deployment:16s} {b.computation:9.3f} {b.communication:9.3f} "
             f"{b.aggregation:9.3f} {b.total:9.3f} {b.total / vanilla_total:8.2f}x"

@@ -13,10 +13,10 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
-from repro.aggregators.base import GAR_REGISTRY
+from repro.aggregators.base import GAR, GAR_REGISTRY, init as init_gar
 from repro.attacks.base import attack_class
 from repro.core.executor import EXECUTOR_REGISTRY
-from repro.core.experiment import DATASET_SHAPES, check_model_input
+from repro.core.experiment import DATASET_SHAPES, check_dataset_size, check_model_input
 from repro.exceptions import ConfigurationError
 from repro.network.cost import DEVICES, FRAMEWORKS
 from repro.network.serialization import parse_wire_format
@@ -35,10 +35,11 @@ class DeploymentShape:
     instead of the deployment's name: :class:`ClusterConfig` validates and
     sizes by it, the Controller builds the GARs it names, the accountant and
     the analytic :class:`~repro.apps.throughput.ThroughputModel` price it.
-    The sizing methods take any ``cluster`` carrying ``num_workers``,
-    ``num_byzantine_workers``, ``num_servers``, ``num_byzantine_servers``,
-    ``asynchronous``, ``gradient_gar`` and ``model_gar`` — a config or a
-    throughput model — so the runtime and the analytic model run the same rules.
+    The sizing methods take a :class:`ClusterConfig` (the fuzz generator's
+    size search alone passes a namespace of its fields, to try sizes no
+    valid config holds yet); the analytic model prices the config
+    :meth:`ClusterConfig.fitted` builds for each deployment, so the runtime
+    and the analytic model run the same rules on the same validated cluster.
     """
 
     #: ``"single"`` (one trusted server), ``"replicas"`` (``num_servers``
@@ -62,7 +63,7 @@ class DeploymentShape:
         if self.servers not in SERVER_LAYOUTS:
             raise ConfigurationError(f"unknown server layout '{self.servers}'; choose from {SERVER_LAYOUTS}")
 
-    def gradient_quorum(self, cluster) -> int:
+    def gradient_quorum(self, cluster: "ClusterConfig") -> int:
         """How many gradients a server waits for per iteration.
 
         Synchronous deployments wait for all workers; asynchronous ones (and
@@ -76,10 +77,11 @@ class DeploymentShape:
             return cluster.num_workers - cluster.num_byzantine_workers
         return cluster.num_workers
 
-    def model_quorum(self, cluster) -> int:
-        """How many peer models a server replica waits for per iteration."""
+    def model_quorum(self, cluster: "ClusterConfig") -> int:
+        """How many peer models a server replica waits for per iteration
+        (0 where it has no peer)."""
         if self.servers == "per-worker":
-            return max(1, cluster.num_workers - cluster.num_byzantine_workers - 1)
+            return min(cluster.num_workers - 1, max(1, cluster.num_workers - cluster.num_byzantine_workers - 1))
         if cluster.num_servers <= 1:
             return 0
         if cluster.asynchronous:
@@ -88,8 +90,7 @@ class DeploymentShape:
 
     def check_replicas(self, num_servers: int, num_byzantine_servers: int = 0) -> None:
         """The replica-count rule of a ``replicas`` layout — at least two
-        replicas and ``0 <= f_ps < n_ps`` — as the config and the analytic
-        model both apply it; other layouts pass."""
+        replicas and ``0 <= f_ps < n_ps``; other layouts pass."""
         if self.servers != "replicas":
             return
         if num_servers < 2:
@@ -97,7 +98,7 @@ class DeploymentShape:
         if not 0 <= num_byzantine_servers < num_servers:
             raise ConfigurationError(f"need 0 <= f_ps < n_ps, got f_ps={num_byzantine_servers}, n_ps={num_servers}")
 
-    def gradient_rule(self, cluster) -> Tuple[str, int, int]:
+    def gradient_rule(self, cluster: "ClusterConfig") -> Tuple[str, int, int]:
         """``(name, n, f)`` of the gradient GAR: the configured rule at
         ``f_w`` over the gradient quorum, or plain averaging at f = 0 where
         the deployment is fault-oblivious."""
@@ -105,7 +106,7 @@ class DeploymentShape:
             return "average", self.gradient_quorum(cluster), 0
         return cluster.gradient_gar, self.gradient_quorum(cluster), cluster.num_byzantine_workers
 
-    def model_rule(self, cluster) -> Optional[Tuple[str, int, int]]:
+    def model_rule(self, cluster: "ClusterConfig") -> Optional[Tuple[str, int, int]]:
         """``(name, n, f)`` of the model GAR — the peer models plus the
         replica's own, at ``f_ps``, or at ``f_w`` where every worker is a
         replica — or ``None`` without a model phase."""
@@ -237,8 +238,6 @@ class ClusterConfig:
             raise ConfigurationError("accuracy_every must be >= 1")
         if not self.learning_rate > 0:
             raise ConfigurationError("learning_rate must be > 0")
-        if self.dataset_size < 1:
-            raise ConfigurationError("dataset_size must be >= 1")
         if not self.dirichlet_alpha > 0:
             raise ConfigurationError("dirichlet_alpha must be > 0")
         if self.contract_steps < 0:
@@ -255,6 +254,7 @@ class ClusterConfig:
         attack_class(self.server_attack)
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigurationError("test_fraction must lie strictly between 0 and 1")
+        check_dataset_size(self.dataset_size, self.test_fraction, self.num_workers)
         for name in ("momentum", "worker_momentum"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ConfigurationError(f"{name} must be in [0, 1)")
@@ -307,6 +307,8 @@ class ClusterConfig:
                     f"'{self.deployment}': {reason} (supported: one Byzantine-tolerant "
                     "server, e.g. ssmw, aggregathor)"
                 )
+        # Spelled as init_gar accepts them ("multi_krum", "Median"), kept canonical.
+        self.gradient_gar, self.model_gar = (name.lower().replace("_", "-") for name in (self.gradient_gar, self.model_gar))
         if self.gradient_gar not in GAR_REGISTRY:
             raise ConfigurationError(f"unknown gradient GAR '{self.gradient_gar}'")
         if self.model_gar not in GAR_REGISTRY:
@@ -342,6 +344,11 @@ class ClusterConfig:
             # Every worker owns its server: no distinct servers to count.
             self.num_servers = 0
         shape.check_replicas(self.num_servers, self.num_byzantine_servers)
+        if shape.model_phase and shape.model_quorum(self) == 0:
+            raise ConfigurationError(
+                f"{self.deployment} exchanges models between servers, but this cluster's "
+                "servers have no peer to pull a model from"
+            )
 
         # The resilience condition of every GAR the deployment runs, as its
         # shape sizes it: the gradient rule, and the model rule wherever
@@ -356,6 +363,31 @@ class ClusterConfig:
                     f"GAR '{name}' needs at least {needed} {inputs} to tolerate f={f}, "
                     f"but the deployment only collects {n}"
                 )
+
+    @classmethod
+    def fitted(cls, deployment: str, **fields) -> "ClusterConfig":
+        """``deployment`` on the cluster ``fields`` describe, its server counts
+        fitted to the deployment's layout.
+
+        A ``single`` layout gets its one trusted server (``n_ps = 1``,
+        ``f_ps = 0``), a ``per-worker`` layout no distinct server (0 and 0,
+        as :meth:`validate` sets), and ``replicas`` keep the given counts.
+        Everything else is validated as given, so a cluster too small for
+        the deployment's rules raises validate's :class:`ConfigurationError`.
+        """
+        from repro.core.session import strategy_class
+
+        layout = strategy_class(deployment).shape.servers
+        if layout != "replicas":
+            fields.update(num_servers=int(layout == "single"), num_byzantine_servers=0)
+        return cls(deployment=deployment, **fields)
+
+    def build_gars(self) -> Tuple[GAR, Optional[GAR]]:
+        """The ``(gradient GAR, model GAR or None)`` the deployment runs, sized
+        by its shape's rules; the Controller builds them and the analytic
+        model prices them."""
+        model_rule = self.shape.model_rule(self)
+        return init_gar(*self.shape.gradient_rule(self)), None if model_rule is None else init_gar(*model_rule)
 
     # ------------------------------------------------------------------ #
     @property

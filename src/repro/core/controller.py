@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.aggregators.base import GAR, init as init_gar
+from repro.aggregators.base import GAR
 from repro.core.byzantine import ByzantineServer, ByzantineWorker
 from repro.core.cluster import ClusterConfig, DeploymentShape
 from repro.core.executor import Executor, create_executor
@@ -284,9 +284,7 @@ class Controller:
             failures.set_straggler(node_id, factor)
 
         shape = config.shape
-        gradient_gar = init_gar(*shape.gradient_rule(config))
-        model_rule = shape.model_rule(config)
-        model_gar = init_gar(*model_rule) if model_rule is not None else None
+        gradient_gar, model_gar = config.build_gars()
 
         workers = self._build_workers(config, transport, experiment, shards)
         servers = self._build_servers(config, transport, experiment, test_set)

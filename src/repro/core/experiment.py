@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.datasets.synthetic import Dataset, make_synthetic_cifar10, make_synthetic_mnist
+from repro.datasets.synthetic import NUM_CLASSES, Dataset, make_synthetic_cifar10, make_synthetic_mnist, train_size
 from repro.exceptions import ConfigurationError
 from repro.nn.layers import Module
 from repro.nn.models import build_model
@@ -37,6 +37,19 @@ def check_model_input(model: str, dataset: str) -> None:
         raise ConfigurationError("mnist_cnn expects single-channel input (mnist dataset)")
     if name not in ("logistic", "mnist_cnn") and channels != 3:
         raise ConfigurationError(f"model '{name}' expects 3-channel input (cifar10 dataset)")
+
+
+def check_dataset_size(dataset_size: int, test_fraction: float, num_workers: int) -> None:
+    """The size rule of a synthetic dataset: an example per class, and a
+    training split that gives every worker an example.
+    ``ClusterConfig.validate`` calls it, so no build fails on its data."""
+    if dataset_size < NUM_CLASSES:
+        raise ConfigurationError(f"dataset_size must be >= {NUM_CLASSES}, an example per class")
+    train = train_size(dataset_size, test_fraction)
+    if train < num_workers:
+        raise ConfigurationError(
+            f"dataset_size={dataset_size} leaves {train} training examples for {num_workers} workers"
+        )
 
 
 @dataclass

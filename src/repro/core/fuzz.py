@@ -351,7 +351,7 @@ class ScenarioGenerator:
                     add(min(start + duration, rounds - 1), "recover", target)
 
         if budget == "beyond":
-            if shape.gradient_quorum(SimpleNamespace(**config)) == len(workers) and rng.random() < 0.5:
+            if ClusterConfig.from_dict(config).gradient_quorum() == len(workers) and rng.random() < 0.5:
                 # Variant: one crashed worker starves a quorum of every worker.
                 crash_window([rng.choice(workers)], recover=False)
                 mechanism = "worker-crash"

@@ -16,6 +16,14 @@ import numpy as np
 from repro.exceptions import DatasetError
 from repro.utils import make_rng
 
+#: Classes of the MNIST- and CIFAR-10-shaped datasets.
+NUM_CLASSES = 10
+
+
+def train_size(num_examples: int, test_fraction: float) -> int:
+    """How many of ``num_examples`` :meth:`Dataset.split` keeps for training."""
+    return int(round(num_examples * (1.0 - test_fraction)))
+
 
 @dataclass
 class Dataset:
@@ -55,7 +63,7 @@ class Dataset:
             raise DatasetError("test_fraction must lie strictly between 0 and 1")
         rng = make_rng(seed)
         order = rng.permutation(len(self))
-        cut = int(round(len(self) * (1.0 - test_fraction)))
+        cut = train_size(len(self), test_fraction)
         return self.subset(order[:cut]), self.subset(order[cut:])
 
 
@@ -102,12 +110,12 @@ def make_classification(
 def make_synthetic_mnist(num_examples: int = 2000, noise: float = 0.8, seed: int = 0) -> Dataset:
     """MNIST-shaped synthetic dataset: 28x28 single-channel images, 10 classes."""
     return make_classification(
-        num_examples, (1, 28, 28), num_classes=10, noise=noise, seed=seed, name="synthetic-mnist"
+        num_examples, (1, 28, 28), num_classes=NUM_CLASSES, noise=noise, seed=seed, name="synthetic-mnist"
     )
 
 
 def make_synthetic_cifar10(num_examples: int = 2000, noise: float = 1.0, seed: int = 0) -> Dataset:
     """CIFAR-10-shaped synthetic dataset: 32x32 RGB images, 10 classes."""
     return make_classification(
-        num_examples, (3, 32, 32), num_classes=10, noise=noise, seed=seed, name="synthetic-cifar10"
+        num_examples, (3, 32, 32), num_classes=NUM_CLASSES, noise=noise, seed=seed, name="synthetic-cifar10"
     )

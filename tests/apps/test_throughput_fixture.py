@@ -3,8 +3,10 @@
 For each of the paper's two testbeds (``PAPER_TESTBEDS``) and each bundled
 deployment, the suite prices one ResNet-50 iteration with
 :meth:`~repro.apps.throughput.ThroughputModel.breakdown` and compares its
-``total`` with ``throughput_fixture.json``, exactly.  A change to how a round
-is priced shows up as the entries of that file that move.
+``total`` with ``throughput_fixture.json``, exactly; a deployment that
+``ClusterConfig.validate`` refuses on a testbed is recorded as the refusal.
+A change to how a round is priced shows up as the entries of that file that
+move.
 
 Re-bless explicitly with ``--update-golden``.
 """
@@ -17,14 +19,23 @@ from pathlib import Path
 import pytest
 
 from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel
+from repro.core.cluster import ClusterConfig
+from repro.exceptions import ConfigurationError
 
 FIXTURE = Path(__file__).with_name("throughput_fixture.json")
 DEPLOYMENTS = ("vanilla", "aggregathor", "ssmw", "crash-tolerant", "msmw", "decentralized")
 
 
+def total(model: ThroughputModel, deployment: str) -> str:
+    try:
+        return repr(model.breakdown(deployment).total)
+    except ConfigurationError as error:
+        return f"refused: {error}"
+
+
 def totals(testbed: str) -> dict:
-    model = ThroughputModel(**PAPER_TESTBEDS[testbed])
-    return {deployment: repr(model.breakdown(deployment).total) for deployment in DEPLOYMENTS}
+    model = ThroughputModel(ClusterConfig(**PAPER_TESTBEDS[testbed]))
+    return {deployment: total(model, deployment) for deployment in DEPLOYMENTS}
 
 
 @pytest.mark.parametrize("testbed", sorted(PAPER_TESTBEDS))

@@ -4,48 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.throughput import (
-    IterationBreakdown,
-    ThroughputModel,
-    iteration_breakdown,
-    messages_per_round,
-    paper_models,
-)
+from repro.apps.throughput import PAPER_TESTBEDS, ThroughputModel, messages_per_round
+from repro.core.cluster import ClusterConfig
 from repro.core.session import APPLICATION_REGISTRY, RoundStrategy, register_application
 from repro.exceptions import ConfigurationError
 
 
-def cpu_model(**overrides):
-    defaults = dict(
-        model="resnet50",
-        device="cpu",
-        framework="tensorflow",
-        num_workers=18,
-        num_byzantine_workers=3,
-        num_servers=6,
-        num_byzantine_servers=1,
-        gradient_gar="bulyan",
-        model_gar="median",
-        asynchronous=True,
-    )
-    defaults.update(overrides)
-    return ThroughputModel(**defaults)
+def cpu_model(model="resnet50", dimension=None, **overrides):
+    fields = {**PAPER_TESTBEDS["cpu"], "gradient_gar": "bulyan", "asynchronous": True, **overrides}
+    return ThroughputModel(ClusterConfig(**fields), model=model, dimension=dimension)
 
 
-def gpu_model(**overrides):
-    defaults = dict(
-        model="resnet50",
-        device="gpu",
-        framework="pytorch",
-        num_workers=10,
-        num_byzantine_workers=3,
-        num_servers=3,
-        num_byzantine_servers=1,
-        gradient_gar="multi-krum",
-        model_gar="median",
-    )
-    defaults.update(overrides)
-    return ThroughputModel(**defaults)
+def gpu_model(model="resnet50", dimension=None, **overrides):
+    return ThroughputModel(ClusterConfig(**{**PAPER_TESTBEDS["gpu"], **overrides}), model=model, dimension=dimension)
 
 
 class TestBasics:
@@ -67,57 +38,34 @@ class TestBasics:
             cpu_model().communication_time("gossip")
 
     def test_a_replica_layout_is_priced_only_at_a_valid_replica_count(self):
-        model = ThroughputModel(num_servers=0, num_byzantine_servers=0)
-        assert model.communication_time("ssmw") > 0  # a single server is priced at any testbed count
+        model = ThroughputModel(ClusterConfig(deployment="ssmw", num_workers=18, num_byzantine_workers=3))
+        assert model.communication_time("ssmw") > 0  # a single server is priced on its own
         for deployment in ("msmw", "crash-tolerant"):
             with pytest.raises(ConfigurationError, match="at least two server replicas"):
                 model.communication_time(deployment)
-        with pytest.raises(ConfigurationError, match="f_ps < n_ps"):
-            cpu_model(num_servers=3, num_byzantine_servers=3).breakdown("msmw")
 
-    def test_invalid_device_or_framework(self):
-        with pytest.raises(ConfigurationError):
-            ThroughputModel(device="tpu")
-        with pytest.raises(ConfigurationError):
-            ThroughputModel(framework="jax")
+    def test_a_cluster_too_small_for_the_rule_is_refused(self):
+        # Bulyan at n_w = 4, f_w = 3 was once priced at its 15-row minimum.
+        with pytest.raises(ConfigurationError, match="GAR 'bulyan' needs at least 15 gradients to tolerate f=3, "
+                                                     "but the deployment only collects 1"):
+            cpu_model(num_workers=4, num_byzantine_workers=3)
 
-    @pytest.mark.parametrize(
-        "workers, byzantine, match",
-        [(0, 0, "at least one worker"), (-1, 0, "at least one worker"), (4, 4, "byzantine"), (4, -1, "byzantine")],
-    )
-    def test_the_worker_tier_is_checked(self, workers, byzantine, match):
-        # Unchecked, --workers 0 priced decentralized communication at -0.681 s.
-        with pytest.raises(ConfigurationError, match=match):
-            ThroughputModel(num_workers=workers, num_byzantine_workers=byzantine)
+    def test_a_deployment_the_cluster_does_not_fit_is_refused_by_breakdown(self):
+        # The GPU testbed runs msmw; a decentralized node there waits for 7 gradients.
+        model = gpu_model()
+        assert model.breakdown("msmw").total > 0
+        with pytest.raises(ConfigurationError, match="needs at least 9 gradients .* only collects 7"):
+            model.breakdown("decentralized")
 
-    @pytest.mark.parametrize("rule", ["gradient_gar", "model_gar"])
-    def test_an_unknown_gar_is_a_configuration_error(self, rule):
-        # Unchecked, the clamp's registry lookup raised a bare KeyError.
-        with pytest.raises(ConfigurationError, match="unknown .* GAR 'bogus'"):
-            ThroughputModel(**{rule: "bogus"})
-
-    def test_gar_names_are_spelled_as_init_gar_takes_them(self):
-        spelled = cpu_model(gradient_gar="Multi_Krum", model_gar="MEDIAN")
-        canonical = cpu_model(gradient_gar="multi-krum", model_gar="median")
-        assert (spelled.gradient_gar, spelled.model_gar) == ("multi-krum", "median")
-        for deployment in ("ssmw", "msmw"):
-            assert spelled.breakdown(deployment) == canonical.breakdown(deployment)
-
-    def test_what_if_f_sweeps_stay_clamped(self):
-        # What-if sweeps (Figure 10) price clusters too small for the rule:
-        # Bulyan at n_w = 4, f_w = 3 is clamped to its minimum, not refused.
-        assert cpu_model(num_workers=4, num_byzantine_workers=3).breakdown("msmw").total > 0
-
-    def test_iteration_breakdown_helper(self):
-        breakdown = iteration_breakdown("ssmw", model="cifarnet")
-        assert isinstance(breakdown, IterationBreakdown)
-
-    def test_paper_models_helper(self):
-        models = paper_models()
-        assert models["vgg"] == 128_807_306
+    def test_contract_steps_count_only_on_non_iid_data(self):
+        iid = cpu_model(contract_steps=3)
+        non_iid = cpu_model(contract_steps=3, non_iid=True)
+        assert iid.breakdown("decentralized") == cpu_model().breakdown("decentralized")
+        assert non_iid.aggregation_time("decentralized") > iid.aggregation_time("decentralized")
+        assert non_iid.aggregation_time("msmw") == iid.aggregation_time("msmw")
 
     def test_explicit_dimension_overrides_model_name(self):
-        small = ThroughputModel(model="vgg", dimension=1000)
+        small = cpu_model(model="vgg", dimension=1000)
         assert small.dimension == 1000
 
 
@@ -234,9 +182,12 @@ class TestPaperClaims:
         assert decentralized_growth > vanilla_growth
 
     def test_communication_linear_in_dimension(self):
-        """Figure 9b: communication time grows linearly with the model dimension."""
-        model_small = gpu_model(dimension=1_000_000)
-        model_large = gpu_model(dimension=10_000_000)
+        """Figure 9b: communication time grows linearly with the model dimension
+        (on Figure 9's cluster: the GPU testbed's 10 workers at f_w = 3 leave a
+        decentralized node too few gradients for Multi-Krum)."""
+        cluster = dict(num_workers=6, num_byzantine_workers=0, gradient_gar="median")
+        model_small = gpu_model(dimension=1_000_000, **cluster)
+        model_large = gpu_model(dimension=10_000_000, **cluster)
         ratio = model_large.communication_time("decentralized") / model_small.communication_time("decentralized")
         assert 5.0 < ratio < 11.0
 

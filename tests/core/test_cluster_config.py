@@ -194,6 +194,25 @@ class TestValidation:
     def test_names_are_matched_the_way_their_builders_match_them(self):
         ClusterConfig(model="Logistic", worker_attack="little_is_enough", server_attack="Reversed")
 
+    def test_gar_names_are_kept_as_init_gar_spells_them(self):
+        config = ClusterConfig(num_workers=7, num_byzantine_workers=1, gradient_gar="Multi_Krum", model_gar="MEDIAN")
+        assert (config.gradient_gar, config.model_gar) == ("multi-krum", "median")
+        assert config == ClusterConfig(num_workers=7, num_byzantine_workers=1)
+
+    def test_a_dataset_too_small_to_build_is_refused(self):
+        # Both were accepted once, then Controller.build raised DatasetError.
+        with pytest.raises(ConfigurationError, match="dataset_size must be >= 10, an example per class"):
+            ClusterConfig(dataset_size=9)
+        with pytest.raises(ConfigurationError, match="dataset_size=12 leaves 10 training examples for 11 workers"):
+            ClusterConfig(num_workers=11, dataset_size=12)
+        ClusterConfig(num_workers=10, dataset_size=12)
+
+    def test_a_server_without_a_peer_to_pull_models_from_is_refused(self):
+        # Accepted once, then round 0 raised "no peers to pull 'model' from".
+        with pytest.raises(ConfigurationError, match="no peer to pull a model from"):
+            ClusterConfig(deployment="decentralized", num_workers=1, gradient_gar="average", model_gar="average")
+        ClusterConfig(deployment="decentralized", num_workers=2, gradient_gar="average", model_gar="average")
+
 
 class TestStragglerFactors:
     """Every id is a node the deployment builds, every factor a real number

@@ -150,7 +150,12 @@ class TestThroughputCommand:
 
     def test_gpu_profile(self, capsys):
         assert main(["throughput", "--model", "resnet50", "--device", "gpu"]) == 0
-        assert "10 workers / 3 servers" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "10 workers / 3 servers" in out
+        # Ten workers at f_w = 3 leave a decentralized node 7 gradients, not Multi-Krum's 9.
+        refused = [line.split(None, 1) for line in out.splitlines() if "refused" in line]
+        assert refused == [["decentralized", "refused: GAR 'multi-krum' needs at least 9 gradients to tolerate "
+                            "f=3, but the deployment only collects 7"]]
 
 
 class TestRunCommand:
