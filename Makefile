@@ -67,7 +67,7 @@
 PYTHON ?= python
 SEED ?= 1
 PAIRS ?= 10
-LOC_MAX ?= 8091
+LOC_MAX ?= 8086
 export PYTHONPATH := src
 
 .PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends test-gars update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench-figures bench fuzz-smoke fuzz docs-check loc quickstart

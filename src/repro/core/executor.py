@@ -11,10 +11,11 @@ This module provides the abstraction that fixes that:
 
 * :class:`SerialExecutor` — runs every task inline, in submission order.  It
   is fully deterministic and is the default for tests and small runs.
-* :class:`ThreadedExecutor` — a thread-pool engine.  Tasks are dispatched
-  concurrently and their results are drained from a completion queue as they
-  finish, which is what lets :meth:`repro.network.transport.Transport.pull_many`
-  overlap the service times of independent peers.
+* :class:`ThreadedExecutor` — a caller-runs engine.  The calling thread and
+  pool helpers claim a wave's tasks from one shared sequence and run them
+  concurrently, the caller yielding results as they finish, which is what
+  lets :meth:`repro.network.transport.Transport.pull_many` overlap the
+  service times of independent peers without parking the caller.
 * :class:`ProcessExecutor` — the engine of the multi-process socket backend.
   Handler work runs in the node subprocesses (:mod:`repro.network.rpc`) and
   the socket backend sends a whole wave and drains its replies on the calling
@@ -36,8 +37,9 @@ via :func:`repro.aggregators.base.init`.
 from __future__ import annotations
 
 import os
+import queue
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple, Type
 
 Task = Callable[[], Any]
@@ -96,16 +98,19 @@ class SerialExecutor(Executor):
 
 
 class ThreadedExecutor(Executor):
-    """Thread-pool engine draining results through a completion queue.
+    """Caller-runs engine: the calling thread works a wave beside pool helpers.
 
-    All tasks are submitted to a shared :class:`~concurrent.futures.ThreadPoolExecutor`
-    up front; a done-callback pushes each outcome onto an internal
-    :class:`queue.Queue`, and :meth:`map_unordered` yields entries as they
-    arrive.  Independent RPC service times (gradient computation, simulated
-    link wait) therefore overlap instead of accumulating.
+    :meth:`map_unordered` starts ``max_workers - 1`` helpers on a shared
+    :class:`~concurrent.futures.ThreadPoolExecutor`; they and the calling
+    thread claim task indices from one shared sequence, so at most
+    ``max_workers`` tasks run at once and the caller is one of them.  The
+    caller yields each of its own results as it finishes it and, between its
+    tasks, whatever the helpers have finished; once the sequence is empty it
+    waits for the helpers' last results.  Independent RPC service times
+    (gradient computation, simulated link wait) therefore overlap instead of
+    accumulating, and the caller never parks while there is work to claim.
 
-    The pool is created lazily on first use and reused across calls, so the
-    per-round overhead is one queue round-trip per task, not pool construction.
+    The pool is created lazily on first use and reused across calls.
     """
 
     name = "threaded"
@@ -123,29 +128,54 @@ class ThreadedExecutor(Executor):
         with self._lock:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(
-                    max_workers=self.max_workers, thread_name_prefix="repro-exec"
+                    max_workers=self.max_workers - 1, thread_name_prefix="repro-exec"
                 )
             return self._pool
 
     def map_unordered(self, tasks: Sequence[Task]) -> Iterator[Tuple[int, Any]]:
         tasks = list(tasks)
-        if not tasks:
-            return
-        pool = self._ensure_pool()
-        futures = {pool.submit(task): index for index, task in enumerate(tasks)}
+        # One claim sequence for every thread: ``next`` on a range iterator
+        # is a single step under the GIL, so no index is handed out twice.
+        claims = iter(range(len(tasks)))
+        done: "queue.SimpleQueue[Tuple[int, bool, Any]]" = queue.SimpleQueue()
+
+        def helper() -> None:
+            for index in claims:
+                try:
+                    done.put((index, True, tasks[index]()))
+                except BaseException as exc:
+                    for _ in claims:  # start nothing new after a failure
+                        pass
+                    done.put((index, False, exc))
+
+        def collect() -> Tuple[int, Any]:
+            index, ok, value = done.get()
+            if not ok:
+                raise value
+            return index, value
+
+        helpers = min(self.max_workers, len(tasks)) - 1
+        running = [self._ensure_pool().submit(helper) for _ in range(helpers)]
+        pending = len(tasks)
         try:
-            for future in as_completed(futures):
-                yield futures[future], future.result()
+            for index in claims:
+                result = tasks[index]()
+                pending -= 1
+                yield index, result
+                while not done.empty():  # the caller is the only consumer
+                    pending -= 1
+                    yield collect()
+            while pending:
+                pending -= 1
+                yield collect()
         except BaseException:
-            # A task failed (or the consumer bailed): cancel what has not
-            # started and drain what has, so no background thread keeps
-            # mutating shared state after the caller unwinds — and so
-            # secondary task exceptions are retrieved, not warned about.
-            for future in futures:
-                future.cancel()
-            for future in futures:
-                if not future.cancelled():
-                    future.exception()
+            # A task failed or the consumer closed the generator: claim what
+            # is left so nothing new starts, and wait for the helpers so no
+            # background thread keeps mutating shared state after the caller
+            # unwinds.
+            for _ in claims:
+                pass
+            wait(running)
             raise
 
     def shutdown(self) -> None:

@@ -186,8 +186,8 @@ def _int8_chunk_matrix(size: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _quantize_int8(
-    values: np.ndarray, reference: Optional[np.ndarray] = None
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    values: np.ndarray, reference: Optional[np.ndarray] = None, reconstruct: bool = False
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Quantize flat float64 ``values`` (minus ``reference``, for a delta)
     into per-chunk (scale, mid) + uint8 codes.
 
@@ -200,6 +200,12 @@ def _quantize_int8(
     it keeps every blob bit-identical to the per-chunk form the format was
     defined by (``tests/network/test_codec_conformance.py`` pins the bytes).
     Neither input is written: handlers serve read-only views of live buffers.
+
+    With ``reconstruct`` the fourth item is what the receiver decodes, built
+    in the scratch that already holds the codes as float64 through the
+    receiver's own arithmetic (:func:`_int8_reconstruct`, then ``reference
+    +``), so it is bit-equal to :func:`deserialize_vector` of the blob;
+    otherwise it is ``None``.
     """
     work, flat = _int8_chunk_matrix(values.size)
     if reference is None:
@@ -222,20 +228,34 @@ def _quantize_int8(
     work /= np.where(constant, 1.0, scales)[:, None]
     work += 127.5
     np.rint(work, out=work)
-    codes = np.empty(work.shape, dtype=np.uint8)
-    np.clip(work, 0.0, 255.0, out=codes, casting="unsafe")
+    np.clip(work, 0.0, 255.0, out=work)
+    codes = work.astype(np.uint8)
     codes[constant] = 0  # reconstruction is exactly mid
-    return scales, mids, codes.reshape(-1)[: values.size]
+    reconstruction = None
+    if reconstruct:
+        work -= 127.5
+        _int8_reconstruct(work, scales, mids)
+        reconstruction = flat if reference is None else np.add(reference, flat, out=flat)
+    return scales, mids, codes.reshape(-1)[: values.size], reconstruction
+
+
+def _int8_reconstruct(work: np.ndarray, scales: np.ndarray, mids: np.ndarray) -> None:
+    """Turn a chunk matrix of ``code - 127.5`` into values, in place.
+
+    The one copy of this arithmetic: the sender's reconstruction and the
+    receiver's decode must be bit-equal, or a delta stream drifts.
+    """
+    work *= scales[:, None]
+    work += mids[:, None]
+    constant = scales == 0.0
+    work[constant] = mids[constant, None]
 
 
 def _dequantize_int8(scales: np.ndarray, mids: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_quantize_int8`: a private, writable float64 array."""
     work, flat = _int8_chunk_matrix(codes.size)
     np.subtract(codes, 127.5, out=flat, casting="unsafe")
-    work *= scales[:, None]
-    work += mids[:, None]
-    constant = scales == 0.0
-    work[constant] = mids[constant, None]
+    _int8_reconstruct(work, scales, mids)
     return flat
 
 
@@ -251,6 +271,7 @@ def serialize_vector_parts(
     vector: np.ndarray,
     fmt: FormatLike = PLAIN_FLOAT64,
     reference: Optional[np.ndarray] = None,
+    reconstruction: Optional[List[np.ndarray]] = None,
 ) -> List[BytesLike]:
     """Serialize an array into ``[header, *payload]`` buffer parts.
 
@@ -265,6 +286,11 @@ def serialize_vector_parts(
     With ``fmt.delta``, ``reference`` (the receiver's copy of the previous
     value, same number of elements) must be given and the payload encodes
     ``vector - reference``.
+
+    Given a ``reconstruction`` list, the function appends to it what
+    :func:`deserialize_vector` with ``copy=True`` would return for these parts
+    — an owned float64 array, bit for bit — computed from the encoded values
+    themselves rather than by parsing them back.
     """
     fmt = parse_wire_format(fmt)
     array = np.ascontiguousarray(vector, dtype=np.float64)
@@ -288,17 +314,19 @@ def serialize_vector_parts(
         if fmt.base != "int8":  # the int8 kernel subtracts straight into its scratch
             values = values - ref
 
-    if fmt.base == "float64":  # ``values`` is contiguous: splice its own buffer
-        return [header, memoryview(values).cast("B")]
+    keep = reconstruction is not None
     if fmt.base == "int8":
-        scales, mids, codes = _quantize_int8(values, ref)
-        return [
-            header,
-            memoryview(scales).cast("B"),
-            memoryview(mids).cast("B"),
-            memoryview(codes).cast("B"),
-        ]
-    return [header, memoryview(values.astype(_BASES[fmt.base][1])).cast("B")]
+        scales, mids, codes, decoded = _quantize_int8(values, ref, keep)
+        payload = [scales, mids, codes]
+    else:
+        # float64 splices ``values``' own (contiguous) buffer.
+        wire = values if fmt.base == "float64" else values.astype(_BASES[fmt.base][1])
+        payload = [wire]
+        if keep:
+            decoded = wire.astype(np.float64) if ref is None else np.add(ref, wire)
+    if keep:
+        reconstruction.append(decoded.reshape(dims) if dims else decoded)
+    return [header, *(memoryview(part).cast("B") for part in payload)]
 
 
 def serialize_vector(
@@ -323,13 +351,15 @@ def serialize_with_reconstruction(
     accumulating across rounds.  A delta format without a ``reference`` (the
     first message of a stream, or a stream restarted after a crash) degrades
     to absolute encoding — the blob's own delta flag tells the receiver
-    which one it got.
+    which one it got.  The reconstruction comes out of the encode itself; the
+    sender never decodes its own blob.
     """
     fmt = parse_wire_format(fmt)
     if fmt.delta and reference is None:
         fmt = fmt.without_delta()
-    blob = serialize_vector(vector, fmt, reference)
-    return blob, deserialize_vector(blob, copy=True, reference=reference)
+    kept: List[np.ndarray] = []
+    blob = b"".join(serialize_vector_parts(vector, fmt, reference, kept))
+    return blob, kept[0]
 
 
 def is_stream_vector(value: object) -> bool:

@@ -36,8 +36,8 @@ Two layers of "time" coexist here:
 * **Wall-clock time** — handler execution (gradient computation on a worker)
   is real work.  Each planned wave is handed to the backend
   (:meth:`TransportBackend.deliver`).  In process, its handler invocations
-  go through the deployment's :class:`~repro.core.executor.Executor` and are
-  drained from a completion queue, so with a
+  go through the deployment's :class:`~repro.core.executor.Executor`, which
+  yields each reply as it completes, so with a
   :class:`~repro.core.executor.ThreadedExecutor` independent peers are
   serviced concurrently and the round's wall-clock cost tracks the slowest
   single peer rather than the sum over peers; the socket backend writes the

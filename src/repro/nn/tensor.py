@@ -4,13 +4,13 @@ The :class:`Tensor` class is a thin wrapper around ``numpy.ndarray`` that
 records the computation graph as operations are applied and can back-propagate
 gradients with :meth:`Tensor.backward`.  It supports the operations needed by
 the models in :mod:`repro.nn.models`: broadcasting arithmetic, matrix
-multiplication, reductions, reshaping, ReLU / exp / log / tanh, and indexing
+multiplication, reductions, reshaping, ReLU, log-softmax and the indexing
 used by the loss functions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -71,10 +71,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        """Return a new tensor sharing data but cut from the graph."""
-        return Tensor(self.data, requires_grad=False)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -159,8 +155,10 @@ class Tensor:
         data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * other.data)
-            other._accumulate(grad * self.data)
+            if self.requires_grad:
+                self._accumulate(grad * other.data)
+            if other.requires_grad:
+                other._accumulate(grad * self.data)
 
         return self._make_result(data, (self, other), backward)
 
@@ -171,8 +169,10 @@ class Tensor:
         data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / other.data)
-            other._accumulate(-grad * self.data / (other.data ** 2))
+            if self.requires_grad:
+                self._accumulate(grad / other.data)
+            if other.requires_grad:
+                other._accumulate(-grad * self.data / (other.data ** 2))
 
         return self._make_result(data, (self, other), backward)
 
@@ -192,8 +192,10 @@ class Tensor:
         data = self.data @ other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
-            other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
+            if self.requires_grad:
+                self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
+            if other.requires_grad:
+                other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
 
         return self._make_result(data, (self, other), backward)
 
@@ -254,49 +256,8 @@ class Tensor:
 
         return self._make_result(data, (self,), backward)
 
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data)
-
-        return self._make_result(data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
-
-        return self._make_result(data, (self,), backward)
-
-    def tanh(self) -> "Tensor":
-        data = np.tanh(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * (1.0 - data ** 2))
-
-        return self._make_result(data, (self,), backward)
-
-    def sigmoid(self) -> "Tensor":
-        data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * data * (1.0 - data))
-
-        return self._make_result(data, (self,), backward)
-
-    def maximum(self, value: float) -> "Tensor":
-        mask = self.data > value
-        data = np.maximum(self.data, value)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return self._make_result(data, (self,), backward)
-
     # ------------------------------------------------------------------ #
-    # Softmax / log-softmax (numerically stable, along the last axis)
+    # Log-softmax (numerically stable, along the last axis)
     # ------------------------------------------------------------------ #
     def log_softmax(self) -> "Tensor":
         shifted = self.data - self.data.max(axis=-1, keepdims=True)
@@ -309,9 +270,6 @@ class Tensor:
             self._accumulate(grad - softmax * grad.sum(axis=-1, keepdims=True))
 
         return self._make_result(data, (self,), backward)
-
-    def softmax(self) -> "Tensor":
-        return self.log_softmax().exp()
 
     # ------------------------------------------------------------------ #
     # Gather along the last axis (used by the cross-entropy loss)
@@ -370,20 +328,3 @@ class Tensor:
         for node in reversed(topo):
             if node.grad is not None and node._parents:
                 node._backward(node.grad)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis, propagating gradients to each input."""
-    tensors = list(tensors)
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        pieces = np.split(np.asarray(grad), len(tensors), axis=axis)
-        for tensor, piece in zip(tensors, pieces):
-            tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    requires = any(t.requires_grad for t in tensors)
-    out = Tensor(data, requires_grad=requires, parents=tuple(tensors) if requires else ())
-    if requires:
-        out._backward = backward
-    return out

@@ -98,10 +98,58 @@ class TestExecutorEngines:
             elapsed = time.perf_counter() - start
         assert elapsed < 0.15
 
-    def test_threaded_runs_off_main_thread(self):
-        with ThreadedExecutor(max_workers=2) as executor:
-            [thread_name] = executor.run_all([lambda: threading.current_thread().name])
-        assert thread_name != threading.main_thread().name
+    def test_threaded_caller_runs_part_of_the_wave(self):
+        """The calling thread claims tasks itself instead of parking."""
+        caller = threading.current_thread().name
+
+        def task():
+            time.sleep(0.01)
+            return threading.current_thread().name
+
+        with ThreadedExecutor(max_workers=3) as executor:
+            names = executor.run_all([task for _ in range(6)])
+        assert caller in names
+        assert set(names) - {caller}  # and the helpers took the rest
+
+    def test_threaded_runs_at_most_max_workers_at_once(self):
+        lock = threading.Lock()
+        gauge = {"now": 0, "peak": 0}
+
+        def task():
+            with lock:
+                gauge["now"] += 1
+                gauge["peak"] = max(gauge["peak"], gauge["now"])
+            time.sleep(0.005)
+            with lock:
+                gauge["now"] -= 1
+
+        with ThreadedExecutor(max_workers=3) as executor:
+            for _ in range(3):
+                executor.run_all([task for _ in range(12)])
+        assert 1 < gauge["peak"] <= 3
+
+    def test_threaded_close_after_first_yield_joins_the_helpers(self):
+        running = []
+
+        def slow():
+            running.append(1)
+            time.sleep(0.03)
+            running.pop()
+
+        with ThreadedExecutor(max_workers=4) as executor:
+            completions = executor.map_unordered([slow for _ in range(12)])
+            next(completions)
+            completions.close()
+            assert running == []  # every started task finished, none is left
+            time.sleep(0.05)
+            assert running == []  # and nothing new started after the close
+            assert executor.run_all([lambda i=i: i for i in range(5)]) == list(range(5))
+
+    def test_threaded_single_worker_runs_everything_on_the_caller(self):
+        with ThreadedExecutor(max_workers=1) as executor:
+            names = executor.run_all([lambda: threading.current_thread().name] * 4)
+            assert executor._pool is None
+        assert names == [threading.current_thread().name] * 4
 
     def test_threaded_propagates_exceptions(self):
         def boom():

@@ -150,10 +150,12 @@ class TestTheWorkload:
     def test_a_round_quantizes_15_vectors_not_36(self, workload_runs, executor):
         """Nine gradients, three honest-replica models each pulled by two
         peers, and the Byzantine replica's model, which its attack makes
-        different for each of its three pullers."""
+        different for each of its three pullers.  None is dequantized: the
+        sender keeps the reconstruction its quantizer computed and no longer
+        decodes its own blob, and in-process the requester is handed that."""
         runs = workload_runs(executor)
-        assert runs[NeverHits][1] == [(36, 36)] * ROUNDS
-        assert runs[StreamTable][1] == [(15, 15)] * ROUNDS
+        assert runs[NeverHits][1] == [(36, 0)] * ROUNDS
+        assert runs[StreamTable][1] == [(15, 0)] * ROUNDS
 
 
 class TestTheHitRule:
