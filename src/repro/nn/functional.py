@@ -2,9 +2,12 @@
 
 This module hosts the 2-D convolution and pooling primitives used by
 :mod:`repro.nn.layers`.  Shapes follow the NCHW convention (batch, channels,
-height, width).
+height, width), but what :func:`conv2d` and the pools return is a
+batch-innermost ``(c, h, w, n)`` array viewed as NCHW, and so are the pools'
+input gradients: a stack of convolutions, ReLUs and pools keeps one layout
+forward and backward (``Tensor._accumulate`` copies with ``order="K"``).
 
-All three are built on two window helpers:
+Convolution is built on two window helpers:
 
 * :func:`_im2col` copies every ``k x k`` window of the (zero-padded) input
   into one column of a ``(c*k*k, out_h*out_w*n)`` matrix.  The windows are
@@ -13,19 +16,28 @@ All three are built on two window helpers:
 * :func:`_col2im` is its adjoint: it sums such a matrix back onto the pixels
   with ``k*k`` shifted slice-adds.
 
-Two things about them are frozen, because gradients — and so every golden
-trace and benchmark quality number — must not move in the last bit: the
-layout of ``cols`` (rows ordered ``(channel, di, dj)``, columns ``(out_y,
-out_x, image)``), which is an operand of all three GEMMs of a convolution, and
-the ascending ``(di, dj)`` order in which :func:`_col2im` adds the overlapping
-contributions to one pixel.  ``tests/nn/test_window_kernels.py`` holds the
-index-gather / unbuffered scatter-add implementation these replaced and requires
-``np.array_equal``; ``docs/performance.md`` section 6 has the measurements.
+Pooling uses neither.  It works on the ``k*k`` shifted strided views of the
+batch-innermost image (:func:`_pool_windows`), stacked along a leading axis:
+max pooling keeps ``argmax``'s rule (the first maximum in row-major ``(di,
+dj)`` window order, the first NaN, the earlier of a ``-0.0`` / ``0.0`` tie)
+and returns that element's exact bits; average pooling is the mean along the
+leading axis.  Both add each window offset's gradient into zeros in ascending
+``(di, dj)``.
+
+Two things are frozen, because gradients — and so every golden trace and
+benchmark quality number — must not move in the last bit: the layout of
+``cols`` (rows ordered ``(channel, di, dj)``, columns ``(out_y, out_x,
+image)``), which is an operand of all three GEMMs of a convolution, and the
+ascending ``(di, dj)`` order in which overlapping contributions to one pixel
+are added.  ``tests/nn/test_window_kernels.py`` holds the index-gather /
+unbuffered scatter-add helpers and the ``argmax`` pools these replaced and
+compares bytes; ``docs/performance.md`` sections 6 and 12 have the
+measurements.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -101,46 +113,56 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     return x._make_result(out, (x, weight, bias), backward)
 
 
+def _pool_windows(image: np.ndarray, kernel: int, stride: int) -> List[np.ndarray]:
+    """The ``k*k`` strided ``(c, out_h, out_w, n)`` views of a ``(c, h, w, n)`` image, in ascending ``(di, dj)``."""
+    rows, cols = (stride * ((size - kernel) // stride + 1) for size in image.shape[1:3])
+    return [image[:, di : di + rows : stride, dj : dj + cols : stride] for di in range(kernel) for dj in range(kernel)]
+
+
+def _pool_backward(x: Tensor, contributions: Iterable[np.ndarray], kernel: int, stride: int) -> None:
+    """Add each window offset's gradient into zeros in ascending ``(di, dj)``, the order ``_col2im`` adds in."""
+    dx = np.zeros(x.data.shape[1:] + x.data.shape[:1])
+    for pixels, contribution in zip(_pool_windows(dx, kernel, stride), contributions):
+        pixels += contribution
+    x._accumulate(dx.transpose(3, 0, 1, 2))
+
+
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
-    """Max pooling over NCHW input with square windows."""
+    """Max pooling over NCHW input with square windows; ties go to the first maximum in window order."""
     stride = stride or kernel
-    n, c, h, w = x.data.shape
-    reshaped = x.data.reshape(n * c, 1, h, w)
-    cols, out_h, out_w = _im2col(reshaped, kernel, stride, 0)
-    argmax = cols.argmax(axis=0)
-    out = cols[argmax, np.arange(cols.shape[1])]
-    out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
+    stack = np.stack(_pool_windows(x.data.transpose(1, 2, 3, 0), kernel, stride))
+    peak = np.maximum.reduce(stack)
+    # argmax's rule: the first element >= the peak, or the first NaN (a NaN
+    # peak is >= to nothing).  ``hit`` becomes "first hit in (di, dj) order".
+    hit = stack >= peak
+    if np.isnan(peak).any():
+        hit |= np.isnan(stack)
+    seen = hit[0].copy()
+    for later in hit[1:]:
+        np.greater(later, seen, out=later)
+        seen |= later
+    # All-ones / all-zeros words select the chosen element's exact bits (its
+    # zero's sign, its NaN); a 0/1 product would turn an unchosen inf into NaN.
+    select = np.negative(hit.view(np.int8)).astype(np.int64)
+    chosen = stack.view(np.int64)
+    chosen &= select
+    out = np.bitwise_or.reduce(chosen).view(np.float64)
 
     def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad, dtype=np.float64)
-        grad_flat = grad.reshape(n * c, out_h, out_w).transpose(1, 2, 0).reshape(-1)
-        dcols = np.zeros_like(cols)
-        dcols[argmax, np.arange(cols.shape[1])] = grad_flat
-        dx = _col2im(dcols, reshaped.shape, kernel, stride, 0)
-        x._accumulate(dx.reshape(x.data.shape))
+        bits = np.asarray(grad, dtype=np.float64).transpose(1, 2, 3, 0).view(np.int64)
+        _pool_backward(x, ((bits & row).view(np.float64) for row in select), kernel, stride)
 
-    return x._make_result(out, (x,), backward)
+    return x._make_result(out.transpose(3, 0, 1, 2), (x,), backward)
 
 
 def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Average pooling over NCHW input with square windows."""
     stride = stride or kernel
-    n, c, h, w = x.data.shape
-    reshaped = x.data.reshape(n * c, 1, h, w)
-    cols, out_h, out_w = _im2col(reshaped, kernel, stride, 0)
-    out = cols.mean(axis=0)
-    out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
+    # A mean along the stacked axis adds the windows in (di, dj) order.
+    out = np.stack(_pool_windows(x.data.transpose(1, 2, 3, 0), kernel, stride)).mean(axis=0)
 
     def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad, dtype=np.float64)
-        grad_flat = grad.reshape(n * c, out_h, out_w).transpose(1, 2, 0).reshape(-1)
-        dcols = np.broadcast_to(grad_flat / (kernel * kernel), cols.shape).copy()
-        dx = _col2im(dcols, reshaped.shape, kernel, stride, 0)
-        x._accumulate(dx.reshape(x.data.shape))
+        grad = np.asarray(grad, dtype=np.float64).transpose(1, 2, 3, 0) / (kernel * kernel)
+        _pool_backward(x, [grad] * (kernel * kernel), kernel, stride)
 
-    return x._make_result(out, (x,), backward)
-
-
-def global_avg_pool2d(x: Tensor) -> Tensor:
-    """Average over the spatial dimensions, returning an (N, C) tensor."""
-    return x.mean(axis=(2, 3))
+    return x._make_result(out.transpose(3, 0, 1, 2), (x,), backward)

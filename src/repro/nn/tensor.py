@@ -35,6 +35,9 @@ class Tensor:
     """A numpy-backed tensor participating in a dynamic autograd graph."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    #: An ndarray on the left of ``*``, ``/``, ``+`` or ``-`` defers to the
+    #: reflected operator instead of broadcasting over the Tensor as an object.
+    __array_ufunc__ = None
 
     def __init__(
         self,
@@ -64,10 +67,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         return float(self.data)
@@ -119,7 +118,10 @@ class Tensor:
             return
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
-            self.grad = grad.copy()
+            # "K" keeps the layout the producer chose (the CNN's batch-innermost
+            # activations), so later element-wise products see matching strides;
+            # a broadcast view (a zero stride) has no layout worth keeping.
+            self.grad = grad.copy(order="C" if 0 in grad.strides else "K")
         else:
             self.grad += grad
 
@@ -231,16 +233,6 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(np.asarray(grad).reshape(original))
-
-        return self._make_result(data, (self,), backward)
-
-    def transpose(self, *axes: int) -> "Tensor":
-        axes_t = tuple(axes) if axes else tuple(reversed(range(self.data.ndim)))
-        data = self.data.transpose(axes_t)
-        inverse = tuple(np.argsort(axes_t))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(np.asarray(grad).transpose(inverse))
 
         return self._make_result(data, (self,), backward)
 

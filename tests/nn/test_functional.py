@@ -109,12 +109,6 @@ class TestPooling:
         F.avg_pool2d(x, kernel=2).sum().backward()
         assert np.allclose(x.grad, np.full((1, 1, 4, 4), 0.25))
 
-    def test_global_avg_pool(self):
-        x = Tensor(np.ones((2, 3, 5, 5)))
-        out = F.global_avg_pool2d(x)
-        assert out.shape == (2, 3)
-        assert np.allclose(out.data, 1.0)
-
     def test_max_pool_multichannel_batch(self):
         x = Tensor(np.random.default_rng(4).normal(size=(3, 2, 6, 6)), requires_grad=True)
         out = F.max_pool2d(x, kernel=3)

@@ -141,6 +141,17 @@ class TestArithmetic:
         assert np.allclose(w.grad, [-0.75, -5.0 / 16.0])
         assert c.grad is None
 
+    def test_an_ndarray_on_the_left_defers_to_the_reflected_operator(self):
+        w = Tensor([2.0, 4.0], requires_grad=True)
+        out = np.array([3.0, 5.0]) / w
+        assert isinstance(out, Tensor)
+        out.sum().backward()
+        assert np.array_equal(w.grad, [-0.75, -0.3125])
+        for result in (np.ones(2) * w, np.ones(2) + w, np.ones(2) - w):
+            assert isinstance(result, Tensor)
+            assert result.requires_grad
+
+
 class TestReductionsAndShapes:
     def test_sum_axis_keepdims(self):
         a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -166,6 +177,14 @@ class TestReductionsAndShapes:
         out.sum().backward()
         assert np.allclose(a.grad, np.full((2, 3, 4), 1.0 / 12))
 
+    def test_first_gradient_keeps_its_layout_unless_broadcast(self):
+        a = Tensor(np.ones((4, 3)), requires_grad=True)
+        a.sum(axis=0).sum().backward()
+        assert a.grad.flags.c_contiguous
+        b = Tensor(np.ones((4, 3)), requires_grad=True)
+        (b * 2.0).backward(np.ones((3, 4)).T)
+        assert b.grad.flags.f_contiguous
+
     def test_reshape_roundtrip_grad(self):
         a = Tensor(np.arange(6.0), requires_grad=True)
         a.reshape(2, 3).sum().backward()
@@ -175,12 +194,6 @@ class TestReductionsAndShapes:
         a = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
         assert a.reshape(3, -1).shape == (3, 4)
 
-    def test_transpose(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        out = a.transpose()
-        assert out.shape == (3, 2)
-        out.sum().backward()
-        assert a.grad.shape == (2, 3)
 
 class TestNonLinearities:
     def test_relu_forward_backward(self):

@@ -1,15 +1,18 @@
 """The strided-window kernels against the index-gather ones they replaced.
 
-``repro.nn.functional`` builds convolution and pooling on two helpers,
-``_im2col`` and ``_col2im``.  They used to gather through index tables and
-scatter with ``np.add.at``; now they copy out of a sliding-window view and add
-shifted slices.  Training traces, goldens and benchmark quality numbers all
-depend on the two being the *same function to the last bit*, so:
+``repro.nn.functional`` builds convolution on two helpers, ``_im2col`` and
+``_col2im``, and pooling on strided views of the batch-innermost image.  The
+helpers used to gather through index tables and scatter with ``np.add.at``,
+and the pools used to run through them with an ``argmax`` over the window
+rows.  Training traces, goldens and benchmark quality numbers all depend on
+old and new being the *same function to the last bit*, so:
 
-* the old helpers live on **here** as the reference, and every output and
-  gradient of ``conv2d`` / ``max_pool2d`` / ``avg_pool2d`` is compared with
-  ``np.array_equal`` over a grid of kernels, strides and paddings on sizes the
-  window does not tile;
+* the old helpers and the old pools live on **here** as the reference, and
+  every output and gradient of ``conv2d`` / ``max_pool2d`` / ``avg_pool2d``
+  is compared by ``tobytes()`` (which, unlike ``np.array_equal``, tells
+  ``-0.0`` from ``0.0`` and matches a NaN with itself) over a grid of kernels,
+  strides and paddings on sizes the window does not tile, and the pools also
+  over inputs full of NaN, infinities and mixed-sign zero ties;
 * ``window_kernels_fixture.json`` holds the ``update_norm`` of five ``ssmw`` /
   ``mnist_cnn`` rounds recorded with the old helpers (floats as ``repr``), and
   the OpenBLAS thread count they were recorded under: GEMM blocks its sums by
@@ -17,7 +20,8 @@ depend on the two being the *same function to the last bit*, so:
   are replayed in a child interpreter pinned to that count.  Run this file
   as a script to regenerate it — against the old source, and only when the
   arithmetic itself is meant to change;
-* a guard runs one ``mnist_cnn`` step with ``np.add.at`` made to raise.
+* guards run one ``mnist_cnn`` step with ``np.add.at`` made to raise, and
+  count the step's ``_im2col`` / ``_col2im`` calls: the convolutions' only.
 """
 
 from __future__ import annotations
@@ -81,12 +85,52 @@ def reference_col2im(cols, x_shape, kernel, stride, padding):
     return padded[:, :, padding:-padding, padding:-padding]
 
 
+def reference_max_pool2d(x, kernel=2, stride=None):
+    stride = stride or kernel
+    n, c, h, w = x.data.shape
+    reshaped = x.data.reshape(n * c, 1, h, w)
+    cols, out_h, out_w = reference_im2col(reshaped, kernel, stride, 0)
+    argmax = cols.argmax(axis=0)
+    out = cols[argmax, np.arange(cols.shape[1])]
+    out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
+
+    def backward(grad):
+        grad = np.asarray(grad, dtype=np.float64)
+        grad_flat = grad.reshape(n * c, out_h, out_w).transpose(1, 2, 0).reshape(-1)
+        dcols = np.zeros_like(cols)
+        dcols[argmax, np.arange(cols.shape[1])] = grad_flat
+        dx = reference_col2im(dcols, reshaped.shape, kernel, stride, 0)
+        x._accumulate(dx.reshape(x.data.shape))
+
+    return x._make_result(out, (x,), backward)
+
+
+def reference_avg_pool2d(x, kernel=2, stride=None):
+    stride = stride or kernel
+    n, c, h, w = x.data.shape
+    reshaped = x.data.reshape(n * c, 1, h, w)
+    cols, out_h, out_w = reference_im2col(reshaped, kernel, stride, 0)
+    out = cols.mean(axis=0)
+    out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
+
+    def backward(grad):
+        grad = np.asarray(grad, dtype=np.float64)
+        grad_flat = grad.reshape(n * c, out_h, out_w).transpose(1, 2, 0).reshape(-1)
+        dcols = np.broadcast_to(grad_flat / (kernel * kernel), cols.shape).copy()
+        dx = reference_col2im(dcols, reshaped.shape, kernel, stride, 0)
+        x._accumulate(dx.reshape(x.data.shape))
+
+    return x._make_result(out, (x,), backward)
+
+
 def both(run):
-    """``run()`` with the shipped helpers and again with the reference ones."""
+    """``run()`` with the shipped kernels and again with the reference ones."""
     shipped = run()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(F, "_im2col", reference_im2col)
         patch.setattr(F, "_col2im", reference_col2im)
+        patch.setattr(F, "max_pool2d", reference_max_pool2d)
+        patch.setattr(F, "avg_pool2d", reference_avg_pool2d)
         return shipped, run()
 
 
@@ -96,8 +140,13 @@ def assert_identical(shipped, reference):
         if want is None:
             assert got is None
         else:
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
+
+def batch_innermost(value):
+    """``value`` laid out as ``conv2d`` leaves its output: ``(c, h, w, n)`` in memory."""
+    return value.transpose(1, 2, 3, 0).copy().transpose(3, 0, 1, 2)
 
 
 # ---------------------------------------------------------------------- #
@@ -126,22 +175,44 @@ def test_conv2d_is_bit_identical_to_the_index_gather(kernel, stride, padding, si
     assert_identical(*both(run))
 
 
-@pytest.mark.parametrize("pool", [F.max_pool2d, F.avg_pool2d])
+#: Values the extended grid draws from: every IEEE special a pool can meet.
+SPECIALS = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 2.0])
+
+
+def pool_inputs(kernel, stride, size):
+    rng = np.random.default_rng(kernel * 10 + stride)
+    # Rounded to integers: most windows hold their maximum more than once.
+    yield rng.normal(scale=2.0, size=(3, 2) + size).round(), rng.normal(size=(3, 2, 40, 40))
+    # Windows full of NaN, infinities and ties between 0.0 and -0.0.  The
+    # upstream gradient stays finite: where two NaNs meet in a sum, which
+    # sign survives depends on the operand order inside NumPy's loop, and
+    # there ``np.add.at`` and a slice-add already disagreed with each other.
+    yield rng.choice(SPECIALS, size=(3, 2) + size), rng.normal(size=(3, 2, 40, 40))
+    # Positive values among 0.0 / -0.0 ties, in the layout ``conv2d`` leaves.
+    signed = rng.normal(size=(3, 2) + size)
+    zeros = rng.choice([0.0, -0.0], size=signed.shape)
+    yield batch_innermost(np.where(signed > 0, signed, zeros)), rng.normal(size=(3, 2, 40, 40))
+
+
+@pytest.mark.parametrize("pool", ["max_pool2d", "avg_pool2d"])
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("kernel,stride", itertools.product((1, 2, 3, 5), (1, 2, 3)))
 def test_pooling_is_bit_identical_to_the_index_gather(kernel, stride, size, pool):
-    rng = np.random.default_rng(kernel * 10 + stride)
-    # Rounded to integers: most windows hold their maximum more than once.
-    x_val = rng.normal(scale=2.0, size=(3, 2) + size).round()
-    upstream = rng.normal(size=(3, 2, 40, 40))
+    for x_val, upstream in pool_inputs(kernel, stride, size):
 
-    def run():
-        x = Tensor(x_val.copy(), requires_grad=True)
-        out = pool(x, kernel, stride)
-        out.backward(upstream[:, :, : out.shape[2], : out.shape[3]])
-        return out.data, x.grad
+        def run():
+            x = Tensor(x_val.copy(order="K"), requires_grad=True)
+            out = getattr(F, pool)(x, kernel, stride)
+            out.backward(upstream[:, :, : out.shape[2], : out.shape[3]])
+            if pool == "avg_pool2d":
+                # IEEE 754 leaves the sign of a NaN sum open, and NumPy's
+                # answer for NaN + -NaN depends on the element's SIMD lane,
+                # which the reordered columns move: compare NaNs as one NaN.
+                return np.where(np.isnan(out.data), np.nan, out.data), x.grad
+            return out.data, x.grad
 
-    assert_identical(*both(run))
+        with np.errstate(invalid="ignore"):  # inf + -inf in a window's mean
+            assert_identical(*both(run))
 
 
 def test_read_only_input_is_neither_written_nor_refused():
@@ -280,6 +351,25 @@ class _NumpyWithoutAddAt:
 
     def __getattr__(self, name):
         return getattr(np, name)
+
+
+def test_cnn_step_windows_only_its_convolutions(monkeypatch):
+    calls = {"_im2col": 0, "_col2im": 0}
+    for name in calls:
+
+        def counted(*args, name=name, kernel=getattr(F, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(F, name, counted)
+    model = build_model("mnist_cnn")
+    model.train()
+    rng = np.random.default_rng(0)
+    logits = model(Tensor(rng.normal(size=(4, 1, 28, 28))))
+    CrossEntropyLoss()(logits, rng.integers(0, 10, size=4)).backward()
+    # One ``_im2col`` per convolution, one ``_col2im`` for the second one's
+    # input (the image needs no gradient); the pools call neither.
+    assert calls == {"_im2col": 2, "_col2im": 1}
 
 
 def test_cnn_step_never_calls_the_unbuffered_scatter_add(monkeypatch):
