@@ -47,6 +47,9 @@
 #                       — each named workload on <rev> and on the working tree,
 #                         alternated PAIRS times: medians, quartiles and win
 #                         count per end-to-end metric (what a perf claim needs)
+#   make bench-mem      — per-phase VmHWM / VmRSS of each in-process e2e workload
+#                         (imports, build, pristine evaluation, rounds 1 and 50,
+#                         the quality checkpoint) at SEED, ~1 min
 #   make bench-figures  — the analytic figure benches (Figs. 6-10, 13-16 and the
 #                         cost-model ablation): the paper-claim assertions on
 #                         each strategy's replayed round, priced at the paper's
@@ -70,7 +73,7 @@ PAIRS ?= 10
 LOC_MAX ?= 8080
 export PYTHONPATH := src
 
-.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends test-gars update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench-figures bench fuzz-smoke fuzz docs-check loc quickstart
+.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends test-gars update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench-mem bench-figures bench fuzz-smoke fuzz docs-check loc quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -130,6 +133,9 @@ bench-e2e-compare:
 
 bench-e2e-ab:
 	python3 scripts/ab_e2e.py --parent $(PARENT) --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS)
+
+bench-mem:
+	python3 scripts/mem_phases.py --seed $(SEED)
 
 FIGURE_BENCHES = benchmarks/bench_fig6_model_dim.py benchmarks/bench_fig7_breakdown.py \
 	benchmarks/bench_fig8_workers.py benchmarks/bench_fig9_decentralized.py \

@@ -27,6 +27,3 @@ class Average(GAR):
 
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         return matrix.mean(axis=0)
-
-    def flops(self, d: int) -> float:
-        return float(self.n * d)

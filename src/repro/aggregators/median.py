@@ -36,7 +36,6 @@ class Median(GAR):
     def _aggregate(self, matrix: np.ndarray) -> np.ndarray:
         return column_median(sorted_columns(matrix))
 
-    def flops(self, d: int) -> float:
-        # The cost model's figure (pinned by the goldens): linear in the inputs per
-        # coordinate; the worst case is quadratic (documented in Section 6.3).
-        return float(self.n * d)
+    # ``flops`` is the base's n·d, the cost model's figure (pinned by the
+    # goldens): linear in the inputs per coordinate; the worst case is
+    # quadratic (documented in Section 6.3).

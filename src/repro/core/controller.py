@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.aggregators.base import GAR
 from repro.core.byzantine import ByzantineServer, ByzantineWorker
 from repro.core.cluster import ClusterConfig, DeploymentShape

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.datasets.synthetic import NUM_CLASSES, Dataset, make_synthetic_cifar10, make_synthetic_mnist, train_size
+from repro.datasets.synthetic import NUM_CLASSES, Dataset, make_classification, train_size
 from repro.exceptions import ConfigurationError
 from repro.nn.layers import Module
 from repro.nn.models import build_model
@@ -78,10 +78,9 @@ class Experiment:
 
     def build_dataset(self) -> Tuple[Dataset, Dataset]:
         """Return the (train, test) split of the experiment's dataset."""
-        if self.dataset_name == "mnist":
-            full = make_synthetic_mnist(self.dataset_size, noise=self.noise, seed=self.seed)
-        else:
-            full = make_synthetic_cifar10(self.dataset_size, noise=self.noise, seed=self.seed)
+        full = make_classification(
+            self.dataset_size, self.input_shape, noise=self.noise, seed=self.seed, name=f"synthetic-{self.dataset_name}"
+        )
         return full.split(self.test_fraction, seed=self.seed)
 
     def build_model(self, seed: int | None = None) -> Module:

@@ -40,7 +40,7 @@ import copy
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from repro.attacks import available_attacks, build_attack
 from repro.exceptions import ConfigurationError

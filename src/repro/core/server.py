@@ -23,7 +23,7 @@ On top of those it exposes ``update_model()``, ``write_model()`` and
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.network.transport import RoundBuffer, Transport
 from repro.nn.layers import Module
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.optim import SGD
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 class Server(Node):
@@ -339,38 +339,40 @@ class Server(Node):
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
+    def _evaluate(self, dataset: Optional[Dataset], caller: str, score: Callable) -> List[Tuple[float, int]]:
+        """``(score(logits, labels), batch size)`` per test batch: eval mode, no graph, ``train()`` after."""
+        dataset = dataset or self.test_dataset
+        if dataset is None:
+            raise ConfigurationError(f"no test dataset available for {caller}")
+        batch = self.eval_batch_size
+        scores = []
+        self.model.eval()
+        try:
+            with no_grad():
+                for start in range(0, len(dataset), batch):
+                    labels = dataset.labels[start : start + batch]
+                    logits = self.model(Tensor(dataset.images[start : start + batch]))
+                    scores.append((score(logits, labels), len(labels)))
+        finally:
+            self.model.train()
+        return scores
+
     def compute_accuracy(self, dataset: Optional[Dataset] = None) -> float:
         """Top-1 accuracy of the current model on the test set."""
-        dataset = dataset or self.test_dataset
-        if dataset is None:
-            raise ConfigurationError("no test dataset available for compute_accuracy")
-        self.model.eval()
-        correct = 0
-        total = 0
-        for start in range(0, len(dataset), self.eval_batch_size):
-            images = dataset.images[start : start + self.eval_batch_size]
-            labels = dataset.labels[start : start + self.eval_batch_size]
-            logits = self.model(Tensor(images))
-            correct += int((logits.data.argmax(axis=-1) == labels).sum())
-            total += len(labels)
-        self.model.train()
-        return correct / total if total else 0.0
+        scores = self._evaluate(
+            dataset, "compute_accuracy", lambda logits, labels: int((logits.data.argmax(axis=-1) == labels).sum())
+        )
+        total = sum(size for _, size in scores)
+        return sum(correct for correct, _ in scores) / total if total else 0.0
 
     def compute_loss(self, dataset: Optional[Dataset] = None) -> float:
-        """Mean cross-entropy loss of the current model on the test set."""
-        dataset = dataset or self.test_dataset
-        if dataset is None:
-            raise ConfigurationError("no test dataset available for compute_loss")
-        self.model.eval()
+        """Mean cross-entropy loss of the current model over the test set's examples."""
         loss_fn = CrossEntropyLoss()
-        losses = []
-        for start in range(0, len(dataset), self.eval_batch_size):
-            images = dataset.images[start : start + self.eval_batch_size]
-            labels = dataset.labels[start : start + self.eval_batch_size]
-            logits = self.model(Tensor(images))
-            losses.append(loss_fn(logits, labels).item())
-        self.model.train()
-        return float(np.mean(losses)) if losses else 0.0
+        scores = self._evaluate(dataset, "compute_loss", lambda logits, labels: loss_fn(logits, labels).item())
+        total = sum(size for _, size in scores)
+        # Each batch's mean weighs by its share of the examples; one batch
+        # weighs exactly 1.0, so its mean comes back unchanged.
+        return float(sum(loss * (size / total) for loss, size in scores)) if total else 0.0
 
     # ------------------------------------------------------------------ #
     # Transport handlers (what this server serves to its peers)

@@ -9,8 +9,6 @@ absorb.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.datasets.synthetic import Dataset
 from repro.exceptions import DatasetError
 from repro.utils import make_rng

@@ -18,6 +18,8 @@ from repro.utils import make_rng
 
 #: Classes of the MNIST- and CIFAR-10-shaped datasets.
 NUM_CLASSES = 10
+#: Rows whose prototypes :func:`make_classification` gathers at once.
+_ROW_BLOCK = 128
 
 
 def train_size(num_examples: int, test_fraction: float) -> int:
@@ -99,11 +101,16 @@ def make_classification(
 
     labels = np.arange(num_examples, dtype=np.int64) % num_classes
     rng.shuffle(labels)
-    images = prototypes[labels] + rng.normal(0.0, noise, size=(num_examples, channels, height, width))
+    # One dataset-sized buffer: the noise, then each row's prototype added in
+    # place a block of rows at a time (the same ``p + n``, so the same bytes).
+    images = rng.normal(0.0, noise, size=(num_examples, channels, height, width))
+    for start in range(0, num_examples, _ROW_BLOCK):
+        block = images[start : start + _ROW_BLOCK]
+        np.add(prototypes[labels[start : start + _ROW_BLOCK]], block, out=block)
     # Per-example brightness jitter so that examples of the same class are not
     # trivially identical up to iid noise.
-    brightness = rng.uniform(0.8, 1.2, size=(num_examples, 1, 1, 1))
-    images = np.clip(images * brightness, -3.0, 3.0)
+    images *= rng.uniform(0.8, 1.2, size=(num_examples, 1, 1, 1))
+    np.clip(images, -3.0, 3.0, out=images)
     return Dataset(images=images, labels=labels, num_classes=num_classes, name=name)
 
 

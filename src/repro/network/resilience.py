@@ -176,10 +176,6 @@ class DeadlineBudget:
         self._clock = clock
         self._started = clock()
 
-    @property
-    def deadline(self) -> float:
-        return self._started + self.total
-
     def elapsed(self) -> float:
         return self._clock() - self._started
 

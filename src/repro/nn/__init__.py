@@ -9,7 +9,7 @@ parameter / gradient vector (:class:`FlatParameterView`) and the optimizer —
 exactly the surface the paper's library uses from the underlying frameworks.
 """
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 from repro.nn.layers import (
     AvgPool2d,
     Conv2d,
@@ -39,6 +39,7 @@ from repro.nn.parameters import FlatParameterView, attach_flat_view
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "Module",
     "Linear",
     "Conv2d",

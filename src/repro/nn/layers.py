@@ -7,7 +7,7 @@ Garfield Server / Worker objects rely on: ``parameters()``, ``zero_grad()``,
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional
 
 import numpy as np
 
@@ -169,24 +169,24 @@ class Flatten(Module):
         return x.reshape(x.shape[0], -1)
 
 
-class MaxPool2d(Module):
+class _Pool2d(Module):
+    """Square-window pooling; a subclass names the kernel in ``pool``."""
+
     def __init__(self, kernel_size: int = 2, stride: Optional[int] = None) -> None:
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = stride
 
     def forward(self, x: Tensor) -> Tensor:
-        return F.max_pool2d(x, self.kernel_size, self.stride)
+        return self.pool(x, self.kernel_size, self.stride)
 
 
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int = 2, stride: Optional[int] = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
+class MaxPool2d(_Pool2d):
+    pool = staticmethod(F.max_pool2d)
 
-    def forward(self, x: Tensor) -> Tensor:
-        return F.avg_pool2d(x, self.kernel_size, self.stride)
+
+class AvgPool2d(_Pool2d):
+    pool = staticmethod(F.avg_pool2d)
 
 
 class Sequential(Module):

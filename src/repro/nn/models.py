@@ -24,7 +24,6 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.nn import functional as F
 from repro.nn.layers import (
     AvgPool2d,
     Conv2d,

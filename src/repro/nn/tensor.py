@@ -5,16 +5,44 @@ records the computation graph as operations are applied and can back-propagate
 gradients with :meth:`Tensor.backward`.  It supports the operations needed by
 the models in :mod:`repro.nn.models`: broadcasting arithmetic, matrix
 multiplication, reductions, reshaping, ReLU, log-softmax and the indexing
-used by the loss functions.
+used by the loss functions.  Under :func:`no_grad` a thread records no graph,
+which is how evaluation runs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Set, Tuple, Union
+import threading
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, list, tuple]
+
+
+class _GradMode(threading.local):
+    #: Whether operations in this thread record the graph; :func:`no_grad` clears it.
+    recording = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph in this thread for the scope: results keep no parents.
+
+    Evaluation's forward passes run under it, so the activations a backward
+    pass would read are freed as the pass goes.  Other threads (a pool's
+    workers taking gradients) keep recording.  Scopes nest; the previous mode
+    comes back on exit, also on an exception.
+    """
+    previous = _GRAD_MODE.recording
+    _GRAD_MODE.recording = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.recording = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -107,7 +135,7 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = any(p.requires_grad for p in parents)
+        requires = _GRAD_MODE.recording and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, parents=parents if requires else ())
         if requires:
             out._backward = backward
@@ -226,10 +254,9 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def reshape(self, *shape: int) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+        # ndarray.reshape takes the shape as one tuple or as separate sizes.
         original = self.data.shape
-        data = self.data.reshape(shape)
+        data = self.data.reshape(*shape)
 
         def backward(grad: np.ndarray) -> None:
             self._accumulate(np.asarray(grad).reshape(original))

@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.cluster import ClusterConfig
 from repro.core.server import Server
+from repro.core.session import Session
 from repro.core.worker import Worker
 from repro.datasets.partition import partition_iid
 from repro.datasets.synthetic import make_classification
 from repro.exceptions import ConfigurationError, TrainingError
 from repro.network.serialization import message_nbytes
 from repro.network.transport import Transport
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.models import LogisticRegression
+from repro.nn.tensor import Tensor
 
 
 def build_ps_cluster(num_workers=4, num_servers=2, seed=0):
@@ -175,3 +182,91 @@ class TestEvaluation:
     def test_accuracy_uses_explicit_dataset_argument(self):
         _, servers, _, test = build_ps_cluster()
         assert servers[0].compute_accuracy(test) == servers[0].compute_accuracy()
+
+    def test_loss_weighs_each_batch_by_its_size(self):
+        """300 test examples: a full batch of 256 and a short one of 44."""
+        config = ClusterConfig(
+            deployment="ssmw", num_workers=5, gradient_gar="average", model="logistic",
+            dataset="mnist", dataset_size=1500,
+        )
+        with Session(config=config) as session:
+            server = session.reporting_server
+            assert len(server.test_dataset) == 300 and server.eval_batch_size == 256
+            batched = server.compute_loss()
+            server.eval_batch_size = len(server.test_dataset)
+            assert batched == pytest.approx(server.compute_loss(), rel=1e-12)
+
+    def test_one_batch_loss_is_that_batch_mean(self):
+        _, servers, _, test = build_ps_cluster()
+        server = servers[0]
+        expected = CrossEntropyLoss()(server.model(Tensor(test.images)), test.labels).item()
+        assert server.compute_loss() == expected
+
+    @pytest.mark.parametrize("method", ["compute_loss", "compute_accuracy"])
+    def test_train_mode_and_graph_restored_on_an_exception(self, method, monkeypatch):
+        _, servers, _, _ = build_ps_cluster()
+        model = servers[0].model
+
+        def broken(x):
+            raise RuntimeError("forward failed")
+
+        monkeypatch.setattr(model, "forward", broken)
+        with pytest.raises(RuntimeError, match="forward failed"):
+            getattr(servers[0], method)()
+        assert model.training
+        weight = model.parameters()[0]
+        assert weight.relu()._parents == (weight,)
+
+
+def _cnn_session(**overrides) -> Session:
+    """The e2e CNN workload's data (600 mnist examples, 120 of them test) on a small ssmw."""
+    config = dict(
+        deployment="ssmw", num_workers=3, gradient_gar="average", model="mnist_cnn",
+        dataset="mnist", dataset_size=600, dataset_noise=0.8, batch_size=8, seed=1,
+    )
+    return Session(config=ClusterConfig(**dict(config, **overrides)))
+
+
+class TestEvaluationMemory:
+    def test_cnn_evaluation_keeps_no_graph(self, monkeypatch):
+        """At the loss, no Tensor with parents is alive, and the traced peak is at most
+        0.6 x a forward pass that records its graph (an im2col block per convolution)."""
+        with _cnn_session() as session:
+            server = session.reporting_server
+            test = server.test_dataset
+            assert len(test) == 120
+            tracemalloc.start()
+            try:
+                CrossEntropyLoss()(server.model(Tensor(test.images)), test.labels)
+                recorded = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            graphs = []
+            original = CrossEntropyLoss.__call__
+
+            def counting(loss, logits, labels):
+                graphs.append(sum(1 for o in gc.get_objects() if isinstance(o, Tensor) and o._parents))
+                return original(loss, logits, labels)
+
+            monkeypatch.setattr(CrossEntropyLoss, "__call__", counting)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                server.compute_loss()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert graphs == [0]
+            assert peak <= 0.6 * recorded, (peak, recorded)
+
+    def test_worker_gradient_after_an_evaluation_is_unchanged(self):
+        gradients = []
+        for evaluate in (False, True):
+            with _cnn_session() as session:
+                server = session.reporting_server
+                if evaluate:
+                    server.compute_loss()
+                    server.compute_accuracy()
+                worker = session.deployment.workers[0]
+                gradients.append(worker.compute_gradient(server.flat_parameters()).tobytes())
+        assert gradients[0] == gradients[1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,3 +103,15 @@ class TestGenerators:
     def test_values_are_clipped(self):
         ds = make_synthetic_cifar10(64, noise=5.0)
         assert ds.images.max() <= 3.0 and ds.images.min() >= -3.0
+
+
+def test_synthesis_builds_the_images_in_one_buffer():
+    """The ssmw-bulyan-wide dataset (1200 CIFAR-shaped examples, 29.5 MB of
+    images) peaks at 1.25 x its images: the noise buffer plus one row block."""
+    tracemalloc.start()
+    try:
+        dataset = make_synthetic_cifar10(1200, noise=4.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * dataset.images.nbytes, (peak, dataset.images.nbytes)

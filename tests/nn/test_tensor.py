@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.nn import tensor
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, no_grad
 
 
 def numeric_grad(fn, value, eps=1e-6):
@@ -261,3 +263,64 @@ class TestGraphTraversal:
         (x * x).backward()
         x.zero_grad()
         assert x.grad is None
+
+
+def _records(x: Tensor) -> bool:
+    """Whether an operation on ``x`` records a graph in the calling thread."""
+    out = x.relu()
+    return out.requires_grad and out._parents == (x,)
+
+
+class TestNoGrad:
+    def test_results_keep_no_parents_inside_the_scope(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with no_grad():
+            out = (x * 3.0).relu().sum()
+        assert not out.requires_grad and out._parents == ()
+        assert _records(x)
+
+    def test_values_are_the_same(self):
+        x = Tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4), requires_grad=True)
+        recorded = x.log_softmax().mean()
+        with no_grad():
+            bare = x.log_softmax().mean()
+        assert bare.data.tobytes() == recorded.data.tobytes()
+
+    def test_scopes_nest(self):
+        x = Tensor([1.0], requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not _records(x)
+            assert not _records(x)
+        assert _records(x)
+
+    def test_restored_after_an_exception(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(ValueError):
+            with no_grad():
+                raise ValueError("inside the scope")
+        assert _records(x)
+
+    def test_scope_is_per_thread(self):
+        """A pool thread taking a gradient meanwhile still records its graph."""
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        entered, computed = threading.Event(), threading.Event()
+        seen = {}
+
+        def other_thread():
+            entered.wait()
+            y = Tensor([3.0, 4.0], requires_grad=True)
+            loss = (y * y).sum()
+            seen["records"] = loss.requires_grad
+            loss.backward()
+            seen["grad"] = y.grad.copy()
+            computed.set()
+
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        with no_grad():
+            entered.set()
+            assert computed.wait(timeout=10)
+            assert not _records(x)
+        thread.join()
+        assert seen["records"] and np.array_equal(seen["grad"], [6.0, 8.0])
