@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Resident memory of each in-process end-to-end workload, phase by phase.
 
-    python3 scripts/mem_phases.py [--seed 1] [--workload NAME[,NAME...]] [--tree DIR]
+    python3 scripts/mem_phases.py [--seed 1] [--tree DIR]
     make bench-mem [SEED=1]
 
 Runs each in-process workload of ``benchmarks/e2e/workloads.py`` in a fresh
@@ -99,7 +99,6 @@ def measure(tree: Path, name: str, seed: int) -> List[Dict[str, float]]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", default="all", help="comma-separated names, or all (the in-process ones)")
     parser.add_argument("--tree", type=Path, default=ROOT, help="the checkout to measure (default: this one)")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -111,8 +110,6 @@ def main(argv=None) -> int:
     from workloads import WORKLOADS
 
     names = [name for name, workload in WORKLOADS.items() if workload.in_process]
-    if args.workload != "all":
-        names = args.workload.split(",")
     print(f"tree {tree}, seed {args.seed}")
     print(f"| workload | {' | '.join(PHASES)} |")
     print(f"|---|{'---|' * len(PHASES)}")

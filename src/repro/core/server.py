@@ -339,11 +339,11 @@ class Server(Node):
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
-    def _evaluate(self, dataset: Optional[Dataset], caller: str, score: Callable) -> List[Tuple[float, int]]:
+    def _evaluate(self, dataset: Optional[Dataset], score: Callable) -> List[Tuple[float, int]]:
         """``(score(logits, labels), batch size)`` per test batch: eval mode, no graph, ``train()`` after."""
         dataset = dataset or self.test_dataset
         if dataset is None:
-            raise ConfigurationError(f"no test dataset available for {caller}")
+            raise ConfigurationError("no test dataset available for evaluation")
         batch = self.eval_batch_size
         scores = []
         self.model.eval()
@@ -359,16 +359,14 @@ class Server(Node):
 
     def compute_accuracy(self, dataset: Optional[Dataset] = None) -> float:
         """Top-1 accuracy of the current model on the test set."""
-        scores = self._evaluate(
-            dataset, "compute_accuracy", lambda logits, labels: int((logits.data.argmax(axis=-1) == labels).sum())
-        )
+        scores = self._evaluate(dataset, lambda logits, labels: int((logits.data.argmax(axis=-1) == labels).sum()))
         total = sum(size for _, size in scores)
         return sum(correct for correct, _ in scores) / total if total else 0.0
 
     def compute_loss(self, dataset: Optional[Dataset] = None) -> float:
         """Mean cross-entropy loss of the current model over the test set's examples."""
         loss_fn = CrossEntropyLoss()
-        scores = self._evaluate(dataset, "compute_loss", lambda logits, labels: loss_fn(logits, labels).item())
+        scores = self._evaluate(dataset, lambda logits, labels: loss_fn(logits, labels).item())
         total = sum(size for _, size in scores)
         # Each batch's mean weighs by its share of the examples; one batch
         # weighs exactly 1.0, so its mean comes back unchanged.

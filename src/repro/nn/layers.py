@@ -170,23 +170,22 @@ class Flatten(Module):
 
 
 class _Pool2d(Module):
-    """Square-window pooling; a subclass names the kernel in ``pool``."""
+    """Square-window pooling's hyper-parameters; a subclass's ``forward`` calls its kernel."""
 
     def __init__(self, kernel_size: int = 2, stride: Optional[int] = None) -> None:
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = stride
 
-    def forward(self, x: Tensor) -> Tensor:
-        return self.pool(x, self.kernel_size, self.stride)
-
 
 class MaxPool2d(_Pool2d):
-    pool = staticmethod(F.max_pool2d)
+    def forward(self, x: Tensor) -> Tensor:
+        return F.max_pool2d(x, self.kernel_size, self.stride)
 
 
 class AvgPool2d(_Pool2d):
-    pool = staticmethod(F.avg_pool2d)
+    def forward(self, x: Tensor) -> Tensor:
+        return F.avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class Sequential(Module):
