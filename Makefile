@@ -50,10 +50,11 @@
 #   make bench-mem      — per-phase VmHWM / VmRSS of each in-process e2e workload
 #                         (imports, build, pristine evaluation, rounds 1 and 50,
 #                         the quality checkpoint) at SEED, ~1 min
-#   make bench-figures  — the analytic figure benches (Figs. 6-10, 13-16 and the
-#                         cost-model ablation): the paper-claim assertions on
-#                         each strategy's replayed round, priced at the paper's
-#                         model sizes, ~15 s
+#   make bench-figures  — the figure benches (Figs. 6-16 and the cost-model
+#                         ablation): the paper-claim assertions on each
+#                         strategy's replayed round, priced at the paper's
+#                         model sizes, and on Figs. 11-12's simulated training
+#                         time: both sides of the one network model, ~25 s
 #   make bench          — the full figure-reproduction benchmark suite (minutes)
 #   make fuzz-smoke     — tier-1 scenario-fuzzing smoke: fixed seeds, dozens of
 #                         generated scenarios, every invariant checked
@@ -140,7 +141,8 @@ bench-mem:
 FIGURE_BENCHES = benchmarks/bench_fig6_model_dim.py benchmarks/bench_fig7_breakdown.py \
 	benchmarks/bench_fig8_workers.py benchmarks/bench_fig9_decentralized.py \
 	benchmarks/bench_fig10_byzantine_count.py benchmarks/bench_fig13_14_byzantine_sweep.py \
-	benchmarks/bench_fig15_16_pytorch.py benchmarks/bench_ablation_costmodel.py
+	benchmarks/bench_fig15_16_pytorch.py benchmarks/bench_ablation_costmodel.py \
+	benchmarks/bench_fig11_convergence_time.py benchmarks/bench_fig12_mda.py
 
 bench-figures:
 	$(PYTHON) -m pytest $(FIGURE_BENCHES) -q -s

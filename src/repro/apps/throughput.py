@@ -10,14 +10,17 @@ aggregation time.  ``ThroughputModel`` composes those ingredients (using
 :mod:`repro.network.cost`) into a per-iteration latency breakdown for every
 deployment, from which the benchmark harness regenerates each figure.
 
-A deployment's messages are read off one round of its own strategy
-(:func:`round_traffic`): the round is replayed at a small model and its
-ledger's phases priced at the paper's ``d``.  Each phase costs the transfer
-time of its busiest machine plus the serialization work of the machine that
-sends the most, and a shared-fabric term proportional to the total number of
-bytes crossing the network accounts for the congestion that makes all-to-all
-(decentralized) deployments scale quadratically (Figure 9a).  Every
-deployment is priced on the validated config
+A deployment's communication is one round of its own strategy
+(:func:`round_traffic`): the round is replayed at a small model, its ledger
+keeps every closed quorum, and :meth:`ThroughputModel.communication_time` is
+what the round accountant would charge that round with every message at the
+paper's ``d`` (:func:`~repro.network.serialization.message_nbytes`): the one
+network rule (:class:`~repro.network.cost.NetworkPrice`) over the reporting
+server's quorums — first in, first out on its link — plus the shared
+fabric's time for every byte of the round, the term that keeps all-to-all
+(decentralized) deployments from scaling (Figures 8 and 9), plus the
+serialization of the reporting server's messages.  Every deployment is
+priced on the validated config
 :meth:`~repro.core.cluster.ClusterConfig.fitted` builds for it, with the GARs
 the runtime builds (:meth:`~repro.core.cluster.ClusterConfig.build_gars`): a
 cluster the runtime refuses is refused here too.
@@ -25,30 +28,16 @@ cluster the runtime refuses is refused here too.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, Optional, Tuple, Type
 
 from repro.core.cluster import ClusterConfig
 from repro.core.session import RoundStrategy, Session, strategy_class
-from repro.network.cost import (
-    DEVICES,
-    FRAMEWORKS,
-    CostModel,
-    NetworkParameters,
-)
+from repro.network.cost import DEVICES, FRAMEWORKS, CostModel, NetworkParameters
+from repro.network.ledger import Charge, Quorum
+from repro.network.serialization import message_nbytes
 from repro.nn.models import model_compute_intensity, model_dimension
-
-#: Capacity of the shared switching fabric relative to one endpoint link, for
-#: the star-shaped parameter-server traffic patterns.
-FABRIC_CAPACITY_FACTOR = 16.0
-#: Effective fabric capacity for the decentralized all-to-all pattern: incast
-#: congestion (every node simultaneously receives from every other node) makes
-#: all-to-all exchanges use the switch far less efficiently than star-shaped
-#: ones, which is what prevents peer-to-peer deployments from scaling
-#: (Figures 8 and 9 of the paper).
-P2P_FABRIC_CAPACITY_FACTOR = 4.0
 
 #: The paper's two testbeds, as ``ClusterConfig`` fields: the CPU cluster runs
 #: TensorFlow, the GPU cluster PyTorch, and their server counts are Garfield's
@@ -119,50 +108,38 @@ class ThroughputModel:
         return ClusterConfig.fitted(deployment, **cluster)
 
     # ------------------------------------------------------------------ #
-    # Communication model
-    # ------------------------------------------------------------------ #
-    def _phase_time(self, endpoint_messages: int, serialized_messages: int, vanilla: bool, on_gpu: bool) -> float:
-        """Cost of one phase: busiest endpoint transfer + its serialization work."""
-        transfer = self.cost.transfer_time(self.dimension, endpoint_messages, vanilla=vanilla, on_gpu=on_gpu)
-        serialization = self.cost.serialization_time(self.dimension, serialized_messages, vanilla=vanilla)
-        return transfer + serialization
-
-    def _fabric_time(self, total_messages: int, vanilla: bool, all_to_all: bool = False) -> float:
-        """Congestion of the shared fabric, proportional to total bytes in flight."""
-        capacity = P2P_FABRIC_CAPACITY_FACTOR if all_to_all else FABRIC_CAPACITY_FACTOR
-        bandwidth = self.network.bandwidth_bytes_per_s * capacity
-        if vanilla:
-            bandwidth *= self.network.vanilla_efficiency
-        return total_messages * self.cost.message_bytes(self.dimension) / bandwidth
-
     def communication_time(self, deployment: str) -> float:
         """Per-iteration communication latency of the given deployment: the
-        phases of its replayed round plus the fabric term, scaled by its
-        transfer factor."""
+        round accountant's charge of its replayed round, every message
+        re-priced at this model's ``d``."""
         config = self.fitted(deployment)
         shape = config.shape
         contract_steps = config.contract_steps if config.non_iid else 0
         traffic = round_traffic(deployment, config.num_workers, config.num_servers, contract_steps)
-        on_gpu = self.device.name == "gpu"
-        total = sum(self._phase_time(sent, serialized, shape.native, on_gpu) for sent, serialized in traffic.phases)
-        total += self._fabric_time(traffic.fabric_messages, shape.native, all_to_all=shape.servers == "per-worker")
-        return total * shape.transfer_factor
+        price, bandwidth = self.cost.network_price(shape), self.network.bandwidth_bytes_per_s
+        nbytes = message_nbytes(self.dimension)
+        charge, round_nbytes = Charge(), 0
+        for quorum in traffic.quorums:
+            requests = len(quorum.asked) if quorum.shipped_nbytes else 0
+            messages = requests + len(quorum.replies)
+            round_nbytes += messages * nbytes
+            if quorum.requester == traffic.reporter:
+                # Every message at ``nbytes``: a reply arrives later or sooner by its
+                # transfer's change on the link, stretched by its straggler factor.
+                replies = [(at + factor * (nbytes - sent) / bandwidth, nbytes) for at, factor, sent in quorum.replies]
+                charge.messages += messages
+                charge.nbytes += messages * nbytes
+                charge.elapsed += price.quorum(replies, requests * nbytes)
+        return self.cost.communication_time(price, charge, round_nbytes, shape.native)
 
-    # ------------------------------------------------------------------ #
     def aggregation_time(self, deployment: str) -> float:
         """Robust-aggregation time per iteration on the reporting node."""
         config = self.fitted(deployment)
-        shape = config.shape
+        native = config.shape.native
         gradient_gar, model_gar = config.build_gars()
-        total = self.cost.aggregation_time(gradient_gar, self.dimension)
-        if model_gar is not None:
-            total += self.cost.aggregation_time(model_gar, self.dimension)
-        if shape.contract and config.non_iid:
-            total += config.contract_steps * self.cost.aggregation_time(gradient_gar, self.dimension)
-        if self.framework.pipelines_aggregation and not shape.native:
-            # Garfield on PyTorch overlaps per-layer aggregation with communication.
-            total *= 0.5
-        return total
+        gradient = self.cost.aggregation_time(gradient_gar, self.dimension, native)
+        steps = config.contract_steps if config.shape.contract and config.non_iid else 0
+        return (1 + steps) * gradient + self.cost.aggregation_time(model_gar, self.dimension, native)
 
     def computation_time(self) -> float:
         return self.cost.compute_time(self.dimension, self.config.batch_size, self.flops_per_parameter)
@@ -188,30 +165,29 @@ class ThroughputModel:
 
 @dataclass(frozen=True)
 class RoundTraffic:
-    """One replayed round's network messages, as the analytic model prices them.
+    """One replayed round, as the analytic model reads it.
 
     ``messages`` are Figure 9's counts, as ``(name, count)`` pairs: the
     model-sized payloads requests ship, the gradient replies and every other
-    reply (replica models, contract aggregates).  Each of ``phases`` is one network phase in round
-    order, as ``(sent + received by the busiest machine, most sent by any
-    machine)``; ``fabric_messages`` counts every message.
+    reply (replica models, contract aggregates).  ``quorums`` are the
+    round's closed quorums, every requester's, in the order they closed;
+    ``reporter`` is the server the round accountant charges.
     """
 
     messages: Tuple[Tuple[str, int], ...]
-    phases: Tuple[Tuple[int, int], ...]
-    fabric_messages: int
+    quorums: Tuple[Quorum, ...]
+    reporter: str
 
 
 def round_traffic(deployment: str, num_workers: int, num_servers: int = 1, contract_steps: int = 0) -> RoundTraffic:
-    """The network messages of one round of ``deployment``'s own strategy.
+    """The network traffic of one round of ``deployment``'s own strategy.
 
     The round is replayed once per cluster size: serial, with the logistic
     model, plain averaging at f = 0 and no attacker.  Every pull goes to every
-    active peer, so the counts depend on neither f nor the quorum.  Each
-    ledger :class:`~repro.network.ledger.Phase` becomes two network phases
-    when its requests ship a payload (broadcast, then collection) and one
-    otherwise.  A pull between two nodes on one machine is no network
-    message: in a per-worker layout ``server-k`` runs on ``worker-k``'s.
+    active peer, so the counts depend on neither f nor the quorum.  A pull
+    between two nodes on one machine is no message of Figure 9's: in a
+    per-worker layout ``server-k`` runs on ``worker-k``'s.  The price charges
+    it like any other, as the runtime, which knows no machines, does.
     """
     strategy = strategy_class(deployment)
     contract_steps = contract_steps if strategy.shape.contract else 0
@@ -230,33 +206,22 @@ def _replay(strategy: Type[RoundStrategy], config: str) -> RoundTraffic:
 
 
 def replay_round(config: ClusterConfig) -> RoundTraffic:
-    """Run the first round of ``config`` and fold its ledger's phases."""
+    """Run the first round of ``config`` and keep its ledger's closed quorums."""
     with Session(config=config) as session:
         ledger = session.deployment.transport.ledger
-        ledger.phases = []
+        ledger.quorums = []
         session.step()
-        phases = ledger.phases
+        quorums = tuple(ledger.quorums)
+        reporter = session.reporting_server.node_id
     workers, servers = config.node_ids()
     machine = dict(zip(workers + servers, workers + (workers if config.shape.servers == "per-worker" else servers)))
     messages = dict.fromkeys(("model_messages", "gradient_messages", "server_model_messages"), 0)
-    network: List[List[Tuple[str, str]]] = []
-    for phase in phases:
-        requests = [(machine[requester], machine[peer]) for requester, peers in phase.waves for peer in peers
-                    if machine[requester] != machine[peer]]
-        if phase.shipped:
-            network.append(requests)
-            messages["model_messages"] += len(requests)
-        network.append([(destination, source) for source, destination in requests])
-        messages["gradient_messages" if phase.kind == "gradient" else "server_model_messages"] += len(requests)
-    priced = tuple(_busiest(sends) for sends in network if sends)
-    return RoundTraffic(tuple(messages.items()), priced, sum(map(len, network)))
-
-
-def _busiest(sends: List[Tuple[str, str]]) -> Tuple[int, int]:
-    """``(sent + received by the busiest machine, most sent by any machine)``
-    of one phase's ``(sender, receiver)`` messages."""
-    sent, received = Counter(source for source, _ in sends), Counter(destination for _, destination in sends)
-    return max((sent + received).values()), max(sent.values())
+    for quorum in quorums:
+        remote = sum(machine[quorum.requester] != machine[peer] for peer in quorum.asked)
+        if quorum.shipped_nbytes:
+            messages["model_messages"] += remote
+        messages["gradient_messages" if quorum.kind == "gradient" else "server_model_messages"] += remote
+    return RoundTraffic(tuple(messages.items()), quorums, reporter)
 
 
 def messages_per_round(deployment: str, num_workers: int, num_servers: int = 1) -> Dict[str, int]:

@@ -282,6 +282,7 @@ class Controller:
             failures.set_straggler(node_id, factor)
 
         shape = config.shape
+        transport.price = cost_model.network_price(shape)
         gradient_gar, model_gar = config.build_gars()
 
         workers = self._build_workers(config, transport, experiment, shards)

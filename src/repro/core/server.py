@@ -14,8 +14,8 @@ read-only ``(q, d)`` matrix.  Both fan out one RPC per peer through the
 transport's execution engine (:mod:`repro.core.executor`): with the threaded
 engine the workers are serviced concurrently, so the round's wall-clock cost
 tracks the slowest single peer instead of the sum over peers — while the
-*simulated* elapsed time charged to the server is the latency of the
-``q``-th fastest reply.
+*simulated* elapsed time charged to the server is the ``q`` fastest replies
+crossing its link first in, first out (the transport's network rule).
 
 On top of those it exposes ``update_model()``, ``write_model()`` and
 ``compute_accuracy()``, matching Listing 1–3 of the paper.
@@ -195,9 +195,9 @@ class Server(Node):
         current model state; everything else comes from the peer replicas.
         All RPCs are issued concurrently through :attr:`executor`; rows are
         ordered by simulated arrival, and the elapsed time charged to this
-        server is the latency of the ``quorum``-th fastest reply — never the
-        sum over peers.  The transport's ledger charges the pull to this
-        server.  Returns the filled, still unsealed buffer.
+        server is the fastest ``quorum`` replies crossing its link first in,
+        first out — never the sum of their latencies.  The transport's
+        ledger charges the pull to this server.  Returns the filled, still unsealed buffer.
         """
         gradients = kind == "gradient"
         peers = self.workers if gradients else self.servers

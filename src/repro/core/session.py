@@ -57,6 +57,7 @@ from repro.core.metrics import IterationRecord
 from repro.core.scenario import build_config
 from repro.core.server import Server
 from repro.exceptions import ConfigurationError
+from repro.nn.models import model_compute_intensity
 from repro.sharding.aggregation import aggregate_shards
 
 
@@ -66,15 +67,22 @@ from repro.sharding.aggregation import aggregate_shards
 class RoundAccountant:
     """Builds an :class:`IterationRecord` for one training iteration.
 
-    The record's three time components follow the Figure 7 breakdown:
+    The record's three time components follow the Figure 7 breakdown, priced
+    by the deployment's :class:`~repro.network.cost.CostModel`:
 
-    * *computation* — one worker's gradient-estimation time (workers compute
-      in parallel, so the round pays the time of one estimate);
-    * *communication* — the reporting server's charge in the transport's
-      ledger (:class:`~repro.network.ledger.Charge`): the simulated time it
-      waited on quorums and coordination hops, plus the serialization /
-      context-switch overhead of the messages it exchanged (zero for a
-      deployment whose shape is ``native``, e.g. vanilla, Section 4.1);
+    * *computation* — one worker's gradient-estimation time at the model's
+      compute intensity (workers compute in parallel, so the round pays the
+      time of one estimate);
+    * *communication* — :meth:`~repro.network.cost.CostModel.communication_time`
+      of the reporting server's charge in the transport's ledger
+      (:class:`~repro.network.ledger.Charge`): the time the one network rule
+      (:class:`~repro.network.cost.NetworkPrice`) charged its link for each
+      quorum and coordination hop, the shared fabric's time for every byte
+      the round charged, and the serialization / context-switch overhead of
+      its messages (zero for a deployment whose shape is ``native``, e.g.
+      vanilla, Section 4.1).  The analytic
+      :class:`~repro.apps.throughput.ThroughputModel` prices a replayed round
+      by the same call;
     * *aggregation* — the robust-aggregation time of every GAR invocation the
       reporting server performed this round.
     """
@@ -93,7 +101,8 @@ class RoundAccountant:
     def add_aggregation(self, gar, dimension: Optional[int] = None) -> None:
         """Account one GAR invocation at the given dimension (defaults to the model's)."""
         dimension = dimension if dimension is not None else self.server.dimension
-        self._aggregation_time += self.deployment.cost_model.aggregation_time(gar, dimension)
+        deployment = self.deployment
+        self._aggregation_time += deployment.cost_model.aggregation_time(gar, dimension, deployment.shape.native)
 
     def add_detection(self, detection, num_scored: int) -> None:
         """Account one round of suspicion scoring over ``num_scored`` rows.
@@ -106,16 +115,14 @@ class RoundAccountant:
         )
 
     def end(self, iteration: int, accuracy: Optional[float] = None) -> IterationRecord:
-        config = self.deployment.config
-        cost_model = self.deployment.cost_model
-        dimension = self.server.dimension
-        charge = self.deployment.transport.ledger.charge(self.server.node_id)
-        comm = charge.elapsed + cost_model.serialization_time_for_bytes(
-            charge.nbytes, charge.messages, vanilla=self.deployment.shape.native
-        )
-        compute = cost_model.compute_time(dimension, config.batch_size)
+        deployment, config = self.deployment, self.deployment.config
+        cost_model, ledger = deployment.cost_model, deployment.transport.ledger
+        charge, fabric = ledger.charge(self.server.node_id), ledger.round_nbytes()
+        comm = cost_model.communication_time(deployment.transport.price, charge, fabric, deployment.shape.native)
+        intensity = model_compute_intensity(config.model)
+        compute = cost_model.compute_time(self.server.dimension, config.batch_size, intensity)
         loss = None
-        if accuracy is not None and self.deployment.trace is not None:
+        if accuracy is not None and deployment.trace is not None:
             # Scenario-driven runs also measure the test loss at evaluation
             # rounds, so golden traces lock down convergence, not just
             # accuracy plateaus (and the divergence check can read it).
@@ -128,7 +135,7 @@ class RoundAccountant:
             accuracy=accuracy,
             loss=loss,
         )
-        self.deployment.metrics.add(record)
+        deployment.metrics.add(record)
         return record
 
 

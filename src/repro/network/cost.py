@@ -1,4 +1,4 @@
-"""Analytic per-iteration cost model (compute, serialization, transfer, aggregation).
+"""Analytic per-iteration cost model (compute, serialization, network, aggregation).
 
 The paper's throughput results (Figures 6–10 and the appendix) are driven by
 four quantities: the gradient-computation time on each worker, the number and
@@ -6,16 +6,19 @@ size of messages a deployment exchanges per round, the serialization overhead
 of leaving the framework runtime (large for the TensorFlow/gRPC path, absent
 for vanilla deployments), and the robust-aggregation time.  This module
 models each of those components with calibrated constants so the benchmark
-harness can regenerate the paper's figures.  Absolute values are not expected
+harness can regenerate the paper's figures.  The network is one rule,
+:class:`NetworkPrice`: the transport charges every closed quorum by it, and
+the analytic model prices a replayed round by it.  Absolute values are not expected
 to match the Grid5000 testbed; the relative ordering and crossovers are.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable, Tuple
 
 from repro.exceptions import ConfigurationError
-from repro.network.serialization import message_nbytes
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,50 @@ class NetworkParameters:
             raise ConfigurationError("network parameters must be positive")
 
 
+#: Capacity of the shared switching fabric relative to one endpoint link, for
+#: the star-shaped parameter-server traffic patterns.
+FABRIC_CAPACITY_FACTOR = 16.0
+#: Effective fabric capacity for the decentralized all-to-all pattern: incast
+#: congestion (every node simultaneously receives from every other node) makes
+#: all-to-all exchanges use the switch far less efficiently than star-shaped
+#: ones, which is what prevents peer-to-peer deployments from scaling
+#: (Figures 8 and 9 of the paper).
+P2P_FABRIC_CAPACITY_FACTOR = 4.0
+
+
+@dataclass(frozen=True)
+class NetworkPrice:
+    """The one network price of a round: the runtime charges it, the figures replay it.
+
+    A requester's link is a FIFO.  The replies a quorum selected cross it in
+    order of arrival: the first finishes when it arrives, and reply ``k``
+    at ``max(arrival_k, finish_(k-1) + bytes_k / bandwidth)``; the quorum
+    costs the last finish.  The payloads its requests shipped go out first,
+    as a broadcast prefix on the same link.  Every byte a round charges also
+    crosses the shared fabric (:meth:`fabric`).  ``transfer_factor`` scales
+    both (a slower RPC layer).  :meth:`CostModel.network_price` builds the
+    rule for a deployment; a bare transport prices its own link.
+    """
+
+    #: The requester's link, in bytes/s.
+    bandwidth: float
+    #: The shared fabric, in bytes/s.
+    fabric_bandwidth: float = math.inf
+    transfer_factor: float = 1.0
+
+    def quorum(self, replies: Iterable[Tuple[float, int]], shipped_nbytes: int = 0) -> float:
+        """Time until the last of ``replies`` — ``(arrival, nbytes)`` pairs —
+        has crossed the link, after ``shipped_nbytes`` of request payloads."""
+        finish = shipped_nbytes / self.bandwidth if shipped_nbytes else -math.inf
+        for arrival, nbytes in sorted(replies):
+            finish = max(arrival, finish + nbytes / self.bandwidth)
+        return self.transfer_factor * finish
+
+    def fabric(self, nbytes: int) -> float:
+        """Time the shared fabric takes to carry a round's ``nbytes``."""
+        return self.transfer_factor * nbytes / self.fabric_bandwidth
+
+
 @dataclass(frozen=True)
 class FrameworkProfile:
     """How a framework's communication stack behaves.
@@ -115,10 +162,6 @@ PYTORCH = FrameworkProfile(
 
 FRAMEWORKS = {"tensorflow": TENSORFLOW, "pytorch": PYTORCH}
 
-#: Approximate FLOPs per parameter per example for one forward+backward pass.
-FLOPS_PER_PARAM_PER_EXAMPLE = 6.0
-
-
 class CostModel:
     """Computes the four per-iteration time components of a deployment."""
 
@@ -133,50 +176,28 @@ class CostModel:
         self.framework = framework
 
     # ------------------------------------------------------------------ #
-    def compute_time(
-        self, dimension: int, batch_size: int, flops_per_parameter: float | None = None
-    ) -> float:
+    def compute_time(self, dimension: int, batch_size: int, flops_per_parameter: float) -> float:
         """Gradient-estimation time for one worker on one mini-batch.
 
         ``flops_per_parameter`` is the model's compute intensity (forward +
-        backward FLOPs per parameter per example); it defaults to the generic
-        :data:`FLOPS_PER_PARAM_PER_EXAMPLE` when the caller does not know the
-        architecture (see :func:`repro.nn.models.model_compute_intensity`).
+        backward FLOPs per parameter per example):
+        :func:`repro.nn.models.model_compute_intensity`, the one source the
+        round accountant and the analytic model both read.
         """
         if dimension <= 0 or batch_size <= 0:
             raise ConfigurationError("dimension and batch_size must be positive")
-        intensity = FLOPS_PER_PARAM_PER_EXAMPLE if flops_per_parameter is None else flops_per_parameter
-        if intensity <= 0:
+        if flops_per_parameter <= 0:
             raise ConfigurationError("flops_per_parameter must be positive")
-        flops = intensity * dimension * batch_size
+        flops = flops_per_parameter * dimension * batch_size
         return flops / self.device.flops_per_second
 
-    def message_bytes(self, dimension: int) -> int:
-        """Size of one model- or gradient-sized message:
-        :func:`~repro.network.serialization.message_nbytes`, the one byte
-        count the transport charges and the ledger folds."""
-        return message_nbytes(dimension)
-
-    def serialization_time(self, dimension: int, num_messages: int, vanilla: bool = False) -> float:
-        """Total serialization + context-switch time for ``num_messages`` tensors.
+    def serialization_time(self, total_bytes: int, num_messages: int, vanilla: bool = False) -> float:
+        """Serialization + context-switch time for ``num_messages`` messages of
+        ``total_bytes`` bytes in all.
 
         Vanilla deployments never leave their optimized runtime, so they pay
         nothing; Garfield on PyTorch operates on tensors directly (no context
         switch) but still copies; Garfield on TensorFlow pays both.
-        """
-        return self.serialization_time_for_bytes(
-            num_messages * self.message_bytes(dimension), num_messages, vanilla=vanilla
-        )
-
-    def serialization_time_for_bytes(
-        self, total_bytes: int, num_messages: int, vanilla: bool = False
-    ) -> float:
-        """Serialization + context-switch time for an explicit byte total.
-
-        The general form of :meth:`serialization_time` (which delegates here
-        with ``num_messages x message_bytes``, float-identically): the round
-        accountant passes the ledger's byte total for a round, slices and
-        coordination frames included.
         """
         if vanilla or num_messages == 0:
             return 0.0
@@ -185,32 +206,52 @@ class CostModel:
             return num_messages * self.network.context_switch_overhead + copy_time
         return 0.25 * copy_time
 
-    def transfer_time(self, dimension: int, num_messages: int, vanilla: bool = False, on_gpu: bool = False) -> float:
-        """Time to push ``num_messages`` model-sized messages through one NIC.
+    def network_price(self, shape) -> "NetworkPrice":
+        """The one network rule for a deployment of ``shape`` (a
+        :class:`~repro.core.cluster.DeploymentShape`) on this testbed.
 
-        The bottleneck in the parameter-server architectures is the most
-        loaded endpoint's NIC, so messages through it serialize on bandwidth
-        even though the RPCs themselves are parallelized.
+        The vanilla runtimes (``shape.native``) move bytes
+        ``vanilla_efficiency`` times faster, on the link and through the
+        fabric; PyTorch on GPUs adds the nccl/gloo GPU-to-GPU collectives
+        (``gpu_direct_efficiency``, Section 4.2) on the link.  The fabric
+        is shared by every machine: all-to-all (``per-worker``) traffic uses
+        it far less efficiently than star-shaped traffic.
         """
-        if num_messages == 0:
-            return 0.0
-        bandwidth = self.network.bandwidth_bytes_per_s
-        if vanilla:
-            bandwidth *= self.network.vanilla_efficiency
-        if on_gpu and self.framework.gpu_collectives:
-            # PyTorch deployments (vanilla and Garfield alike) can use the
-            # nccl/gloo GPU-to-GPU backends (Section 4.2).
-            bandwidth *= self.network.gpu_direct_efficiency
-        total_bytes = num_messages * self.message_bytes(dimension)
-        return total_bytes / bandwidth + num_messages * self.network.base_latency
+        network = self.network
+        efficiency = network.vanilla_efficiency if shape.native else 1.0
+        link = network.bandwidth_bytes_per_s * efficiency
+        if self.device.name == "gpu" and self.framework.gpu_collectives:
+            link *= network.gpu_direct_efficiency
+        capacity = P2P_FABRIC_CAPACITY_FACTOR if shape.servers == "per-worker" else FABRIC_CAPACITY_FACTOR
+        return NetworkPrice(link, network.bandwidth_bytes_per_s * capacity * efficiency, shape.transfer_factor)
 
-    def aggregation_time(self, gar, dimension: int) -> float:
-        """Robust-aggregation time on this device, including the result copy-out."""
+    def communication_time(self, price: "NetworkPrice", charge, fabric_nbytes: int, native: bool) -> float:
+        """One requester's communication time in a round.
+
+        ``charge`` is its :class:`~repro.network.ledger.Charge`: the time
+        ``price`` charged its link, and its messages and their bytes, which
+        it serializes (nothing where ``native``).  ``fabric_nbytes`` is every
+        byte the round charged, to any requester: the shared fabric's load.
+        The round accountant prices a run's round with it, and
+        :class:`~repro.apps.throughput.ThroughputModel` a replayed round
+        re-priced at the paper's ``d``.
+        """
+        serialization = self.serialization_time(charge.nbytes, charge.messages, vanilla=native)
+        return charge.elapsed + price.fabric(fabric_nbytes) + serialization
+
+    def aggregation_time(self, gar, dimension: int, native: bool = False) -> float:
+        """Robust-aggregation time on this device, including the result copy-out.
+
+        Garfield on PyTorch overlaps per-layer aggregation with communication
+        (``pipelines_aggregation``), hiding half of it; a ``native`` runtime
+        (vanilla's ``reduce()``) does not pipeline.
+        """
         if gar is None:
             return 0.0
         flops = gar.flops(dimension)
         copy_out = dimension * 8 / self.device.host_transfer_bytes_per_s
-        return flops / self.device.aggregation_elements_per_second + copy_out
+        hidden = 0.5 if self.framework.pipelines_aggregation and not native else 1.0
+        return hidden * (flops / self.device.aggregation_elements_per_second + copy_out)
 
     #: Detector passes over the round matrix (robust centre, deviations,
     #: per-row reduction) — a small constant number of streaming sweeps.

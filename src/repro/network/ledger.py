@@ -14,20 +14,22 @@ Every number reported about communication is a fold over those writes:
 
 * :class:`TransportStats` holds the deployment-wide totals (``Transport.stats``).
 * :class:`Charge` holds what one requester paid in the current round: the
-  messages through its NIC, their bytes and the simulated time it waited.  The
-  round accountant prices the reporting server's serialization from it.
-* :class:`Phase` is who pulled whom in the current round: waves of one kind
-  that distinct requesters issue back to back form one phase, and a requester
-  that pulls again starts the next.  Only a ledger asked to
-  (:attr:`Ledger.phases`) keeps them: the analytic throughput model prices a
-  replayed round from them (:func:`~repro.apps.throughput.round_traffic`).
+  messages through its NIC, their bytes and the simulated time it waited, as
+  the transport's :class:`~repro.network.cost.NetworkPrice` charged it.  The
+  round accountant reads it, with :meth:`Ledger.round_nbytes`, the load of
+  the shared fabric.
+* :class:`Quorum` is one closed quorum pull as the rule priced it: whom it
+  asked, the payload its requests shipped and the arrival of each selected
+  reply.  Only a ledger asked to (:attr:`Ledger.quorums`) keeps them: the
+  analytic throughput model re-prices a replayed round from them at another
+  message size (:func:`~repro.apps.throughput.round_traffic`).
 
 This module decides who pays for a message; one rule decides what it costs.
 Every vector message — a reply, the payload a gradient request ships, a shard
 slice, a retried request — is priced by
-:func:`~repro.network.serialization.message_nbytes`, the same count
-:meth:`~repro.network.cost.CostModel.message_bytes` prices; coordination
-frames count at their framed sizes.  A request is charged to its requester
+:func:`~repro.network.serialization.message_nbytes`, the count the
+analytic model re-prices a round at; coordination frames count at their
+framed sizes.  A request is charged to its requester
 when it is issued, and only if it ships a payload (the model state a gradient
 pull carries).  A reply is charged when its quorum closes, and only if that
 quorum selected it.  A retry re-sends a model-sized request, priced by the
@@ -37,7 +39,7 @@ is charged to whoever reads the round's charge.  Each charge is one message
 count and one byte total, which the round accountant reads as it is.
 
 The ledger folds as it is written: it keeps totals, this round's charges and,
-once asked, this round's phases, never a run's events, so its memory does not
+once asked, this round's quorums, never a run's events, so its memory does not
 grow with the run.  Writes take one lock, because socket retries are written
 from the executor threads a fan-out runs on.
 """
@@ -81,15 +83,19 @@ class Charge:
     elapsed: float = 0.0
 
 
-@dataclass
-class Phase:
-    """Back-to-back waves of one kind, each from a distinct requester."""
+@dataclass(frozen=True)
+class Quorum:
+    """One closed quorum pull, as the network rule priced it."""
 
+    requester: str
     kind: str
-    #: Whether each request ships a payload (a gradient request ships the model).
-    shipped: bool
-    #: ``(requester, peers)`` of each wave, in issue order.
-    waves: List[Tuple[str, Tuple[str, ...]]] = field(default_factory=list)
+    #: Every peer asked, over all waves, in issue order.
+    asked: Tuple[str, ...]
+    #: Bytes of the payload each request shipped (0 when none did).
+    shipped_nbytes: int
+    #: ``(arrival, straggler factor, nbytes)`` of each selected reply, in
+    #: arrival order.
+    replies: Tuple[Tuple[float, float, int], ...]
 
 
 class Ledger:
@@ -100,9 +106,10 @@ class Ledger:
         self._totals = TransportStats()
         self._charges: Dict[str, Charge] = defaultdict(Charge)
         self._round_retries = self._round_retry_nbytes = 0
-        #: This round's phases, or ``None`` (the default) to keep none: a
-        #: caller that wants them sets a list, and :meth:`open_round` renews it.
-        self.phases: Optional[List[Phase]] = None
+        #: This round's closed quorums, or ``None`` (the default) to keep none:
+        #: a caller that wants them sets a list, the transport appends each
+        #: quorum as it closes, and :meth:`open_round` renews it.
+        self.quorums: Optional[List[Quorum]] = None
 
     @property
     def stats(self) -> TransportStats:
@@ -118,11 +125,6 @@ class Ledger:
         ``shipped``-byte payload, or none when ``shipped`` is ``None``."""
         pulls = len(peers)
         with self._lock:
-            phases = self.phases
-            if phases is not None:
-                if not phases or phases[-1].kind != kind or requester in dict(phases[-1].waves):
-                    phases.append(Phase(kind, shipped is not None))
-                phases[-1].waves.append((requester, tuple(peers)))
             self._totals.pulls_issued += pulls
             if follow_up:
                 self._totals.hedges_issued += pulls
@@ -143,7 +145,7 @@ class Ledger:
                 totals.hedged_bytes += nbytes
 
     def closed(self, requester: str, messages: int, elapsed: float, nbytes: int) -> None:
-        """A quorum closed after ``elapsed`` simulated seconds; its selected
+        """A quorum closed, charged ``elapsed`` simulated seconds; its selected
         replies were ``messages`` messages of ``nbytes`` bytes in all."""
         with self._lock:
             charge = self._charges[requester]
@@ -158,25 +160,25 @@ class Ledger:
             self._round_retries += 1
             self._round_retry_nbytes += nbytes
 
-    def coordinated(self, requester: str, frames: int, nbytes: int, latency: float) -> None:
+    def coordinated(self, requester: str, frames: int, nbytes: int, latency: float, elapsed: float) -> None:
         """One shard-coordination hop: ``frames`` parallel frames of ``nbytes``.
 
-        Each frame is sent like a served reply; the hop is one quorum of them
-        for ``requester``, closed after one frame's latency.
+        Each frame is sent like a served reply after ``latency``; the hop is
+        one quorum of them for ``requester``, charged ``elapsed``.
         """
         for _ in range(frames):
             self.served("shard-coordination", nbytes, latency, follow_up=False)
-        self.closed(requester, frames, latency, frames * nbytes)
+        self.closed(requester, frames, elapsed, frames * nbytes)
 
     # ------------------------------------------------------------------ #
     # The round
     # ------------------------------------------------------------------ #
     def open_round(self) -> None:
-        """Start a round: every requester's charge and the round's phases start again."""
+        """Start a round: every requester's charge and the round's quorums start again."""
         with self._lock:
             self._charges.clear()
-            if self.phases is not None:
-                self.phases = []
+            if self.quorums is not None:
+                self.quorums = []
             self._round_retries = self._round_retry_nbytes = 0
 
     def charge(self, requester: str) -> Charge:
@@ -188,3 +190,9 @@ class Ledger:
                 charge.nbytes + self._round_retry_nbytes,
                 charge.elapsed,
             )
+
+    def round_nbytes(self) -> int:
+        """Every byte charged since :meth:`open_round`, to any requester, each
+        retry once: the round's load on the shared fabric."""
+        with self._lock:
+            return sum(charge.nbytes for charge in self._charges.values()) + self._round_retry_nbytes

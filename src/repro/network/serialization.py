@@ -646,8 +646,9 @@ def message_nbytes(dimension: int, fmt: FormatLike = PLAIN_FLOAT64) -> int:
     float64 base is priced at the paper's float32 width (4 B/element, the
     tensors its figures ship); float32, float16 and int8 at their own framing
     (int8 with its chunk layout).  Delta encoding is never priced.  The transport charges every vector reply, gradient-request
-    payload and shard slice at this size, the ledger folds it, and
-    :meth:`~repro.network.cost.CostModel.message_bytes` prices it.
+    payload and shard slice at this size, the ledger folds it, and the
+    analytic :class:`~repro.apps.throughput.ThroughputModel` re-prices a
+    replayed round at it.
     """
     base = parse_wire_format(fmt).base
     return _framed_nbytes(dimension, "float32" if base == "float64" else base)

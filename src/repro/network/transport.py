@@ -30,9 +30,11 @@ Two layers of "time" coexist here:
 
 * **Simulated time** — each reply's latency combines a sampled link latency,
   the transfer time implied by the payload size and link bandwidth, and
-  per-node straggler factors.  Because the paper parallelizes RPC calls, the
-  elapsed time of a parallel pull is the arrival of the q-th fastest reply,
-  never the sum.
+  per-node straggler factors.  The paper parallelizes RPC calls, so the
+  fastest ``quorum`` arrivals win, whatever their number; the pull is charged
+  by the one network rule (:attr:`Transport.price`): the selected replies
+  cross the requester's link first in, first out, after the payloads its
+  requests shipped.
 * **Wall-clock time** — handler execution (gradient computation on a worker)
   is real work.  Each planned wave is handed to the backend
   (:meth:`TransportBackend.deliver`).  In process, its handler invocations
@@ -62,9 +64,9 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.exceptions import CommunicationError, NodeCrashedError, TimeoutError
-from repro.network.cost import NetworkParameters
+from repro.network.cost import NetworkParameters, NetworkPrice
 from repro.network.failures import FailureInjector
-from repro.network.ledger import Ledger, TransportStats
+from repro.network.ledger import Ledger, Quorum, TransportStats
 from repro.network.message import Reply, RequestContext
 from repro.network.resilience import PullOutcome, WavePolicy
 from repro.network.serialization import (
@@ -359,6 +361,9 @@ class Transport:
         if wall_time_scale < 0:
             raise CommunicationError("wall_time_scale must be non-negative")
         self.link = link or LinkModel()
+        #: The one network rule every closed quorum is charged by; the
+        #: Controller sets the deployment's (``CostModel.network_price``).
+        self.price = NetworkPrice(self.link.bandwidth_bytes_per_s)
         self.failures = failures or FailureInjector(seed=seed)
         #: The one communication record: every pull fact is written here once.
         self.ledger = Ledger()
@@ -471,14 +476,15 @@ class Transport:
         out, all at full float64 framing.  Everything is deterministic — the
         latencies use zero jitter, so no RNG is consumed and the pull stream
         stays identical to an unsharded round.  The fan-in and fan-out each
-        travel in parallel, so ``requester`` waits one partial-matrix hop plus
-        one broadcast hop.
+        travel in parallel, and each hop is charged like a quorum of its
+        frames (:attr:`price`).
         """
         if num_shards <= 1 or quorum <= 0:
             return
+        frames = num_shards - 1
         for nbytes in (serialized_nbytes(quorum * quorum), serialized_nbytes(quorum)):
             latency = self.link.latency_from_jitter(0.0, nbytes)
-            self.ledger.coordinated(requester, num_shards - 1, nbytes, latency)
+            self.ledger.coordinated(requester, frames, nbytes, latency, self.price.quorum([(latency, nbytes)] * frames))
 
     def wall_delay(self, latency: float) -> float:
         """Real seconds a reply of simulated ``latency`` is held back (0 without wall fidelity)."""
@@ -549,10 +555,12 @@ class Transport:
         wave is every destination in the caller's order; see
         :class:`~repro.network.resilience.HedgePolicy` for the hedged waves.
 
-        Returns ``(replies, elapsed)`` where ``elapsed`` is the simulated time
-        until the quorum-th reply arrived (calls are parallelized, so slower
-        replies do not add to the elapsed time); a reply to a follow-up pull
-        issued at ``t`` carries ``t`` plus its own latency.  Crashed peers and
+        Returns ``(replies, elapsed)``: the replies in arrival order, a reply
+        to a follow-up pull issued at ``t`` carrying ``t`` plus its own
+        latency, and the simulated time :attr:`price` charges the quorum —
+        the selected replies cross the requester's link first in, first out,
+        after the payloads every asked peer was shipped.  Replies that were
+        not selected cost nothing.  Crashed peers and
         silent (Byzantine drop) replies never count towards the quorum; if
         fewer than ``quorum`` usable replies exist, :class:`TimeoutError` is
         raised — this is exactly the liveness condition requiring ``q + f``
@@ -569,7 +577,7 @@ class Transport:
         elapsed time and the RNG stream) is always derived from the reply's
         own framed size, which is what keeps sharded runs byte-identical to
         unsharded ones.  The closed quorum is written to the ledger once, on
-        the requester's account.
+        the requester's account, at the slice-framed total.
         """
         if quorum <= 0:
             raise CommunicationError("quorum must be positive")
@@ -582,7 +590,8 @@ class Transport:
         if shard_map is not None:
             reply_messages = shard_map.num_shards
             reply_nbytes = self.sharded_reply_nbytes(shard_map)
-        request = (source, kind, iteration, payload, reply_nbytes)
+        shipped = None if payload is None else self._payload_nbytes(payload)
+        request = (source, kind, iteration, payload, shipped, reply_nbytes)
         wave, reserves = policy.first_wave(destinations, quorum)
         outcomes = self._wave(wave, policy, request)
         hedges = policy.follow_ups(outcomes, reserves)
@@ -612,9 +621,15 @@ class Transport:
             o.reply if o.arrival == o.reply.latency else replace(o.reply, latency=o.arrival)
             for o in usable
         ]
-        elapsed = usable[-1].arrival
-        nbytes = sum(reply.nbytes if reply_nbytes is None else reply_nbytes for reply in selected)
-        self.ledger.closed(source, quorum * reply_messages, elapsed, nbytes)
+        sizes = [reply.nbytes if reply_nbytes is None else reply_nbytes for reply in selected]
+        prefix = 0 if shipped is None else len(outcomes) * shipped
+        elapsed = self.price.quorum([(reply.latency, size) for reply, size in zip(selected, sizes)], prefix)
+        self.ledger.closed(source, quorum * reply_messages, elapsed, sum(sizes))
+        if self.ledger.quorums is not None:
+            asked = tuple(outcome.destination for outcome in outcomes)
+            factors = [self.failures.latency_factor(reply.source) for reply in selected]
+            replies = tuple((reply.latency, factor, size) for reply, factor, size in zip(selected, factors, sizes))
+            self.ledger.quorums.append(Quorum(source, kind, asked, shipped or 0, replies))
         if sink is not None:
             sink.reset()
             for index, reply in enumerate(selected):
@@ -625,7 +640,7 @@ class Transport:
         self,
         wave: Sequence[Tuple[str, float]],
         policy: WavePolicy,
-        request: Tuple[str, str, int, Any, Optional[int]],
+        request: Tuple[str, str, int, Any, Optional[int], Optional[int]],
         follow_up: bool = False,
     ) -> List[PullOutcome]:
         """Plan, dispatch and classify one wave of pulls; one outcome per pull.
@@ -646,8 +661,7 @@ class Transport:
            in — so it already reflects the peers classified before it in this
            wave.
         """
-        source, kind, iteration, payload, reply_nbytes = request
-        shipped = None if payload is None else self._payload_nbytes(payload)
+        source, kind, iteration, payload, shipped, reply_nbytes = request
         self.ledger.issued(source, kind, [destination for destination, _ in wave], follow_up, shipped)
         plans: List[Any] = []
         for destination, _ in wave:

@@ -9,6 +9,7 @@ from repro.apps.throughput import messages_per_round
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
 from repro.core.session import RoundAccountant, Session, should_evaluate
+from repro.network.serialization import message_nbytes
 
 
 def build_deployment(**overrides):
@@ -148,9 +149,10 @@ class TestHedgedRoundCharges:
                 server = session.reporting_server
                 assert len(waited) == result.iteration + 1  # one gradient pull a round
                 messages = issued + result.quorum
-                nbytes = messages * cost_model.message_bytes(server.dimension)
-                assert result.record.communication_time == waited[-1] + (
-                    cost_model.serialization_time_for_bytes(nbytes, messages)
+                nbytes = messages * message_nbytes(server.dimension)
+                # One requester: the round's whole load on the fabric is its own.
+                assert result.record.communication_time == waited[-1] + transport.price.fabric(nbytes) + (
+                    cost_model.serialization_time(nbytes, messages)
                 ), f"round {result.iteration}"
             stats = transport.stats
         # The run covers both defects: first waves smaller than the roster,

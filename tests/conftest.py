@@ -119,6 +119,25 @@ def fast_config():
     )
 
 
+def _fifo_finish(replies, bandwidth: float, shipped_nbytes: int = 0) -> float:
+    """The requester's link, first in, first out, written out: reply k (in
+    arrival order) finishes on arrival or one transfer after reply k - 1,
+    whichever is later; the payloads its requests shipped hold the link first."""
+    finish = shipped_nbytes / bandwidth if shipped_nbytes else None
+    for reply in replies:
+        if finish is None:
+            finish = reply.latency
+        else:
+            finish = max(reply.latency, finish + reply.nbytes / bandwidth)
+    return finish
+
+
+@pytest.fixture(scope="session")
+def fifo_finish():
+    """An independent reference of the charge ``Transport.pull_many`` returns."""
+    return _fifo_finish
+
+
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar function of an array."""
     grad = np.zeros_like(x, dtype=np.float64)

@@ -197,7 +197,7 @@ class TestExecutorEngines:
 
 @pytest.mark.parametrize("executor_name", ["serial", "threaded"])
 class TestFastestQuorumSemantics:
-    def test_returns_exactly_q_results(self, executor_name):
+    def test_returns_exactly_q_results(self, executor_name, fifo_finish):
         transport = build_transport(executor=create_executor(executor_name))
         peers = [f"node-{i}" for i in range(1, 9)]
         for quorum in (1, 4, 8):
@@ -205,7 +205,7 @@ class TestFastestQuorumSemantics:
             assert len(replies) == quorum
             latencies = [r.latency for r in replies]
             assert latencies == sorted(latencies)
-            assert elapsed == max(latencies)
+            assert elapsed == fifo_finish(replies, transport.link.bandwidth_bytes_per_s)
             assert elapsed < sum(latencies) or quorum == 1
         transport.executor.shutdown()
 

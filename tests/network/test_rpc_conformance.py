@@ -109,7 +109,7 @@ class TestTransportConformance:
         )
         assert np.array_equal(scaled.payload, np.asarray([2.0, -4.0]))
 
-    def test_concurrent_pulls_service_every_peer(self, conformant_transport):
+    def test_concurrent_pulls_service_every_peer(self, conformant_transport, fifo_finish):
         payload = np.asarray([1.5])
         replies, elapsed = conformant_transport.pull_many(
             "tester", PROBE_NODES, "scale", quorum=len(PROBE_NODES), payload=payload
@@ -117,12 +117,14 @@ class TestTransportConformance:
         assert sorted(r.source for r in replies) == PROBE_NODES
         for reply in replies:
             assert np.array_equal(reply.payload, np.asarray([3.0]))
-        # Replies are ordered by simulated arrival; elapsed is the q-th's.
+        # Replies are ordered by simulated arrival, and cross the requester's
+        # link in that order, after the payload every probe was shipped.
         latencies = [r.latency for r in replies]
         assert latencies == sorted(latencies)
-        assert elapsed == latencies[-1]
+        shipped = len(PROBE_NODES) * conformant_transport.vector_nbytes(payload.size)
+        assert elapsed == fifo_finish(replies, conformant_transport.link.bandwidth_bytes_per_s, shipped)
 
-    def test_quorum_of_q_returns_on_qth_reply(self, conformant_transport):
+    def test_quorum_of_q_returns_on_qth_reply(self, conformant_transport, fifo_finish):
         """A straggler beyond the quorum never shows up nor delays the call."""
         conformant_transport.failures.set_straggler("probe-4", 1000.0)
         quorum = len(PROBE_NODES) - 1
@@ -131,7 +133,8 @@ class TestTransportConformance:
         )
         assert len(replies) == quorum
         assert "probe-4" not in {r.source for r in replies}
-        assert elapsed == replies[-1].latency
+        shipped = len(PROBE_NODES) * conformant_transport.vector_nbytes(1)
+        assert elapsed == fifo_finish(replies, conformant_transport.link.bandwidth_bytes_per_s, shipped)
 
     def test_silent_replies_never_count_towards_the_quorum(self, conformant_transport):
         with pytest.raises(TimeoutError, match="0 usable"):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.apps.throughput import messages_per_round, replay_round, round_traffic
 from repro.core.cluster import ClusterConfig
 from repro.core.session import available_applications
 from repro.exceptions import ConfigurationError
-from repro.network.ledger import Ledger, Phase
+from repro.network.transport import Transport
 
 
 class TestMessagesPerRound:
@@ -80,29 +81,40 @@ class TestMessagesPerRound:
                 messages_per_round(deployment, num_workers=3, num_servers=0)
 
 
-class TestLedgerPhases:
-    """The ledger's fold of one round's waves into phases."""
+class TestLedgerQuorums:
+    """The ledger's record of one round's closed quorums."""
 
-    def test_no_phase_is_kept_unless_asked(self):
-        ledger = Ledger()
-        ledger.issued("server-0", "gradient", ["worker-0"], follow_up=False, shipped=8)
-        ledger.open_round()
-        assert ledger.phases is None
+    def test_no_quorum_is_kept_unless_asked(self):
+        transport = Transport()
+        for node in ("server-0", "worker-0"):
+            transport.register_node(node, object())
+        transport.register_handler("worker-0", "gradient", lambda context: np.ones(4))
+        transport.pull_many("server-0", ["worker-0"], "gradient", quorum=1)
+        transport.ledger.open_round()
+        assert transport.ledger.quorums is None
+        transport.close()
 
-    def test_distinct_requesters_back_to_back_share_a_phase(self):
-        ledger = Ledger()
-        ledger.phases = []
-        for server in ("server-0", "server-1"):
-            ledger.issued(server, "gradient", ["worker-0", "worker-1"], follow_up=False, shipped=8)
-        ledger.issued("server-0", "model", ["server-1"], follow_up=False, shipped=None)
-        ledger.issued("server-0", "model", ["server-1"], follow_up=False, shipped=None)
-        assert ledger.phases == [
-            Phase("gradient", True, [("server-0", ("worker-0", "worker-1")), ("server-1", ("worker-0", "worker-1"))]),
-            Phase("model", False, [("server-0", ("server-1",))]),
-            Phase("model", False, [("server-0", ("server-1",))]),
-        ]
-        ledger.open_round()
-        assert ledger.phases == []
+    def test_each_closed_pull_is_kept_in_order_until_the_round_ends(self):
+        transport = Transport(seed=4)
+        for node in ("server-0", "worker-0", "worker-1", "worker-2"):
+            transport.register_node(node, object())
+        for worker in ("worker-0", "worker-1", "worker-2"):
+            for kind in ("gradient", "model"):
+                transport.register_handler(worker, kind, lambda context: np.ones(10))
+        transport.failures.set_straggler("worker-2", 3.0)
+        transport.ledger.quorums = []
+        workers = ["worker-0", "worker-1", "worker-2"]
+        replies, _ = transport.pull_many("server-0", workers, "gradient", quorum=3, payload=np.zeros(10))
+        transport.pull_many("server-0", workers[:2], "model", quorum=1)
+        first, second = transport.ledger.quorums
+        nbytes = transport.vector_nbytes(10)
+        assert (first.requester, first.kind, first.asked, first.shipped_nbytes) == ("server-0", "gradient", tuple(workers), nbytes)
+        factors = {"worker-0": 1.0, "worker-1": 1.0, "worker-2": 3.0}
+        assert first.replies == tuple((reply.latency, factors[reply.source], nbytes) for reply in replies)
+        assert (second.kind, second.asked, second.shipped_nbytes, len(second.replies)) == ("model", tuple(workers[:2]), 0, 1)
+        transport.ledger.open_round()
+        assert transport.ledger.quorums == []
+        transport.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -121,7 +133,8 @@ ROUND_CONFIGS = {
 @pytest.mark.parametrize("deployment", sorted(ROUND_CONFIGS))
 def test_messages_per_round_matches_one_real_round(deployment):
     """The priced round is replayed at f = 0 under plain averaging; a real round
-    at f_w = 1 (a smaller quorum, asynchronous in decentralized) sends the same."""
+    at f_w = 1 (a smaller quorum, asynchronous in decentralized) sends the same
+    messages, though its quorums select fewer replies."""
     overrides = ROUND_CONFIGS[deployment]
     config = ClusterConfig(
         deployment=deployment,
@@ -133,4 +146,5 @@ def test_messages_per_round_matches_one_real_round(deployment):
         seed=3,
         **overrides,
     )
-    assert replay_round(config) == round_traffic(deployment, config.num_workers, config.num_servers)
+    replayed = round_traffic(deployment, config.num_workers, config.num_servers)
+    assert replay_round(config).messages == replayed.messages

@@ -101,12 +101,12 @@ class TestPull:
 
 
 class TestPullMany:
-    def test_returns_exactly_quorum_fastest(self):
+    def test_returns_exactly_quorum_fastest(self, fifo_finish):
         transport = build_cluster(6)
         peers = [f"node-{i}" for i in range(1, 6)]
         replies, elapsed = transport.pull_many("node-0", peers, "value", quorum=3)
         assert len(replies) == 3
-        assert elapsed == max(r.latency for r in replies)
+        assert elapsed == fifo_finish(replies, transport.link.bandwidth_bytes_per_s)
         latencies = [r.latency for r in replies]
         assert latencies == sorted(latencies)
 
@@ -174,7 +174,7 @@ class TestQuorumBoundary:
 
     ALL = [f"node-{i}" for i in range(6)]
 
-    def test_peer_lost_mid_reply_is_excluded_exactly_once_at_n_minus_f(self):
+    def test_peer_lost_mid_reply_is_excluded_exactly_once_at_n_minus_f(self, fifo_finish):
         # n = 6, f = 1: five usable peers, quorum of exactly n - f = 5.
         transport = build_cluster(6, seed=2)
         transport.failures.set_straggler("node-5", 50.0)  # it straggles...
@@ -186,7 +186,7 @@ class TestQuorumBoundary:
         replies, elapsed = transport.pull_many("src", self.ALL, "value", quorum=5)
         assert len(replies) == 5
         assert "node-5" not in {r.source for r in replies}
-        assert elapsed == replies[-1].latency
+        assert elapsed == fifo_finish(replies, transport.link.bandwidth_bytes_per_s)
 
     def test_straggling_and_link_dropped_peer_counts_once_at_n_minus_f(self):
         # Seed chosen so the lossy link drops exactly the straggler's message:

@@ -8,9 +8,10 @@ like any other:
   the rows actually aggregated, at the widest shard;
 * the transport's ledger charges every message the reporting server
   exchanged to that server — requests and model replies at
-  ``message_bytes(d)``, gradient replies one priced message a slice,
+  ``message_nbytes(d)``, gradient replies one priced message a slice,
   coordination frames at their framed size — and the accountant makes one
-  ``serialization_time_for_bytes`` call over that byte total.
+  ``serialization_time`` call over that byte total, beside the fabric's
+  time for every byte of the round.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
 from repro.core.scenario import ScenarioDirector, ScenarioEvent, ScenarioSpec
 from repro.core.session import Session
-from repro.network.serialization import serialized_nbytes
+from repro.network.serialization import message_nbytes, serialized_nbytes
 from repro.sharding import ShardMap
 
 pytestmark = pytest.mark.sharding
@@ -91,9 +92,10 @@ def test_the_accountant_prices_a_sharded_round_from_the_byte_ledger():
         result = session.step()
         server = session.reporting_server
         charge = deployment.transport.ledger.charge(server.node_id)
+        round_nbytes = deployment.transport.ledger.round_nbytes()
 
     dimension, cost_model = server.dimension, deployment.cost_model
-    message_bytes = cost_model.message_bytes(dimension)
+    message_bytes = message_nbytes(dimension)
     requests = config.num_workers
     replies = config.gradient_quorum()
     model_replies = deployment.replicas.quorum() - 1
@@ -107,6 +109,7 @@ def test_the_accountant_prices_a_sharded_round_from_the_byte_ledger():
     assert charge.nbytes == (
         (requests + model_replies) * message_bytes + replies * slice_framed + coordination_bytes
     )
-    assert result.record.communication_time == charge.elapsed + (
-        cost_model.serialization_time_for_bytes(charge.nbytes, charge.messages)
+    assert round_nbytes == config.num_servers * charge.nbytes  # three replicas, one round each
+    assert result.record.communication_time == charge.elapsed + deployment.transport.price.fabric(round_nbytes) + (
+        cost_model.serialization_time(charge.nbytes, charge.messages)
     )

@@ -214,13 +214,3 @@ class TestCostModelAgreement:
         finally:
             transport.close()
 
-    def test_serialization_time_delegation_is_float_identical(self):
-        plain = run_msmw(1, "median")
-        cost_model = plain["cost_model"]
-        dimension = plain["dimension"]
-        for messages in (0, 1, 7, 24):
-            whole = cost_model.serialization_time(dimension, messages)
-            split = cost_model.serialization_time_for_bytes(
-                messages * cost_model.message_bytes(dimension), messages
-            )
-            assert whole == split

@@ -92,7 +92,7 @@ def test_non_iid_partition_conserves_examples(alpha, seed):
     quorum_fraction=st.floats(min_value=0.1, max_value=1.0),
     seed=st.integers(0, 1000),
 )
-def test_pull_many_returns_sorted_quorum(num_peers, quorum_fraction, seed):
+def test_pull_many_returns_sorted_quorum(num_peers, quorum_fraction, seed, fifo_finish):
     from repro.network.transport import LinkModel, Transport
 
     transport = Transport(link=LinkModel(base_latency=1e-4, jitter=1e-4), seed=seed)
@@ -106,4 +106,4 @@ def test_pull_many_returns_sorted_quorum(num_peers, quorum_fraction, seed):
     assert len(replies) == quorum
     latencies = [r.latency for r in replies]
     assert latencies == sorted(latencies)
-    assert elapsed == latencies[-1]
+    assert elapsed == fifo_finish(replies, transport.link.bandwidth_bytes_per_s)
