@@ -96,10 +96,8 @@ class ThroughputModel:
         self.model = model
         self.dimension = dimension if dimension is not None else model_dimension(model)
         self.flops_per_parameter = model_compute_intensity(model)
-        self.device = DEVICES[config.device]
-        self.framework = FRAMEWORKS[config.framework]
         self.network = network or NetworkParameters()
-        self.cost = CostModel(device=self.device, network=self.network, framework=self.framework)
+        self.cost = CostModel(DEVICES[config.device], self.network, FRAMEWORKS[config.framework])
 
     def fitted(self, deployment: str) -> ClusterConfig:
         """The validated config ``deployment`` runs on this cluster."""
