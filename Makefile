@@ -50,6 +50,9 @@
 #   make bench-mem      — per-phase VmHWM / VmRSS of each in-process e2e workload
 #                         (imports, build, pristine evaluation, rounds 1 and 50,
 #                         the quality checkpoint) at SEED, ~1 min
+#   make bench-step     — the median stand-alone mnist_cnn step (batch 8, 300
+#                         steps, one BLAS thread) in child interpreters with
+#                         glibc's mmap threshold unset, pinned low and pinned high
 #   make bench-figures  — the figure benches (Figs. 6-16 and the cost-model
 #                         ablation): the paper-claim assertions on each
 #                         strategy's replayed round, priced at the paper's
@@ -74,7 +77,7 @@ PAIRS ?= 10
 LOC_MAX ?= 8071
 export PYTHONPATH := src
 
-.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends test-gars update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench-mem bench-figures bench fuzz-smoke fuzz docs-check loc quickstart
+.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends test-gars update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench-e2e bench-e2e-compare bench-e2e-ab bench-mem bench-step bench-figures bench fuzz-smoke fuzz docs-check loc quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -137,6 +140,9 @@ bench-e2e-ab:
 
 bench-mem:
 	python3 scripts/mem_phases.py --seed $(SEED)
+
+bench-step:
+	python3 scripts/bench_step.py
 
 FIGURE_BENCHES = benchmarks/bench_fig6_model_dim.py benchmarks/bench_fig7_breakdown.py \
 	benchmarks/bench_fig8_workers.py benchmarks/bench_fig9_decentralized.py \

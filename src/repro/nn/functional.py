@@ -5,7 +5,8 @@ This module hosts the 2-D convolution and pooling primitives used by
 height, width), but what :func:`conv2d` and the pools return is a
 batch-innermost ``(c, h, w, n)`` array viewed as NCHW, and so are the pools'
 input gradients: a stack of convolutions, ReLUs and pools keeps one layout
-forward and backward (``Tensor._accumulate`` copies with ``order="K"``).
+forward and backward (``Tensor._accumulate`` adopts these fresh gradients as
+they are, and copies a shared one with ``order="K"``).
 
 Convolution is built on two window helpers:
 
@@ -15,6 +16,13 @@ Convolution is built on two window helpers:
   no index tables — and written by one strided assignment.
 * :func:`_col2im` is its adjoint: it sums such a matrix back onto the pixels
   with ``k*k`` shifted slice-adds.
+
+``cols`` comes from a per-thread arena (:func:`_take` / :func:`_give`): a
+training step's forward takes it, its backward computes ``dcols`` into the
+same buffer and gives it back, so a warm step maps no large block whatever
+the allocator's state.  Without a graph (evaluation, under ``no_grad``) a
+convolution walks the batch in image blocks, so it holds one block's
+``cols``, not the whole test set's.
 
 Pooling uses neither.  It works on the ``k*k`` shifted strided views of the
 batch-innermost image (:func:`_pool_windows`), stacked along a leading axis:
@@ -31,18 +39,45 @@ image)``), which is an operand of all three GEMMs of a convolution, and the
 ascending ``(di, dj)`` order in which overlapping contributions to one pixel
 are added.  ``tests/nn/test_window_kernels.py`` holds the index-gather /
 unbuffered scatter-add helpers and the ``argmax`` pools these replaced and
-compares bytes; ``docs/performance.md`` sections 6 and 12 have the
+compares bytes; ``docs/performance.md`` sections 6, 12 and 14 have the
 measurements.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, List, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, recording
+
+#: The ``cols`` bytes a block of a convolution without a graph aims at: about
+#: a training step's own (2.5 MB for ``mnist_cnn``'s second at batch 8).
+BLOCK_BYTES = 5 << 19
+#: A block's image count is a multiple of this, and the last block holds at
+#: least this many (see :func:`conv2d`).
+BLOCK_ALIGN = 8
+
+#: The arena: each thread's free ``cols`` / ``dcols`` buffers, by shape (the
+#: attribute dict of a ``threading.local`` is the calling thread's own).  A
+#: forward takes its ``cols`` here and its backward gives it back, so no
+#: buffer is held by two live graphs, and a thread never keeps more buffers
+#: of one shape than it ever had live at once.  Per thread rather than per
+#: layer: the models that take turns on a thread share them.
+_ARENA = threading.local()
+
+
+def _take(shape: Tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 buffer of ``shape``: a free one of this thread's, if any."""
+    free = vars(_ARENA).get(shape)
+    return free.pop() if free else np.empty(shape)
+
+
+def _give(buffer: np.ndarray) -> None:
+    """Hand ``buffer`` back to this thread's arena once nothing reads it."""
+    vars(_ARENA).setdefault(buffer.shape, []).append(buffer)
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
@@ -58,9 +93,9 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> Tuple[np.n
     # strided assignment that lays the windows out as the GEMM operand.
     windows = sliding_window_view(image, (kernel, kernel), axis=(1, 2))[:, ::stride, ::stride]
     out_h, out_w = windows.shape[1:3]
-    cols = np.empty((c, kernel, kernel, out_h, out_w, n), dtype=x.dtype)
-    cols[...] = windows.transpose(0, 4, 5, 1, 2, 3)
-    return cols.reshape(c * kernel * kernel, -1), out_h, out_w
+    cols = _take((c * kernel * kernel, out_h * out_w * n))
+    cols.reshape(c, kernel, kernel, out_h, out_w, n)[...] = windows.transpose(0, 4, 5, 1, 2, 3)
+    return cols, out_h, out_w
 
 
 def _col2im(
@@ -72,8 +107,7 @@ def _col2im(
 ) -> np.ndarray:
     """Sum every window of ``cols`` back onto its pixels: the adjoint of :func:`_im2col`."""
     n, c, h, w = x_shape
-    out_h = (h + 2 * padding - kernel) // stride + 1
-    out_w = (w + 2 * padding - kernel) // stride + 1
+    out_h, out_w = ((size + 2 * padding - kernel) // stride + 1 for size in (h, w))
     image = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=cols.dtype)
     blocks = cols.reshape(c, kernel, kernel, out_h, out_w, n)
     # One shifted slice-add per window offset, in ascending (di, dj): the order
@@ -89,28 +123,52 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     """2-D convolution over NCHW input with square kernels.
 
     ``weight`` has shape (out_channels, in_channels, k, k) and ``bias`` has
-    shape (out_channels,).
+    shape (out_channels,).  Without a graph the batch goes through in blocks
+    of images whose ``cols`` fit ``BLOCK_BYTES``; a graph keeps one block,
+    because backward reads all of ``cols`` and splitting the weight-gradient
+    GEMM would re-associate its sum.  Each output element is the same K-sum
+    over the same operands either way, and BLAS adds it up the same way as
+    long as the columns keep their micro-kernel: OpenBLAS computes the
+    trailing columns past a GEMM's last full group of eight with another
+    kernel, whose sums can differ in the last bit.  So every block but the
+    last spans whole groups of ``BLOCK_ALIGN`` images (whole groups of eight
+    columns, whatever the image size), and the last holds at least
+    ``BLOCK_ALIGN``: the batch's trailing columns are its trailing columns.
     """
     n, c, h, w = x.data.shape
     out_channels, in_channels, kernel, _ = weight.data.shape
     if in_channels != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {in_channels}")
+    out_h, out_w = ((size + 2 * padding - kernel) // stride + 1 for size in (h, w))
+    records = recording((x, weight, bias))
+    groups = BLOCK_BYTES // (8 * c * kernel * kernel * out_h * out_w) // BLOCK_ALIGN
+    block = max(1, n) if records else max(1, groups) * BLOCK_ALIGN
+    starts = list(range(0, max(n - BLOCK_ALIGN, 0) + 1, block))
 
-    cols, out_h, out_w = _im2col(x.data, kernel, stride, padding)
     w_flat = weight.data.reshape(out_channels, -1)
-    out = w_flat @ cols + bias.data.reshape(-1, 1)
-    out = out.reshape(out_channels, out_h, out_w, n).transpose(3, 0, 1, 2)
+    out = np.empty((out_channels, out_h, out_w, n))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        cols, _, _ = _im2col(x.data[start:stop], kernel, stride, padding)
+        product = (w_flat @ cols).reshape(out_channels, out_h, out_w, -1)
+        np.add(product, bias.data.reshape(-1, 1, 1, 1), out=out[..., start:stop])
+        if not records:
+            _give(cols)
 
     def backward(grad: np.ndarray) -> None:
-        grad = np.asarray(grad, dtype=np.float64)
+        nonlocal cols
         grad_flat = grad.transpose(1, 2, 3, 0).reshape(out_channels, -1)
-        bias._accumulate(grad_flat.sum(axis=1))
-        weight._accumulate((grad_flat @ cols.T).reshape(weight.data.shape))
+        # A second backward through this graph stops here, before it adds
+        # anything: ``cols`` went back to the arena and is None.
+        weight._accumulate((grad_flat @ cols.T).reshape(weight.data.shape), owned=True)
+        bias._accumulate(grad_flat.sum(axis=1), owned=True)
         if x.requires_grad:
-            dcols = w_flat.T @ grad_flat
-            x._accumulate(_col2im(dcols, x.data.shape, kernel, stride, padding))
+            # ``cols`` has been read for the last time: ``dcols`` takes its buffer.
+            dcols = np.matmul(w_flat.T, grad_flat, out=cols)
+            x._accumulate(_col2im(dcols, x.data.shape, kernel, stride, padding), owned=True)
+        _give(cols)
+        cols = None
 
-    return x._make_result(out, (x, weight, bias), backward)
+    return x._make_result(out.transpose(3, 0, 1, 2), (x, weight, bias), backward)
 
 
 def _pool_windows(image: np.ndarray, kernel: int, stride: int) -> List[np.ndarray]:
@@ -124,7 +182,7 @@ def _pool_backward(x: Tensor, contributions: Iterable[np.ndarray], kernel: int, 
     dx = np.zeros(x.data.shape[1:] + x.data.shape[:1])
     for pixels, contribution in zip(_pool_windows(dx, kernel, stride), contributions):
         pixels += contribution
-    x._accumulate(dx.transpose(3, 0, 1, 2))
+    x._accumulate(dx.transpose(3, 0, 1, 2), owned=True)
 
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:

@@ -157,7 +157,6 @@ class _InceptionBlock(Module):
         split = out1.data.shape[1]
 
         def backward(grad: np.ndarray) -> None:
-            grad = np.asarray(grad, dtype=np.float64)
             out1._accumulate(grad[:, :split])
             out3._accumulate(grad[:, split:])
 

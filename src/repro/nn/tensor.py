@@ -45,6 +45,11 @@ def no_grad() -> Iterator[None]:
         _GRAD_MODE.recording = previous
 
 
+def recording(parents: Sequence["Tensor"]) -> bool:
+    """Whether an operation on ``parents`` in this thread records a graph."""
+    return _GRAD_MODE.recording and any(p.requires_grad for p in parents)
+
+
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` to invert numpy broadcasting."""
     if grad.shape == shape:
@@ -62,7 +67,7 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 class Tensor:
     """A numpy-backed tensor participating in a dynamic autograd graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
     #: An ndarray on the left of ``*``, ``/``, ``+`` or ``-`` defers to the
     #: reflected operator instead of broadcasting over the Tensor as an object.
     __array_ufunc__ = None
@@ -72,14 +77,12 @@ class Tensor:
         data: ArrayLike,
         requires_grad: bool = False,
         parents: Sequence["Tensor"] = (),
-        name: str = "",
     ) -> None:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._backward: Callable[[np.ndarray], None] = lambda grad: None
         self._parents: Tuple["Tensor", ...] = tuple(parents)
-        self.name = name
 
     # ------------------------------------------------------------------ #
     # Introspection helpers
@@ -112,10 +115,10 @@ class Tensor:
         cannot cross a process boundary; the graph is rebuilt on the next
         forward pass anyway, so snapshots only need data / grad / flags.
         """
-        return (self.data, self.grad, self.requires_grad, self.name)
+        return (self.data, self.grad, self.requires_grad)
 
     def __setstate__(self, state) -> None:
-        self.data, self.grad, self.requires_grad, self.name = state
+        self.data, self.grad, self.requires_grad = state
         self._backward = lambda grad: None
         self._parents = ()
 
@@ -135,23 +138,31 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_MODE.recording and any(p.requires_grad for p in parents)
+        requires = recording(parents)
         out = Tensor(data, requires_grad=requires, parents=parents if requires else ())
         if requires:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into this tensor's gradient.
+
+        ``owned`` says the producer hands over a fresh array that nothing else
+        holds: a first gradient is then adopted as it is, and so is an array
+        that the dtype cast or the broadcast sum made here.  A shared one (the
+        same ``grad`` to both parents of ``+``, a view of ``reshape``'s own
+        gradient, ``sum``'s broadcast view) is copied.
+        """
         if not self.requires_grad:
             return
-        grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
+        summed = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
             # "K" keeps the layout the producer chose (the CNN's batch-innermost
             # activations), so later element-wise products see matching strides;
             # a broadcast view (a zero stride) has no layout worth keeping.
-            self.grad = grad.copy(order="C" if 0 in grad.strides else "K")
+            self.grad = summed if owned or summed is not grad else summed.copy(order="C" if 0 in summed.strides else "K")
         else:
-            self.grad += grad
+            self.grad += summed
 
     # ------------------------------------------------------------------ #
     # Arithmetic
@@ -170,7 +181,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(-grad)
+            self._accumulate(-grad, owned=True)
 
         return self._make_result(-self.data, (self,), backward)
 
@@ -186,9 +197,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * other.data)
+                self._accumulate(grad * other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(grad * self.data)
+                other._accumulate(grad * self.data, owned=True)
 
         return self._make_result(data, (self, other), backward)
 
@@ -200,9 +211,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad / other.data)
+                self._accumulate(grad / other.data, owned=True)
             if other.requires_grad:
-                other._accumulate(-grad * self.data / (other.data ** 2))
+                other._accumulate(-grad * self.data / (other.data ** 2), owned=True)
 
         return self._make_result(data, (self, other), backward)
 
@@ -213,7 +224,7 @@ class Tensor:
         data = self.data ** exponent
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
+            self._accumulate(grad * exponent * self.data ** (exponent - 1), owned=True)
 
         return self._make_result(data, (self,), backward)
 
@@ -223,9 +234,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad @ np.swapaxes(other.data, -1, -2))
+                self._accumulate(grad @ np.swapaxes(other.data, -1, -2), owned=True)
             if other.requires_grad:
-                other._accumulate(np.swapaxes(self.data, -1, -2) @ grad)
+                other._accumulate(np.swapaxes(self.data, -1, -2) @ grad, owned=True)
 
         return self._make_result(data, (self, other), backward)
 
@@ -236,22 +247,15 @@ class Tensor:
         data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(grad: np.ndarray) -> None:
-            g = np.asarray(grad, dtype=np.float64)
-            if axis is not None and not keepdims:
-                axes = (axis,) if isinstance(axis, int) else tuple(axis)
-                for ax in sorted(a % self.data.ndim for a in axes):
-                    g = np.expand_dims(g, ax)
-            self._accumulate(np.broadcast_to(g, self.data.shape))
+            kept = grad if axis is None or keepdims else np.expand_dims(grad, axis)
+            self._accumulate(np.broadcast_to(kept, self.data.shape))
 
         return self._make_result(data, (self,), backward)
 
     def mean(self, axis: Optional[Union[int, Tuple[int, ...]]] = None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            count = self.data.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([self.data.shape[a] for a in axes]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        total = self.sum(axis=axis, keepdims=keepdims)
+        # Both sizes are exact, so their quotient is 1.0 / count rounded once.
+        return total * (total.data.size / self.data.size)
 
     def reshape(self, *shape: int) -> "Tensor":
         # ndarray.reshape takes the shape as one tuple or as separate sizes.
@@ -271,7 +275,7 @@ class Tensor:
         data = self.data * mask
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
+            self._accumulate(grad * mask, owned=True)
 
         return self._make_result(data, (self,), backward)
 
@@ -285,8 +289,7 @@ class Tensor:
         softmax = np.exp(data)
 
         def backward(grad: np.ndarray) -> None:
-            grad = np.asarray(grad, dtype=np.float64)
-            self._accumulate(grad - softmax * grad.sum(axis=-1, keepdims=True))
+            self._accumulate(grad - softmax * grad.sum(axis=-1, keepdims=True), owned=True)
 
         return self._make_result(data, (self,), backward)
 
@@ -302,7 +305,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
             full[rows, indices] = np.asarray(grad, dtype=np.float64)
-            self._accumulate(full)
+            self._accumulate(full, owned=True)
 
         return self._make_result(data, (self,), backward)
 
@@ -319,29 +322,19 @@ class Tensor:
             grad = np.ones_like(self.data)
         grad = np.asarray(grad, dtype=np.float64)
 
+        # Every node after its parents: a post-order walk with parents in
+        # order, on an explicit stack (a graph can outgrow Python's).
         topo: List[Tensor] = []
         visited: Set[int] = set()
-
-        def build(node: "Tensor") -> None:
-            stack = [(node, iter(node._parents))]
-            seen_on_stack = {id(node)}
-            while stack:
-                current, it = stack[-1]
-                advanced = False
-                for parent in it:
-                    if id(parent) not in visited and id(parent) not in seen_on_stack:
-                        stack.append((parent, iter(parent._parents)))
-                        seen_on_stack.add(id(parent))
-                        advanced = True
-                        break
-                if not advanced:
-                    stack.pop()
-                    seen_on_stack.discard(id(current))
-                    if id(current) not in visited:
-                        visited.add(id(current))
-                        topo.append(current)
-
-        build(self)
+        stack = [(self, False)]
+        while stack:
+            node, finished = stack.pop()
+            if finished:
+                topo.append(node)
+            elif id(node) not in visited:
+                visited.add(id(node))
+                stack.append((node, True))
+                stack.extend((parent, False) for parent in reversed(node._parents))
 
         self._accumulate(grad)
         for node in reversed(topo):

@@ -230,7 +230,8 @@ def _cnn_session(**overrides) -> Session:
 class TestEvaluationMemory:
     def test_cnn_evaluation_keeps_no_graph(self, monkeypatch):
         """At the loss, no Tensor with parents is alive, and the traced peak is at most
-        0.6 x a forward pass that records its graph (an im2col block per convolution)."""
+        0.3 x a forward pass that records its graph (all 120 images' im2col ``cols``
+        per convolution; without a graph each convolution holds one block of images)."""
         with _cnn_session() as session:
             server = session.reporting_server
             test = server.test_dataset
@@ -257,7 +258,7 @@ class TestEvaluationMemory:
             finally:
                 tracemalloc.stop()
             assert graphs == [0]
-            assert peak <= 0.6 * recorded, (peak, recorded)
+            assert peak <= 0.3 * recorded, (peak, recorded)
 
     def test_worker_gradient_after_an_evaluation_is_unchanged(self):
         gradients = []
