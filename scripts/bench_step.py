@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """The stand-alone ``mnist_cnn`` step under three glibc allocator settings.
 
-    python3 scripts/bench_step.py [--steps 300] [--tree DIR]
+    python3 scripts/bench_step.py [--tree DIR]
     make bench-step
 
 Each setting runs in a fresh child interpreter with one OpenBLAS thread.
 The child synthesizes ``ssmw-cnn-serial``'s dataset (600 MNIST-shaped
-examples, noise 0.8, seed 1), builds ``mnist_cnn`` and times ``--steps``
+examples, noise 0.8, seed 1), builds ``mnist_cnn`` and times 300
 steps at batch 8 — forward, cross-entropy and backward, no evaluation in
 between — and prints the median in ms.  The settings:
 
@@ -41,10 +41,11 @@ SETTINGS = {
     "pinned high": {"MALLOC_MMAP_THRESHOLD_": "33554432", "MALLOC_TRIM_THRESHOLD_": "67108864"},
 }
 BATCH = 8
+STEPS = 300
 
 
-def child(steps: int) -> None:
-    """Time ``steps`` steps in this interpreter; print the median step in ms."""
+def child() -> None:
+    """Time ``STEPS`` steps in this interpreter; print the median step in ms."""
     import numpy as np
 
     from repro.datasets.synthetic import make_synthetic_mnist
@@ -56,7 +57,7 @@ def child(steps: int) -> None:
     model = build_model("mnist_cnn")
     model.train()
     loss_fn = CrossEntropyLoss()
-    order = np.random.default_rng(1).integers(0, len(dataset) - BATCH, size=steps)
+    order = np.random.default_rng(1).integers(0, len(dataset) - BATCH, size=STEPS)
     times = []
     for start in order:
         began = time.perf_counter()
@@ -67,11 +68,11 @@ def child(steps: int) -> None:
     print(f"{1000 * statistics.median(times):.3f}")
 
 
-def measure(tree: Path, steps: int, setting: dict) -> float:
+def measure(tree: Path, setting: dict) -> float:
     env = {key: value for key, value in os.environ.items() if not key.startswith("MALLOC_")}
     env.update(setting, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(tree / "src"))
     done = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--child", "--steps", str(steps)],
+        [sys.executable, str(Path(__file__).resolve()), "--child"],
         capture_output=True,
         text=True,
         env=env,
@@ -83,17 +84,16 @@ def measure(tree: Path, steps: int, setting: dict) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--steps", type=int, default=300)
     parser.add_argument("--tree", type=Path, default=ROOT, help="the checkout to measure (default: this one)")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.steps)
+        child()
         return 0
     tree = args.tree.resolve()
-    print(f"tree {tree}, {args.steps} mnist_cnn steps at batch {BATCH}, one BLAS thread")
+    print(f"tree {tree}, {STEPS} mnist_cnn steps at batch {BATCH}, one BLAS thread")
     for name, setting in SETTINGS.items():
-        print(f"{name:>12}: median step {measure(tree, args.steps, setting):.2f} ms", flush=True)
+        print(f"{name:>12}: median step {measure(tree, setting):.2f} ms", flush=True)
     return 0
 
 

@@ -80,7 +80,7 @@ def _give(buffer: np.ndarray) -> None:
     vars(_ARENA).setdefault(buffer.shape, []).append(buffer)
 
 
-def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
+def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """The ``(c*k*k, out_h*out_w*n)`` matrix of all windows of ``x``, batch index innermost."""
     n, c, h, w = x.shape
     image = x.transpose(1, 2, 3, 0)
@@ -95,19 +95,23 @@ def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> Tuple[np.n
     out_h, out_w = windows.shape[1:3]
     cols = _take((c * kernel * kernel, out_h * out_w * n))
     cols.reshape(c, kernel, kernel, out_h, out_w, n)[...] = windows.transpose(0, 4, 5, 1, 2, 3)
-    return cols, out_h, out_w
+    return cols
 
 
 def _col2im(
     cols: np.ndarray,
     x_shape: Tuple[int, int, int, int],
+    out_shape: Tuple[int, int],
     kernel: int,
     stride: int,
     padding: int,
 ) -> np.ndarray:
-    """Sum every window of ``cols`` back onto its pixels: the adjoint of :func:`_im2col`."""
+    """Sum every window of ``cols`` back onto its pixels: the adjoint of :func:`_im2col`.
+
+    ``out_shape`` is the ``(out_h, out_w)`` grid of windows that ``cols`` holds.
+    """
     n, c, h, w = x_shape
-    out_h, out_w = ((size + 2 * padding - kernel) // stride + 1 for size in (h, w))
+    out_h, out_w = out_shape
     image = np.zeros((c, h + 2 * padding, w + 2 * padding, n), dtype=cols.dtype)
     blocks = cols.reshape(c, kernel, kernel, out_h, out_w, n)
     # One shifted slice-add per window offset, in ascending (di, dj): the order
@@ -148,7 +152,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
     w_flat = weight.data.reshape(out_channels, -1)
     out = np.empty((out_channels, out_h, out_w, n))
     for start, stop in zip(starts, starts[1:] + [n]):
-        cols, _, _ = _im2col(x.data[start:stop], kernel, stride, padding)
+        cols = _im2col(x.data[start:stop], kernel, stride, padding)
         product = (w_flat @ cols).reshape(out_channels, out_h, out_w, -1)
         np.add(product, bias.data.reshape(-1, 1, 1, 1), out=out[..., start:stop])
         if not records:
@@ -156,15 +160,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
     def backward(grad: np.ndarray) -> None:
         nonlocal cols
+        if cols is None:
+            raise RuntimeError("conv2d: second backward through one graph; its cols went back to the arena")
         grad_flat = grad.transpose(1, 2, 3, 0).reshape(out_channels, -1)
-        # A second backward through this graph stops here, before it adds
-        # anything: ``cols`` went back to the arena and is None.
         weight._accumulate((grad_flat @ cols.T).reshape(weight.data.shape), owned=True)
         bias._accumulate(grad_flat.sum(axis=1), owned=True)
         if x.requires_grad:
             # ``cols`` has been read for the last time: ``dcols`` takes its buffer.
             dcols = np.matmul(w_flat.T, grad_flat, out=cols)
-            x._accumulate(_col2im(dcols, x.data.shape, kernel, stride, padding), owned=True)
+            x._accumulate(_col2im(dcols, x.data.shape, (out_h, out_w), kernel, stride, padding), owned=True)
         _give(cols)
         cols = None
 

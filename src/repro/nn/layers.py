@@ -106,8 +106,6 @@ class Linear(Module):
     def __init__(self, in_features: int, out_features: int, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = Parameter(init.glorot_uniform((in_features, out_features), in_features, out_features, rng))
         self.bias = Parameter(init.zeros((out_features,)))
 
@@ -129,9 +127,6 @@ class Conv2d(Module):
     ) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
         fan_in = in_channels * kernel_size * kernel_size

@@ -313,7 +313,13 @@ class Tensor:
     # Backward pass
     # ------------------------------------------------------------------ #
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
-        """Back-propagate from this tensor through the recorded graph."""
+        """Back-propagate from this tensor through the recorded graph.
+
+        A graph is back-propagated once: a convolution gives its buffers
+        back to the arena of :mod:`repro.nn.functional` in its backward, so a
+        second call raises ``RuntimeError`` when it reaches one, after the
+        nodes before it have added their gradients a second time.
+        """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
         if grad is None:

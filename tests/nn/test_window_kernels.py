@@ -70,12 +70,11 @@ def _reference_indices(x_shape, kernel, stride, padding):
 def reference_im2col(x, kernel, stride, padding):
     c = x.shape[1]
     padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
-    k, i, j, out_h, out_w = _reference_indices(x.shape, kernel, stride, padding)
-    cols = padded[:, k, i, j].transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
-    return cols, out_h, out_w
+    k, i, j, _, _ = _reference_indices(x.shape, kernel, stride, padding)
+    return padded[:, k, i, j].transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
 
 
-def reference_col2im(cols, x_shape, kernel, stride, padding):
+def reference_col2im(cols, x_shape, out_shape, kernel, stride, padding):
     n, c, h, w = x_shape
     padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
     k, i, j, _, _ = _reference_indices(x_shape, kernel, stride, padding)
@@ -89,7 +88,8 @@ def reference_max_pool2d(x, kernel=2, stride=None):
     stride = stride or kernel
     n, c, h, w = x.data.shape
     reshaped = x.data.reshape(n * c, 1, h, w)
-    cols, out_h, out_w = reference_im2col(reshaped, kernel, stride, 0)
+    cols = reference_im2col(reshaped, kernel, stride, 0)
+    out_h, out_w = _reference_indices(reshaped.shape, kernel, stride, 0)[3:]
     argmax = cols.argmax(axis=0)
     out = cols[argmax, np.arange(cols.shape[1])]
     out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
@@ -99,7 +99,7 @@ def reference_max_pool2d(x, kernel=2, stride=None):
         grad_flat = grad.reshape(n * c, out_h, out_w).transpose(1, 2, 0).reshape(-1)
         dcols = np.zeros_like(cols)
         dcols[argmax, np.arange(cols.shape[1])] = grad_flat
-        dx = reference_col2im(dcols, reshaped.shape, kernel, stride, 0)
+        dx = reference_col2im(dcols, reshaped.shape, (out_h, out_w), kernel, stride, 0)
         x._accumulate(dx.reshape(x.data.shape))
 
     return x._make_result(out, (x,), backward)
@@ -109,7 +109,8 @@ def reference_avg_pool2d(x, kernel=2, stride=None):
     stride = stride or kernel
     n, c, h, w = x.data.shape
     reshaped = x.data.reshape(n * c, 1, h, w)
-    cols, out_h, out_w = reference_im2col(reshaped, kernel, stride, 0)
+    cols = reference_im2col(reshaped, kernel, stride, 0)
+    out_h, out_w = _reference_indices(reshaped.shape, kernel, stride, 0)[3:]
     out = cols.mean(axis=0)
     out = out.reshape(out_h, out_w, n * c).transpose(2, 0, 1).reshape(n, c, out_h, out_w)
 
@@ -117,7 +118,7 @@ def reference_avg_pool2d(x, kernel=2, stride=None):
         grad = np.asarray(grad, dtype=np.float64)
         grad_flat = grad.reshape(n * c, out_h, out_w).transpose(1, 2, 0).reshape(-1)
         dcols = np.broadcast_to(grad_flat / (kernel * kernel), cols.shape).copy()
-        dx = reference_col2im(dcols, reshaped.shape, kernel, stride, 0)
+        dx = reference_col2im(dcols, reshaped.shape, (out_h, out_w), kernel, stride, 0)
         x._accumulate(dx.reshape(x.data.shape))
 
     return x._make_result(out, (x,), backward)
