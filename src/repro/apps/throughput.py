@@ -114,20 +114,19 @@ class ThroughputModel:
         shape = config.shape
         contract_steps = config.contract_steps if config.non_iid else 0
         traffic = round_traffic(deployment, config.num_workers, config.num_servers, contract_steps)
-        price, bandwidth = self.cost.network_price(shape), self.network.bandwidth_bytes_per_s
+        price = self.cost.network_price(shape)
         nbytes = message_nbytes(self.dimension)
         charge, round_nbytes = Charge(), 0
         for quorum in traffic.quorums:
-            requests = len(quorum.asked) if quorum.shipped_nbytes else 0
-            messages = requests + len(quorum.replies)
+            messages = quorum.requests + len(quorum.replies)
             round_nbytes += messages * nbytes
             if quorum.requester == traffic.reporter:
-                # Every message at ``nbytes``: a reply arrives later or sooner by its
-                # transfer's change on the link, stretched by its straggler factor.
-                replies = [(at + factor * (nbytes - sent) / bandwidth, nbytes) for at, factor, sent in quorum.replies]
+                # Every message at ``nbytes``: a reply arrives after its transfer
+                # at the price's link speed, stretched by its straggler factor.
+                replies = [(ready + factor * nbytes / price.bandwidth, nbytes) for ready, factor, _ in quorum.replies]
                 charge.messages += messages
                 charge.nbytes += messages * nbytes
-                charge.elapsed += price.quorum(replies, requests * nbytes)
+                charge.elapsed += price.quorum(replies, quorum.requests * nbytes)
         return self.cost.communication_time(price, charge, round_nbytes, shape.native)
 
     def aggregation_time(self, deployment: str) -> float:
@@ -166,8 +165,9 @@ class RoundTraffic:
     """One replayed round, as the analytic model reads it.
 
     ``messages`` are Figure 9's counts, as ``(name, count)`` pairs: the
-    model-sized payloads requests ship, the gradient replies and every other
-    reply (replica models, contract aggregates).  ``quorums`` are the
+    messages the quorums priced, that is the model-sized payloads requests
+    ship, the gradient replies and every other reply (replica models,
+    contract aggregates).  ``quorums`` are the
     round's closed quorums, every requester's, in the order they closed;
     ``reporter`` is the server the round accountant charges.
     """
@@ -181,11 +181,10 @@ def round_traffic(deployment: str, num_workers: int, num_servers: int = 1, contr
     """The network traffic of one round of ``deployment``'s own strategy.
 
     The round is replayed once per cluster size: serial, with the logistic
-    model, plain averaging at f = 0 and no attacker.  Every pull goes to every
-    active peer, so the counts depend on neither f nor the quorum.  A pull
-    between two nodes on one machine is no message of Figure 9's: in a
-    per-worker layout ``server-k`` runs on ``worker-k``'s.  The price charges
-    it like any other, as the runtime, which knows no machines, does.
+    model, plain averaging at f = 0 and no attacker, so every quorum selects
+    every peer it asks.  A pull between two nodes on one machine
+    (:meth:`~repro.core.cluster.ClusterConfig.machines`) crosses no link: the
+    run prices it nothing, and Figure 9 does not count it.
     """
     strategy = strategy_class(deployment)
     contract_steps = contract_steps if strategy.shape.contract else 0
@@ -211,14 +210,10 @@ def replay_round(config: ClusterConfig) -> RoundTraffic:
         session.step()
         quorums = tuple(ledger.quorums)
         reporter = session.reporting_server.node_id
-    workers, servers = config.node_ids()
-    machine = dict(zip(workers + servers, workers + (workers if config.shape.servers == "per-worker" else servers)))
     messages = dict.fromkeys(("model_messages", "gradient_messages", "server_model_messages"), 0)
     for quorum in quorums:
-        remote = sum(machine[quorum.requester] != machine[peer] for peer in quorum.asked)
-        if quorum.shipped_nbytes:
-            messages["model_messages"] += remote
-        messages["gradient_messages" if quorum.kind == "gradient" else "server_model_messages"] += remote
+        messages["model_messages"] += quorum.requests
+        messages["gradient_messages" if quorum.kind == "gradient" else "server_model_messages"] += len(quorum.replies)
     return RoundTraffic(tuple(messages.items()), quorums, reporter)
 
 

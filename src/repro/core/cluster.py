@@ -410,6 +410,17 @@ class ClusterConfig:
             [f"server-{index}" for index in range(num_servers)],
         )
 
+    def machines(self) -> Dict[str, str]:
+        """Which machine each node of :meth:`node_ids` runs on, named after
+        the machine's first node.
+
+        The one place the placement is decided: in a per-worker layout
+        ``server-k`` runs on ``worker-k``'s machine; every other node has a
+        machine of its own.
+        """
+        workers, servers = self.node_ids()
+        return dict(zip(workers + servers, workers + (workers if self.shape.servers == "per-worker" else servers)))
+
     def byzantine_ids(self) -> List[str]:
         """The ids of the attacking nodes this deployment builds, workers first.
 

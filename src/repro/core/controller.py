@@ -283,6 +283,7 @@ class Controller:
 
         shape = config.shape
         transport.price = cost_model.network_price(shape)
+        transport.machines = config.machines()
         gradient_gar, model_gar = config.build_gars()
 
         workers = self._build_workers(config, transport, experiment, shards)

@@ -66,9 +66,10 @@ DEVICES = {"cpu": CPU, "gpu": GPU}
 class NetworkParameters:
     """Link and serialization parameters of the simulated testbed.
 
-    The link (bandwidth and base latency) is declared here once; the
+    The link (bandwidth and base latency) is declared here once: the
     simulated transport's :class:`~repro.network.transport.LinkModel` takes
-    its defaults from it.
+    its base latency from it, and :meth:`CostModel.network_price` derives the
+    deployment's one link speed from its bandwidth.
     """
 
     bandwidth_bytes_per_s: float = 1.25e9  # 10 Gbps Ethernet
@@ -108,14 +109,16 @@ class NetworkPrice:
     A requester's link is a FIFO.  The replies a quorum selected cross it in
     order of arrival: the first finishes when it arrives, and reply ``k``
     at ``max(arrival_k, finish_(k-1) + bytes_k / bandwidth)``; the quorum
-    costs the last finish.  The payloads its requests shipped go out first,
-    as a broadcast prefix on the same link.  Every byte a round charges also
-    crosses the shared fabric (:meth:`fabric`).  ``transfer_factor`` scales
-    both (a slower RPC layer).  :meth:`CostModel.network_price` builds the
-    rule for a deployment; a bare transport prices its own link.
+    costs the last finish, and nothing when none crossed.  The payloads its
+    requests shipped go out first, as a broadcast prefix on the same link.
+    Every byte a round charges also crosses the shared fabric
+    (:meth:`fabric`).  ``transfer_factor`` scales both (a slower RPC layer).
+    :meth:`CostModel.network_price` builds the rule for a deployment; a bare
+    transport prices the raw link.
     """
 
-    #: The requester's link, in bytes/s.
+    #: The requester's link, in bytes/s: the deployment's one link speed,
+    #: which the transport also draws every reply's transfer at.
     bandwidth: float
     #: The shared fabric, in bytes/s.
     fabric_bandwidth: float = math.inf
@@ -127,7 +130,7 @@ class NetworkPrice:
         finish = shipped_nbytes / self.bandwidth if shipped_nbytes else -math.inf
         for arrival, nbytes in sorted(replies):
             finish = max(arrival, finish + nbytes / self.bandwidth)
-        return self.transfer_factor * finish
+        return self.transfer_factor * max(finish, 0.0)
 
     def fabric(self, nbytes: int) -> float:
         """Time the shared fabric takes to carry a round's ``nbytes``."""

@@ -18,9 +18,10 @@ Every number reported about communication is a fold over those writes:
   the transport's :class:`~repro.network.cost.NetworkPrice` charged it.  The
   round accountant reads it, with :meth:`Ledger.round_nbytes`, the load of
   the shared fabric.
-* :class:`Quorum` is one closed quorum pull as the rule priced it: whom it
-  asked, the payload its requests shipped and the arrival of each selected
-  reply.  Only a ledger asked to (:attr:`Ledger.quorums`) keeps them: the
+* :class:`Quorum` is one closed quorum pull as the rule priced it: the
+  requests that shipped a payload across a link, and each selected reply
+  that crossed one, with its arrival less its transfer.  Only a ledger asked
+  to (:attr:`Ledger.quorums`) keeps them: the
   analytic throughput model re-prices a replayed round from them at another
   message size (:func:`~repro.apps.throughput.round_traffic`).
 
@@ -29,10 +30,11 @@ Every vector message — a reply, the payload a gradient request ships, a shard
 slice, a retried request — is priced by
 :func:`~repro.network.serialization.message_nbytes`, the count the
 analytic model re-prices a round at; coordination frames count at their
-framed sizes.  A request is charged to its requester
-when it is issued, and only if it ships a payload (the model state a gradient
-pull carries).  A reply is charged when its quorum closes, and only if that
-quorum selected it.  A retry re-sends a model-sized request, priced by the
+framed sizes.  Only a message between two machines is charged: a
+pull between two nodes on one machine crosses no link.  A request is charged
+to its requester when it is issued, and only if it ships a payload (the model
+state a gradient pull carries).  A reply is charged when its quorum closes,
+and only if that quorum selected it.  A retry re-sends a model-sized request, priced by the
 transport (:meth:`~repro.network.transport.Transport.vector_nbytes`).  The socket
 layer that retries knows only the destination, so every retry of the round
 is charged to whoever reads the round's charge.  Each charge is one message
@@ -49,7 +51,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 
 @dataclass
@@ -85,16 +87,17 @@ class Charge:
 
 @dataclass(frozen=True)
 class Quorum:
-    """One closed quorum pull, as the network rule priced it."""
+    """One closed quorum pull, as the network rule priced it: only the
+    messages that crossed a link, between two machines."""
 
     requester: str
     kind: str
-    #: Every peer asked, over all waves, in issue order.
-    asked: Tuple[str, ...]
+    #: Requests that shipped a payload to another machine, over all waves.
+    requests: int
     #: Bytes of the payload each request shipped (0 when none did).
     shipped_nbytes: int
-    #: ``(arrival, straggler factor, nbytes)`` of each selected reply, in
-    #: arrival order.
+    #: ``(arrival without its transfer, straggler factor, nbytes)`` of each
+    #: selected reply from another machine, in arrival order.
     replies: Tuple[Tuple[float, float, int], ...]
 
 
@@ -120,18 +123,18 @@ class Ledger:
     # ------------------------------------------------------------------ #
     # Writers: one per fact
     # ------------------------------------------------------------------ #
-    def issued(self, requester: str, kind: str, peers: Sequence[str], follow_up: bool, shipped: Optional[int]) -> None:
-        """One wave of ``kind`` pulls issued to ``peers``, each shipping a
-        ``shipped``-byte payload, or none when ``shipped`` is ``None``."""
-        pulls = len(peers)
+    def issued(self, requester: str, pulls: int, remote: int, follow_up: bool, shipped: int) -> None:
+        """One wave of ``pulls`` pulls issued, ``remote`` of them to another
+        machine, each shipping a ``shipped``-byte payload (0: none).  Only
+        the remote requests that ship one are charged."""
         with self._lock:
             self._totals.pulls_issued += pulls
             if follow_up:
                 self._totals.hedges_issued += pulls
-            if shipped is not None:
+            if shipped:
                 charge = self._charges[requester]
-                charge.messages += pulls
-                charge.nbytes += pulls * shipped
+                charge.messages += remote
+                charge.nbytes += remote * shipped
 
     def served(self, kind: str, nbytes: int, latency: float, follow_up: bool) -> None:
         """One reply served, recorded at ``nbytes``."""

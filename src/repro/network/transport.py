@@ -29,12 +29,15 @@ The transport knows waves, not hedging.
 Two layers of "time" coexist here:
 
 * **Simulated time** — each reply's latency combines a sampled link latency,
-  the transfer time implied by the payload size and link bandwidth, and
-  per-node straggler factors.  The paper parallelizes RPC calls, so the
-  fastest ``quorum`` arrivals win, whatever their number; the pull is charged
-  by the one network rule (:attr:`Transport.price`): the selected replies
-  cross the requester's link first in, first out, after the payloads its
-  requests shipped.
+  the transfer of its payload at the deployment's one link speed (the
+  ``bandwidth`` of :attr:`Transport.price`), and per-node straggler factors.
+  The paper parallelizes RPC calls, so the fastest ``quorum`` arrivals win,
+  whatever their number; the pull is charged by the one network rule
+  (:attr:`Transport.price`): the selected replies cross the requester's link
+  first in, first out, after the payloads its requests shipped.  A pull
+  between two nodes on one machine (:attr:`Transport.machines`) is drawn,
+  ordered and selected like any other, but crosses no link and is charged
+  nothing.
 * **Wall-clock time** — handler execution (gradient computation on a worker)
   is real work.  Each planned wave is handed to the backend
   (:meth:`TransportBackend.deliver`).  In process, its handler invocations
@@ -206,28 +209,20 @@ class InProcessBackend(TransportBackend):
 
 @dataclass
 class LinkModel:
-    """Per-link latency and bandwidth parameters.
+    """Per-link latency parameters: base latency and jitter.
 
-    Defaults approximate the paper's testbed: 2x10 Gbps Ethernet (we use an
-    effective 10 Gbps) and sub-millisecond base latency — the cost model's
-    link (:class:`~repro.network.cost.NetworkParameters`) — with jitter.
+    Defaults approximate the paper's testbed: a sub-millisecond base latency
+    — the cost model's link (:class:`~repro.network.cost.NetworkParameters`)
+    — with jitter.  How fast a link moves bytes is the deployment's one link
+    speed, :attr:`Transport.price`'s ``bandwidth``.
     """
 
     base_latency: float = NetworkParameters.base_latency
     jitter: float = 1e-4
-    bandwidth_bytes_per_s: float = NetworkParameters.bandwidth_bytes_per_s
 
     def sample_jitter(self, rng: np.random.Generator) -> float:
         """Sample the stochastic component of one reply's latency."""
         return rng.exponential(self.jitter) if self.jitter > 0 else 0.0
-
-    def latency_from_jitter(self, jitter: float, nbytes: int, factor: float = 1.0) -> float:
-        """Deterministic latency given a pre-sampled ``jitter`` value."""
-        return factor * (self.base_latency + jitter + nbytes / self.bandwidth_bytes_per_s)
-
-    def sample_latency(self, rng: np.random.Generator, nbytes: int, factor: float = 1.0) -> float:
-        """One-way latency for a message of ``nbytes`` bytes."""
-        return self.latency_from_jitter(self.sample_jitter(rng), nbytes, factor)
 
 
 @dataclass
@@ -361,9 +356,13 @@ class Transport:
         if wall_time_scale < 0:
             raise CommunicationError("wall_time_scale must be non-negative")
         self.link = link or LinkModel()
-        #: The one network rule every closed quorum is charged by; the
+        #: The one network rule every closed quorum is charged by, and its
+        #: ``bandwidth`` the one link speed every reply is drawn at; the
         #: Controller sets the deployment's (``CostModel.network_price``).
-        self.price = NetworkPrice(self.link.bandwidth_bytes_per_s)
+        self.price = NetworkPrice(NetworkParameters.bandwidth_bytes_per_s)
+        #: Which machine each node runs on (``ClusterConfig.machines``); a
+        #: node not named has a machine of its own.  The Controller sets it.
+        self.machines: Dict[str, str] = {}
         self.failures = failures or FailureInjector(seed=seed)
         #: The one communication record: every pull fact is written here once.
         self.ledger = Ledger()
@@ -483,8 +482,18 @@ class Transport:
             return
         frames = num_shards - 1
         for nbytes in (serialized_nbytes(quorum * quorum), serialized_nbytes(quorum)):
-            latency = self.link.latency_from_jitter(0.0, nbytes)
+            latency = self.latency(0.0, nbytes)
             self.ledger.coordinated(requester, frames, nbytes, latency, self.price.quorum([(latency, nbytes)] * frames))
+
+    def latency(self, jitter: float, nbytes: int, factor: float = 1.0) -> float:
+        """One-way latency of an ``nbytes`` message given its pre-sampled
+        ``jitter``: base latency, jitter and the transfer at the one link
+        speed, stretched by the sender's straggler ``factor``."""
+        return factor * (self.link.base_latency + jitter + nbytes / self.price.bandwidth)
+
+    def crosses(self, source: str, destination: str) -> bool:
+        """Whether a message between the two nodes leaves its machine (:attr:`machines`)."""
+        return self.machines.get(source, source) != self.machines.get(destination, destination)
 
     def wall_delay(self, latency: float) -> float:
         """Real seconds a reply of simulated ``latency`` is held back (0 without wall fidelity)."""
@@ -527,7 +536,7 @@ class Transport:
             kind=kind,
             iteration=iteration,
             payload=response,
-            latency=self.link.latency_from_jitter(plan.jitter, nbytes, plan.factor),
+            latency=self.latency(plan.jitter, nbytes, plan.factor),
             nbytes=nbytes,
         )
 
@@ -560,7 +569,8 @@ class Transport:
         latency, and the simulated time :attr:`price` charges the quorum —
         the selected replies cross the requester's link first in, first out,
         after the payloads every asked peer was shipped.  Replies that were
-        not selected cost nothing.  Crashed peers and
+        not selected, and every message between the requester and a peer on
+        its own machine, cost nothing.  Crashed peers and
         silent (Byzantine drop) replies never count towards the quorum; if
         fewer than ``quorum`` usable replies exist, :class:`TimeoutError` is
         raised — this is exactly the liveness condition requiring ``q + f``
@@ -590,7 +600,7 @@ class Transport:
         if shard_map is not None:
             reply_messages = shard_map.num_shards
             reply_nbytes = self.sharded_reply_nbytes(shard_map)
-        shipped = None if payload is None else self._payload_nbytes(payload)
+        shipped = 0 if payload is None else self._payload_nbytes(payload)
         request = (source, kind, iteration, payload, shipped, reply_nbytes)
         wave, reserves = policy.first_wave(destinations, quorum)
         outcomes = self._wave(wave, policy, request)
@@ -621,15 +631,19 @@ class Transport:
             o.reply if o.arrival == o.reply.latency else replace(o.reply, latency=o.arrival)
             for o in usable
         ]
-        sizes = [reply.nbytes if reply_nbytes is None else reply_nbytes for reply in selected]
-        prefix = 0 if shipped is None else len(outcomes) * shipped
-        elapsed = self.price.quorum([(reply.latency, size) for reply, size in zip(selected, sizes)], prefix)
-        self.ledger.closed(source, quorum * reply_messages, elapsed, sum(sizes))
+        # Only what crosses a link is priced; a reply from the requester's
+        # own machine was still drawn, ordered and selected like the others.
+        crossing = [reply for reply in selected if self.crosses(source, reply.source)]
+        sizes = [reply.nbytes if reply_nbytes is None else reply_nbytes for reply in crossing]
+        requests = sum(self.crosses(source, o.destination) for o in outcomes) if shipped else 0
+        elapsed = self.price.quorum([(reply.latency, size) for reply, size in zip(crossing, sizes)], requests * shipped)
+        self.ledger.closed(source, len(crossing) * reply_messages, elapsed, sum(sizes))
         if self.ledger.quorums is not None:
-            asked = tuple(outcome.destination for outcome in outcomes)
-            factors = [self.failures.latency_factor(reply.source) for reply in selected]
-            replies = tuple((reply.latency, factor, size) for reply, factor, size in zip(selected, factors, sizes))
-            self.ledger.quorums.append(Quorum(source, kind, asked, shipped or 0, replies))
+            # Each arrival less its transfer, which a re-pricing adds back at its own link speed.
+            factors = [self.failures.latency_factor(reply.source) for reply in crossing]
+            replies = tuple((reply.latency - factor * reply.nbytes / self.price.bandwidth, factor, size)
+                            for reply, factor, size in zip(crossing, factors, sizes))
+            self.ledger.quorums.append(Quorum(source, kind, requests, shipped, replies))
         if sink is not None:
             sink.reset()
             for index, reply in enumerate(selected):
@@ -640,7 +654,7 @@ class Transport:
         self,
         wave: Sequence[Tuple[str, float]],
         policy: WavePolicy,
-        request: Tuple[str, str, int, Any, Optional[int], Optional[int]],
+        request: Tuple[str, str, int, Any, int, Optional[int]],
         follow_up: bool = False,
     ) -> List[PullOutcome]:
         """Plan, dispatch and classify one wave of pulls; one outcome per pull.
@@ -662,7 +676,8 @@ class Transport:
            wave.
         """
         source, kind, iteration, payload, shipped, reply_nbytes = request
-        self.ledger.issued(source, kind, [destination for destination, _ in wave], follow_up, shipped)
+        remote = sum(self.crosses(source, destination) for destination, _ in wave)
+        self.ledger.issued(source, len(wave), remote, follow_up, shipped)
         plans: List[Any] = []
         for destination, _ in wave:
             try:

@@ -205,7 +205,7 @@ class TestFastestQuorumSemantics:
             assert len(replies) == quorum
             latencies = [r.latency for r in replies]
             assert latencies == sorted(latencies)
-            assert elapsed == fifo_finish(replies, transport.link.bandwidth_bytes_per_s)
+            assert elapsed == fifo_finish(replies, transport.price.bandwidth)
             assert elapsed < sum(latencies) or quorum == 1
         transport.executor.shutdown()
 

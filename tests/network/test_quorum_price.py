@@ -1,8 +1,9 @@
 """The network rule prices a quorum; it never picks one.
 
 Over seeded draws of link jitter, straggler factors, message drops, hedged
-follow-ups and shipped payloads, two transports that differ only in their
-:class:`~repro.network.cost.NetworkPrice` run the same pulls.  Both select
+follow-ups and shipped payloads, two transports whose
+:class:`~repro.network.cost.NetworkPrice` differs in everything but the link
+speed (every reply's arrival is drawn at that one speed) run the same pulls.  Both select
 the ``q`` earliest usable arrivals, in arrival order, and leave the same
 counters, latency history and RNG stream behind; the charge is at least the
 ``q``-th arrival and equals it for a one-reply quorum that shipped nothing.
@@ -14,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.session import strategy_class
 from repro.exceptions import TimeoutError
-from repro.network.cost import NetworkPrice
+from repro.network.cost import DEVICES, FRAMEWORKS, CostModel, NetworkParameters, NetworkPrice
 from repro.network.failures import FailureInjector
 from repro.network.resilience import HedgePolicy
 from repro.network.transport import LinkModel, Transport
@@ -68,7 +70,8 @@ def earliest(outcomes, quorum):
 @pytest.mark.parametrize("draw_seed", range(DRAWS))
 def test_the_price_never_moves_a_quorum(draw_seed):
     plain, names = build(np.random.default_rng(draw_seed), draw_seed)
-    costly, _ = build(np.random.default_rng(draw_seed), draw_seed, NetworkPrice(1.0, 1.0, transfer_factor=7.0))
+    costly_price = NetworkPrice(NetworkParameters.bandwidth_bytes_per_s, 1.0, transfer_factor=7.0)
+    costly, _ = build(np.random.default_rng(draw_seed), draw_seed, costly_price)
     shapes = np.random.default_rng(10_000 + draw_seed)
     outcomes = spy_outcomes(plain)
     for _ in range(PULLS):
@@ -94,3 +97,21 @@ def test_the_price_never_moves_a_quorum(draw_seed):
         assert [plain.hedge.tracker.samples(name) for name in names] == [
             costly.hedge.tracker.samples(name) for name in names
         ]
+
+
+@pytest.mark.parametrize(
+    "deployment, device, framework",
+    [("vanilla", "cpu", "tensorflow"), ("vanilla", "gpu", "pytorch"), ("msmw", "gpu", "pytorch")],
+)
+def test_a_pull_that_ships_nothing_is_charged_at_the_prices_speed(deployment, device, framework):
+    """The price runs faster than the raw link here; a reply crosses at the price's speed, and a
+    one-reply quorum that shipped nothing (a model pull) costs exactly its arrival."""
+    price = CostModel(DEVICES[device], framework=FRAMEWORKS[framework]).network_price(strategy_class(deployment).shape)
+    assert price.bandwidth > NetworkParameters.bandwidth_bytes_per_s
+    transport = Transport(link=LinkModel(base_latency=1e-4, jitter=0.0))
+    transport.price = price
+    for node in ("server", "peer"):
+        transport.register_node(node, object())
+    transport.register_handler("peer", "model", lambda context: np.zeros(100_000))
+    (reply,), elapsed = transport.pull_many("server", ["peer"], "model", quorum=1)
+    assert elapsed == pytest.approx(price.transfer_factor * (1e-4 + reply.nbytes / price.bandwidth), rel=1e-12)

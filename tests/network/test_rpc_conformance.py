@@ -122,7 +122,7 @@ class TestTransportConformance:
         latencies = [r.latency for r in replies]
         assert latencies == sorted(latencies)
         shipped = len(PROBE_NODES) * conformant_transport.vector_nbytes(payload.size)
-        assert elapsed == fifo_finish(replies, conformant_transport.link.bandwidth_bytes_per_s, shipped)
+        assert elapsed == fifo_finish(replies, conformant_transport.price.bandwidth, shipped)
 
     def test_quorum_of_q_returns_on_qth_reply(self, conformant_transport, fifo_finish):
         """A straggler beyond the quorum never shows up nor delays the call."""
@@ -134,7 +134,7 @@ class TestTransportConformance:
         assert len(replies) == quorum
         assert "probe-4" not in {r.source for r in replies}
         shipped = len(PROBE_NODES) * conformant_transport.vector_nbytes(1)
-        assert elapsed == fifo_finish(replies, conformant_transport.link.bandwidth_bytes_per_s, shipped)
+        assert elapsed == fifo_finish(replies, conformant_transport.price.bandwidth, shipped)
 
     def test_silent_replies_never_count_towards_the_quorum(self, conformant_transport):
         with pytest.raises(TimeoutError, match="0 usable"):

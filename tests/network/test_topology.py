@@ -108,10 +108,14 @@ class TestLedgerQuorums:
         transport.pull_many("server-0", workers[:2], "model", quorum=1)
         first, second = transport.ledger.quorums
         nbytes = transport.vector_nbytes(10)
-        assert (first.requester, first.kind, first.asked, first.shipped_nbytes) == ("server-0", "gradient", tuple(workers), nbytes)
+        assert (first.requester, first.kind, first.requests, first.shipped_nbytes) == ("server-0", "gradient", 3, nbytes)
         factors = {"worker-0": 1.0, "worker-1": 1.0, "worker-2": 3.0}
-        assert first.replies == tuple((reply.latency, factors[reply.source], nbytes) for reply in replies)
-        assert (second.kind, second.asked, second.shipped_nbytes, len(second.replies)) == ("model", tuple(workers[:2]), 0, 1)
+        # Each arrival is kept without its transfer, which a re-pricing adds back.
+        transfer = nbytes / transport.price.bandwidth
+        assert [(ready + factor * transfer, factor, size) for ready, factor, size in first.replies] == [
+            (pytest.approx(reply.latency, rel=1e-12), factors[reply.source], nbytes) for reply in replies
+        ]
+        assert (second.kind, second.requests, second.shipped_nbytes, len(second.replies)) == ("model", 0, 0, 1)
         transport.ledger.open_round()
         assert transport.ledger.quorums == []
         transport.close()
@@ -126,15 +130,17 @@ ROUND_CONFIGS = {
     "ssmw": dict(num_workers=5, num_byzantine_workers=1, gradient_gar="median"),
     "msmw": dict(num_workers=5, num_byzantine_workers=1, num_servers=3, gradient_gar="median"),
     "crash-tolerant": dict(num_workers=4, num_byzantine_workers=0, num_servers=3, gradient_gar="average"),
-    "decentralized": dict(num_workers=5, num_byzantine_workers=1, gradient_gar="median"),
+    # Its quorums wait for n_w - f_w of the peers they ask, so only at f_w = 0
+    # does a real round price every reply the replay does.
+    "decentralized": dict(num_workers=5, num_byzantine_workers=0, gradient_gar="median"),
 }
 
 
 @pytest.mark.parametrize("deployment", sorted(ROUND_CONFIGS))
 def test_messages_per_round_matches_one_real_round(deployment):
     """The priced round is replayed at f = 0 under plain averaging; a real round
-    at f_w = 1 (a smaller quorum, asynchronous in decentralized) sends the same
-    messages, though its quorums select fewer replies."""
+    under another rule (at f_w = 1 where its quorums still wait for every peer
+    they ask) prices the same messages."""
     overrides = ROUND_CONFIGS[deployment]
     config = ClusterConfig(
         deployment=deployment,

@@ -7,7 +7,9 @@ import pytest
 
 from repro.core.health import SUSPECT_AFTER, TIMEOUT_WEIGHT
 from repro.exceptions import CommunicationError, NodeCrashedError, TimeoutError
+from repro.network.cost import NetworkPrice
 from repro.network.failures import FailureInjector
+from repro.network.ledger import Charge
 from repro.network.serialization import message_nbytes
 from repro.network.transport import LinkModel, Transport
 
@@ -106,9 +108,21 @@ class TestPullMany:
         peers = [f"node-{i}" for i in range(1, 6)]
         replies, elapsed = transport.pull_many("node-0", peers, "value", quorum=3)
         assert len(replies) == 3
-        assert elapsed == fifo_finish(replies, transport.link.bandwidth_bytes_per_s)
+        assert elapsed == fifo_finish(replies, transport.price.bandwidth)
         latencies = [r.latency for r in replies]
         assert latencies == sorted(latencies)
+
+    def test_a_pull_within_one_machine_is_charged_nothing(self):
+        twin = build_cluster(3)
+        transport = build_cluster(3)
+        transport.machines = {"node-1": "node-0"}
+        payload = np.zeros(4)
+        (local,), elapsed = transport.pull_many("node-0", ["node-1"], "value", quorum=1, payload=payload)
+        assert (elapsed, transport.ledger.charge("node-0")) == (0.0, Charge())
+        # It is drawn like a pull between two machines: same arrival, same RNG stream.
+        (remote,), _ = twin.pull_many("node-0", ["node-1"], "value", quorum=1, payload=payload)
+        assert local.latency == remote.latency
+        assert transport._rng.random() == twin._rng.random()
 
     def test_quorum_larger_than_peers_rejected(self):
         transport = build_cluster(3)
@@ -186,7 +200,7 @@ class TestQuorumBoundary:
         replies, elapsed = transport.pull_many("src", self.ALL, "value", quorum=5)
         assert len(replies) == 5
         assert "node-5" not in {r.source for r in replies}
-        assert elapsed == fifo_finish(replies, transport.link.bandwidth_bytes_per_s)
+        assert elapsed == fifo_finish(replies, transport.price.bandwidth)
 
     def test_straggling_and_link_dropped_peer_counts_once_at_n_minus_f(self):
         # Seed chosen so the lossy link drops exactly the straggler's message:
@@ -271,20 +285,37 @@ class TestLivenessFeed:
         }
 
 
-class TestLinkModel:
+class TestLinkSpeed:
+    """A reply's latency: base latency, jitter and its transfer at the price's
+    link speed, all stretched by the sender's straggler factor."""
+
+    @staticmethod
+    def transport(bandwidth):
+        transport = Transport(link=LinkModel(base_latency=1e-3, jitter=0.0))
+        transport.price = NetworkPrice(bandwidth)
+        for node in ("server", "small", "large"):
+            transport.register_node(node, object())
+        transport.register_handler("small", "value", lambda context: np.ones(100))
+        transport.register_handler("large", "value", lambda context: np.ones(100_000))
+        return transport
+
     def test_latency_grows_with_message_size(self):
-        link = LinkModel(base_latency=1e-3, jitter=0.0, bandwidth_bytes_per_s=1e6)
-        rng = np.random.default_rng(0)
-        small = link.sample_latency(rng, 1_000)
-        large = link.sample_latency(rng, 1_000_000)
-        assert large > small
+        transport = self.transport(1e6)
+        small, large = transport.pull_many("server", ["large", "small"], "value", quorum=2)[0]
+        assert (small.source, large.source) == ("small", "large")
+        assert large.latency - small.latency == pytest.approx((large.nbytes - small.nbytes) / 1e6)
+
+    def test_the_price_sets_the_link_speed(self):
+        slow, fast = (self.transport(bandwidth).pull_many("server", ["large"], "value", quorum=1)[0][0]
+                      for bandwidth in (1e6, 1e7))
+        assert slow.latency - 1e-3 == pytest.approx(10.0 * (fast.latency - 1e-3))
 
     def test_straggler_factor_multiplies(self):
-        link = LinkModel(base_latency=1e-3, jitter=0.0)
-        rng = np.random.default_rng(0)
-        assert link.sample_latency(rng, 100, factor=10.0) == pytest.approx(
-            10.0 * link.sample_latency(rng, 100, factor=1.0)
-        )
+        transport = self.transport(1e6)
+        (plain,), _ = transport.pull_many("server", ["large"], "value", quorum=1)
+        transport.failures.set_straggler("large", 10.0)
+        (straggling,), _ = transport.pull_many("server", ["large"], "value", quorum=1)
+        assert straggling.latency == pytest.approx(10.0 * plain.latency)
 
 
 class TestRoundBufferSink:

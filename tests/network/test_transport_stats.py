@@ -43,7 +43,7 @@ def _hammer(ledger: Ledger, thread_index: int) -> None:
     requester = f"node-{thread_index % 2}"
     for _ in range(ITERATIONS):
         ledger.served(kind, 10, 0.5, follow_up=False)
-        ledger.issued(requester, kind, ["peer"], follow_up=False, shipped=3)
+        ledger.issued(requester, 1, 1, follow_up=False, shipped=3)
         ledger.retried(7)
 
 

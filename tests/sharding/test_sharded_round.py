@@ -21,8 +21,10 @@ import pytest
 from repro.core.cluster import ClusterConfig
 from repro.core.controller import Controller
 from repro.core.scenario import ScenarioDirector, ScenarioEvent, ScenarioSpec
-from repro.core.session import Session
+from repro.core.session import Session, strategy_class
+from repro.network.cost import GPU, PYTORCH, CostModel
 from repro.network.serialization import message_nbytes, serialized_nbytes
+from repro.network.transport import LinkModel, Transport
 from repro.sharding import ShardMap
 
 pytestmark = pytest.mark.sharding
@@ -113,3 +115,17 @@ def test_the_accountant_prices_a_sharded_round_from_the_byte_ledger():
     assert result.record.communication_time == charge.elapsed + deployment.transport.price.fabric(round_nbytes) + (
         cost_model.serialization_time(charge.nbytes, charge.messages)
     )
+
+
+def test_a_coordination_hop_crosses_at_the_one_link_speed():
+    """On PyTorch GPUs the link runs faster than raw 10 GbE: the coordination
+    frames' latency is drawn at the price's speed, as every reply's is."""
+    transport = Transport(link=LinkModel(base_latency=1e-4, jitter=0.0))
+    transport.price = price = CostModel(GPU, framework=PYTORCH).network_price(strategy_class("msmw").shape)
+    quorum, frames = 5, SHARDS - 1
+    transport.coordinate_shards("server-0", quorum, SHARDS)
+    frame_sizes = (serialized_nbytes(quorum * quorum), serialized_nbytes(quorum))
+    hops = [(1e-4 + nbytes / price.bandwidth, nbytes) for nbytes in frame_sizes]
+    assert transport.stats.time_communicating == pytest.approx(frames * sum(latency for latency, _ in hops), rel=1e-12)
+    elapsed = sum(price.quorum([hop] * frames) for hop in hops)
+    assert transport.ledger.charge("server-0").elapsed == pytest.approx(elapsed, rel=1e-12)

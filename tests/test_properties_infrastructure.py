@@ -106,4 +106,4 @@ def test_pull_many_returns_sorted_quorum(num_peers, quorum_fraction, seed, fifo_
     assert len(replies) == quorum
     latencies = [r.latency for r in replies]
     assert latencies == sorted(latencies)
-    assert elapsed == fifo_finish(replies, transport.link.bandwidth_bytes_per_s)
+    assert elapsed == fifo_finish(replies, transport.price.bandwidth)
